@@ -50,8 +50,13 @@ client, or the bundled example.  Requests carry an ``op``.
     frames; the previous frame always is), the reply is ``mode: "delta"``
     -- changed window cells, displayed-set changes, fresh statistics --
     *unless* the full frame would be smaller on the wire (degenerate
-    drags), in which case ``mode: "snapshot"`` is sent; a base that fell
-    out of the ring or mismatches also resyncs with a full frame.  A
+    drags), in which case ``mode: "snapshot"`` is sent.  The delta is
+    encoded first and wins outright when it fits under a lower bound on
+    the frame's size computed from the window geometry alone
+    (``FrameSnapshot.payload_size_floor``); the full frame is serialized
+    for an exact comparison only past that bound, so a steady drag costs
+    O(changed cells) on the wire leg, never O(pixels).  A base that fell
+    out of the ring or mismatches resyncs with a full frame.  A
     client already holding the current frame gets the tiny ``mode:
     "unchanged"`` answer.  ``base_frame_id`` may be passed to override the
     tracked ack.
@@ -167,8 +172,12 @@ class FeedbackProtocolServer:
         self._colormap = VisDBColormap()
         #: Wire accounting of the v2 stream: how many updates went out as
         #: deltas vs full frames, their encoded sizes, and the bytes the
-        #: size-based choice saved against always-full snapshots.  Served
-        #: by the ``metrics`` op so the payoff is observable in production.
+        #: size-based choice saved against always-full snapshots.
+        #: ``bytes_saved`` is a lower bound: a delta that wins without the
+        #: full frame being encoded is credited ``payload_size_floor() -
+        #: len(delta)``, the exact difference only when the full frame was
+        #: built anyway.  Served by the ``metrics`` op so the payoff is
+        #: observable in production.
         self.wire_stats: dict[str, int] = {
             "deltas_sent": 0,
             "snapshots_sent": 0,
@@ -229,7 +238,7 @@ class FeedbackProtocolServer:
                     encoded = json.dumps(self._error_frame(exc)).encode()
                     self.wire_stats["errors_sent"] += 1
                 send_t0 = time.perf_counter()
-                writer.write(encoded + b"\n")
+                writer.writelines((encoded, b"\n"))
                 await writer.drain()
                 if pending_trace is not None:
                     span_id = pending_trace.begin(
@@ -418,74 +427,85 @@ class FeedbackProtocolServer:
                 f"'base_frame_id' must be a non-negative integer, got {base!r}",
             )
         snapshot = await self._settled_snapshot(session_id, wait=wait)
-        # Frame serialization walks whole window cell arrays (O(pixels),
-        # several ms for real layouts): run it off the event loop like the
-        # PNG path above, so one streaming client's pull cannot stall every
-        # other connection's event firehose.
-        loop = asyncio.get_running_loop()
+        base_snapshot = None
+        if op == "delta":
+            if not base_given:
+                base = acked.get(session_id)
+            if base == snapshot.frame_id:
+                # A poll by a current client delivers no frame, so the
+                # frame's trace stays attached for the pull that does.
+                self.wire_stats["unchanged_sent"] += 1
+                return json.dumps({
+                    "ok": True, "type": "frame", "mode": "unchanged",
+                    "session": session_id, "frame_id": snapshot.frame_id,
+                    "statistics": snapshot.statistics.as_dict(),
+                }).encode(), None
+            session = self.service.registry.get(session_id)
+            if session is not None and base is not None:
+                base_snapshot = session.retained_frame(base)
         trace = self._take_trace(snapshot)
 
-        def timed_encode(name, fn, **attrs):
-            t0 = time.perf_counter()
-            payload = fn()
+        def record(name, t0, t1, payload, **attrs):
             if trace is not None:
-                span_id = trace.begin(name, t0=t0, bytes=len(payload),
-                                      **attrs)
-                trace.end(span_id)
-            return payload
+                span_id = trace.begin(name, t0=t0, bytes=len(payload), **attrs)
+                trace.end(span_id, t1=t1)
 
-        if op in ("subscribe", "resync"):
-            encoded = await loop.run_in_executor(
-                None, lambda: timed_encode(
-                    "frame.encode", snapshot.payload_bytes, mode="snapshot"))
-            acked[session_id] = snapshot.frame_id
-            self.wire_stats["snapshots_sent"] += 1
-            if op == "resync":
-                self.wire_stats["resyncs"] += 1
-            self.wire_stats["snapshot_bytes"] += len(encoded)
-            return encoded, trace
-        # op == "delta"
-        if not base_given:
-            base = acked.get(session_id)
-        if base == snapshot.frame_id:
-            self.wire_stats["unchanged_sent"] += 1
-            return json.dumps({
-                "ok": True, "type": "frame", "mode": "unchanged",
-                "session": session_id, "frame_id": snapshot.frame_id,
-                "statistics": snapshot.statistics.as_dict(),
-            }).encode(), None
-        session = self.service.registry.get(session_id)
-        base_snapshot = None
-        if session is not None and base is not None:
-            base_snapshot = session.retained_frame(base)
-        full = await loop.run_in_executor(
-            None, lambda: timed_encode(
-                "frame.encode", snapshot.payload_bytes, mode="snapshot"))
+        def encode_full() -> bytes:
+            t0 = time.perf_counter()
+            full = snapshot.payload_bytes()
+            record("frame.encode", t0, time.perf_counter(), full,
+                   mode="snapshot")
+            return full
+
+        def encode_delta() -> tuple[bytes | None, bytes | None]:
+            """Delta first: ``(delta, full)``, either of which may be None.
+
+            A delta no larger than the frame's geometric size floor has
+            already won the size comparison, and ``full`` stays None; only
+            a degenerate drag (most cells changed) pays for the full encode
+            to settle it exactly, and ``delta`` is None when it lost.
+            """
+            t0 = time.perf_counter()
+            delta = json.dumps({
+                "ok": True, **delta_payload(base_snapshot, snapshot),
+            }).encode()
+            t1 = time.perf_counter()
+            full = (None if len(delta) <= snapshot.payload_size_floor()
+                    else encode_full())
+            wins = full is None or len(delta) <= len(full)
+            record("delta.encode", t0, t1, delta,
+                   base_frame=base_snapshot.frame_id,
+                   choice="delta" if wins else "snapshot",
+                   full_encoded=full is not None)
+            return (delta if wins else None), full
+
+        # Diffing and serializing cell arrays is CPU work (O(changed cells)
+        # for a delta, O(pixels) and several ms for a full frame): run it
+        # off the event loop like the PNG path above, so one streaming
+        # client's pull cannot stall every other connection's event
+        # firehose.
+        loop = asyncio.get_running_loop()
+        full = None
         if base_snapshot is not None and base_snapshot is not snapshot:
-            # The client's acked frame is still retained: encode the delta
-            # against it, then let payload size pick the winner.  A
-            # degenerate drag (most cells changed) can make the delta
-            # *larger* than the frame -- sending the smaller one keeps the
-            # wire optimal either way.  Cell diffing + encoding is CPU work
-            # too; same off-loop treatment.
-            delta = await loop.run_in_executor(
-                None, lambda: timed_encode(
-                    "delta.encode",
-                    lambda: json.dumps({
-                        "ok": True,
-                        **delta_payload(base_snapshot, snapshot),
-                    }).encode(),
-                    base_frame=base_snapshot.frame_id))
-            if len(delta) <= len(full):
+            # The client's acked frame is still retained: send the delta
+            # unless the full frame is smaller on the wire.
+            delta, full = await loop.run_in_executor(None, encode_delta)
+            if delta is not None:
                 acked[session_id] = snapshot.frame_id
                 self.wire_stats["deltas_sent"] += 1
                 self.wire_stats["delta_bytes"] += len(delta)
-                self.wire_stats["bytes_saved"] += len(full) - len(delta)
+                self.wire_stats["bytes_saved"] += (
+                    snapshot.payload_size_floor() if full is None
+                    else len(full)) - len(delta)
                 return delta, trace
-        # Gap (the base fell out of the retention ring), mismatch, or the
-        # delta lost on size: resync with the full frame.
+        # subscribe / resync, a gap (the base fell out of the retention
+        # ring), a mismatch, or the delta lost on size: the full frame.
+        if full is None:
+            full = await loop.run_in_executor(None, encode_full)
         acked[session_id] = snapshot.frame_id
         self.wire_stats["snapshots_sent"] += 1
+        if op == "resync":
+            self.wire_stats["resyncs"] += 1
         self.wire_stats["snapshot_bytes"] += len(full)
         return full, trace
 

@@ -69,10 +69,11 @@ class ServiceConfig:
     record_batches: bool = False
     #: Recent frames retained per session for the v2 delta stream: a client
     #: whose acknowledged frame is still in the ring gets a delta, anything
-    #: older resyncs with a full snapshot.  Retained frames share their
-    #: arrays with the render/node caches, so the footprint is bounded and
-    #: small; 1 disables multi-frame catch-up (previous-frame deltas only
-    #: happen when the client pulls every frame).
+    #: older resyncs with a full snapshot.  Superseded frames keep only
+    #: what a delta is encoded against (windows and displayed order, no
+    #: O(n) array), so the footprint is bounded and small; 1 disables
+    #: multi-frame catch-up (previous-frame deltas only happen when the
+    #: client pulls every frame).
     frame_retention: int = 4
     #: Span tracing of the event path (see :mod:`repro.obs.trace`).  Off by
     #: default: disabled tracing costs one context-variable read per

@@ -92,8 +92,9 @@ class ServiceSession:
         #: protocol layer (event-loop side) always reads a consistent ring
         #: while runs complete on worker threads.  Retention bounds how far
         #: a streaming client may lag and still be served a delta instead
-        #: of a full resync; the ring shares its arrays with the render and
-        #: node caches, so retained frames are cheap.
+        #: of a full resync; every frame but the newest is kept in its
+        #: :meth:`~FrameSnapshot.superseded` form (windows and displayed
+        #: order, no O(n) arrays), so retained frames are cheap.
         self.frame_retention = max(1, int(frame_retention))
         self.frame_history: tuple[FrameSnapshot, ...] = ()
         #: With ``record_batches``: the batches actually executed, in order
@@ -230,8 +231,10 @@ class ServiceSession:
         if display_unchanged:
             self.metrics.inc("snapshots_reused")
         self.feedback = feedback
-        self.frame_history = (
-            self.frame_history + (snapshot,))[-self.frame_retention:]
+        retained = self.frame_history[:-1]
+        if self.snapshot is not None:
+            retained += (self.snapshot.superseded(),)
+        self.frame_history = (retained + (snapshot,))[-self.frame_retention:]
         self.snapshot = snapshot
         self.error = None
         self.metrics.inc("runs")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,7 +62,8 @@ def _digest(array: np.ndarray) -> str:
 
 
 def window_fingerprint(feedback: QueryFeedback, path: NodePath,
-                       width: int, height: int, pixels_per_item: int) -> str:
+                       width: int, height: int, pixels_per_item: int,
+                       order_digest: str | None = None) -> str:
     """Identity of everything one window's pixels depend on.
 
     A window shows the displayed items (in overall relevance order) coloured
@@ -74,12 +75,26 @@ def window_fingerprint(feedback: QueryFeedback, path: NodePath,
     (the node label, which embeds the current bounds) is deliberately not
     covered either: :class:`WindowCache` refreshes a stale title on the hit
     path without re-rendering a single pixel.
+
+    ``order_digest`` is the digest of ``feedback.display_order`` when the
+    caller already has it: every window of one frame shares the order, so
+    :class:`WindowCache` hashes it once per frame instead of once per
+    window.
     """
+    if order_digest is None:
+        order_digest = _digest(feedback.display_order)
     return stable_fingerprint(
         "window", tuple(path), width, height, pixels_per_item,
-        _digest(feedback.display_order),
+        order_digest,
         _digest(feedback.ordered_distances(path)),
     )
+
+
+@dataclass(frozen=True)
+class DisplayedOrder:
+    """What a superseded frame keeps of its feedback: the displayed rows."""
+
+    display_order: np.ndarray
 
 
 @dataclass
@@ -92,7 +107,9 @@ class FrameSnapshot:
     #: Coalesced events applied by this run.
     events_applied: int
     statistics: FeedbackStatistics
-    feedback: QueryFeedback
+    #: The run's full feedback while this is the session's current frame;
+    #: only its displayed order once :meth:`superseded`.
+    feedback: QueryFeedback | DisplayedOrder
     windows: dict[NodePath, VisualizationWindow]
     #: Paths re-rendered by this run; every other window was a cache hit.
     rendered_fresh: tuple[NodePath, ...]
@@ -117,18 +134,49 @@ class FrameSnapshot:
         """The full v2 frame payload of this snapshot, encoded exactly once.
 
         Serializing a full frame walks every window's cell arrays
-        (O(pixels)); every ``delta`` pull needs the encoded size for the
-        delta-vs-snapshot choice, and ``subscribe``/``resync``/gap replies
-        send the bytes themselves -- so many streaming clients would
-        otherwise re-serialize the same unchanged frame once per pull.
-        The snapshot is immutable after construction, and a racing double
-        encode would produce identical bytes, so the lazy cache needs no
-        lock.
+        (O(pixels)), so it happens only when the bytes are sent
+        (``subscribe``/``resync``/gap replies) or when a ``delta`` pull's
+        encoded delta exceeds :meth:`payload_size_floor` and the exact
+        size has to settle the delta-vs-snapshot choice.  The cache keeps
+        many clients pulling the same settled frame from re-serializing
+        it once each.  The snapshot is immutable after construction, and a
+        racing double encode would produce identical bytes, so the lazy
+        cache needs no lock.
         """
         if self._encoded_payload is None:
             self._encoded_payload = json.dumps(
                 {"ok": True, **frame_payload(self)}).encode()
         return self._encoded_payload
+
+    def payload_size_floor(self) -> int:
+        """A lower bound on ``len(self.payload_bytes())`` from geometry alone.
+
+        ``json.dumps`` writes a list of ``n`` elements as two brackets, at
+        least one character per element and ``n - 1`` two-character
+        ``", "`` separators: never fewer than ``3 * n`` bytes.  A frame
+        carries one such list per window for ``distances`` and for
+        ``item_ids`` (one element per cell) and one for ``display_order``;
+        everything else in the payload only adds to the true size.
+        O(windows) -- no array is traversed -- which lets a ``delta`` pull
+        prove its delta smaller than the frame without encoding the frame.
+        """
+        cells = sum(window.distances.size for window in self.windows.values())
+        return 3 * (2 * cells + len(self.feedback.display_order))
+
+    def superseded(self) -> "FrameSnapshot":
+        """This frame as the retention ring keeps it behind a newer one.
+
+        A superseded frame is only ever a ``delta`` base, which reads its
+        windows (O(pixels)) and displayed order (capacity-bounded).  The
+        per-item arrays of the full feedback are O(n) each; consecutive
+        frames of a steady drag share them chunk for chunk, but a run of
+        full recomputes would pin one whole-table generation per retained
+        frame.  The unclaimed trace goes too: pulls deliver the current
+        frame, so nothing can claim it any more.
+        """
+        return replace(
+            self, feedback=DisplayedOrder(self.feedback.display_order),
+            trace=None)
 
     def as_dict(self, top: int = 10) -> dict[str, object]:
         """JSON-serializable summary (protocol form, without pixel data)."""
@@ -186,10 +234,11 @@ class WindowCache:
         paths.extend(p for p in feedback.top_level_paths() if p != ())
         result: dict[NodePath, VisualizationWindow] = {}
         fresh: list[NodePath] = []
+        order_digest = _digest(feedback.display_order)
         for path in paths:
             fingerprint = window_fingerprint(
                 feedback, path, layout.window_width, layout.window_height,
-                layout.pixels_per_item,
+                layout.pixels_per_item, order_digest,
             )
             cached = self._cache.get(path)
             if cached is not None and cached[0] == fingerprint:

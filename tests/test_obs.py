@@ -503,6 +503,59 @@ def test_trace_op_returns_stitched_slow_event_tree():
     assert any(e.get("name") == "session.execute_batch" for e in events)
 
 
+def test_current_clients_poll_leaves_the_trace_for_the_delivering_pull():
+    """An ``unchanged`` poll delivers no frame and must not claim its trace.
+
+    Two connections share one session.  The first is already current on
+    the new frame when it polls ``delta``; the second then really receives
+    that frame, and its pull must still close the trace with the encode
+    and send spans (annotated with the delta-vs-snapshot choice).
+    """
+    table = small_table()
+
+    async def main():
+        async with _traced_service(table, "threads") as service:
+            server = await serve(service)
+            limit = server.STREAM_LIMIT
+            current = await asyncio.open_connection(
+                "127.0.0.1", server.port, limit=limit)
+            lagging = await asyncio.open_connection(
+                "127.0.0.1", server.port, limit=limit)
+            opened = await _request(*current, {
+                "op": "open", "query": "a between 20 and 70", "protocol": 2})
+            sid = opened["session"]
+            await _request(*lagging, {"op": "subscribe", "session": sid})
+            await _request(*current, {
+                "op": "event", "session": sid,
+                "event": {"type": "range", "path": [], "low": 25.0,
+                          "high": 70.0}})
+            # Settle the run without pulling, then poll as a client that
+            # already holds the new frame.
+            frame_id = (await service.snapshot(sid)).frame_id
+            poll = await _request(*current, {
+                "op": "delta", "session": sid, "base_frame_id": frame_id})
+            assert poll["mode"] == "unchanged"
+            update = await _request(*lagging, {"op": "delta", "session": sid})
+            assert update["mode"] == "delta"
+            forensics = await _request(*current, {"op": "trace", "session": sid})
+            for _, writer in (current, lagging):
+                writer.close()
+            await server.aclose()
+            return forensics
+
+    forensics = run(main())
+    event = next(t for t in reversed(forensics["traces"])
+                 if t["name"] == "event")
+    names = spans_by_name(event)
+    assert "frame.encode" not in names, (
+        "a small delta must not serialize the full frame")
+    encode, = names["delta.encode"]
+    assert encode["attrs"]["choice"] == "delta"
+    assert encode["attrs"]["full_encoded"] is False
+    send, = names["wire.send"]
+    assert send["attrs"]["bytes"] == encode["attrs"]["bytes"] + 1
+
+
 def test_untraced_service_protocol_unchanged():
     """With tracing off the wire surface stays byte-compatible."""
     table = small_table()

@@ -24,9 +24,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro import PipelineConfig, QueryEngine, ScreenSpec
-from repro.core.result import FeedbackFrame
+from repro.core.result import FeedbackFrame, FeedbackStatistics
 from repro.interact.events import SetQueryRange, SetWeight
 from repro.query.builder import Query, between, condition
 from repro.query.expr import AndNode, OrNode
@@ -41,7 +44,13 @@ from repro.service import (
     serve,
 )
 from repro.service.protocol import FeedbackProtocolServer
-from repro.service.snapshot import FrameGapError, parse_path_key, path_key
+from repro.service.snapshot import (
+    DisplayedOrder,
+    FrameGapError,
+    FrameSnapshot,
+    parse_path_key,
+    path_key,
+)
 from repro.storage.table import Table
 from repro.vis.colormap import VisDBColormap
 from repro.vis.layout import MultiWindowLayout
@@ -190,6 +199,28 @@ def test_delta_gap_raises_and_resync_recovers():
     # Recovery: a resync (full frame) re-bases the client exactly.
     state = apply_frame_update(state, canonical(frame_payload(current)))
     assert reconstructable(state) == cold_reference_state(table, prepared)
+
+
+def test_retention_ring_keeps_full_feedback_for_the_newest_frame_only():
+    """Superseded frames stay delta bases without pinning O(n) arrays."""
+    _, prepared = drag_prepared()
+    session = ServiceSession("s", prepared, layout=small_layout(),
+                             frame_retention=3)
+    seen = [session.execute_batch([])]
+    for k in range(4):
+        seen.append(session.execute_batch(
+            [SetQueryRange((0,), 50.0, 895.0 - 2.0 * k)]))
+    history = session.frame_history
+    assert [f.frame_id for f in history] == [f.frame_id for f in seen[-3:]]
+    assert history[-1] is seen[-1]
+    assert history[-1].feedback is session.feedback
+    for kept, original in zip(history[:-1], seen[-3:-1]):
+        assert isinstance(kept.feedback, DisplayedOrder)
+        assert kept.feedback.display_order is original.feedback.display_order
+        assert kept.windows is original.windows and kept.trace is None
+        # Still a complete delta base and resync unit: same wire payloads.
+        assert delta_payload(kept, seen[-1]) == delta_payload(original, seen[-1])
+        assert kept.payload_bytes() == original.payload_bytes()
 
 
 def small_locality_table(n: int = 2_000, seed: int = 13) -> Table:
@@ -387,11 +418,12 @@ def _service_table(seed: int = 0, n: int = 400) -> Table:
     })
 
 
-def _small_service(table) -> FeedbackService:
+def _small_service(table, frame_retention: int = 4) -> FeedbackService:
     return FeedbackService(
         table,
         PipelineConfig(screen=ScreenSpec(width=64, height=64), percentage=0.4),
-        service_config=ServiceConfig(max_inflight=2),
+        service_config=ServiceConfig(
+            max_inflight=2, frame_retention=frame_retention),
         layout=small_layout(),
     )
 
@@ -563,14 +595,8 @@ def test_protocol_delta_after_gap_resyncs_with_full_frame():
     table = _service_table()
 
     async def main():
-        service = FeedbackService(
-            table,
-            PipelineConfig(screen=ScreenSpec(width=64, height=64), percentage=0.4),
-            # Only the current frame is retained: any lag is a gap.
-            service_config=ServiceConfig(max_inflight=2, frame_retention=1),
-            layout=small_layout(),
-        )
-        async with service:
+        # Only the current frame is retained: any lag is a gap.
+        async with _small_service(table, frame_retention=1) as service:
             server = await serve(service)
             reader, writer = await _connect(server)
             opened = await _request(reader, writer, {
@@ -627,6 +653,186 @@ def test_protocol_lagging_client_catches_up_within_retention_ring():
             state = apply_frame_update(state, update)
             resync = await _request(reader, writer, {"op": "resync", "session": sid})
             assert reconstructable(state) == reconstructable(frame_state(resync))
+            writer.close()
+            await server.aclose()
+
+    asyncio.run(main())
+
+
+# --------------------------------------------------------------------------- #
+# Delta-first encoding: the size floor and the delta-vs-snapshot choice
+# --------------------------------------------------------------------------- #
+@st.composite
+def wire_windows(draw) -> VisualizationWindow:
+    """Windows that encode as short as JSON allows, down to a single cell."""
+    shape = draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    distances = draw(st.one_of(
+        # Nothing displayed: every cell is NaN on the server, ``null`` on
+        # the wire.
+        st.just(np.full(shape, np.nan)),
+        arrays(float, shape, elements=st.one_of(
+            st.just(float("nan")), st.floats(min_value=0.0, max_value=255.0))),
+    ))
+    # -1 marks an empty cell; single-digit ids are the 1-byte worst case.
+    item_ids = draw(arrays(np.intp, shape, elements=st.one_of(
+        st.just(-1), st.integers(0, 9), st.integers(0, 10 ** 7))))
+    return VisualizationWindow("", distances, item_ids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    windows=st.lists(wire_windows(), max_size=4),
+    display_order=st.lists(st.integers(0, 10 ** 7), max_size=30),
+)
+def test_payload_size_floor_never_exceeds_encoded_size(windows, display_order):
+    snapshot = FrameSnapshot(
+        session_id="", sequence=0, events_applied=0,
+        statistics=FeedbackStatistics(0, 0, 0.0, 0),
+        feedback=DisplayedOrder(np.array(display_order, dtype=np.intp)),
+        # Path () is the overall window, (k,) the top-level predicate ones.
+        windows={(() if k == 0 else (k - 1,)): window
+                 for k, window in enumerate(windows)},
+        rendered_fresh=(), run_seconds=0.0,
+    )
+    encoded = snapshot.payload_bytes()
+    payload = json.loads(encoded)
+    # The floor argues from the cell and order lists alone -- checking it
+    # against just those keeps the frame's fixed fields from hiding a
+    # too-optimistic bound; the rest of the payload only adds bytes.
+    lists = [payload["display_order"]] + [
+        window[key] for window in payload["windows"].values()
+        for key in ("distances", "item_ids")]
+    assert (snapshot.payload_size_floor()
+            <= sum(len(json.dumps(values)) for values in lists)
+            <= len(encoded))
+
+
+def test_protocol_delta_pull_skips_the_full_frame_encode(monkeypatch):
+    """Only replies that send (or must size) the full frame serialize it."""
+    table = _service_table()
+    full_encodes = []
+    real_payload_bytes = FrameSnapshot.payload_bytes
+
+    def spy(snapshot):
+        full_encodes.append(snapshot.frame_id)
+        return real_payload_bytes(snapshot)
+
+    monkeypatch.setattr(FrameSnapshot, "payload_bytes", spy)
+
+    async def main():
+        # A ring of two: one un-pulled frame is still a delta, two are a gap.
+        async with _small_service(table, frame_retention=2) as service:
+            server = await serve(service)
+            reader, writer = await _connect(server)
+
+            async def encodes_during(payload: dict) -> tuple[dict, int]:
+                before = len(full_encodes)
+                reply = await _request(reader, writer, payload)
+                return reply, len(full_encodes) - before
+
+            async def move(low: float) -> None:
+                await _request(reader, writer, {
+                    "op": "event", "session": sid,
+                    "event": {"type": "range", "path": [], "low": low,
+                              "high": 70.0},
+                })
+                await _request(reader, writer,
+                               {"op": "snapshot", "session": sid, "top": 0})
+
+            opened = await _request(reader, writer, {
+                "op": "open", "query": "a between 20 and 70", "protocol": 2,
+            })
+            sid = opened["session"]
+            assert full_encodes == [], "v1 summaries never build the frame"
+
+            sub, count = await encodes_during({"op": "subscribe", "session": sid})
+            assert sub["mode"] == "snapshot" and count == 1
+            state = apply_frame_update(None, sub)
+
+            # The streaming pull: retained base, small delta -> no full
+            # encode at all, and the saving is credited from the floor.
+            await move(22.0)
+            update, count = await encodes_during({"op": "delta", "session": sid})
+            assert update["mode"] == "delta" and count == 0
+            state = apply_frame_update(state, update)
+            wire = (await _request(reader, writer, {"op": "metrics"}))[
+                "metrics"]["wire"]
+            assert wire["deltas_sent"] == 1
+            current = service.registry.get(sid).retained_frame(state["frame_id"])
+            assert wire["bytes_saved"] == (
+                current.payload_size_floor() - wire["delta_bytes"])
+            assert 0 < wire["bytes_saved"] <= (
+                len(real_payload_bytes(current)) - wire["delta_bytes"])
+
+            unchanged, count = await encodes_during(
+                {"op": "delta", "session": sid})
+            assert unchanged["mode"] == "unchanged" and count == 0
+
+            resync, count = await encodes_during({"op": "resync", "session": sid})
+            assert resync["mode"] == "snapshot" and count == 1
+            assert reconstructable(state) == reconstructable(frame_state(resync))
+
+            # Two frames pass un-pulled: the acked base fell out of the ring.
+            await move(24.0)
+            await move(26.0)
+            gap, count = await encodes_during({"op": "delta", "session": sid})
+            assert gap["mode"] == "snapshot" and count == 1
+            writer.close()
+            await server.aclose()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("event, winner", [
+    # Most cells rewritten: the delta outgrows even the real frame.
+    ({"type": "percentage", "value": 0.9}, "snapshot"),
+    # Past the floor but still under the real frame: the delta wins, and
+    # only the exact comparison can tell.
+    ({"type": "range", "path": [], "low": 60.0, "high": 95.0}, "delta"),
+])
+def test_protocol_degenerate_drag_sends_the_shorter_encoding(event, winner):
+    table = _service_table()
+
+    async def main():
+        async with _small_service(table) as service:
+            server = await serve(service)
+            reader, writer = await _connect(server)
+            opened = await _request(reader, writer, {
+                "op": "open", "query": "a between 20 and 70", "protocol": 2,
+            })
+            sid = opened["session"]
+            sub = await _request(reader, writer, {"op": "subscribe", "session": sid})
+            state = apply_frame_update(None, sub)
+            await _request(reader, writer,
+                           {"op": "event", "session": sid, "event": event})
+            writer.write(json.dumps({"op": "delta", "session": sid}).encode() + b"\n")
+            await writer.drain()
+            line = await reader.readline()
+            update = json.loads(line)
+
+            session = service.registry.get(sid)
+            base = session.retained_frame(sub["frame_id"])
+            current = session.retained_frame(update["frame_id"])
+            delta_size = len(json.dumps(
+                {"ok": True, **delta_payload(base, current)}).encode())
+            full_size = len(current.payload_bytes())
+            assert delta_size > current.payload_size_floor(), (
+                "the case must be past the floor to exercise the fall-through"
+            )
+            assert update["mode"] == winner
+            assert winner == ("delta" if delta_size <= full_size else "snapshot")
+            assert len(line) - 1 == min(delta_size, full_size)
+
+            state = apply_frame_update(state, update)
+            resync = await _request(reader, writer, {"op": "resync", "session": sid})
+            assert reconstructable(state) == reconstructable(frame_state(resync))
+            assert state["frame_id"] == resync["frame_id"]
+            wire = (await _request(reader, writer, {"op": "metrics"}))[
+                "metrics"]["wire"]
+            if winner == "delta":
+                assert wire["bytes_saved"] == full_size - delta_size
+            else:
+                assert wire["bytes_saved"] == 0 and wire["deltas_sent"] == 0
             writer.close()
             await server.aclose()
 
