@@ -14,6 +14,17 @@ table:
   session, because bursts collapse to the newest slider position
   (asserted, not just recorded).
 
+A second leg measures what sharing the engine costs a dragging session:
+
+* **multi_session_patch_ratio** -- median per-event time with 8 sessions
+  dragging the *same* range attribute in turn (each at its own phase of
+  the band) over the median with 1 session, on one engine and one
+  250k-row table.  Patch provenance is per prepared query, so a peer's
+  drag must not cost a session its dirty-shard patch chain: the ratio
+  stays near 1 (measured ~1.1; ~5.7 when range deltas were based on the
+  engine-wide last writer).  ``check_regression.py`` gates it as an
+  absolute ``{"max": ...}`` ceiling.
+
 Results land in ``extra_info`` -> ``BENCH_service.json`` (uploaded as a CI
 artifact alongside the sharded benchmark).
 """
@@ -22,9 +33,12 @@ from __future__ import annotations
 
 import asyncio
 import os
+import statistics
 import time
 
-from repro import FeedbackService, PipelineConfig, ServiceConfig
+import numpy as np
+
+from repro import FeedbackService, PipelineConfig, ServiceConfig, Table
 from repro.datasets import environmental_database
 from repro.interact.events import SetQueryRange
 
@@ -132,6 +146,101 @@ def test_service_coalesces_bursts_across_session_counts(benchmark):
     assert results[32]["events_per_sec"] >= results[1]["events_per_sec"] * 0.5
 
 
+# --------------------------------------------------------------------------- #
+# Interleaved same-attribute drags on one engine
+# --------------------------------------------------------------------------- #
+PATCH_ROWS = 250_000
+PATCH_SHARDS = 8
+PATCH_SESSIONS = 8
+#: Timed drag steps per session (after ``PATCH_WARM`` untimed ones).
+PATCH_STEPS = 30
+PATCH_WARM = 4
+PATCH_QUERY = (
+    "SELECT * FROM Events "
+    "WHERE t BETWEEN 5.0 AND 990.0 AND (a > 30.0 OR b < 70.0)"
+)
+
+
+def _locality_table(rows: int = PATCH_ROWS, seed: int = 7) -> Table:
+    """``t`` sorted (a value band maps to few row-range shards), ``a``
+    following it loosely, ``b`` independent of row order."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, 1000.0, rows))
+    return Table("Events", {
+        "t": t,
+        "a": t * 0.1 + rng.normal(0.0, 5.0, rows),
+        "b": rng.uniform(0.0, 100.0, rows),
+    })
+
+
+def _band_position(step: int, low: float = 980.0, high: float = 990.0,
+                   tick: float = 0.05) -> float:
+    """Triangle wave inside the band, so dirty work per event is stationary."""
+    n = int(round((high - low) / tick))
+    i = step % (2 * n)
+    return round(low + (i if i <= n else 2 * n - i) * tick, 9)
+
+
+async def _interleaved_drag(table: Table, sessions: int) -> dict[str, float]:
+    """``sessions`` sessions drag ``t``'s upper bound in turn, closed loop.
+
+    One event is in flight at a time (submit, await the settled frame, next
+    session), so an event's time is its own engine run plus frame build --
+    what a peer's interleaved drag must not inflate.
+    """
+    service = FeedbackService(
+        table,
+        PipelineConfig(percentage=0.01, shard_count=PATCH_SHARDS),
+        service_config=ServiceConfig(max_sessions=sessions, max_inflight=1),
+    )
+    async with service:
+        ids = [await service.open_session(PATCH_QUERY) for _ in range(sessions)]
+        samples: list[float] = []
+        for step in range(PATCH_WARM + PATCH_STEPS):
+            for k, sid in enumerate(ids):
+                # Every session at its own phase of the band.
+                event = SetQueryRange((0,), 5.0, _band_position(step + 37 * k))
+                start = time.perf_counter()
+                await service.submit(sid, event)
+                await service.snapshot(sid)
+                if step >= PATCH_WARM:
+                    samples.append(time.perf_counter() - start)
+        incremental = service.metrics_report()["incremental"]
+    slices = incremental["shards_recomputed"] + incremental["shards_reused"]
+    return {
+        "event_ms_p50": statistics.median(samples) * 1e3,
+        "dirty_share": incremental["shards_recomputed"] / max(slices, 1),
+        "displayed_patches": incremental["displayed_patches"],
+        "slice_evictions": incremental["slice_evictions"],
+    }
+
+
+def test_service_multi_session_patch_ratio(benchmark):
+    table = _locality_table()
+    solo = asyncio.run(_interleaved_drag(table, 1))
+    shared = benchmark.pedantic(
+        lambda: asyncio.run(_interleaved_drag(table, PATCH_SESSIONS)),
+        rounds=3, iterations=1,
+    )
+    ratio = shared["event_ms_p50"] / solo["event_ms_p50"]
+    benchmark.extra_info.update({
+        "cpus": os.cpu_count() or 1,
+        "rows": PATCH_ROWS,
+        "shards": PATCH_SHARDS,
+        "sessions": PATCH_SESSIONS,
+        "multi_session_patch_ratio": round(ratio, 3),
+        **{f"s1_{key}": round(float(value), 4) for key, value in solo.items()},
+        **{f"s{PATCH_SESSIONS}_{key}": round(float(value), 4)
+           for key, value in shared.items()},
+    })
+    # Machine-independent half of the claim: interleaved peers keep
+    # patching (a session's base is its own previous state), and 8
+    # sessions x 5 plan nodes stay inside the slice cache's bound.
+    assert shared["displayed_patches"] > 0
+    assert shared["dirty_share"] < 0.5
+    assert shared["slice_evictions"] == 0
+
+
 if __name__ == "__main__":  # pragma: no cover - manual timing entry point
     database = _database()
     print(f"cpus={os.cpu_count()}  rows={len(database.table('Weather'))}")
@@ -142,3 +251,12 @@ if __name__ == "__main__":  # pragma: no cover - manual timing entry point
         row = asyncio.run(_drive(database, sessions))
         print(f"{sessions:>8} {row['events']:>7} {row['events_per_sec']:>10.0f} "
               f"{row['p95_run_ms']:>11.2f} {row['max_runs_per_session']:>9}")
+    table = _locality_table()
+    solo = asyncio.run(_interleaved_drag(table, 1))
+    shared = asyncio.run(_interleaved_drag(table, PATCH_SESSIONS))
+    print(f"interleaved same-attribute drags, {PATCH_ROWS} rows / "
+          f"{PATCH_SHARDS} shards: 1 session {solo['event_ms_p50']:.2f} ms, "
+          f"{PATCH_SESSIONS} sessions {shared['event_ms_p50']:.2f} ms "
+          f"(dirty share {shared['dirty_share']:.2f}), "
+          f"multi_session_patch_ratio "
+          f"{shared['event_ms_p50'] / solo['event_ms_p50']:.2f}")

@@ -16,7 +16,10 @@ A baseline value may also be written as ``{"min": X}``: an *absolute
 floor* with no tolerance scaling, for metrics whose acceptable bound is
 a contract rather than a measured headline (e.g. ``trace_overhead_ratio``
 must stay >= 0.95 -- tracing may cost at most ~5% -- regardless of what
-any past run measured).
+any past run measured).  ``{"max": X}`` is the mirror image, an absolute
+*ceiling* for a ratio where lower is better (``multi_session_patch_ratio``
+must stay <= 2: a session's per-event time with 8 peers dragging the
+same attribute on the engine, over its time alone).
 
 Usage (what .github/workflows/ci.yml runs)::
 
@@ -77,7 +80,13 @@ def main(argv: list[str] | None = None) -> int:
                     failures.append(
                         f"{file_name}:{test_name}:{metric}: missing from extra_info")
                     continue
-                if isinstance(baseline, dict):
+                ceiling = isinstance(baseline, dict) and "max" in baseline
+                if ceiling:
+                    # {"max": X}: an absolute ceiling, no tolerance applied.
+                    floor = float(baseline["max"])
+                    shown = floor
+                    detail = f"absolute ceiling {floor}"
+                elif isinstance(baseline, dict):
                     # {"min": X}: an absolute floor, no tolerance applied.
                     floor = float(baseline["min"])
                     shown = floor
@@ -87,20 +96,22 @@ def main(argv: list[str] | None = None) -> int:
                     floor = shown * (1.0 - args.tolerance)
                     detail = (f"baseline {baseline}, "
                               f"tolerance {args.tolerance:.0%}")
-                ok = float(current) >= floor
+                ok = (float(current) <= floor if ceiling
+                      else float(current) >= floor)
                 rows.append((test_name, metric, shown, float(current),
                              floor, "ok" if ok else "REGRESSED"))
                 if not ok:
                     failures.append(
-                        f"{test_name}:{metric} regressed: {current} < "
-                        f"{floor:.2f} ({detail})")
+                        f"{test_name}:{metric} regressed: {current} "
+                        f"{'>' if ceiling else '<'} {floor:.2f} ({detail})")
 
     if rows:
         width = max(len(r[0]) for r in rows) + 2
-        print(f"{'benchmark':<{width}}{'metric':<18}{'baseline':>9}"
-              f"{'current':>9}{'floor':>9}  status")
+        metric_width = max(18, max(len(r[1]) for r in rows) + 2)
+        print(f"{'benchmark':<{width}}{'metric':<{metric_width}}{'baseline':>9}"
+              f"{'current':>9}{'bound':>9}  status")
         for name, metric, baseline, current, floor, status in rows:
-            print(f"{name:<{width}}{metric:<18}{baseline:>9.2f}"
+            print(f"{name:<{width}}{metric:<{metric_width}}{baseline:>9.2f}"
                   f"{current:>9.2f}{floor:>9.2f}  {status}")
     if failures:
         print("\nregression gate FAILED:", file=sys.stderr)

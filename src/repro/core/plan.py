@@ -121,14 +121,15 @@ class _NodeColumns:
 
 @dataclass(frozen=True)
 class _RangeHistory:
-    """Last computed state of a range (slider) leaf on one attribute."""
+    """Raw columns of a range (slider) leaf and the bounds they were built for.
+
+    The base a delta update patches from: rows outside the band between
+    these bounds and the new ones keep their values.
+    """
 
     low: float
     high: float
     raw: _LeafRaw
-    #: Fingerprint of the raw computation that produced ``raw`` -- the base
-    #: identity the sharded dirty-tracking patches against.
-    raw_key: str | None = None
 
 
 @dataclass(frozen=True)
@@ -151,10 +152,17 @@ class ShardSliceEntry:
     smallest of the new column equals the old ``d_max`` exactly when
     ``count< < keep <= count<=`` -- no merge of value multisets needed.
 
-    Entries are validated structurally before any patch: the stored
-    provenance (leaf raw key / composite child keys + weights) must match
-    what the current computation would have used, so a stale or foreign
-    entry can only cause a full recompute, never a wrong patch.
+    Patch provenance is **per prepared query**: a site belongs to exactly
+    one prepared query, so the entry is that query's own previous state and
+    no other session can move it.  A leaf entry names the raw column it
+    derives from (``raw_key``); a range leaf's entry also records the
+    ``(attribute, low, high)`` its raw columns were built for, which makes
+    the rows an event changes -- and so the dirty shards -- a pure function
+    of those bounds, the new bounds and the per-shard sorted indexes,
+    whoever computed the new raw column.  A composite entry names its child
+    value keys, weights and rule.  Entries are validated against this
+    provenance before any patch, so a stale entry can only cause a full
+    recompute, never a wrong patch.
     """
 
     value_key: str
@@ -167,6 +175,9 @@ class ShardSliceEntry:
     shard_count: int
     #: Leaf provenance: identity of the raw column the entry derives from.
     raw_key: str | None = None
+    #: Range-leaf provenance: ``(attribute, low, high)`` of the range
+    #: predicate ``columns``' raw arrays were computed for.
+    range_bounds: tuple[str, float, float] | None = None
     #: Composite provenance: child value keys / weights / rule at build time.
     child_keys: tuple[str, ...] | None = None
     child_weights: tuple[float, ...] | None = None
@@ -212,6 +223,12 @@ class ShardSliceCache:
 
     def invalidate(self) -> None:
         self.generation += 1
+
+    @property
+    def evictions(self) -> int:
+        """Entries dropped by the LRU bound; an evicted site's next event
+        finds no entry and recomputes every shard."""
+        return self._lru.evictions
 
     def clear(self) -> None:
         self._lru.clear()
@@ -268,6 +285,9 @@ class CacheStats:
     #: column (slice_hits) vs. falling back to a full per-shard recompute.
     slice_hits: int = 0
     slice_misses: int = 0
+    #: Site entries the slice LRU dropped to stay within its bound (live
+    #: sessions x plan nodes above the bound evict each other's state).
+    slice_evictions: int = 0
     #: Per-shard work attribution across all patched/full node stages:
     #: shards whose slice had to be recomputed vs. reused verbatim.
     shards_recomputed: int = 0
@@ -304,6 +324,7 @@ class CacheStats:
             "node_evictions": self.node_evictions,
             "slice_hits": self.slice_hits,
             "slice_misses": self.slice_misses,
+            "slice_evictions": self.slice_evictions,
             "shards_recomputed": self.shards_recomputed,
             "shards_reused": self.shards_reused,
             "bounds_shortcircuits": self.bounds_shortcircuits,
@@ -333,9 +354,12 @@ class EvaluationCache:
                  max_slice_entries: int = 64):
         self._raw = _LRU(max_leaf_entries)
         self._nodes = _LRU(max_node_entries)
-        #: Last range-leaf result per attribute, enabling delta recomputation
-        #: when a slider moves: only the rows between the old and the new
-        #: bounds get fresh distances.
+        #: Last range-leaf result per attribute, whichever prepared query
+        #: wrote it.  The monolithic evaluator patches every range leaf from
+        #: it.  The sharded evaluator patches a leaf from its prepared
+        #: query's own site entry, and reads this only as the seed for a
+        #: site that has no entry yet -- and, by presence, to tell a warm
+        #: slider attribute from a cold one.
         self._range_history: dict[str, _RangeHistory] = {}
         #: Per-site incremental shard state (sharded evaluator only).  The
         #: entries reference the same arrays as the node LRU, so the extra
@@ -400,9 +424,9 @@ class EvaluationCache:
             return self._range_history.get(attribute)
 
     def set_range_history(self, attribute: str, low: float, high: float,
-                          raw: _LeafRaw, raw_key: str | None = None) -> None:
+                          raw: _LeafRaw) -> None:
         with self._lock:
-            self._range_history[attribute] = _RangeHistory(low, high, raw, raw_key)
+            self._range_history[attribute] = _RangeHistory(low, high, raw)
 
     # Shard-slice entries --------------------------------------------------- #
     def slice_generation(self) -> int:
@@ -417,6 +441,7 @@ class EvaluationCache:
     def put_slice(self, site: str, entry: ShardSliceEntry) -> None:
         with self._lock:
             self._slices.put(site, entry)
+            self.stats.slice_evictions = self._slices.evictions
 
     def record_incremental_event(self) -> None:
         with self._lock:
@@ -636,7 +661,7 @@ class PlanEvaluator:
         raw = self.cache.get_raw(plan.raw_key)
         if raw is None:
             with obs.span("leaf.raw"):
-                raw = self._compute_leaf_raw(plan.node, plan.raw_key)
+                raw = self._compute_leaf_raw(plan.node)
             self.cache.put_raw(plan.raw_key, raw)
             obs.annotate(cache="miss")
         else:
@@ -655,8 +680,7 @@ class PlanEvaluator:
         self.cache.put_node(value_key, columns)
         return columns
 
-    def _compute_leaf_raw(self, node: Union[PredicateLeaf, SubqueryNode],
-                          raw_key: str | None = None) -> _LeafRaw:
+    def _compute_leaf_raw(self, node: Union[PredicateLeaf, SubqueryNode]) -> _LeafRaw:
         if isinstance(node, SubqueryNode):
             signed = np.asarray(node.signed_distances(self.table), dtype=float)
             return _LeafRaw(
@@ -667,7 +691,7 @@ class PlanEvaluator:
             )
         predicate = node.predicate
         if isinstance(predicate, RangePredicate):
-            return self._range_leaf_raw(predicate, raw_key)
+            return self._range_leaf_raw(predicate)
         signed = np.asarray(predicate.signed_distances(self.table), dtype=float)
         exact = self._exact_mask(predicate)
         return _LeafRaw(
@@ -677,8 +701,7 @@ class PlanEvaluator:
             supports_direction=predicate.supports_direction,
         )
 
-    def _range_leaf_raw(self, predicate: RangePredicate,
-                        raw_key: str | None = None) -> _LeafRaw:
+    def _range_leaf_raw(self, predicate: RangePredicate) -> _LeafRaw:
         """Range-leaf distances, recomputed only between the old and new bounds.
 
         A slider move from ``[old_low, old_high]`` to ``[low, high]`` changes
@@ -689,6 +712,13 @@ class PlanEvaluator:
         :meth:`RangePredicate.signed_distances` uses, so the result is
         bit-identical to a full recomputation -- "retrieve only the
         additional portion of the data" from the paper's conclusions.
+
+        The old bounds and columns are the cache's last range result on the
+        attribute, whichever prepared query wrote it: any exact columns for
+        any bounds are a valid base, and the monolithic evaluator keeps no
+        per-query state.  (The sharded evaluator patches from the prepared
+        query's own site entry instead, see
+        :meth:`ShardedPlanEvaluator._range_leaf_raw`.)
         """
         attribute = predicate.attribute
         index = None
@@ -719,7 +749,8 @@ class PlanEvaluator:
             signed = as_chunked(old.signed)
             raw = as_chunked(old.raw)
             if len(changed):
-                values = np.asarray(self.table.column(attribute), dtype=float)[changed]
+                # Gather, then convert: O(changed) for any column dtype.
+                values = np.asarray(self.table.column(attribute)[changed], dtype=float)
                 below = np.where(values < predicate.low, values - predicate.low, 0.0)
                 above = np.where(values > predicate.high, values - predicate.high, 0.0)
                 delta = below + above
@@ -742,8 +773,7 @@ class PlanEvaluator:
                 exact_mask=self._exact_mask(predicate),
                 supports_direction=predicate.supports_direction,
             )
-        self.cache.set_range_history(attribute, predicate.low, predicate.high, result,
-                                     raw_key)
+        self.cache.set_range_history(attribute, predicate.low, predicate.high, result)
         return result
 
     def _normalize(self, values: np.ndarray, weight: float) -> np.ndarray:

@@ -58,6 +58,7 @@ from repro.core.plan import (
     ShardSliceEntry,
     _LeafRaw,
     _NodeColumns,
+    _RangeHistory,
 )
 from repro.core.reduction import (
     EMPTY_SHARD_SUMMARY as _EMPTY_SUMMARY,
@@ -337,6 +338,13 @@ class NodeDelta:
     dirty: frozenset | None
 
 
+def _range_bounds(predicate) -> tuple[str, float, float] | None:
+    """``(attribute, low, high)`` of a range predicate (None for any other)."""
+    if isinstance(predicate, RangePredicate):
+        return (predicate.attribute, predicate.low, predicate.high)
+    return None
+
+
 class ShardedPlanEvaluator(PlanEvaluator):
     """A :class:`~repro.core.plan.PlanEvaluator` that executes shard by shard.
 
@@ -351,8 +359,9 @@ class ShardedPlanEvaluator(PlanEvaluator):
     state (:class:`~repro.core.plan.ShardSliceEntry`) and recomputes only
     the shards an event dirtied:
 
-    * a range-slider delta marks as dirty exactly the shards whose rows the
-      swept band intersects (found through the per-shard sorted indexes);
+    * a range-slider move marks as dirty exactly the shards whose rows the
+      band between the site entry's bounds and the new ones intersects
+      (found through the per-shard sorted indexes);
     * per-node, only dirty shards' bounds partials are re-derived; when the
       merged ``(d_min, d_max)`` is bit-identical to the previous resolve
       (the common case for interior slider moves), clean shards' normalized
@@ -361,10 +370,11 @@ class ShardedPlanEvaluator(PlanEvaluator):
       clean combined/mask slices.
 
     Every patch is validated against the entry's recorded provenance (raw
-    key, child keys + weights, keep/capacity), so a stale entry degrades to
-    a full per-shard recompute -- never a wrong answer.  ``slice_token``
-    namespaces the sites (one token per prepared query), keeping concurrent
-    sessions' patch chains from thrashing each other.
+    key, range bounds, child keys + weights, keep/capacity), so a stale
+    entry degrades to a full per-shard recompute -- never a wrong answer.
+    ``slice_token`` namespaces the sites (one token per prepared query), so
+    every patch chain is based on its own query's previous state however
+    many sessions drag the same attribute on the shared engine.
 
     ``executor`` is an optional :class:`concurrent.futures.Executor`; when
     None (or with a single shard) the per-shard work runs inline.
@@ -389,9 +399,6 @@ class ShardedPlanEvaluator(PlanEvaluator):
         self.backend = backend
         #: :class:`NodeDelta` per node path of the latest :meth:`evaluate`.
         self.node_deltas: dict[NodePath, NodeDelta] = {}
-        #: raw_key -> (base raw_key, dirty shard set) learned while
-        #: recomputing range leaves during this evaluation.
-        self._raw_deltas: dict[str, tuple[str, frozenset]] = {}
         #: Slice generation this evaluation started under; entries are
         #: stamped with it so a concurrent cache clear() drops them.
         self._slice_generation = self.cache.slice_generation()
@@ -436,7 +443,6 @@ class ShardedPlanEvaluator(PlanEvaluator):
     # ------------------------------------------------------------------ #
     def evaluate(self, plan):
         self.node_deltas = {}
-        self._raw_deltas = {}
         self._slice_generation = self.cache.slice_generation()
         if self.incremental:
             self.cache.record_incremental_event()
@@ -466,8 +472,8 @@ class ShardedPlanEvaluator(PlanEvaluator):
         sorted shard indexes, a micro-move patches O(changed rows)
         in-process, which no full per-shard recompute on a worker can
         beat; a cold range leaf recomputes from scratch either way, so it
-        ships with the rest of the plan (and seeds the history for the
-        next move, see :meth:`_try_pipeline`).
+        ships with the rest of the plan (and seeds the site entry and the
+        history for the next move, see :meth:`_try_pipeline`).
         """
         n = len(self.table)
         meta: list[tuple[object, NodePath, int]] = []
@@ -586,7 +592,7 @@ class ShardedPlanEvaluator(PlanEvaluator):
                     # in-process instead of offloading).
                     self.cache.set_range_history(
                         predicate.attribute, predicate.low, predicate.high,
-                        raw, pnode.raw_key)
+                        raw)
                 columns = _NodeColumns(
                     normalized=data["normalized"],
                     signed=data["signed"] if predicate.supports_direction
@@ -594,7 +600,10 @@ class ShardedPlanEvaluator(PlanEvaluator):
                     exact_mask=data["mask"],
                     raw=data["raw"],
                 )
-                slice_extra: dict = {"raw_key": pnode.raw_key}
+                slice_extra: dict = {
+                    "raw_key": pnode.raw_key,
+                    "range_bounds": _range_bounds(predicate),
+                }
             else:
                 columns = _NodeColumns(
                     normalized=data["normalized"], signed=None,
@@ -669,22 +678,10 @@ class ShardedPlanEvaluator(PlanEvaluator):
             self.node_deltas[path] = NodeDelta(value_key, value_key, frozenset())
             return columns
         marks = self._chunk_marks()
-        raw = self.cache.get_raw(plan.raw_key)
-        if raw is None:
-            raw = self._compute_leaf_raw(plan.node, plan.raw_key)
-            self.cache.put_raw(plan.raw_key, raw)
         entry = self._valid_entry(path)
-        dirty: frozenset | None = None
-        if entry is not None and entry.raw_key is not None:
-            if entry.raw_key == plan.raw_key:
-                # Same raw column (e.g. only the weight moved): nothing is
-                # dirty -- the normalize stage decides whether the resolved
-                # bounds (hence the normalized column) changed at all.
-                dirty = frozenset()
-            else:
-                delta = self._raw_deltas.get(plan.raw_key)
-                if delta is not None and delta[0] == entry.raw_key:
-                    dirty = delta[1]
+        raw, dirty, declined = self._leaf_raw(plan, entry)
+        if declined is not None and self.incremental:
+            obs.annotate(patch_declined=declined)
         normalized, resolved, summaries, out_dirty = \
             self._normalize_incremental(raw.raw, plan.node.weight, entry, dirty)
         columns = _NodeColumns(
@@ -703,12 +700,62 @@ class ShardedPlanEvaluator(PlanEvaluator):
                 target_max=self.target_max,
                 shard_count=self.sharded.shard_count,
                 raw_key=plan.raw_key,
+                range_bounds=_range_bounds(
+                    getattr(plan.node, "predicate", None)),
                 generation=self._slice_generation,
             ))
         base = entry.value_key if (entry is not None and dirty is not None) else None
         self.node_deltas[path] = NodeDelta(value_key, base, out_dirty)
         self._annotate_chunks(marks)
         return columns
+
+    def _leaf_raw(self, plan, entry: ShardSliceEntry | None
+                  ) -> tuple[_LeafRaw, frozenset | None, str | None]:
+        """A leaf's raw columns and where they differ from its site entry's.
+
+        Returns ``(raw, dirty, declined)``.  ``dirty`` is the set of shards
+        within which ``raw`` may differ from ``entry.columns`` (None =
+        unknown, every node above recomputes in full); ``declined`` names
+        why a patch was not taken: ``"no-entry"`` (the site has no valid
+        entry), ``"base-mismatch"`` (the entry's columns are no base for
+        this computation) or ``"band-too-wide"`` (the move changed more
+        than a third of the rows, so the raw columns were recomputed in
+        full; ``dirty`` is still known).
+
+        The dirty set of a range move is derived from the entry's own
+        bounds, so it holds whether the new raw columns are patched here or
+        come out of the raw LRU because another session on the engine
+        already computed the same bounds.
+        """
+        predicate = getattr(plan.node, "predicate", None)
+        is_range = isinstance(predicate, RangePredicate)
+        base = changed = dirty = declined = None
+        if entry is None:
+            declined = "no-entry"
+        elif entry.raw_key == plan.raw_key:
+            # Same raw column (e.g. only the weight moved): nothing is
+            # dirty -- the normalize stage decides whether the resolved
+            # bounds (hence the normalized column) changed at all.
+            dirty = frozenset()
+        else:
+            if is_range:
+                base = self._entry_range_base(predicate, entry)
+            if base is None:
+                declined = "base-mismatch"
+            else:
+                changed = self._range_changed_rows(predicate, base)
+                dirty = frozenset(
+                    i for i, rows in enumerate(changed) if len(rows))
+        raw = self.cache.get_raw(plan.raw_key)
+        if raw is None:
+            if is_range:
+                raw, patched = self._range_leaf_raw(predicate, base, changed)
+                if base is not None and not patched:
+                    declined = "band-too-wide"
+            else:
+                raw = self._compute_leaf_raw(plan.node)
+            self.cache.put_raw(plan.raw_key, raw)
+        return raw, dirty, declined
 
     def _composite_columns(self, plan, path: NodePath,
                            feedback: dict) -> _NodeColumns:
@@ -729,6 +776,9 @@ class ShardedPlanEvaluator(PlanEvaluator):
         )
         entry = self._valid_entry(path)
         dirty = self._children_dirty(entry, child_keys, weights, plan.rule, path)
+        if dirty is None and self.incremental:
+            obs.annotate(
+                patch_declined="no-entry" if entry is None else "base-mismatch")
         bounds = self.sharded.bounds
         # OR over <= MAX_UNION_DISJUNCTS numeric range leaves: answer the
         # mask from the per-shard cached union regions (bit-identical to
@@ -857,16 +907,14 @@ class ShardedPlanEvaluator(PlanEvaluator):
     # ------------------------------------------------------------------ #
     # Leaf columns
     # ------------------------------------------------------------------ #
-    def _compute_leaf_raw(self, node: Union[PredicateLeaf, SubqueryNode],
-                          raw_key: str | None = None) -> _LeafRaw:
+    def _compute_leaf_raw(self, node: Union[PredicateLeaf, SubqueryNode]) -> _LeafRaw:
+        """Raw columns of a non-range leaf (range leaves: :meth:`_range_leaf_raw`)."""
         if isinstance(node, SubqueryNode):
             # Subquery distances come from an arbitrary callable that may
             # depend on whole-table state; only row-local predicates are
             # safe to evaluate per shard.
-            return super()._compute_leaf_raw(node, raw_key)
+            return super()._compute_leaf_raw(node)
         predicate = node.predicate
-        if isinstance(predicate, RangePredicate):
-            return self._range_leaf_raw(predicate, raw_key)
 
         def one(i: int) -> np.ndarray:
             return np.asarray(predicate.signed_distances(self.sharded.shards[i]),
@@ -882,62 +930,93 @@ class ShardedPlanEvaluator(PlanEvaluator):
             supports_direction=predicate.supports_direction,
         )
 
-    def _range_leaf_raw(self, predicate: RangePredicate,
-                        raw_key: str | None = None) -> _LeafRaw:
-        """Per-shard version of the incremental range-leaf update.
+    def _entry_range_base(self, predicate: RangePredicate,
+                          entry: ShardSliceEntry) -> _RangeHistory | None:
+        """``entry``'s raw columns as the base of a move to ``predicate``.
 
-        A slider event touches only the shards whose rows intersect the
-        swept band: each shard's sorted index finds its changed rows in
-        O(log s + k); shards outside the band contribute empty change sets
-        and do no work.  The recomputation formula is identical to
+        None when the entry was not built from a range on the same
+        attribute or the attribute has no per-shard indexes to find the
+        changed rows with.
+        """
+        bounds = entry.range_bounds
+        columns = entry.columns
+        if (bounds is None or bounds[0] != predicate.attribute
+                or columns.signed is None
+                or not self.sharded.has_index(predicate.attribute)):
+            return None
+        return _RangeHistory(bounds[1], bounds[2], _LeafRaw(
+            signed=columns.signed, raw=columns.raw,
+            exact_mask=columns.exact_mask, supports_direction=True))
+
+    def _range_changed_rows(self, predicate: RangePredicate,
+                            base: _RangeHistory) -> list[np.ndarray]:
+        """Per shard, the global rows whose distance differs between bounds.
+
+        A pure function of ``base``'s bounds, ``predicate``'s bounds and
+        the per-shard sorted indexes: distances change only on the side of
+        a bound that moved -- every row violating that bound (its distance
+        is measured against the bound) plus the band the bound swept over
+        -- which each shard's index finds in O(log s + k).  Shards outside
+        the band contribute empty change sets.
+        """
+        indexes = self.sharded.shard_indexes(predicate.attribute)
+        starts = [start for start, _ in self.sharded.bounds]
+
+        def changed_for(i: int) -> np.ndarray:
+            pieces = []
+            if predicate.low != base.low:
+                pieces.append(indexes[i].range_query(
+                    None, max(base.low, predicate.low), sort=False))
+            if predicate.high != base.high:
+                pieces.append(indexes[i].range_query(
+                    min(base.high, predicate.high), None, sort=False))
+            if not pieces:
+                return np.empty(0, dtype=np.intp)
+            # Shard-local hits -> global row numbers.
+            return np.concatenate(pieces) + starts[i]
+
+        return self._map_shards(changed_for)
+
+    def _range_leaf_raw(self, predicate: RangePredicate,
+                        base: _RangeHistory | None,
+                        changed: list[np.ndarray] | None,
+                        ) -> tuple[_LeafRaw, bool]:
+        """Raw columns of a range leaf, patched from ``base`` where possible.
+
+        ``base`` is the prepared query's own previous state of this leaf
+        (its site entry's bounds and columns; None when it has none) and
+        ``changed`` its :meth:`_range_changed_rows`: patch provenance is
+        per prepared query, so sessions dragging the same attribute on one
+        engine each patch their own columns.  A site with no entry yet is
+        seeded from the cache's table-wide last range result on the
+        attribute instead (any exact columns are a valid base for the raw
+        patch; only the dirty-shard relation needs the site's own entry).
+
+        Only the dirty shards' rows are recomputed, with the formula of
         :meth:`RangePredicate.signed_distances`, so the result matches a
-        full recomputation bit for bit.  The set of shards with a non-empty
-        change set is recorded as this raw column's delta against the
-        previous one, seeding the per-node dirty tracking; the fulfilment
-        mask is patched from the previous mask over the same rows (a row's
-        membership can only change where its distance changes).
+        full recomputation bit for bit; the fulfilment mask is patched from
+        the base mask over the same rows (a row's membership can only
+        change where its distance changes).  Returns ``(raw, patched)``;
+        ``patched`` is False when there was no base or the move changed
+        more than a third of the table, where the full vectorised
+        recomputation wins.
         """
         attribute = predicate.attribute
-        indexes = self.sharded.shard_indexes(attribute)
-        history = self.cache.range_history(attribute) if indexes else None
-        changed_parts: list[np.ndarray] = []
-        dirty_shards: frozenset | None = None
-        base_key = history.raw_key if history is not None else None
-        if history is not None:
-            old_low, old_high = history.low, history.high
-            starts = [start for start, _ in self.sharded.bounds]
-
-            def changed_for(i: int) -> np.ndarray:
-                pieces = []
-                if predicate.low != old_low:
-                    pieces.append(indexes[i].range_query(
-                        None, max(old_low, predicate.low), sort=False))
-                if predicate.high != old_high:
-                    pieces.append(indexes[i].range_query(
-                        min(old_high, predicate.high), None, sort=False))
-                if not pieces:
-                    return np.empty(0, dtype=np.intp)
-                # Shard-local hits -> global row numbers.
-                return np.concatenate(pieces) + starts[i]
-
-            changed_parts = self._map_shards(changed_for)
-            dirty_shards = frozenset(
-                i for i, c in enumerate(changed_parts) if len(c)
-            )
-            # Same trade-off as the monolithic path: past a third of the
-            # table the full vectorised recomputation wins.  The content
-            # delta (changed rows confined to the dirty shards) holds for
-            # the full recomputation just the same, so it is still
-            # recorded below.
-            if sum(len(c) for c in changed_parts) > len(self.table) // 3:
-                history = None
-        if history is not None:
-            old = history.raw
+        if base is None and self.sharded.has_index(attribute):
+            base = self.cache.range_history(attribute)
+            if base is not None:
+                changed = self._range_changed_rows(predicate, base)
+        if (base is not None
+                and sum(len(rows) for rows in changed) > len(self.table) // 3):
+            base = None
+        if base is not None:
+            old = base.raw
             column = self.table.column(attribute)
 
             def update(i: int) -> tuple:
-                changed = changed_parts[i]
-                values = np.asarray(column, dtype=float)[changed]
+                rows = changed[i]
+                # Gather, then convert: O(changed) for any column dtype.
+                values = np.asarray(column[rows], dtype=float)
                 below = np.where(values < predicate.low, values - predicate.low, 0.0)
                 above = np.where(values > predicate.high, values - predicate.high, 0.0)
                 delta = below + above
@@ -946,12 +1025,13 @@ class ShardedPlanEvaluator(PlanEvaluator):
                 # RangePredicate.exact_mask on the changed rows, unchanged
                 # (hence reusable) everywhere else.
                 member = (values >= predicate.low) & (values <= predicate.high)
-                return changed, delta, np.abs(delta), member
+                return rows, delta, np.abs(delta), member
 
             # Per-shard delta computation fans out; the copy-on-write patch
             # then copies only the chunks the changed rows intersect and
-            # aliases every clean chunk from the cached column.
-            updates = self._map_over(sorted(dirty_shards), update)
+            # aliases every clean chunk from the base column.
+            updates = self._map_over(
+                [i for i, rows in enumerate(changed) if len(rows)], update)
             if updates:
                 changed_all = np.concatenate([u[0] for u in updates])
                 signed = as_chunked(old.signed).patch(
@@ -985,12 +1065,9 @@ class ShardedPlanEvaluator(PlanEvaluator):
                 exact_mask=self._exact_mask(predicate),
                 supports_direction=predicate.supports_direction,
             )
-        if (self.incremental and raw_key is not None and base_key is not None
-                and dirty_shards is not None and raw_key != base_key):
-            self._raw_deltas[raw_key] = (base_key, dirty_shards)
         self.cache.set_range_history(attribute, predicate.low, predicate.high,
-                                     result, raw_key)
-        return result
+                                     result)
+        return result, base is not None
 
     def _exact_mask(self, predicate) -> np.ndarray:
         """Per-shard fulfilment masks, concatenated to the global mask.

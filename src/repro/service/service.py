@@ -382,6 +382,7 @@ class FeedbackService:
                 "events": engine["incremental_events"],
                 "slice_hits": engine["slice_hits"],
                 "slice_misses": engine["slice_misses"],
+                "slice_evictions": engine["slice_evictions"],
                 "shards_recomputed": engine["shards_recomputed"],
                 "shards_reused": engine["shards_reused"],
                 "bounds_shortcircuits": engine["bounds_shortcircuits"],

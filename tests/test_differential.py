@@ -427,6 +427,73 @@ def test_differential_weight_changes_mid_sequence():
     _drive_against_cold(table, root, config, events, "weights")
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_differential_interleaved_sessions_same_attribute(backend):
+    """Several prepared queries on one engine drag the same attribute in turn.
+
+    Patch provenance is per prepared query, so each session's range leaf
+    must keep patching from its own previous state however the peers'
+    drags interleave (no session moves twice in a row here).  The sessions
+    differ in the leaf's weight, so they share raw leaf columns (the raw
+    LRU) but no node column.  Covered on top of the alternating drags at
+    different phases: a session landing on exactly the bounds a peer holds
+    (raw columns from the LRU, dirty shards from its own entry) and
+    dragging on from there, and a late session whose first execution
+    follows the peers' events (no entry of its own: raw columns seeded
+    from the table-wide range history).
+    """
+    table = _locality_table(n=8_000)
+    config = PipelineConfig(screen=ScreenSpec(width=64, height=64),
+                            percentage=0.01)
+
+    def root(k: int):
+        return AndNode([
+            between("t", 50.0, (900.0, 697.5, 797.5)[k]).with_weight(1.0 - 0.2 * k),
+            OrNode([condition("a", ">", 20.0), condition("b", "<", 80.0)]),
+        ])
+
+    sessions = {}
+    for shards in SHARD_COUNTS:
+        engine = QueryEngine(table, config.with_(
+            shard_count=shards, max_workers=2, backend=backend))
+        sessions[shards] = [
+            engine.prepare(Query(name=f"session-{k}", tables=[table.name],
+                                 condition=root(k)))
+            for k in range(3)
+        ]
+    for k in (0, 1):  # session 2 opens late, after its peers' events
+        reference = cold_reference(table, sessions[1][k])
+        for shards in SHARD_COUNTS:
+            assert_feedback_identical(
+                reference, sessions[shards][k].execute(),
+                f"sessions backend={backend} open={k} shards={shards}")
+    before = {shards: sessions[shards][0].cache_stats for shards in SHARD_COUNTS}
+    script = [
+        (0, 897.5), (1, 700.0), (0, 895.0), (1, 702.5), (0, 892.5), (1, 705.0),
+        (2, 800.0),   # first execution of the late session
+        (1, 892.5),   # exactly session 0's bounds: peer raw-LRU hit
+        (0, 890.0), (1, 890.5), (2, 802.5), (0, 887.5), (1, 888.0), (2, 805.0),
+    ]
+    for step, (k, high) in enumerate(script):
+        event = SetQueryRange((0,), 50.0, high)
+        feedbacks = {
+            shards: sessions[shards][k].execute(changes=[event])
+            for shards in SHARD_COUNTS
+        }
+        reference = cold_reference(table, sessions[1][k])
+        for shards in SHARD_COUNTS:
+            assert_feedback_identical(
+                reference, feedbacks[shards],
+                f"sessions backend={backend} step={step} session={k} "
+                f"high={high} shards={shards}")
+    for shards in SHARD_COUNTS[1:]:
+        after = sessions[shards][0].cache_stats
+        # Interleaving cost no session its patch chain: clean shards were
+        # reused and displayed sets patched.
+        assert after["shards_reused"] > before[shards]["shards_reused"], shards
+        assert after["displayed_patches"] > before[shards]["displayed_patches"], shards
+
+
 def test_differential_incremental_matches_disabled():
     """incremental_shards=False must reproduce the same bits (and is the
     baseline the event-latency benchmark compares against)."""

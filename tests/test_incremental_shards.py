@@ -31,7 +31,12 @@ from repro.core.shard import (
     merge_distance_bounds_many,
     resolve_distance_bounds,
 )
-from repro.interact.events import SetPercentageDisplayed, SetQueryRange, SetWeight
+from repro.interact.events import (
+    SetPercentageDisplayed,
+    SetQueryRange,
+    SetThreshold,
+    SetWeight,
+)
 from repro.query.builder import Query, between, condition
 from repro.query.expr import AndNode, OrNode
 from repro.storage.table import Table
@@ -94,6 +99,39 @@ def test_interior_micro_move_recomputes_only_dirty_shards():
     assert recomputed + reused == patched * report["shard_count"]
     assert after["bounds_shortcircuits"] > before["bounds_shortcircuits"]
     assert after["displayed_patches"] > before["displayed_patches"]
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_range_patch_on_int64_column_matches_cold(shards):
+    """Range drags on a column supplied as int64 go through the row patch
+    (which gathers the changed rows, then converts only those to float) and
+    stay bit-identical to a cold run, monolithic and sharded."""
+    n = 6_000
+    table = Table("Ticks", {
+        "k": np.arange(n, dtype=np.int64) * 3,
+        "b": np.random.default_rng(3).uniform(0.0, 100.0, n),
+    })
+    config = PipelineConfig(screen=ScreenSpec(width=64, height=64),
+                            percentage=0.05, shard_count=shards, max_workers=2)
+    root = AndNode([between("k", 300.0, 15_000.0), condition("b", "<", 80.0)])
+    prepared = QueryEngine(table, config).prepare(
+        Query(name="ticks", tables=[table.name], condition=root))
+    prepared.execute()
+    before = prepared.cache_stats
+    for high in (14_990.0, 14_981.0, 17_000.0, 14_000.0):
+        feedback = prepared.execute(changes=[SetQueryRange((0,), 300.0, high)])
+        cold = QueryEngine(table, config.with_(shard_count=1, max_workers=1)).prepare(
+            Query(name="cold", tables=[table.name],
+                  condition=copy.deepcopy(prepared.query.condition))).execute()
+        np.testing.assert_array_equal(feedback.display_order, cold.display_order)
+        for path in ((), (0,)):
+            ours, theirs = feedback.node_feedback[path], cold.node_feedback[path]
+            np.testing.assert_array_equal(ours.raw_distances, theirs.raw_distances)
+            np.testing.assert_array_equal(ours.exact_mask, theirs.exact_mask)
+        np.testing.assert_array_equal(feedback.node_feedback[(0,)].signed_distances,
+                                      cold.node_feedback[(0,)].signed_distances)
+    # The moves really went through the copy-on-write row patch.
+    assert prepared.cache_stats["chunks_patched"] > before["chunks_patched"]
 
 
 def test_untouched_subtree_serves_from_node_cache():
@@ -184,6 +222,63 @@ def test_slice_cache_eviction_is_bounded():
     assert len(cache) == 2
     assert cache.get("site-4") is not None
     assert cache.get("site-0") is None
+
+
+def test_slice_evictions_are_counted():
+    """Sessions x plan nodes above the slice bound evict each other's
+    entries; the counter makes the cliff visible."""
+    table = locality_table(n=4_000)
+    engine, first = prepared_query(table)
+    cache = engine.evaluation_cache(table)
+    bound = cache._slices._lru.max_entries
+    first.execute()  # 5 plan nodes -> 5 site entries
+    assert cache.stats.as_dict()["slice_evictions"] == 0
+    sessions = bound // 5 + 1
+    for k in range(sessions):
+        # Distinct constants everywhere: no node of a peer is an LRU hit,
+        # so each peer publishes an entry for all 5 of its sites.
+        engine.prepare(Query(name=f"peer-{k}", tables=[table.name], condition=AndNode([
+            between("t", 50.0, 900.0 - k),
+            OrNode([condition("a", ">", 21.0 + k), condition("b", "<", 79.0 - k)]),
+        ]))).execute()
+    assert cache.stats.as_dict()["slice_evictions"] == 5 * (sessions + 1) - bound
+    assert engine.stats()["slice_evictions"] == cache.stats.slice_evictions
+    # The first session's entries went first: its next event finds none.
+    before = stats_of(engine, first)
+    first.execute(changes=[SetQueryRange((0,), 50.0, 985.0)])
+    assert stats_of(engine, first)["slice_hits"] == before["slice_hits"]
+
+
+def test_declined_patches_are_annotated_with_a_reason():
+    """`node.evaluate` spans say why a node did not patch."""
+    from repro.obs import Trace, use_trace
+
+    table = locality_table(n=9_000)
+    engine, prepared = prepared_query(table)
+
+    def declined(*changes) -> dict[str, str]:
+        trace = Trace("event", trace_id=1)
+        with use_trace(trace):
+            prepared.execute(changes=list(changes))
+        return {
+            s.attrs["node"]: s.attrs["patch_declined"]
+            for s in trace.spans
+            if s.name == "node.evaluate" and "patch_declined" in (s.attrs or {})
+        }
+
+    # Cold: no site has an entry (an offloading backend computes the cold
+    # plan whole, and the walk then declines nothing: all node-cache hits).
+    assert set(declined().values()) <= {"no-entry"}
+    # Micro-moves patch: nothing to explain.
+    assert declined(SetQueryRange((0,), 50.0, 989.0)) == {}
+    assert declined(SetQueryRange((0,), 50.0, 988.0)) == {}
+    # A move over more than a third of the rows recomputes the raw columns
+    # in full; the dirty set still propagates, so the root is not declined.
+    assert declined(SetQueryRange((0,), 50.0, 400.0)) == {"(0,)": "band-too-wide"}
+    # A threshold move has no index-backed delta: the leaf's entry is no
+    # base, and its ancestors see a child without a delta.
+    assert declined(SetThreshold((1, 0), 25.0)) == {
+        "(1, 0)": "base-mismatch", "(1,)": "base-mismatch", "()": "base-mismatch"}
 
 
 def test_wholesale_query_change_regenerates_slice_token():
