@@ -126,14 +126,20 @@ class ExecBackend:
 
         ``offloaded_ops`` counts hooks answered by the backend,
         ``fallbacks`` hooks declined after a failure (crash, timeout,
-        unpicklable work), ``worker_restarts`` pool respawns this instance
-        triggered.  ``pipeline_ops`` / ``pipeline_fallbacks`` break out the
+        unpicklable work), ``worker_restarts`` the transport faults among
+        them (a worker pool discarded, a fleet endpoint marked down).
+        ``pipeline_ops`` / ``pipeline_fallbacks`` break out the
         :meth:`shard_pipeline` hook, and ``reply_bytes`` totals the bytes
         that came back over the control channel for accepted pipeline ops
         (the quantity the partials-only contract keeps independent of rows
-        per shard).  Gauges (``worker_count``, ``workers_alive``,
-        ``published_tables``, ``published_bytes``) describe shared
-        infrastructure and are reported as current values, not deltas.
+        per shard); ``column_bytes`` totals result columns that had to
+        ride replies because a worker could not map the output block.
+        Gauges (``worker_count``, ``workers_alive``, ``published_tables``,
+        ``published_bytes``) describe shared infrastructure and are
+        reported as current values, not deltas.  The out-of-process
+        backends build this dict in one place
+        (:meth:`repro.backend.coordinator.Coordinator.stats`); the full
+        table is in ``docs/backends.md``.
         """
         return {
             "offloaded_ops": 0,
@@ -143,6 +149,7 @@ class ExecBackend:
             "pipeline_ops": 0,
             "pipeline_fallbacks": 0,
             "reply_bytes": 0,
+            "column_bytes": 0,
             "published_tables": 0,
             "published_bytes": 0,
             "worker_count": 0,

@@ -1,9 +1,10 @@
-"""Whole-pipeline offload protocol for the ``process`` backend.
+"""Whole-pipeline offload protocol, shared by every out-of-process backend.
 
 One *pipeline op* runs leaf evaluation, reduced normalization,
-combination and fulfilment masks for a whole plan inside the worker pool,
-over the table columns the workers already have mapped from shared
-memory.  The op is a short session of broadcast rounds, one per plan
+combination and fulfilment masks for a whole plan on the workers -- the
+``process`` backend's pipe pool or the ``remote`` backend's TCP fleet --
+over the table columns the workers already hold (mapped from shared
+memory, or streamed once).  The op is a short session of rounds, one per plan
 level, because the reduced normalization of every node needs its global
 ``(d_min, d_max)`` resolved before the node can be normalized (and a
 composite combined from its children's normalized columns):
@@ -25,24 +26,25 @@ composite combined from its children's normalized columns):
    optionally returns per-shard :class:`~repro.core.reduction.TopKCandidates`
    partials of the root column for the displayed-set selection.
 
-Column data crosses the process boundary only through the shared-memory
-output block; the pipe replies are partials, popcounts and summaries --
-O(screen budget + shard count) bytes per event, independent of the rows
-per shard.  Every value written or replied is produced by the exact
+Column data leaves a worker only through the session's output buffer (a
+shared-memory block, or ``pipeline_fetch`` replies on the stream plane);
+the round replies are partials, popcounts and summaries -- O(screen
+budget + shard count) bytes per event, independent of the rows per
+shard.  Every value written or replied is produced by the exact
 functions the in-process evaluator runs over the same bits, so the
 assembled result is bit-identical to the in-process cold path.
 
-This module is imported on both sides of the pipe and depends only on
-NumPy-level machinery (:mod:`repro.core.reduction`,
-:mod:`repro.core.normalization`, :mod:`repro.core.combine`,
-:mod:`repro.backend.shm`) -- never on the plan/evaluator.
-
-Both session coordinators -- :class:`~repro.backend.process.ProcessBackend`
-over pipes and :class:`~repro.backend.remote.client.RemoteBackend` over
-TCP -- drive their rounds through the helpers here
+This module is imported on both sides of the transport and depends only
+on NumPy-level machinery (:mod:`repro.core.reduction`,
+:mod:`repro.core.normalization`, :mod:`repro.core.combine`) -- never on
+the plan/evaluator.  It holds the two halves of the round algebra: the
+helpers the one session driver
+(:class:`repro.backend.coordinator.Coordinator`) calls between rounds
 (:func:`gather_round`, :func:`resolve_level`, :func:`round_message`,
-:func:`node_columns_from_buffer`), so the round algebra exists exactly
-once and a transport cannot diverge from the in-process semantics.
+:func:`node_views`), and the :class:`WorkerPipeline` the
+one worker op table (:class:`repro.backend.worker.WorkerOps`) runs them
+against.  The leaf kernel both the single-leaf op and the session's
+start round execute is :func:`leaf_kernel`.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.backend.shm import attach_block
 from repro.core.combine import CombinationRule, combine_columns
 from repro.core.normalization import apply_normalization, reduced_bounds
 from repro.core.reduction import (
@@ -66,24 +67,26 @@ from repro.core.reduction import (
 )
 
 __all__ = [
-    "PIPELINE_OPS",
+    "FIELD_DTYPES",
     "WorkerPipeline",
     "fill_node_summary",
     "gather_round",
+    "leaf_kernel",
     "next_pipeline_token",
-    "node_columns_from_buffer",
+    "node_views",
     "pipeline_layout",
     "resolve_level",
     "round_message",
 ]
 
-#: Op codes served by :func:`repro.backend.worker.worker_main`.
-PIPELINE_OPS = (
-    "pipeline_start",
-    "pipeline_level",
-    "pipeline_finish",
-    "pipeline_abort",
-)
+#: dtype of every column a worker produces, by field name; ``signed`` and
+#: ``mask`` double as the two ``kind``s of the single-leaf op.
+FIELD_DTYPES = {
+    "raw": np.float64,
+    "normalized": np.float64,
+    "mask": np.bool_,
+    "signed": np.float64,
+}
 
 _TOKEN_SEQ = itertools.count(1)
 
@@ -91,6 +94,18 @@ _TOKEN_SEQ = itertools.count(1)
 def next_pipeline_token() -> str:
     """A coordinator-unique token naming one pipeline session."""
     return f"pipeline.{next(_TOKEN_SEQ)}"
+
+
+def leaf_kernel(predicate, shard, kind: str) -> np.ndarray:
+    """One predicate's ``signed`` distances or exact ``mask`` over one shard.
+
+    The only place a backend worker evaluates a predicate: the ``leaf`` op
+    and the session's start round both come through here, so what a worker
+    computes is by construction what the in-process evaluator computes.
+    """
+    if kind == "signed":
+        return np.asarray(predicate.signed_distances(shard), dtype=np.float64)
+    return np.asarray(predicate.exact_mask(shard), dtype=bool)
 
 
 def pipeline_layout(nodes: list[dict[str, Any]],
@@ -101,7 +116,7 @@ def pipeline_layout(nodes: list[dict[str, Any]],
     leaves additionally get ``signed`` (f8).  Offsets are 8-byte aligned
     so the f8 views are always aligned regardless of the bool columns.
     Both sides derive the layout from the spec, so only block name and
-    spec cross the pipe.
+    spec cross the transport.
     """
     offsets: dict[int, dict[str, int]] = {}
     cursor = 0
@@ -125,7 +140,7 @@ def pipeline_layout(nodes: list[dict[str, Any]],
 
 
 # --------------------------------------------------------------------------- #
-# Coordinator-side round algebra (shared by the process and remote backends)
+# Coordinator-side round algebra (called by repro.backend.coordinator)
 # --------------------------------------------------------------------------- #
 def gather_round(replies: list[dict[str, Any]], partials: dict,
                  popcounts: dict, summaries: dict) -> dict:
@@ -151,10 +166,10 @@ def resolve_level(level_ids: list[int], nodes: dict, spec: dict,
     Partial-path nodes merge their per-shard bounds partials (shard
     order, associative algebra) and derive their summaries from them;
     direct-path nodes run one :func:`reduced_bounds` partition over the
-    raw column -- handed to us by ``read_raw(node_id)``, which the
-    process backend serves as a zero-copy view over the shared block and
-    the remote backend as the (possibly fetched) assembled column -- and
-    have the workers count their summaries next round.
+    raw column -- handed to us by ``read_raw(node_id)``, a view over the
+    session output buffer (zero transport bytes on the shared-memory
+    plane, fetched first on the stream plane) -- and have the workers
+    count their summaries next round.
     """
     partial_ids = set(spec["partial_nodes"])
     resolved_msg: dict[int, tuple | None] = {}
@@ -214,38 +229,31 @@ def fill_node_summary(entry: dict, per_shard: dict | None,
             [per_shard[s] for s in range(shard_count)], dtype=float)
 
 
-def node_columns_from_buffer(buf, offs: dict[str, int],
-                             rows: int) -> dict[str, np.ndarray]:
-    """Copy one node's assembled columns out of a session output buffer."""
-    columns = {
-        "raw": np.ndarray(rows, dtype=np.float64, buffer=buf,
-                          offset=offs["raw"]).copy(),
-        "normalized": np.ndarray(rows, dtype=np.float64, buffer=buf,
-                                 offset=offs["normalized"]).copy(),
-        "mask": np.ndarray(rows, dtype=np.bool_, buffer=buf,
-                           offset=offs["mask"]).copy(),
+def node_views(buf, offs: dict[str, int],
+               rows: int) -> dict[str, np.ndarray]:
+    """Zero-copy views of one node's columns in a session output buffer."""
+    return {
+        field: np.ndarray(rows, dtype=FIELD_DTYPES[field], buffer=buf,
+                          offset=offset)
+        for field, offset in offs.items()
     }
-    if "signed" in offs:
-        columns["signed"] = np.ndarray(rows, dtype=np.float64, buffer=buf,
-                                       offset=offs["signed"]).copy()
-    return columns
 
 
 class WorkerPipeline:
     """Worker-side state of one pipeline session.
 
-    Holds the attached output block and the per-node column views over
-    it; each round method returns the reply payload (partials, popcounts,
+    Holds the per-node column views over the session's output buffer;
+    each round method returns the reply payload (partials, popcounts,
     summaries) for this worker's shards.
 
-    ``block`` overrides the default shared-memory attach of ``msg["out"]``
-    with any object exposing a writable ``buf`` and a ``close()`` -- the
-    remote worker server passes a process-local buffer when it cannot
-    reach the coordinator's shared memory, and the session's columns are
-    then fetched over the wire instead.
+    ``buf`` is any writable buffer of :func:`pipeline_layout` size: the
+    coordinator's shared-memory block when the worker can map it, else
+    worker-local bytes the coordinator fetches over the transport.  The
+    op table owns the buffer's lifetime; :meth:`close` only drops the
+    views so the owner can release it.
     """
 
-    def __init__(self, table, msg: dict[str, Any], block=None):
+    def __init__(self, table, msg: dict[str, Any], buf):
         spec = msg["spec"]
         self.token: str = spec["token"]
         self.rows: int = spec["rows"]
@@ -259,24 +267,11 @@ class WorkerPipeline:
         self.shards: list[tuple[int, int, int]] = [
             (int(i), int(start), int(stop)) for i, start, stop in msg["shards"]
         ]
-        self.block = attach_block(msg["out"]) if block is None else block
         _, offsets = pipeline_layout(spec["nodes"], self.rows)
-        self.views: dict[int, dict[str, np.ndarray]] = {}
-        for node_id, offs in offsets.items():
-            views = {
-                "raw": np.ndarray(self.rows, dtype=np.float64,
-                                  buffer=self.block.buf, offset=offs["raw"]),
-                "normalized": np.ndarray(self.rows, dtype=np.float64,
-                                         buffer=self.block.buf,
-                                         offset=offs["normalized"]),
-                "mask": np.ndarray(self.rows, dtype=np.bool_,
-                                   buffer=self.block.buf, offset=offs["mask"]),
-            }
-            if "signed" in offs:
-                views["signed"] = np.ndarray(self.rows, dtype=np.float64,
-                                             buffer=self.block.buf,
-                                             offset=offs["signed"])
-            self.views[node_id] = views
+        self.views: dict[int, dict[str, np.ndarray]] = {
+            node_id: node_views(buf, offs, self.rows)
+            for node_id, offs in offsets.items()
+        }
 
     # ------------------------------------------------------------------ #
     def start(self) -> dict[str, Any]:
@@ -291,10 +286,9 @@ class WorkerPipeline:
             views = self.views[node_id]
             for shard_no, start, stop in self.shards:
                 shard = self.table.slice_rows(start, stop)
-                signed = np.asarray(predicate.signed_distances(shard),
-                                    dtype=np.float64)
+                signed = leaf_kernel(predicate, shard, "signed")
                 raw = np.abs(signed)
-                mask = np.asarray(predicate.exact_mask(shard), dtype=bool)
+                mask = leaf_kernel(predicate, shard, "mask")
                 views["signed"][start:stop] = signed
                 views["raw"][start:stop] = raw
                 views["mask"][start:stop] = mask
@@ -349,10 +343,6 @@ class WorkerPipeline:
 
     def close(self) -> None:
         self.views.clear()
-        try:
-            self.block.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
 
     # ------------------------------------------------------------------ #
     def _summarise(self, node_id: int, node: dict[str, Any], shard_no: int,

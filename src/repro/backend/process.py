@@ -1,11 +1,18 @@
 """``process`` backend: a persistent shared-memory worker pool.
 
-Leaf kernels (signed distances, exact fulfilment masks) run in a pool of
-spawned worker processes that map the table's published columns zero-copy
-from shared memory (:mod:`repro.backend.shm`).  Per-event pipe traffic is
-only pickled predicates, shard spans and block names -- never column
-data -- which is what makes the process boundary cheaper than the columns
-it parallelises over.
+Leaf kernels and whole-pipeline sessions run in a pool of spawned worker
+processes that map the table's published columns zero-copy from shared
+memory (:mod:`repro.backend.shm`).  Per-event pipe traffic is only
+pickled predicates, shard spans and block names -- never column data --
+which is what makes the process boundary cheaper than the columns it
+parallelises over.
+
+This module is the *pipe transport*: :class:`_WorkerPool` moves one
+message per worker per round and knows nothing about what the messages
+mean.  The ops themselves live in
+:class:`repro.backend.coordinator.Coordinator` (which
+:class:`ProcessBackend` extends) and, worker-side, in
+:class:`repro.backend.worker.WorkerOps`.
 
 One worker pool is shared process-wide (reference-counted by backend
 instances, spawned lazily, respawned lazily after a failure) because the
@@ -15,15 +22,11 @@ not spawn dozens of pools.  The ``spawn`` start method is used
 deliberately -- the engine executes on threads (FeedbackService sessions),
 and forking a threaded coordinator risks inheriting held locks.
 
-Failure taxonomy (the robustness story -- same degrade-to-correct
-philosophy as the dirty-shard certificates):
-
-* op rejected or unserialisable work -> the op falls back to the
-  in-process cold path (``fallbacks`` counter); the pool stays up.
-* dead pipe / timeout (worker crashed or wedged) -> the op falls back,
-  the pool is torn down and respawned on next use (``worker_restarts``).
-
-Either way the event completes bit-identically on the coordinator.
+Faults follow the coordinator's two-kind taxonomy: a rejected or
+unserialisable op (:class:`WorkerOpError`) keeps the pool; a dead pipe
+or a timeout (:class:`WorkerPoolError`) marks it broken, discards it,
+and the next op respawns a fresh one.  Either way the event completes
+bit-identically on the coordinator.
 """
 
 from __future__ import annotations
@@ -33,26 +36,19 @@ import os
 import pickle
 import threading
 import time
-from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Any
+from contextlib import contextmanager
+from typing import Any
 
-import numpy as np
-
-from repro.backend.base import ExecBackend
-from repro.backend.pipeline import (
-    fill_node_summary,
-    gather_round,
-    next_pipeline_token,
-    node_columns_from_buffer,
-    pipeline_layout,
-    resolve_level,
-    round_message,
+from repro.backend.coordinator import (
+    Coordinator,
+    OutputBuffer,
+    WorkerOpError,
+    WorkerPoolError,
+    raise_rejected,
+    serialise,
+    traced_round,
 )
 from repro.backend.shm import PublishedTable, ShmColumnStore
-from repro.obs import trace as obs
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.shard import ShardedTable
 
 __all__ = [
     "ProcessBackend",
@@ -62,18 +58,12 @@ __all__ = [
 ]
 
 
-class WorkerPoolError(RuntimeError):
-    """Transport-level failure: a worker died, a pipe broke, or an op
-    timed out.  The pool can no longer be trusted and is respawned."""
-
-
-class WorkerOpError(RuntimeError):
-    """A worker (still healthy) rejected an op, or the op could not be
-    serialised in the first place.  The pool stays up."""
-
-
 class _WorkerPool:
-    """Spawned workers, one duplex pipe each, ops serialised by a lock."""
+    """Spawned workers, one duplex pipe each, ops serialised by a lock.
+
+    Implements :class:`repro.backend.coordinator.Transport`: a lane is a
+    worker, and every lane maps coordinator shared memory.
+    """
 
     def __init__(self, size: int):
         ctx = multiprocessing.get_context("spawn")
@@ -117,11 +107,7 @@ class _WorkerPool:
         misaligned and the pool must never be reused.
         Returns ``(replies, bytes_out, bytes_in)``.
         """
-        try:
-            payloads = [pickle.dumps(m, protocol=pickle.HIGHEST_PROTOCOL)
-                        for m in messages]
-        except Exception as exc:
-            raise WorkerOpError(f"could not serialise op: {exc!r}") from exc
+        payloads = serialise(messages)
         bytes_out = sum(len(p) for p in payloads)
         bytes_in = 0
         deadline = time.monotonic() + timeout
@@ -146,10 +132,59 @@ class _WorkerPool:
             except Exception as exc:
                 self.broken = True
                 raise WorkerPoolError(f"worker pipe failed: {exc!r}") from exc
-        for reply in replies:
-            if not reply.get("ok"):
-                raise WorkerOpError(str(reply.get("error", "worker op failed")))
+        raise_rejected(replies)
         return replies, bytes_out, bytes_in
+
+    # -- Transport ------------------------------------------------------- #
+    @property
+    def lane_names(self) -> list[str]:
+        return [str(pid) for pid in self.pids()]
+
+    @contextmanager
+    def session(self, width: int):
+        """Hold the pool for one op; rounds address the first lanes.
+
+        ``broadcast`` re-acquires the lock re-entrantly, so concurrent
+        ops and evict notifications queue behind the session instead of
+        interleaving with its request/reply pairs.
+        """
+        with self.lock:
+            yield min(self.size, width)
+
+    def attach(self, published: PublishedTable, timeout: float,
+               refresh: bool = False) -> int:
+        """Attach ``published`` on every worker once per pool generation."""
+        if published.key in self.attached and not refresh:
+            return 0
+        msg = {"op": "attach", "manifest": published.manifest}
+        replies, bytes_out, bytes_in = traced_round(
+            self, [msg] * self.size, timeout, "backend.attach",
+            table=published.key)
+        if any(reply.get("mode") != "shm" for reply in replies):
+            raise WorkerOpError("a worker could not map the publication")
+        self.attached.add(published.key)
+        return bytes_out + bytes_in
+
+    def output_buffer(self, nbytes: int) -> OutputBuffer:
+        return OutputBuffer(nbytes, [True] * self.size)
+
+    def round(self, messages: list[dict[str, Any]], timeout: float):
+        """:meth:`broadcast`, discarding the pool on a transport fault."""
+        try:
+            return self.broadcast(messages, timeout)
+        except WorkerPoolError:
+            _discard_pool(self)
+            raise
+
+    def abort(self, token: str, timeout: float) -> None:
+        if self.broken:
+            return  # unusable either way; already discarded
+        try:
+            self.broadcast(
+                [{"op": "pipeline_abort", "token": token}] * self.size,
+                timeout)
+        except Exception:
+            pass
 
     def terminate(self) -> None:
         """Tear the pool down; never blocks on live work for long."""
@@ -262,364 +297,37 @@ def shutdown_process_backend() -> None:
 # --------------------------------------------------------------------------- #
 # The backend
 # --------------------------------------------------------------------------- #
-class ProcessBackend(ExecBackend):
-    """Shard leaf kernels in a shared-memory worker pool; merge locally.
-
-    Coordinator-only stages (normalisation, combination, summaries,
-    dirty-shard patching) keep running on the shared thread pool -- they
-    operate on the evaluator's own caches and are memory-bound, so the
-    win from crossing the process boundary is in the leaf kernels.
-    """
+class ProcessBackend(Coordinator):
+    """Shard kernels and pipeline sessions in the shared-memory pool."""
 
     name = "process"
-
-    #: Transport timeout per broadcast, seconds.  Generous: a timeout is
-    #: treated as a dead pool, so it must only fire when something is
-    #: genuinely wedged, not on a loaded CI machine.
-    op_timeout = 120.0
+    store = _STORE
 
     def __init__(self, max_workers: int | None = None):
-        self.max_workers = max_workers
-        self._lock = threading.Lock()
-        self._counters = {
-            "offloaded_ops": 0,
-            "fallbacks": 0,
-            "worker_restarts": 0,
-            "traffic_bytes": 0,
-            "pipeline_ops": 0,
-            "pipeline_fallbacks": 0,
-            "reply_bytes": 0,
-        }
-        self._closed = False
+        super().__init__(max_workers)
         _acquire_ref()
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def _pool_size(self) -> int:
-        if self.max_workers is not None:
-            return max(1, self.max_workers)
-        return max(1, os.cpu_count() or 1)
-
-    def prepare(self, sharded: "ShardedTable") -> None:
-        """Publish the table's columns ahead of the first leaf op."""
-        if self._closed or sharded.shard_count <= 1 or len(sharded.table) == 0:
-            return
-        try:
-            _STORE.publish(sharded.table)
-        except Exception:
-            # Publication failure is not fatal: leaf ops will retry and
-            # fall back in-process if it keeps failing.
-            pass
 
     def close(self) -> None:
         if self._closed:
             return
-        self._closed = True
+        super().close()
         _release_ref()
 
-    # ------------------------------------------------------------------ #
-    # Execution hooks
-    # ------------------------------------------------------------------ #
-    def local_executor(self, shard_count: int, max_workers: int | None):
-        from repro.core.shard import resolve_worker_count, shared_executor
-        return shared_executor(resolve_worker_count(max_workers, shard_count))
+    def _open_transport(self) -> _WorkerPool:
+        size = self.max_workers if self.max_workers is not None \
+            else os.cpu_count() or 1
+        return _get_pool(max(1, size))
 
-    def leaf_signed(self, predicate, sharded: "ShardedTable") -> np.ndarray | None:
-        return self._leaf(predicate, sharded, "signed")
+    def _gauges(self) -> dict[str, int]:
+        with _STATE_LOCK:
+            pool = _POOL
+        return {
+            "worker_count": pool.size if pool is not None else 0,
+            "workers_alive": pool.alive_count() if pool is not None else 0,
+        }
 
-    def leaf_mask(self, predicate, sharded: "ShardedTable") -> np.ndarray | None:
-        return self._leaf(predicate, sharded, "mask")
-
-    def _leaf(self, predicate, sharded: "ShardedTable",
-              kind: str) -> np.ndarray | None:
-        if self._closed:
-            return None
-        rows = len(sharded.table)
-        if rows == 0 or sharded.shard_count <= 1:
-            return None
-        pool: _WorkerPool | None = None
-        published: PublishedTable | None = None
-        try:
-            published = _STORE.publish(sharded.table)
-            # Pinned across attach + op: a concurrent publish eviction
-            # would otherwise unlink the blocks this broadcast references.
-            _STORE.pin(published)
-            pool = _get_pool(self._pool_size())
-            traffic = self._ensure_attached(pool, published)
-            result, op_traffic = self._run_leaf(
-                pool, published, predicate, sharded, kind, rows)
-            with self._lock:
-                self._counters["offloaded_ops"] += 1
-                self._counters["traffic_bytes"] += traffic + op_traffic
-            return result
-        except WorkerOpError:
-            self._count_fallback()
-            return None
-        except WorkerPoolError:
-            self._count_fallback(restart=True)
-            if pool is not None:
-                _discard_pool(pool)
-            return None
-        except Exception:
-            self._count_fallback()
-            return None
-        finally:
-            if published is not None:
-                _STORE.unpin(published)
-
-    def _broadcast(self, pool: _WorkerPool, messages: list[dict],
-                   name: str, **attrs: Any):
-        """``pool.broadcast`` wrapped in a span when a trace is ambient.
-
-        Tags each message with ``trace=True`` so workers time the op on
-        their own clock and ship span records back in the reply; those
-        records are stitched under this round's span so the parent trace
-        shows coordinator wait and worker compute side by side.  Without
-        an ambient trace this is a plain broadcast -- no tag, no span,
-        byte-identical pipe traffic.
-        """
-        if not obs.trace_active():
-            return pool.broadcast(messages, self.op_timeout)
-        for m in messages:
-            m["trace"] = True
-        with obs.span(name, workers=pool.size, **attrs) as round_span:
-            replies, bytes_out, bytes_in = pool.broadcast(
-                messages, self.op_timeout)
-            round_span.annotate(bytes_out=bytes_out, bytes_in=bytes_in)
-            for reply in replies:
-                records = reply.get("spans")
-                if records:
-                    round_span.trace.add_remote_spans(
-                        round_span.span_id, records,
-                        tid=f"worker-{reply.get('pid', '?')}")
-        return replies, bytes_out, bytes_in
-
-    def _ensure_attached(self, pool: _WorkerPool,
-                         published: PublishedTable) -> int:
-        """Attach ``published`` on every worker once per pool generation."""
-        if published.key in pool.attached:
-            return 0
-        msg = {"op": "attach", "manifest": published.manifest}
-        _, bytes_out, bytes_in = self._broadcast(
-            pool, [msg] * pool.size, "backend.attach", table=published.key)
-        pool.attached.add(published.key)
-        return bytes_out + bytes_in
-
-    def _run_leaf(self, pool: _WorkerPool, published: PublishedTable,
-                  predicate, sharded: "ShardedTable", kind: str,
-                  rows: int) -> tuple[np.ndarray, int]:
-        """Fan one leaf kernel out over the pool, gather via a shared block."""
-        spans: list[list[tuple[int, int]]] = [[] for _ in range(pool.size)]
-        for i, (start, stop) in enumerate(sharded.bounds):
-            if stop > start:
-                spans[i % pool.size].append((start, stop))
-        dtype = np.float64 if kind == "signed" else np.bool_
-        out = shared_memory.SharedMemory(
-            create=True, size=max(1, rows * dtype().itemsize))
-        try:
-            messages = [
-                {
-                    "op": "leaf",
-                    "table_id": published.key,
-                    "kind": kind,
-                    "predicate": predicate,
-                    "spans": spans[w],
-                    "out": out.name,
-                }
-                for w in range(pool.size)
-            ]
-            _, bytes_out, bytes_in = self._broadcast(
-                pool, messages, "backend.broadcast", op="leaf", kind=kind)
-            result = np.ndarray(rows, dtype=dtype, buffer=out.buf).copy()
-        finally:
-            try:
-                out.close()
-                out.unlink()
-            except Exception:  # pragma: no cover
-                pass
-        return result, bytes_out + bytes_in
-
-    # ------------------------------------------------------------------ #
-    # Whole-pipeline offload
-    # ------------------------------------------------------------------ #
-    def shard_pipeline(self, sharded: "ShardedTable",
-                       spec: dict) -> dict | None:
-        """Run a whole plan's per-shard stages in the pool (see base class).
-
-        The op is a session of broadcast rounds (one per plan level, see
-        :mod:`repro.backend.pipeline`); every round's reply carries only
-        partials, popcounts and summaries, totalled into ``reply_bytes``.
-        Any fault inside the session aborts it (workers drop their state)
-        and declines the op -- the evaluator reruns in-process,
-        bit-identically.
-        """
-        if self._closed:
-            return None
-        rows = len(sharded.table)
-        if rows == 0 or sharded.shard_count <= 1:
-            return None
-        spec = dict(spec, token=next_pipeline_token())
-        pool: _WorkerPool | None = None
-        published: PublishedTable | None = None
-        try:
-            published = _STORE.publish(sharded.table)
-            # Pinned for the whole session: a concurrent publish eviction
-            # would otherwise unlink blocks the session's broadcasts
-            # reference mid-flight.
-            _STORE.pin(published)
-            pool = _get_pool(self._pool_size())
-            result, traffic, reply_bytes = self._run_pipeline(
-                pool, published, spec, sharded, rows)
-            with self._lock:
-                self._counters["offloaded_ops"] += 1
-                self._counters["pipeline_ops"] += 1
-                self._counters["traffic_bytes"] += traffic
-                self._counters["reply_bytes"] += reply_bytes
-            return result
-        except WorkerOpError:
-            self._count_fallback(pipeline=True)
-            return None
-        except WorkerPoolError:
-            self._count_fallback(restart=True, pipeline=True)
-            if pool is not None:
-                _discard_pool(pool)
-            return None
-        except Exception:
-            self._count_fallback(pipeline=True)
-            return None
-        finally:
-            if published is not None:
-                _STORE.unpin(published)
-
-    def _run_pipeline(self, pool: _WorkerPool, published: PublishedTable,
-                      spec: dict, sharded: "ShardedTable",
-                      rows: int) -> tuple[dict, int, int]:
-        """Drive one pipeline session; returns ``(result, traffic, reply)``.
-
-        Holds the pool lock across all rounds (broadcast re-acquires it
-        re-entrantly), so concurrent leaf ops and evict notifications
-        queue behind the session instead of interleaving with its
-        request/reply pairs.
-        """
-        nodes = {node["id"]: node for node in spec["nodes"]}
-        levels = spec["levels"]
-        shard_count = sharded.shard_count
-        with pool.lock:
-            traffic = self._ensure_attached(pool, published)
-            total_bytes, offsets = pipeline_layout(spec["nodes"], rows)
-            block = shared_memory.SharedMemory(create=True, size=total_bytes)
-            started = False
-            try:
-                shards: list[list[tuple[int, int, int]]] = [
-                    [] for _ in range(pool.size)]
-                for i, (start, stop) in enumerate(sharded.bounds):
-                    shards[i % pool.size].append((i, start, stop))
-                messages = [{
-                    "op": "pipeline_start",
-                    "table_id": published.key,
-                    "spec": spec,
-                    "out": block.name,
-                    "shards": shards[w],
-                } for w in range(pool.size)]
-                replies, bytes_out, bytes_in = self._broadcast(
-                    pool, messages, "pipeline.round", op="pipeline_start")
-                started = True
-                reply_bytes = bytes_in
-                traffic += bytes_out + bytes_in
-                partials: dict[int, dict] = {}
-                popcounts: dict[int, dict] = {}
-                summaries: dict[int, dict] = {}
-                topk_parts = gather_round(
-                    replies, partials, popcounts, summaries)
-                result_nodes: dict[int, dict] = {}
-
-                def read_raw(node_id: int) -> np.ndarray:
-                    # Direct-path bounds partition straight over the
-                    # block-mapped raw column: zero pipe bytes.
-                    return np.ndarray(rows, dtype=np.float64,
-                                      buffer=block.buf,
-                                      offset=offsets[node_id]["raw"])
-
-                for level_no in range(1, len(levels) + 1):
-                    resolved_msg, summary_ids = resolve_level(
-                        levels[level_no - 1], nodes, spec, shard_count,
-                        partials, read_raw, result_nodes)
-                    msg = round_message(spec, levels, level_no,
-                                        resolved_msg, summary_ids)
-                    replies, bytes_out, bytes_in = self._broadcast(
-                        pool, [msg] * pool.size, "pipeline.round",
-                        op=msg["op"])
-                    reply_bytes += bytes_in
-                    traffic += bytes_out + bytes_in
-                    topk_parts = gather_round(
-                        replies, partials, popcounts, summaries)
-                # The finish round ran on every worker: sessions are gone.
-                started = False
-                for node_id in nodes:
-                    entry = result_nodes[node_id]
-                    fill_node_summary(entry, summaries.get(node_id),
-                                      shard_count)
-                    entry.update(node_columns_from_buffer(
-                        block.buf, offsets[node_id], rows))
-                    entry["popcounts"] = [
-                        int(popcounts[node_id][s]) for s in range(shard_count)]
-                topk = None
-                if spec.get("topk_target") is not None:
-                    topk = [topk_parts[s] for s in range(shard_count)]
-                return {"nodes": result_nodes, "topk": topk}, traffic, reply_bytes
-            except BaseException:
-                # Workers may still hold session state (and the output
-                # block mapped); clear it while we still own the pool so
-                # no other op can interleave before the abort.  A broken
-                # pool is unusable either way and gets discarded upstream.
-                if started and not pool.broken:
-                    try:
-                        pool.broadcast(
-                            [{"op": "pipeline_abort", "token": spec["token"]}]
-                            * pool.size,
-                            self.op_timeout)
-                    except Exception:
-                        pass
-                raise
-            finally:
-                try:
-                    block.close()
-                    block.unlink()
-                except Exception:  # pragma: no cover
-                    pass
-
-    def _count_fallback(self, restart: bool = False,
-                        pipeline: bool = False) -> None:
-        with self._lock:
-            self._counters["fallbacks"] += 1
-            if restart:
-                self._counters["worker_restarts"] += 1
-            if pipeline:
-                self._counters["pipeline_fallbacks"] += 1
-        # Lands on the ambient span (leaf.raw / pipeline.offload) so the
-        # slow-event explain record can report that the answer was served
-        # by the in-process fallback rather than the pool.
-        if restart:
-            obs.annotate(backend_fallbacks=1, worker_restarts=1)
-        else:
-            obs.annotate(backend_fallbacks=1)
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
     def worker_pids(self) -> list[int]:
         """Pids of the shared pool's workers ([] while no pool is up)."""
         with _STATE_LOCK:
             pool = _POOL
         return pool.pids() if pool is not None else []
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            counters = dict(self._counters)
-        with _STATE_LOCK:
-            pool = _POOL
-        counters["worker_count"] = pool.size if pool is not None else 0
-        counters["workers_alive"] = pool.alive_count() if pool is not None else 0
-        counters.update(_STORE.stats())
-        return counters

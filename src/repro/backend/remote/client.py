@@ -19,23 +19,29 @@ per-event wire traffic stays predicates, span lists and partials --
 the ``remote_traffic_ratio`` headline in
 ``benchmarks/bench_backend.py``.
 
-Failure taxonomy (the standing degrade-to-correct contract -- a backend
-failure can make an event slower, never wrong):
+This module is the *socket transport*: :class:`_Fleet` pins one
+connection per endpoint for the length of an op and moves one message
+per endpoint per round.  The ops themselves live in
+:class:`repro.backend.coordinator.Coordinator` (which
+:class:`RemoteBackend` extends) and, server-side, in
+:class:`repro.backend.worker.WorkerOps`.
+
+Faults follow the coordinator's two-kind taxonomy (a backend failure can
+make an event slower, never wrong):
 
 * any transport fault -- connection refused, reset mid-round, read
-  timeout, protocol version mismatch -- fails the whole op, marks the
-  endpoint unhealthy (``remote_fallbacks``; re-probed lazily after
-  ``reprobe_interval``, successful re-connects counted in
-  ``endpoint_reconnects``) and falls back to the bit-identical
-  in-process path.  A fault mid-``shard_pipeline`` closes every
-  connection the session borrowed -- replies may be pending on any of
-  them, and reusing one would pair a request with a stale reply (wrong
-  data, not an error); the server drops its session state with the
-  connection.
+  timeout, protocol version mismatch -- is a
+  :class:`~repro.backend.coordinator.WorkerPoolError`: the endpoint is
+  marked unhealthy first (re-probed lazily after ``reprobe_interval``,
+  successful re-connects counted in ``endpoint_reconnects``), and every
+  connection the op pinned is closed -- replies may be pending on any
+  of them, and reusing one would pair a request with a stale reply
+  (wrong data, not an error); the server drops its session state with
+  the connection.
 * an op rejected by a healthy server (error reply; e.g. an evicted
-  table publication) keeps the endpoint and its connections -- the op
-  is retried once after re-attaching for the idempotent cases, then
-  falls back.
+  table publication) is a
+  :class:`~repro.backend.coordinator.WorkerOpError`: every reply was
+  drained, so the endpoint and its connections stay in service.
 
 Configuration errors (a malformed ``REPRO_REMOTE_WORKERS``) raise
 ``ValueError`` loudly -- the same fail-fast contract as ``REPRO_SHARDS``
@@ -48,27 +54,19 @@ import os
 import socket
 import threading
 import time
-from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Any
+from contextlib import contextmanager
+from typing import Any
 
-import numpy as np
-
-from repro.backend.base import ExecBackend
-from repro.backend.pipeline import (
-    fill_node_summary,
-    gather_round,
-    next_pipeline_token,
-    node_columns_from_buffer,
-    pipeline_layout,
-    resolve_level,
-    round_message,
+from repro.backend.coordinator import (
+    Coordinator,
+    OutputBuffer,
+    WorkerOpError,
+    WorkerPoolError,
+    raise_rejected,
+    serialise,
 )
 from repro.backend.remote import wire
 from repro.backend.shm import PublishedTable, ShmColumnStore
-from repro.obs import trace as obs
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.shard import ShardedTable
 
 __all__ = [
     "ENV_WORKERS",
@@ -81,29 +79,6 @@ ENV_WORKERS = "REPRO_REMOTE_WORKERS"
 
 #: Idle connections kept per endpoint; extras are closed on return.
 MAX_IDLE_CONNS = 4
-
-_FIELD_DTYPES = {
-    "raw": np.float64,
-    "normalized": np.float64,
-    "signed": np.float64,
-    "mask": np.bool_,
-}
-
-
-class RemoteFaultError(RuntimeError):
-    """Transport-level failure: the named endpoint can no longer be trusted."""
-
-    def __init__(self, message: str, endpoint: "_Endpoint | None" = None):
-        super().__init__(message)
-        self.endpoint = endpoint
-
-
-class RemoteOpError(RuntimeError):
-    """A healthy server rejected an op; connections stay usable."""
-
-    def __init__(self, message: str, code: str | None = None):
-        super().__init__(message)
-        self.code = code
 
 
 def parse_remote_workers(value: str) -> tuple[tuple[str, int], ...]:
@@ -149,6 +124,11 @@ class _Connection:
         self.last_used = time.monotonic()
         return wire.send_obj(self.sock, msg)
 
+    def send_body(self, body: bytes) -> int:
+        """Send one already-pickled control message."""
+        self.last_used = time.monotonic()
+        return wire.send_frame(self.sock, body)
+
     def recv(self, deadline: float) -> tuple[dict[str, Any], int]:
         reply, nbytes = wire.read_obj(self.sock, deadline)
         self.last_used = time.monotonic()
@@ -156,7 +136,7 @@ class _Connection:
 
     def request(self, msg: dict[str, Any],
                 deadline: float) -> tuple[dict[str, Any], int]:
-        """One request/reply; raises :class:`RemoteOpError` on error replies.
+        """One request/reply; raises :class:`WorkerOpError` on error replies.
 
         Returns ``(reply, wire_bytes)``.  An error reply leaves the
         connection request/reply aligned -- only :class:`wire.WireError`
@@ -164,11 +144,8 @@ class _Connection:
         """
         nbytes = self.send(msg)
         reply, reply_bytes = self.recv(deadline)
-        nbytes += reply_bytes
-        if not reply.get("ok"):
-            raise RemoteOpError(str(reply.get("error", "remote op failed")),
-                                code=reply.get("code"))
-        return reply, nbytes
+        raise_rejected([reply])
+        return reply, nbytes + reply_bytes
 
     def close(self) -> None:
         try:
@@ -232,15 +209,14 @@ class _Endpoint:
                 conn.request({"op": "ping"},
                              time.monotonic() + min(op_timeout, 10.0))
                 return conn, reconnects
-            except (wire.WireError, RemoteOpError):
+            except (wire.WireError, WorkerOpError):
                 conn.close()
         try:
             conn = self.connect(connect_timeout)
         except (OSError, wire.WireError) as exc:
             self.mark_down()
-            raise RemoteFaultError(
-                f"endpoint {self.key} unreachable: {exc}",
-                endpoint=self) from exc
+            raise WorkerPoolError(
+                f"endpoint {self.key} unreachable: {exc}") from exc
         if self.ever_connected:
             reconnects += 1
         self.ever_connected = True
@@ -317,13 +293,13 @@ def _notify_drop(published: PublishedTable) -> None:
             continue
         try:
             conn, _ = endpoint.borrow(5.0, 30.0, 30.0)
-        except RemoteFaultError:
+        except WorkerPoolError:
             continue
         try:
             conn.request({"op": "drop", "table_id": published.key},
                          time.monotonic() + 30.0)
             endpoint.give_back(conn)
-        except (wire.WireError, RemoteOpError):
+        except (wire.WireError, WorkerOpError):
             conn.close()
 
 
@@ -346,136 +322,110 @@ def shutdown_remote_backend() -> None:
     _RSTORE.close()
 
 
-class _LocalBuffer:
-    """Session output buffer when no endpoint reaches shared memory."""
+class _Fleet:
+    """One op's pinned connections, one per endpoint.
 
-    def __init__(self, nbytes: int):
-        self.buf = memoryview(bytearray(max(1, nbytes)))
-
-    def close(self) -> None:
-        self.buf = None
-
-    def unlink(self) -> None:
-        pass
-
-
-# --------------------------------------------------------------------------- #
-# The backend
-# --------------------------------------------------------------------------- #
-class RemoteBackend(ExecBackend):
-    """Run shard kernels and pipeline sessions on the TCP worker fleet.
-
-    With no ``REPRO_REMOTE_WORKERS`` configured every hook declines
-    instantly (no sockets, no counters) -- the backend is then
-    behaviourally the ``threads`` backend, which keeps the differential
-    suite meaningful without live servers.
+    Implements :class:`repro.backend.coordinator.Transport`: a lane is an
+    endpoint reached through the connection pinned for this op.  Built
+    per op by :class:`RemoteBackend`, whose class-level timeouts and
+    transport counters it reads and feeds.
     """
 
-    name = "remote"
+    def __init__(self, endpoints: list[_Endpoint], backend: "RemoteBackend"):
+        self.endpoints = endpoints
+        self.backend = backend
+        self.pairs: list[tuple[_Endpoint, _Connection]] = []
+        #: False while a request may be unanswered on a pinned connection
+        #: (mid-round, or after any fault): such connections are closed,
+        #: never pooled -- the next request would pair with a stale reply.
+        self.aligned = True
 
-    #: Read deadline per request round, seconds (same rationale as the
-    #: process backend's broadcast timeout).
-    op_timeout = 120.0
-    #: TCP connect + handshake budget, seconds.
-    connect_timeout = 10.0
-    #: Idle age beyond which a pooled connection is pinged before reuse.
-    heartbeat_interval = 30.0
-    #: How long an unhealthy endpoint sits out before a lazy re-probe.
-    reprobe_interval = 5.0
-    #: Bounded retries for the idempotent attach/publish negotiation.
-    attach_retries = 2
-    #: Backoff between attach retries, seconds (doubles per attempt).
-    retry_backoff = 0.05
+    @property
+    def lane_names(self) -> list[str]:
+        return [endpoint.key for endpoint, _ in self.pairs]
 
-    def __init__(self, max_workers: int | None = None):
-        self.max_workers = max_workers
-        self._lock = threading.Lock()
-        self._counters = {
-            "offloaded_ops": 0,
-            "fallbacks": 0,
-            "worker_restarts": 0,
-            "traffic_bytes": 0,
-            "pipeline_ops": 0,
-            "pipeline_fallbacks": 0,
-            "reply_bytes": 0,
-            "remote_fallbacks": 0,
-            "endpoint_reconnects": 0,
-            "column_bytes": 0,
-            "remote_published_bytes": 0,
-        }
-        self._closed = False
+    @contextmanager
+    def session(self, width: int):
+        """Pin one connection on each of the first ``width`` endpoints.
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def prepare(self, sharded: "ShardedTable") -> None:
-        """Publish the table ahead of the first op (idempotent)."""
-        if (self._closed or sharded.shard_count <= 1
-                or len(sharded.table) == 0):
-            return
-        if not _current_endpoints():
-            return
-        try:
-            _RSTORE.publish(sharded.table)
-        except Exception:
-            # Not fatal: ops retry the publish and fall back in-process
-            # if it keeps failing.
-            pass
-
-    def close(self) -> None:
-        self._closed = True
-
-    def local_executor(self, shard_count: int, max_workers: int | None):
-        from repro.core.shard import resolve_worker_count, shared_executor
-        return shared_executor(resolve_worker_count(max_workers, shard_count))
-
-    # ------------------------------------------------------------------ #
-    # Endpoint selection
-    # ------------------------------------------------------------------ #
-    def _usable_endpoints(self) -> tuple[bool, list[_Endpoint]]:
-        """``(configured, endpoints worth trying right now)``.
-
-        Unhealthy endpoints rejoin the candidate list once their
-        re-probe cooldown has elapsed; the connect attempt inside
-        ``borrow`` is the probe.
+        A failing endpoint fails the whole op (the caller falls back) --
+        the lane assignment is fixed by the pinned set, and re-planning
+        around a missing endpoint mid-op is how replies get paired with
+        the wrong requests.
         """
-        endpoints = _current_endpoints()
-        if not endpoints:
-            return False, []
-        now = time.monotonic()
-        usable = [
-            ep for ep in endpoints
-            if ep.healthy or now - ep.last_probe >= self.reprobe_interval
-        ]
-        return True, usable
+        try:
+            for endpoint in self.endpoints[:width]:
+                self.pairs.append((endpoint, self._borrow(endpoint)))
+            yield len(self.pairs)
+        finally:
+            for endpoint, conn in self.pairs:
+                if self.aligned:
+                    endpoint.give_back(conn)
+                else:
+                    conn.close()
+            self.pairs = []
 
-    def _count(self, **deltas: int) -> None:
-        with self._lock:
-            for key, delta in deltas.items():
-                self._counters[key] += delta
+    def _borrow(self, endpoint: _Endpoint) -> _Connection:
+        backend = self.backend
+        conn, reconnects = endpoint.borrow(
+            backend.connect_timeout, backend.heartbeat_interval,
+            backend.op_timeout)
+        if reconnects:
+            backend._count(endpoint_reconnects=reconnects)
+        return conn
 
-    def _count_fallback(self, pipeline: bool = False) -> None:
-        self._count(fallbacks=1, remote_fallbacks=1,
-                    **({"pipeline_fallbacks": 1} if pipeline else {}))
-        obs.annotate(backend_fallbacks=1, remote_fallbacks=1)
+    def _fault(self, endpoint: _Endpoint, what: str,
+               exc: Exception) -> WorkerPoolError:
+        endpoint.mark_down()
+        return WorkerPoolError(f"{what} {endpoint.key} failed: {exc}")
 
     # ------------------------------------------------------------------ #
     # Publish / attach negotiation
     # ------------------------------------------------------------------ #
-    def _ensure_attached(self, endpoint: _Endpoint, conn: _Connection,
-                         published: PublishedTable) -> int:
-        """Negotiate the data plane for one publication on one endpoint.
+    def attach(self, published: PublishedTable, timeout: float,
+               refresh: bool = False) -> int:
+        """Negotiate the data plane for ``published`` on every lane.
 
-        Idempotent, so transport faults here are retried with backoff on
-        a fresh connection by the caller.  Returns wire bytes spent.
+        Attach is idempotent, so a fault here is retried with backoff on
+        a fresh connection before the endpoint is given up on.
         """
+        backend = self.backend
+        total = 0
+        try:
+            for lane, (endpoint, conn) in enumerate(self.pairs):
+                if refresh:
+                    endpoint.attached.pop(published.key, None)
+                attempt = 0
+                while True:
+                    try:
+                        total += self._ensure_attached(
+                            endpoint, conn, published, timeout)
+                        break
+                    except (wire.WireError, WorkerOpError) as exc:
+                        conn.close()
+                        attempt += 1
+                        if attempt > backend.attach_retries:
+                            raise self._fault(endpoint, "attach on", exc) \
+                                from exc
+                        time.sleep(
+                            backend.retry_backoff * (2 ** (attempt - 1)))
+                        conn = self._borrow(endpoint)
+                        self.pairs[lane] = (endpoint, conn)
+        except BaseException:
+            self.aligned = False
+            raise
+        return total
+
+    def _ensure_attached(self, endpoint: _Endpoint, conn: _Connection,
+                         published: PublishedTable, timeout: float) -> int:
+        """One endpoint's attach exchange; returns wire bytes spent."""
         if published.key in endpoint.attached:
             return 0
         manifest = published.manifest
         msg = {"op": "attach", "manifest": manifest}
         if endpoint.shm_ok is False:
             msg["mode_hint"] = "stream"
-        reply, nbytes = conn.request(msg, self._deadline())
+        reply, nbytes = conn.request(msg, time.monotonic() + timeout)
         mode = reply.get("mode", "stream")
         if mode == "shm":
             endpoint.shm_ok = True
@@ -485,16 +435,16 @@ class RemoteBackend(ExecBackend):
             # "have" marks the server's contains fast path: it kept the
             # table from an earlier connection, so skip the upload.
             if not reply.get("have"):
-                nbytes += self._stream_columns(conn, published)
+                nbytes += self._stream_columns(conn, published, timeout)
                 _, done_bytes = conn.request(
                     {"op": "attach_done", "manifest": manifest},
-                    self._deadline())
+                    time.monotonic() + timeout)
                 nbytes += done_bytes
         endpoint.attached[published.key] = mode
         return nbytes
 
-    def _stream_columns(self, conn: _Connection,
-                        published: PublishedTable) -> int:
+    def _stream_columns(self, conn: _Connection, published: PublishedTable,
+                        timeout: float) -> int:
         """Ship the published column bytes once, chunk-streamed.
 
         The source is the publication's own shared-memory blocks, so a
@@ -510,426 +460,128 @@ class RemoteBackend(ExecBackend):
             total += conn.send({"op": "column_data",
                                 "table_id": manifest["table_id"],
                                 "name": spec["name"],
-                                "kind": spec["kind"],
                                 "nbytes": nbytes})
             total += wire.send_raw(conn.sock, block.buf[:nbytes])
-            reply, reply_bytes = conn.recv(self._deadline())
+            reply, reply_bytes = conn.recv(time.monotonic() + timeout)
             total += reply_bytes
-            if not reply.get("ok"):
-                raise RemoteOpError(
-                    str(reply.get("error", "column upload rejected")))
+            raise_rejected([reply])
             column_bytes += nbytes
-        self._count(remote_published_bytes=column_bytes)
+        self.backend._count(remote_published_bytes=column_bytes)
         return total
 
-    def _deadline(self) -> float:
-        return time.monotonic() + self.op_timeout
-
-    def _borrow_all(self, endpoints: list[_Endpoint],
-                    published: PublishedTable | None
-                    ) -> list[tuple[_Endpoint, _Connection]]:
-        """Borrow one connection per endpoint, attach the table on each.
-
-        A failing endpoint fails the whole op (the caller falls back) --
-        the span assignment is fixed before the borrow, and re-planning
-        around a missing endpoint mid-op is how replies get paired with
-        the wrong requests.  Attach is idempotent and retried with
-        backoff on a fresh connection before giving up.
-        """
-        pairs: list[tuple[_Endpoint, _Connection]] = []
-        try:
-            for endpoint in endpoints:
-                attempt = 0
-                while True:
-                    conn, reconnects = endpoint.borrow(
-                        self.connect_timeout, self.heartbeat_interval,
-                        self.op_timeout)
-                    if reconnects:
-                        self._count(endpoint_reconnects=reconnects)
-                    if published is None:
-                        pairs.append((endpoint, conn))
-                        break
-                    try:
-                        nbytes = self._ensure_attached(
-                            endpoint, conn, published)
-                        self._count(traffic_bytes=nbytes)
-                        pairs.append((endpoint, conn))
-                        break
-                    except (wire.WireError, RemoteOpError) as exc:
-                        conn.close()
-                        attempt += 1
-                        if attempt > self.attach_retries:
-                            raise RemoteFaultError(
-                                f"attach failed on {endpoint.key}: {exc}",
-                                endpoint=endpoint) from exc
-                        time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
-        except BaseException:
-            for _, conn in pairs:
-                conn.close()
-            raise
-        return pairs
-
     # ------------------------------------------------------------------ #
-    # Broadcast round
+    # Rounds
     # ------------------------------------------------------------------ #
-    def _round(self, pairs: list[tuple[_Endpoint, _Connection]],
-               messages: list[dict[str, Any]], name: str,
-               **attrs: Any) -> tuple[list[dict[str, Any]], int, int]:
-        """Send ``messages[i]`` to endpoint ``i``, collect one reply each.
+    def output_buffer(self, nbytes: int) -> OutputBuffer:
+        return OutputBuffer(
+            nbytes, [bool(endpoint.shm_ok) for endpoint, _ in self.pairs])
+
+    def round(self, messages: list[dict[str, Any] | None], timeout: float):
+        """Send ``messages[i]`` on lane ``i``, collect one reply each.
 
         All requests go out before any reply is read, so the servers
-        compute in parallel.  A transport fault raises
-        :class:`RemoteFaultError` naming the endpoint (the caller closes
-        every borrowed connection: replies may be pending anywhere); an
-        error reply is raised as :class:`RemoteOpError` only after every
-        reply is drained, keeping all connections aligned.
+        compute in parallel.  A transport fault marks that endpoint down
+        and leaves the session misaligned (every pinned connection is
+        closed at exit: replies may be pending anywhere); an error reply
+        is raised only after every reply is drained, keeping all
+        connections aligned.
         """
-        trace = obs.trace_active()
-        if trace:
-            for msg in messages:
-                msg["trace"] = True
-        span_ctx = (obs.span(name, workers=len(pairs), **attrs)
-                    if trace else None)
-        deadline = self._deadline()
+        bodies = serialise(messages)
+        deadline = time.monotonic() + timeout
         bytes_out = bytes_in = 0
-        replies: list[dict[str, Any]] = []
-        op_error: RemoteOpError | None = None
-        with span_ctx if span_ctx is not None else _null_context() as round_span:
-            for (endpoint, conn), msg in zip(pairs, messages):
-                try:
-                    bytes_out += conn.send(msg)
-                except wire.WireError as exc:
-                    raise RemoteFaultError(
-                        f"send to {endpoint.key} failed: {exc}",
-                        endpoint=endpoint) from exc
-            for endpoint, conn in pairs:
-                try:
-                    reply, nbytes = conn.recv(deadline)
-                except wire.WireError as exc:
-                    raise RemoteFaultError(
-                        f"reply from {endpoint.key} failed: {exc}",
-                        endpoint=endpoint) from exc
-                bytes_in += nbytes
-                if not reply.get("ok") and op_error is None:
-                    op_error = RemoteOpError(
-                        str(reply.get("error", "remote op failed")),
-                        code=reply.get("code"))
-                replies.append(reply)
-                if round_span is not None and reply.get("spans"):
-                    round_span.trace.add_remote_spans(
-                        round_span.span_id, reply["spans"],
-                        tid=f"worker-{endpoint.key}")
-            if round_span is not None:
-                round_span.annotate(bytes_out=bytes_out, bytes_in=bytes_in)
-        if op_error is not None:
-            raise op_error
+        replies: list[dict[str, Any] | None] = []
+        self.aligned = False
+        for (endpoint, conn), body in zip(self.pairs, bodies):
+            if body is None:
+                continue
+            try:
+                bytes_out += conn.send_body(body)
+            except wire.WireError as exc:
+                raise self._fault(endpoint, "send to", exc) from exc
+        for (endpoint, conn), body in zip(self.pairs, bodies):
+            if body is None:
+                replies.append(None)
+                continue
+            try:
+                reply, nbytes = conn.recv(deadline)
+            except wire.WireError as exc:
+                raise self._fault(endpoint, "reply from", exc) from exc
+            bytes_in += nbytes
+            replies.append(reply)
+        self.aligned = True
+        raise_rejected(replies)
         return replies, bytes_out, bytes_in
 
-    # ------------------------------------------------------------------ #
-    # Leaf ops
-    # ------------------------------------------------------------------ #
-    def leaf_signed(self, predicate, sharded: "ShardedTable"):
-        return self._leaf(predicate, sharded, "signed")
-
-    def leaf_mask(self, predicate, sharded: "ShardedTable"):
-        return self._leaf(predicate, sharded, "mask")
-
-    def _leaf(self, predicate, sharded: "ShardedTable",
-              kind: str) -> np.ndarray | None:
-        if self._closed:
-            return None
-        rows = len(sharded.table)
-        if rows == 0 or sharded.shard_count <= 1:
-            return None
-        configured, endpoints = self._usable_endpoints()
-        if not configured:
-            return None
-        if not endpoints:
-            self._count_fallback()
-            return None
-        for retry in (False, True):
-            try:
-                return self._leaf_once(predicate, sharded, kind, rows,
-                                       endpoints)
-            except RemoteOpError as exc:
-                if exc.code == "unknown-table" and not retry:
-                    # The server evicted the publication between events;
-                    # attach again (idempotent) and retry once.
-                    for endpoint in endpoints:
-                        endpoint.attached.clear()
-                    continue
-                self._count_fallback()
-                return None
-            except Exception:
-                self._count_fallback()
-                return None
-        return None  # pragma: no cover - loop always returns
-
-    def _leaf_once(self, predicate, sharded: "ShardedTable", kind: str,
-                   rows: int, endpoints: list[_Endpoint]) -> np.ndarray:
-        published = _RSTORE.publish(sharded.table)
-        _RSTORE.pin(published)
-        pairs: list[tuple[_Endpoint, _Connection]] = []
-        out = None
-        ok = False
+    def abort(self, token: str, timeout: float) -> None:
+        if not self.aligned:
+            return  # the connections get closed: that is the abort
         try:
-            spans: list[list[tuple[int, int]]] = [[] for _ in endpoints]
-            for i, (start, stop) in enumerate(sharded.bounds):
-                if stop > start:
-                    spans[i % len(endpoints)].append((start, stop))
-            active = [(ep, sp) for ep, sp in zip(endpoints, spans) if sp]
-            pairs = self._borrow_all([ep for ep, _ in active], published)
-            dtype = np.float64 if kind == "signed" else np.bool_
-            shm_side = any(ep.shm_ok for ep, _ in active)
-            if shm_side:
-                out = shared_memory.SharedMemory(
-                    create=True, size=max(1, rows * dtype().itemsize))
-            messages = [
-                {
-                    "op": "leaf",
-                    "table_id": published.key,
-                    "kind": kind,
-                    "predicate": predicate,
-                    "spans": span_list,
-                    "out": out.name if (out is not None and ep.shm_ok)
-                           else None,
-                    "out_mode": "shm" if (out is not None and ep.shm_ok)
-                                else "inline",
-                }
-                for (ep, span_list) in active
-            ]
-            replies, bytes_out, bytes_in = self._round(
-                pairs, messages, "backend.broadcast", op="leaf", kind=kind)
-            if out is not None:
-                result = np.ndarray(rows, dtype=dtype, buffer=out.buf).copy()
-            else:
-                result = np.empty(rows, dtype=dtype)
-            column_bytes = 0
-            for reply in replies:
-                for start, stop, payload in reply.get("data", ()):
-                    result[start:stop] = np.frombuffer(payload, dtype=dtype)
-                    column_bytes += len(payload)
-            self._count(offloaded_ops=1,
-                        traffic_bytes=bytes_out + bytes_in,
-                        column_bytes=column_bytes)
-            ok = True
-            return result
-        except RemoteFaultError as exc:
-            if exc.endpoint is not None:
-                exc.endpoint.mark_down()
-            raise
-        finally:
-            if pairs:
-                for endpoint, conn in pairs:
-                    if ok:
-                        endpoint.give_back(conn)
-                    else:
-                        conn.close()
-            if out is not None:
-                try:
-                    out.close()
-                    out.unlink()
-                except Exception:  # pragma: no cover
-                    pass
-            _RSTORE.unpin(published)
+            self.round([{"op": "pipeline_abort", "token": token}]
+                       * len(self.pairs), timeout)
+        except Exception:
+            self.aligned = False
 
-    # ------------------------------------------------------------------ #
-    # Whole-pipeline offload
-    # ------------------------------------------------------------------ #
-    def shard_pipeline(self, sharded: "ShardedTable",
-                       spec: dict) -> dict | None:
-        """Run a plan's pipeline session across the fleet (see base class).
 
-        The session pins one connection per endpoint for all rounds; the
-        round algebra is :mod:`repro.backend.pipeline`'s, shared with the
-        process backend.  Any fault aborts the whole session and declines
-        the op -- the evaluator reruns in-process, bit-identically.
+# --------------------------------------------------------------------------- #
+# The backend
+# --------------------------------------------------------------------------- #
+class RemoteBackend(Coordinator):
+    """Run shard kernels and pipeline sessions on the TCP worker fleet.
+
+    With no ``REPRO_REMOTE_WORKERS`` configured every hook declines
+    instantly (no sockets, no counters) -- the backend is then
+    behaviourally the ``threads`` backend, which keeps the differential
+    suite meaningful without live servers.
+    """
+
+    name = "remote"
+    store = _RSTORE
+
+    #: TCP connect + handshake budget, seconds.
+    connect_timeout = 10.0
+    #: Idle age beyond which a pooled connection is pinged before reuse.
+    heartbeat_interval = 30.0
+    #: How long an unhealthy endpoint sits out before a lazy re-probe.
+    reprobe_interval = 5.0
+    #: Bounded retries for the idempotent attach/publish negotiation.
+    attach_retries = 2
+    #: Backoff between attach retries, seconds (doubles per attempt).
+    retry_backoff = 0.05
+
+    def __init__(self, max_workers: int | None = None):
+        super().__init__(max_workers)
+        self._counters.update(endpoint_reconnects=0,
+                              remote_published_bytes=0)
+
+    def _configured(self) -> bool:
+        return bool(_current_endpoints())
+
+    def _open_transport(self) -> _Fleet:
+        """A fleet over the endpoints worth trying right now.
+
+        Unhealthy endpoints rejoin once their re-probe cooldown has
+        elapsed; the connect attempt inside ``borrow`` is the probe.
         """
-        if self._closed:
-            return None
-        rows = len(sharded.table)
-        if rows == 0 or sharded.shard_count <= 1:
-            return None
-        configured, endpoints = self._usable_endpoints()
-        if not configured:
-            return None
-        if not endpoints:
-            self._count_fallback(pipeline=True)
-            return None
-        for retry in (False, True):
-            try:
-                result, traffic, reply_bytes, column_bytes = \
-                    self._pipeline_once(sharded, spec, rows, endpoints)
-                self._count(offloaded_ops=1, pipeline_ops=1,
-                            traffic_bytes=traffic, reply_bytes=reply_bytes,
-                            column_bytes=column_bytes)
-                return result
-            except RemoteOpError as exc:
-                if exc.code == "unknown-table" and not retry:
-                    for endpoint in endpoints:
-                        endpoint.attached.clear()
-                    continue
-                self._count_fallback(pipeline=True)
-                return None
-            except Exception:
-                self._count_fallback(pipeline=True)
-                return None
-        return None  # pragma: no cover - loop always returns
+        now = time.monotonic()
+        usable = [
+            ep for ep in _current_endpoints()
+            if ep.healthy or now - ep.last_probe >= self.reprobe_interval
+        ]
+        if not usable:
+            # Nothing new broke: the op is declined, no lane is lost.
+            raise WorkerOpError("every endpoint is down (re-probe pending)")
+        return _Fleet(usable, self)
 
-    def _pipeline_once(self, sharded: "ShardedTable", spec: dict, rows: int,
-                       endpoints: list[_Endpoint]
-                       ) -> tuple[dict, int, int, int]:
-        spec = dict(spec, token=next_pipeline_token())
-        nodes = {node["id"]: node for node in spec["nodes"]}
-        levels = spec["levels"]
-        shard_count = sharded.shard_count
-        published = _RSTORE.publish(sharded.table)
-        _RSTORE.pin(published)
-        pairs: list[tuple[_Endpoint, _Connection]] = []
-        block = None
-        ok = False
-        traffic = reply_bytes = column_bytes = 0
-        try:
-            shards: list[list[tuple[int, int, int]]] = [[] for _ in endpoints]
-            for i, (start, stop) in enumerate(sharded.bounds):
-                shards[i % len(endpoints)].append((i, start, stop))
-            active = [(ep, sh) for ep, sh in zip(endpoints, shards) if sh]
-            pairs = self._borrow_all([ep for ep, _ in active], published)
-            total_bytes, offsets = pipeline_layout(spec["nodes"], rows)
-            if any(ep.shm_ok for ep, _ in active):
-                block = shared_memory.SharedMemory(create=True,
-                                                   size=total_bytes)
-            else:
-                block = _LocalBuffer(total_bytes)
-            out_name = getattr(block, "name", None)
-            messages = [
-                {
-                    "op": "pipeline_start",
-                    "table_id": published.key,
-                    "spec": spec,
-                    "out": out_name if ep.shm_ok else None,
-                    "out_mode": "shm" if ep.shm_ok else "local",
-                    "shards": shard_list,
-                }
-                for (ep, shard_list) in active
-            ]
-            replies, bytes_out, bytes_in = self._round(
-                pairs, messages, "pipeline.round", op="pipeline_start")
-            traffic += bytes_out + bytes_in
-            reply_bytes += bytes_in
-            #: Endpoints whose session columns live server-side and must
-            #: be fetched into our buffer (the stream plane).
-            fetch_pairs = [
-                (ep, conn) for (ep, conn), reply in zip(pairs, replies)
-                if reply.get("mode") != "shm"
-            ]
-            fetched: set[tuple[str, int, str]] = set()
-
-            def fetch_field(node_id: int, field: str) -> None:
-                nonlocal traffic, column_bytes
-                dtype = _FIELD_DTYPES[field]
-                dest = np.ndarray(rows, dtype=dtype, buffer=block.buf,
-                                  offset=offsets[node_id][field])
-                for endpoint, conn in fetch_pairs:
-                    if (endpoint.key, node_id, field) in fetched:
-                        continue
-                    reply, nbytes = conn.request(
-                        {"op": "pipeline_fetch", "token": spec["token"],
-                         "node": node_id, "field": field},
-                        self._deadline())
-                    traffic += nbytes
-                    for start, stop, payload in reply["data"]:
-                        dest[start:stop] = np.frombuffer(payload, dtype=dtype)
-                        column_bytes += len(payload)
-                    fetched.add((endpoint.key, node_id, field))
-
-            def read_raw(node_id: int) -> np.ndarray:
-                fetch_field(node_id, "raw")
-                return np.ndarray(rows, dtype=np.float64, buffer=block.buf,
-                                  offset=offsets[node_id]["raw"])
-
-            partials: dict[int, dict] = {}
-            popcounts: dict[int, dict] = {}
-            summaries: dict[int, dict] = {}
-            topk_parts = gather_round(replies, partials, popcounts, summaries)
-            result_nodes: dict[int, dict] = {}
-            for level_no in range(1, len(levels) + 1):
-                resolved_msg, summary_ids = resolve_level(
-                    levels[level_no - 1], nodes, spec, shard_count,
-                    partials, read_raw, result_nodes)
-                msg = round_message(spec, levels, level_no,
-                                    resolved_msg, summary_ids)
-                replies, bytes_out, bytes_in = self._round(
-                    pairs, [dict(msg) for _ in pairs], "pipeline.round",
-                    op=msg["op"])
-                traffic += bytes_out + bytes_in
-                reply_bytes += bytes_in
-                topk_parts = gather_round(
-                    replies, partials, popcounts, summaries)
-            # Stream-plane endpoints still hold their session: pull every
-            # remaining column span, then release the sessions.
-            if fetch_pairs:
-                for node_id, offs in offsets.items():
-                    for field in offs:
-                        fetch_field(node_id, field)
-                for endpoint, conn in fetch_pairs:
-                    _, nbytes = conn.request(
-                        {"op": "pipeline_release", "token": spec["token"]},
-                        self._deadline())
-                    traffic += nbytes
-            for node_id in nodes:
-                entry = result_nodes[node_id]
-                fill_node_summary(entry, summaries.get(node_id), shard_count)
-                entry.update(node_columns_from_buffer(
-                    block.buf, offsets[node_id], rows))
-                entry["popcounts"] = [
-                    int(popcounts[node_id][s]) for s in range(shard_count)]
-            topk = None
-            if spec.get("topk_target") is not None:
-                topk = [topk_parts[s] for s in range(shard_count)]
-            ok = True
-            return ({"nodes": result_nodes, "topk": topk},
-                    traffic, reply_bytes, column_bytes)
-        except RemoteFaultError as exc:
-            if exc.endpoint is not None:
-                exc.endpoint.mark_down()
-            raise
-        finally:
-            if pairs:
-                for endpoint, conn in pairs:
-                    if ok:
-                        endpoint.give_back(conn)
-                    else:
-                        # A session may be half-open with replies pending:
-                        # closing the connection is the only way to
-                        # guarantee no request ever pairs with a stale
-                        # reply; the server drops its session state with
-                        # the connection.
-                        conn.close()
-            if block is not None:
-                try:
-                    block.close()
-                    block.unlink()
-                except Exception:  # pragma: no cover
-                    pass
-            _RSTORE.unpin(published)
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            counters = dict(self._counters)
+    def _gauges(self) -> dict[str, int]:
         endpoints = _current_endpoints()
-        counters["worker_count"] = len(endpoints)
-        counters["workers_alive"] = sum(1 for ep in endpoints if ep.healthy)
-        counters.update(_RSTORE.stats())
-        return counters
+        return {
+            "worker_count": len(endpoints),
+            "workers_alive": sum(1 for ep in endpoints if ep.healthy),
+        }
 
-
-class _null_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc_info):
-        return False
+    def stats(self) -> dict[str, int]:
+        stats = super().stats()
+        # Every fallback of this backend is a remote one; the key predates
+        # the shared schema and dashboards read it.
+        stats["remote_fallbacks"] = stats["fallbacks"]
+        return stats

@@ -5,17 +5,18 @@ Run one per host (or several per host, one port each)::
     python -m repro.backend.remote.server --listen 0.0.0.0:7601
 
 Each accepted connection speaks the framed protocol of
-:mod:`repro.backend.remote.wire` and serves the same op codes as the
-process backend's pipe workers (:mod:`repro.backend.worker`): ``attach``
-/ ``drop`` for table publications, ``leaf`` for single-leaf kernels, and
-the ``pipeline_*`` session rounds -- executed by the *same*
-:class:`~repro.backend.pipeline.WorkerPipeline` the pipe workers run, so
-the remote path cannot diverge from the in-process semantics.
+:mod:`repro.backend.remote.wire` and is one *lane*: it owns a
+:class:`~repro.backend.worker.WorkerOps` -- the same op table the process
+backend's pipe workers dispatch through -- so the remote path cannot
+serve a different protocol, let alone different semantics.  What this
+module adds is only what a socket needs: listening, the version
+handshake, fault-injection hooks, and the raw column frames of a
+stream-plane attach.
 
 Tables are attached once per publication key and held in an LRU-bounded
-local store shared by every connection; per-event traffic stays
-predicates, span lists and partials.  Column data arrives through one of
-two negotiated planes:
+store shared by every connection; per-event traffic stays predicates,
+span lists and partials.  Column data arrives through one of two
+negotiated planes:
 
 * **shared memory** -- a server co-located with the coordinator attaches
   the published blocks (and per-session output blocks) directly; zero
@@ -38,37 +39,30 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import pickle
 import socket
 import threading
 import time
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any
 
-import numpy as np
-
-from repro.backend.pipeline import WorkerPipeline, pipeline_layout
 from repro.backend.remote import wire
-from repro.backend.shm import build_table_from_manifest
-from repro.backend.worker import _op_spans
+from repro.backend.shm import attach_block
+from repro.backend.worker import WorkerOps, _TableStore
 
 __all__ = ["RemoteWorkerServer", "main"]
 
 
-def _attach_untracked(name: str, untrack: bool) -> shared_memory.SharedMemory:
-    """Attach an existing block, optionally without tracker ownership.
+def _attach_untracked(name: str) -> shared_memory.SharedMemory:
+    """Attach an existing block without tracker ownership.
 
     A standalone server process has its *own* resource tracker; a plain
     attach would register the coordinator's block there and the tracker
     would unlink it when the server exits -- yanking live segments out
-    from under the coordinator.  ``untrack=True`` (set by :func:`main`)
-    undoes the registration.  In-process servers (tests, examples running
-    the server on a thread) share the coordinator's tracker, where the
-    attach registration is an idempotent no-op and unregistering would
-    *break* the coordinator's cleanup -- they pass ``untrack=False``.
+    from under the coordinator.  In-process servers (tests, examples
+    running the server on a thread) share the coordinator's tracker,
+    where the attach registration is an idempotent no-op and
+    unregistering would *break* the coordinator's cleanup -- they use
+    the plain :func:`~repro.backend.shm.attach_block` instead.
     """
-    if not untrack:
-        return shared_memory.SharedMemory(name=name)
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # Python < 3.13: no track= parameter
@@ -79,113 +73,6 @@ def _attach_untracked(name: str, untrack: bool) -> shared_memory.SharedMemory:
     except Exception:  # pragma: no cover - tracker internals moved
         pass
     return shm
-
-
-class _LocalBlock:
-    """A process-local stand-in for a shared output block (stream plane)."""
-
-    def __init__(self, nbytes: int):
-        self.buf = memoryview(bytearray(max(1, nbytes)))
-
-    def close(self) -> None:
-        self.buf = None
-
-
-class _TableEntry:
-    """One attached publication: the table plus whatever keeps it alive."""
-
-    def __init__(self, key: str, mode: str, table,
-                 blocks: list[shared_memory.SharedMemory]):
-        self.key = key
-        self.mode = mode
-        self.table = table
-        self.blocks = blocks
-        self.pins = 0
-        self.retired = False
-
-    def close(self) -> None:
-        for shm in self.blocks:
-            try:
-                shm.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        self.blocks = []
-
-
-class _TableStore:
-    """LRU-bounded attached tables, shared by every connection.
-
-    Ops pin the entry they operate on; eviction of a pinned entry is
-    deferred until the last pin drops, so a session on one connection can
-    never have its column mappings closed by an attach on another.
-    """
-
-    def __init__(self, max_tables: int):
-        self._lock = threading.Lock()
-        self._tables: dict[str, _TableEntry] = {}
-        self._max_tables = max_tables
-
-    def get(self, key: str) -> _TableEntry | None:
-        with self._lock:
-            entry = self._tables.get(key)
-            if entry is not None:
-                self._tables.pop(key)
-                self._tables[key] = entry  # LRU touch
-                entry.pins += 1
-            return entry
-
-    def release(self, entry: _TableEntry) -> None:
-        with self._lock:
-            entry.pins -= 1
-            close = entry.retired and entry.pins <= 0
-        if close:
-            entry.close()
-
-    def put(self, entry: _TableEntry) -> None:
-        evicted: list[_TableEntry] = []
-        with self._lock:
-            if entry.key in self._tables:
-                entry.close()
-                return
-            self._tables[entry.key] = entry
-            while len(self._tables) > self._max_tables:
-                oldest = self._tables.pop(next(iter(self._tables)))
-                oldest.retired = True
-                if oldest.pins <= 0:
-                    evicted.append(oldest)
-        for old in evicted:
-            old.close()
-
-    def contains(self, key: str) -> bool:
-        with self._lock:
-            return key in self._tables
-
-    def drop(self, key: str) -> None:
-        with self._lock:
-            entry = self._tables.pop(key, None)
-            if entry is not None:
-                entry.retired = True
-                if entry.pins > 0:
-                    entry = None
-        if entry is not None:
-            entry.close()
-
-    def close(self) -> None:
-        with self._lock:
-            entries = list(self._tables.values())
-            self._tables.clear()
-        for entry in entries:
-            entry.close()
-
-
-class _Session:
-    """One connection's live pipeline session plus its pinned table."""
-
-    def __init__(self, pipeline: WorkerPipeline, entry: _TableEntry,
-                 mode: str):
-        self.pipeline = pipeline
-        self.entry = entry
-        self.mode = mode
 
 
 class RemoteWorkerServer:
@@ -302,48 +189,31 @@ class RemoteWorkerServer:
     # ------------------------------------------------------------------ #
     def _serve_connection(self, conn: socket.socket) -> None:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        session: _Session | None = None
-        uploads: dict[str, dict[str, tuple[str, Any]]] = {}
-
-        def drop_session() -> None:
-            nonlocal session
-            if session is not None:
-                session.pipeline.close()
-                self._store.release(session.entry)
-                session = None
-
+        ops = WorkerOps(
+            self._store, allow_shm=self.allow_shm,
+            attach=_attach_untracked if self.untrack_shm else attach_block)
         try:
             if not self._handshake(conn):
                 return
             while not self._closing.is_set():
-                try:
-                    msg, _ = wire.read_obj(conn)
-                except wire.WireError:
-                    break
+                msg, _ = wire.read_obj(conn)
                 op = msg.get("op")
                 if op in self.stall_ops:
                     # Fault injection: hold the reply until the peer gives
                     # up (its read deadline fires) or the server stops.
                     self._closing.wait(60.0)
                     break
-                try:
-                    if op == "exit":
-                        wire.send_obj(conn, {"ok": True})
-                        break
-                    session = self._dispatch(conn, msg, op, session,
-                                             uploads, drop_session)
-                except wire.WireError:
+                if op == "column_data":
+                    reply = self._receive_column(conn, msg, ops)
+                else:
+                    reply = {"ok": True} if op == "exit" else ops.dispatch(msg)
+                wire.send_obj(conn, reply)
+                if op == "exit":
                     break
-                except Exception as exc:
-                    if op and op.startswith("pipeline"):
-                        drop_session()
-                    try:
-                        wire.send_obj(
-                            conn, {"ok": False, "error": f"{op}: {exc!r}"})
-                    except wire.WireError:
-                        break
+        except wire.WireError:
+            pass  # dead socket: the lane ends, its session with it
         finally:
-            drop_session()
+            ops.close()
             with self._conn_lock:
                 self._conns.discard(conn)
             with contextlib.suppress(Exception):
@@ -370,239 +240,21 @@ class RemoteWorkerServer:
             return False
         return bool(reply["ok"])
 
-    # ------------------------------------------------------------------ #
-    # Ops
-    # ------------------------------------------------------------------ #
-    def _dispatch(self, conn: socket.socket, msg: dict, op: str,
-                  session: _Session | None, uploads: dict,
-                  drop_session) -> _Session | None:
-        if op == "ping":
-            wire.send_obj(conn, {"ok": True, "pid": os.getpid()})
-        elif op == "attach":
-            self._op_attach(conn, msg)
-        elif op == "column_data":
-            self._op_column_data(conn, msg, uploads)
-        elif op == "attach_done":
-            self._op_attach_done(conn, msg, uploads)
-        elif op == "drop":
-            self._store.drop(msg["table_id"])
-            wire.send_obj(conn, {"ok": True})
-        elif op == "leaf":
-            self._op_leaf(conn, msg)
-        elif op == "pipeline_start":
-            drop_session()
-            session = self._op_pipeline_start(conn, msg)
-        elif op in ("pipeline_level", "pipeline_finish"):
-            if session is None or session.pipeline.token != msg["token"]:
-                wire.send_obj(conn, {"ok": False,
-                                     "error": f"{op}: no matching session"})
-            elif op == "pipeline_level":
-                t0 = time.perf_counter()
-                payload = session.pipeline.level(msg)
-                wire.send_obj(conn, {"ok": True, **payload,
-                                     **_op_spans(msg, t0, "pipeline_level")})
-            else:
-                t0 = time.perf_counter()
-                payload = session.pipeline.finish(msg)
-                # On the shared-memory plane the columns already sit in
-                # the coordinator's block: the session is complete.  On
-                # the stream plane the client still fetches them, so the
-                # session stays open until pipeline_release.
-                if session.mode == "shm":
-                    drop_session()
-                    session = None
-                wire.send_obj(conn, {"ok": True, **payload,
-                                     **_op_spans(msg, t0, "pipeline_finish")})
-        elif op == "pipeline_fetch":
-            if session is None or session.pipeline.token != msg["token"]:
-                wire.send_obj(conn, {"ok": False,
-                                     "error": "pipeline_fetch: no session"})
-            else:
-                self._op_pipeline_fetch(conn, msg, session)
-        elif op in ("pipeline_abort", "pipeline_release"):
-            drop_session()
-            session = None
-            wire.send_obj(conn, {"ok": True})
-        else:
-            wire.send_obj(conn, {"ok": False, "error": f"unknown op {op!r}"})
-        return session
+    @staticmethod
+    def _receive_column(conn: socket.socket, msg: dict,
+                        ops: WorkerOps) -> dict:
+        """Read one column's raw frames into the lane's upload buffer.
 
-    def _op_attach(self, conn: socket.socket, msg: dict) -> None:
-        manifest = msg["manifest"]
-        key = manifest["table_id"]
-        if self._store.contains(key):
-            entry = self._store.get(key)
-            try:
-                # "have" tells the client to skip the column upload a
-                # fresh stream negotiation would otherwise start.
-                wire.send_obj(conn, {"ok": True, "mode": entry.mode,
-                                     "have": True})
-            finally:
-                self._store.release(entry)
-            return
-        if self.allow_shm and msg.get("mode_hint") != "stream":
-            try:
-                table, blocks = self._build_shm_table(manifest)
-            except Exception:
-                pass
-            else:
-                self._store.put(_TableEntry(key, "shm", table, blocks))
-                wire.send_obj(conn, {"ok": True, "mode": "shm"})
-                return
-        # Stream plane: ask the client to ship the columns once.
-        wire.send_obj(conn, {"ok": True, "mode": "stream"})
-
-    def _build_shm_table(self, manifest: dict):
-        if not self.untrack_shm:
-            return build_table_from_manifest(manifest)
-        # Standalone process: attach every block untracked (see
-        # _attach_untracked), then reuse the manifest reconstruction.
-        from repro.storage.table import Table
-
-        rows = manifest["rows"]
-        blocks: list[shared_memory.SharedMemory] = []
-        columns: dict[str, np.ndarray] = {}
-        try:
-            for spec in manifest["columns"]:
-                shm = _attach_untracked(spec["shm"], True)
-                blocks.append(shm)
-                if spec["kind"] == "f8":
-                    columns[spec["name"]] = np.ndarray(
-                        rows, dtype=np.float64, buffer=shm.buf)
-                else:
-                    columns[spec["name"]] = pickle.loads(
-                        bytes(shm.buf[:spec["nbytes"]]))
-        except Exception:
-            for shm in blocks:
-                with contextlib.suppress(Exception):
-                    shm.close()
-            raise
-        if not columns:
-            return Table.empty(manifest["name"], []), blocks
-        return Table.adopt_columns(manifest["name"], columns), blocks
-
-    def _op_column_data(self, conn: socket.socket, msg: dict,
-                        uploads: dict) -> None:
+        The only op the socket loop serves itself: its payload follows
+        the control frame as raw chunks, which no other transport has.
+        ``attach_done`` (a regular op) turns the uploads into a table.
+        """
         nbytes = int(msg["nbytes"])
         buf = bytearray(nbytes)
         wire.read_raw_into(conn, buf, nbytes,
                            deadline=time.monotonic() + 120.0)
-        uploads.setdefault(msg["table_id"], {})[msg["name"]] = (
-            msg["kind"], buf)
-        wire.send_obj(conn, {"ok": True})
-
-    def _op_attach_done(self, conn: socket.socket, msg: dict,
-                        uploads: dict) -> None:
-        from repro.storage.table import Table
-
-        manifest = msg["manifest"]
-        key = manifest["table_id"]
-        received = uploads.pop(key, {})
-        columns: dict[str, np.ndarray] = {}
-        for spec in manifest["columns"]:
-            kind, buf = received[spec["name"]]
-            if kind == "f8":
-                columns[spec["name"]] = np.frombuffer(buf, dtype=np.float64)
-            else:
-                columns[spec["name"]] = pickle.loads(bytes(buf))
-        if not columns:
-            table = Table.empty(manifest["name"], [])
-        else:
-            table = Table.adopt_columns(manifest["name"], columns)
-        self._store.put(_TableEntry(key, "stream", table, []))
-        wire.send_obj(conn, {"ok": True, "mode": "stream"})
-
-    def _op_leaf(self, conn: socket.socket, msg: dict) -> None:
-        entry = self._store.get(msg["table_id"])
-        if entry is None:
-            wire.send_obj(conn, {"ok": False, "code": "unknown-table",
-                                 "error": f"table {msg['table_id']!r} "
-                                          "not attached"})
-            return
-        try:
-            t0 = time.perf_counter()
-            rows = len(entry.table)
-            dtype = np.float64 if msg["kind"] == "signed" else np.bool_
-            predicate = msg["predicate"]
-            pieces: list[tuple[int, int, np.ndarray]] = []
-            for start, stop in msg["spans"]:
-                shard = entry.table.slice_rows(start, stop)
-                if msg["kind"] == "signed":
-                    piece = np.asarray(predicate.signed_distances(shard),
-                                       dtype=np.float64)
-                else:
-                    piece = np.asarray(predicate.exact_mask(shard),
-                                       dtype=bool)
-                pieces.append((start, stop, piece))
-            spans = _op_spans(msg, t0, "leaf", kind=msg["kind"],
-                              shards=len(msg["spans"]))
-            if msg.get("out_mode") == "shm":
-                out = _attach_untracked(msg["out"], self.untrack_shm)
-                try:
-                    dest = np.ndarray(rows, dtype=dtype, buffer=out.buf)
-                    for start, stop, piece in pieces:
-                        dest[start:stop] = piece
-                finally:
-                    out.close()
-                wire.send_obj(conn, {"ok": True, "mode": "shm", **spans})
-            else:
-                wire.send_obj(conn, {
-                    "ok": True,
-                    "mode": "inline",
-                    "data": [(start, stop, piece.tobytes())
-                             for start, stop, piece in pieces],
-                    **spans,
-                })
-        finally:
-            self._store.release(entry)
-
-    def _op_pipeline_start(self, conn: socket.socket,
-                           msg: dict) -> _Session | None:
-        entry = self._store.get(msg["table_id"])
-        if entry is None:
-            wire.send_obj(conn, {"ok": False, "code": "unknown-table",
-                                 "error": f"table {msg['table_id']!r} "
-                                          "not attached"})
-            return None
-        t0 = time.perf_counter()
-        mode = "local"
-        block = None
-        try:
-            if self.allow_shm and msg.get("out_mode") == "shm":
-                try:
-                    block = _attach_untracked(msg["out"], self.untrack_shm)
-                    mode = "shm"
-                except Exception:
-                    block = None
-            if block is None:
-                total, _ = pipeline_layout(msg["spec"]["nodes"],
-                                           msg["spec"]["rows"])
-                block = _LocalBlock(total)
-            pipeline = WorkerPipeline(entry.table, msg, block=block)
-        except BaseException:
-            self._store.release(entry)
-            if block is not None:
-                with contextlib.suppress(Exception):
-                    block.close()
-            raise
-        session = _Session(pipeline, entry, mode)
-        wire.send_obj(conn, {"ok": True, "mode": mode, **pipeline.start(),
-                             **_op_spans(msg, t0, "pipeline_start")})
-        return session
-
-    def _op_pipeline_fetch(self, conn: socket.socket, msg: dict,
-                           session: _Session) -> None:
-        """Serve one (node, field) column over this session's shard spans.
-
-        Only meaningful on the stream plane -- the client assembles the
-        spans into its own session buffer.  Spans ride inside the pickled
-        reply; one node-field per request keeps every reply far under
-        MAX_FRAME.
-        """
-        views = session.pipeline.views[msg["node"]][msg["field"]]
-        data = [(start, stop, views[start:stop].tobytes())
-                for _shard, start, stop in session.pipeline.shards]
-        wire.send_obj(conn, {"ok": True, "data": data})
+        ops.uploads.setdefault(msg["table_id"], {})[msg["name"]] = buf
+        return {"ok": True}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -92,17 +92,18 @@ def _recv_exact(sock: socket.socket, count: int,
     """Read exactly ``count`` bytes or raise ``WireClosed``/``WireTimeout``."""
     parts: list[bytes] = []
     remaining = count
-    if deadline is None:
-        # A previous deadline read may have left a timeout on the socket.
-        sock.settimeout(None)
     while remaining:
+        budget = None
         if deadline is not None:
             budget = deadline - time.monotonic()
             if budget <= 0:
                 raise WireTimeout(f"read timed out ({count - remaining}"
                                   f"/{count} bytes)")
-            sock.settimeout(budget)
         try:
+            # Set on every pass (None included: a previous deadline read
+            # may have left a timeout behind), and inside the try: a
+            # socket closed under us fails here first.
+            sock.settimeout(budget)
             piece = sock.recv(min(remaining, 1 << 20))
         except socket.timeout as exc:
             raise WireTimeout(str(exc) or "read timed out") from exc

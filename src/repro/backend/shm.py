@@ -45,6 +45,7 @@ __all__ = [
     "ShmColumnStore",
     "attach_block",
     "build_table_from_manifest",
+    "table_from_buffers",
 ]
 
 #: Published-table LRU capacity (matches the engine's table-cache scale).
@@ -244,31 +245,50 @@ class ShmColumnStore:
             published.destroy()
 
 
-def build_table_from_manifest(
-    manifest: dict[str, Any],
-) -> tuple["Table", list[shared_memory.SharedMemory]]:
-    """Reconstruct a table over published blocks (worker side, zero-copy).
+def table_from_buffers(manifest: dict[str, Any],
+                       buffer_of: Callable[[dict[str, Any]], Any]) -> "Table":
+    """Rebuild a published table over one buffer per manifest column.
 
-    Numeric columns are ndarray views straight over the mapped blocks;
-    object columns are unpickled once at attach time.  Returns the table
-    plus the block handles the caller must keep alive (and close when the
-    table is dropped).
+    ``buffer_of(column_spec)`` returns the bytes of that column: numeric
+    columns become ndarray views straight over the buffer (zero-copy),
+    object columns are unpickled once.  Shared by both data planes -- the
+    buffers are mapped shared-memory blocks or streamed uploads -- so the
+    two cannot decode a publication differently.
     """
     from repro.storage.table import Table
 
     rows = manifest["rows"]
-    blocks: list[shared_memory.SharedMemory] = []
     columns: dict[str, np.ndarray] = {}
+    for spec in manifest["columns"]:
+        buf = buffer_of(spec)
+        if spec["kind"] == "f8":
+            columns[spec["name"]] = np.ndarray(
+                rows, dtype=np.float64, buffer=buf)
+        else:
+            columns[spec["name"]] = pickle.loads(bytes(buf[:spec["nbytes"]]))
+    if not columns:
+        return Table.empty(manifest["name"], [])
+    return Table.adopt_columns(manifest["name"], columns)
+
+
+def build_table_from_manifest(
+    manifest: dict[str, Any],
+    attach: Callable[[str], shared_memory.SharedMemory] = attach_block,
+) -> tuple["Table", list[shared_memory.SharedMemory]]:
+    """Reconstruct a table over published blocks (worker side, zero-copy).
+
+    ``attach`` opens one block by name (a standalone server passes its
+    untracked variant).  Returns the table plus the block handles the
+    caller must keep alive (and close when the table is dropped).
+    """
+    blocks: list[shared_memory.SharedMemory] = []
+
+    def mapped(spec: dict[str, Any]):
+        blocks.append(attach(spec["shm"]))
+        return blocks[-1].buf
+
     try:
-        for spec in manifest["columns"]:
-            shm = attach_block(spec["shm"])
-            blocks.append(shm)
-            if spec["kind"] == "f8":
-                columns[spec["name"]] = np.ndarray(
-                    rows, dtype=np.float64, buffer=shm.buf)
-            else:
-                payload = bytes(shm.buf[:spec["nbytes"]])
-                columns[spec["name"]] = pickle.loads(payload)
+        return table_from_buffers(manifest, mapped), blocks
     except Exception:
         for shm in blocks:
             try:
@@ -276,8 +296,3 @@ def build_table_from_manifest(
             except Exception:  # pragma: no cover
                 pass
         raise
-    if not columns:
-        table = Table.empty(manifest["name"], [])
-    else:
-        table = Table.adopt_columns(manifest["name"], columns)
-    return table, blocks

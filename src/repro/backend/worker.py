@@ -1,32 +1,152 @@
-"""Worker-process entrypoint for the ``process`` execution backend.
+"""The worker side of every out-of-process backend: one op table.
 
-Each worker owns one duplex pipe to the coordinator and serves a tiny
-op-code protocol.  Columns never travel over the pipe: an ``attach`` op
-carries only a shared-memory manifest, after which the worker holds a
-zero-copy table reconstruction; ``leaf`` ops carry a pickled predicate
-plus shard spans and write their results into a per-call output block the
-coordinator allocated.  The ``pipeline_*`` ops
+A *lane* -- a ``process``-backend pool process on a pipe, or one
+connection of a ``remote`` worker server -- owns a :class:`WorkerOps` and
+feeds it decoded messages; :meth:`WorkerOps.dispatch` is the only place
+an op code is interpreted, so the two transports cannot serve different
+protocols.  The loops around it (:func:`worker_main` here, the
+connection loop in :mod:`repro.backend.remote.server`) only move bytes.
+
+Columns never travel with an op: ``attach`` carries a shared-memory
+manifest (or announces a one-time upload), after which the lane holds a
+zero-copy table in its :class:`_TableStore`; ``leaf`` carries a pickled
+predicate plus shard spans and writes into a per-call output block the
+coordinator allocated; the ``pipeline_*`` ops
 (:mod:`repro.backend.pipeline`) run a whole plan's per-shard stages as a
-short session of rounds, writing every column into one shared output
-block and replying only partials.  A failing op produces an error reply
-and leaves the worker alive (an open pipeline session is torn down, so
-the next op starts clean) -- only a dead pipe (coordinator gone) or an
-explicit ``exit`` ends the loop, so one poisonous message cannot wedge
-the pool.
+short session of rounds, writing every column into one output buffer and
+replying only partials.
+
+A failing op produces an error reply and leaves the lane alive and
+request/reply aligned (an open pipeline session is torn down, so the
+next op starts clean) -- only a dead link or an explicit ``exit`` ends a
+loop, so one poisonous message cannot wedge a pool.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import threading
 import time
-from typing import Any
+from multiprocessing import shared_memory
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.backend.pipeline import WorkerPipeline
-from repro.backend.shm import attach_block, build_table_from_manifest
+from repro.backend.pipeline import (
+    FIELD_DTYPES,
+    WorkerPipeline,
+    leaf_kernel,
+    pipeline_layout,
+)
+from repro.backend.shm import (
+    attach_block,
+    build_table_from_manifest,
+    table_from_buffers,
+)
 
-__all__ = ["worker_main"]
+__all__ = ["WorkerOps", "worker_main"]
+
+
+class _TableEntry:
+    """One attached publication: the table plus whatever keeps it alive."""
+
+    def __init__(self, key: str, mode: str, table,
+                 blocks: list[shared_memory.SharedMemory]):
+        self.key = key
+        self.mode = mode
+        self.table = table
+        self.blocks = blocks
+        self.pins = 0
+        self.retired = False
+
+    def close(self) -> None:
+        for shm in self.blocks:
+            try:
+                shm.close()
+            except Exception:  # pragma: no cover - teardown best effort
+                pass
+        self.blocks = []
+
+
+class _TableStore:
+    """LRU-bounded attached tables, shared by every lane of one process.
+
+    Ops pin the entry they operate on; eviction of a pinned entry is
+    deferred until the last pin drops, so a session on one connection can
+    never have its column mappings closed by an attach on another.  A
+    pool process has a single lane and an unbounded store (the
+    coordinator's own LRU decides what it holds, via ``drop``).
+    """
+
+    def __init__(self, max_tables: float):
+        self._lock = threading.Lock()
+        self._tables: dict[str, _TableEntry] = {}
+        self._max_tables = max_tables
+
+    def get(self, key: str) -> _TableEntry | None:
+        with self._lock:
+            entry = self._tables.get(key)
+            if entry is not None:
+                self._tables.pop(key)
+                self._tables[key] = entry  # LRU touch
+                entry.pins += 1
+            return entry
+
+    def release(self, entry: _TableEntry) -> None:
+        with self._lock:
+            entry.pins -= 1
+            close = entry.retired and entry.pins <= 0
+        if close:
+            entry.close()
+
+    def put(self, entry: _TableEntry) -> None:
+        evicted: list[_TableEntry] = []
+        with self._lock:
+            if entry.key in self._tables:
+                entry.close()
+                return
+            self._tables[entry.key] = entry
+            while len(self._tables) > self._max_tables:
+                oldest = self._tables.pop(next(iter(self._tables)))
+                oldest.retired = True
+                if oldest.pins <= 0:
+                    evicted.append(oldest)
+        for old in evicted:
+            old.close()
+
+    def drop(self, key: str) -> None:
+        with self._lock:
+            entry = self._tables.pop(key, None)
+            if entry is not None:
+                entry.retired = True
+                if entry.pins > 0:
+                    entry = None
+        if entry is not None:
+            entry.close()
+
+    def close(self) -> None:
+        with self._lock:
+            entries = list(self._tables.values())
+            self._tables.clear()
+        for entry in entries:
+            entry.close()
+
+
+class _Session:
+    """One lane's live pipeline session plus what it keeps pinned."""
+
+    def __init__(self, pipeline: WorkerPipeline, entry: _TableEntry,
+                 block: shared_memory.SharedMemory | None):
+        self.pipeline = pipeline
+        self.entry = entry
+        #: The coordinator's output block, or None when the columns live
+        #: in lane-local bytes and are served by ``pipeline_fetch``.
+        self.block = block
+
+
+class _UnknownTable(LookupError):
+    """The op named a publication this lane's store does not hold."""
 
 
 def _op_spans(msg: dict[str, Any], t0: float, op: str,
@@ -35,8 +155,8 @@ def _op_spans(msg: dict[str, Any], t0: float, op: str,
 
     Timed on this worker's own ``perf_counter`` -- the coordinator cannot
     share a clock with us, so spans ship as ``(start, dur)`` relative to
-    the op start and get stitched under the broadcast span that awaited
-    this reply (:meth:`repro.obs.trace.Trace.add_remote_spans`).  Without
+    the op start and get stitched under the round span that awaited this
+    reply (:meth:`repro.obs.trace.Trace.add_remote_spans`).  Without
     ``msg["trace"]`` the reply stays exactly as before: zero extra bytes.
     """
     if not msg.get("trace"):
@@ -52,52 +172,217 @@ def _op_spans(msg: dict[str, Any], t0: float, op: str,
     }
 
 
-class _AttachedTable:
-    """A reconstructed table plus the block handles keeping it mapped."""
+class WorkerOps:
+    """One lane's op table: every op a coordinator may send, served once.
 
-    def __init__(self, manifest: dict[str, Any]):
-        self.table, self.blocks = build_table_from_manifest(manifest)
+    ``store`` is the process's attached-table store; ``allow_shm=False``
+    makes the lane refuse the shared-memory plane (a cross-host server);
+    ``attach`` opens a coordinator block by name.  Per-lane state is the
+    open pipeline session and the column uploads of an in-progress
+    stream-plane attach (:attr:`uploads`, filled by the socket loop --
+    raw frames are the one thing that cannot ride a pickled op).
+    """
+
+    def __init__(self, store: _TableStore, *, allow_shm: bool = True,
+                 attach: Callable[[str], shared_memory.SharedMemory]
+                 = attach_block):
+        self.store = store
+        self.allow_shm = allow_shm
+        self.attach_block = attach
+        self.session: _Session | None = None
+        #: table_id -> column name -> uploaded bytes.
+        self.uploads: dict[str, dict[str, Any]] = {}
+
+    # ------------------------------------------------------------------ #
+    def dispatch(self, msg: dict[str, Any]) -> dict[str, Any]:
+        """Serve one op; always returns a reply, never raises."""
+        op = msg.get("op")
+        handler = self._OPS.get(op)
+        if handler is None:
+            return {"ok": False, "error": f"unknown op {op!r}"}
+        t0 = time.perf_counter()
+        try:
+            reply = {"ok": True, **handler(self, msg)}
+        except _UnknownTable as exc:
+            return {"ok": False, "code": "unknown-table",
+                    "error": f"table {exc.args[0]!r} not attached"}
+        except Exception as exc:
+            # A half-done pipeline session has no defined state to resume
+            # from; drop it so the error reply leaves the lane clean for
+            # the next (unrelated) op.
+            if op.startswith("pipeline"):
+                self.close()
+            return {"ok": False, "error": f"{op}: {exc!r}"}
+        if op == "leaf":
+            reply.update(_op_spans(msg, t0, op, kind=msg["kind"],
+                                   shards=len(msg["spans"])))
+        elif op in ("pipeline_start", "pipeline_level", "pipeline_finish"):
+            reply.update(_op_spans(msg, t0, op))
+        return reply
 
     def close(self) -> None:
-        for shm in self.blocks:
+        """Drop the open pipeline session, if any (idempotent)."""
+        session, self.session = self.session, None
+        if session is not None:
+            session.pipeline.close()
+            if session.block is not None:
+                try:
+                    session.block.close()
+                except Exception:  # pragma: no cover - teardown best effort
+                    pass
+            self.store.release(session.entry)
+
+    # ------------------------------------------------------------------ #
+    def _pinned(self, table_id: str) -> _TableEntry:
+        entry = self.store.get(table_id)
+        if entry is None:
+            raise _UnknownTable(table_id)
+        return entry
+
+    def _open_session(self, msg: dict[str, Any]) -> WorkerPipeline:
+        if self.session is None or self.session.pipeline.token != msg["token"]:
+            raise RuntimeError("no matching session")
+        return self.session.pipeline
+
+    def _ping(self, msg: dict[str, Any]) -> dict[str, Any]:
+        session = self.session
+        return {"pid": os.getpid(),
+                "session": session.pipeline.token if session else None}
+
+    def _attach(self, msg: dict[str, Any]) -> dict[str, Any]:
+        manifest = msg["manifest"]
+        key = manifest["table_id"]
+        entry = self.store.get(key)
+        if entry is not None:
+            # "have" tells a stream-plane client to skip the column
+            # upload a fresh negotiation would otherwise start.
+            self.store.release(entry)
+            return {"mode": entry.mode, "have": True}
+        if self.allow_shm and msg.get("mode_hint") != "stream":
             try:
-                shm.close()
-            except Exception:  # pragma: no cover - teardown best effort
+                table, blocks = build_table_from_manifest(
+                    manifest, self.attach_block)
+            except Exception:
                 pass
-
-
-def _run_leaf(tables: dict[str, _AttachedTable], msg: dict[str, Any]) -> None:
-    """Compute signed distances / exact masks for this worker's spans."""
-    entry = tables[msg["table_id"]]
-    rows = len(entry.table)
-    out = attach_block(msg["out"])
-    try:
-        dtype = np.float64 if msg["kind"] == "signed" else np.bool_
-        dest = np.ndarray(rows, dtype=dtype, buffer=out.buf)
-        predicate = msg["predicate"]
-        for start, stop in msg["spans"]:
-            shard = entry.table.slice_rows(start, stop)
-            if msg["kind"] == "signed":
-                piece = np.asarray(predicate.signed_distances(shard),
-                                   dtype=np.float64)
             else:
-                piece = np.asarray(predicate.exact_mask(shard), dtype=bool)
-            dest[start:stop] = piece
-    finally:
-        out.close()
+                self.store.put(_TableEntry(key, "shm", table, blocks))
+                return {"mode": "shm"}
+        # Stream plane: ask the client to ship the columns once.
+        return {"mode": "stream"}
+
+    def _attach_done(self, msg: dict[str, Any]) -> dict[str, Any]:
+        manifest = msg["manifest"]
+        key = manifest["table_id"]
+        received = self.uploads.pop(key, {})
+        table = table_from_buffers(manifest,
+                                   lambda spec: received[spec["name"]])
+        self.store.put(_TableEntry(key, "stream", table, []))
+        return {"mode": "stream"}
+
+    def _drop(self, msg: dict[str, Any]) -> dict[str, Any]:
+        self.store.drop(msg["table_id"])
+        return {}
+
+    def _leaf(self, msg: dict[str, Any]) -> dict[str, Any]:
+        """One leaf kernel over this lane's spans.
+
+        With an ``out`` block the spans are written in place; without
+        one (the lane cannot reach coordinator memory) they ride the
+        reply as ``data``.
+        """
+        entry = self._pinned(msg["table_id"])
+        out = None
+        try:
+            kind = msg["kind"]
+            data: list[tuple[int, int, bytes]] = []
+            if msg.get("out") is not None:
+                out = self.attach_block(msg["out"])
+                dest = np.ndarray(len(entry.table), dtype=FIELD_DTYPES[kind],
+                                  buffer=out.buf)
+            for start, stop in msg["spans"]:
+                piece = leaf_kernel(msg["predicate"],
+                                    entry.table.slice_rows(start, stop), kind)
+                if out is not None:
+                    dest[start:stop] = piece
+                else:
+                    data.append((start, stop, piece.tobytes()))
+            return {"data": data} if out is None else {}
+        finally:
+            if out is not None:
+                out.close()
+            self.store.release(entry)
+
+    def _pipeline_start(self, msg: dict[str, Any]) -> dict[str, Any]:
+        self.close()
+        entry = self._pinned(msg["table_id"])
+        block = None
+        try:
+            if self.allow_shm and msg.get("out") is not None:
+                try:
+                    block = self.attach_block(msg["out"])
+                except Exception:
+                    block = None
+            if block is not None:
+                buf = block.buf
+            else:
+                spec = msg["spec"]
+                buf = bytearray(pipeline_layout(spec["nodes"],
+                                                spec["rows"])[0])
+            pipeline = WorkerPipeline(entry.table, msg, buf)
+        except BaseException:
+            self.store.release(entry)
+            if block is not None:
+                block.close()
+            raise
+        self.session = _Session(pipeline, entry, block)
+        return {"mode": "shm" if block is not None else "local",
+                **pipeline.start()}
+
+    def _pipeline_level(self, msg: dict[str, Any]) -> dict[str, Any]:
+        return self._open_session(msg).level(msg)
+
+    def _pipeline_finish(self, msg: dict[str, Any]) -> dict[str, Any]:
+        payload = self._open_session(msg).finish(msg)
+        # With the columns already in the coordinator's block the session
+        # is complete.  Lane-local columns still have to be fetched, so
+        # that session stays open until pipeline_release.
+        if self.session.block is not None:
+            self.close()
+        return payload
+
+    def _pipeline_fetch(self, msg: dict[str, Any]) -> dict[str, Any]:
+        """One (node, field) column over this session's shard spans.
+
+        Only sent to lanes that replied ``mode: "local"``; one node-field
+        per request keeps every reply far under the socket frame limit.
+        """
+        pipeline = self._open_session(msg)
+        column = pipeline.views[msg["node"]][msg["field"]]
+        return {"data": [(start, stop, column[start:stop].tobytes())
+                         for _shard, start, stop in pipeline.shards]}
+
+    def _pipeline_drop(self, msg: dict[str, Any]) -> dict[str, Any]:
+        self.close()
+        return {}
+
+    _OPS: dict[str, Callable[["WorkerOps", dict[str, Any]], dict[str, Any]]] = {
+        "ping": _ping,
+        "attach": _attach,
+        "attach_done": _attach_done,
+        "drop": _drop,
+        "leaf": _leaf,
+        "pipeline_start": _pipeline_start,
+        "pipeline_level": _pipeline_level,
+        "pipeline_finish": _pipeline_finish,
+        "pipeline_fetch": _pipeline_fetch,
+        "pipeline_abort": _pipeline_drop,
+        "pipeline_release": _pipeline_drop,
+    }
 
 
 def worker_main(conn) -> None:
-    """Serve ops from ``conn`` until the pipe dies or ``exit`` arrives."""
-    tables: dict[str, _AttachedTable] = {}
-    pipeline: WorkerPipeline | None = None
-
-    def drop_pipeline() -> None:
-        nonlocal pipeline
-        if pipeline is not None:
-            pipeline.close()
-            pipeline = None
-
+    """Serve ops from pipe ``conn`` until it dies or ``exit`` arrives."""
+    ops = WorkerOps(_TableStore(math.inf))
     try:
         while True:
             try:
@@ -108,77 +393,19 @@ def worker_main(conn) -> None:
                 # recv() consumed a whole frame but could not unpickle it
                 # (e.g. the predicate's module is not importable here); the
                 # protocol stream is still aligned, so report and continue.
-                try:
-                    conn.send({"ok": False, "error": f"recv: {exc!r}"})
-                    continue
-                except Exception:
+                reply = {"ok": False, "error": f"recv: {exc!r}"}
+            else:
+                if msg.get("op") == "exit":
+                    conn.send({"ok": True})
                     break
-            op = msg.get("op")
+                reply = ops.dispatch(msg)
             try:
-                if op == "exit":
-                    conn.send({"ok": True})
-                    break
-                if op == "ping":
-                    conn.send({"ok": True, "pid": os.getpid()})
-                elif op == "attach":
-                    table_id = msg["manifest"]["table_id"]
-                    if table_id not in tables:
-                        tables[table_id] = _AttachedTable(msg["manifest"])
-                    conn.send({"ok": True})
-                elif op == "drop":
-                    entry = tables.pop(msg["table_id"], None)
-                    if entry is not None:
-                        entry.close()
-                    conn.send({"ok": True})
-                elif op == "leaf":
-                    t0 = time.perf_counter()
-                    _run_leaf(tables, msg)
-                    conn.send({"ok": True,
-                               **_op_spans(msg, t0, "leaf",
-                                           kind=msg["kind"],
-                                           shards=len(msg["spans"]))})
-                elif op == "pipeline_start":
-                    drop_pipeline()
-                    t0 = time.perf_counter()
-                    pipeline = WorkerPipeline(
-                        tables[msg["table_id"]].table, msg)
-                    conn.send({"ok": True, **pipeline.start(),
-                               **_op_spans(msg, t0, "pipeline_start")})
-                elif op in ("pipeline_level", "pipeline_finish"):
-                    if pipeline is None or pipeline.token != msg["token"]:
-                        conn.send({"ok": False,
-                                   "error": f"{op}: no matching session"})
-                    elif op == "pipeline_level":
-                        t0 = time.perf_counter()
-                        payload = pipeline.level(msg)
-                        conn.send({"ok": True, **payload,
-                                   **_op_spans(msg, t0, "pipeline_level")})
-                    else:
-                        t0 = time.perf_counter()
-                        payload = pipeline.finish(msg)
-                        drop_pipeline()
-                        conn.send({"ok": True, **payload,
-                                   **_op_spans(msg, t0, "pipeline_finish")})
-                elif op == "pipeline_abort":
-                    drop_pipeline()
-                    conn.send({"ok": True})
-                else:
-                    conn.send({"ok": False, "error": f"unknown op {op!r}"})
-            except Exception as exc:
-                # A half-done pipeline session has no defined state to
-                # resume from; drop it so the error reply leaves the worker
-                # clean for the next (unrelated) op.
-                if op in ("pipeline_start", "pipeline_level",
-                          "pipeline_finish"):
-                    drop_pipeline()
-                try:
-                    conn.send({"ok": False, "error": f"{op}: {exc!r}"})
-                except Exception:
-                    break
+                conn.send(reply)
+            except Exception:
+                break
     finally:
-        drop_pipeline()
-        for entry in tables.values():
-            entry.close()
+        ops.close()
+        ops.store.close()
         try:
             conn.close()
         except Exception:  # pragma: no cover

@@ -443,7 +443,11 @@ def test_or_mask_uses_union_prefetch_monolithic():
 
 def test_or_mask_uses_union_prefetch_sharded():
     table = make_table()
-    config = PipelineConfig(shard_count=4, max_workers=2, percentage=0.3)
+    # Pinned to the in-process backend: this is the evaluator's own OR
+    # fast path.  An offloading backend picked up from REPRO_BACKEND ships
+    # a cold plan of range leaves whole and never consults the prefetch.
+    config = PipelineConfig(shard_count=4, max_workers=2, percentage=0.3,
+                            backend="threads")
     engine = QueryEngine(table, config)
     try:
         prepared = engine.prepare(Query(name="union", tables=[table.name],

@@ -336,3 +336,109 @@ def test_pipeline_survives_eviction_pressure_racing_offload():
         proc._STORE._max_tables = saved_max
         engine_a.close()
         engine_b.close()
+
+
+# --------------------------------------------------------------------------- #
+# One coordinator, one op table: faults the pipe path used to mishandle
+# --------------------------------------------------------------------------- #
+class _RejectsPoisonedShard(StringMatchPredicate):
+    """Picklable; raises in a worker whose shard holds the poisoned row.
+
+    Only off the coordinator (``home_pid``), so the in-process fallback
+    still answers.  With row 0 poisoned and shards dealt round-robin,
+    exactly one worker rejects ``pipeline_start`` while its peers accept.
+    """
+
+    home_pid: int = 0
+
+    def signed_distances(self, table):
+        if os.getpid() != self.home_pid and \
+                "poison" in table.column(self.attribute):
+            raise RuntimeError("poisoned shard")
+        return super().signed_distances(table)
+
+
+def _poisoning(home_pid):
+    predicate = _RejectsPoisonedShard("s", "row3")
+    predicate.home_pid = home_pid
+    return predicate
+
+
+def test_rejected_pipeline_start_aborts_the_accepting_workers():
+    """One worker rejecting the start round must not strand its peers.
+
+    The peers accepted ``pipeline_start``: they hold a session and the
+    output block mapped.  The coordinator unlinks that block on the way
+    out, so without an abort round the mapping (rows x columns x nodes
+    bytes) stays pinned in the workers until their next session.
+    """
+    table = make_table()
+    table.column("s")[0] = "poison"
+    engine, table, prepared = build_pipeline_prepared(
+        4, table=table,
+        cond=pipeline_condition(string_predicate=_poisoning(os.getpid())))
+    try:
+        frame = prepared.execute()
+        assert_frames_identical(cold_frame(table, prepared), frame,
+                                "start rejected by one worker")
+        backend = engine.execution_backend("process")
+        stats = backend.stats()
+        assert stats["pipeline_fallbacks"] == 1
+        # The op's fault, not the pool's: same workers, still aligned.
+        assert stats["worker_restarts"] == 0
+        assert stats["workers_alive"] == stats["worker_count"] == 2
+
+        pool = proc._get_pool(2)
+        replies, _, _ = pool.broadcast([{"op": "ping"}] * 2, timeout=30.0)
+        assert [r["session"] for r in replies] == [None, None]
+        if os.path.isdir("/proc/self"):
+            for pid in backend.worker_pids():
+                with open(f"/proc/{pid}/maps") as maps:
+                    stale = [line for line in maps if "(deleted)" in line
+                             and "/dev/shm/" in line]
+                assert not stale, f"worker {pid} kept an unlinked block"
+
+        # Every worker answers a fresh session cleanly.
+        clean_engine, clean_table, clean = build_pipeline_prepared(4)
+        try:
+            assert_frames_identical(cold_frame(clean_table, clean),
+                                    clean.execute(), "fresh session")
+            assert clean_engine.stats()["backend"]["pipeline_ops"] == 1
+        finally:
+            clean_engine.close()
+    finally:
+        engine.close()
+
+
+def test_table_dropped_behind_the_coordinator_is_reattached():
+    """A pipe worker names an unattached table with ``unknown-table``.
+
+    The pool's ``attached`` cache still lists the publication, so the op
+    goes out without an attach; the worker's coded rejection makes the
+    coordinator re-attach and retry once -- no fallback, same as the
+    socket transport.
+    """
+    engine, table, prepared = build_pipeline_prepared(4)
+    try:
+        prepared.execute()
+        key = proc._STORE.publish(table).key
+        pool = proc._get_pool(2)
+        assert key in pool.attached
+        pool.broadcast([{"op": "drop", "table_id": key}] * 2, timeout=30.0)
+        with pytest.raises(WorkerOpError) as rejected:
+            pool.broadcast([{"op": "leaf", "table_id": key, "kind": "mask",
+                             "predicate": None, "spans": [], "out": None}] * 2,
+                           timeout=30.0)
+        assert rejected.value.code == "unknown-table"
+
+        before = engine.stats()["backend"]
+        prepared.condition.children[0].predicate.value = 2.0
+        frame = prepared.execute()
+        assert_frames_identical(cold_frame(table, prepared), frame,
+                                "re-attached after a worker-side drop")
+        after = engine.stats()["backend"]
+        assert after["pipeline_ops"] == before["pipeline_ops"] + 1
+        assert after["fallbacks"] == before["fallbacks"]
+        assert after["worker_restarts"] == before["worker_restarts"]
+    finally:
+        engine.close()
