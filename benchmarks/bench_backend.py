@@ -89,7 +89,6 @@ def _drop_caches(prepared):
     """
     engine = prepared.engine
     engine.evaluation_cache(prepared.table).clear()
-    engine.prefetch_for(prepared.table).clear()
     for prefetch in engine.sharded_table(prepared.table, prepared.shard_count).prefetch:
         prefetch.clear()
 

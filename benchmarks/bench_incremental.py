@@ -188,18 +188,21 @@ def test_incremental_cache_counters():
     engine = QueryEngine(db, _config())
     prepared = engine.prepare(_build_query(db))
     prepared.execute()
-    cold_leaf_misses = prepared.cache_stats["leaf_misses"]
+    cold_stats = prepared.cache_stats
     for event in _event_sequence():
         prepared.execute(changes=[event])
     stats = prepared.cache_stats
     # 10 slider moves recompute one leaf each; weight changes recompute none
     # (the three leaf-weight changes re-normalize a cached raw column).
-    assert stats["leaf_misses"] == cold_leaf_misses + 10
+    assert stats["leaf_misses"] == cold_stats["leaf_misses"] + 10
     assert stats["leaf_hits"] >= 3
-    prefetch = engine.prefetch_for(prepared.table)
-    # The dragged slider narrows monotonically: after the first fetch the
-    # widened region answers every subsequent move from the cache.
-    assert prefetch.cache_hits >= 8
+    # The cold run fetched each range leaf's fulfilment region once; every
+    # slider move after it patched the leaf's columns (mask included) from
+    # the query's own site entry over the changed rows only, so nothing was
+    # fetched again and all ten moves took the patch path.
+    assert stats["prefetch_fetches"] == cold_stats["prefetch_fetches"]
+    assert stats["slice_hits"] >= cold_stats["slice_hits"] + 10
+    assert stats["chunks_patched"] > cold_stats["chunks_patched"]
 
 
 if __name__ == "__main__":  # pragma: no cover - manual timing entry point

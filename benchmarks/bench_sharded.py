@@ -1,15 +1,17 @@
-"""Sharded execution: single-thread vs. shard-parallel cold runs.
+"""Sharded execution: one-shard vs. shard-parallel cold runs.
 
 The sharding layer exists so that the O(n) renormalize/recombine/select
-floor of a cold execution no longer runs over one monolithic evaluation
-table: leaf distances, normalization and combination are dispatched per
-row-range shard through a thread pool (NumPy releases the GIL on the hot
-kernels), and the global steps are answered by mergeable partials.
+floor of a cold execution no longer runs over the whole evaluation table
+in one piece: leaf distances, normalization and combination are dispatched
+per row-range shard through a thread pool (NumPy releases the GIL on the
+hot kernels), and the global steps are answered by mergeable partials.
+Both sides run the same evaluator; the "single" side is its one-shard
+case (inline, no pool), not a separate monolithic path.
 
 Measured here, on the same 250k-row approximate-join table as
 ``bench_incremental.py``:
 
-* cold single-shard execute vs. cold 4-shard/4-worker execute
+* cold one-shard execute vs. cold 4-shard/4-worker execute
   (**identical feedback always asserted**; the >= 2x wall-clock speedup is
   asserted only when the machine actually has >= 4 CPUs -- on smaller
   hosts the numbers are recorded in ``extra_info`` without the claim);
@@ -91,7 +93,6 @@ def _drop_caches(prepared):
     """Reset per-table caches so the next execute() is a true cold run."""
     engine = prepared.engine
     engine.evaluation_cache(prepared.table).clear()
-    engine.prefetch_for(prepared.table).clear()
     for prefetch in engine.sharded_table(prepared.table, prepared.shard_count).prefetch:
         prefetch.clear()
 
@@ -117,7 +118,7 @@ def _assert_feedback_identical(a, b):
 
 
 def test_sharded_cold_speedup(benchmark):
-    """A cold 4-shard/4-worker run vs. the cold single-thread run."""
+    """A cold 4-shard/4-worker run vs. the cold one-shard (inline) run."""
     db = _database()
     single = QueryEngine(db, _config(shard_count=1)).prepare(_build_query(db))
     sharded = QueryEngine(db, _config(shard_count=SHARDS, max_workers=WORKERS)).prepare(

@@ -14,11 +14,16 @@ actually invalidated:
 * ``SetWeight`` reuses every raw leaf column and redoes only the
   normalization/combination along the changed path;
 * ``SetQueryRange`` / ``SetThreshold`` recompute exactly one leaf, with the
-  fulfilment set of range predicates served through a
-  :class:`~repro.storage.cache.PrefetchCache` backed by
+  fulfilment set of range predicates served through per-shard
+  :class:`~repro.storage.cache.PrefetchCache` regions backed by
   :class:`~repro.storage.index.SortedIndex` range indexes;
 * ``SetPercentageDisplayed`` touches only reduction/normalization -- no
   pipeline object is rebuilt and no distances are recomputed.
+
+Every execution runs the one plan evaluator
+(:class:`~repro.core.shard.ShardedPlanEvaluator`) over a row-range
+partitioning of the evaluation table; ``shard_count=1`` is a one-shard
+table evaluated in-process, not a separate code path.
 
 :class:`~repro.core.pipeline.VisualFeedbackQuery` remains as a thin
 backwards-compatible facade over this engine.
@@ -43,7 +48,6 @@ from repro.core.plan import (
     CompositePlan,
     EvaluationCache,
     LeafPlan,
-    PlanEvaluator,
     compile_plan,
 )
 from repro.core.reduction import (
@@ -54,14 +58,14 @@ from repro.core.reduction import (
     quantile_certificate,
     quantile_rank_bounds,
     quantile_shard_counts,
-    select_display_set,
     topk_candidates,
 )
 from repro.core.shard import (
+    NodeDelta,
     ShardedPlanEvaluator,
     ShardedTable,
+    _map_indexed,
     pool_user,
-    resolve_worker_count,
     shared_executor,
     sharded_select_display_set,
     shutdown_executors,
@@ -78,10 +82,8 @@ from repro.query.expr import AndNode, NodePath, PredicateLeaf, QueryNode
 from repro.query.fingerprint import stable_fingerprint
 from repro.query.parser import parse_condition, parse_query
 from repro.query.predicates import AttributePredicate, RangePredicate
-from repro.storage.cache import PrefetchCache
 from repro.storage.cross_product import CrossProduct
 from repro.storage.database import Database
-from repro.storage.index import SortedIndex
 from repro.storage.table import Table
 
 __all__ = ["ScreenSpec", "PipelineConfig", "QueryEngine", "PreparedQuery",
@@ -117,10 +119,11 @@ def default_shard_count() -> int:
 
     Reads the ``REPRO_SHARDS`` environment variable (the CI differential
     matrix leg runs the whole suite with ``REPRO_SHARDS=4``); unset or
-    empty means 1, i.e. the classic monolithic execution.  A value that is
-    set but not a positive integer raises ``ValueError`` immediately --
-    silently falling back to 1 here used to turn a typo in a service
-    deployment into an unexplained single-shard slowdown.
+    empty means 1: the same evaluator over a one-shard table, in-process
+    (no worker pool, no backend).  A value that is set but not a positive
+    integer raises ``ValueError`` immediately -- silently falling back to
+    1 here used to turn a typo in a service deployment into an
+    unexplained single-shard slowdown.
     """
     value = os.environ.get("REPRO_SHARDS", "").strip()
     if not value:
@@ -180,18 +183,22 @@ class PipelineConfig:
     #: Half-width parameter z for the multi-peak heuristic (None = automatic).
     multipeak_z: int | None = None
     #: Row-range shards the evaluation table is split into.  None defers to
-    #: the ``REPRO_SHARDS`` environment variable (default 1 = monolithic);
-    #: any value keeps results bit-identical -- sharding only changes *how*
-    #: the same arrays are computed.
+    #: the ``REPRO_SHARDS`` environment variable (default 1: one shard,
+    #: evaluated in-process without a pool or backend); any value keeps
+    #: results bit-identical -- sharding only changes *how* the same arrays
+    #: are computed, by the same evaluator.
     shard_count: int | None = None
     #: Worker threads for per-shard work (None = CPU count, capped at the
     #: shard count; 1 runs inline without a pool).
     max_workers: int | None = None
-    #: Dirty-shard tracking for sharded execution: per-node slice caching,
-    #: incremental bounds/top-k maintenance and displayed-set patching.
-    #: Off means every event pays the full per-shard renormalize/recombine/
-    #: select pass (the pre-incremental behaviour); results are
-    #: bit-identical either way.
+    #: Dirty-shard tracking: per-node slice caching, incremental bounds/
+    #: top-k maintenance and displayed-set patching.  Off means every event
+    #: pays the full per-shard renormalize/recombine/select pass (the
+    #: pre-incremental behaviour); results are bit-identical either way.
+    #: No deployment wants False; the knob stays because it has callers
+    #: that need it: ``benchmarks/bench_event_latency.py`` measures its
+    #: gated ``p50_speedup`` / ``p95_speedup`` against it, and two
+    #: differential tests use it as a second reference.
     incremental_shards: bool = True
     #: Execution backend for sharded work ("threads", "process", or any
     #: name registered via :func:`repro.backend.register_backend`).  None
@@ -247,8 +254,8 @@ class PipelineConfig:
 QuerySource = Union[Query, QueryNode, str]
 
 #: Slice-site namespace tokens, one per PreparedQuery (regenerated when the
-#: query shape changes wholesale, which orphans -- i.e. invalidates -- every
-#: slice entry of the old plan).
+#: query shape or its evaluation table changes wholesale, which orphans --
+#: i.e. invalidates -- every slice entry of the old plan).
 _SLICE_TOKENS = itertools.count(1)
 
 
@@ -288,8 +295,8 @@ class _DisplayedState:
     """
 
     column_key: str
-    target: int
-    n: int
+    #: ``(target,)``
+    params: tuple
     threshold: float
     below: tuple
     ties: tuple
@@ -314,8 +321,8 @@ class _QuantileState:
     """
 
     column_key: str
-    n: int
-    p: float
+    #: ``(p,)``, the display fraction the threshold is the quantile of.
+    params: tuple
     m: int
     threshold: float
     k_lo: int
@@ -334,8 +341,8 @@ class _RelevanceState:
     """Cached relevance column for one overall-distance column identity."""
 
     column_key: str
-    scale: RelevanceScale
-    target_max: float
+    #: ``(relevance_scale, target_max)``
+    params: tuple
     relevance: np.ndarray
 
 
@@ -343,33 +350,113 @@ class _RelevanceState:
 class _ResultCountState:
     """Per-shard popcounts of the root fulfilment mask for one column identity.
 
-    ``result_count`` used to be the last O(n) statistic recomputed on every
-    event (a full popcount of the root exact mask).  The mask can only
-    change where the root column changed, so the per-shard counts are
-    patched exactly like the relevance column: recount the dirty shards,
-    reuse every clean shard's cached count, sum in O(shard_count).
+    The mask can only change where the root column changed, so the
+    per-shard counts are patched exactly like the relevance column:
+    recount the dirty shards, reuse every clean shard's cached count, sum
+    in O(shard_count).
     """
 
     column_key: str
     mask: np.ndarray
     per_shard: np.ndarray
-    total: int
+    #: No parameters: the count depends on the mask alone.
+    params = ()
 
 
 @dataclass
 class _FrameState:
-    """What the previous execution's frame looked like, for delta derivation."""
+    """What the previous execution's frame displayed, for delta derivation."""
 
     frame_id: int
-    n: int
     display_order: np.ndarray
     #: Ascending copy of ``display_order`` (the displayed *set*).
     displayed_sorted: np.ndarray
-    #: Root value key + relevance parameters of the previous frame.
-    root_key: str | None
-    scale: RelevanceScale
-    target_max: float
-    relevance: np.ndarray
+
+
+@dataclass
+class _RootState:
+    """Everything one prepared query derived from its previous root column.
+
+    Each statistic's state names the root column it was built from
+    (``column_key``) and the parameters it was built under (``params``);
+    :func:`_dirty_since` relates it to the column of the event at hand.
+    The fingerprints name the *computation*, not the table it ran over, so
+    the holder is replaced wholesale -- one assignment forgets it all --
+    whenever the evaluation table or the plan shape changes.
+    """
+
+    displayed: _DisplayedState | None = None
+    quantile: _QuantileState | None = None
+    relevance: _RelevanceState | None = None
+    result_count: _ResultCountState | None = None
+    frame: _FrameState | None = None
+
+
+def _dirty_since(state, params: tuple, root: NodeDelta) -> tuple[int, ...] | None:
+    """Shards in which ``root``'s column differs from the one ``state`` is of.
+
+    The question every per-root statistic asks before it reuses (``()``),
+    patches (the listed shards) or rebuilds (None) its cached state.  A
+    decline is annotated on the active span as ``state_declined``:
+    ``no-state`` (first execution, or after a table swap or reshape),
+    ``params-changed`` (the state was built for another target, display
+    fraction or relevance scale) or ``no-relation`` (the evaluator proved
+    no dirty-shard relation between the two columns).  A statistic whose
+    own certificate then fails on the patch adds ``certificate-failed``.
+    """
+    if state is None:
+        declined = "no-state"
+    elif state.params != params:
+        declined = "params-changed"
+    else:
+        dirty = root.dirty_since(state.column_key)
+        if dirty is not None:
+            return dirty
+        declined = "no-relation"
+    obs.annotate(state_declined=declined)
+    return None
+
+
+def _patch_displayed(state: _DisplayedState, distances: np.ndarray,
+                     bounds: list[tuple[int, int]], dirty: tuple[int, ...],
+                     target: int) -> _DisplayedState | None:
+    """``state`` with the dirty shards' below/tie lists rebuilt, if it certifies.
+
+    None when the ``target``-th smallest distance is no longer the cached
+    threshold (the counting certificate failed): the caller rebuilds.
+    """
+    threshold = state.threshold
+    below = list(state.below)
+    ties = list(state.ties)
+    for i in dirty:
+        start, stop = bounds[i]
+        part = distances[start:stop]
+        finite = np.isfinite(part)
+        masked = part if finite.all() else np.where(finite, part, np.inf)
+        below[i] = np.nonzero(masked < threshold)[0] + start
+        ties[i] = np.nonzero(masked == threshold)[0] + start
+    total_below = sum(len(x) for x in below)
+    if not total_below < target <= total_below + sum(len(x) for x in ties):
+        return None
+    # The target-th smallest is provably still `threshold`: fewer than
+    # `target` rows lie strictly below it and at least `target` lie at or
+    # below.  Reassemble under the stable tie rule -- per-shard lists are
+    # ascending and shard ranges are ordered, so their concatenation is the
+    # global ascending index order.  Only the first `need` ties (in global
+    # row order) are displayed; the cached tie lists can hold O(n) rows on
+    # heavily tied distributions, so walk the per-shard prefixes instead of
+    # concatenating them all.
+    need = target - total_below
+    pieces = [x for x in below if len(x)]
+    for x in ties:
+        if need <= 0:
+            break
+        pieces.append(x[:need])
+        need -= len(pieces[-1])
+    displayed = np.sort(np.concatenate(pieces))
+    displayed.flags.writeable = False
+    return replace(state, below=tuple(below), ties=tuple(ties),
+                   displayed=displayed)
 
 
 def coerce_query(source: Database | Table, query: QuerySource) -> Query:
@@ -451,9 +538,11 @@ class QueryEngine:
       sampling parameters;
     * an :class:`~repro.core.plan.EvaluationCache` of distance columns per
       evaluation table;
-    * a :class:`~repro.storage.cache.PrefetchCache` (with lazily built
-      :class:`~repro.storage.index.SortedIndex` range indexes) per
-      evaluation table, serving range-predicate fulfilment sets.
+    * a :class:`~repro.core.shard.ShardedTable` per evaluation table and
+      shard count: the row-range partitioning with one
+      :class:`~repro.storage.cache.PrefetchCache` (and lazily built
+      :class:`~repro.storage.index.SortedIndex` range indexes) per shard,
+      serving range-predicate fulfilment sets.
     """
 
     #: Cap on cached cross-product tables (each pins up to ``max_join_pairs``
@@ -471,7 +560,6 @@ class QueryEngine:
         # table at the same address (freed + reallocated) is detected and
         # its stale entry replaced.
         self._caches: dict[int, tuple[Table, EvaluationCache]] = {}
-        self._prefetch: dict[int, tuple[Table, PrefetchCache]] = {}
         # Per (table, shard count): the row-range partitioning with its
         # per-shard prefetch caches and indexes.
         self._sharded: dict[tuple[int, int], tuple[Table, ShardedTable]] = {}
@@ -509,7 +597,6 @@ class QueryEngine:
             self._closed = True
             self._tables.clear()
             self._caches.clear()
-            self._prefetch.clear()
             self._sharded.clear()
             backends = list(self._backends.values())
             self._backends.clear()
@@ -546,15 +633,14 @@ class QueryEngine:
         """Aggregate cache counters across every evaluation table.
 
         Sums the :class:`~repro.core.plan.CacheStats` of all evaluation
-        caches with the hit/miss/eviction counters of all prefetch caches
-        (monolithic and per-shard); the service metrics endpoint surfaces
-        this dictionary as the engine-wide cache picture.
+        caches with the hit/miss/eviction counters of every shard's
+        prefetch cache (a one-shard table has one); the service metrics
+        endpoint surfaces this dictionary as the engine-wide cache picture.
         """
         with self._lock:
             caches = [entry[1] for entry in self._caches.values()]
-            prefetch = [entry[1] for entry in self._prefetch.values()]
-            for _, sharded in self._sharded.values():
-                prefetch.extend(sharded.prefetch)
+            prefetch = [shard for _, sharded in self._sharded.values()
+                        for shard in sharded.prefetch]
             backends = list(self._backends.values())
         totals: dict[str, int] = {key: 0 for key in CacheStats().as_dict()}
         totals.update({
@@ -686,7 +772,6 @@ class QueryEngine:
             while len(self._tables) > self.max_cached_tables:
                 oldest = self._tables.pop(next(iter(self._tables)))
                 self._caches.pop(id(oldest), None)
-                self._prefetch.pop(id(oldest), None)
                 for stale in [k for k in self._sharded if k[0] == id(oldest)]:
                     del self._sharded[stale]
         return table
@@ -714,15 +799,6 @@ class QueryEngine:
                 self._caches[id(table)] = entry
             return entry[1]
 
-    def prefetch_for(self, table: Table) -> PrefetchCache:
-        """The prefetch cache (widened range regions) for one evaluation table."""
-        with self._lock:
-            entry = self._prefetch.get(id(table))
-            if entry is None or entry[0] is not table:
-                entry = (table, PrefetchCache(table, indexes={}))
-                self._prefetch[id(table)] = entry
-            return entry[1]
-
     def sharded_table(self, table: Table, shard_count: int) -> ShardedTable:
         """The (cached) row-range partitioning of one evaluation table."""
         with self._lock:
@@ -737,25 +813,15 @@ class QueryEngine:
                            shard_count: int = 1) -> None:
         """Build (once) sorted range indexes serving a slider attribute.
 
-        With ``shard_count > 1`` the indexes are per shard (each reporting
-        global row numbers), so a slider event later touches only the
-        shards whose rows the swept band intersects; otherwise one global
-        index backs the monolithic prefetch cache.
+        The indexes are per shard of ``table``'s ``shard_count``-way
+        partitioning (one index over the whole table at one shard), each
+        mapped to global row numbers by its shard's start row, so a slider
+        event later touches only the shards whose rows the swept band
+        intersects.  The O(n log n) builds run outside the engine lock (it
+        guards only the cache-dictionary lookups), so concurrent sessions
+        keep resolving their caches while one session's slider goes hot.
         """
-        # The O(n log n) builds run outside the engine lock (it guards only
-        # the cache-dictionary lookups), so concurrent sessions keep
-        # resolving their caches while one session's slider goes hot.
-        if shard_count > 1:
-            self.sharded_table(table, shard_count).ensure_index(attribute)
-            return
-        prefetch = self.prefetch_for(table)
-        if attribute in prefetch.indexes:
-            return
-        if table.has_column(attribute) and table.is_numeric(attribute):
-            index = SortedIndex(table, attribute)
-            # Two racing builders both build; the first publish wins so the
-            # index every reader sees stays one object.
-            prefetch.indexes.setdefault(attribute, index)
+        self.sharded_table(table, shard_count).ensure_index(attribute)
 
 
 class PreparedQuery:
@@ -788,22 +854,24 @@ class PreparedQuery:
         self._effective_fp: str | None = None
         self._plan = None
         self._shape_fp = self._query_shape_fingerprint()
-        #: Namespace for this query's shard-slice sites.  Regenerated when
-        #: the plan *shape* changes (wholesale query replacement), which
-        #: invalidates every slice entry of the old plan at once.
-        self._slice_token = f"pq-{next(_SLICE_TOKENS)}"
         self._plan_shape: tuple | None = None
-        #: Incremental displayed-set / relevance state (percentage path).
-        self._displayed_state: _DisplayedState | None = None
-        self._relevance_state: _RelevanceState | None = None
-        #: Per-shard order-statistic certificate state (quantile path).
-        self._quantile_state: _QuantileState | None = None
-        #: Per-shard popcounts backing the incremental ``result_count``.
-        self._result_count_state: _ResultCountState | None = None
+        self._forget()
         #: Monotonically increasing frame id; each execute() returns the
         #: next frame, stamped with a delta against the previous one.
         self._frame_counter = 0
-        self._frame_state: _FrameState | None = None
+
+    def _forget(self) -> None:
+        """Drop every piece of state derived from earlier executions.
+
+        Called when the evaluation table is replaced or the plan changes
+        *shape* (wholesale query replacement): a fresh slice token orphans
+        every slice entry of the old sites at once, and the per-root
+        statistics (displayed set, relevance, result count, frame delta
+        base) cannot be patched across the change either.
+        """
+        #: Namespace for this query's shard-slice sites.
+        self._slice_token = f"pq-{next(_SLICE_TOKENS)}"
+        self._root = _RootState()
 
     def _query_shape_fingerprint(self) -> str:
         """Identity of the parts that determine the evaluation table."""
@@ -828,14 +896,9 @@ class PreparedQuery:
     def cache_stats(self) -> dict[str, int]:
         """Hit/miss counters of the distance caches plus prefetch activity."""
         stats = self.engine.evaluation_cache(self.table).stats.as_dict()
-        if self.shard_count > 1:
-            shards = self.engine.sharded_table(self.table, self.shard_count).prefetch
-            stats["prefetch_hits"] = sum(p.cache_hits for p in shards)
-            stats["prefetch_fetches"] = sum(p.fetches for p in shards)
-        else:
-            prefetch = self.engine.prefetch_for(self.table)
-            stats["prefetch_hits"] = prefetch.cache_hits
-            stats["prefetch_fetches"] = prefetch.fetches
+        shards = self.engine.sharded_table(self.table, self.shard_count).prefetch
+        stats["prefetch_hits"] = sum(p.cache_hits for p in shards)
+        stats["prefetch_fetches"] = sum(p.fetches for p in shards)
         return stats
 
     # ------------------------------------------------------------------ #
@@ -859,11 +922,15 @@ class PreparedQuery:
         if shape != self._shape_fp:
             # Tables or connections were mutated: the evaluation table
             # itself is stale.  Re-assemble (the engine caches cross
-            # products, so an unchanged join key is still cheap).
+            # products, so an unchanged join key is still cheap).  The
+            # cached state is keyed by value fingerprints, which name the
+            # computation and not the table it ran over: none of it may
+            # survive the swap.
             self.table = self.engine._assemble_table(self.query, self.config)
             self._join_leaves = None
             self._effective_fp = None
             self._shape_fp = shape
+            self._forget()
         condition = self.query.condition
         if condition is None:
             if not self.query.connections:
@@ -890,15 +957,8 @@ class PreparedQuery:
         shape = _plan_shape(self._plan)
         if shape != self._plan_shape:
             if self._plan_shape is not None:
-                # The query was restructured wholesale: a fresh token
-                # orphans every slice entry of the old plan, and the
-                # displayed/relevance caches cannot be patched across the
-                # change either.
-                self._slice_token = f"pq-{next(_SLICE_TOKENS)}"
-                self._displayed_state = None
-                self._relevance_state = None
-                self._quantile_state = None
-                self._result_count_state = None
+                # The query was restructured wholesale.
+                self._forget()
             self._plan_shape = shape
         if self.executions > 0:
             # The query is being re-executed interactively: mark the range
@@ -973,119 +1033,66 @@ class PreparedQuery:
         return node
 
     # ------------------------------------------------------------------ #
-    # Incremental displayed-set / relevance maintenance
+    # Per-root statistics: reuse, patch the dirty shards, or rebuild
     # ------------------------------------------------------------------ #
-    def _displayed_incremental(self, distances: np.ndarray, sharded: ShardedTable,
-                               method: ReductionMethod, root_delta,
-                               executor,
-                               pipeline_topk: tuple[int, list] | None = None,
-                               ) -> np.ndarray | None:
+    def _topk_target(self, n: int) -> int | None:
+        """Displayed-set size when it is built from per-shard top-k partials.
+
+        None when that path does not apply: another reduction method,
+        dirty-shard tracking off, a degenerate target, or past the adaptive
+        cutoff where the per-shard candidate sets would together approach
+        the full column -- :func:`~repro.core.shard.sharded_select_display_set`
+        then selects, bit-identically by the same merge algebra.
+        """
+        if self.config.percentage is None or not self.config.incremental_shards:
+            return None
+        target = max(1, int(round(self.config.percentage * n)))
+        if target >= n or target * self.shard_count > n // 2:
+            return None
+        return target
+
+    def _percentage_displayed(self, distances: np.ndarray, sharded: ShardedTable,
+                              root: NodeDelta, executor, target: int,
+                              pipeline_topk: tuple[int, list] | None,
+                              ) -> np.ndarray:
         """Percentage-path displayed set from cached per-shard top-k partials.
 
-        Returns None when this path does not apply (other reduction methods,
-        degenerate targets, or the adaptive cutoff where per-shard candidate
-        sets would approach the full column) -- the caller then falls back
-        to :func:`~repro.core.shard.sharded_select_display_set`, which is
-        bit-identical by the same merge algebra.
-
-        When it applies: only the shards the root delta marks dirty rebuild
-        their :class:`~repro.core.reduction.TopKCandidates`; clean shards'
-        cached partials merge in unchanged, and ties at the capacity
-        boundary resolve exactly once under the stable-argsort rule, so the
-        patched displayed set equals a cold selection bit for bit.
+        ``target`` is :meth:`_topk_target`.  Only the shards the root delta
+        marks dirty rebuild their below/tie lists; clean shards' cached
+        lists carry over unchanged, and ties at the capacity boundary
+        resolve exactly once under the stable-argsort rule, so the patched
+        displayed set equals a cold selection bit for bit.
         """
-        percentage = self.config.percentage
-        if not self.config.incremental_shards or percentage is None:
-            return None
-        if method is not ReductionMethod.PERCENTAGE:
-            return None
-        n = len(distances)
-        if n == 0 or n != len(sharded.table):
-            return None
-        target = max(1, int(round(percentage * n)))
-        if target >= n or target * sharded.shard_count > n // 2:
-            return None
         cache = self.engine.evaluation_cache(self.table)
         bounds = sharded.bounds
-        state = self._displayed_state
-        root_key = root_delta.value_key if root_delta is not None else None
-        if (state is not None and root_key is not None
-                and state.target == target and state.n == n):
-            if state.column_key == root_key:
-                # Same overall column, same target: the displayed set is
-                # provably unchanged.
+        state = self._root.displayed
+        dirty = _dirty_since(state, (target,), root)
+        if dirty is not None:
+            # Nothing dirty: the same column, or a bit-identical one under
+            # a new fingerprint (e.g. a weight move whose bounds held) --
+            # re-key the state, reuse everything.
+            patched = (_patch_displayed(state, distances, bounds, dirty, target)
+                       if dirty else state)
+            if patched is not None:
+                self._root.displayed = replace(patched, column_key=root.value_key)
                 cache.record_displayed_patch()
-                return state.displayed
-            if (root_delta.dirty is not None
-                    and root_delta.base_key == state.column_key):
-                if not root_delta.dirty:
-                    # Column content unchanged under a new fingerprint
-                    # (e.g. a weight move whose bounds held): re-key the
-                    # state, reuse everything.
-                    self._displayed_state = _DisplayedState(
-                        root_key, target, n, state.threshold,
-                        state.below, state.ties, state.displayed)
-                    cache.record_displayed_patch()
-                    return state.displayed
-                threshold = state.threshold
-                below = list(state.below)
-                ties = list(state.ties)
-                for i in sorted(root_delta.dirty):
-                    start, stop = bounds[i]
-                    part = distances[start:stop]
-                    finite = np.isfinite(part)
-                    masked = part if finite.all() else np.where(finite, part, np.inf)
-                    below[i] = np.nonzero(masked < threshold)[0] + start
-                    ties[i] = np.nonzero(masked == threshold)[0] + start
-                total_below = sum(len(x) for x in below)
-                total_ties = sum(len(x) for x in ties)
-                if total_below < target <= total_below + total_ties:
-                    # The target-th smallest is provably still `threshold`:
-                    # fewer than `target` rows lie strictly below it and at
-                    # least `target` lie at or below.  Reassemble under the
-                    # stable tie rule -- per-shard lists are ascending and
-                    # shard ranges are ordered, so their concatenation is
-                    # the global ascending index order.
-                    # Only the first `take` ties (in global row order) are
-                    # displayed; the cached tie lists can hold O(n) rows on
-                    # heavily tied distributions, so walk the per-shard
-                    # prefixes instead of concatenating them all.
-                    need = target - total_below
-                    pieces = [x for x in below if len(x)]
-                    for x in ties:
-                        if need <= 0:
-                            break
-                        if not len(x):
-                            continue
-                        piece = x if len(x) <= need else x[:need]
-                        pieces.append(piece)
-                        need -= len(piece)
-                    if not pieces:
-                        pieces.append(np.empty(0, dtype=np.intp))
-                    displayed = np.sort(np.concatenate(pieces))
-                    displayed.flags.writeable = False
-                    self._displayed_state = _DisplayedState(
-                        root_key, target, n, threshold,
-                        tuple(below), tuple(ties), displayed)
-                    cache.record_displayed_patch()
-                    return displayed
+                return patched.displayed
+            obs.annotate(state_declined="certificate-failed")
         # Full per-shard construction (cold run, threshold shift, or no
         # usable delta); the below/tie decomposition is kept so the next
         # event can patch.
-        def one(i: int):
-            start, stop = bounds[i]
-            return topk_candidates(distances[start:stop], target, offset=start)
-
         if (pipeline_topk is not None and pipeline_topk[0] == target
                 and len(pipeline_topk[1]) == len(bounds)):
             # An accepted pipeline op already built the per-shard partials
             # worker-side, over the same normalized bits with the same
             # function and offsets -- identical by construction.
             partials = list(pipeline_topk[1])
-        elif executor is not None and len(bounds) > 1:
-            partials = list(executor.map(one, range(len(bounds))))
         else:
-            partials = [one(i) for i in range(len(bounds))]
+            partials = _map_indexed(
+                executor,
+                lambda i: topk_candidates(distances[bounds[i][0]:bounds[i][1]],
+                                          target, offset=bounds[i][0]),
+                len(bounds))
         merged = merge_topk_candidates_many(partials)
         # Every row at or below the threshold survives the candidate cuts
         # (cut thresholds only tighten towards the final one), so the
@@ -1100,108 +1107,79 @@ class PreparedQuery:
         displayed = np.sort(np.concatenate(
             [below_all, ties_all[:target - len(below_all)]]))
         displayed.flags.writeable = False
-        if root_key is not None:
-            starts = [start for start, _ in bounds[1:]]
-            below = np.split(below_all, np.searchsorted(below_all, starts))
-            ties = np.split(ties_all, np.searchsorted(ties_all, starts))
-            self._displayed_state = _DisplayedState(
-                root_key, target, n, threshold,
-                tuple(below), tuple(ties), displayed)
+        starts = [start for start, _ in bounds[1:]]
+        self._root.displayed = _DisplayedState(
+            root.value_key, (target,), threshold,
+            tuple(np.split(below_all, np.searchsorted(below_all, starts))),
+            tuple(np.split(ties_all, np.searchsorted(ties_all, starts))),
+            displayed)
         return displayed
 
-    def _quantile_incremental(self, distances, sharded: ShardedTable,
-                              root_delta, executor, capacity: int,
-                              n_selection_predicates: int,
-                              ) -> "tuple[np.ndarray, bool] | None":
+    def _quantile_displayed(self, distances, sharded: ShardedTable,
+                            root: NodeDelta, executor, p: float,
+                            ) -> tuple[np.ndarray, bool]:
         """Quantile-path displayed set via per-shard order-statistic certificates.
 
-        Returns ``(displayed, certified)``, or None when the path does not
-        apply (incremental sharding off, size mismatch) and the caller
-        should fall back to
-        :func:`~repro.core.shard.sharded_select_display_set`.
-
-        ``certified`` True means dirty-shard recounts alone proved the
-        cached threshold element is still the p-quantile (see
-        :class:`_QuantileState`): O(dirty shards) work, no O(n)
-        concatenate or quantile.  Otherwise the exact rebuild runs here,
-        mirroring the sharded selection bit for bit, and re-seeds the
-        certificate for the next event.
+        Returns ``(displayed, certified)``.  ``certified`` True means
+        dirty-shard recounts alone proved the cached threshold element is
+        still the p-quantile (see :class:`_QuantileState`): O(dirty shards)
+        work, no O(n) concatenate or quantile.  Otherwise the exact rebuild
+        runs here, mirroring
+        :func:`~repro.core.shard.sharded_select_display_set` bit for bit,
+        and re-seeds the certificate for the next event.
         """
-        if not self.config.incremental_shards:
-            return None
-        n = len(distances)
-        if n == 0 or n != len(sharded.table):
-            return None
-        p = display_fraction(capacity, n, n_selection_predicates)
         cache = self.engine.evaluation_cache(self.table)
         bounds = sharded.bounds
-        state = self._quantile_state
-        root_key = root_delta.value_key if root_delta is not None else None
-        if (state is not None and root_key is not None
-                and state.n == n and state.p == p
-                and len(state.counts) == len(bounds)):
-            if state.column_key == root_key:
-                # Same overall column identity: provably unchanged.
-                cache.record_quantile(True)
-                return state.displayed, True
-            if (root_delta.dirty is not None
-                    and root_delta.base_key == state.column_key):
-                if not root_delta.dirty:
-                    # Bit-identical column under a new fingerprint: reuse
-                    # everything, re-keyed.
-                    self._quantile_state = replace(state, column_key=root_key)
-                    cache.record_quantile(True)
-                    return state.displayed, True
-                dirty = sorted(root_delta.dirty)
-                counts = state.counts.copy()
+
+        def select(i: int, threshold: float) -> np.ndarray:
+            start, stop = bounds[i]
+            part = distances[start:stop]
+            return np.nonzero(np.isfinite(part) & (part <= threshold))[0] + start
+
+        state = self._root.quantile
+        dirty = _dirty_since(state, (p,), root)
+        if dirty:
+            counts = state.counts.copy()
+            for i in dirty:
+                counts[i] = quantile_shard_counts(
+                    distances[bounds[i][0]:bounds[i][1]], state.v_lo, state.v_hi)
+            if quantile_certificate(counts.sum(axis=0), state.m,
+                                    state.k_lo, state.k_hi):
+                # Both order statistics held, so np.quantile over the
+                # (provably equal as a multiset) finite values would
+                # return the exact cached float; only the dirty shards'
+                # selected lists rebuild, and the per-shard concatenation
+                # in shard order is the same global ascending-index order
+                # the fallback produces.
+                selected = list(state.selected)
                 for i in dirty:
-                    start, stop = bounds[i]
-                    counts[i] = quantile_shard_counts(
-                        distances[start:stop], state.v_lo, state.v_hi)
-                if quantile_certificate(counts.sum(axis=0), state.m,
-                                        state.k_lo, state.k_hi):
-                    # Both order statistics held, so np.quantile over the
-                    # (provably equal as a multiset) finite values would
-                    # return the exact cached float; only the dirty
-                    # shards' selected lists rebuild, and the per-shard
-                    # concatenation in shard order is the same global
-                    # ascending-index order the fallback produces.
-                    threshold = state.threshold
-                    selected = list(state.selected)
-                    for i in dirty:
-                        start, stop = bounds[i]
-                        part = distances[start:stop]
-                        mask = np.isfinite(part) & (part <= threshold)
-                        selected[i] = np.nonzero(mask)[0] + start
-                    displayed = np.concatenate(selected)
-                    self._quantile_state = _QuantileState(
-                        root_key, n, p, state.m, threshold,
-                        state.k_lo, state.k_hi, state.v_lo, state.v_hi,
-                        counts, tuple(selected), displayed)
-                    cache.record_quantile(True)
-                    return displayed, True
+                    selected[i] = select(i, state.threshold)
+                state = replace(state, counts=counts, selected=tuple(selected),
+                                displayed=np.concatenate(selected))
+            else:
+                obs.annotate(state_declined="certificate-failed")
+                dirty = None
+        if dirty is not None:
+            self._root.quantile = replace(state, column_key=root.value_key)
+            cache.record_quantile(True)
+            return state.displayed, True
         # Exact rebuild (cold run, certificate failure, or no usable
         # delta), mirroring sharded_select_display_set's quantile branch
         # bit for bit -- plus the order statistics and counting rows that
         # seed the next event's certificate.
         def finite_part(i: int) -> np.ndarray:
-            start, stop = bounds[i]
-            part = distances[start:stop]
+            part = distances[bounds[i][0]:bounds[i][1]]
             return part[np.isfinite(part)]
 
-        if executor is not None and len(bounds) > 1:
-            finite_parts = list(executor.map(finite_part, range(len(bounds))))
-        else:
-            finite_parts = [finite_part(i) for i in range(len(bounds))]
+        finite_parts = _map_indexed(executor, finite_part, len(bounds))
         finite = np.concatenate(finite_parts)
-        m = int(len(finite))
+        m = len(finite)
         if m == 0:
             threshold = v_lo = v_hi = float("nan")
             k_lo = k_hi = 0
             counts = np.asarray([EMPTY_QUANTILE_COUNTS] * len(bounds),
                                 dtype=float)
             selected = tuple(np.empty(0, dtype=np.intp) for _ in bounds)
-            displayed = np.empty(0, dtype=np.intp)
         else:
             threshold = float(np.quantile(finite, p))
             k_lo, k_hi = quantile_rank_bounds(m, p)
@@ -1213,156 +1191,94 @@ class PreparedQuery:
                 [quantile_shard_counts(part, v_lo, v_hi)
                  for part in finite_parts],
                 dtype=float)
-
-            def select(i: int) -> np.ndarray:
-                start, stop = bounds[i]
-                part = distances[start:stop]
-                mask = np.isfinite(part) & (part <= threshold)
-                return np.nonzero(mask)[0] + start
-
-            if executor is not None and len(bounds) > 1:
-                selected = tuple(executor.map(select, range(len(bounds))))
-            else:
-                selected = tuple(select(i) for i in range(len(bounds)))
-            displayed = np.concatenate(selected)
-        if root_key is not None:
-            self._quantile_state = _QuantileState(
-                root_key, n, p, m, threshold, k_lo, k_hi, v_lo, v_hi,
-                counts, selected, displayed)
+            selected = tuple(_map_indexed(
+                executor, lambda i: select(i, threshold), len(bounds)))
+        displayed = np.concatenate(selected)
+        self._root.quantile = _QuantileState(
+            root.value_key, (p,), m, threshold, k_lo, k_hi, v_lo, v_hi,
+            counts, selected, displayed)
         cache.record_quantile(False)
         return displayed, False
 
-    def _relevance_incremental(self, distances: np.ndarray,
-                               sharded: ShardedTable | None,
-                               root_delta) -> np.ndarray:
+    def _relevance(self, distances: np.ndarray, sharded: ShardedTable,
+                   root: NodeDelta) -> tuple[np.ndarray, tuple[int, ...] | None]:
         """Relevance factors, recomputing only dirty shards' slices.
 
         The relevance transform is purely elementwise, so any slice of an
         unchanged distance column maps to a bit-identical relevance slice --
         the cached column is patched exactly like the node columns are.
+        Returns ``(relevance, dirty)``: outside the ``dirty`` shards the
+        column is provably the previous frame's (None = no relation), which
+        is what the frame delta reports as its relevance spans.
         """
-        scale = self.config.relevance_scale
-        target_max = self.config.target_max
-        root_key = root_delta.value_key if root_delta is not None else None
-        state = self._relevance_state
-        if (sharded is not None and root_key is not None and state is not None
-                and state.scale is scale and state.target_max == target_max
-                and len(state.relevance) == len(distances)):
-            if state.column_key == root_key:
-                return state.relevance
-            if (root_delta.dirty is not None
-                    and root_delta.base_key == state.column_key):
-                if not root_delta.dirty:
-                    # Bit-identical column under a new fingerprint: reuse
-                    # the whole relevance array, re-keyed.
-                    self._relevance_state = _RelevanceState(
-                        root_key, scale, target_max, state.relevance)
-                    return state.relevance
-                # The relevance column patches like the node columns do:
-                # recompute only the dirty shards' spans and splice them
-                # into the cached (chunked, copy-on-write) column --
-                # O(dirty rows + edge chunks), not an O(n) reassembly.
-                bounds = sharded.bounds
-                dirty_sorted = sorted(root_delta.dirty)
-                relevance = as_chunked(state.relevance).patch_spans([
-                    (bounds[i][0], bounds[i][1], relevance_factors(
-                        distances[bounds[i][0]:bounds[i][1]],
-                        scale, target_max))
-                    for i in dirty_sorted
-                ])
-                self.engine.evaluation_cache(self.table).record_chunks(
-                    relevance.patched_chunks, relevance.shared_chunks)
-                self._relevance_state = _RelevanceState(
-                    root_key, scale, target_max, relevance)
-                return relevance
-        relevance = relevance_factors(distances, scale, target_max)
-        if sharded is not None and root_key is not None:
+        params = (self.config.relevance_scale, self.config.target_max)
+        state = self._root.relevance
+        dirty = _dirty_since(state, params, root)
+        if dirty is None:
+            relevance = relevance_factors(distances, *params)
             relevance.flags.writeable = False
-            self._relevance_state = _RelevanceState(
-                root_key, scale, target_max, relevance)
-        return relevance
+        elif not dirty:
+            relevance = state.relevance
+        else:
+            # Recompute only the dirty shards' spans and splice them into
+            # the cached (chunked, copy-on-write) column -- O(dirty rows +
+            # edge chunks), not an O(n) reassembly.
+            relevance = as_chunked(state.relevance).patch_spans([
+                (start, stop, relevance_factors(distances[start:stop], *params))
+                for start, stop in (sharded.bounds[i] for i in dirty)
+            ])
+            self.engine.evaluation_cache(self.table).record_chunks(
+                relevance.patched_chunks, relevance.shared_chunks)
+        self._root.relevance = _RelevanceState(root.value_key, params, relevance)
+        return relevance, dirty
 
-    def _result_count_incremental(self, mask: np.ndarray,
-                                  sharded: ShardedTable | None,
-                                  root_delta) -> int:
+    def _result_count(self, mask: np.ndarray, sharded: ShardedTable,
+                      root: NodeDelta) -> int:
         """``result_count`` from per-shard mask popcounts, patched per event.
 
         The root fulfilment mask changes only inside the shards the root
         delta marks dirty (a mask entry is a pure function of the row's
         distances), so cached clean-shard counts stay exact; the sum over
-        shards equals ``np.count_nonzero(mask)`` bit for bit.  Without a
-        usable relation (monolithic execution, cold run, reshape) the count
-        falls back to the direct popcount.
+        shards equals ``np.count_nonzero(mask)`` bit for bit.  The same
+        mask *object* (a wholesale cache hit) is its own certificate.
         """
-        root_key = root_delta.value_key if root_delta is not None else None
-        if sharded is None or root_key is None or len(mask) != len(sharded.table):
-            return int(np.count_nonzero(mask))
         bounds = sharded.bounds
-        state = self._result_count_state
-        if state is not None and len(state.per_shard) == len(bounds):
-            if state.mask is mask or state.column_key == root_key:
-                # Same mask object (wholesale cache hit) or same column
-                # identity: the count is provably unchanged.
-                self._result_count_state = _ResultCountState(
-                    root_key, mask, state.per_shard, state.total)
-                self.engine.evaluation_cache(self.table).record_result_count_patch()
-                return state.total
-            if (root_delta.dirty is not None
-                    and root_delta.base_key == state.column_key):
-                per_shard = state.per_shard.copy()
-                for i in sorted(root_delta.dirty):
-                    start, stop = bounds[i]
-                    per_shard[i] = np.count_nonzero(mask[start:stop])
-                total = int(per_shard.sum())
-                self._result_count_state = _ResultCountState(
-                    root_key, mask, per_shard, total)
-                self.engine.evaluation_cache(self.table).record_result_count_patch()
-                return total
-        per_shard = np.array(
-            [np.count_nonzero(mask[start:stop]) for start, stop in bounds],
-            dtype=np.int64,
-        )
-        total = int(per_shard.sum())
-        self._result_count_state = _ResultCountState(root_key, mask, per_shard, total)
-        return total
+        state = self._root.result_count
+        dirty = (() if state is not None and state.mask is mask
+                 else _dirty_since(state, (), root))
+        if dirty is None:
+            per_shard = np.array(
+                [np.count_nonzero(mask[start:stop]) for start, stop in bounds],
+                dtype=np.int64)
+        else:
+            per_shard = state.per_shard.copy() if dirty else state.per_shard
+            for i in dirty:
+                per_shard[i] = np.count_nonzero(mask[bounds[i][0]:bounds[i][1]])
+            self.engine.evaluation_cache(self.table).record_result_count_patch()
+        self._root.result_count = _ResultCountState(root.value_key, mask, per_shard)
+        return int(per_shard.sum())
 
     def _frame_delta(self, display_order: np.ndarray, displayed_sorted: np.ndarray,
-                     relevance: np.ndarray, root_key: str | None,
-                     sharded: ShardedTable | None, root_delta,
-                     n: int) -> FeedbackDelta | None:
+                     spans: tuple[tuple[int, int], ...] | None,
+                     ) -> FeedbackDelta | None:
         """Delta of the frame being built against the previous frame (if any).
 
         Displayed-set membership changes are exact set differences of two
-        capacity-bounded index arrays; the relevance spans reuse the dirty
-        shard certificate the engine already validated for this event.
+        capacity-bounded index arrays; ``spans`` are the dirty shards'
+        row ranges the relevance column was just patched in (the
+        certificate the engine already validated for this event).
         """
-        prev = self._frame_state
-        if prev is None or prev.n != n:
+        prev = self._root.frame
+        if prev is None:
             return None
-        if (len(display_order) == len(prev.display_order)
-                and np.array_equal(display_order, prev.display_order)):
-            entered = np.empty(0, dtype=np.intp)
-            left = np.empty(0, dtype=np.intp)
-            order_unchanged = True
+        order_unchanged = np.array_equal(display_order, prev.display_order)
+        if order_unchanged:
+            entered = left = np.empty(0, dtype=np.intp)
         else:
             entered = np.setdiff1d(displayed_sorted, prev.displayed_sorted,
                                    assume_unique=True)
             left = np.setdiff1d(prev.displayed_sorted, displayed_sorted,
                                 assume_unique=True)
-            order_unchanged = False
-        spans: tuple[tuple[int, int], ...] | None = None
-        same_params = (prev.scale is self.config.relevance_scale
-                       and prev.target_max == self.config.target_max)
-        if relevance is prev.relevance:
-            spans = ()
-        elif same_params and root_key is not None and root_key == prev.root_key:
-            # Identical root column and relevance parameters: the values are
-            # bit-identical even when the array object was rebuilt.
-            spans = ()
-        elif (same_params and sharded is not None and root_delta is not None
-                and root_delta.dirty is not None
-                and root_delta.base_key == prev.root_key):
-            spans = tuple(sharded.bounds[i] for i in sorted(root_delta.dirty))
         return FeedbackDelta(
             base_frame_id=prev.frame_id,
             entered=entered,
@@ -1410,109 +1326,85 @@ class PreparedQuery:
                 capacity_items, max(1, int(round(self.config.percentage * n)))
             )
         shard_count = self.shard_count
+        incremental = self.config.incremental_shards
         # Registered as a pool user across all shard waves, so a concurrent
         # QueryEngine.close() elsewhere in the process drains this
         # execution instead of shutting the pool down between two waves.
         with pool_user():
-            sharded = executor = None
-            incremental = False
+            sharded = self.engine.sharded_table(table, shard_count)
+            backend = executor = None
             if shard_count > 1:
-                sharded = self.engine.sharded_table(table, shard_count)
+                # One shard has nothing to fan out: it is evaluated inline,
+                # and no backend (pool, shm publication) is ever created.
                 backend = self.engine.execution_backend(self.backend_name)
                 backend.prepare(sharded)
                 executor = backend.local_executor(
                     shard_count, self.config.max_workers
                 )
-                incremental = self.config.incremental_shards
-                evaluator = ShardedPlanEvaluator(
-                    sharded,
-                    display_capacity=capacity_items,
-                    target_max=self.config.target_max,
-                    cache=self.engine.evaluation_cache(table),
-                    executor=executor,
-                    incremental=incremental,
-                    slice_token=self._slice_token,
-                    backend=backend,
-                )
-                # When the displayed set will be built from per-shard
-                # top-k partials (percentage path, below the adaptive
-                # cutoff -- the same conditions _displayed_incremental
-                # checks), ask an accepted pipeline op to return the
-                # root's partials alongside, saving the coordinator pass.
-                if (incremental and self.config.percentage is not None
-                        and n > 0):
-                    target = max(1, int(round(self.config.percentage * n)))
-                    if target < n and target * shard_count <= n // 2:
-                        evaluator.pipeline_topk_target = target
-            else:
-                evaluator = PlanEvaluator(
-                    table,
-                    display_capacity=capacity_items,
-                    target_max=self.config.target_max,
-                    cache=self.engine.evaluation_cache(table),
-                    prefetch=self.engine.prefetch_for(table),
-                )
+            evaluator = ShardedPlanEvaluator(
+                sharded,
+                display_capacity=capacity_items,
+                target_max=self.config.target_max,
+                cache=self.engine.evaluation_cache(table),
+                executor=executor,
+                incremental=incremental,
+                slice_token=self._slice_token,
+                backend=backend,
+            )
+            # When the displayed set will be built from per-shard top-k
+            # partials, ask an accepted pipeline op to return the root's
+            # partials alongside, saving the coordinator pass.
+            topk_target = self._topk_target(n)
+            evaluator.pipeline_topk_target = topk_target
             with obs.span("plan.evaluate", shards=shard_count,
-                          backend=self.backend_name if shard_count > 1 else None
+                          backend=self.backend_name if backend else None
                           ) as eval_span:
                 node_feedback = evaluator.evaluate(self._plan)
                 if incremental:
                     eval_span.annotate(**evaluator.event_report())
             overall = node_feedback[()]
-            root_delta = evaluator.node_deltas.get(()) if incremental else None
+            # How this event's root column relates to the one the cached
+            # per-root state was built from (see _dirty_since).
+            root = evaluator.node_deltas[()]
             pixel_budget = max(1, self.config.screen.pixels // self.config.pixels_per_item)
             method = (
                 ReductionMethod.PERCENTAGE
                 if self.config.percentage is not None
                 else self.config.reduction
             )
-            displayed = None
-            if sharded is not None:
-                with obs.span("displayed.select", method=method.name) as sel:
-                    if method is ReductionMethod.QUANTILE:
-                        quantile = self._quantile_incremental(
-                            overall.normalized_distances, sharded,
-                            root_delta, executor, pixel_budget, n_predicates,
+            with obs.span("displayed.select", method=method.name) as sel:
+                displayed = None
+                if incremental and n and method is ReductionMethod.QUANTILE:
+                    # The quantile certificate: dirty-shard recounts proved
+                    # the cached threshold element still the p-quantile, or
+                    # the exact rebuild ran (bit-identical either way).
+                    displayed, certified = self._quantile_displayed(
+                        overall.normalized_distances, sharded, root, executor,
+                        display_fraction(pixel_budget, n, n_predicates),
+                    )
+                    sel.annotate(certificate="quantile", node="()",
+                                 certified=certified)
+                elif incremental and method is ReductionMethod.PERCENTAGE:
+                    # The displayed-set certificate: the per-shard top-k
+                    # partial path held (patched/reused/rebuilt) or the
+                    # selection falls back to a full sharded pass.
+                    if topk_target is not None:
+                        displayed = self._percentage_displayed(
+                            overall.normalized_distances, sharded, root,
+                            executor, topk_target, evaluator.pipeline_topk,
                         )
-                        if quantile is not None:
-                            displayed, certified = quantile
-                            # The quantile certificate: dirty-shard
-                            # recounts proved the cached threshold element
-                            # still the p-quantile, or the exact rebuild
-                            # ran (bit-identical either way).
-                            sel.annotate(certificate="quantile", node="()",
-                                         certified=certified)
-                    else:
-                        displayed = self._displayed_incremental(
-                            overall.normalized_distances, sharded, method,
-                            root_delta, executor,
-                            pipeline_topk=getattr(evaluator, "pipeline_topk", None),
-                        )
-                        # The displayed-set certificate: the per-shard top-k
-                        # partial path held (patched/reused) or the selection
-                        # fell back to a full sharded pass.
-                        sel.annotate(certificate="displayed-topk", node="()",
-                                     certified=displayed is not None)
-                    if displayed is None:
-                        displayed = sharded_select_display_set(
-                            overall.normalized_distances,
-                            sharded,
-                            capacity=pixel_budget,
-                            n_selection_predicates=n_predicates,
-                            method=method,
-                            percentage=self.config.percentage,
-                            multipeak_z=self.config.multipeak_z,
-                            executor=executor,
-                        )
-            else:
-                with obs.span("displayed.select", method=method.name):
-                    displayed = select_display_set(
+                    sel.annotate(certificate="displayed-topk", node="()",
+                                 certified=displayed is not None)
+                if displayed is None:
+                    displayed = sharded_select_display_set(
                         overall.normalized_distances,
+                        sharded,
                         capacity=pixel_budget,
                         n_selection_predicates=n_predicates,
                         method=method,
                         percentage=self.config.percentage,
                         multipeak_z=self.config.multipeak_z,
+                        executor=executor,
                     )
         if len(displayed) > capacity_items:
             # More items fall inside the quantile window than fit on screen
@@ -1527,18 +1419,10 @@ class PreparedQuery:
             np.argsort(overall.normalized_distances[displayed], kind="stable")
         ]
         with obs.span("relevance.update"):
-            relevance = self._relevance_incremental(
-                overall.normalized_distances, sharded, root_delta
-            )
-        # The sharded evaluator already derived the root's value key for its
-        # node delta (same fingerprint function, same capacity/target_max);
-        # only the monolithic path needs the plan walk.
-        root_key = (root_delta.value_key if root_delta is not None
-                    else self._plan.value_key(capacity_items, self.config.target_max))
+            relevance, changed = self._relevance(
+                overall.normalized_distances, sharded, root)
         with obs.span("result_count"):
-            num_results = self._result_count_incremental(
-                overall.exact_mask, sharded if incremental else None, root_delta
-            )
+            num_results = self._result_count(overall.exact_mask, sharded, root)
         statistics = FeedbackStatistics(
             num_objects=n,
             num_displayed=len(display_order),
@@ -1553,7 +1437,7 @@ class PreparedQuery:
             # recover predicate attributes and query ranges.
             "condition_nodes": dict(condition.iter_nodes()),
         }
-        if sharded is not None and incremental:
+        if incremental:
             # Dirty-shard attribution of this event, for benchmarks and the
             # service metrics: how many shards the event actually touched
             # and how many node columns were patched vs. served wholesale.
@@ -1561,22 +1445,13 @@ class PreparedQuery:
         displayed_sorted = np.sort(display_order)
         with obs.span("frame.delta"):
             delta = self._frame_delta(
-                display_order, displayed_sorted, relevance, root_key,
-                sharded, root_delta, n,
+                display_order, displayed_sorted,
+                None if changed is None
+                else tuple(sharded.bounds[i] for i in changed),
             )
         self._frame_counter += 1
         frame_id = self._frame_counter
-        base_frame_id = self._frame_state.frame_id if self._frame_state else None
-        self._frame_state = _FrameState(
-            frame_id=frame_id,
-            n=n,
-            display_order=display_order,
-            displayed_sorted=displayed_sorted,
-            root_key=root_key,
-            scale=self.config.relevance_scale,
-            target_max=self.config.target_max,
-            relevance=relevance,
-        )
+        self._root.frame = _FrameState(frame_id, display_order, displayed_sorted)
         return FeedbackFrame(
             table=table,
             query_description=self.query.describe(),
@@ -1587,6 +1462,6 @@ class PreparedQuery:
             display_capacity=capacity_items,
             extra=extra,
             frame_id=frame_id,
-            base_frame_id=base_frame_id,
+            base_frame_id=frame_id - 1 if frame_id > 1 else None,
             delta=delta,
         )

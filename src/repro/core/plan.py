@@ -1,4 +1,4 @@
-"""Execution plans: compiled query trees evaluated through a result cache.
+"""Execution plans: compiled query trees, their result cache and the reference.
 
 :func:`compile_plan` turns a condition tree into a tree of plan nodes, each
 carrying a stable fingerprint of the computation it performs.  The paper's
@@ -8,7 +8,8 @@ needed for a slightly modified query later on" -- between two executions of
 an interactively modified query most of the tree is unchanged, so most
 per-node results can be reused byte-for-byte.
 
-Caching happens at two levels, matching what each modification invalidates:
+:class:`EvaluationCache` holds what is reused, at the levels matching what
+each modification invalidates:
 
 * **raw leaf columns** (signed distances, absolute distances, exact masks)
   are keyed by the predicate fingerprint alone.  Weight, percentage and
@@ -17,11 +18,17 @@ Caching happens at two levels, matching what each modification invalidates:
 * **normalized node columns** are keyed by the node's value fingerprint
   (raw identity + weights + normalization parameters).  A weight change
   re-normalizes the affected path; everything off the path is a cache hit.
+* **per-site slice entries** (:class:`ShardSliceEntry`) remember one
+  prepared query's previous column per plan node, so an event recomputes
+  only the shards it dirtied.
 
-Incremental and cold executions share this evaluator, so an incremental
-re-execution returns exactly (bit-for-bit) the feedback a cold
-:class:`~repro.core.pipeline.VisualFeedbackQuery` run would.  Against the
-classic :class:`~repro.core.relevance.RelevanceEvaluator` the results are
+Production evaluates plans through this cache with
+:class:`~repro.core.shard.ShardedPlanEvaluator`, for every shard count
+(one shard included).  The :class:`PlanEvaluator` and
+:func:`reference_feedback` at the bottom of this module are *not* that
+path: they are the deliberately naive, cache-free whole-table computation
+the test suites hold every production frame against, bit for bit.  Against
+the classic :class:`~repro.core.relevance.RelevanceEvaluator` both are
 numerically equivalent but not guaranteed bit-identical: the AND
 combination accumulates per-column here versus a BLAS matrix-vector
 product there, which may round differently.
@@ -36,11 +43,12 @@ from typing import Union
 
 import numpy as np
 
-from repro.core.chunks import ChunkedColumn, as_array, as_chunked
+from repro.core.chunks import ChunkedColumn
 from repro.core.combine import CombinationRule, combine_columns
 from repro.core.normalization import NORMALIZED_MAX, reduced_normalization
-from repro.core.result import NodeFeedback
-from repro.obs import trace as obs
+from repro.core.reduction import ReductionMethod, select_display_set
+from repro.core.relevance import relevance_factors
+from repro.core.result import FeedbackStatistics, NodeFeedback, QueryFeedback
 from repro.query.expr import (
     AndNode,
     NodePath,
@@ -51,8 +59,6 @@ from repro.query.expr import (
     SubqueryNode,
 )
 from repro.query.fingerprint import stable_fingerprint
-from repro.query.predicates import RangePredicate
-from repro.storage.cache import MAX_UNION_DISJUNCTS, PrefetchCache
 
 __all__ = [
     "LeafPlan",
@@ -62,6 +68,7 @@ __all__ = [
     "CacheStats",
     "EvaluationCache",
     "PlanEvaluator",
+    "reference_feedback",
     "ShardSliceCache",
     "ShardSliceEntry",
 ]
@@ -355,15 +362,14 @@ class EvaluationCache:
         self._raw = _LRU(max_leaf_entries)
         self._nodes = _LRU(max_node_entries)
         #: Last range-leaf result per attribute, whichever prepared query
-        #: wrote it.  The monolithic evaluator patches every range leaf from
-        #: it.  The sharded evaluator patches a leaf from its prepared
-        #: query's own site entry, and reads this only as the seed for a
-        #: site that has no entry yet -- and, by presence, to tell a warm
-        #: slider attribute from a cold one.
+        #: wrote it.  Two roles: the evaluator patches a leaf from its
+        #: prepared query's own site entry and reads this only as the seed
+        #: for a site that has no entry yet -- and, by presence, to tell a
+        #: warm slider attribute from a cold one (``_pipeline_spec``).
         self._range_history: dict[str, _RangeHistory] = {}
-        #: Per-site incremental shard state (sharded evaluator only).  The
-        #: entries reference the same arrays as the node LRU, so the extra
-        #: footprint is the (small) per-shard partials plus metadata.
+        #: Per-site incremental shard state.  The entries reference the
+        #: same arrays as the node LRU, so the extra footprint is the
+        #: (small) per-shard partials plus metadata.
         self._slices = ShardSliceCache(max_slice_entries)
         self.stats = CacheStats()
         # One evaluation cache is shared by every session executing against
@@ -566,10 +572,21 @@ def compile_plan(condition: QueryNode) -> PlanNode:
 
 
 # --------------------------------------------------------------------------- #
-# Plan evaluation
+# The reference: naive whole-table evaluation
 # --------------------------------------------------------------------------- #
 class PlanEvaluator:
-    """Evaluate a compiled plan over a table, reusing cached node results.
+    """Evaluate a compiled plan over the whole table, naively: the test oracle.
+
+    Production runs :class:`~repro.core.shard.ShardedPlanEvaluator` for
+    every shard count; this class is what the tests compare it against.  It
+    is deliberately cache-free and state-free -- every call recomputes every
+    node from the table with the plain primitives (predicate
+    ``signed_distances`` / ``exact_mask``, :func:`reduced_normalization`,
+    :func:`combine_columns`, an AND/OR reduction of the child masks) -- and
+    shares nothing with the sharded evaluator beyond those NumPy-level
+    functions: no :class:`EvaluationCache`, no prefetch regions, no range
+    history, no shards, no chunked columns.  A bug in any of those layers
+    therefore cannot hide behind a shared code path.
 
     Parameters
     ----------
@@ -578,296 +595,101 @@ class PlanEvaluator:
     display_capacity:
         ``r`` in the paper's normalization formula (see
         :class:`~repro.core.relevance.RelevanceEvaluator`).
-    cache:
-        Shared :class:`EvaluationCache`; pass a fresh instance for a cold run.
-    prefetch:
-        Optional :class:`~repro.storage.cache.PrefetchCache` over ``table``;
-        when present, range-predicate fulfilment sets are answered through
-        it (and through its range indexes) instead of a fresh column scan.
     """
 
-    def __init__(self, table, display_capacity: int, target_max: float = NORMALIZED_MAX,
-                 cache: EvaluationCache | None = None,
-                 prefetch: PrefetchCache | None = None):
+    def __init__(self, table, display_capacity: int, target_max: float = NORMALIZED_MAX):
         if display_capacity <= 0:
             raise ValueError("display_capacity must be positive")
         self.table = table
         self.display_capacity = display_capacity
         self.target_max = target_max
-        self.cache = cache if cache is not None else EvaluationCache()
-        self.prefetch = prefetch
-        #: Per-event chunked copy-on-write accounting (reset by ``evaluate``).
-        self._chunks_patched = 0
-        self._chunks_shared = 0
 
-    # ------------------------------------------------------------------ #
     def evaluate(self, plan: PlanNode) -> dict[NodePath, NodeFeedback]:
         """Return a :class:`NodeFeedback` per node path; path ``()`` is the root."""
-        self._chunks_patched = 0
-        self._chunks_shared = 0
         feedback: dict[NodePath, NodeFeedback] = {}
         self._evaluate(plan, (), feedback)
         return feedback
 
-    # ------------------------------------------------------------------ #
-    def _record_chunks(self, column) -> None:
-        """Account a freshly patched column's chunk reuse (evaluator + cache)."""
-        patched = getattr(column, "patched_chunks", 0)
-        shared = getattr(column, "shared_chunks", 0)
-        if patched or shared:
-            self._chunks_patched += patched
-            self._chunks_shared += shared
-            self.cache.record_chunks(patched, shared)
-
-    def _chunk_marks(self) -> tuple[int, int]:
-        return (self._chunks_patched, self._chunks_shared)
-
-    def _annotate_chunks(self, marks: tuple[int, int]) -> None:
-        """Annotate the ambient span with chunk counts accrued since ``marks``."""
-        patched = self._chunks_patched - marks[0]
-        shared = self._chunks_shared - marks[1]
-        if patched or shared:
-            obs.annotate(chunks_patched=patched, chunks_shared=shared)
-
-    # ------------------------------------------------------------------ #
     def _evaluate(self, plan: PlanNode, path: NodePath,
-                  feedback: dict[NodePath, NodeFeedback]) -> _NodeColumns:
-        is_leaf = isinstance(plan, LeafPlan)
-        with obs.span("node.evaluate", node=str(path),
-                      kind="leaf" if is_leaf else "composite"):
-            if is_leaf:
-                columns = self._leaf_columns(plan, path)
-            else:
-                columns = self._composite_columns(plan, path, feedback)
+                  feedback: dict[NodePath, NodeFeedback]) -> NodeFeedback:
+        node = plan.node
+        if isinstance(plan, LeafPlan):
+            source = node if isinstance(node, SubqueryNode) else node.predicate
+            signed = np.asarray(source.signed_distances(self.table), dtype=float)
+            raw = np.abs(signed)
+            exact = np.asarray(source.exact_mask(self.table), dtype=bool)
+            if not getattr(source, "supports_direction", True):
+                signed = None
+        else:
+            children = [self._evaluate(child, path + (i,), feedback)
+                        for i, child in enumerate(plan.children)]
+            signed = None
+            raw = combine_columns(
+                plan.rule, [child.normalized_distances for child in children],
+                np.array([child.weight for child in children], dtype=float))
+            reduce = (np.logical_and if plan.rule is CombinationRule.AND
+                      else np.logical_or).reduce
+            exact = reduce([child.exact_mask for child in children])
         feedback[path] = NodeFeedback(
             path=path,
-            label=plan.node.label,
-            weight=plan.node.weight,
+            label=node.label,
+            weight=node.weight,
             is_leaf=isinstance(plan, LeafPlan),
-            normalized_distances=columns.normalized,
-            signed_distances=columns.signed,
-            exact_mask=columns.exact_mask,
-            raw_distances=columns.raw,
-        )
-        return columns
-
-    def _leaf_columns(self, plan: LeafPlan, path: NodePath = ()) -> _NodeColumns:
-        value_key = plan.value_key(self.display_capacity, self.target_max)
-        columns = self.cache.get_node(value_key)
-        if columns is not None:
-            obs.annotate(cache="node-hit")
-            return columns
-        marks = self._chunk_marks()
-        raw = self.cache.get_raw(plan.raw_key)
-        if raw is None:
-            with obs.span("leaf.raw"):
-                raw = self._compute_leaf_raw(plan.node)
-            self.cache.put_raw(plan.raw_key, raw)
-            obs.annotate(cache="miss")
-        else:
-            obs.annotate(cache="raw-hit")
-        self._annotate_chunks(marks)
-        with obs.span("normalize"):
-            # Monolithic normalization is a full elementwise pass anyway, so
-            # a chunked raw column is materialized once (and cached) here.
-            normalized = self._normalize(as_array(raw.raw), plan.node.weight)
-        columns = _NodeColumns(
-            normalized=normalized,
-            signed=raw.signed if raw.supports_direction else None,
-            exact_mask=raw.exact_mask,
-            raw=raw.raw,
-        )
-        self.cache.put_node(value_key, columns)
-        return columns
-
-    def _compute_leaf_raw(self, node: Union[PredicateLeaf, SubqueryNode]) -> _LeafRaw:
-        if isinstance(node, SubqueryNode):
-            signed = np.asarray(node.signed_distances(self.table), dtype=float)
-            return _LeafRaw(
-                signed=signed,
-                raw=np.abs(signed),
-                exact_mask=np.asarray(node.exact_mask(self.table), dtype=bool),
-                supports_direction=True,
-            )
-        predicate = node.predicate
-        if isinstance(predicate, RangePredicate):
-            return self._range_leaf_raw(predicate)
-        signed = np.asarray(predicate.signed_distances(self.table), dtype=float)
-        exact = self._exact_mask(predicate)
-        return _LeafRaw(
-            signed=signed,
-            raw=np.abs(signed),
+            normalized_distances=reduced_normalization(
+                raw, node.weight, self.display_capacity, target_max=self.target_max),
+            signed_distances=signed,
             exact_mask=exact,
-            supports_direction=predicate.supports_direction,
+            raw_distances=raw,
         )
+        return feedback[path]
 
-    def _range_leaf_raw(self, predicate: RangePredicate) -> _LeafRaw:
-        """Range-leaf distances, recomputed only between the old and new bounds.
 
-        A slider move from ``[old_low, old_high]`` to ``[low, high]`` changes
-        the signed distance only for rows with ``v <= max(old_low, low)`` or
-        ``v >= min(old_high, high)``.  When the attribute has a range index
-        (built once the slider becomes hot) those rows are found in
-        O(log n + k) and recomputed with exactly the formula
-        :meth:`RangePredicate.signed_distances` uses, so the result is
-        bit-identical to a full recomputation -- "retrieve only the
-        additional portion of the data" from the paper's conclusions.
+def reference_feedback(table, condition: QueryNode, config) -> QueryFeedback:
+    """The feedback of ``condition`` over ``table``, computed the naive way.
 
-        The old bounds and columns are the cache's last range result on the
-        attribute, whichever prepared query wrote it: any exact columns for
-        any bounds are a valid base, and the monolithic evaluator keeps no
-        per-query state.  (The sharded evaluator patches from the prepared
-        query's own site entry instead, see
-        :meth:`ShardedPlanEvaluator._range_leaf_raw`.)
-        """
-        attribute = predicate.attribute
-        index = None
-        if self.prefetch is not None and self.prefetch.indexes:
-            index = self.prefetch.indexes.get(attribute)
-        history = self.cache.range_history(attribute) if index is not None else None
-        if history is not None:
-            # Distances change only on the side of a bound that moved: every
-            # row violating that bound (its distance is measured against the
-            # bound), plus the band the bound swept over.  Rows on the side
-            # of an unmoved bound keep their exact values.
-            pieces = []
-            if predicate.low != history.low:
-                pieces.append(index.range_query(None, max(history.low, predicate.low),
-                                                sort=False))
-            if predicate.high != history.high:
-                pieces.append(index.range_query(min(history.high, predicate.high), None,
-                                                sort=False))
-            changed = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.intp)
-            # A delta update only pays off while the touched row set is small;
-            # past a third of the table the full vectorised recomputation wins.
-            if len(changed) > len(self.table) // 3:
-                history = None
-        if history is not None:
-            # Copy-on-write: only the chunks the swept band intersects are
-            # copied; every clean chunk is aliased from the cached column.
-            old = history.raw
-            signed = as_chunked(old.signed)
-            raw = as_chunked(old.raw)
-            if len(changed):
-                # Gather, then convert: O(changed) for any column dtype.
-                values = np.asarray(self.table.column(attribute)[changed], dtype=float)
-                below = np.where(values < predicate.low, values - predicate.low, 0.0)
-                above = np.where(values > predicate.high, values - predicate.high, 0.0)
-                delta = below + above
-                delta = np.where(np.isnan(values), np.nan, delta)
-                signed = signed.patch(changed, delta)
-                raw = raw.patch(changed, np.abs(delta))
-                self._record_chunks(signed)
-                self._record_chunks(raw)
-            result = _LeafRaw(
-                signed=signed,
-                raw=raw,
-                exact_mask=self._exact_mask(predicate),
-                supports_direction=True,
-            )
-        else:
-            signed = np.asarray(predicate.signed_distances(self.table), dtype=float)
-            result = _LeafRaw(
-                signed=signed,
-                raw=np.abs(signed),
-                exact_mask=self._exact_mask(predicate),
-                supports_direction=predicate.supports_direction,
-            )
-        self.cache.set_range_history(attribute, predicate.low, predicate.high, result)
-        return result
+    The rest of a frame around :class:`PlanEvaluator`: display capacity,
+    displayed-set selection with the capacity trim, the stable relevance
+    ordering, relevance factors and the result count -- one whole-table
+    NumPy call each.  ``condition`` is the effective condition (qualified
+    and joined, see :meth:`PreparedQuery.refresh`) and ``config`` a
+    :class:`~repro.core.engine.PipelineConfig`.  Every production frame, for
+    every shard count, backend and event history, must equal this bit for
+    bit; the test suites' reference helpers all route through here.
+    """
+    from repro.core.engine import item_capacity  # engine imports this module
 
-    def _normalize(self, values: np.ndarray, weight: float) -> np.ndarray:
-        """Reduced normalization of one node column.
-
-        Overridden by the sharded evaluator, which resolves the global
-        ``(d_min, d_max)`` bounds from mergeable per-shard partials and then
-        applies the (elementwise, hence bit-identical) transform shard by
-        shard -- see :mod:`repro.core.shard`.
-        """
-        return reduced_normalization(
-            values, weight, self.display_capacity, target_max=self.target_max
-        )
-
-    def _combine(self, rule: CombinationRule, columns: list[np.ndarray],
-                 weights: np.ndarray) -> np.ndarray:
-        """Combine child columns (overridden to run shard-parallel)."""
-        return combine_columns(rule, columns, weights)
-
-    def _exact_mask(self, predicate) -> np.ndarray:
-        """Fulfilment mask of one predicate, through the prefetch cache if possible."""
-        if (
-            self.prefetch is not None
-            and isinstance(predicate, RangePredicate)
-            and self.table.has_column(predicate.attribute)
-            and self.table.is_numeric(predicate.attribute)
-        ):
-            return self.prefetch.fulfilment_mask(
-                {predicate.attribute: (predicate.low, predicate.high)}
-            )
-        return np.asarray(predicate.exact_mask(self.table), dtype=bool)
-
-    def _union_boxes(self, plan: CompositePlan) -> list[dict] | None:
-        """One query box per child when an OR's mask can use the union cache.
-
-        Eligible when every child is a range-predicate leaf over a numeric
-        column and there are 2..``MAX_UNION_DISJUNCTS`` of them -- exactly
-        the shape :meth:`PrefetchCache.fulfilment_mask_union` answers from
-        one cached union region.  A row fulfils the OR iff it fulfils some
-        disjunct, and both paths use the identical closed-interval filter
-        (NaN excluded), so the union mask is bit-identical to OR-ing the
-        per-leaf masks.
-        """
-        if plan.rule is not CombinationRule.OR:
-            return None
-        if not 2 <= len(plan.children) <= MAX_UNION_DISJUNCTS:
-            return None
-        boxes: list[dict] = []
-        for child in plan.children:
-            if not isinstance(child, LeafPlan):
-                return None
-            predicate = getattr(child.node, "predicate", None)
-            if not isinstance(predicate, RangePredicate):
-                return None
-            if not (self.table.has_column(predicate.attribute)
-                    and self.table.is_numeric(predicate.attribute)):
-                return None
-            boxes.append({predicate.attribute: (predicate.low, predicate.high)})
-        return boxes
-
-    def _composite_columns(self, plan: CompositePlan, path: NodePath,
-                           feedback: dict[NodePath, NodeFeedback]) -> _NodeColumns:
-        # Children are always walked so that every node path gets feedback;
-        # each child resolves from the cache when its subtree is unchanged.
-        child_columns = [
-            self._evaluate(child, path + (i,), feedback)
-            for i, child in enumerate(plan.children)
-        ]
-        value_key = plan.value_key(self.display_capacity, self.target_max)
-        columns = self.cache.get_node(value_key)
-        if columns is not None:
-            obs.annotate(cache="node-hit")
-            return columns
-        obs.annotate(cache="miss")
-        weights = np.array([child.weight for child in plan.children], dtype=float)
-        with obs.span("combine", rule=plan.rule.name):
-            combined = self._combine(
-                plan.rule, [c.normalized for c in child_columns], weights
-            )
-        with obs.span("normalize"):
-            normalized = self._normalize(combined, plan.node.weight)
-        with obs.span("mask"):
-            if plan.rule is CombinationRule.AND:
-                exact = np.ones(len(self.table), dtype=bool)
-                for c in child_columns:
-                    exact &= c.exact_mask
-            else:
-                boxes = self._union_boxes(plan) if self.prefetch is not None else None
-                if boxes is not None:
-                    exact = self.prefetch.fulfilment_mask_union(boxes)
-                else:
-                    exact = np.zeros(len(self.table), dtype=bool)
-                    for c in child_columns:
-                        exact |= c.exact_mask
-        columns = _NodeColumns(normalized=normalized, signed=None, exact_mask=exact, raw=combined)
-        self.cache.put_node(value_key, columns)
-        return columns
+    n = len(table)
+    n_predicates = condition.leaf_count()
+    capacity = item_capacity(config, n_predicates)
+    if config.percentage is not None:
+        capacity = min(capacity, max(1, int(round(config.percentage * n))))
+    node_feedback = PlanEvaluator(
+        table, capacity, target_max=config.target_max).evaluate(compile_plan(condition))
+    overall = node_feedback[()]
+    distances = overall.normalized_distances
+    displayed = select_display_set(
+        distances,
+        capacity=max(1, config.screen.pixels // config.pixels_per_item),
+        n_selection_predicates=n_predicates,
+        method=(ReductionMethod.PERCENTAGE if config.percentage is not None
+                else config.reduction),
+        percentage=config.percentage,
+        multipeak_z=config.multipeak_z,
+    )
+    if len(displayed) > capacity:
+        displayed = displayed[np.argsort(distances[displayed], kind="stable")[:capacity]]
+    display_order = displayed[np.argsort(distances[displayed], kind="stable")]
+    return QueryFeedback(
+        table=table,
+        query_description=condition.describe(),
+        node_feedback=node_feedback,
+        display_order=display_order,
+        relevance=relevance_factors(distances, config.relevance_scale, config.target_max),
+        statistics=FeedbackStatistics(
+            num_objects=n,
+            num_displayed=len(display_order),
+            percentage_displayed=(len(display_order) / n) if n else 0.0,
+            num_results=int(np.count_nonzero(overall.exact_mask)),
+        ),
+        display_capacity=capacity,
+    )

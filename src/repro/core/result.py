@@ -217,9 +217,13 @@ class FeedbackDelta:
       every row, is unchanged;
     * ``((start, stop), ...)`` -- relevance may differ only inside the
       listed half-open global row ranges (the dirty shards);
-    * ``None`` -- no relation is known (cold run after a reshape, a
-      normalization-bounds shift, or monolithic execution without a cache
-      identity): treat every row as potentially changed.
+    * ``None`` -- no relation is known (a normalization-bounds shift, a
+      changed relevance scale, a plan served from the node cache under
+      another key): treat every row as potentially changed.
+
+    After the query was re-pointed at another table or restructured the
+    engine forgets the previous frame altogether, and the next frame
+    carries no delta at all (``FeedbackFrame.delta is None``).
     """
 
     #: ``frame_id`` of the frame this delta is measured against.

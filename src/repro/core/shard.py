@@ -1,10 +1,12 @@
 """Sharded plan execution: row-range partitions with mergeable aggregates.
 
 The paper's interaction loop demands that every slider drag redraws the
-relevance visualization at human speed.  :mod:`repro.core.plan` removed the
-redundant recomputation between two executions of an interactively modified
-query; what remains is the O(n) floor of renormalize/recombine/select over
-one monolithic evaluation table.  This module splits that floor across
+relevance visualization at human speed.  The caches of
+:mod:`repro.core.plan` remove the redundant recomputation between two
+executions of an interactively modified query; what remains is the O(n)
+floor of renormalize/recombine/select over the whole evaluation table.
+This module -- the one plan evaluator production runs, a one-shard table
+being the ``shard_count=1`` case of it -- splits that floor across
 row-range shards:
 
 * :class:`ShardedTable` partitions an evaluation table into contiguous
@@ -21,8 +23,9 @@ row-range shards:
   (:class:`~repro.core.reduction.TopKCandidates`).
 
 The binding contract -- enforced by ``tests/test_differential.py`` -- is
-that sharded execution is **bit-identical** to the cold single-shard run
-for every shard count.  The merge algebra guarantees it: ``d_min``/``d_max``
+that sharded execution is **bit-identical** to the naive whole-table
+reference (:func:`repro.core.plan.reference_feedback`) for every shard
+count.  The merge algebra guarantees it: ``d_min``/``d_max``
 resolve to exact array elements (so the elementwise normalization transform
 sees the same scalars), candidate merges are associative and
 order-independent, and tie-breaking at the capacity boundary happens once,
@@ -54,7 +57,7 @@ from repro.core.plan import (
     CompositePlan,
     EvaluationCache,
     LeafPlan,
-    PlanEvaluator,
+    PlanNode,
     ShardSliceEntry,
     _LeafRaw,
     _NodeColumns,
@@ -77,11 +80,12 @@ from repro.core.reduction import (
     summaries_from_partials,
     topk_candidates,
 )
+from repro.core.result import NodeFeedback
 from repro.obs import trace as obs
 from repro.query.expr import NodePath, PredicateLeaf, SubqueryNode
 from repro.query.fingerprint import stable_fingerprint
 from repro.query.predicates import RangePredicate
-from repro.storage.cache import PrefetchCache
+from repro.storage.cache import MAX_UNION_DISJUNCTS, PrefetchCache
 from repro.storage.index import SortedIndex
 from repro.storage.table import Table
 
@@ -337,6 +341,22 @@ class NodeDelta:
     base_key: str | None
     dirty: frozenset | None
 
+    def dirty_since(self, column_key: str) -> tuple[int, ...] | None:
+        """The shards in which this column may differ from ``column_key``'s.
+
+        The one question every holder of state derived from an earlier
+        column asks -- a parent node of its children, the engine of the
+        root: ``()`` means provably bit-identical (the same fingerprint, or
+        a delta against it that dirtied nothing), a tuple of ascending
+        shard numbers means patch these, ``None`` means no relation is
+        known -- rebuild.
+        """
+        if column_key == self.value_key:
+            return ()
+        if column_key != self.base_key or self.dirty is None:
+            return None
+        return tuple(sorted(self.dirty))
+
 
 def _range_bounds(predicate) -> tuple[str, float, float] | None:
     """``(attribute, low, high)`` of a range predicate (None for any other)."""
@@ -345,14 +365,27 @@ def _range_bounds(predicate) -> tuple[str, float, float] | None:
     return None
 
 
-class ShardedPlanEvaluator(PlanEvaluator):
-    """A :class:`~repro.core.plan.PlanEvaluator` that executes shard by shard.
+class ShardedPlanEvaluator:
+    """Evaluate a compiled plan shard by shard, reusing cached node results.
 
-    Produces full-table node columns (concatenated from per-shard pieces)
-    that are bit-identical to the monolithic evaluator's, so the two share
-    one :class:`~repro.core.plan.EvaluationCache` without any key changes:
-    an incremental re-execution may mix cached monolithic results with
-    freshly sharded ones and still return exactly the cold-run feedback.
+    The production evaluator for every shard count; ``shard_count=1`` is a
+    one-shard table, not a different path.  It produces full-table node
+    columns (assembled from per-shard pieces) that are bit-identical to the
+    naive whole-table :class:`~repro.core.plan.PlanEvaluator` the tests
+    compare against, whatever mix of cached, patched and freshly computed
+    columns an execution ends up using.
+
+    Parameters
+    ----------
+    sharded:
+        The row-range partitioning of the evaluation table (base table or
+        materialised cross product).
+    display_capacity:
+        ``r`` in the paper's normalization formula (see
+        :class:`~repro.core.relevance.RelevanceEvaluator`).
+    cache:
+        Shared :class:`~repro.core.plan.EvaluationCache`; a fresh instance
+        gives a cold run.
 
     With ``incremental=True`` (the default) the evaluator additionally
     maintains, per plan-node *site*, the previous execution's per-shard
@@ -387,9 +420,13 @@ class ShardedPlanEvaluator(PlanEvaluator):
                  incremental: bool = True,
                  slice_token: str = "",
                  backend: "ExecBackend | None" = None):
-        super().__init__(sharded.table, display_capacity, target_max=target_max,
-                         cache=cache, prefetch=None)
+        if display_capacity <= 0:
+            raise ValueError("display_capacity must be positive")
         self.sharded = sharded
+        self.table = sharded.table
+        self.display_capacity = display_capacity
+        self.target_max = target_max
+        self.cache = cache if cache is not None else EvaluationCache()
         self.executor = executor
         self.incremental = incremental
         self.slice_token = slice_token
@@ -402,6 +439,9 @@ class ShardedPlanEvaluator(PlanEvaluator):
         #: Slice generation this evaluation started under; entries are
         #: stamped with it so a concurrent cache clear() drops them.
         self._slice_generation = self.cache.slice_generation()
+        #: Per-event chunked copy-on-write accounting (reset by ``evaluate``).
+        self._chunks_patched = 0
+        self._chunks_shared = 0
         #: Set by the engine when the displayed-set selection could use
         #: per-shard root top-k partials (percentage path, incremental).
         self.pipeline_topk_target: int | None = None
@@ -423,6 +463,25 @@ class ShardedPlanEvaluator(PlanEvaluator):
             return [fn(i) for i in indices]
         return list(self.executor.map(fn, indices))
 
+    def _assemble(self, piece: Callable[[int], np.ndarray],
+                  dtype: type = float) -> np.ndarray:
+        """The full-table column whose shard ``i`` rows are ``piece(i)``.
+
+        Pieces are written straight into their row range of one output
+        array, in parallel.  A single piece already *is* the column: it is
+        returned as computed, so a one-shard table pays no assembly copy.
+        """
+        bounds = self.sharded.bounds
+        if len(bounds) == 1:
+            return piece(0)
+        out = np.empty(len(self.table), dtype=dtype)
+
+        def fill(i: int) -> None:
+            out[bounds[i][0]:bounds[i][1]] = piece(i)
+
+        self._map_shards(fill)
+        return out
+
     def _site_key(self, path: NodePath) -> str:
         return stable_fingerprint(
             "site", self.slice_token, path, self.sharded.shard_count
@@ -441,9 +500,12 @@ class ShardedPlanEvaluator(PlanEvaluator):
         return entry
 
     # ------------------------------------------------------------------ #
-    def evaluate(self, plan):
+    def evaluate(self, plan: PlanNode) -> dict[NodePath, NodeFeedback]:
+        """Return a :class:`NodeFeedback` per node path; path ``()`` is the root."""
         self.node_deltas = {}
         self._slice_generation = self.cache.slice_generation()
+        self._chunks_patched = 0
+        self._chunks_shared = 0
         if self.incremental:
             self.cache.record_incremental_event()
         # Whole-pipeline offload: when the backend accepts, it seeds the
@@ -455,7 +517,50 @@ class ShardedPlanEvaluator(PlanEvaluator):
         with obs.span("pipeline.offload") as offload:
             accepted = self._try_pipeline(plan)
             offload.annotate(accepted=accepted)
-        return super().evaluate(plan)
+        feedback: dict[NodePath, NodeFeedback] = {}
+        self._evaluate(plan, (), feedback)
+        return feedback
+
+    def _evaluate(self, plan: PlanNode, path: NodePath,
+                  feedback: dict[NodePath, NodeFeedback]) -> _NodeColumns:
+        is_leaf = isinstance(plan, LeafPlan)
+        with obs.span("node.evaluate", node=str(path),
+                      kind="leaf" if is_leaf else "composite"):
+            if is_leaf:
+                columns = self._leaf_columns(plan, path)
+            else:
+                columns = self._composite_columns(plan, path, feedback)
+        feedback[path] = NodeFeedback(
+            path=path,
+            label=plan.node.label,
+            weight=plan.node.weight,
+            is_leaf=is_leaf,
+            normalized_distances=columns.normalized,
+            signed_distances=columns.signed,
+            exact_mask=columns.exact_mask,
+            raw_distances=columns.raw,
+        )
+        return columns
+
+    # ------------------------------------------------------------------ #
+    def _record_chunks(self, column) -> None:
+        """Account a freshly patched column's chunk reuse (evaluator + cache)."""
+        patched = getattr(column, "patched_chunks", 0)
+        shared = getattr(column, "shared_chunks", 0)
+        if patched or shared:
+            self._chunks_patched += patched
+            self._chunks_shared += shared
+            self.cache.record_chunks(patched, shared)
+
+    def _chunk_marks(self) -> tuple[int, int]:
+        return (self._chunks_patched, self._chunks_shared)
+
+    def _annotate_chunks(self, marks: tuple[int, int]) -> None:
+        """Annotate the ambient span with chunk counts accrued since ``marks``."""
+        patched = self._chunks_patched - marks[0]
+        shared = self._chunks_shared - marks[1]
+        if patched or shared:
+            obs.annotate(chunks_patched=patched, chunks_shared=shared)
 
     # ------------------------------------------------------------------ #
     # Whole-pipeline offload
@@ -782,7 +887,7 @@ class ShardedPlanEvaluator(PlanEvaluator):
         bounds = self.sharded.bounds
         # OR over <= MAX_UNION_DISJUNCTS numeric range leaves: answer the
         # mask from the per-shard cached union regions (bit-identical to
-        # OR-ing the leaf masks; see PlanEvaluator._union_boxes).
+        # OR-ing the leaf masks; see _union_boxes).
         union_boxes = self._union_boxes(plan)
         if dirty is not None:
             # Children changed only inside the dirty shards (and with
@@ -835,19 +940,20 @@ class ShardedPlanEvaluator(PlanEvaluator):
                 self._record_chunks(combined)
                 self._record_chunks(exact)
         else:
-            combined = self._combine(
-                plan.rule, [c.normalized for c in child_columns], weights
-            )
-            if plan.rule is CombinationRule.AND:
+            combined = self._assemble(lambda i: combine_columns(
+                plan.rule,
+                [c.normalized[bounds[i][0]:bounds[i][1]] for c in child_columns],
+                weights,
+            ))
+            if union_boxes is not None:
+                exact = self._assemble(
+                    lambda i: self.sharded.prefetch[i].fulfilment_mask_union(
+                        union_boxes),
+                    dtype=bool)
+            elif plan.rule is CombinationRule.AND:
                 exact = np.ones(len(self.table), dtype=bool)
                 for c in child_columns:
                     exact &= c.exact_mask
-            elif union_boxes is not None:
-                def mask_union(i: int) -> np.ndarray:
-                    return self.sharded.prefetch[i].fulfilment_mask_union(
-                        union_boxes)
-
-                exact = np.concatenate(self._map_shards(mask_union))
             else:
                 exact = np.zeros(len(self.table), dtype=bool)
                 for c in child_columns:
@@ -894,40 +1000,70 @@ class ShardedPlanEvaluator(PlanEvaluator):
         if entry.child_weights != tuple(float(w) for w in weights):
             return None
         acc: set = set()
-        for i, key in enumerate(child_keys):
-            if key == entry.child_keys[i]:
-                continue
-            delta = self.node_deltas.get(path + (i,))
-            if (delta is None or delta.dirty is None
-                    or delta.base_key != entry.child_keys[i]):
+        for i, built_from in enumerate(entry.child_keys):
+            dirty = self.node_deltas[path + (i,)].dirty_since(built_from)
+            if dirty is None:
                 return None
-            acc |= delta.dirty
+            acc.update(dirty)
         return frozenset(acc)
+
+    def _union_boxes(self, plan: CompositePlan) -> list[dict] | None:
+        """One query box per child when an OR's mask can use the union cache.
+
+        Eligible when every child is a range-predicate leaf over a numeric
+        column and there are 2..``MAX_UNION_DISJUNCTS`` of them -- exactly
+        the shape :meth:`PrefetchCache.fulfilment_mask_union` answers from
+        one cached union region.  A row fulfils the OR iff it fulfils some
+        disjunct, and both paths use the identical closed-interval filter
+        (NaN excluded), so the union mask is bit-identical to OR-ing the
+        per-leaf masks.
+        """
+        if plan.rule is not CombinationRule.OR:
+            return None
+        if not 2 <= len(plan.children) <= MAX_UNION_DISJUNCTS:
+            return None
+        boxes: list[dict] = []
+        for child in plan.children:
+            if not isinstance(child, LeafPlan):
+                return None
+            predicate = getattr(child.node, "predicate", None)
+            if not isinstance(predicate, RangePredicate):
+                return None
+            if not (self.table.has_column(predicate.attribute)
+                    and self.table.is_numeric(predicate.attribute)):
+                return None
+            boxes.append({predicate.attribute: (predicate.low, predicate.high)})
+        return boxes
 
     # ------------------------------------------------------------------ #
     # Leaf columns
     # ------------------------------------------------------------------ #
+    def _signed_distances(self, source) -> np.ndarray:
+        """Signed distances of a predicate, shard by shard (backend first)."""
+        signed = self._backend_leaf_signed(source)
+        if signed is None:
+            signed = self._assemble(lambda i: np.asarray(
+                source.signed_distances(self.sharded.shards[i]), dtype=float))
+        return signed
+
     def _compute_leaf_raw(self, node: Union[PredicateLeaf, SubqueryNode]) -> _LeafRaw:
         """Raw columns of a non-range leaf (range leaves: :meth:`_range_leaf_raw`)."""
         if isinstance(node, SubqueryNode):
             # Subquery distances come from an arbitrary callable that may
             # depend on whole-table state; only row-local predicates are
             # safe to evaluate per shard.
-            return super()._compute_leaf_raw(node)
-        predicate = node.predicate
-
-        def one(i: int) -> np.ndarray:
-            return np.asarray(predicate.signed_distances(self.sharded.shards[i]),
-                              dtype=float)
-
-        signed = self._backend_leaf_signed(predicate)
-        if signed is None:
-            signed = np.concatenate(self._map_shards(one))
+            signed = np.asarray(node.signed_distances(self.table), dtype=float)
+            exact = np.asarray(node.exact_mask(self.table), dtype=bool)
+            supports_direction = True
+        else:
+            signed = self._signed_distances(node.predicate)
+            exact = self._exact_mask(node.predicate)
+            supports_direction = node.predicate.supports_direction
         return _LeafRaw(
             signed=signed,
             raw=np.abs(signed),
-            exact_mask=self._exact_mask(predicate),
-            supports_direction=predicate.supports_direction,
+            exact_mask=exact,
+            supports_direction=supports_direction,
         )
 
     def _entry_range_base(self, predicate: RangePredicate,
@@ -1052,13 +1188,7 @@ class ShardedPlanEvaluator(PlanEvaluator):
                 supports_direction=True,
             )
         else:
-            def one(i: int) -> np.ndarray:
-                return np.asarray(predicate.signed_distances(self.sharded.shards[i]),
-                                  dtype=float)
-
-            signed = self._backend_leaf_signed(predicate)
-            if signed is None:
-                signed = np.concatenate(self._map_shards(one))
+            signed = self._signed_distances(predicate)
             result = _LeafRaw(
                 signed=signed,
                 raw=np.abs(signed),
@@ -1075,8 +1205,8 @@ class ShardedPlanEvaluator(PlanEvaluator):
         Range predicates on numeric columns go through the per-shard
         prefetch caches (widened regions answer a narrowing slider drag
         without rescanning); everything else evaluates the predicate on the
-        shard view directly.  Masks are exact either way, so the global
-        concatenation equals the monolithic mask.
+        shard view directly.  Masks are exact either way, so the assembled
+        column equals the whole-table mask.
         """
         if (
             isinstance(predicate, RangePredicate)
@@ -1084,18 +1214,16 @@ class ShardedPlanEvaluator(PlanEvaluator):
             and self.table.is_numeric(predicate.attribute)
         ):
             ranges = {predicate.attribute: (predicate.low, predicate.high)}
-
-            def one(i: int) -> np.ndarray:
-                return self.sharded.prefetch[i].fulfilment_mask(ranges)
-        else:
-            mask = self._backend_leaf_mask(predicate)
-            if mask is not None:
-                return mask
-
-            def one(i: int) -> np.ndarray:
-                return np.asarray(predicate.exact_mask(self.sharded.shards[i]), dtype=bool)
-
-        return np.concatenate(self._map_shards(one))
+            return self._assemble(
+                lambda i: self.sharded.prefetch[i].fulfilment_mask(ranges),
+                dtype=bool)
+        mask = self._backend_leaf_mask(predicate)
+        if mask is None:
+            mask = self._assemble(
+                lambda i: np.asarray(
+                    predicate.exact_mask(self.sharded.shards[i]), dtype=bool),
+                dtype=bool)
+        return mask
 
     def _backend_leaf_signed(self, predicate) -> np.ndarray | None:
         """Offer one leaf's signed distances to the backend (None = declined)."""
@@ -1122,7 +1250,7 @@ class ShardedPlanEvaluator(PlanEvaluator):
         Returns ``(normalized, resolved, summaries, out_dirty)``.  ``dirty``
         is the set of shards within which ``values`` may differ from
         ``entry.columns.raw`` (None = unknown).  Every path is bit-identical
-        to the monolithic
+        to the whole-column
         :func:`~repro.core.normalization.reduced_normalization`:
 
         * the cached per-shard summaries re-certify the resolved bounds in
@@ -1243,16 +1371,9 @@ class ShardedPlanEvaluator(PlanEvaluator):
             out_dirty: frozenset | None = dirty
         else:
             values = as_array(values)
-            out = np.empty(n, dtype=float)
-
-            def apply(i: int) -> None:
-                start, stop = bounds[i]
-                out[start:stop] = apply_normalization(
-                    values[start:stop], d_min, d_max, target_max=self.target_max
-                )
-
-            self._map_shards(apply)
-            normalized = out
+            normalized = self._assemble(lambda i: apply_normalization(
+                values[bounds[i][0]:bounds[i][1]], d_min, d_max,
+                target_max=self.target_max))
             if self.incremental:
                 summaries = self._build_summaries(
                     values, resolved, None if certified else partials)
@@ -1293,21 +1414,6 @@ class ShardedPlanEvaluator(PlanEvaluator):
         )
         return np.asarray(rows, dtype=float)
 
-    def _combine(self, rule: CombinationRule, columns: list[np.ndarray],
-                 weights: np.ndarray) -> np.ndarray:
-        n = len(self.table)
-        out = np.empty(n, dtype=float)
-        bounds = self.sharded.bounds
-
-        def one(i: int) -> None:
-            start, stop = bounds[i]
-            out[start:stop] = combine_columns(
-                rule, [c[start:stop] for c in columns], weights
-            )
-
-        self._map_shards(one)
-        return out
-
 
 # --------------------------------------------------------------------------- #
 # Sharded displayed-set selection
@@ -1326,9 +1432,9 @@ def sharded_select_display_set(distances: np.ndarray, sharded: ShardedTable,
       row order, hence the exact quantile input) and applies the resulting
       threshold shard by shard;
     * the multi-peak heuristic needs the globally sorted distance prefix,
-      so it falls back to the monolithic implementation.
+      so it falls back to the whole-column implementation.
 
-    Results are bit-identical to the monolithic selection in every case.
+    Results are bit-identical to the whole-column selection in every case.
     """
     distances = np.asarray(distances, dtype=float)
     n = len(distances)
@@ -1350,7 +1456,7 @@ def sharded_select_display_set(distances: np.ndarray, sharded: ShardedTable,
         if target * len(bounds) > n // 2:
             # The per-shard candidate sets would together approach the full
             # column, so the merge would redo a full-size selection; the
-            # monolithic partition is cheaper and bit-identical.
+            # whole-column partition is cheaper and bit-identical.
             return select_display_set(
                 distances, capacity=capacity,
                 n_selection_predicates=n_selection_predicates,

@@ -10,7 +10,6 @@ the pool is discarded and lazily respawned, so later tests (and the
 differential suite) see a fresh pool.
 """
 
-import copy
 import os
 import pickle
 import signal
@@ -24,7 +23,6 @@ from repro import (
     PipelineConfig,
     Query,
     QueryEngine,
-    VisualFeedbackQuery,
     available_backends,
     between,
     condition,
@@ -37,6 +35,8 @@ from repro.core.engine import default_backend_name
 from repro.query import AndNode, OrNode, PredicateLeaf
 from repro.query.predicates import StringMatchPredicate
 from repro.storage.table import Table
+
+from reference import reference_frame
 
 
 # --------------------------------------------------------------------------- #
@@ -75,13 +75,10 @@ def build_prepared(backend, shards, *, table=None, cond=None, max_workers=2):
     return engine, table, engine.prepare(query)
 
 
-def cold_frame(table, prepared):
-    """From-scratch single-shard run of the prepared query's current state."""
-    return VisualFeedbackQuery(
-        table,
-        copy.deepcopy(prepared.query),
-        prepared.config.with_(shard_count=1, max_workers=1, backend="threads"),
-    ).execute()
+#: From-scratch reference of a prepared query's current state: the naive
+#: whole-table computation (no cache, shards or backend), shared by every
+#: suite through ``reference.reference_frame``.
+cold_frame = reference_frame
 
 
 def assert_frames_identical(reference, frame, context=""):
@@ -419,47 +416,32 @@ def _union_stats(prefetch):
     return prefetch.stats()["by_shape"]["union"]
 
 
-def test_or_mask_uses_union_prefetch_monolithic():
+@pytest.mark.parametrize("shards", [1, 4])
+def test_or_mask_uses_union_prefetch(shards):
+    """The evaluator's own OR fast path, at one shard and at several: the
+    same per-shard union regions either way."""
     table = make_table()
-    config = PipelineConfig(shard_count=1, max_workers=1, percentage=0.3)
-    engine = QueryEngine(table, config)
-    try:
-        prepared = engine.prepare(Query(name="union", tables=[table.name],
-                                        condition=_union_condition()))
-        reference = cold_frame(table, prepared)
-        assert_frames_identical(reference, prepared.execute(), "union initial")
-        first = _union_stats(engine.prefetch_for(table))
-        assert first["misses"] >= 1
-
-        # Narrowing one arm stays inside the fetched region: a union hit.
-        prepared.condition.children[0].predicate.high = 4.0
-        assert_frames_identical(cold_frame(table, prepared),
-                                prepared.execute(), "union narrowed")
-        second = _union_stats(engine.prefetch_for(table))
-        assert second["hits"] >= first["hits"] + 1
-    finally:
-        engine.close()
-
-
-def test_or_mask_uses_union_prefetch_sharded():
-    table = make_table()
-    # Pinned to the in-process backend: this is the evaluator's own OR
-    # fast path.  An offloading backend picked up from REPRO_BACKEND ships
-    # a cold plan of range leaves whole and never consults the prefetch.
-    config = PipelineConfig(shard_count=4, max_workers=2, percentage=0.3,
+    # Pinned to the in-process backend: an offloading backend picked up
+    # from REPRO_BACKEND ships a cold multi-shard plan of range leaves
+    # whole and never consults the prefetch.
+    config = PipelineConfig(shard_count=shards, max_workers=2, percentage=0.3,
                             backend="threads")
     engine = QueryEngine(table, config)
     try:
         prepared = engine.prepare(Query(name="union", tables=[table.name],
                                         condition=_union_condition()))
         assert_frames_identical(cold_frame(table, prepared),
-                                prepared.execute(), "sharded union initial")
-        shards = engine.sharded_table(prepared.table, 4).prefetch
-        assert sum(_union_stats(p)["misses"] for p in shards) >= 1
+                                prepared.execute(), "union initial")
+        prefetch = engine.sharded_table(prepared.table, shards).prefetch
+        assert len(prefetch) == shards
+        first = [_union_stats(p) for p in prefetch]
+        assert sum(stats["misses"] for stats in first) >= 1
 
+        # Narrowing one arm stays inside the fetched region: a union hit.
         prepared.condition.children[0].predicate.high = 4.0
         assert_frames_identical(cold_frame(table, prepared),
-                                prepared.execute(), "sharded union narrowed")
-        assert sum(_union_stats(p)["hits"] for p in shards) >= 1
+                                prepared.execute(), "union narrowed")
+        assert (sum(_union_stats(p)["hits"] for p in prefetch)
+                >= sum(stats["hits"] for stats in first) + 1)
     finally:
         engine.close()

@@ -3,9 +3,12 @@
 Randomized (seeded, shrinkable) query trees over random tables are executed
 three ways and must agree **bit for bit**:
 
-* a cold single-shard :class:`~repro.core.pipeline.VisualFeedbackQuery` run
-  (the reference semantics, a fresh engine per state);
-* sharded execution for shard counts {1, 2, 7, 32};
+* the naive whole-table reference
+  (:func:`~repro.core.plan.reference_feedback` through
+  ``reference.reference_frame``: no cache, no shards, no incremental state
+  -- the reference semantics, recomputed from scratch per state);
+* sharded execution for shard counts {1, 2, 7, 32} -- one evaluator, so
+  the one-shard leg can fail on an evaluator bug like any other;
 * incremental re-execution: the sharded engines are prepared once and
   driven through a random mutation sequence of slider / weight /
   percentage events, so every step after the first also exercises the
@@ -20,7 +23,7 @@ The random cases and the adversarial dirty-tracking cases additionally run
 once per **registered execution backend** (``threads``, ``process``, plus
 anything third parties register): the ExecBackend contract is that a
 backend only changes where the per-shard kernels run, so every backend
-must reproduce the cold single-shard bits exactly -- including the
+must reproduce the reference bits exactly -- including the
 incremental/dirty-tracking steps and the all-hit replay.
 
 On failure the harness shrinks the mutation sequence to the shortest
@@ -35,8 +38,9 @@ import copy
 import numpy as np
 import pytest
 
-from repro import PipelineConfig, QueryEngine, ScreenSpec, VisualFeedbackQuery
+from repro import PipelineConfig, QueryEngine, ScreenSpec
 from repro.backend import available_backends
+from repro.core.plan import reference_feedback
 from repro.core.reduction import ReductionMethod
 from repro.datasets import environmental_database
 from repro.interact.events import (
@@ -49,6 +53,8 @@ from repro.query.builder import Query, QueryBuilder, between, condition
 from repro.query.expr import AndNode, OrNode, PredicateLeaf
 from repro.query.predicates import AttributePredicate, ComparisonOperator, RangePredicate
 from repro.storage.table import Table
+
+from reference import reference_frame
 
 SHARD_COUNTS = (1, 2, 7, 32)
 CASES = 40
@@ -178,15 +184,6 @@ def assert_feedback_identical(reference, candidate, context: str) -> None:
         raise AssertionError(f"[{context}] {exc}") from None
 
 
-def cold_reference(source, prepared):
-    """A from-scratch single-shard run of the prepared query's current state."""
-    return VisualFeedbackQuery(
-        source,
-        copy.deepcopy(prepared.query),
-        prepared.config.with_(shard_count=1, max_workers=1),
-    ).execute()
-
-
 # --------------------------------------------------------------------------- #
 # Case execution and shrinking
 # --------------------------------------------------------------------------- #
@@ -205,7 +202,7 @@ def _check_case(seed: int, max_events: int = EVENTS_PER_CASE,
                        condition=copy.deepcopy(root)))
         for shards in SHARD_COUNTS
     }
-    reference = cold_reference(table, prepared[1])
+    reference = reference_frame(table, prepared[1])
     for shards in SHARD_COUNTS:
         assert_feedback_identical(
             reference, prepared[shards].execute(),
@@ -215,7 +212,7 @@ def _check_case(seed: int, max_events: int = EVENTS_PER_CASE,
         feedbacks = {
             shards: prepared[shards].execute(changes=[event]) for shards in SHARD_COUNTS
         }
-        reference = cold_reference(table, prepared[1])
+        reference = reference_frame(table, prepared[1])
         for shards in SHARD_COUNTS:
             assert_feedback_identical(
                 reference, feedbacks[shards],
@@ -290,7 +287,7 @@ def test_differential_join_query_with_slider_drag():
         feedbacks = {
             shards: prepared[shards].execute(changes=[event]) for shards in SHARD_COUNTS
         }
-        reference = cold_reference(db, prepared[1])
+        reference = reference_frame(db, prepared[1])
         for shards in SHARD_COUNTS:
             assert_feedback_identical(
                 reference, feedbacks[shards], f"join step={step} shards={shards}"
@@ -330,7 +327,7 @@ def _drive_against_cold(table, condition_root, config, events, context,
                        condition=copy.deepcopy(condition_root)))
         for shards in SHARD_COUNTS
     }
-    reference = cold_reference(table, prepared[1])
+    reference = reference_frame(table, prepared[1])
     for shards in SHARD_COUNTS:
         assert_feedback_identical(
             reference, prepared[shards].execute(),
@@ -341,7 +338,7 @@ def _drive_against_cold(table, condition_root, config, events, context,
             shards: prepared[shards].execute(changes=[event])
             for shards in SHARD_COUNTS
         }
-        reference = cold_reference(table, prepared[1])
+        reference = reference_frame(table, prepared[1])
         for shards in SHARD_COUNTS:
             assert_feedback_identical(
                 reference, feedbacks[shards],
@@ -462,7 +459,7 @@ def test_differential_interleaved_sessions_same_attribute(backend):
             for k in range(3)
         ]
     for k in (0, 1):  # session 2 opens late, after its peers' events
-        reference = cold_reference(table, sessions[1][k])
+        reference = reference_frame(table, sessions[1][k])
         for shards in SHARD_COUNTS:
             assert_feedback_identical(
                 reference, sessions[shards][k].execute(),
@@ -480,7 +477,7 @@ def test_differential_interleaved_sessions_same_attribute(backend):
             shards: sessions[shards][k].execute(changes=[event])
             for shards in SHARD_COUNTS
         }
-        reference = cold_reference(table, sessions[1][k])
+        reference = reference_frame(table, sessions[1][k])
         for shards in SHARD_COUNTS:
             assert_feedback_identical(
                 reference, feedbacks[shards],
@@ -523,8 +520,7 @@ def test_differential_shard_count_beyond_rows():
     config = PipelineConfig(screen=ScreenSpec(width=32, height=32))
     query = Query(name="tiny", tables=["Tiny"],
                   condition=AndNode([between("a", 10.0, 60.0), condition("b", ">", 4.0)]))
-    reference = VisualFeedbackQuery(table, copy.deepcopy(query),
-                                    config.with_(shard_count=1)).execute()
+    reference = reference_feedback(table, query.condition, config)
     for shards in (2, 7, 32, 64):
         feedback = QueryEngine(table, config.with_(shard_count=shards)).prepare(
             copy.deepcopy(query)).execute()

@@ -5,22 +5,27 @@ import pytest
 
 from repro import (
     AndNode,
+    Database,
     OrNode,
     PipelineConfig,
     QueryBuilder,
     QueryEngine,
+    ScreenSpec,
+    Table,
     VisualFeedbackQuery,
     condition,
 )
-from repro.core.plan import EvaluationCache, PlanEvaluator, compile_plan
+from repro.core.plan import PlanEvaluator, compile_plan
 from repro.interact.events import (
     SetPercentageDisplayed,
     SetQueryRange,
     SetThreshold,
     SetWeight,
 )
-from repro.query.builder import between
+from repro.query.builder import Query, between
 from repro.query.predicates import AttributePredicate, ComparisonOperator, RangePredicate
+
+from reference import reference_frame
 
 
 def assert_feedback_equal(a, b):
@@ -172,6 +177,40 @@ def test_mutating_shared_condition_is_detected(weather_db, or_query):
     assert results_after == cold.statistics.num_results
 
 
+@pytest.mark.parametrize("percentage", [0.2, None])
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_table_swap_forgets_per_root_state(shards, percentage):
+    """Re-pointing the query at another table must not serve the old one's
+    state: value fingerprints name the computation, not the table, so the
+    same query over same-shaped tables has the same keys."""
+    def table(name, seed):
+        rng = np.random.default_rng(seed)
+        return Table(name, {"a": rng.uniform(0.0, 100.0, 400),
+                            "b": rng.uniform(0.0, 100.0, 400)})
+
+    db = Database("swap", [table("T1", 1), table("T2", 2)])
+    config = PipelineConfig(screen=ScreenSpec(width=32, height=32),
+                            percentage=percentage, shard_count=shards,
+                            max_workers=2)
+    prepared = QueryEngine(db, config).prepare(Query(
+        name="swap", tables=["T1"],
+        condition=AndNode([condition("a", ">", 97.0), between("b", 20.0, 23.0)])))
+    assert_feedback_equal(reference_frame(db, prepared), prepared.execute())
+    prepared.query.tables = ["T2"]
+    swapped = prepared.execute()
+    assert swapped.table is db.table("T2")
+    assert_feedback_equal(reference_frame(db, prepared), swapped)
+    # No relation to the T1 frame may be claimed: a streaming consumer must
+    # take the whole relevance column, not "nothing changed".
+    assert swapped.delta is None
+    ((start, stop, values),) = swapped.relevance_updates()
+    assert (start, stop) == (0, 400) and values is swapped.relevance
+    # Patching resumes on the new table.
+    moved = prepared.execute(changes=[SetQueryRange((1,), 20.0, 30.0)])
+    assert_feedback_equal(reference_frame(db, prepared), moved)
+    assert moved.delta is not None and moved.base_frame_id == swapped.frame_id
+
+
 def test_apply_change_validation_errors(weather_db, or_query):
     prepared = QueryEngine(weather_db).prepare(or_query)
     with pytest.raises(TypeError):
@@ -201,27 +240,37 @@ def test_prefetch_serves_slider_drag_sequence(weather_db):
         ]))
         .build()
     )
-    # This test asserts the *monolithic* prefetch counters; under sharding
-    # the same drags hit per-shard caches instead (covered by
-    # tests/test_differential.py), so the shard count is pinned here.
+    # One shard pinned: the counters below are that one shard's (at more
+    # shards the same drags hit per-shard caches instead, covered by
+    # tests/test_differential.py).
     engine = QueryEngine(weather_db, shard_count=1)
     prepared = engine.prepare(query)
     prepared.execute()
-    prefetch = engine.prefetch_for(prepared.table)
+    (prefetch,) = engine.sharded_table(prepared.table, 1).prefetch
     # The initial execution fetched a widened [30, 80] region.
     assert prefetch.fetches == 1 and prefetch.cache_hits == 0
-    # A drag that narrows the range: every step falls inside the widened
-    # region already fetched, so every step is a cache hit.
+    # The first narrowing move has no index yet (it is what makes the
+    # slider hot), so its mask comes out of the widened region: a hit.
     prepared.execute(changes=[SetQueryRange((0,), 35.0, 75.0)])
+    assert (prefetch.fetches, prefetch.cache_hits) == (1, 1)
+    # The dragged attribute was indexed after that first interactive change.
+    assert "Humidity" in prefetch.indexes
+    # From here on the leaf's site entry is the base: each move patches the
+    # mask over the changed rows only and never asks the prefetch cache.
+    before = prepared.cache_stats
     for low in (40.0, 45.0, 50.0):
-        prepared.execute(changes=[SetQueryRange((0,), low, 70.0)])
-    assert prefetch.fetches == 1
-    assert prefetch.cache_hits == 4
-    # Widening far beyond the cached region forces a fresh (indexed) fetch.
+        feedback = prepared.execute(changes=[SetQueryRange((0,), low, 75.0)])
+    np.testing.assert_array_equal(
+        feedback.node_feedback[(0,)].exact_mask,
+        RangePredicate("Humidity", 50.0, 75.0).exact_mask(prepared.table))
+    assert (prefetch.fetches, prefetch.cache_hits) == (1, 1)
+    assert prepared.cache_stats["chunks_patched"] > before["chunks_patched"]
+    # Moving the upper bound changes more than a third of the rows (most
+    # of the data lies above it), so the leaf is recomputed in full -- and
+    # the widened range lies outside the cached region: a fresh (indexed)
+    # fetch.
     prepared.execute(changes=[SetQueryRange((0,), 6.0, 99.0)])
     assert prefetch.fetches == 2
-    # The dragged attribute was indexed after the first interactive change.
-    assert "Humidity" in prefetch.indexes
 
 
 def test_prefetch_mask_matches_direct_evaluation(weather_db):
@@ -281,13 +330,13 @@ def test_cached_feedback_arrays_are_read_only(weather_db, or_query):
 
 
 def test_plan_evaluator_matches_relevance_evaluator(weather_db, or_condition):
-    """The plan path reproduces the classic evaluator on a fresh cache."""
+    """The naive plan reference reproduces the classic evaluator."""
     from repro.core.relevance import RelevanceEvaluator
 
     table = weather_db.table("Weather")
     classic = RelevanceEvaluator(display_capacity=500).evaluate(or_condition, table)
     plan = compile_plan(or_condition)
-    planned = PlanEvaluator(table, display_capacity=500, cache=EvaluationCache()).evaluate(plan)
+    planned = PlanEvaluator(table, display_capacity=500).evaluate(plan)
     assert set(classic) == set(planned)
     for path in classic:
         np.testing.assert_allclose(

@@ -10,8 +10,6 @@ surfaces the counters.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -40,6 +38,8 @@ from repro.interact.events import (
 from repro.query.builder import Query, between, condition
 from repro.query.expr import AndNode, OrNode
 from repro.storage.table import Table
+
+from reference import reference_frame
 
 
 def locality_table(n: int = 20_000, seed: int = 5) -> Table:
@@ -105,7 +105,7 @@ def test_interior_micro_move_recomputes_only_dirty_shards():
 def test_range_patch_on_int64_column_matches_cold(shards):
     """Range drags on a column supplied as int64 go through the row patch
     (which gathers the changed rows, then converts only those to float) and
-    stay bit-identical to a cold run, monolithic and sharded."""
+    stay bit-identical to the naive reference, at one shard and at several."""
     n = 6_000
     table = Table("Ticks", {
         "k": np.arange(n, dtype=np.int64) * 3,
@@ -120,9 +120,7 @@ def test_range_patch_on_int64_column_matches_cold(shards):
     before = prepared.cache_stats
     for high in (14_990.0, 14_981.0, 17_000.0, 14_000.0):
         feedback = prepared.execute(changes=[SetQueryRange((0,), 300.0, high)])
-        cold = QueryEngine(table, config.with_(shard_count=1, max_workers=1)).prepare(
-            Query(name="cold", tables=[table.name],
-                  condition=copy.deepcopy(prepared.query.condition))).execute()
+        cold = reference_frame(table, prepared)
         np.testing.assert_array_equal(feedback.display_order, cold.display_order)
         for path in ((), (0,)):
             ours, theirs = feedback.node_feedback[path], cold.node_feedback[path]
@@ -396,8 +394,5 @@ def test_displayed_patch_survives_threshold_shift():
     # Collapse the range onto a tiny band: almost every distance changes
     # and the displayed threshold moves by a lot.
     collapsed = prepared.execute(changes=[SetQueryRange((0,), 400.0, 410.0)])
-    config = prepared.config.with_(shard_count=1, max_workers=1)
-    cold = QueryEngine(table, config).prepare(
-        Query(name="cold", tables=[table.name],
-              condition=copy.deepcopy(prepared.query.condition))).execute()
+    cold = reference_frame(table, prepared)
     np.testing.assert_array_equal(collapsed.display_order, cold.display_order)

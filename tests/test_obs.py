@@ -226,6 +226,58 @@ def test_chrome_trace_export_shape(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
+# Engine reason codes
+# --------------------------------------------------------------------------- #
+def test_per_root_statistics_say_why_they_rebuilt():
+    """``state_declined`` on the span where the relation was decided.
+
+    The table is built so each reason has a deterministic trigger.  The
+    root is one range leaf at weight 0.5 over ``t`` (80 rows, target 20,
+    keep 40): the keep-th smallest distance belongs to rows *below* the
+    range, which a move of the upper bound leaves alone, so the evaluator
+    keeps its dirty-shard relation; the target-th smallest belongs to rows
+    *above* it, whose distances all move -- the displayed set's own
+    counting certificate fails.
+    """
+    from repro import QueryEngine
+    from repro.interact.events import SetPercentageDisplayed, SetWeight
+
+    t = np.concatenate([
+        800.0 + 2.0 * np.arange(1, 16),                     # above: d = 2..30
+        np.linspace(300.0, 700.0, 10),                      # inside: d = 0
+        np.full(10, 160.0), np.full(10, 150.0),             # below: d = 40, 50
+        40.0 - np.arange(35),                               # far below
+    ])
+    table = Table("Steps", {"t": t})
+    config = PipelineConfig(screen=ScreenSpec(width=32, height=32),
+                            percentage=0.25, shard_count=2, max_workers=2)
+    prepared = QueryEngine(table, config).prepare(Query(
+        name="steps", tables=[table.name],
+        condition=between("t", 200.0, 800.0).with_weight(0.5)))
+
+    def declined(*changes) -> dict[str, str]:
+        trace = Trace("event", trace_id=1)
+        with use_trace(trace):
+            prepared.execute(changes=list(changes))
+        return {s.name: s.attrs["state_declined"] for s in trace.spans
+                if "state_declined" in (s.attrs or {})}
+
+    everything = {"displayed.select", "relevance.update", "result_count"}
+    assert declined() == dict.fromkeys(everything, "no-state")
+    assert declined() == {}                  # replay: same root column
+    assert declined(SetQueryRange((), 200.0, 801.0)) == {
+        "displayed.select": "certificate-failed"}
+    # A new target: the displayed state was built for another one.  (The
+    # other statistics keep patching when the bounds certify.)
+    assert declined(SetPercentageDisplayed(0.2))["displayed.select"] == \
+        "params-changed"
+    # A weight move re-resolves the bounds: no dirty-shard relation.  (The
+    # result count needs none: the fulfilment mask is the same object.)
+    assert declined(SetWeight((), 0.25)) == {
+        "displayed.select": "no-relation", "relevance.update": "no-relation"}
+
+
+# --------------------------------------------------------------------------- #
 # Metrics registry
 # --------------------------------------------------------------------------- #
 def test_counter_increments_are_atomic_under_threads():

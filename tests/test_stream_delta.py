@@ -5,8 +5,8 @@ The binding contract of the FeedbackFrame redesign: a client that applies
 JSON round trip -- exactly the frame state a cold full snapshot of the
 same query state would produce.  Randomized query/mutation sequences (the
 generators of the differential harness) are replayed across shard counts
-{1, 2, 7, 32}; every step checks the replayed client state against a cold
-single-shard reference.
+{1, 2, 7, 32}; every step checks the replayed client state against the
+naive whole-table reference.
 
 Around that sit unit tests for the pieces: engine-level frame versioning
 (:class:`~repro.core.result.FeedbackFrame` ids and proven entered/left/
@@ -48,8 +48,10 @@ from repro.service.snapshot import (
     DisplayedOrder,
     FrameGapError,
     FrameSnapshot,
+    WindowCache,
     parse_path_key,
     path_key,
+    window_state,
 )
 from repro.storage.table import Table
 from repro.vis.colormap import VisDBColormap
@@ -57,6 +59,7 @@ from repro.vis.layout import MultiWindowLayout
 from repro.vis.render import patch_rgb
 from repro.vis.window import VisualizationWindow
 
+from reference import reference_frame
 from test_differential import (
     random_condition,
     random_config,
@@ -107,15 +110,20 @@ def reconstructable(state: dict) -> dict:
 
 
 def cold_reference_state(source, prepared) -> dict:
-    """Frame state of a cold single-shard snapshot of the current query state."""
-    engine = QueryEngine(source, prepared.config.with_(shard_count=1, max_workers=1))
-    cold = engine.prepare(Query(
-        name="cold", tables=list(prepared.query.tables),
-        condition=copy.deepcopy(prepared.query.condition),
-    ))
-    session = ServiceSession("cold", cold, layout=small_layout())
-    snapshot = session.execute_batch([])
-    return reconstructable(frame_state(frame_payload(snapshot)))
+    """Frame state a full snapshot of the naive reference frame would carry.
+
+    The feedback comes from ``reference.reference_frame`` (no cache, no
+    shards); the windows are rendered from it exactly as a session renders
+    them and encoded with the wire model's own ``window_state``.
+    """
+    feedback = reference_frame(source, prepared)
+    windows, _ = WindowCache(small_layout()).windows(feedback)
+    return canonical({
+        "statistics": feedback.statistics.as_dict(),
+        "display_order": feedback.display_order.tolist(),
+        "windows": {path_key(path): window_state(window)
+                    for path, window in windows.items()},
+    })
 
 
 # --------------------------------------------------------------------------- #
@@ -333,7 +341,10 @@ def test_result_count_matches_popcount_and_patches():
     )
 
 
-def test_result_count_monolithic_path_unchanged():
+def test_result_count_one_shard_patches_too():
+    """One shard is the same evaluator: the count equals the popcount and,
+    once the drag has a site entry to patch from, goes through the same
+    per-shard recount (of the one shard) as any other shard count."""
     table, prepared = drag_prepared(shards=1)
     stats = prepared.engine.evaluation_cache(prepared.table).stats
     for k in range(3):
@@ -341,7 +352,7 @@ def test_result_count_monolithic_path_unchanged():
             changes=[SetQueryRange((0,), 50.0, 896.0 - 1.0 * k)])
         assert frame.statistics.num_results == int(
             np.count_nonzero(frame.overall.exact_mask))
-    assert stats.result_count_patches == 0
+    assert stats.result_count_patches > 0
 
 
 # --------------------------------------------------------------------------- #
