@@ -25,7 +25,11 @@ prefetch fast path):
   popcounts and summaries -- O(partials) bytes, independent of the rows
   per shard.  ``reply_ratio`` (per-shard column bytes / per-event reply
   bytes) is likewise a protocol byte count, gated in
-  ``check_regression.py``.
+  ``check_regression.py``;
+* offload eligibility under mixed traffic: sessions opening on an engine
+  whose earlier sessions already dragged the same range attribute must
+  each take the whole-pipeline offload (``pipeline_ops_per_open == 1``)
+  while every drag patches in-process from its own site entry.
 
 ``extra_info`` lands in ``BENCH_backend.json``, which CI uploads as an
 artifact next to the other BENCH_* trajectories.
@@ -39,7 +43,9 @@ import time
 import numpy as np
 import pytest
 
-from repro import AndNode, OrNode, PipelineConfig, Query, QueryEngine, condition
+from repro import (
+    AndNode, OrNode, PipelineConfig, Query, QueryEngine, between, condition,
+)
 from repro.storage.table import Table
 
 ROWS = 1_000_000
@@ -198,6 +204,68 @@ def test_backend_cold_throughput_1m(benchmark):
 
     threads.engine.close()
     process.engine.close()
+
+
+def test_backend_mixed_open_drag_offloads_every_open(benchmark):
+    """Opens offload whatever peers dragged before; drags never do.
+
+    Eligibility is a property of the site: a session's first execution has
+    no slice entry, so its range leaf ships with the rest of the plan; its
+    own later micro-moves patch O(changed rows) in-process.  No engine-wide
+    state is consulted, so ``pipeline_ops`` counts exactly the opens.
+    """
+    rows = 200_000
+    rng = np.random.default_rng(43)
+    table = Table("Mixed", {"t": np.sort(rng.uniform(0.0, 1000.0, rows)),
+                            "b": rng.normal(0.0, 1.0, rows)})
+    engine = QueryEngine(table, PipelineConfig(
+        percentage=0.02, shard_count=SHARDS, max_workers=WORKERS,
+        backend="process"))
+    opened = []
+
+    def open_session():
+        k = len(opened)
+        prepared = engine.prepare(Query(
+            name=f"mixed-{k}", tables=[table.name],
+            condition=AndNode([between("t", 100.0 + k, 900.0 - k),
+                               condition("b", "<", 0.5 + 0.1 * k)])))
+        opened.append(prepared)
+        return prepared.execute()
+
+    def drag(prepared, high):
+        prepared.condition.children[0].predicate.high = high
+        prepared.execute()
+
+    def pipeline_ops():
+        return engine.stats()["backend"]["pipeline_ops"]
+
+    try:
+        open_session()
+        drag(opened[0], 899.0)
+        drag(opened[0], 898.0)
+        assert pipeline_ops() == 1, "a drag took the whole-pipeline offload"
+        for _ in range(4):
+            open_session()
+        benchmark.pedantic(open_session, rounds=3, iterations=1)
+        ops_at_opens = pipeline_ops()
+        drag(opened[-1], 880.0)
+        drag(opened[0], 897.0)
+        stats = engine.stats()["backend"]
+        benchmark.extra_info.update({
+            "rows": rows,
+            "shards": SHARDS,
+            "sessions_opened": len(opened),
+            "pipeline_ops": stats["pipeline_ops"],
+            "pipeline_ops_per_open": ops_at_opens / len(opened),
+        })
+        assert stats["pipeline_fallbacks"] == 0
+        assert ops_at_opens == len(opened), (
+            f"{len(opened)} sessions opened after a peer's drag but only "
+            f"{ops_at_opens} whole-pipeline ops ran")
+        assert stats["pipeline_ops"] == ops_at_opens, (
+            "a drag on a session with its own site entry was offloaded")
+    finally:
+        engine.close()
 
 
 #: The remote leg needs a live worker fleet; the ``backend-remote`` CI

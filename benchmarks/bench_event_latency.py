@@ -12,9 +12,11 @@ row order (the locality real time-series data has -- row-range shards give
 a value band few dirty shards):
 
 * **headline** (1M rows, 32 shards): p50/p95 per-event latency of interior
-  micro-moves, incremental vs. the pre-PR full path
-  (``incremental_shards=False``), asserting the event recomputes no more
-  than the dirty shards (counter-verified) and a >= 5x lower p95;
+  micro-moves against the cold path a client can reach -- the same bounds
+  executed by a fresh ``PreparedQuery`` on its own warm engine (leaf/node
+  LRUs and indexes warm, no per-query state to patch from) -- asserting
+  the event recomputes no more than the dirty shards (counter-verified)
+  and a >= 5x lower p95;
 * **size sweep**: p50/p95 at 50k / 250k / 1M / 4M rows under a *fixed
   screen*: the display budget (rows shown) and the swept band (rows whose
   distance an event changes) are held constant across sizes, because the
@@ -100,28 +102,38 @@ def locality_table(n: int, seed: int = 7) -> Table:
     return Table("Events", {"t": t, "a": a, "b": b})
 
 
-def _condition():
+def _condition(high: float = 990.0):
     return AndNode([
-        between("t", 5.0, 990.0),
+        between("t", 5.0, high),
         OrNode([condition("a", ">", 30.0), condition("b", "<", 70.0)]),
     ])
 
 
-def _config(incremental: bool = True, percentage: float = 0.01,
-            shards: int = SHARDS) -> PipelineConfig:
+def _config(percentage: float = 0.01, shards: int = SHARDS) -> PipelineConfig:
     return PipelineConfig(
-        percentage=percentage, shard_count=shards, max_workers=WORKERS,
-        incremental_shards=incremental,
-    )
+        percentage=percentage, shard_count=shards, max_workers=WORKERS)
 
 
-def _prepare(table: Table, incremental: bool, percentage: float = 0.01,
-             shards: int = SHARDS):
-    engine = QueryEngine(table, _config(incremental, percentage, shards))
+def _prepare(table: Table, percentage: float = 0.01, shards: int = SHARDS):
+    engine = QueryEngine(table, _config(percentage, shards))
     prepared = engine.prepare(
         Query(name="events", tables=[table.name], condition=_condition()))
     prepared.execute()
     return engine, prepared
+
+
+def _full_engine(table: Table) -> QueryEngine:
+    """A warm engine for the "full" side: one open done, slider indexed."""
+    engine, _ = _prepare(table)
+    engine.ensure_range_index(table, "t", shard_count=SHARDS)
+    return engine
+
+
+def _full_event(engine: QueryEngine, table: Table, high: float):
+    """The cold path: a fresh prepared query opens at the event's bounds."""
+    return engine.prepare(Query(
+        name="events", tables=[table.name], condition=_condition(high),
+    )).execute()
 
 
 def _drag(prepared, *, start_high: float, step: float, events: int,
@@ -129,8 +141,8 @@ def _drag(prepared, *, start_high: float, step: float, events: int,
     """Run an interior micro-move drag; returns (times_s, last_feedback).
 
     The first ``warmup`` events are excluded from the timings: they pay
-    one-off costs (index builds, history seeding, allocator page faults)
-    that a steady drag never sees.
+    one-off costs (index builds, allocator page faults) that a steady
+    drag never sees.
     """
     high = start_high
     times = []
@@ -145,9 +157,12 @@ def _drag(prepared, *, start_high: float, step: float, events: int,
     return times, feedback
 
 
-def _interleaved_drag(incremental_prepared, full_prepared, *, start_high: float,
+def _interleaved_drag(incremental_prepared, full_engine, *, start_high: float,
                       step: float, events: int, warmup: int = WARMUP_EVENTS):
     """Alternate the same micro-moves between both paths, one event apart.
+
+    The incremental side drags one prepared query; the full side opens a
+    fresh one at the same bounds on ``full_engine`` (:func:`_full_event`).
 
     Background load on a shared host then hits both sides equally, so the
     p50/p95 *ratio* stays meaningful even when absolute timings wobble
@@ -163,7 +178,7 @@ def _interleaved_drag(incremental_prepared, full_prepared, *, start_high: float,
         feedback = incremental_prepared.execute(changes=list(event))
         inc_elapsed = time.perf_counter() - t0
         t0 = time.perf_counter()
-        full_prepared.execute(changes=list(event))
+        _full_event(full_engine, incremental_prepared.table, high)
         full_elapsed = time.perf_counter() - t0
         if k >= warmup:
             times_inc.append(inc_elapsed)
@@ -176,21 +191,21 @@ def _quantiles(times) -> tuple[float, float]:
 
 
 # --------------------------------------------------------------------------- #
-# Headline: 1M rows, 32 shards, incremental vs pre-PR full path
+# Headline: 1M rows, 32 shards, incremental vs a fresh query per event
 # --------------------------------------------------------------------------- #
 def test_event_latency_headline_1m_rows(benchmark):
     table = locality_table(HEADLINE_ROWS)
-    engine, prepared = _prepare(table, incremental=True)
-    _, full_prepared = _prepare(table, incremental=False)
+    engine, prepared = _prepare(table)
+    full_engine = _full_engine(table)
     stats = engine.evaluation_cache(prepared.table).stats
-    # Warm both paths first (index builds, history seeding, allocator
-    # page faults), then snapshot the counters so the assertions below
-    # cover exactly the measured steady-state drag.
-    _interleaved_drag(prepared, full_prepared, start_high=990.0, step=0.2,
+    # Warm both paths first (index builds, allocator page faults), then
+    # snapshot the counters so the assertions below cover exactly the
+    # measured steady-state drag.
+    _interleaved_drag(prepared, full_engine, start_high=990.0, step=0.2,
                       events=WARMUP_EVENTS, warmup=0)
     before = stats.as_dict()
     times_inc, times_full, feedback = _interleaved_drag(
-        prepared, full_prepared,
+        prepared, full_engine,
         start_high=990.0 - (WARMUP_EVENTS * 0.2), step=0.2,
         events=MEASURED_EVENTS, warmup=0)
     after = stats.as_dict()
@@ -238,7 +253,7 @@ def test_event_latency_headline_1m_rows(benchmark):
     if ENOUGH_CPUS:
         assert p95_speedup >= 5.0, (
             f"single-leaf interior events must be >= 5x faster at p95 than "
-            f"the full per-shard path: p95 {p95_inc * 1e3:.1f} ms vs "
+            f"a fresh query's full path: p95 {p95_inc * 1e3:.1f} ms vs "
             f"{p95_full * 1e3:.1f} ms ({p95_speedup:.1f}x)"
         )
 
@@ -254,8 +269,7 @@ def test_event_latency_size_sweep(benchmark):
         # number of swept rows per event at every size.  The slider column
         # is uniform on [0, 1000], so row counts convert to value space by
         # the 1000/n density.
-        _, prepared = _prepare(table, incremental=True,
-                               percentage=SWEEP_VIEW_ROWS / n,
+        _, prepared = _prepare(table, percentage=SWEEP_VIEW_ROWS / n,
                                shards=_sweep_shards(n))
         start_high = 1000.0 * (1.0 - SWEEP_BAND_ROWS / n)
         step = 1000.0 * SWEEP_STEP_ROWS / n
@@ -277,7 +291,7 @@ def test_event_latency_size_sweep(benchmark):
     large_p95 = rows[str(SIZES[-1])]["p95_ms"]
     flatness = large_p95 / base_p95
     table = locality_table(SIZES[0])
-    _, prepared = _prepare(table, incremental=True)
+    _, prepared = _prepare(table)
     high = [980.0]
 
     def one_event():
@@ -334,8 +348,8 @@ def test_event_latency_trace_overhead(benchmark):
     .json`` as a Perfetto-loadable artifact of the run itself.
     """
     table = locality_table(250_000)
-    _, traced = _prepare(table, incremental=True)
-    _, untraced = _prepare(table, incremental=True)
+    _, traced = _prepare(table)
+    _, untraced = _prepare(table)
     tracer = Tracer(enabled=True, budget_ms=None, ring_size=8)
 
     times_traced, times_untraced = [], []
@@ -400,7 +414,7 @@ def test_event_latency_dirty_fraction_sweep(benchmark):
     table = locality_table(HEADLINE_ROWS)
     sweep = {}
     for dirty_target in (1, 2, 4, 8, 16, 32):
-        _, prepared = _prepare(table, incremental=True)
+        _, prepared = _prepare(table)
         # Position the high bound so that ~dirty_target/32 of the sorted
         # rows violate it: every event re-touches that band.
         frac = dirty_target / SHARDS
@@ -417,7 +431,7 @@ def test_event_latency_dirty_fraction_sweep(benchmark):
             "observed_dirty": observed if observed is not None else SHARDS,
         }
 
-    _, prepared = _prepare(table, incremental=True)
+    _, prepared = _prepare(table)
     high = [980.0]
 
     def one_event():
@@ -434,10 +448,9 @@ def test_event_latency_dirty_fraction_sweep(benchmark):
 if __name__ == "__main__":  # pragma: no cover - manual timing entry point
     results: dict[str, object] = {"shards": SHARDS, "cpus": os.cpu_count() or 1}
     table = locality_table(HEADLINE_ROWS)
-    _, prepared = _prepare(table, incremental=True)
-    _, full_prepared = _prepare(table, incremental=False)
+    _, prepared = _prepare(table)
     times_inc, times_full, feedback = _interleaved_drag(
-        prepared, full_prepared, start_high=990.0, step=0.2,
+        prepared, _full_engine(table), start_high=990.0, step=0.2,
         events=MEASURED_EVENTS)
     results["report"] = copy.deepcopy(feedback.extra["incremental"])
     for label, times in (("incremental", times_inc), ("full", times_full)):

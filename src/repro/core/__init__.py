@@ -51,7 +51,6 @@ from repro.core.shard import (
     ShardedPlanEvaluator,
     ShardedTable,
     shard_bounds,
-    sharded_select_display_set,
 )
 from repro.core.engine import QueryEngine, PreparedQuery, ScreenSpec, PipelineConfig
 from repro.core.pipeline import VisualFeedbackQuery
@@ -86,7 +85,6 @@ __all__ = [
     "ShardedPlanEvaluator",
     "ShardedTable",
     "shard_bounds",
-    "sharded_select_display_set",
     "QueryEngine",
     "PreparedQuery",
     "VisualFeedbackQuery",

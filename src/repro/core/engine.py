@@ -58,6 +58,7 @@ from repro.core.reduction import (
     quantile_certificate,
     quantile_rank_bounds,
     quantile_shard_counts,
+    select_display_set,
     topk_candidates,
 )
 from repro.core.shard import (
@@ -67,7 +68,6 @@ from repro.core.shard import (
     _map_indexed,
     pool_user,
     shared_executor,
-    sharded_select_display_set,
     shutdown_executors,
 )
 from repro.core.relevance import RelevanceScale, relevance_factors
@@ -191,15 +191,6 @@ class PipelineConfig:
     #: Worker threads for per-shard work (None = CPU count, capped at the
     #: shard count; 1 runs inline without a pool).
     max_workers: int | None = None
-    #: Dirty-shard tracking: per-node slice caching, incremental bounds/
-    #: top-k maintenance and displayed-set patching.  Off means every event
-    #: pays the full per-shard renormalize/recombine/select pass (the
-    #: pre-incremental behaviour); results are bit-identical either way.
-    #: No deployment wants False; the knob stays because it has callers
-    #: that need it: ``benchmarks/bench_event_latency.py`` measures its
-    #: gated ``p50_speedup`` / ``p95_speedup`` against it, and two
-    #: differential tests use it as a second reference.
-    incremental_shards: bool = True
     #: Execution backend for sharded work ("threads", "process", or any
     #: name registered via :func:`repro.backend.register_backend`).  None
     #: defers to the ``REPRO_BACKEND`` environment variable (default
@@ -212,10 +203,6 @@ class PipelineConfig:
             raise ValueError("pixels_per_item must be 1, 4 or 16")
         if self.percentage is not None and not 0.0 < self.percentage <= 1.0:
             raise ValueError("percentage must be in (0, 1]")
-        if not isinstance(self.incremental_shards, bool):
-            raise ValueError(
-                f"incremental_shards must be a bool, got {self.incremental_shards!r}"
-            )
         for name in ("shard_count", "max_workers"):
             value = getattr(self, name)
             if value is None:
@@ -1038,13 +1025,13 @@ class PreparedQuery:
     def _topk_target(self, n: int) -> int | None:
         """Displayed-set size when it is built from per-shard top-k partials.
 
-        None when that path does not apply: another reduction method,
-        dirty-shard tracking off, a degenerate target, or past the adaptive
-        cutoff where the per-shard candidate sets would together approach
-        the full column -- :func:`~repro.core.shard.sharded_select_display_set`
-        then selects, bit-identically by the same merge algebra.
+        None when that path does not apply: another reduction method, a
+        degenerate target, or past the adaptive cutoff where the per-shard
+        candidate sets would together approach the full column -- the
+        whole-column :func:`~repro.core.reduction.select_display_set` then
+        selects, bit-identically by the same tie rule.
         """
-        if self.config.percentage is None or not self.config.incremental_shards:
+        if self.config.percentage is None:
             return None
         target = max(1, int(round(self.config.percentage * n)))
         if target >= n or target * self.shard_count > n // 2:
@@ -1123,10 +1110,10 @@ class PreparedQuery:
         Returns ``(displayed, certified)``.  ``certified`` True means
         dirty-shard recounts alone proved the cached threshold element is
         still the p-quantile (see :class:`_QuantileState`): O(dirty shards)
-        work, no O(n) concatenate or quantile.  Otherwise the exact rebuild
-        runs here, mirroring
-        :func:`~repro.core.shard.sharded_select_display_set` bit for bit,
-        and re-seeds the certificate for the next event.
+        work, no O(n) concatenate or quantile.  Otherwise the exact
+        per-shard rebuild runs here (bit-identical to the whole-column
+        :func:`~repro.core.reduction.select_by_quantile`) and re-seeds the
+        certificate for the next event.
         """
         cache = self.engine.evaluation_cache(self.table)
         bounds = sharded.bounds
@@ -1164,9 +1151,10 @@ class PreparedQuery:
             cache.record_quantile(True)
             return state.displayed, True
         # Exact rebuild (cold run, certificate failure, or no usable
-        # delta), mirroring sharded_select_display_set's quantile branch
-        # bit for bit -- plus the order statistics and counting rows that
-        # seed the next event's certificate.
+        # delta): per-shard finite values concatenated in row order are the
+        # exact quantile input, and the threshold is applied shard by shard
+        # -- plus the order statistics and counting rows that seed the next
+        # event's certificate.
         def finite_part(i: int) -> np.ndarray:
             part = distances[bounds[i][0]:bounds[i][1]]
             return part[np.isfinite(part)]
@@ -1326,7 +1314,6 @@ class PreparedQuery:
                 capacity_items, max(1, int(round(self.config.percentage * n)))
             )
         shard_count = self.shard_count
-        incremental = self.config.incremental_shards
         # Registered as a pool user across all shard waves, so a concurrent
         # QueryEngine.close() elsewhere in the process drains this
         # execution instead of shutting the pool down between two waves.
@@ -1347,7 +1334,6 @@ class PreparedQuery:
                 target_max=self.config.target_max,
                 cache=self.engine.evaluation_cache(table),
                 executor=executor,
-                incremental=incremental,
                 slice_token=self._slice_token,
                 backend=backend,
             )
@@ -1360,8 +1346,12 @@ class PreparedQuery:
                           backend=self.backend_name if backend else None
                           ) as eval_span:
                 node_feedback = evaluator.evaluate(self._plan)
-                if incremental:
-                    eval_span.annotate(**evaluator.event_report())
+                # Dirty-shard attribution of this event, for the trace,
+                # benchmarks and the service metrics: how many shards the
+                # event actually touched and how many node columns were
+                # patched vs. served wholesale.
+                event_report = evaluator.event_report()
+                eval_span.annotate(**event_report)
             overall = node_feedback[()]
             # How this event's root column relates to the one the cached
             # per-root state was built from (see _dirty_since).
@@ -1374,7 +1364,7 @@ class PreparedQuery:
             )
             with obs.span("displayed.select", method=method.name) as sel:
                 displayed = None
-                if incremental and n and method is ReductionMethod.QUANTILE:
+                if n and method is ReductionMethod.QUANTILE:
                     # The quantile certificate: dirty-shard recounts proved
                     # the cached threshold element still the p-quantile, or
                     # the exact rebuild ran (bit-identical either way).
@@ -1384,10 +1374,10 @@ class PreparedQuery:
                     )
                     sel.annotate(certificate="quantile", node="()",
                                  certified=certified)
-                elif incremental and method is ReductionMethod.PERCENTAGE:
+                elif method is ReductionMethod.PERCENTAGE:
                     # The displayed-set certificate: the per-shard top-k
                     # partial path held (patched/reused/rebuilt) or the
-                    # selection falls back to a full sharded pass.
+                    # selection falls back to the whole-column pass.
                     if topk_target is not None:
                         displayed = self._percentage_displayed(
                             overall.normalized_distances, sharded, root,
@@ -1396,15 +1386,16 @@ class PreparedQuery:
                     sel.annotate(certificate="displayed-topk", node="()",
                                  certified=displayed is not None)
                 if displayed is None:
-                    displayed = sharded_select_display_set(
+                    # Whole-column selection: an empty table, the multi-peak
+                    # heuristic (needs the globally sorted prefix), or a
+                    # percentage past _topk_target's cut-over.
+                    displayed = select_display_set(
                         overall.normalized_distances,
-                        sharded,
                         capacity=pixel_budget,
                         n_selection_predicates=n_predicates,
                         method=method,
                         percentage=self.config.percentage,
                         multipeak_z=self.config.multipeak_z,
-                        executor=executor,
                     )
         if len(displayed) > capacity_items:
             # More items fall inside the quantile window than fit on screen
@@ -1436,12 +1427,8 @@ class PreparedQuery:
             # Map node path -> query-tree node, used by the slider layer to
             # recover predicate attributes and query ranges.
             "condition_nodes": dict(condition.iter_nodes()),
+            "incremental": event_report,
         }
-        if incremental:
-            # Dirty-shard attribution of this event, for benchmarks and the
-            # service metrics: how many shards the event actually touched
-            # and how many node columns were patched vs. served wholesale.
-            extra["incremental"] = evaluator.event_report()
         displayed_sorted = np.sort(display_order)
         with obs.span("frame.delta"):
             delta = self._frame_delta(

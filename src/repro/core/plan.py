@@ -127,19 +127,6 @@ class _NodeColumns:
 
 
 @dataclass(frozen=True)
-class _RangeHistory:
-    """Raw columns of a range (slider) leaf and the bounds they were built for.
-
-    The base a delta update patches from: rows outside the band between
-    these bounds and the new ones keep their values.
-    """
-
-    low: float
-    high: float
-    raw: _LeafRaw
-
-
-@dataclass(frozen=True)
 class ShardSliceEntry:
     """Incremental per-shard state of one plan-node *site*.
 
@@ -169,7 +156,9 @@ class ShardSliceEntry:
     whoever computed the new raw column.  A composite entry names its child
     value keys, weights and rule.  Entries are validated against this
     provenance before any patch, so a stale entry can only cause a full
-    recompute, never a wrong patch.
+    recompute, never a wrong patch.  Nothing stands in for a missing
+    entry: that site takes the cold path (and, for a range leaf, is what
+    makes the plan eligible for whole-pipeline offload).
     """
 
     value_key: str
@@ -308,7 +297,7 @@ class CacheStats:
     #: recounted, clean shards' cached counts reused) instead of a full
     #: O(n) popcount of the root fulfilment mask.
     result_count_patches: int = 0
-    #: Executions that ran with dirty-shard tracking enabled.
+    #: Plan evaluations (every one tracks dirty shards).
     incremental_events: int = 0
     #: Chunked copy-on-write accounting across all column patches: chunks
     #: that had to be copied (a dirty row/span intersected them) vs. chunks
@@ -361,12 +350,6 @@ class EvaluationCache:
                  max_slice_entries: int = 64):
         self._raw = _LRU(max_leaf_entries)
         self._nodes = _LRU(max_node_entries)
-        #: Last range-leaf result per attribute, whichever prepared query
-        #: wrote it.  Two roles: the evaluator patches a leaf from its
-        #: prepared query's own site entry and reads this only as the seed
-        #: for a site that has no entry yet -- and, by presence, to tell a
-        #: warm slider attribute from a cold one (``_pipeline_spec``).
-        self._range_history: dict[str, _RangeHistory] = {}
         #: Per-site incremental shard state.  The entries reference the
         #: same arrays as the node LRU, so the extra footprint is the
         #: (small) per-shard partials plus metadata.
@@ -423,16 +406,6 @@ class EvaluationCache:
         """True when the node column is cached; no stats, no LRU touch."""
         with self._lock:
             return self._nodes.contains(key)
-
-    # Range-leaf history ---------------------------------------------------- #
-    def range_history(self, attribute: str) -> _RangeHistory | None:
-        with self._lock:
-            return self._range_history.get(attribute)
-
-    def set_range_history(self, attribute: str, low: float, high: float,
-                          raw: _LeafRaw) -> None:
-        with self._lock:
-            self._range_history[attribute] = _RangeHistory(low, high, raw)
 
     # Shard-slice entries --------------------------------------------------- #
     def slice_generation(self) -> int:
@@ -493,7 +466,6 @@ class EvaluationCache:
         with self._lock:
             self._raw.clear()
             self._nodes.clear()
-            self._range_history.clear()
             self._slices.clear()
             self._slices.invalidate()
 

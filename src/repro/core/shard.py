@@ -61,24 +61,17 @@ from repro.core.plan import (
     ShardSliceEntry,
     _LeafRaw,
     _NodeColumns,
-    _RangeHistory,
 )
 from repro.core.reduction import (
     EMPTY_SHARD_SUMMARY as _EMPTY_SUMMARY,
     DistanceBoundsPartial,
-    ReductionMethod,
-    display_fraction,
     distance_bounds_partial,
     empty_distance_bounds,
     merge_distance_bounds,
     merge_distance_bounds_many,
-    merge_topk_candidates_many,
     resolve_distance_bounds,
-    resolve_topk,
-    select_display_set,
     shard_summary as _shard_summary,
     summaries_from_partials,
-    topk_candidates,
 )
 from repro.core.result import NodeFeedback
 from repro.obs import trace as obs
@@ -107,7 +100,6 @@ __all__ = [
     "NodeDelta",
     "ShardedTable",
     "ShardedPlanEvaluator",
-    "sharded_select_display_set",
 ]
 
 T = TypeVar("T")
@@ -365,6 +357,11 @@ def _range_bounds(predicate) -> tuple[str, float, float] | None:
     return None
 
 
+def _offload_declined(reason: str) -> None:
+    """Name on the ambient ``pipeline.offload`` span why no op was offered."""
+    obs.annotate(offload_declined=reason)
+
+
 class ShardedPlanEvaluator:
     """Evaluate a compiled plan shard by shard, reusing cached node results.
 
@@ -387,10 +384,9 @@ class ShardedPlanEvaluator:
         Shared :class:`~repro.core.plan.EvaluationCache`; a fresh instance
         gives a cold run.
 
-    With ``incremental=True`` (the default) the evaluator additionally
-    maintains, per plan-node *site*, the previous execution's per-shard
-    state (:class:`~repro.core.plan.ShardSliceEntry`) and recomputes only
-    the shards an event dirtied:
+    Per plan-node *site* the evaluator keeps the previous execution's
+    per-shard state (:class:`~repro.core.plan.ShardSliceEntry`) and
+    recomputes only the shards an event dirtied:
 
     * a range-slider move marks as dirty exactly the shards whose rows the
       band between the site entry's bounds and the new ones intersects
@@ -407,7 +403,10 @@ class ShardedPlanEvaluator:
     entry degrades to a full per-shard recompute -- never a wrong answer.
     ``slice_token`` namespaces the sites (one token per prepared query), so
     every patch chain is based on its own query's previous state however
-    many sessions drag the same attribute on the shared engine.
+    many sessions drag the same attribute on the shared engine.  A site
+    without an entry (a first execution, an evicted or orphaned entry) is
+    the cold path: every stage computes all shards, in-process or -- when
+    the backend accepts the whole pipeline -- on its workers.
 
     ``executor`` is an optional :class:`concurrent.futures.Executor`; when
     None (or with a single shard) the per-shard work runs inline.
@@ -417,7 +416,6 @@ class ShardedPlanEvaluator:
                  target_max: float = NORMALIZED_MAX,
                  cache: EvaluationCache | None = None,
                  executor: Executor | None = None,
-                 incremental: bool = True,
                  slice_token: str = "",
                  backend: "ExecBackend | None" = None):
         if display_capacity <= 0:
@@ -428,7 +426,6 @@ class ShardedPlanEvaluator:
         self.target_max = target_max
         self.cache = cache if cache is not None else EvaluationCache()
         self.executor = executor
-        self.incremental = incremental
         self.slice_token = slice_token
         #: Optional :class:`repro.backend.base.ExecBackend` given first
         #: refusal on leaf kernels; ``None`` (or a declined op) keeps the
@@ -443,7 +440,7 @@ class ShardedPlanEvaluator:
         self._chunks_patched = 0
         self._chunks_shared = 0
         #: Set by the engine when the displayed-set selection could use
-        #: per-shard root top-k partials (percentage path, incremental).
+        #: per-shard root top-k partials (percentage path).
         self.pipeline_topk_target: int | None = None
         #: ``(target, [TopKCandidates per shard])`` from an accepted
         #: pipeline op, for the engine's displayed-set construction.
@@ -488,8 +485,6 @@ class ShardedPlanEvaluator:
         )
 
     def _valid_entry(self, path: NodePath) -> ShardSliceEntry | None:
-        if not self.incremental:
-            return None
         entry = self.cache.get_slice(self._site_key(path))
         if entry is None:
             return None
@@ -506,8 +501,7 @@ class ShardedPlanEvaluator:
         self._slice_generation = self.cache.slice_generation()
         self._chunks_patched = 0
         self._chunks_shared = 0
-        if self.incremental:
-            self.cache.record_incremental_event()
+        self.cache.record_incremental_event()
         # Whole-pipeline offload: when the backend accepts, it seeds the
         # raw/node/slice caches with the assembled (bit-identical) columns,
         # so the in-process walk below is pure cache hits and the feedback
@@ -568,17 +562,19 @@ class ShardedPlanEvaluator:
     def _pipeline_spec(self, plan) -> tuple[dict, list] | None:
         """The picklable pipeline spec, or None when the plan is ineligible.
 
-        Eligibility keeps the offload where it wins and cannot diverge:
-        pure predicate plans only (subquery distances may read whole-table
-        state), a root the node LRU cannot serve wholesale, and at least
-        one leaf whose raw column actually needs computing (weight-only
-        moves patch in-process from clean slices).  Range leaves offload
-        only while *cold* -- once an attribute has range history backed by
-        sorted shard indexes, a micro-move patches O(changed rows)
-        in-process, which no full per-shard recompute on a worker can
-        beat; a cold range leaf recomputes from scratch either way, so it
-        ships with the rest of the plan (and seeds the site entry and the
-        history for the next move, see :meth:`_try_pipeline`).
+        Eligibility keeps the offload where it wins and cannot diverge;
+        every decline names itself as ``offload_declined`` on the ambient
+        span.  Pure predicate plans only (``subquery-leaf``: subquery
+        distances may read whole-table state), a root the node LRU cannot
+        serve wholesale (``root-cached``), and at least one leaf whose raw
+        column actually needs computing (``nothing-to-compute``:
+        weight-only moves patch in-process from clean slices).  A range
+        leaf declines iff its *own site* holds an entry the in-process walk
+        would patch from (``site-has-entry``, the :meth:`_entry_range_base`
+        test): such a micro-move costs O(changed rows) in-process, which no
+        full per-shard recompute on a worker can beat.  A site without one
+        recomputes from scratch either way, so it ships with the rest of
+        the plan whatever other sessions dragged on this engine before.
         """
         n = len(self.table)
         meta: list[tuple[object, NodePath, int]] = []
@@ -586,18 +582,15 @@ class ShardedPlanEvaluator:
         def walk(node, path: NodePath) -> int | None:
             if isinstance(node, LeafPlan):
                 if not isinstance(node.node, PredicateLeaf):
-                    return None
+                    return _offload_declined("subquery-leaf")
                 predicate = node.node.predicate
-                if (isinstance(predicate, RangePredicate)
-                        and self.cache.range_history(predicate.attribute)
-                            is not None
-                        and self.sharded.shard_indexes(predicate.attribute)
-                            is not None):
-                    return None
+                if isinstance(predicate, RangePredicate):
+                    entry = self._valid_entry(path)
+                    if (entry is not None and self._entry_range_base(
+                            predicate, entry) is not None):
+                        return _offload_declined("site-has-entry")
                 meta.append((node, path, 0))
                 return 0
-            if not isinstance(node, CompositePlan):
-                return None
             child_levels = []
             for i, child in enumerate(node.children):
                 level = walk(child, path + (i,))
@@ -612,12 +605,12 @@ class ShardedPlanEvaluator:
             return None
         if self.cache.peek_node(
                 plan.value_key(self.display_capacity, self.target_max)):
-            return None
+            return _offload_declined("root-cached")
         if not any(
             isinstance(pnode, LeafPlan) and not self.cache.peek_raw(pnode.raw_key)
             for pnode, _, _ in meta
         ):
-            return None
+            return _offload_declined("nothing-to-compute")
         ids = {path: node_id for node_id, (_, path, _) in enumerate(meta)}
         shard_count = self.sharded.shard_count
         nodes_spec: list[dict] = []
@@ -657,17 +650,23 @@ class ShardedPlanEvaluator:
         """Offer the whole plan to the backend's pipeline op.
 
         On success, every node's assembled columns are installed into the
-        raw/node LRUs and (when incremental) the per-site slice entries --
-        with the same provenance and the same cold-run slice accounting
-        the in-process path would record -- then the regular plan walk
-        serves them back out.  Returns False when declined; nothing is
-        cached then.
+        raw/node LRUs and the per-site slice entries -- with the same
+        provenance and the same cold-run slice accounting the in-process
+        path would record -- then the regular plan walk serves them back
+        out (and the next micro-move finds its site entry to patch from).
+        Returns False when declined; nothing is cached then.  A decline
+        before the backend was asked carries ``offload_declined``; one
+        without it is the backend's own (declined or faulted op).
         """
         self.pipeline_topk = None
         self.pipeline_popcounts = None
         backend = self.backend
-        if (backend is None or self.sharded.shard_count <= 1
-                or len(self.table) == 0):
+        shard_count = self.sharded.shard_count
+        reason = ("one-shard" if shard_count <= 1
+                  else "no-backend" if backend is None
+                  else "nothing-to-compute" if len(self.table) == 0 else None)
+        if reason is not None:
+            _offload_declined(reason)
             return False
         built = self._pipeline_spec(plan)
         if built is None:
@@ -676,66 +675,24 @@ class ShardedPlanEvaluator:
         result = backend.shard_pipeline(self.sharded, spec)
         if result is None:
             return False
-        shard_count = self.sharded.shard_count
         popcounts: dict[NodePath, list[int]] = {}
         for node_id, (pnode, path, _level) in enumerate(meta):
             data = result["nodes"][node_id]
-            value_key = pnode.value_key(self.display_capacity, self.target_max)
+            signed = None
             if isinstance(pnode, LeafPlan):
-                predicate = pnode.node.predicate
-                raw = _LeafRaw(
-                    signed=data["signed"],
-                    raw=data["raw"],
-                    exact_mask=data["mask"],
-                    supports_direction=predicate.supports_direction,
-                )
-                self.cache.put_raw(pnode.raw_key, raw)
-                if isinstance(predicate, RangePredicate):
-                    # Same seeding _range_leaf_raw does after a cold run:
-                    # the next micro-move on this attribute finds history
-                    # (and, once the engine builds indexes, patches
-                    # in-process instead of offloading).
-                    self.cache.set_range_history(
-                        predicate.attribute, predicate.low, predicate.high,
-                        raw)
-                columns = _NodeColumns(
-                    normalized=data["normalized"],
-                    signed=data["signed"] if predicate.supports_direction
-                    else None,
-                    exact_mask=data["mask"],
-                    raw=data["raw"],
-                )
-                slice_extra: dict = {
-                    "raw_key": pnode.raw_key,
-                    "range_bounds": _range_bounds(predicate),
-                }
-            else:
-                columns = _NodeColumns(
-                    normalized=data["normalized"], signed=None,
-                    exact_mask=data["mask"], raw=data["raw"],
-                )
-                slice_extra = {
-                    "child_keys": tuple(
-                        child.value_key(self.display_capacity, self.target_max)
-                        for child in pnode.children),
-                    "child_weights": tuple(
-                        float(child.weight) for child in pnode.children),
-                    "rule": pnode.rule,
-                }
-            self.cache.put_node(value_key, columns)
-            if self.incremental:
-                self.cache.put_slice(self._site_key(path), ShardSliceEntry(
-                    value_key=value_key,
-                    columns=columns,
-                    resolved=data["resolved"],
-                    summaries=data["summaries"],
-                    target_max=self.target_max,
-                    shard_count=shard_count,
-                    generation=self._slice_generation,
-                    **slice_extra,
-                ))
-                self.cache.record_slice(
-                    hit=False, recomputed=shard_count, reused=0)
+                directed = pnode.node.predicate.supports_direction
+                self.cache.put_raw(pnode.raw_key, _LeafRaw(
+                    signed=data["signed"], raw=data["raw"],
+                    exact_mask=data["mask"], supports_direction=directed))
+                if directed:
+                    signed = data["signed"]
+            self._publish(
+                pnode, path,
+                pnode.value_key(self.display_capacity, self.target_max),
+                _NodeColumns(normalized=data["normalized"], signed=signed,
+                             exact_mask=data["mask"], raw=data["raw"]),
+                data["resolved"], data["summaries"])
+            self.cache.record_slice(hit=False, recomputed=shard_count, reused=0)
             popcounts[path] = data["popcounts"]
         self.pipeline_popcounts = popcounts
         topk = result.get("topk")
@@ -775,6 +732,41 @@ class ShardedPlanEvaluator:
     # ------------------------------------------------------------------ #
     # Node columns with dirty-shard patching
     # ------------------------------------------------------------------ #
+    def _publish(self, plan, path: NodePath, value_key: str,
+                 columns: _NodeColumns, resolved, summaries) -> None:
+        """Install a node's columns in the node LRU and as its site's entry.
+
+        The entry's provenance is a function of the plan node alone: a leaf
+        names its raw column (and range bounds), a composite its children's
+        value keys, weights and rule.
+        """
+        self.cache.put_node(value_key, columns)
+        if isinstance(plan, LeafPlan):
+            provenance = {
+                "raw_key": plan.raw_key,
+                "range_bounds": _range_bounds(
+                    getattr(plan.node, "predicate", None)),
+            }
+        else:
+            provenance = {
+                "child_keys": tuple(
+                    child.value_key(self.display_capacity, self.target_max)
+                    for child in plan.children),
+                "child_weights": tuple(
+                    float(child.weight) for child in plan.children),
+                "rule": plan.rule,
+            }
+        self.cache.put_slice(self._site_key(path), ShardSliceEntry(
+            value_key=value_key,
+            columns=columns,
+            resolved=resolved,
+            summaries=summaries,
+            target_max=self.target_max,
+            shard_count=self.sharded.shard_count,
+            generation=self._slice_generation,
+            **provenance,
+        ))
+
     def _leaf_columns(self, plan, path: NodePath = ()) -> _NodeColumns:
         value_key = plan.value_key(self.display_capacity, self.target_max)
         columns = self.cache.get_node(value_key)
@@ -785,7 +777,7 @@ class ShardedPlanEvaluator:
         marks = self._chunk_marks()
         entry = self._valid_entry(path)
         raw, dirty, declined = self._leaf_raw(plan, entry)
-        if declined is not None and self.incremental:
+        if declined is not None:
             obs.annotate(patch_declined=declined)
         normalized, resolved, summaries, out_dirty = \
             self._normalize_incremental(raw.raw, plan.node.weight, entry, dirty)
@@ -795,20 +787,7 @@ class ShardedPlanEvaluator:
             exact_mask=raw.exact_mask,
             raw=raw.raw,
         )
-        self.cache.put_node(value_key, columns)
-        if self.incremental:
-            self.cache.put_slice(self._site_key(path), ShardSliceEntry(
-                value_key=value_key,
-                columns=columns,
-                resolved=resolved,
-                summaries=summaries,
-                target_max=self.target_max,
-                shard_count=self.sharded.shard_count,
-                raw_key=plan.raw_key,
-                range_bounds=_range_bounds(
-                    getattr(plan.node, "predicate", None)),
-                generation=self._slice_generation,
-            ))
+        self._publish(plan, path, value_key, columns, resolved, summaries)
         base = entry.value_key if (entry is not None and dirty is not None) else None
         self.node_deltas[path] = NodeDelta(value_key, base, out_dirty)
         self._annotate_chunks(marks)
@@ -822,7 +801,8 @@ class ShardedPlanEvaluator:
         within which ``raw`` may differ from ``entry.columns`` (None =
         unknown, every node above recomputes in full); ``declined`` names
         why a patch was not taken: ``"no-entry"`` (the site has no valid
-        entry), ``"base-mismatch"`` (the entry's columns are no base for
+        entry: this is the cold path, everything computes in full),
+        ``"base-mismatch"`` (the entry's columns are no base for
         this computation) or ``"band-too-wide"`` (the move changed more
         than a third of the rows, so the raw columns were recomputed in
         full; ``dirty`` is still known).
@@ -854,8 +834,8 @@ class ShardedPlanEvaluator:
         raw = self.cache.get_raw(plan.raw_key)
         if raw is None:
             if is_range:
-                raw, patched = self._range_leaf_raw(predicate, base, changed)
-                if base is not None and not patched:
+                raw, patched = self._range_leaf_raw(predicate, entry, changed)
+                if changed is not None and not patched:
                     declined = "band-too-wide"
             else:
                 raw = self._compute_leaf_raw(plan.node)
@@ -875,13 +855,9 @@ class ShardedPlanEvaluator:
             return columns
         marks = self._chunk_marks()
         weights = np.array([child.weight for child in plan.children], dtype=float)
-        child_keys = tuple(
-            child.value_key(self.display_capacity, self.target_max)
-            for child in plan.children
-        )
         entry = self._valid_entry(path)
-        dirty = self._children_dirty(entry, child_keys, weights, plan.rule, path)
-        if dirty is None and self.incremental:
+        dirty = self._children_dirty(entry, plan, path)
+        if dirty is None:
             obs.annotate(
                 patch_declined="no-entry" if entry is None else "base-mismatch")
         bounds = self.sharded.bounds
@@ -963,28 +939,14 @@ class ShardedPlanEvaluator:
         columns = _NodeColumns(
             normalized=normalized, signed=None, exact_mask=exact, raw=combined
         )
-        self.cache.put_node(value_key, columns)
-        if self.incremental:
-            self.cache.put_slice(self._site_key(path), ShardSliceEntry(
-                value_key=value_key,
-                columns=columns,
-                resolved=resolved,
-                summaries=summaries,
-                target_max=self.target_max,
-                shard_count=self.sharded.shard_count,
-                child_keys=child_keys,
-                child_weights=tuple(float(w) for w in weights),
-                rule=plan.rule,
-                generation=self._slice_generation,
-            ))
+        self._publish(plan, path, value_key, columns, resolved, summaries)
         base = entry.value_key if (entry is not None and dirty is not None) else None
         self.node_deltas[path] = NodeDelta(value_key, base, out_dirty)
         self._annotate_chunks(marks)
         return columns
 
     def _children_dirty(self, entry: ShardSliceEntry | None,
-                        child_keys: tuple, weights: np.ndarray,
-                        rule: CombinationRule, path: NodePath) -> frozenset | None:
+                        plan: CompositePlan, path: NodePath) -> frozenset | None:
         """Union of the children's dirty shards, or None when unpatchable.
 
         A patch of the combined column is only sound when the combination
@@ -995,9 +957,8 @@ class ShardedPlanEvaluator:
         """
         if entry is None or entry.child_keys is None:
             return None
-        if entry.rule is not rule or len(entry.child_keys) != len(child_keys):
-            return None
-        if entry.child_weights != tuple(float(w) for w in weights):
+        if (entry.rule is not plan.rule or entry.child_weights != tuple(
+                float(child.weight) for child in plan.children)):
             return None
         acc: set = set()
         for i, built_from in enumerate(entry.child_keys):
@@ -1067,28 +1028,25 @@ class ShardedPlanEvaluator:
         )
 
     def _entry_range_base(self, predicate: RangePredicate,
-                          entry: ShardSliceEntry) -> _RangeHistory | None:
-        """``entry``'s raw columns as the base of a move to ``predicate``.
+                          entry: ShardSliceEntry) -> tuple[float, float] | None:
+        """The ``(low, high)`` a move to ``predicate`` patches ``entry`` from.
 
-        None when the entry was not built from a range on the same
-        attribute or the attribute has no per-shard indexes to find the
-        changed rows with.
+        None when the entry's columns are no base for it: not built from a
+        range on the same attribute, no signed column, or the attribute
+        has no per-shard indexes to find the changed rows with.
         """
         bounds = entry.range_bounds
-        columns = entry.columns
         if (bounds is None or bounds[0] != predicate.attribute
-                or columns.signed is None
+                or entry.columns.signed is None
                 or not self.sharded.has_index(predicate.attribute)):
             return None
-        return _RangeHistory(bounds[1], bounds[2], _LeafRaw(
-            signed=columns.signed, raw=columns.raw,
-            exact_mask=columns.exact_mask, supports_direction=True))
+        return bounds[1:]
 
     def _range_changed_rows(self, predicate: RangePredicate,
-                            base: _RangeHistory) -> list[np.ndarray]:
+                            base: tuple[float, float]) -> list[np.ndarray]:
         """Per shard, the global rows whose distance differs between bounds.
 
-        A pure function of ``base``'s bounds, ``predicate``'s bounds and
+        A pure function of the ``base`` bounds, ``predicate``'s bounds and
         the per-shard sorted indexes: distances change only on the side of
         a bound that moved -- every row violating that bound (its distance
         is measured against the bound) plus the band the bound swept over
@@ -1097,15 +1055,16 @@ class ShardedPlanEvaluator:
         """
         indexes = self.sharded.shard_indexes(predicate.attribute)
         starts = [start for start, _ in self.sharded.bounds]
+        low, high = base
 
         def changed_for(i: int) -> np.ndarray:
             pieces = []
-            if predicate.low != base.low:
+            if predicate.low != low:
                 pieces.append(indexes[i].range_query(
-                    None, max(base.low, predicate.low), sort=False))
-            if predicate.high != base.high:
+                    None, max(low, predicate.low), sort=False))
+            if predicate.high != high:
                 pieces.append(indexes[i].range_query(
-                    min(base.high, predicate.high), None, sort=False))
+                    min(high, predicate.high), None, sort=False))
             if not pieces:
                 return np.empty(0, dtype=np.intp)
             # Shard-local hits -> global row numbers.
@@ -1114,90 +1073,72 @@ class ShardedPlanEvaluator:
         return self._map_shards(changed_for)
 
     def _range_leaf_raw(self, predicate: RangePredicate,
-                        base: _RangeHistory | None,
+                        entry: ShardSliceEntry | None,
                         changed: list[np.ndarray] | None,
                         ) -> tuple[_LeafRaw, bool]:
-        """Raw columns of a range leaf, patched from ``base`` where possible.
+        """Raw columns of a range leaf, patched from ``entry`` where possible.
 
-        ``base`` is the prepared query's own previous state of this leaf
-        (its site entry's bounds and columns; None when it has none) and
-        ``changed`` its :meth:`_range_changed_rows`: patch provenance is
-        per prepared query, so sessions dragging the same attribute on one
-        engine each patch their own columns.  A site with no entry yet is
-        seeded from the cache's table-wide last range result on the
-        attribute instead (any exact columns are a valid base for the raw
-        patch; only the dirty-shard relation needs the site's own entry).
+        ``entry`` is the prepared query's own previous state of this leaf
+        and ``changed`` the :meth:`_range_changed_rows` against its bounds
+        (None when the site has no entry :meth:`_entry_range_base`
+        accepts): patch provenance is per prepared query, so sessions
+        dragging the same attribute on one engine each patch their own
+        columns, and a site without an entry computes the leaf in full.
 
         Only the dirty shards' rows are recomputed, with the formula of
         :meth:`RangePredicate.signed_distances`, so the result matches a
         full recomputation bit for bit; the fulfilment mask is patched from
-        the base mask over the same rows (a row's membership can only
+        the entry's mask over the same rows (a row's membership can only
         change where its distance changes).  Returns ``(raw, patched)``;
         ``patched`` is False when there was no base or the move changed
         more than a third of the table, where the full vectorised
         recomputation wins.
         """
-        attribute = predicate.attribute
-        if base is None and self.sharded.has_index(attribute):
-            base = self.cache.range_history(attribute)
-            if base is not None:
-                changed = self._range_changed_rows(predicate, base)
-        if (base is not None
-                and sum(len(rows) for rows in changed) > len(self.table) // 3):
-            base = None
-        if base is not None:
-            old = base.raw
-            column = self.table.column(attribute)
-
-            def update(i: int) -> tuple:
-                rows = changed[i]
-                # Gather, then convert: O(changed) for any column dtype.
-                values = np.asarray(column[rows], dtype=float)
-                below = np.where(values < predicate.low, values - predicate.low, 0.0)
-                above = np.where(values > predicate.high, values - predicate.high, 0.0)
-                delta = below + above
-                delta = np.where(np.isnan(values), np.nan, delta)
-                # Membership is "distance == 0": bit-identical to
-                # RangePredicate.exact_mask on the changed rows, unchanged
-                # (hence reusable) everywhere else.
-                member = (values >= predicate.low) & (values <= predicate.high)
-                return rows, delta, np.abs(delta), member
-
-            # Per-shard delta computation fans out; the copy-on-write patch
-            # then copies only the chunks the changed rows intersect and
-            # aliases every clean chunk from the base column.
-            updates = self._map_over(
-                [i for i, rows in enumerate(changed) if len(rows)], update)
-            if updates:
-                changed_all = np.concatenate([u[0] for u in updates])
-                signed = as_chunked(old.signed).patch(
-                    changed_all, np.concatenate([u[1] for u in updates]))
-                raw = as_chunked(old.raw).patch(
-                    changed_all, np.concatenate([u[2] for u in updates]))
-                mask = as_chunked(old.exact_mask).patch(
-                    changed_all, np.concatenate([u[3] for u in updates]))
-                self._record_chunks(signed)
-                self._record_chunks(raw)
-                self._record_chunks(mask)
-            else:
-                signed, raw, mask = old.signed, old.raw, old.exact_mask
-            result = _LeafRaw(
-                signed=signed,
-                raw=raw,
-                exact_mask=mask,
-                supports_direction=True,
-            )
-        else:
+        if (changed is None
+                or sum(len(rows) for rows in changed) > len(self.table) // 3):
             signed = self._signed_distances(predicate)
-            result = _LeafRaw(
+            return _LeafRaw(
                 signed=signed,
                 raw=np.abs(signed),
                 exact_mask=self._exact_mask(predicate),
                 supports_direction=predicate.supports_direction,
-            )
-        self.cache.set_range_history(attribute, predicate.low, predicate.high,
-                                     result)
-        return result, base is not None
+            ), False
+        old = entry.columns
+        column = self.table.column(predicate.attribute)
+
+        def update(i: int) -> tuple:
+            rows = changed[i]
+            # Gather, then convert: O(changed) for any column dtype.
+            values = np.asarray(column[rows], dtype=float)
+            below = np.where(values < predicate.low, values - predicate.low, 0.0)
+            above = np.where(values > predicate.high, values - predicate.high, 0.0)
+            delta = below + above
+            delta = np.where(np.isnan(values), np.nan, delta)
+            # Membership is "distance == 0": bit-identical to
+            # RangePredicate.exact_mask on the changed rows, unchanged
+            # (hence reusable) everywhere else.
+            member = (values >= predicate.low) & (values <= predicate.high)
+            return rows, delta, np.abs(delta), member
+
+        # Per-shard delta computation fans out; the copy-on-write patch
+        # then copies only the chunks the changed rows intersect and
+        # aliases every clean chunk from the entry's column.
+        updates = self._map_over(
+            [i for i, rows in enumerate(changed) if len(rows)], update)
+        signed, raw, mask = old.signed, old.raw, old.exact_mask
+        if updates:
+            changed_all = np.concatenate([u[0] for u in updates])
+            signed = as_chunked(signed).patch(
+                changed_all, np.concatenate([u[1] for u in updates]))
+            raw = as_chunked(raw).patch(
+                changed_all, np.concatenate([u[2] for u in updates]))
+            mask = as_chunked(mask).patch(
+                changed_all, np.concatenate([u[3] for u in updates]))
+            self._record_chunks(signed)
+            self._record_chunks(raw)
+            self._record_chunks(mask)
+        return _LeafRaw(signed=signed, raw=raw, exact_mask=mask,
+                        supports_direction=True), True
 
     def _exact_mask(self, predicate) -> np.ndarray:
         """Per-shard fulfilment masks, concatenated to the global mask.
@@ -1360,11 +1301,10 @@ class ShardedPlanEvaluator:
                 # can certify cheaply.
                 summaries = self._build_summaries(
                     values, resolved, partials if not certified else None)
-            if self.incremental:
-                self.cache.record_slice(
-                    hit=True, recomputed=len(dirty),
-                    reused=shard_count - len(dirty), shortcircuit=True,
-                )
+            self.cache.record_slice(
+                hit=True, recomputed=len(dirty),
+                reused=shard_count - len(dirty), shortcircuit=True,
+            )
             obs.annotate(certificate="bounds", certified=certified,
                          shortcircuit=True, shards_recomputed=len(dirty),
                          shards_reused=shard_count - len(dirty))
@@ -1374,14 +1314,11 @@ class ShardedPlanEvaluator:
             normalized = self._assemble(lambda i: apply_normalization(
                 values[bounds[i][0]:bounds[i][1]], d_min, d_max,
                 target_max=self.target_max))
-            if self.incremental:
-                summaries = self._build_summaries(
-                    values, resolved, None if certified else partials)
-                self.cache.record_slice(
-                    hit=patched, recomputed=shard_count, reused=0,
-                )
-            else:
-                summaries = None
+            summaries = self._build_summaries(
+                values, resolved, None if certified else partials)
+            self.cache.record_slice(
+                hit=patched, recomputed=shard_count, reused=0,
+            )
             if patched:
                 # A patch was attempted and every shard renormalized: the
                 # counting certificate failed (or certified *moved* bounds).
@@ -1413,86 +1350,3 @@ class ShardedPlanEvaluator:
             lambda i: _shard_summary(values[bounds[i][0]:bounds[i][1]], d_max)
         )
         return np.asarray(rows, dtype=float)
-
-
-# --------------------------------------------------------------------------- #
-# Sharded displayed-set selection
-# --------------------------------------------------------------------------- #
-def sharded_select_display_set(distances: np.ndarray, sharded: ShardedTable,
-                               capacity: int, n_selection_predicates: int,
-                               method: ReductionMethod = ReductionMethod.QUANTILE,
-                               percentage: float | None = None,
-                               multipeak_z: int | None = None,
-                               executor: Executor | None = None) -> np.ndarray:
-    """Shard-parallel :func:`~repro.core.reduction.select_display_set`.
-
-    * the percentage path merges per-shard
-      :class:`~repro.core.reduction.TopKCandidates` partials;
-    * the quantile path concatenates per-shard finite values (preserving
-      row order, hence the exact quantile input) and applies the resulting
-      threshold shard by shard;
-    * the multi-peak heuristic needs the globally sorted distance prefix,
-      so it falls back to the whole-column implementation.
-
-    Results are bit-identical to the whole-column selection in every case.
-    """
-    distances = np.asarray(distances, dtype=float)
-    n = len(distances)
-    bounds = sharded.bounds
-    if n == 0 or n != len(sharded.table):
-        return select_display_set(
-            distances, capacity=capacity,
-            n_selection_predicates=n_selection_predicates, method=method,
-            percentage=percentage, multipeak_z=multipeak_z,
-        )
-    if method is ReductionMethod.PERCENTAGE or percentage is not None:
-        if percentage is None:
-            raise ValueError("percentage reduction requires a percentage value")
-        if not 0.0 < percentage <= 1.0:
-            raise ValueError(f"percentage must be in (0, 1], got {percentage}")
-        target = max(1, int(round(percentage * n)))
-        if target >= n:
-            return np.arange(n, dtype=np.intp)
-        if target * len(bounds) > n // 2:
-            # The per-shard candidate sets would together approach the full
-            # column, so the merge would redo a full-size selection; the
-            # whole-column partition is cheaper and bit-identical.
-            return select_display_set(
-                distances, capacity=capacity,
-                n_selection_predicates=n_selection_predicates,
-                method=ReductionMethod.PERCENTAGE, percentage=percentage,
-                multipeak_z=multipeak_z,
-            )
-        partials = _map_indexed(
-            executor,
-            lambda i: topk_candidates(distances[bounds[i][0]:bounds[i][1]],
-                                      target, offset=bounds[i][0]),
-            len(bounds),
-        )
-        return resolve_topk(merge_topk_candidates_many(partials))
-    if method is ReductionMethod.QUANTILE:
-        p = display_fraction(capacity, n, n_selection_predicates)
-        finite_parts = _map_indexed(
-            executor,
-            lambda i: distances[bounds[i][0]:bounds[i][1]][
-                np.isfinite(distances[bounds[i][0]:bounds[i][1]])
-            ],
-            len(bounds),
-        )
-        finite = np.concatenate(finite_parts)
-        if len(finite) == 0:
-            return np.empty(0, dtype=np.intp)
-        threshold = float(np.quantile(finite, p))
-
-        def select(i: int) -> np.ndarray:
-            start, stop = bounds[i]
-            part = distances[start:stop]
-            mask = np.isfinite(part) & (part <= threshold)
-            return np.nonzero(mask)[0] + start
-
-        return np.concatenate(_map_indexed(executor, select, len(bounds)))
-    return select_display_set(
-        distances, capacity=capacity,
-        n_selection_predicates=n_selection_predicates, method=method,
-        percentage=percentage, multipeak_z=multipeak_z,
-    )

@@ -37,8 +37,8 @@ from test_backend import (
 def pipeline_condition(string_predicate=None):
     """A plan the pipeline op accepts whole: no range leaves anywhere.
 
-    Range leaves keep their index/prefetch/history machinery in-process,
-    so a tree of attribute-threshold and string leaves is the shape that
+    A range leaf whose site has an entry patches in-process instead, so
+    a tree of attribute-threshold and string leaves is the shape that
     offloads leaf -> normalize -> combine -> mask end to end.
     """
     leaf = PredicateLeaf(string_predicate or StringMatchPredicate("s", "row3"))
@@ -102,27 +102,47 @@ def test_pipeline_offload_matches_cold_many_shards():
 def test_range_leaves_offload_cold_then_decline_warm():
     """Cold range plans ship with the pipeline; warm ones decline it.
 
-    A first execution has no range history, so the leaf recomputes from
-    scratch either way -- it offloads with the rest of the plan and seeds
-    the history.  Once that history is backed by sorted shard indexes
-    (what the engine builds for a hot slider attribute), a micro-move
-    patches O(changed rows) in-process and the plan declines the offload.
+    Eligibility is a property of the *site*.  A first execution has no
+    slice entry, so the leaf recomputes from scratch either way -- it
+    offloads with the rest of the plan and leaves the entry behind.  Once
+    the attribute has sorted shard indexes (what the engine builds for a
+    hot slider attribute), a micro-move patches O(changed rows) from that
+    entry in-process and the plan declines the offload.  A second prepared
+    query on the same engine has no entry of its own, so its open offloads
+    whatever its peer dragged earlier.
     """
     from repro import between
+
+    def pipeline_ops():
+        return engine.stats()["backend"]["pipeline_ops"]
+
+    def check(prepared, context):
+        assert_frames_identical(cold_frame(table, prepared),
+                                prepared.execute(), context)
+
     cond = AndNode([between("a", -5.0, 15.0), condition("b", ">=", 3.0)])
     engine, table, prepared = build_pipeline_prepared(4, cond=cond)
     try:
-        frame = prepared.execute()
-        assert_frames_identical(cold_frame(table, prepared), frame,
-                                "cold range plan")
-        assert engine.stats()["backend"]["pipeline_ops"] == 1
+        check(prepared, "cold range plan")
+        assert pipeline_ops() == 1
 
         engine.ensure_range_index(table, "a", shard_count=4)
         prepared.condition.children[0].predicate.low = -4.0
-        frame = prepared.execute()
-        assert_frames_identical(cold_frame(table, prepared), frame,
-                                "warm range plan")
-        assert engine.stats()["backend"]["pipeline_ops"] == 1
+        check(prepared, "warm range plan")
+        assert pipeline_ops() == 1
+
+        late = engine.prepare(Query(
+            name="pipeline-late", tables=[table.name],
+            condition=AndNode([between("a", -3.0, 12.0),
+                               condition("b", ">=", 2.0)])))
+        check(late, "late open after a peer's drag")
+        assert pipeline_ops() == 2
+        late.condition.children[0].predicate.low = -2.5
+        check(late, "late session's own micro-move")
+        assert pipeline_ops() == 2
+        prepared.condition.children[0].predicate.low = -3.5
+        check(prepared, "first session's next micro-move")
+        assert pipeline_ops() == 2
     finally:
         engine.close()
 

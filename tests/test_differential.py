@@ -12,7 +12,7 @@ three ways and must agree **bit for bit**:
 * incremental re-execution: the sharded engines are prepared once and
   driven through a random mutation sequence of slider / weight /
   percentage events, so every step after the first also exercises the
-  delta paths (range history, per-shard indexes, node caches).
+  delta paths (site slice entries, per-shard indexes, node caches).
 
 With ``CASES x EVENTS_PER_CASE`` = 200 randomized query/mutation states
 (each checked across four shard counts) this is the lock that lets the
@@ -436,8 +436,8 @@ def test_differential_interleaved_sessions_same_attribute(backend):
     different phases: a session landing on exactly the bounds a peer holds
     (raw columns from the LRU, dirty shards from its own entry) and
     dragging on from there, and a late session whose first execution
-    follows the peers' events (no entry of its own: raw columns seeded
-    from the table-wide range history).
+    follows the peers' events (no entry of its own: the cold path,
+    whatever the peers dragged).
     """
     table = _locality_table(n=8_000)
     config = PipelineConfig(screen=ScreenSpec(width=64, height=64),
@@ -491,26 +491,22 @@ def test_differential_interleaved_sessions_same_attribute(backend):
         assert after["displayed_patches"] > before[shards]["displayed_patches"], shards
 
 
-def test_differential_incremental_matches_disabled():
-    """incremental_shards=False must reproduce the same bits (and is the
-    baseline the event-latency benchmark compares against)."""
+def test_differential_incremental_matches_reference():
+    """A patch chain at an odd shard count reproduces the naive reference's
+    bits at every step (percentage past the top-k cut-over: node columns
+    patch per shard, the displayed set is the whole-column selection)."""
     table = _locality_table(n=2_500)
     root = AndNode([between("t", 50.0, 900.0), condition("a", ">", 20.0)])
     config = PipelineConfig(screen=ScreenSpec(width=48, height=48), percentage=0.1)
     on = QueryEngine(table, config.with_(shard_count=7, max_workers=2)).prepare(
         Query(name="on", tables=[table.name], condition=copy.deepcopy(root)))
-    off = QueryEngine(
-        table,
-        config.with_(shard_count=7, max_workers=2, incremental_shards=False),
-    ).prepare(Query(name="off", tables=[table.name], condition=copy.deepcopy(root)))
     on.execute()
-    off.execute()
     for k in range(8):
         event = SetQueryRange((0,), 50.0, 897.0 - 1.5 * k)
+        frame = on.execute(changes=[event])
         assert_feedback_identical(
-            off.execute(changes=[event]), on.execute(changes=[event]),
-            f"on-vs-off step={k}",
-        )
+            reference_frame(table, on), frame, f"on-vs-reference step={k}")
+    assert on.cache_stats["shards_reused"] > 0
 
 
 def test_differential_shard_count_beyond_rows():
@@ -615,24 +611,19 @@ def test_differential_quantile_threshold_moves_across_shards(tiny_chunks, backen
     assert stats["quantile_fallbacks"] > 0
 
 
-def test_differential_quantile_incremental_matches_disabled(tiny_chunks):
-    """Quantile path: incremental_shards=False reproduces the same bits
-    (covers the certificate machinery against the always-exact engine)."""
+def test_differential_quantile_incremental_matches_reference(tiny_chunks):
+    """Quantile path: the certificate machinery reproduces the naive
+    (always-exact) reference's bits at every step of a patch chain."""
     table = _locality_table(n=2_500)
     root = AndNode([between("t", 50.0, 900.0), condition("a", ">", 20.0)])
     config = PipelineConfig(screen=ScreenSpec(width=48, height=48), percentage=None)
     on = QueryEngine(table, config.with_(shard_count=7, max_workers=2)).prepare(
         Query(name="on", tables=[table.name], condition=copy.deepcopy(root)))
-    off = QueryEngine(
-        table,
-        config.with_(shard_count=7, max_workers=2, incremental_shards=False),
-    ).prepare(Query(name="off", tables=[table.name], condition=copy.deepcopy(root)))
     on.execute()
-    off.execute()
     for k in range(8):
         event = SetQueryRange((0,), 50.0, 897.0 - 1.5 * k)
+        frame = on.execute(changes=[event])
         assert_feedback_identical(
-            off.execute(changes=[event]), on.execute(changes=[event]),
-            f"quantile on-vs-off step={k}",
-        )
+            reference_frame(table, on), frame,
+            f"quantile on-vs-reference step={k}")
     assert on.cache_stats["quantile_certified"] > 0

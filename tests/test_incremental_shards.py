@@ -50,13 +50,12 @@ def locality_table(n: int = 20_000, seed: int = 5) -> Table:
     return Table("Local", {"t": t, "a": a, "b": b})
 
 
-def prepared_query(table, *, shards=8, percentage=0.05, incremental=True):
+def prepared_query(table, *, shards=8, percentage=0.05):
     config = PipelineConfig(
         screen=ScreenSpec(width=256, height=256),
         percentage=percentage,
         shard_count=shards,
         max_workers=2,
-        incremental_shards=incremental,
     )
     engine = QueryEngine(table, config)
     root = AndNode([
@@ -157,17 +156,6 @@ def test_weight_move_back_and_forth_reuses_whole_column():
     prepared.execute(changes=[SetWeight((0,), 1.0)])  # back to the original
     after = stats_of(engine, prepared)
     assert after["leaf_misses"] == before["leaf_misses"]
-
-
-def test_incremental_disabled_runs_full_recomputes():
-    table = locality_table(n=8_000)
-    engine, prepared = prepared_query(table, incremental=False)
-    prepared.execute()
-    prepared.execute(changes=[SetQueryRange((0,), 50.0, 985.0)])
-    stats = stats_of(engine, prepared)
-    assert stats["incremental_events"] == 0
-    assert stats["slice_hits"] == 0
-    assert stats["displayed_patches"] == 0
 
 
 def test_percentage_change_falls_back_cleanly():

@@ -277,6 +277,38 @@ def test_per_root_statistics_say_why_they_rebuilt():
         "displayed.select": "no-relation", "relevance.update": "no-relation"}
 
 
+def test_pipeline_offload_says_why_it_was_declined():
+    """``offload_declined`` on ``pipeline.offload`` when no op was offered."""
+    from repro import QueryEngine
+
+    rng = np.random.default_rng(3)
+    table = Table("Offload", {"t": np.sort(rng.uniform(0.0, 100.0, 400)),
+                              "b": rng.normal(0.0, 1.0, 400)})
+    engine = QueryEngine(table, PipelineConfig(
+        screen=ScreenSpec(width=32, height=32), percentage=0.25,
+        shard_count=4, max_workers=2, backend="process"))
+    prepared = engine.prepare(Query(
+        name="offload", tables=[table.name],
+        condition=AndNode([between("t", 10.0, 90.0), condition("b", "<", 0.5)])))
+
+    def offload(*changes) -> dict:
+        trace = Trace("event", trace_id=1)
+        with use_trace(trace):
+            prepared.execute(changes=list(changes))
+        (found,) = [s for s in trace.spans if s.name == "pipeline.offload"]
+        return found.attrs
+
+    try:
+        assert offload() == {"accepted": True}      # cold open: no entry
+        assert offload() == {
+            "accepted": False, "offload_declined": "root-cached"}
+        # A modified re-execution indexes the slider: the site's entry patches.
+        assert offload(SetQueryRange((0,), 10.0, 89.0)) == {
+            "accepted": False, "offload_declined": "site-has-entry"}
+    finally:
+        engine.close()
+
+
 # --------------------------------------------------------------------------- #
 # Metrics registry
 # --------------------------------------------------------------------------- #
