@@ -1,12 +1,12 @@
 """Execution backends: threads vs. the shared-memory process pool.
 
-The ``process`` backend exists for the cold-path leaf kernels: at a
-million rows every slider release that dirties a non-range leaf pays a
-full-column distance scan, and a thread pool only helps while NumPy holds
-the GIL released.  The process pool runs those kernels in worker
-processes that map the table's columns zero-copy out of
-``multiprocessing.shared_memory``; what crosses the pipe per event is
-only predicates, span lists and block names.
+The ``process`` backend exists for the cold path: at a million rows a
+plan whose sites have nothing to patch from pays a full-column pass per
+stage, and a thread pool only helps while NumPy holds the GIL released.
+The process pool runs the whole plan (leaf kernels, normalization,
+combination, masks) in worker processes that map the table's columns
+zero-copy out of ``multiprocessing.shared_memory``; what crosses the
+pipe per event is only the plan, shard lists, block names and partials.
 
 Measured here, on a 1M-row table of numeric non-range leaves (the shape
 the backend accelerates -- range leaves are already served by the
@@ -22,14 +22,16 @@ prefetch fast path):
   in ``check_regression.py`` (``traffic_ratio``);
 * the pipeline reply contract: one slider event runs the whole plan as a
   ``shard_pipeline`` session whose replies carry only bounds partials,
-  popcounts and summaries -- O(partials) bytes, independent of the rows
-  per shard.  ``reply_ratio`` (per-shard column bytes / per-event reply
+  summaries and root top-k partials -- O(partials) bytes, independent of
+  the rows per shard.  ``reply_ratio`` (per-shard column bytes / per-event reply
   bytes) is likewise a protocol byte count, gated in
   ``check_regression.py``;
 * offload eligibility under mixed traffic: sessions opening on an engine
   whose earlier sessions already dragged the same range attribute must
   each take the whole-pipeline offload (``pipeline_ops_per_open == 1``)
-  while every drag patches in-process from its own site entry.
+  while every drag -- a range micro-move, or a threshold move on a plan
+  whose range site has its entry -- is computed in-process and moves no
+  backend counter or byte.
 
 ``extra_info`` lands in ``BENCH_backend.json``, which CI uploads as an
 artifact next to the other BENCH_* trajectories.
@@ -157,7 +159,7 @@ def test_backend_cold_throughput_1m(benchmark):
     traffic_ratio = after["published_bytes"] / event_traffic
 
     # The pipeline reply contract: the event ran the whole plan in the
-    # workers, and what came back over the pipes is partials/popcounts/
+    # workers, and what came back over the pipes is partials and
     # summaries -- kilobytes against the megabytes of columns each shard
     # holds, independent of rows per shard.
     assert after["pipeline_ops"] > before["pipeline_ops"], (
@@ -211,8 +213,11 @@ def test_backend_mixed_open_drag_offloads_every_open(benchmark):
 
     Eligibility is a property of the site: a session's first execution has
     no slice entry, so its range leaf ships with the rest of the plan; its
-    own later micro-moves patch O(changed rows) in-process.  No engine-wide
-    state is consulted, so ``pipeline_ops`` counts exactly the opens.
+    own later micro-moves patch O(changed rows) in-process, and a threshold
+    move on the same plan recomputes its leaf on the coordinator's thread
+    pool.  No engine-wide state is consulted and the plan is the only
+    thing a backend is ever offered, so every op counter counts exactly
+    the opens.
     """
     rows = 200_000
     rng = np.random.default_rng(43)
@@ -250,6 +255,11 @@ def test_backend_mixed_open_drag_offloads_every_open(benchmark):
         ops_at_opens = pipeline_ops()
         drag(opened[-1], 880.0)
         drag(opened[0], 897.0)
+        traffic_before = engine.stats()["backend"]["traffic_bytes"]
+        started = time.perf_counter()
+        opened[0].condition.children[1].predicate.value = 0.25
+        opened[0].execute()
+        threshold_ms = (time.perf_counter() - started) * 1e3
         stats = engine.stats()["backend"]
         benchmark.extra_info.update({
             "rows": rows,
@@ -257,8 +267,14 @@ def test_backend_mixed_open_drag_offloads_every_open(benchmark):
             "sessions_opened": len(opened),
             "pipeline_ops": stats["pipeline_ops"],
             "pipeline_ops_per_open": ops_at_opens / len(opened),
+            "warm_threshold_event_ms": round(threshold_ms, 3),
         })
-        assert stats["pipeline_fallbacks"] == 0
+        assert stats["pipeline_fallbacks"] == stats["fallbacks"] == 0
+        assert stats["offloaded_ops"] == stats["pipeline_ops"], (
+            "something other than a whole plan was offloaded")
+        assert stats["traffic_bytes"] == traffic_before, (
+            "a threshold drag on a plan with a warm range site moved "
+            "backend bytes")
         assert ops_at_opens == len(opened), (
             f"{len(opened)} sessions opened after a peer's drag but only "
             f"{ops_at_opens} whole-pipeline ops ran")

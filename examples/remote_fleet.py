@@ -114,7 +114,7 @@ async def drag(out: str | None) -> None:
             reply = after["reply_bytes"] - before["reply_bytes"]
             # On the loopback shared-memory plane result columns never
             # touch the socket, so the reply payload is 0 B; cross-host
-            # workers would show the partials/popcount bytes here.
+            # workers would show the partials bytes here.
             print(f"  event {step}: {wire:6,} B requests out, "
                   f"{reply:6,} B result payload back, "
                   f"fallbacks {after['remote_fallbacks']}")

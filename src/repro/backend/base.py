@@ -3,13 +3,14 @@
 The sharded evaluator (:class:`~repro.core.shard.ShardedPlanEvaluator`)
 keeps every decision that affects *what* is computed -- fingerprints,
 dirty-shard tracking, certificate short-circuits, bounds resolution, merge
-order -- on the coordinator.  A backend is only consulted for the
-embarrassingly parallel per-shard kernels, and it answers in one of two
-ways:
+order -- on the coordinator.  A backend is offered one thing, the plan of
+a site that has to compute every shard anyway (:meth:`ExecBackend.
+shard_pipeline`), and it answers in one of two ways:
 
-* return the full assembled array (computed wherever it likes), or
+* return every node's assembled columns (computed wherever it likes), or
 * return ``None``, meaning "compute it in-process" -- the evaluator then
-  runs the exact same per-shard code it always ran.
+  runs the exact same per-shard code it always ran, on the shared thread
+  pool the engine hands it whatever the backend.
 
 ``None`` doubles as the fault path: a backend that loses a worker, hits a
 timeout or cannot pickle a predicate simply declines the operation, counts
@@ -23,10 +24,9 @@ parameterized over every registered backend.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from typing import TYPE_CHECKING
 
-import numpy as np
+from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.shard import ShardedTable
@@ -37,12 +37,13 @@ __all__ = ["ExecBackend"]
 class ExecBackend:
     """Base class (and no-op default) for shard-execution backends.
 
-    Subclasses override the hooks they can accelerate; everything left at
-    the default keeps the evaluator's in-process behaviour.  One instance
-    is created per :class:`~repro.core.engine.QueryEngine` (registry
-    factories are called per engine), so counters in :meth:`stats` are
-    engine-scoped even when the heavy machinery behind them (thread pools,
-    worker processes) is shared process-wide.
+    Four hooks: :meth:`prepare`, :meth:`shard_pipeline`, :meth:`close`
+    and :meth:`stats`; everything left at the default keeps the
+    evaluator's in-process behaviour.  One instance is created per
+    :class:`~repro.core.engine.QueryEngine` (registry factories are
+    called per engine), so counters in :meth:`stats` are engine-scoped
+    even when the heavy machinery behind them (worker processes, fleet
+    connections) is shared process-wide.
     """
 
     #: Registry name; set by subclasses.
@@ -67,34 +68,8 @@ class ExecBackend:
         """
 
     # ------------------------------------------------------------------ #
-    # Execution hooks
+    # The one execution hook
     # ------------------------------------------------------------------ #
-    def local_executor(self, shard_count: int,
-                       max_workers: int | None) -> Executor | None:
-        """Executor for the coordinator-side per-shard closures (None = inline).
-
-        The evaluator's normalization/combination/summary stages map plain
-        closures over shard indexes; those cannot cross a process boundary,
-        so every backend chooses what (if any) in-process pool serves them.
-        """
-        return None
-
-    def leaf_signed(self, predicate, sharded: "ShardedTable") -> np.ndarray | None:
-        """Full-table signed distances of one predicate leaf, or None.
-
-        Must equal ``concatenate(predicate.signed_distances(shard) for
-        shard in shards)`` bit for bit when answered.
-        """
-        return None
-
-    def leaf_mask(self, predicate, sharded: "ShardedTable") -> np.ndarray | None:
-        """Full-table exact fulfilment mask of one predicate leaf, or None.
-
-        Must equal ``concatenate(predicate.exact_mask(shard) for shard in
-        shards)`` bit for bit when answered.
-        """
-        return None
-
     def shard_pipeline(self, sharded: "ShardedTable",
                        spec: dict) -> dict | None:
         """Run a whole plan's per-shard pipeline out-of-process, or None.
@@ -107,15 +82,17 @@ class ExecBackend:
         root top-k target.  A backend that accepts must run leaf ->
         normalization -> combination -> mask for every shard span and
         reply *partials only* over its control channel -- bounds
-        partials, mask popcounts and per-shard summaries -- returning
-        per node id the assembled full-table ``raw`` / ``normalized`` /
-        ``mask`` (+ ``signed`` for leaves) columns, the resolved bounds,
-        the summary matrix and per-shard popcounts, plus per-shard
+        partials, per-shard summaries and optional root top-k partials
+        -- returning per node id the assembled full-table ``raw`` /
+        ``normalized`` / ``mask`` (+ ``signed`` for leaves) columns, the
+        resolved bounds and the summary matrix, plus per-shard
         :class:`~repro.core.reduction.TopKCandidates` for the root when
         requested.  Every array must be bit-identical to the in-process
-        cold computation; ``None`` (any fault, ineligible plan) keeps
-        the evaluator on its in-process path.
+        cold computation; ``None`` (any fault, nowhere to offload to)
+        keeps the evaluator on its in-process path, and says why as
+        ``backend_fault`` on the ambient ``pipeline.offload`` span.
         """
+        obs.annotate(backend_fault="not-offloadable")
         return None
 
     # ------------------------------------------------------------------ #
@@ -124,12 +101,13 @@ class ExecBackend:
     def stats(self) -> dict[str, int]:
         """Engine-scoped counters; keys shared by every backend.
 
-        ``offloaded_ops`` counts hooks answered by the backend,
-        ``fallbacks`` hooks declined after a failure (crash, timeout,
-        unpicklable work), ``worker_restarts`` the transport faults among
-        them (a worker pool discarded, a fleet endpoint marked down).
-        ``pipeline_ops`` / ``pipeline_fallbacks`` break out the
-        :meth:`shard_pipeline` hook, and ``reply_bytes`` totals the bytes
+        ``pipeline_ops`` counts :meth:`shard_pipeline` calls answered by
+        the backend, ``pipeline_fallbacks`` calls declined after a failure
+        (crash, timeout, unpicklable work), ``worker_restarts`` the
+        transport faults among them (a worker pool discarded, a fleet
+        endpoint marked down).  ``offloaded_ops`` / ``fallbacks`` are the
+        same two counters under their older names (there is one op, so
+        each pair always reads equal), and ``reply_bytes`` totals the bytes
         that came back over the control channel for accepted pipeline ops
         (the quantity the partials-only contract keeps independent of rows
         per shard); ``column_bytes`` totals result columns that had to

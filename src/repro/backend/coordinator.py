@@ -1,12 +1,11 @@
 """The one coordinator behind every out-of-process backend.
 
 ``process`` (a pipe pool) and ``remote`` (a TCP fleet) offload the same
-two ops -- a single leaf kernel and a whole-pipeline session -- and
-differ only in how a message reaches a worker and where output columns
-live.  This module is the half that understands the ops; it assumes
-nothing about pipes or sockets:
+one op -- a whole-pipeline session -- and differ only in how a message
+reaches a worker and where output columns live.  This module is the half
+that understands the op; it assumes nothing about pipes or sockets:
 
-* :class:`Coordinator` drives the leaf op and the pipeline session:
+* :class:`Coordinator` drives the pipeline session: publish, pin, attach,
   shard-to-lane assignment, the output-buffer layout, the start round and
   the ``resolve_level`` / ``round_message`` / ``gather_round`` loop
   (:mod:`repro.backend.pipeline`), stream-plane fetches, summary fill,
@@ -37,15 +36,13 @@ from __future__ import annotations
 import pickle
 import threading
 from contextlib import AbstractContextManager, suppress
-from functools import partial
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Any, Callable, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 import numpy as np
 
 from repro.backend.base import ExecBackend
 from repro.backend.pipeline import (
-    FIELD_DTYPES,
     fill_node_summary,
     gather_round,
     next_pipeline_token,
@@ -85,12 +82,15 @@ class WorkerOpError(RuntimeError):
 
     Every lane is still aligned and stays in service.  ``code`` is the
     worker's machine-readable reason when it gave one
-    (``"unknown-table"``: re-attach and retry once).
+    (``"unknown-table"``: re-attach and retry once); ``fault`` is the
+    ``backend_fault`` the fallback it causes is traced under.
     """
 
-    def __init__(self, message: str, code: str | None = None):
+    def __init__(self, message: str, code: str | None = None,
+                 fault: str = "op-rejected"):
         super().__init__(message)
         self.code = code
+        self.fault = fault if code is None else f"{fault}:{code}"
 
 
 def serialise(messages: list[dict[str, Any] | None]) -> list[bytes | None]:
@@ -105,7 +105,8 @@ def serialise(messages: list[dict[str, Any] | None]) -> list[bytes | None]:
                 else pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
                 for msg in messages]
     except Exception as exc:
-        raise WorkerOpError(f"could not serialise op: {exc!r}") from exc
+        raise WorkerOpError(f"could not serialise op: {exc!r}",
+                            fault="unserialisable") from exc
 
 
 def raise_rejected(replies: list[dict[str, Any] | None]) -> None:
@@ -123,7 +124,7 @@ class OutputBuffer:
     write their spans in place: zero column bytes on the transport),
     plain local bytes otherwise.  ``names[lane]`` is what goes into that
     lane's ``out`` field -- the block name, or ``None`` for a lane that
-    must reply its columns (``leaf``) or keep them for ``pipeline_fetch``.
+    must keep its columns for ``pipeline_fetch``.
     """
 
     def __init__(self, nbytes: int, lanes_shm: list[bool]):
@@ -231,7 +232,7 @@ def _scatter(dest: np.ndarray, replies: list[dict[str, Any] | None]) -> int:
 
 
 class Coordinator(ExecBackend):
-    """Base of the ``process`` and ``remote`` backends: the ops, once.
+    """Base of the ``process`` and ``remote`` backends: the op, once.
 
     Subclasses supply a column ``store`` and the three transport hooks at
     the bottom; everything an :class:`ExecBackend` promises is here.
@@ -249,9 +250,8 @@ class Coordinator(ExecBackend):
         self.max_workers = max_workers
         self._lock = threading.Lock()
         self._counters = dict.fromkeys(
-            ("offloaded_ops", "fallbacks", "worker_restarts",
-             "traffic_bytes", "pipeline_ops", "pipeline_fallbacks",
-             "reply_bytes", "column_bytes"), 0)
+            ("pipeline_ops", "pipeline_fallbacks", "worker_restarts",
+             "traffic_bytes", "reply_bytes", "column_bytes"), 0)
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -275,67 +275,53 @@ class Coordinator(ExecBackend):
     def close(self) -> None:
         self._closed = True
 
-    def local_executor(self, shard_count: int, max_workers: int | None):
-        # Coordinator-only stages (dirty-shard patching, summaries) keep
-        # running on the shared thread pool: they read the evaluator's own
-        # caches, which cannot cross a process boundary.
-        from repro.core.shard import resolve_worker_count, shared_executor
-        return shared_executor(resolve_worker_count(max_workers, shard_count))
-
     # ------------------------------------------------------------------ #
-    # The two ops
+    # The op
     # ------------------------------------------------------------------ #
-    def leaf_signed(self, predicate, sharded: "ShardedTable"):
-        return self._leaf(predicate, sharded, "signed")
-
-    def leaf_mask(self, predicate, sharded: "ShardedTable"):
-        return self._leaf(predicate, sharded, "mask")
-
-    def _leaf(self, predicate, sharded: "ShardedTable",
-              kind: str) -> np.ndarray | None:
-        """Fan one leaf kernel out over the lanes, gather via the buffer."""
-        rows = len(sharded.table)
-        dtype = FIELD_DTYPES[kind]
-        spans = [(start, stop) for start, stop in sharded.bounds
-                 if stop > start]
-
-        def run(transport: Transport, published: PublishedTable,
-                lanes: int, tally: dict[str, int]) -> np.ndarray:
-            out = transport.output_buffer(rows * np.dtype(dtype).itemsize)
-            try:
-                messages = [{
-                    "op": "leaf",
-                    "table_id": published.key,
-                    "kind": kind,
-                    "predicate": predicate,
-                    "spans": spans[lane::lanes],
-                    "out": out.names[lane],
-                } for lane in range(lanes)]
-                replies = self._round(transport, messages, tally,
-                                      "backend.broadcast", op="leaf",
-                                      kind=kind)
-                result = np.ndarray(rows, dtype=dtype, buffer=out.buf).copy()
-            finally:
-                out.close()
-            tally["column_bytes"] += _scatter(result, replies)
-            return result
-
-        return self._offload(sharded, len(spans), run, pipeline=False)
-
     def shard_pipeline(self, sharded: "ShardedTable",
                        spec: dict) -> dict | None:
         """Run a whole plan's per-shard stages on the lanes (see base class).
 
-        The op is a session of rounds (one per plan level, see
-        :mod:`repro.backend.pipeline`); every round's reply carries only
-        partials, popcounts and summaries, totalled into ``reply_bytes``.
-        Any fault inside the session aborts it (workers drop their state)
-        and declines the op -- the evaluator reruns in-process,
-        bit-identically.
+        Publish, pin, open a session, attach, run the rounds (one per plan
+        level, see :mod:`repro.backend.pipeline`); every round's reply
+        carries only partials and summaries, totalled into
+        ``reply_bytes``.  Any fault aborts the session (workers drop
+        their state) and declines the op with a ``backend_fault`` on the
+        ambient span -- the evaluator reruns in-process, bit-identically.
+        An ``unknown-table`` rejection -- a worker dropped the publication
+        behind our back -- is retried exactly once with a forced re-attach.
         """
-        return self._offload(sharded, sharded.shard_count,
-                             partial(self._pipeline_session, sharded, spec),
-                             pipeline=True)
+        if not self._offloadable(sharded):
+            return super().shard_pipeline(sharded, spec)
+        for refresh in (False, True):
+            published: PublishedTable | None = None
+            tally = dict.fromkeys(("traffic_bytes", "reply_bytes",
+                                   "column_bytes"), 0)
+            try:
+                published = self.store.publish(sharded.table)
+                # Pinned for the whole op: a concurrent publish eviction
+                # would otherwise unlink blocks the op's rounds reference
+                # mid-flight.
+                self.store.pin(published)
+                transport = self._open_transport()
+                with transport.session(sharded.shard_count) as lanes:
+                    tally["traffic_bytes"] += transport.attach(
+                        published, self.op_timeout, refresh)
+                    result = self._pipeline_session(
+                        sharded, spec, transport, published, lanes, tally)
+                self._count(pipeline_ops=1, **tally)
+                return result
+            except WorkerOpError as exc:
+                if exc.code != "unknown-table" or refresh:
+                    return self._fallback(exc.fault)
+            except WorkerPoolError:
+                return self._fallback("transport", restart=True)
+            except Exception:
+                return self._fallback("error")
+            finally:
+                if published is not None:
+                    self.store.unpin(published)
+        return None  # pragma: no cover - the second pass always returns
 
     def _pipeline_session(self, sharded: "ShardedTable", spec: dict,
                           transport: Transport, published: PublishedTable,
@@ -390,9 +376,8 @@ class Coordinator(ExecBackend):
                 return views[node_id]["raw"]
 
             partials: dict[int, dict] = {}
-            popcounts: dict[int, dict] = {}
             summaries: dict[int, dict] = {}
-            topk_parts = gather_round(replies, partials, popcounts, summaries)
+            topk_parts = gather_round(replies, partials, summaries)
             result_nodes: dict[int, dict] = {}
             for level_no in range(1, len(levels) + 1):
                 resolved_msg, summary_ids = resolve_level(
@@ -403,8 +388,7 @@ class Coordinator(ExecBackend):
                 replies = self._round(transport, [msg] * lanes, tally,
                                       "pipeline.round", reply=True,
                                       op=msg["op"])
-                topk_parts = gather_round(
-                    replies, partials, popcounts, summaries)
+                topk_parts = gather_round(replies, partials, summaries)
             # The finish round closed every shared-memory lane's session.
             # Stream lanes still hold theirs: pull every remaining column
             # span, then release them.
@@ -422,8 +406,6 @@ class Coordinator(ExecBackend):
                 fill_node_summary(entry, summaries.get(node_id), shard_count)
                 entry.update((field, column.copy())
                              for field, column in views[node_id].items())
-                entry["popcounts"] = [
-                    int(popcounts[node_id][s]) for s in range(shard_count)]
             topk = None
             if spec.get("topk_target") is not None:
                 topk = [topk_parts[s] for s in range(shard_count)]
@@ -438,7 +420,7 @@ class Coordinator(ExecBackend):
             out.close()
 
     # ------------------------------------------------------------------ #
-    # Shared op skeleton and accounting
+    # Accounting
     # ------------------------------------------------------------------ #
     def _round(self, transport: Transport,
                messages: list[dict[str, Any] | None], tally: dict[str, int],
@@ -451,67 +433,25 @@ class Coordinator(ExecBackend):
             tally["reply_bytes"] += bytes_in
         return replies
 
-    def _offload(self, sharded: "ShardedTable", width: int,
-                 run: Callable[[Transport, PublishedTable, int,
-                                dict[str, int]], Any],
-                 pipeline: bool):
-        """Publish, pin, open a session, attach, ``run``; count the outcome.
-
-        Declines (``None``) on any failure.  An ``unknown-table``
-        rejection -- a worker dropped the publication behind our back --
-        is retried exactly once with a forced re-attach.
-        """
-        if not self._offloadable(sharded):
-            return None
-        for refresh in (False, True):
-            published: PublishedTable | None = None
-            tally = dict.fromkeys(("traffic_bytes", "reply_bytes",
-                                   "column_bytes"), 0)
-            try:
-                published = self.store.publish(sharded.table)
-                # Pinned for the whole op: a concurrent publish eviction
-                # would otherwise unlink blocks the op's rounds reference
-                # mid-flight.
-                self.store.pin(published)
-                transport = self._open_transport()
-                with transport.session(width) as lanes:
-                    tally["traffic_bytes"] += transport.attach(
-                        published, self.op_timeout, refresh)
-                    result = run(transport, published, lanes, tally)
-                self._count(offloaded_ops=1, pipeline_ops=int(pipeline),
-                            **tally)
-                return result
-            except WorkerOpError as exc:
-                if exc.code != "unknown-table" or refresh:
-                    return self._fallback(pipeline)
-            except WorkerPoolError:
-                return self._fallback(pipeline, restart=True)
-            except Exception:
-                return self._fallback(pipeline)
-            finally:
-                if published is not None:
-                    self.store.unpin(published)
-        return None  # pragma: no cover - the second pass always returns
-
     def _count(self, **deltas: int) -> None:
         with self._lock:
             for key, delta in deltas.items():
                 self._counters[key] += delta
 
-    def _fallback(self, pipeline: bool, restart: bool = False) -> None:
-        self._count(fallbacks=1, pipeline_fallbacks=int(pipeline),
-                    worker_restarts=int(restart))
-        # Lands on the ambient span (leaf.raw / pipeline.offload) so the
-        # slow-event explain record can report that the answer was served
+    def _fallback(self, fault: str, restart: bool = False) -> None:
+        self._count(pipeline_fallbacks=1, worker_restarts=int(restart))
+        # Lands on the ambient ``pipeline.offload`` span so the slow-event
+        # explain record can report that (and why) the answer was served
         # by the in-process fallback rather than the workers.
-        if restart:
-            obs.annotate(backend_fallbacks=1, worker_restarts=1)
-        else:
-            obs.annotate(backend_fallbacks=1)
+        obs.annotate(backend_fallbacks=1, backend_fault=fault,
+                     worker_restarts=int(restart))
 
     def stats(self) -> dict[str, int]:
         with self._lock:
             counters = dict(self._counters)
+        # One op: the older op-agnostic names report the same counters.
+        counters.update(offloaded_ops=counters["pipeline_ops"],
+                        fallbacks=counters["pipeline_fallbacks"])
         counters.update(self._gauges())
         counters.update(self.store.stats())
         return counters

@@ -13,26 +13,26 @@ composite combined from its children's normalized columns):
    raw distances and exact mask over their shards, writing the columns
    into one coordinator-allocated output block; the reply carries only
    per-leaf per-shard :class:`~repro.core.reduction.DistanceBoundsPartial`
-   partials (for nodes on the partial-merge bounds path) and mask
-   popcounts.
+   partials (for nodes on the partial-merge bounds path).
 2. ``pipeline_level`` (once per composite level) -- the coordinator
    resolves the previous level's bounds (merging partials, or one direct
    partition over the block for nodes whose ``keep`` is too large for
    partials -- the same adaptive cutoff the in-process path uses) and
    broadcasts them; workers normalize the resolved nodes, combine this
-   level's composites and reply with the next round of partials, mask
-   popcounts and per-shard order-statistic summaries.
+   level's composites and reply with the next round of partials and
+   per-shard order-statistic summaries.
 3. ``pipeline_finish`` -- resolves the top level, normalizes it, and
    optionally returns per-shard :class:`~repro.core.reduction.TopKCandidates`
    partials of the root column for the displayed-set selection.
 
 Column data leaves a worker only through the session's output buffer (a
 shared-memory block, or ``pipeline_fetch`` replies on the stream plane);
-the round replies are partials, popcounts and summaries -- O(screen
-budget + shard count) bytes per event, independent of the rows per
-shard.  Every value written or replied is produced by the exact
-functions the in-process evaluator runs over the same bits, so the
-assembled result is bit-identical to the in-process cold path.
+the round replies are bounds partials, summaries and optional root
+top-k partials -- O(screen budget + shard count) bytes per event,
+independent of the rows per shard.  Every value written or replied is
+produced by the exact functions the in-process evaluator runs over the
+same bits, so the assembled result is bit-identical to the in-process
+cold path.
 
 This module is imported on both sides of the transport and depends only
 on NumPy-level machinery (:mod:`repro.core.reduction`,
@@ -43,8 +43,8 @@ helpers the one session driver
 (:func:`gather_round`, :func:`resolve_level`, :func:`round_message`,
 :func:`node_views`), and the :class:`WorkerPipeline` the
 one worker op table (:class:`repro.backend.worker.WorkerOps`) runs them
-against.  The leaf kernel both the single-leaf op and the session's
-start round execute is :func:`leaf_kernel`.
+against.  The leaf kernel the session's start round executes is
+:func:`leaf_kernel`.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ __all__ = [
     "round_message",
 ]
 
-#: dtype of every column a worker produces, by field name; ``signed`` and
-#: ``mask`` double as the two ``kind``s of the single-leaf op.
+#: dtype of every column a worker produces, by field name.
 FIELD_DTYPES = {
     "raw": np.float64,
     "normalized": np.float64,
@@ -99,9 +98,9 @@ def next_pipeline_token() -> str:
 def leaf_kernel(predicate, shard, kind: str) -> np.ndarray:
     """One predicate's ``signed`` distances or exact ``mask`` over one shard.
 
-    The only place a backend worker evaluates a predicate: the ``leaf`` op
-    and the session's start round both come through here, so what a worker
-    computes is by construction what the in-process evaluator computes.
+    The only place a backend worker evaluates a predicate, so what a
+    worker computes is by construction what the in-process evaluator
+    computes.
     """
     if kind == "signed":
         return np.asarray(predicate.signed_distances(shard), dtype=np.float64)
@@ -143,14 +142,12 @@ def pipeline_layout(nodes: list[dict[str, Any]],
 # Coordinator-side round algebra (called by repro.backend.coordinator)
 # --------------------------------------------------------------------------- #
 def gather_round(replies: list[dict[str, Any]], partials: dict,
-                 popcounts: dict, summaries: dict) -> dict:
+                 summaries: dict) -> dict:
     """Merge one round's per-worker payloads (disjoint shard subsets)."""
     topk: dict[int, Any] = {}
     for reply in replies:
         for node_id, per_shard in reply.get("partials", {}).items():
             partials.setdefault(node_id, {}).update(per_shard)
-        for node_id, per_shard in reply.get("popcounts", {}).items():
-            popcounts.setdefault(node_id, {}).update(per_shard)
         for node_id, per_shard in reply.get("summaries", {}).items():
             summaries.setdefault(node_id, {}).update(per_shard)
         topk.update(reply.get("topk", {}))
@@ -243,8 +240,8 @@ class WorkerPipeline:
     """Worker-side state of one pipeline session.
 
     Holds the per-node column views over the session's output buffer;
-    each round method returns the reply payload (partials, popcounts,
-    summaries) for this worker's shards.
+    each round method returns the reply payload (partials, summaries,
+    root top-k partials) for this worker's shards.
 
     ``buf`` is any writable buffer of :func:`pipeline_layout` size: the
     coordinator's shared-memory block when the worker can map it, else
@@ -277,7 +274,6 @@ class WorkerPipeline:
     def start(self) -> dict[str, Any]:
         """Leaf kernels over this worker's shards; reply partials only."""
         partials: dict[int, dict[int, Any]] = {}
-        popcounts: dict[int, dict[int, int]] = {}
         for node_id in self.order:
             node = self.nodes[node_id]
             if node["kind"] != "leaf":
@@ -288,19 +284,17 @@ class WorkerPipeline:
                 shard = self.table.slice_rows(start, stop)
                 signed = leaf_kernel(predicate, shard, "signed")
                 raw = np.abs(signed)
-                mask = leaf_kernel(predicate, shard, "mask")
                 views["signed"][start:stop] = signed
                 views["raw"][start:stop] = raw
-                views["mask"][start:stop] = mask
-                self._summarise(node_id, node, shard_no, raw, mask,
-                                partials, popcounts)
-        return {"partials": partials, "popcounts": popcounts}
+                views["mask"][start:stop] = leaf_kernel(
+                    predicate, shard, "mask")
+                self._summarise(node_id, node, shard_no, raw, partials)
+        return {"partials": partials}
 
     def level(self, msg: dict[str, Any]) -> dict[str, Any]:
         """Normalize the resolved nodes, combine this level's composites."""
         summaries = self._normalize_round(msg)
         partials: dict[int, dict[int, Any]] = {}
-        popcounts: dict[int, dict[int, int]] = {}
         for node_id in msg.get("combine", ()):
             node = self.nodes[node_id]
             rule = CombinationRule[node["rule"]]
@@ -323,10 +317,8 @@ class WorkerPipeline:
                     for child in children:
                         mask |= self.views[child]["mask"][start:stop]
                 views["mask"][start:stop] = mask
-                self._summarise(node_id, node, shard_no, combined, mask,
-                                partials, popcounts)
-        return {"partials": partials, "popcounts": popcounts,
-                "summaries": summaries}
+                self._summarise(node_id, node, shard_no, combined, partials)
+        return {"partials": partials, "summaries": summaries}
 
     def finish(self, msg: dict[str, Any]) -> dict[str, Any]:
         """Normalize the top level; optional root top-k partials."""
@@ -346,12 +338,10 @@ class WorkerPipeline:
 
     # ------------------------------------------------------------------ #
     def _summarise(self, node_id: int, node: dict[str, Any], shard_no: int,
-                   raw: np.ndarray, mask: np.ndarray,
-                   partials: dict, popcounts: dict) -> None:
+                   raw: np.ndarray, partials: dict) -> None:
         if node_id in self.partial_ids:
             partials.setdefault(node_id, {})[shard_no] = \
                 distance_bounds_partial(raw, node["keep"])
-        popcounts.setdefault(node_id, {})[shard_no] = int(np.count_nonzero(mask))
 
     def _normalize_round(self, msg: dict[str, Any]) -> dict[int, dict[int, tuple]]:
         """Apply resolved bounds; summarise direct-path nodes per shard.

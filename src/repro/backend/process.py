@@ -1,15 +1,15 @@
 """``process`` backend: a persistent shared-memory worker pool.
 
-Leaf kernels and whole-pipeline sessions run in a pool of spawned worker
-processes that map the table's published columns zero-copy from shared
-memory (:mod:`repro.backend.shm`).  Per-event pipe traffic is only
-pickled predicates, shard spans and block names -- never column data --
+Whole-pipeline sessions run in a pool of spawned worker processes that
+map the table's published columns zero-copy from shared memory
+(:mod:`repro.backend.shm`).  Per-event pipe traffic is only the pickled
+plan, shard spans, block names and partials -- never column data --
 which is what makes the process boundary cheaper than the columns it
 parallelises over.
 
 This module is the *pipe transport*: :class:`_WorkerPool` moves one
 message per worker per round and knows nothing about what the messages
-mean.  The ops themselves live in
+mean.  The op itself lives in
 :class:`repro.backend.coordinator.Coordinator` (which
 :class:`ProcessBackend` extends) and, worker-side, in
 :class:`repro.backend.worker.WorkerOps`.
@@ -298,7 +298,7 @@ def shutdown_process_backend() -> None:
 # The backend
 # --------------------------------------------------------------------------- #
 class ProcessBackend(Coordinator):
-    """Shard kernels and pipeline sessions in the shared-memory pool."""
+    """Pipeline sessions in the shared-memory pool."""
 
     name = "process"
     store = _STORE

@@ -15,13 +15,13 @@ shared-memory store exactly as for the ``process`` backend, and each
 endpoint either attaches the published blocks directly (a co-located
 server: zero column bytes on the socket) or has the columns chunk-
 streamed to it once at attach time (a cross-host server).  Either way,
-per-event wire traffic stays predicates, span lists and partials --
+per-event wire traffic stays the plan, shard lists and partials --
 the ``remote_traffic_ratio`` headline in
 ``benchmarks/bench_backend.py``.
 
 This module is the *socket transport*: :class:`_Fleet` pins one
 connection per endpoint for the length of an op and moves one message
-per endpoint per round.  The ops themselves live in
+per endpoint per round.  The op itself lives in
 :class:`repro.backend.coordinator.Coordinator` (which
 :class:`RemoteBackend` extends) and, server-side, in
 :class:`repro.backend.worker.WorkerOps`.
@@ -526,9 +526,9 @@ class _Fleet:
 # The backend
 # --------------------------------------------------------------------------- #
 class RemoteBackend(Coordinator):
-    """Run shard kernels and pipeline sessions on the TCP worker fleet.
+    """Run pipeline sessions on the TCP worker fleet.
 
-    With no ``REPRO_REMOTE_WORKERS`` configured every hook declines
+    With no ``REPRO_REMOTE_WORKERS`` configured the op declines
     instantly (no sockets, no counters) -- the backend is then
     behaviourally the ``threads`` backend, which keeps the differential
     suite meaningful without live servers.

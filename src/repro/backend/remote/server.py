@@ -14,8 +14,8 @@ handshake, fault-injection hooks, and the raw column frames of a
 stream-plane attach.
 
 Tables are attached once per publication key and held in an LRU-bounded
-store shared by every connection; per-event traffic stays predicates,
-span lists and partials.  Column data arrives through one of two
+store shared by every connection; per-event traffic stays the plan,
+shard lists and partials.  Column data arrives through one of two
 negotiated planes:
 
 * **shared memory** -- a server co-located with the coordinator attaches

@@ -1,17 +1,15 @@
 """``threads`` backend: the classic in-process shared thread pool.
 
-This is the pre-backend behaviour extracted behind the interface with
-zero change: per-shard closures run on the process-wide shared executor
-(:func:`repro.core.shard.shared_executor`) and every leaf hook declines,
-so the evaluator computes leaves exactly as it always did.  It is the
-default backend and the reference other backends are differentially
-tested against.
+It declines the one offload hook, so the evaluator computes every shard
+on the process-wide shared executor the engine hands it
+(:func:`repro.core.shard.shared_executor`) exactly as it did before
+backends existed.  It is the default backend and the reference other
+backends are differentially tested against.
 """
 
 from __future__ import annotations
 
 from repro.backend.base import ExecBackend
-from repro.core.shard import resolve_worker_count, shared_executor
 
 __all__ = ["ThreadsBackend"]
 
@@ -22,8 +20,3 @@ class ThreadsBackend(ExecBackend):
 
     def __init__(self, max_workers: int | None = None):
         self.max_workers = max_workers
-
-    def local_executor(self, shard_count: int, max_workers: int | None):
-        if max_workers is None:
-            max_workers = self.max_workers
-        return shared_executor(resolve_worker_count(max_workers, shard_count))

@@ -9,12 +9,10 @@ connection loop in :mod:`repro.backend.remote.server`) only move bytes.
 
 Columns never travel with an op: ``attach`` carries a shared-memory
 manifest (or announces a one-time upload), after which the lane holds a
-zero-copy table in its :class:`_TableStore`; ``leaf`` carries a pickled
-predicate plus shard spans and writes into a per-call output block the
-coordinator allocated; the ``pipeline_*`` ops
+zero-copy table in its :class:`_TableStore`; the ``pipeline_*`` ops
 (:mod:`repro.backend.pipeline`) run a whole plan's per-shard stages as a
-short session of rounds, writing every column into one output buffer and
-replying only partials.
+short session of rounds, writing every column into one output buffer the
+coordinator allocated and replying only partials.
 
 A failing op produces an error reply and leaves the lane alive and
 request/reply aligned (an open pipeline session is torn down, so the
@@ -31,14 +29,7 @@ import time
 from multiprocessing import shared_memory
 from typing import Any, Callable
 
-import numpy as np
-
-from repro.backend.pipeline import (
-    FIELD_DTYPES,
-    WorkerPipeline,
-    leaf_kernel,
-    pipeline_layout,
-)
+from repro.backend.pipeline import WorkerPipeline, pipeline_layout
 from repro.backend.shm import (
     attach_block,
     build_table_from_manifest,
@@ -149,8 +140,11 @@ class _UnknownTable(LookupError):
     """The op named a publication this lane's store does not hold."""
 
 
-def _op_spans(msg: dict[str, Any], t0: float, op: str,
-              **attrs: Any) -> dict[str, Any]:
+#: The kernel rounds: ops whose time ships back as a ``worker.<op>`` span.
+_TIMED_OPS = ("pipeline_start", "pipeline_level", "pipeline_finish")
+
+
+def _op_spans(msg: dict[str, Any], t0: float, op: str) -> dict[str, Any]:
     """Worker-side span records for one op, when the coordinator asked.
 
     Timed on this worker's own ``perf_counter`` -- the coordinator cannot
@@ -167,7 +161,7 @@ def _op_spans(msg: dict[str, Any], t0: float, op: str,
             "name": f"worker.{op}",
             "start": 0.0,
             "dur": time.perf_counter() - t0,
-            "attrs": {"pid": os.getpid(), **attrs},
+            "attrs": {"pid": os.getpid()},
         }],
     }
 
@@ -213,10 +207,7 @@ class WorkerOps:
             if op.startswith("pipeline"):
                 self.close()
             return {"ok": False, "error": f"{op}: {exc!r}"}
-        if op == "leaf":
-            reply.update(_op_spans(msg, t0, op, kind=msg["kind"],
-                                   shards=len(msg["spans"])))
-        elif op in ("pipeline_start", "pipeline_level", "pipeline_finish"):
+        if op in _TIMED_OPS:
             reply.update(_op_spans(msg, t0, op))
         return reply
 
@@ -283,35 +274,6 @@ class WorkerOps:
         self.store.drop(msg["table_id"])
         return {}
 
-    def _leaf(self, msg: dict[str, Any]) -> dict[str, Any]:
-        """One leaf kernel over this lane's spans.
-
-        With an ``out`` block the spans are written in place; without
-        one (the lane cannot reach coordinator memory) they ride the
-        reply as ``data``.
-        """
-        entry = self._pinned(msg["table_id"])
-        out = None
-        try:
-            kind = msg["kind"]
-            data: list[tuple[int, int, bytes]] = []
-            if msg.get("out") is not None:
-                out = self.attach_block(msg["out"])
-                dest = np.ndarray(len(entry.table), dtype=FIELD_DTYPES[kind],
-                                  buffer=out.buf)
-            for start, stop in msg["spans"]:
-                piece = leaf_kernel(msg["predicate"],
-                                    entry.table.slice_rows(start, stop), kind)
-                if out is not None:
-                    dest[start:stop] = piece
-                else:
-                    data.append((start, stop, piece.tobytes()))
-            return {"data": data} if out is None else {}
-        finally:
-            if out is not None:
-                out.close()
-            self.store.release(entry)
-
     def _pipeline_start(self, msg: dict[str, Any]) -> dict[str, Any]:
         self.close()
         entry = self._pinned(msg["table_id"])
@@ -370,7 +332,6 @@ class WorkerOps:
         "attach": _attach,
         "attach_done": _attach_done,
         "drop": _drop,
-        "leaf": _leaf,
         "pipeline_start": _pipeline_start,
         "pipeline_level": _pipeline_level,
         "pipeline_finish": _pipeline_finish,

@@ -67,6 +67,7 @@ from repro.core.shard import (
     ShardedTable,
     _map_indexed,
     pool_user,
+    resolve_worker_count,
     shared_executor,
     shutdown_executors,
 )
@@ -1325,9 +1326,8 @@ class PreparedQuery:
                 # and no backend (pool, shm publication) is ever created.
                 backend = self.engine.execution_backend(self.backend_name)
                 backend.prepare(sharded)
-                executor = backend.local_executor(
-                    shard_count, self.config.max_workers
-                )
+                executor = shared_executor(resolve_worker_count(
+                    self.config.max_workers, shard_count))
             evaluator = ShardedPlanEvaluator(
                 sharded,
                 display_capacity=capacity_items,

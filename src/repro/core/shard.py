@@ -427,9 +427,9 @@ class ShardedPlanEvaluator:
         self.cache = cache if cache is not None else EvaluationCache()
         self.executor = executor
         self.slice_token = slice_token
-        #: Optional :class:`repro.backend.base.ExecBackend` given first
-        #: refusal on leaf kernels; ``None`` (or a declined op) keeps the
-        #: in-process per-shard computation below.
+        #: Optional :class:`repro.backend.base.ExecBackend` offered the
+        #: whole plan of a cold site; ``None`` (or a declined op) keeps
+        #: the in-process per-shard computation below.
         self.backend = backend
         #: :class:`NodeDelta` per node path of the latest :meth:`evaluate`.
         self.node_deltas: dict[NodePath, NodeDelta] = {}
@@ -445,10 +445,6 @@ class ShardedPlanEvaluator:
         #: ``(target, [TopKCandidates per shard])`` from an accepted
         #: pipeline op, for the engine's displayed-set construction.
         self.pipeline_topk: tuple[int, list] | None = None
-        #: Per-node-path per-shard fulfilment-mask popcounts from an
-        #: accepted pipeline op (reply-side aggregate; the full masks
-        #: live in the shared block / node cache).
-        self.pipeline_popcounts: dict[NodePath, list[int]] | None = None
 
     # ------------------------------------------------------------------ #
     def _map_shards(self, fn: Callable[[int], T]) -> list[T]:
@@ -655,11 +651,11 @@ class ShardedPlanEvaluator:
         path would record -- then the regular plan walk serves them back
         out (and the next micro-move finds its site entry to patch from).
         Returns False when declined; nothing is cached then.  A decline
-        before the backend was asked carries ``offload_declined``; one
-        without it is the backend's own (declined or faulted op).
+        before the backend was asked carries ``offload_declined``; the
+        backend's own (nowhere to offload to, or a faulted op) carries
+        ``backend_fault``.
         """
         self.pipeline_topk = None
-        self.pipeline_popcounts = None
         backend = self.backend
         shard_count = self.sharded.shard_count
         reason = ("one-shard" if shard_count <= 1
@@ -675,7 +671,6 @@ class ShardedPlanEvaluator:
         result = backend.shard_pipeline(self.sharded, spec)
         if result is None:
             return False
-        popcounts: dict[NodePath, list[int]] = {}
         for node_id, (pnode, path, _level) in enumerate(meta):
             data = result["nodes"][node_id]
             signed = None
@@ -693,8 +688,6 @@ class ShardedPlanEvaluator:
                              exact_mask=data["mask"], raw=data["raw"]),
                 data["resolved"], data["summaries"])
             self.cache.record_slice(hit=False, recomputed=shard_count, reused=0)
-            popcounts[path] = data["popcounts"]
-        self.pipeline_popcounts = popcounts
         topk = result.get("topk")
         if topk is not None and spec["topk_target"] is not None:
             self.pipeline_topk = (spec["topk_target"], topk)
@@ -1000,12 +993,9 @@ class ShardedPlanEvaluator:
     # Leaf columns
     # ------------------------------------------------------------------ #
     def _signed_distances(self, source) -> np.ndarray:
-        """Signed distances of a predicate, shard by shard (backend first)."""
-        signed = self._backend_leaf_signed(source)
-        if signed is None:
-            signed = self._assemble(lambda i: np.asarray(
-                source.signed_distances(self.sharded.shards[i]), dtype=float))
-        return signed
+        """Signed distances of a predicate, shard by shard."""
+        return self._assemble(lambda i: np.asarray(
+            source.signed_distances(self.sharded.shards[i]), dtype=float))
 
     def _compute_leaf_raw(self, node: Union[PredicateLeaf, SubqueryNode]) -> _LeafRaw:
         """Raw columns of a non-range leaf (range leaves: :meth:`_range_leaf_raw`)."""
@@ -1158,25 +1148,10 @@ class ShardedPlanEvaluator:
             return self._assemble(
                 lambda i: self.sharded.prefetch[i].fulfilment_mask(ranges),
                 dtype=bool)
-        mask = self._backend_leaf_mask(predicate)
-        if mask is None:
-            mask = self._assemble(
-                lambda i: np.asarray(
-                    predicate.exact_mask(self.sharded.shards[i]), dtype=bool),
-                dtype=bool)
-        return mask
-
-    def _backend_leaf_signed(self, predicate) -> np.ndarray | None:
-        """Offer one leaf's signed distances to the backend (None = declined)."""
-        if self.backend is None:
-            return None
-        return self.backend.leaf_signed(predicate, self.sharded)
-
-    def _backend_leaf_mask(self, predicate) -> np.ndarray | None:
-        """Offer one leaf's fulfilment mask to the backend (None = declined)."""
-        if self.backend is None:
-            return None
-        return self.backend.leaf_mask(predicate, self.sharded)
+        return self._assemble(
+            lambda i: np.asarray(
+                predicate.exact_mask(self.sharded.shards[i]), dtype=bool),
+            dtype=bool)
 
     # ------------------------------------------------------------------ #
     # Normalization / combination

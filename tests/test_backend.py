@@ -51,14 +51,14 @@ def make_table(n: int = 4_000, seed: int = 0) -> Table:
     })
 
 
-def make_condition(string_predicate=None):
+def make_condition(string_predicate=None, target="row3"):
     """AND of a range band and an OR with a non-range (string) arm.
 
-    The string leaf has no prefetch representation, so with the process
-    backend its signed distances and exact mask are offloaded to workers.
+    A first execution has no site entries, so an offloading backend runs
+    the whole plan -- range leaves and the string leaf -- on its workers.
     """
     leaf = PredicateLeaf(string_predicate
-                         or StringMatchPredicate("s", "row3"))
+                         or StringMatchPredicate("s", target))
     return AndNode([
         between("a", -5.0, 15.0),
         OrNode([between("b", 2.0, 6.0), leaf]),
@@ -73,6 +73,16 @@ def build_prepared(backend, shards, *, table=None, cond=None, max_workers=2):
     query = Query(name="backend-test", tables=[table.name],
                   condition=cond if cond is not None else make_condition())
     return engine, table, engine.prepare(query)
+
+
+def cold_open(engine, table, target):
+    """A fresh prepared query with new constants: its first execute has no
+    site entry and no cached column, so it consults the backend (a warm
+    event on an existing query patches in-process and never does)."""
+    prepared = engine.prepare(Query(
+        name=f"backend-test-{target}", tables=[table.name],
+        condition=make_condition(target=target)))
+    return prepared, prepared.execute()
 
 
 #: From-scratch reference of a prepared query's current state: the naive
@@ -186,7 +196,7 @@ def test_create_backend_rejects_non_backend_factory():
 
 def test_third_party_backend_participates_end_to_end():
     """A registered custom backend is selectable via config and consulted."""
-    calls = {"prepare": 0, "leaf_signed": 0}
+    calls = {"prepare": 0, "shard_pipeline": 0}
 
     class RecordingBackend(ExecBackend):
         name = "tb-recording"
@@ -197,8 +207,8 @@ def test_third_party_backend_participates_end_to_end():
         def prepare(self, sharded):
             calls["prepare"] += 1
 
-        def leaf_signed(self, predicate, sharded):
-            calls["leaf_signed"] += 1
+        def shard_pipeline(self, sharded, spec):
+            calls["shard_pipeline"] += 1
             return None  # decline: evaluator must run in-process
 
     register_backend("tb-recording", RecordingBackend)
@@ -208,7 +218,7 @@ def test_third_party_backend_participates_end_to_end():
         assert_frames_identical(cold_frame(table, prepared), frame,
                                 "custom backend declining every op")
         assert calls["prepare"] >= 1
-        assert calls["leaf_signed"] >= 1
+        assert calls["shard_pipeline"] == 1
         assert engine.stats()["backend"]["name"] == "tb-recording"
         engine.close()
     finally:
@@ -327,24 +337,22 @@ def test_killed_worker_falls_back_bit_identical_and_respawns():
         assert wait_until(lambda: backend.stats()["workers_alive"] < 2), \
             "killed worker still reported alive"
 
-        # Dirty the offloaded string leaf so the next execute must consult
-        # the backend again: the dead pool is detected, the event completes
-        # on the in-process cold path, and a fresh pool serves the rest.
-        prepared.condition.children[1].children[1].predicate.target = "row2"
-        frame = prepared.execute()
-        assert_frames_identical(cold_frame(table, prepared), frame,
-                                "event against a killed worker")
+        # A cold open must consult the backend again: the dead pool is
+        # detected, the open completes on the in-process cold path, and a
+        # fresh pool serves the rest.
+        second, frame = cold_open(engine, table, "row2")
+        assert_frames_identical(cold_frame(table, second), frame,
+                                "open against a killed worker")
 
         after = backend.stats()
-        assert after["fallbacks"] >= before["fallbacks"] + 1
+        assert after["fallbacks"] == before["fallbacks"] + 1
         assert after["worker_restarts"] == before["worker_restarts"] + 1
 
         # The pool was respawned lazily: fresh pids, everything alive, and
-        # subsequent events offload again.
-        prepared.condition.children[1].children[1].predicate.target = "row4"
-        frame = prepared.execute()
-        assert_frames_identical(cold_frame(table, prepared), frame,
-                                "event after respawn")
+        # subsequent opens offload again.
+        third, frame = cold_open(engine, table, "row4")
+        assert_frames_identical(cold_frame(table, third), frame,
+                                "open after respawn")
         respawned = backend.stats()
         assert respawned["workers_alive"] == 2
         assert respawned["offloaded_ops"] > after["offloaded_ops"]
@@ -394,12 +402,11 @@ def test_shutdown_all_drains_pool_and_respawns_on_demand():
         assert drained["workers_alive"] == 0
         assert drained["published_tables"] == 0
 
-        # The shutdown hook must not wedge the engine: the next event
+        # The shutdown hook must not wedge the engine: the next cold open
         # republished the table and respawned the pool on demand.
-        prepared.condition.children[1].children[1].predicate.target = "row1"
-        frame = prepared.execute()
-        assert_frames_identical(cold_frame(table, prepared), frame,
-                                "event after shutdown_all")
+        reopened, frame = cold_open(engine, table, "row1")
+        assert_frames_identical(cold_frame(table, reopened), frame,
+                                "open after shutdown_all")
         assert backend.stats()["workers_alive"] > 0
     finally:
         engine.close()

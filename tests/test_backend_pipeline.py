@@ -34,7 +34,7 @@ from test_backend import (
 # --------------------------------------------------------------------------- #
 # Helpers
 # --------------------------------------------------------------------------- #
-def pipeline_condition(string_predicate=None):
+def pipeline_condition(string_predicate=None, threshold=5.0):
     """A plan the pipeline op accepts whole: no range leaves anywhere.
 
     A range leaf whose site has an entry patches in-process instead, so
@@ -43,7 +43,7 @@ def pipeline_condition(string_predicate=None):
     """
     leaf = PredicateLeaf(string_predicate or StringMatchPredicate("s", "row3"))
     return AndNode([
-        condition("a", "<", 5.0),
+        condition("a", "<", threshold),
         OrNode([condition("b", ">=", 3.0), leaf]),
     ])
 
@@ -70,7 +70,7 @@ def test_pipeline_offload_fires_and_matches_cold():
         assert stats["pipeline_ops"] >= 1
         assert stats["pipeline_fallbacks"] == 0
         assert stats["reply_bytes"] > 0
-        # Replies carry partials/popcounts/summaries, never columns: far
+        # Replies carry partials and summaries, never columns: far
         # below one node's worth of column bytes even for a whole plan.
         assert stats["reply_bytes"] < len(table) * 8
 
@@ -446,8 +446,7 @@ def test_table_dropped_behind_the_coordinator_is_reattached():
         assert key in pool.attached
         pool.broadcast([{"op": "drop", "table_id": key}] * 2, timeout=30.0)
         with pytest.raises(WorkerOpError) as rejected:
-            pool.broadcast([{"op": "leaf", "table_id": key, "kind": "mask",
-                             "predicate": None, "spans": [], "out": None}] * 2,
+            pool.broadcast([{"op": "pipeline_start", "table_id": key}] * 2,
                            timeout=30.0)
         assert rejected.value.code == "unknown-table"
 

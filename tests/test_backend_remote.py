@@ -31,6 +31,7 @@ from repro.backend.remote.server import RemoteWorkerServer
 from test_backend import (
     assert_frames_identical,
     cold_frame,
+    cold_open,
     make_condition,
     make_table,
 )
@@ -230,9 +231,9 @@ def test_server_killed_between_events_falls_back(fleet):
         prepared.execute()
         assert backend_stats(engine)["remote_fallbacks"] == 0
         fleet[0].stop()
-        prepared.condition.children[0].predicate.low = -4.0
-        frame = prepared.execute()
-        assert_frames_identical(cold_frame(table, prepared), frame,
+        # A cold open consults the backend (a warm event never does).
+        reopened, frame = cold_open(engine, table, "row2")
+        assert_frames_identical(cold_frame(table, reopened), frame,
                                 "after kill")
         stats = backend_stats(engine)
         assert stats["remote_fallbacks"] >= 1
@@ -306,11 +307,11 @@ def test_endpoint_dropped_from_env_between_events(fleet, monkeypatch):
         prepared.execute()
         assert backend_stats(engine)["worker_count"] == 2
         monkeypatch.setenv(ENV_WORKERS, fleet[1].endpoint)
-        prepared.condition.children[0].predicate.low = -4.0
-        frame = prepared.execute()
-        assert_frames_identical(cold_frame(table, prepared), frame,
+        reopened, frame = cold_open(engine, table, "row2")
+        assert_frames_identical(cold_frame(table, reopened), frame,
                                 "fleet shrunk")
         stats = backend_stats(engine)
+        assert stats["pipeline_ops"] == 2
         assert stats["worker_count"] == 1
         assert stats["workers_alive"] == 1
         assert stats["remote_fallbacks"] == 0
@@ -326,9 +327,8 @@ def test_dead_connection_detected_and_replaced(fleet, monkeypatch):
         prepared.execute()
         for server in fleet:
             server.drop_connections()
-        prepared.condition.children[0].predicate.low = -4.0
-        frame = prepared.execute()
-        assert_frames_identical(cold_frame(table, prepared), frame,
+        reopened, frame = cold_open(engine, table, "row2")
+        assert_frames_identical(cold_frame(table, reopened), frame,
                                 "reconnected")
         stats = backend_stats(engine)
         assert stats["endpoint_reconnects"] >= 1
@@ -346,11 +346,11 @@ def test_server_side_eviction_triggers_reattach(fleet):
         before = backend_stats(engine)["remote_fallbacks"]
         for server in fleet:
             server._store.close()
-        prepared.condition.children[0].predicate.low = -4.0
-        frame = prepared.execute()
-        assert_frames_identical(cold_frame(table, prepared), frame,
+        reopened, frame = cold_open(engine, table, "row2")
+        assert_frames_identical(cold_frame(table, reopened), frame,
                                 "re-attached")
         stats = backend_stats(engine)
+        assert stats["pipeline_ops"] == 2
         assert stats["remote_fallbacks"] == before
         assert stats["workers_alive"] == 2
     finally:

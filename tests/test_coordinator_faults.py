@@ -9,8 +9,11 @@ start round, each level round, finish, and (on the stream plane) fetch
 and release -- so a fault of either kind can be injected at each one and
 the coordinator's obligations checked exactly:
 
-* the op declines and the frame is still bit-identical to a cold run;
-* ``abort`` is issued iff a start round was sent;
+* the op declines, says why (``backend_fault``), and the frame is still
+  bit-identical to a cold run;
+* ``abort`` is issued iff a start round was sent, and is the event's last
+  transport call: the in-process fallback never goes back to the lanes,
+  so a broken pool is respawned by the *next* cold event, not this one;
 * the output buffer is closed and unlinked, the publication unpinned;
 * ``fallbacks`` / ``pipeline_fallbacks`` / ``worker_restarts`` move as
   ``docs/backends.md`` says.
@@ -39,6 +42,7 @@ from repro.backend.coordinator import (
 )
 from repro.backend.shm import ShmColumnStore
 from repro.backend.worker import WorkerOps, _TableStore
+from repro.obs.trace import Trace, use_trace
 
 from test_backend import assert_frames_identical, cold_frame, make_table
 from test_backend_pipeline import pipeline_condition
@@ -160,10 +164,14 @@ def fake_prepared(transport):
     table = make_table()
     engine = QueryEngine(table, PipelineConfig(
         shard_count=4, max_workers=2, backend="tb-fake", percentage=0.4))
-    prepared = engine.prepare(Query(
-        name="fake-transport", tables=[table.name],
-        condition=pipeline_condition()))
-    return engine, table, prepared
+    return engine, table, cold_query(engine, table, 5.0)
+
+
+def cold_query(engine, table, threshold):
+    """A prepared query no cache can serve: its first execute is offered."""
+    return engine.prepare(Query(
+        name=f"fake-transport-{threshold}", tables=[table.name],
+        condition=pipeline_condition(threshold=threshold)))
 
 
 def run_pipeline_event(transport):
@@ -238,25 +246,59 @@ def test_fault_at_every_round_boundary(fake_backend, op, occurrence, kind):
     streaming = op in ("pipeline_fetch", "pipeline_release")
     transport = FakeTransport(allow_shm=not streaming,
                               fault=(op, occurrence, kind))
-    stats = run_pipeline_event(transport)
+    engine, table, prepared = fake_prepared(transport)
+    try:
+        trace = Trace("event", trace_id=1)
+        with use_trace(trace):
+            frame = prepared.execute()
+        assert_frames_identical(cold_frame(table, prepared), frame,
+                                f"fault {transport.fault}")
+        stats = engine.stats()["backend"]
 
-    # The pipeline op declined, exactly once, and nothing was offloaded
-    # by it; the frame (asserted inside) came from the in-process path.
-    assert stats["pipeline_ops"] == 0
-    assert stats["pipeline_fallbacks"] == 1
-    assert stats["fallbacks"] >= 1
-    # worker_restarts counts transport faults only: an op rejection
-    # leaves every lane aligned and in service.
-    assert stats["worker_restarts"] == (1 if kind == "transport" else 0)
-    assert transport.restarts == (1 if kind == "transport" else 0)
+        # The pipeline op declined, exactly once, and said why; the frame
+        # came from the in-process path.
+        assert stats["pipeline_ops"] == stats["offloaded_ops"] == 0
+        assert stats["pipeline_fallbacks"] == stats["fallbacks"] == 1
+        (offload,) = trace.find("pipeline.offload")
+        assert offload.attrs["accepted"] is False
+        assert offload.attrs["backend_fault"] == (
+            "transport" if kind == "transport" else "op-rejected")
+        assert "offload_declined" not in offload.attrs
+        # worker_restarts counts transport faults only: an op rejection
+        # leaves every lane aligned and in service.
+        assert stats["worker_restarts"] == (1 if kind == "transport" else 0)
 
-    # abort iff a start round was sent (a rejected start still counts:
-    # lane 0 accepted it and holds a session).
-    start_sent = "pipeline_start" in transport.rounds
-    assert start_sent == (op != "attach")
-    assert len(transport.aborts) == (1 if start_sent else 0)
-    assert all(ops.session is None for ops in transport.lanes)
-    assert_buffers_released(transport)
+        # The faulted round was the event's last transport call: the
+        # fallback walk finished in-process and respawned nothing.
+        assert transport.rounds[-1] == op
+        assert transport.rounds.count(op) == occurrence
+        assert transport.restarts == 0
+
+        # abort iff a start round was sent (a rejected start still counts:
+        # lane 0 accepted it and holds a session).
+        start_sent = "pipeline_start" in transport.rounds
+        assert start_sent == (op != "attach")
+        assert len(transport.aborts) == (1 if start_sent else 0)
+        # Rejected ops keep their lanes, so the abort must have cleared
+        # them; lanes behind a transport fault are gone with their pool.
+        assert kind == "transport" or all(
+            ops.session is None for ops in transport.lanes)
+        assert_buffers_released(transport)
+
+        # The next cold event on the same backend is the one that pays the
+        # respawn (after a transport fault), once, and is accepted.
+        transport.fault = None
+        second = cold_query(engine, table, 4.0)
+        assert_frames_identical(cold_frame(table, second), second.execute(),
+                                "cold event after the fault")
+        stats = engine.stats()["backend"]
+        assert transport.restarts == (1 if kind == "transport" else 0)
+        assert stats["pipeline_ops"] == 1
+        assert stats["pipeline_fallbacks"] == 1
+        assert all(ops.session is None for ops in transport.lanes)
+        assert_buffers_released(transport)
+    finally:
+        engine.close()
 
 
 def test_unknown_table_is_reattached_and_retried_once(fake_backend):
@@ -284,6 +326,21 @@ def test_unknown_table_is_reattached_and_retried_once(fake_backend):
 
 def test_unserialisable_op_is_rejected_before_any_lane_sees_it(fake_backend):
     transport = FakeTransport()
-    with pytest.raises(WorkerOpError, match="serialise"):
+    with pytest.raises(WorkerOpError, match="serialise") as rejected:
         transport.round([{"op": "ping", "bad": lambda: None}] * 2, 1.0)
+    assert rejected.value.fault == "unserialisable"
     assert transport.rounds == []
+
+
+def test_retired_leaf_op_is_an_unknown_op():
+    """The op table is the pipeline session and table housekeeping only."""
+    ops = WorkerOps(_TableStore(math.inf))
+    reply = ops.dispatch({"op": "leaf", "table_id": "t", "kind": "mask",
+                          "predicate": None, "spans": [], "out": None})
+    assert reply == {"ok": False, "error": "unknown op 'leaf'"}
+    assert len(WorkerOps._OPS) == 10
+    # A coded rejection keeps its code in the fault it is traced under.
+    with pytest.raises(WorkerOpError) as rejected:
+        raise_rejected([ops.dispatch({"op": "pipeline_start",
+                                      "table_id": "t"})])
+    assert rejected.value.fault == "op-rejected:unknown-table"

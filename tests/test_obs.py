@@ -164,14 +164,14 @@ def test_ambient_context_is_task_local():
 
 def test_remote_span_stitching_anchors_to_parent():
     trace = Trace("event", trace_id=1)
-    parent = trace.begin("backend.broadcast")
+    parent = trace.begin("pipeline.round")
     trace.add_remote_spans(parent, [
-        {"name": "worker.leaf", "start": 0.001, "dur": 0.002,
+        {"name": "worker.pipeline_start", "start": 0.001, "dur": 0.002,
          "attrs": {"pid": 123}},
     ], tid="worker-123")
     trace.end(parent)
     trace.finish()
-    worker = trace.find("worker.leaf")[0]
+    worker = trace.find("worker.pipeline_start")[0]
     assert worker.parent == parent
     assert worker.tid == "worker-123"
     assert worker.attrs["clock"] == "worker"
@@ -307,6 +307,51 @@ def test_pipeline_offload_says_why_it_was_declined():
             "accepted": False, "offload_declined": "site-has-entry"}
     finally:
         engine.close()
+
+
+#: Callables whose string-literal positional arguments are span names:
+#: ``obs.span`` / ``Trace.begin`` / ``Tracer.start`` and the thin wrappers
+#: that forward a name to them (the coordinator's traced rounds, the
+#: protocol's encode recorder).
+_SPAN_CALLS = {"span", "begin", "start", "traced_round", "_round", "record"}
+
+
+def test_span_table_matches_the_code():
+    """docs/observability.md's span table lists what ``src/repro`` emits."""
+    import ast
+    import pathlib
+    import re
+    from fnmatch import fnmatchcase
+
+    import repro
+    from repro.backend.worker import _TIMED_OPS
+
+    root = pathlib.Path(repro.__file__).parent
+    emitted = {f"worker.{op}" for op in _TIMED_OPS}
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if callee in _SPAN_CALLS:
+                emitted.update(
+                    arg.value for arg in node.args
+                    if isinstance(arg, ast.Constant)
+                    and isinstance(arg.value, str))
+
+    doc = (root.parents[1] / "docs" / "observability.md").read_text()
+    table = doc.split("## Span taxonomy")[1].split("\n\n|", 1)[1]
+    table = table.split("\n\n", 1)[0]
+    documented = {
+        name for row in table.splitlines()[2:]
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+
+    undocumented = {name for name in emitted if not any(
+        fnmatchcase(name, pattern) for pattern in documented)}
+    unemitted = {pattern for pattern in documented if not any(
+        fnmatchcase(name, pattern) for name in emitted)}
+    assert not undocumented, f"spans missing from the table: {undocumented}"
+    assert not unemitted, f"table rows nothing emits: {unemitted}"
 
 
 # --------------------------------------------------------------------------- #
@@ -447,8 +492,7 @@ def test_span_tree_cold_vs_incremental(backend):
         for w in workers:
             assert w["tid"].startswith("worker-")
             assert w["attrs"]["clock"] == "worker"
-            assert parent_of(cold, w)["name"] in (
-                "backend.broadcast", "backend.attach", "pipeline.round")
+            assert parent_of(cold, w)["name"] == "pipeline.round"
 
     # The micro-move tree: the full protocol path plus the certificate
     # verdict annotated where the incremental evaluator decided.
