@@ -104,8 +104,8 @@ class ExecBackend:
         ``pipeline_ops`` counts :meth:`shard_pipeline` calls answered by
         the backend, ``pipeline_fallbacks`` calls declined after a failure
         (crash, timeout, unpicklable work), ``worker_restarts`` the
-        transport faults among them (a worker pool discarded, a fleet
-        endpoint marked down).  ``offloaded_ops`` / ``fallbacks`` are the
+        transport faults among them (an endpoint marked down, a local
+        worker killed).  ``offloaded_ops`` / ``fallbacks`` are the
         same two counters under their older names (there is one op, so
         each pair always reads equal), and ``reply_bytes`` totals the bytes
         that came back over the control channel for accepted pipeline ops

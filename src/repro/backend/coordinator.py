@@ -1,9 +1,10 @@
 """The one coordinator behind every out-of-process backend.
 
-``process`` (a pipe pool) and ``remote`` (a TCP fleet) offload the same
-one op -- a whole-pipeline session -- and differ only in how a message
-reaches a worker and where output columns live.  This module is the half
-that understands the op; it assumes nothing about pipes or sockets:
+``process`` (worker servers it spawns on socketpairs) and ``remote`` (a
+TCP fleet someone else runs) offload the same one op -- a whole-pipeline
+session -- over the same transport, and differ only in where their
+endpoints come from and how a failed one comes back.  This module is
+the half that understands the op; it assumes nothing about sockets:
 
 * :class:`Coordinator` drives the pipeline session: publish, pin, attach,
   shard-to-lane assignment, the output-buffer layout, the start round and
@@ -12,9 +13,9 @@ that understands the op; it assumes nothing about pipes or sockets:
   top-k collection, abort, buffer cleanup, the single retry on
   ``unknown-table``, and every counter :meth:`~Coordinator.stats` reports.
 * :class:`Transport` is everything it needs from the other half.  A
-  *lane* is one worker the transport can address -- a pool process, or
-  one fleet endpoint through a pinned connection.  Transports own
-  connections, retries and environment; they never look inside an op.
+  *lane* is one worker the transport can address -- one endpoint through
+  the connection pinned for the op.  Transports own connections, health
+  and environment; they never look inside an op.
 
 Two exception kinds cross the boundary, and they are the whole fault
 taxonomy:
@@ -22,11 +23,11 @@ taxonomy:
 * :class:`WorkerOpError` -- the op was rejected (error reply, or it could
   not be serialised) and every lane is still request/reply aligned.  The
   lanes are kept; the op falls back in-process.
-* :class:`WorkerPoolError` -- the transport itself failed (dead pipe,
-  reset, timeout, version skew).  Before raising, the transport has
-  already made sure the lanes are never reused: the pool is discarded, or
-  the endpoint is marked down and the session's connections closed.  The
-  op falls back in-process.
+* :class:`WorkerPoolError` -- the transport itself failed (dead or reset
+  peer, timeout, version skew).  Before raising, the transport has
+  already made sure the lanes are never reused: the endpoint is marked
+  down and the session's connections closed.  The op falls back
+  in-process.
 
 Either way the event completes bit-identically on the in-process path.
 """
@@ -73,8 +74,14 @@ class WorkerPoolError(RuntimeError):
     """Transport fault: a worker died, a link broke, or a round timed out.
 
     The lanes can no longer be trusted; the transport that raises this
-    has already discarded its pool or marked the endpoint down.
+    has already marked the endpoint down.  ``fault`` is the
+    ``backend_fault`` the fallback is traced under: ``transport``, or
+    ``transport:timeout`` / ``transport:closed`` when ``code`` says which.
     """
+
+    def __init__(self, message: str, code: str | None = None):
+        super().__init__(message)
+        self.fault = "transport" if code is None else f"transport:{code}"
 
 
 class WorkerOpError(RuntimeError):
@@ -149,7 +156,7 @@ class OutputBuffer:
 
 
 class Transport(Protocol):
-    """What the coordinator needs from a pipe pool or a socket fleet.
+    """What the coordinator needs from the fleet of worker endpoints.
 
     One op is: ``with session(width) as lanes`` -> ``attach`` ->
     ``output_buffer`` -> one or more ``round``s -> (``abort`` on failure).
@@ -167,8 +174,8 @@ class Transport(Protocol):
         """Reserve up to ``width`` lanes for one op; yields the lane count.
 
         Nothing else may interleave with the op's request/reply pairs
-        until the context exits (the pool holds its lock; the fleet pins
-        one connection per endpoint).
+        until the context exits (the fleet pins one connection per
+        endpoint).
         """
 
     def attach(self, published: PublishedTable, timeout: float,
@@ -314,8 +321,8 @@ class Coordinator(ExecBackend):
             except WorkerOpError as exc:
                 if exc.code != "unknown-table" or refresh:
                     return self._fallback(exc.fault)
-            except WorkerPoolError:
-                return self._fallback("transport", restart=True)
+            except WorkerPoolError as exc:
+                return self._fallback(exc.fault, restart=True)
             except Exception:
                 return self._fallback("error")
             finally:

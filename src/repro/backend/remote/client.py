@@ -1,29 +1,34 @@
-"""``remote`` backend: shard execution on a TCP worker fleet.
+"""The socket transport, and the ``remote`` backend on top of it.
 
-The fleet is configured by ``REPRO_REMOTE_WORKERS=host:port,host:port``
-(re-read on every op, so endpoints can be added or dropped between
-events) and selected per engine via ``PipelineConfig(backend="remote")``
-or ``REPRO_BACKEND=remote``.  Each endpoint is one
+The ``remote`` fleet is configured by
+``REPRO_REMOTE_WORKERS=host:port,host:port`` (re-read on every op, so
+endpoints can be added or dropped between events) and selected per
+engine via ``PipelineConfig(backend="remote")`` or
+``REPRO_BACKEND=remote``.  Each endpoint is one
 :class:`~repro.backend.remote.server.RemoteWorkerServer`; the client
 keeps a small pool of framed TCP connections per endpoint
 (:mod:`repro.backend.remote.wire`), with connect/read timeouts, an
 idle-connection heartbeat, and a version handshake on every connect.
 
-Column data moves over a *negotiated data plane*, once per
-``Table.export_id``: tables are published into the coordinator's
-shared-memory store exactly as for the ``process`` backend, and each
-endpoint either attaches the published blocks directly (a co-located
-server: zero column bytes on the socket) or has the columns chunk-
-streamed to it once at attach time (a cross-host server).  Either way,
-per-event wire traffic stays the plan, shard lists and partials --
-the ``remote_traffic_ratio`` headline in
-``benchmarks/bench_backend.py``.
+The ``process`` backend (:mod:`repro.backend.process`) rides the same
+transport over *local* endpoints: servers this process spawns, one per
+lane, each on one end of a ``socketpair``.  They listen on nothing.  A
+local endpoint owns its process, has exactly one connection (ops take
+turns on it), and is respawned by the next op after a fault instead of
+being re-probed after a cooldown.
 
-This module is the *socket transport*: :class:`_Fleet` pins one
-connection per endpoint for the length of an op and moves one message
-per endpoint per round.  The op itself lives in
-:class:`repro.backend.coordinator.Coordinator` (which
-:class:`RemoteBackend` extends) and, server-side, in
+Column data moves over a *negotiated data plane*, once per
+``Table.export_id``: tables are published into the one shared-memory
+:data:`STORE`, and each endpoint either attaches the published blocks
+directly (a co-located server, every local one: zero column bytes on
+the socket) or has the columns chunk-streamed to it once at attach time
+(a cross-host server).  Either way, per-event wire traffic stays the
+plan, shard lists and partials -- the ``remote_traffic_ratio`` headline
+in ``benchmarks/bench_backend.py``.
+
+:class:`_Fleet` pins one connection per endpoint for the length of an
+op and moves one message per endpoint per round.  The op itself lives
+in :class:`repro.backend.coordinator.Coordinator` and, server-side, in
 :class:`repro.backend.worker.WorkerOps`.
 
 Faults follow the coordinator's two-kind taxonomy (a backend failure can
@@ -32,12 +37,13 @@ make an event slower, never wrong):
 * any transport fault -- connection refused, reset mid-round, read
   timeout, protocol version mismatch -- is a
   :class:`~repro.backend.coordinator.WorkerPoolError`: the endpoint is
-  marked unhealthy first (re-probed lazily after ``reprobe_interval``,
-  successful re-connects counted in ``endpoint_reconnects``), and every
-  connection the op pinned is closed -- replies may be pending on any
-  of them, and reusing one would pair a request with a stale reply
-  (wrong data, not an error); the server drops its session state with
-  the connection.
+  marked down first (a remote one is re-probed lazily after
+  ``reprobe_interval``, successful re-connects counted in
+  ``endpoint_reconnects``; a local one is killed and respawned by the
+  next op), and every connection the op pinned is closed -- replies may
+  be pending on any of them, and reusing one would pair a request with a
+  stale reply (wrong data, not an error); the server drops its session
+  state with the connection.
 * an op rejected by a healthy server (error reply; e.g. an evicted
   table publication) is a
   :class:`~repro.backend.coordinator.WorkerOpError`: every reply was
@@ -50,8 +56,10 @@ Configuration errors (a malformed ``REPRO_REMOTE_WORKERS``) raise
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import socket
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -67,12 +75,16 @@ from repro.backend.coordinator import (
 )
 from repro.backend.remote import wire
 from repro.backend.shm import PublishedTable, ShmColumnStore
+from repro.obs import trace as obs
 
 __all__ = [
     "ENV_WORKERS",
+    "STORE",
     "RemoteBackend",
+    "hold_local_fleet",
+    "local_endpoints",
     "parse_remote_workers",
-    "shutdown_remote_backend",
+    "shutdown_fleet",
 ]
 
 ENV_WORKERS = "REPRO_REMOTE_WORKERS"
@@ -98,13 +110,11 @@ def parse_remote_workers(value: str) -> tuple[tuple[str, int], ...]:
 
 
 class _Connection:
-    """One framed, handshaken TCP connection to a worker server."""
+    """One framed, handshaken connection to a worker server."""
 
-    def __init__(self, sock: socket.socket, endpoint_key: str):
+    def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.endpoint_key = endpoint_key
         self.last_used = time.monotonic()
-        self.server_pid: int | None = None
         self.server_shm = True
 
     def handshake(self, deadline: float) -> None:
@@ -117,19 +127,14 @@ class _Connection:
             raise wire.VersionMismatch(theirs)
         if not reply.get("ok"):
             raise wire.WireError(str(reply.get("error", "handshake refused")))
-        self.server_pid = reply.get("pid")
         self.server_shm = bool(reply.get("shm", True))
 
     def send(self, msg: dict[str, Any]) -> int:
-        self.last_used = time.monotonic()
         return wire.send_obj(self.sock, msg)
 
-    def send_body(self, body: bytes) -> int:
-        """Send one already-pickled control message."""
-        self.last_used = time.monotonic()
-        return wire.send_frame(self.sock, body)
-
     def recv(self, deadline: float) -> tuple[dict[str, Any], int]:
+        """One reply; it also stamps :attr:`last_used` (a connection goes
+        idle only after a reply)."""
         reply, nbytes = wire.read_obj(self.sock, deadline)
         self.last_used = time.monotonic()
         return reply, nbytes
@@ -148,21 +153,42 @@ class _Connection:
         return reply, nbytes + reply_bytes
 
     def close(self) -> None:
-        try:
-            self.sock.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
+        self.sock.close()
+
+
+def _fault_code(exc: BaseException) -> str | None:
+    """``timeout`` / ``closed`` for the two transport faults with a name."""
+    if isinstance(exc, (wire.WireTimeout, socket.timeout)):
+        return "timeout"
+    if isinstance(exc, (wire.WireClosed, ConnectionError)):
+        return "closed"
+    return None
 
 
 class _Endpoint:
-    """Client-side state of one fleet endpoint (health + idle connections)."""
+    """Client-side state of one worker server: health and connections.
 
-    def __init__(self, host: str, port: int):
-        self.host = host
-        self.port = port
-        self.key = f"{host}:{port}"
+    A *remote* endpoint (``address`` set) is a server someone else runs:
+    it keeps a few idle TCP connections, pings one that sat idle before
+    trusting it, and after a fault sits out ``reprobe_interval`` before a
+    lazy re-probe.  A *local* endpoint (``address`` None) is a server
+    this process spawned and owns (:attr:`proc`), on one end of a
+    ``socketpair``: that connection is the server's only link, so ops
+    take turns on it (:attr:`slots`), and a fault kills the process --
+    the next op respawns it, with no cooldown.
+    """
+
+    def __init__(self, key: str, address: tuple[str, int] | None = None):
+        self.key = key
+        self.address = address
+        self.local = address is None
         self.lock = threading.Lock()
+        #: Connections that may be out at once: a local server has one.
+        self.slots = threading.Semaphore(1 if self.local else sys.maxsize)
         self.idle: list[_Connection] = []
+        self.proc = None
+        #: Our end of a spawned server's socketpair, until it is connected.
+        self._sock: socket.socket | None = None
         self.healthy = True
         self.last_probe = 0.0
         self.ever_connected = False
@@ -172,11 +198,34 @@ class _Endpoint:
         #: Publication key -> negotiated mode ("shm" / "stream").
         self.attached: dict[str, str] = {}
 
+    def spawn(self) -> None:
+        """Start a local endpoint's server unless it has one (no waiting).
+
+        ``spawn``, not ``fork``: the engine runs on threads, and a forked
+        child would inherit their locks in unknown states.
+        """
+        from repro.backend.remote.server import serve_socket
+
+        with self.lock:
+            if self.proc is not None:
+                return
+            ours, theirs = socket.socketpair()
+            with theirs:
+                proc = _SPAWN.Process(target=serve_socket, args=(theirs,),
+                                      name="repro-exec", daemon=True)
+                proc.start()
+            self.proc, self._sock, self.key = proc, ours, str(proc.pid)
+
     def connect(self, connect_timeout: float) -> _Connection:
-        sock = socket.create_connection((self.host, self.port),
-                                        timeout=connect_timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _Connection(sock, self.key)
+        if self.local:
+            self.spawn()
+            with self.lock:
+                sock, self._sock = self._sock, None
+        else:
+            sock = socket.create_connection(self.address,
+                                            timeout=connect_timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _Connection(sock)
         try:
             conn.handshake(time.monotonic() + connect_timeout)
         except BaseException:
@@ -186,76 +235,107 @@ class _Endpoint:
             self.shm_ok = False
         return conn
 
-    def borrow(self, connect_timeout: float, heartbeat_interval: float,
-               op_timeout: float) -> tuple[_Connection, int]:
+    def borrow(self, backend: Coordinator) -> tuple[_Connection, int]:
         """An aligned connection, freshly heartbeaten when it sat idle.
 
-        Returns ``(conn, reconnects)`` where ``reconnects`` counts new
-        TCP connections established beyond this endpoint's first -- the
-        dead-peer replacements and lazy re-probes the
-        ``endpoint_reconnects`` stat reports.
+        ``backend`` supplies the timeouts.  Returns ``(conn, reconnects)``
+        where ``reconnects`` counts new TCP connections established beyond
+        this endpoint's first -- the dead-peer replacements and lazy
+        re-probes the ``endpoint_reconnects`` stat reports.  A local
+        endpoint waits for the op holding its one connection, and spawns
+        its server within ``op_timeout`` when there is none.
         """
+        self.slots.acquire()
+        try:
+            return self._take(backend)
+        except BaseException:
+            self.slots.release()
+            raise
+
+    def _take(self, backend: Coordinator) -> tuple[_Connection, int]:
         reconnects = 0
         while True:
             with self.lock:
                 conn = self.idle.pop() if self.idle else None
             if conn is None:
                 break
-            if time.monotonic() - conn.last_used < heartbeat_interval:
+            if self.local or (time.monotonic() - conn.last_used
+                              < backend.heartbeat_interval):
                 return conn, reconnects
             # Heartbeat a stale connection before trusting it: a dead
             # peer is detected here, not mid-op.
             try:
                 conn.request({"op": "ping"},
-                             time.monotonic() + min(op_timeout, 10.0))
+                             time.monotonic() + min(backend.op_timeout, 10.0))
                 return conn, reconnects
             except (wire.WireError, WorkerOpError):
                 conn.close()
         try:
-            conn = self.connect(connect_timeout)
+            conn = self.connect(backend.op_timeout if self.local
+                                else backend.connect_timeout)
         except (OSError, wire.WireError) as exc:
             self.mark_down()
-            raise WorkerPoolError(
-                f"endpoint {self.key} unreachable: {exc}") from exc
+            raise WorkerPoolError(f"endpoint {self.key} unreachable: {exc}",
+                                  _fault_code(exc)) from exc
         if self.ever_connected:
             reconnects += 1
-        self.ever_connected = True
-        if not self.healthy:
-            self.healthy = True
+        # A local respawn is a restart, counted at the fault that caused it.
+        self.ever_connected = not self.local
+        self.healthy = True
         return conn, reconnects
 
-    def give_back(self, conn: _Connection) -> None:
-        with self.lock:
-            if len(self.idle) < MAX_IDLE_CONNS:
-                self.idle.append(conn)
-                return
-        conn.close()
+    def release(self, conn: _Connection, keep: bool) -> None:
+        """Hand back a borrowed connection: pooled if ``keep``, else closed.
+
+        Only a request/reply aligned connection may be kept.  Closing a
+        local endpoint's connection ends its server, which goes down
+        with it.
+        """
+        if keep:
+            with self.lock:
+                if len(self.idle) < MAX_IDLE_CONNS:
+                    self.idle.append(conn)
+                    conn = None
+        if conn is not None:
+            conn.close()
+            if self.local:
+                self.mark_down()
+        self.slots.release()
 
     def mark_down(self) -> None:
-        """Endpoint failed: drop pooled connections, await lazy re-probe."""
+        """Endpoint failed: drop its connections (and a local server)."""
         self.healthy = False
         self.last_probe = time.monotonic()
         # A fresh connection will have to re-negotiate attachments: the
         # server may have restarted with an empty table store.
         self.attached.clear()
-        with self.lock:
-            conns, self.idle = self.idle, []
-        for conn in conns:
-            conn.close()
+        self.close_all()
 
     def close_all(self) -> None:
         with self.lock:
             conns, self.idle = self.idle, []
+            sock, self._sock = self._sock, None
+            proc, self.proc = self.proc, None
         for conn in conns:
             conn.close()
+        if sock is not None:
+            sock.close()
+        if proc is not None:  # a spawned server: killed and reaped
+            proc.kill()
+            proc.join()
 
 
 # --------------------------------------------------------------------------- #
 # Process-wide fleet state
 # --------------------------------------------------------------------------- #
+_SPAWN = multiprocessing.get_context("spawn")
 _FLEET_LOCK = threading.RLock()
+#: Configured remote endpoints, by ``host:port``.
 _ENDPOINTS: dict[str, _Endpoint] = {}
 _CONFIG: tuple[str, tuple[tuple[str, int], ...]] | None = None
+#: The local fleet, shared by every ``process`` backend instance.
+_LOCAL: list[_Endpoint] = []
+_LOCAL_REFS = 0
 
 
 def _current_endpoints() -> list[_Endpoint]:
@@ -276,15 +356,40 @@ def _current_endpoints() -> list[_Endpoint]:
             for host, port in parsed:
                 key = f"{host}:{port}"
                 if key not in _ENDPOINTS:
-                    _ENDPOINTS[key] = _Endpoint(host, port)
+                    _ENDPOINTS[key] = _Endpoint(key, (host, port))
             _CONFIG = (raw, parsed)
         return [_ENDPOINTS[f"{host}:{port}"] for host, port in _CONFIG[1]]
 
 
-def _notify_drop(published: PublishedTable) -> None:
-    """Tell endpoints to drop an evicted publication (best effort)."""
+def local_endpoints(size: int | None = None) -> list[_Endpoint]:
+    """The local fleet; ``size`` creates it when absent (first one wins).
+
+    Creating spawns nothing: a server starts on its endpoint's first op.
+    """
     with _FLEET_LOCK:
-        endpoints = list(_ENDPOINTS.values())
+        if size is not None and not _LOCAL:
+            _LOCAL.extend(_Endpoint(f"local-{i}") for i in range(size))
+        return list(_LOCAL)
+
+
+def hold_local_fleet(delta: int) -> None:
+    """Count a ``process`` backend in (+1) or out (-1); the last one out
+    stops the local servers."""
+    global _LOCAL_REFS
+    with _FLEET_LOCK:
+        _LOCAL_REFS = max(0, _LOCAL_REFS + delta)
+        if _LOCAL_REFS:
+            return
+        endpoints = list(_LOCAL)
+        _LOCAL.clear()
+    for endpoint in endpoints:
+        endpoint.close_all()
+
+
+def _notify_drop(published: PublishedTable) -> None:
+    """Tell every endpoint holding an evicted publication to drop it."""
+    with _FLEET_LOCK:
+        endpoints = list(_ENDPOINTS.values()) + _LOCAL
     for endpoint in endpoints:
         if published.key not in endpoint.attached:
             continue
@@ -292,34 +397,37 @@ def _notify_drop(published: PublishedTable) -> None:
         if not endpoint.healthy:
             continue
         try:
-            conn, _ = endpoint.borrow(5.0, 30.0, 30.0)
+            conn, _ = endpoint.borrow(RemoteBackend)
         except WorkerPoolError:
             continue
         try:
             conn.request({"op": "drop", "table_id": published.key},
                          time.monotonic() + 30.0)
-            endpoint.give_back(conn)
+            keep = True
         except (wire.WireError, WorkerOpError):
-            conn.close()
+            keep = False
+        endpoint.release(conn, keep)
 
 
-_RSTORE = ShmColumnStore(on_evict=_notify_drop)
+#: Where both socket backends publish table columns.
+STORE = ShmColumnStore(on_evict=_notify_drop)
 
 
-def shutdown_remote_backend() -> None:
-    """Close every fleet connection and destroy published tables.
+def shutdown_fleet() -> None:
+    """Stop local servers, close every connection, destroy publications.
 
     Registered ``atexit`` (see :mod:`repro.backend`); safe any time --
-    live backends reconnect lazily on their next op.
+    live backends respawn and reconnect lazily on their next op.
     """
     global _CONFIG
     with _FLEET_LOCK:
-        endpoints = list(_ENDPOINTS.values())
+        endpoints = list(_ENDPOINTS.values()) + _LOCAL
         _ENDPOINTS.clear()
+        _LOCAL.clear()
         _CONFIG = None
     for endpoint in endpoints:
         endpoint.close_all()
-    _RSTORE.close()
+    STORE.close()
 
 
 class _Fleet:
@@ -327,11 +435,10 @@ class _Fleet:
 
     Implements :class:`repro.backend.coordinator.Transport`: a lane is an
     endpoint reached through the connection pinned for this op.  Built
-    per op by :class:`RemoteBackend`, whose class-level timeouts and
-    transport counters it reads and feeds.
+    per op by the backend whose timeouts and counters it reads and feeds.
     """
 
-    def __init__(self, endpoints: list[_Endpoint], backend: "RemoteBackend"):
+    def __init__(self, endpoints: list[_Endpoint], backend: Coordinator):
         self.endpoints = endpoints
         self.backend = backend
         self.pairs: list[tuple[_Endpoint, _Connection]] = []
@@ -355,29 +462,21 @@ class _Fleet:
         """
         try:
             for endpoint in self.endpoints[:width]:
-                self.pairs.append((endpoint, self._borrow(endpoint)))
+                conn, reconnects = endpoint.borrow(self.backend)
+                self.pairs.append((endpoint, conn))
+                if reconnects:
+                    self.backend._count(endpoint_reconnects=reconnects)
             yield len(self.pairs)
         finally:
             for endpoint, conn in self.pairs:
-                if self.aligned:
-                    endpoint.give_back(conn)
-                else:
-                    conn.close()
+                endpoint.release(conn, self.aligned)
             self.pairs = []
-
-    def _borrow(self, endpoint: _Endpoint) -> _Connection:
-        backend = self.backend
-        conn, reconnects = endpoint.borrow(
-            backend.connect_timeout, backend.heartbeat_interval,
-            backend.op_timeout)
-        if reconnects:
-            backend._count(endpoint_reconnects=reconnects)
-        return conn
 
     def _fault(self, endpoint: _Endpoint, what: str,
                exc: Exception) -> WorkerPoolError:
         endpoint.mark_down()
-        return WorkerPoolError(f"{what} {endpoint.key} failed: {exc}")
+        return WorkerPoolError(f"{what} {endpoint.key} failed: {exc}",
+                               _fault_code(exc))
 
     # ------------------------------------------------------------------ #
     # Publish / attach negotiation
@@ -386,34 +485,28 @@ class _Fleet:
                refresh: bool = False) -> int:
         """Negotiate the data plane for ``published`` on every lane.
 
-        Attach is idempotent, so a fault here is retried with backoff on
-        a fresh connection before the endpoint is given up on.
+        A fault here is a round fault like any other: the endpoint goes
+        down and the op falls back; the next op reconnects (or respawns)
+        and attaches afresh.
         """
-        backend = self.backend
+        if refresh:
+            for endpoint, _ in self.pairs:
+                endpoint.attached.pop(published.key, None)
+        if all(published.key in endpoint.attached
+               for endpoint, _ in self.pairs):
+            return 0
         total = 0
-        try:
-            for lane, (endpoint, conn) in enumerate(self.pairs):
-                if refresh:
-                    endpoint.attached.pop(published.key, None)
-                attempt = 0
-                while True:
-                    try:
-                        total += self._ensure_attached(
-                            endpoint, conn, published, timeout)
-                        break
-                    except (wire.WireError, WorkerOpError) as exc:
-                        conn.close()
-                        attempt += 1
-                        if attempt > backend.attach_retries:
-                            raise self._fault(endpoint, "attach on", exc) \
-                                from exc
-                        time.sleep(
-                            backend.retry_backoff * (2 ** (attempt - 1)))
-                        conn = self._borrow(endpoint)
-                        self.pairs[lane] = (endpoint, conn)
-        except BaseException:
-            self.aligned = False
-            raise
+        self.aligned = False
+        with obs.span("backend.attach", workers=len(self.pairs),
+                      table=published.key) as span:
+            for endpoint, conn in self.pairs:
+                try:
+                    total += self._ensure_attached(endpoint, conn, published,
+                                                   timeout)
+                except (wire.WireError, WorkerOpError) as exc:
+                    raise self._fault(endpoint, "attach on", exc) from exc
+            span.annotate(bytes=total)
+        self.aligned = True
         return total
 
     def _ensure_attached(self, endpoint: _Endpoint, conn: _Connection,
@@ -495,7 +588,7 @@ class _Fleet:
             if body is None:
                 continue
             try:
-                bytes_out += conn.send_body(body)
+                bytes_out += wire.send_frame(conn.sock, body)
             except wire.WireError as exc:
                 raise self._fault(endpoint, "send to", exc) from exc
         for (endpoint, conn), body in zip(self.pairs, bodies):
@@ -535,7 +628,7 @@ class RemoteBackend(Coordinator):
     """
 
     name = "remote"
-    store = _RSTORE
+    store = STORE
 
     #: TCP connect + handshake budget, seconds.
     connect_timeout = 10.0
@@ -543,10 +636,6 @@ class RemoteBackend(Coordinator):
     heartbeat_interval = 30.0
     #: How long an unhealthy endpoint sits out before a lazy re-probe.
     reprobe_interval = 5.0
-    #: Bounded retries for the idempotent attach/publish negotiation.
-    attach_retries = 2
-    #: Backoff between attach retries, seconds (doubles per attempt).
-    retry_backoff = 0.05
 
     def __init__(self, max_workers: int | None = None):
         super().__init__(max_workers)
@@ -569,15 +658,14 @@ class RemoteBackend(Coordinator):
         ]
         if not usable:
             # Nothing new broke: the op is declined, no lane is lost.
-            raise WorkerOpError("every endpoint is down (re-probe pending)")
+            raise WorkerOpError("every endpoint is down (re-probe pending)",
+                                fault="no-endpoint")
         return _Fleet(usable, self)
 
     def _gauges(self) -> dict[str, int]:
         endpoints = _current_endpoints()
-        return {
-            "worker_count": len(endpoints),
-            "workers_alive": sum(1 for ep in endpoints if ep.healthy),
-        }
+        return {"worker_count": len(endpoints),
+                "workers_alive": sum(ep.healthy for ep in endpoints)}
 
     def stats(self) -> dict[str, int]:
         stats = super().stats()

@@ -1,17 +1,21 @@
-"""Standalone TCP worker server for the ``remote`` execution backend.
+"""The worker server: the one loop around the worker op table.
 
-Run one per host (or several per host, one port each)::
+Run one per host (or several per host, one port each) for the
+``remote`` backend::
 
     python -m repro.backend.remote.server --listen 0.0.0.0:7601
 
-Each accepted connection speaks the framed protocol of
+The ``process`` backend runs the same loop without a listener: it
+spawns one process per lane whose target is :func:`serve_socket`, over
+one end of a ``socketpair`` (no address, nothing to connect to).
+
+Each connection speaks the framed protocol of
 :mod:`repro.backend.remote.wire` and is one *lane*: it owns a
-:class:`~repro.backend.worker.WorkerOps` -- the same op table the process
-backend's pipe workers dispatch through -- so the remote path cannot
-serve a different protocol, let alone different semantics.  What this
-module adds is only what a socket needs: listening, the version
-handshake, fault-injection hooks, and the raw column frames of a
-stream-plane attach.
+:class:`~repro.backend.worker.WorkerOps`, so no lane can serve a
+different protocol, let alone different semantics.  What this module
+adds is only what a socket needs: listening, the version handshake,
+fault-injection hooks, and the raw column frames of a stream-plane
+attach.
 
 Tables are attached once per publication key and held in an LRU-bounded
 store shared by every connection; per-event traffic stays the plan,
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import socket
 import threading
@@ -48,7 +53,7 @@ from repro.backend.remote import wire
 from repro.backend.shm import attach_block
 from repro.backend.worker import WorkerOps, _TableStore
 
-__all__ = ["RemoteWorkerServer", "main"]
+__all__ = ["RemoteWorkerServer", "main", "serve_socket"]
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -80,13 +85,13 @@ class RemoteWorkerServer:
 
     Usable standalone via :func:`main` or in-process for tests and
     examples: ``start()`` binds (port 0 picks a free port, see
-    :attr:`address`) and serves on a background thread; ``stop()`` tears
+    :attr:`endpoint`) and serves on a background thread; ``stop()`` tears
     everything down.  ``stall_ops`` and ``drop_connections()`` are fault
     -injection hooks for the timeout / reset test cases.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 allow_shm: bool = True, max_tables: int = 8,
+                 allow_shm: bool = True, max_tables: float = 8,
                  untrack_shm: bool = False,
                  protocol_version: int | None = None):
         self.host = host
@@ -111,10 +116,6 @@ class RemoteWorkerServer:
     # Lifecycle
     # ------------------------------------------------------------------ #
     @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
-
-    @property
     def endpoint(self) -> str:
         return f"{self.host}:{self.port}"
 
@@ -134,8 +135,7 @@ class RemoteWorkerServer:
         self._closing.set()
         listener, self._listener = self._listener, None
         if listener is not None:
-            with contextlib.suppress(Exception):
-                listener.close()
+            listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
             self._accept_thread = None
@@ -151,12 +151,6 @@ class RemoteWorkerServer:
                 conn.shutdown(socket.SHUT_RDWR)
             with contextlib.suppress(Exception):
                 conn.close()
-
-    def __enter__(self) -> "RemoteWorkerServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     def serve_forever(self) -> None:
         """Block until :meth:`stop` (standalone entrypoint)."""
@@ -188,7 +182,8 @@ class RemoteWorkerServer:
     # Connection loop
     # ------------------------------------------------------------------ #
     def _serve_connection(self, conn: socket.socket) -> None:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if conn.family != socket.AF_UNIX:  # no such option on AF_UNIX
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         ops = WorkerOps(
             self._store, allow_shm=self.allow_shm,
             attach=_attach_untracked if self.untrack_shm else attach_block)
@@ -255,6 +250,21 @@ class RemoteWorkerServer:
                            deadline=time.monotonic() + 120.0)
         ops.uploads.setdefault(msg["table_id"], {})[msg["name"]] = buf
         return {"ok": True}
+
+
+def serve_socket(sock: socket.socket) -> None:
+    """Serve one connected socket until EOF: a spawned local worker.
+
+    The ``process`` backend's lane.  Its spawner shares this process's
+    resource tracker (plain :func:`~repro.backend.shm.attach_block`), and
+    its table store is unbounded: the coordinator's own LRU decides what
+    a lane holds, via ``drop``.
+    """
+    server = RemoteWorkerServer(max_tables=math.inf)
+    try:
+        server._serve_connection(sock)
+    finally:
+        server._store.close()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,6 +1,9 @@
-"""Length-prefixed binary framing for the ``remote`` backend's TCP links.
+"""Length-prefixed binary framing for every worker connection.
 
-Every message on a remote worker connection is one *frame*: a
+TCP links to ``remote`` servers and the socketpairs of ``process``
+workers carry the same frames.
+
+Every message on a worker connection is one *frame*: a
 struct-packed header (magic, protocol version, flags, body length)
 followed by the body.  Control messages -- ops, replies, partials -- are
 pickled Python dicts (``FLAG_PICKLE``); bulk column payloads travel as

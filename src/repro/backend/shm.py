@@ -3,7 +3,7 @@
 A table's columns are published exactly once per coordinator process:
 numeric columns are copied raw into ``multiprocessing.shared_memory``
 blocks (workers then map them zero-copy), object columns are pickled once
-into their own block.  What crosses the pipe afterwards is only a
+into their own block.  What crosses a socket afterwards is only a
 *manifest* -- block names, dtypes and lengths -- so per-event traffic
 never includes column data.
 
@@ -228,7 +228,7 @@ class ShmColumnStore:
         """Destroy every publication (idempotent).
 
         Shutdown path: pins are not honoured here -- any op still in
-        flight is already doomed (the pool is being terminated) and falls
+        flight is already doomed (its workers are being stopped) and falls
         back in-process.
         """
         with self._lock:

@@ -1,11 +1,11 @@
 """The worker side of every out-of-process backend: one op table.
 
-A *lane* -- a ``process``-backend pool process on a pipe, or one
-connection of a ``remote`` worker server -- owns a :class:`WorkerOps` and
-feeds it decoded messages; :meth:`WorkerOps.dispatch` is the only place
-an op code is interpreted, so the two transports cannot serve different
-protocols.  The loops around it (:func:`worker_main` here, the
-connection loop in :mod:`repro.backend.remote.server`) only move bytes.
+A *lane* -- one connection of a worker server, whether a ``process``
+backend spawned it on a socketpair or a ``remote`` fleet runs it on a
+port -- owns a :class:`WorkerOps` and feeds it decoded messages;
+:meth:`WorkerOps.dispatch` is the only place an op code is interpreted.
+The one loop around it, in :mod:`repro.backend.remote.server`, only
+moves bytes.
 
 Columns never travel with an op: ``attach`` carries a shared-memory
 manifest (or announces a one-time upload), after which the lane holds a
@@ -17,12 +17,11 @@ coordinator allocated and replying only partials.
 A failing op produces an error reply and leaves the lane alive and
 request/reply aligned (an open pipeline session is torn down, so the
 next op starts clean) -- only a dead link or an explicit ``exit`` ends a
-loop, so one poisonous message cannot wedge a pool.
+loop, so one poisonous message cannot wedge a lane.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 import time
@@ -36,7 +35,7 @@ from repro.backend.shm import (
     table_from_buffers,
 )
 
-__all__ = ["WorkerOps", "worker_main"]
+__all__ = ["WorkerOps"]
 
 
 class _TableEntry:
@@ -66,7 +65,7 @@ class _TableStore:
     Ops pin the entry they operate on; eviction of a pinned entry is
     deferred until the last pin drops, so a session on one connection can
     never have its column mappings closed by an attach on another.  A
-    pool process has a single lane and an unbounded store (the
+    spawned local server has a single lane and an unbounded store (the
     coordinator's own LRU decides what it holds, via ``drop``).
     """
 
@@ -340,34 +339,3 @@ class WorkerOps:
         "pipeline_release": _pipeline_drop,
     }
 
-
-def worker_main(conn) -> None:
-    """Serve ops from pipe ``conn`` until it dies or ``exit`` arrives."""
-    ops = WorkerOps(_TableStore(math.inf))
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            except Exception as exc:
-                # recv() consumed a whole frame but could not unpickle it
-                # (e.g. the predicate's module is not importable here); the
-                # protocol stream is still aligned, so report and continue.
-                reply = {"ok": False, "error": f"recv: {exc!r}"}
-            else:
-                if msg.get("op") == "exit":
-                    conn.send({"ok": True})
-                    break
-                reply = ops.dispatch(msg)
-            try:
-                conn.send(reply)
-            except Exception:
-                break
-    finally:
-        ops.close()
-        ops.store.close()
-        try:
-            conn.close()
-        except Exception:  # pragma: no cover
-            pass

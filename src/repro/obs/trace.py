@@ -17,7 +17,7 @@ The design constraints, in order:
   thread-local *and* asyncio-task-local parenting for free; the two places
   the event migrates explicitly -- the event loop handing a batch to an
   executor thread, and a worker process shipping its own timings back over
-  the pipe -- use :func:`use_trace` and :meth:`Trace.add_remote_spans`
+  its socket -- use :func:`use_trace` and :meth:`Trace.add_remote_spans`
   respectively.  Worker spans are timed on the worker's own clock and
   stitched under the coordinator span that awaited them.
 * **Bounded retention.**  A :class:`Tracer` keeps a ring of recent traces

@@ -1,18 +1,21 @@
 """ExecBackend subsystem tests.
 
 Covers the provider registry, backend selection/validation through
-``PipelineConfig(backend=...)`` and ``REPRO_BACKEND``, the shared-memory
-process pool (offload, fault injection, respawn, shutdown), and the OR-node
-union fast path through :meth:`PrefetchCache.query_union`.
+``PipelineConfig(backend=...)`` and ``REPRO_BACKEND``, the ``process``
+backend's local fleet (offload, fault injection, respawn, shutdown, one
+connection per worker, no listener), and the OR-node union fast path
+through :meth:`PrefetchCache.query_union`.
 
-The crash tests deliberately kill workers of the *shared* process pool;
-the pool is discarded and lazily respawned, so later tests (and the
-differential suite) see a fresh pool.
+The crash tests deliberately kill workers of the *shared* local fleet;
+a killed worker is respawned lazily by the next op, so later tests (and
+the differential suite) see live workers.
 """
 
 import os
 import pickle
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -36,7 +39,19 @@ from repro.query import AndNode, OrNode, PredicateLeaf
 from repro.query.predicates import StringMatchPredicate
 from repro.storage.table import Table
 
+from census import (
+    descendants,
+    listening_ports,
+    module_census,
+    unix_socket_paths,
+)
 from reference import reference_frame
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _census():
+    """Nothing this module starts may outlive it (``tests/census.py``)."""
+    yield from module_census()
 
 
 # --------------------------------------------------------------------------- #
@@ -410,6 +425,112 @@ def test_shutdown_all_drains_pool_and_respawns_on_demand():
         assert backend.stats()["workers_alive"] > 0
     finally:
         engine.close()
+
+
+def test_process_backend_spawns_nothing_before_first_offload():
+    repro.backend.shutdown_all()  # engines other suites left open keep theirs
+    before = set(descendants(os.getpid()))
+    engine, table, prepared = build_prepared("process", 4)
+    try:
+        backend = engine.execution_backend("process")
+        assert backend.worker_pids() == []
+        assert set(descendants(os.getpid())) == before
+        assert backend.stats()["worker_count"] == 0
+
+        prepared.execute()
+        assert len(backend.worker_pids()) == 2
+        assert set(backend.worker_pids()) <= set(descendants(os.getpid()))
+    finally:
+        engine.close()
+
+
+def test_process_backend_never_listens():
+    """Local workers ride socketpairs: no TCP listener, no socket file."""
+    ports, paths = listening_ports(), unix_socket_paths()
+
+    def assert_no_listener(context):
+        assert listening_ports() <= ports, context
+        assert unix_socket_paths() <= paths, context
+
+    engine, table, prepared = build_prepared("process", 4)
+    try:
+        prepared.execute()
+        backend = engine.execution_backend("process")
+        assert backend.stats()["offloaded_ops"] == 1
+        assert_no_listener("first offload")
+
+        os.kill(backend.worker_pids()[0], signal.SIGKILL)
+        cold_open(engine, table, "row2")  # faults, falls back
+        cold_open(engine, table, "row4")  # respawns
+        assert backend.stats()["worker_restarts"] == 1
+        assert backend.stats()["workers_alive"] == 2
+        assert_no_listener("after a kill and a respawn")
+    finally:
+        engine.close()
+    repro.backend.shutdown_all()
+    assert_no_listener("after shutdown_all")
+    assert not any(_is_worker(pid) for pid in descendants(os.getpid()))
+
+
+def _is_worker(pid):
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as fh:
+            return b"resource_tracker" not in fh.read()
+    except OSError:
+        return False
+
+
+def test_concurrent_cold_opens_take_turns_on_each_worker():
+    """Two engines, two threads, one connection per worker: no third server.
+
+    A local worker has exactly one connection; an op that finds it in use
+    waits for it, exactly as it once waited on a pool lock.
+    """
+    engines = [build_prepared("process", 4, table=make_table(seed=seed))
+               for seed in (21, 22)]
+    try:
+        for _engine, _table, prepared in engines:
+            prepared.execute()
+        backends = [engine.execution_backend("process")
+                    for engine, _, _ in engines]
+        pids = backends[0].worker_pids()
+        assert len(pids) == 2 and backends[1].worker_pids() == pids
+        workers = {pid for pid in descendants(os.getpid()) if _is_worker(pid)}
+        errors = []
+
+        def drive(engine, table, turn):
+            try:
+                for i in range(10):
+                    prepared, frame = cold_open(engine, table,
+                                                f"row{turn}-{i}")
+                    assert_frames_identical(reference_frame(table, prepared),
+                                            frame, f"thread {turn} open {i}")
+                    assert backends[turn].worker_pids() == pids
+            except BaseException as exc:  # reported on the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=drive, args=(engine, table, turn))
+                   for turn, (engine, table, _) in enumerate(engines)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the two ops' rounds often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        for backend in backends:
+            stats = backend.stats()
+            assert stats["pipeline_ops"] == 11
+            assert stats["pipeline_fallbacks"] == 0
+        assert {pid for pid in descendants(os.getpid())
+                if _is_worker(pid)} == workers
+    finally:
+        for engine, _, _ in engines:
+            engine.close()
 
 
 # --------------------------------------------------------------------------- #

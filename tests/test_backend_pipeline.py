@@ -2,8 +2,9 @@
 
 Covers the ``shard_pipeline`` protocol end to end (offload fires, replies
 are partials-only, output is bit-identical to the cold in-process run),
-the fault paths it leans on (broken-pool detection after a partial
-broadcast failure, deferred shm eviction while a publication is pinned),
+the fault paths it leans on (misaligned lanes after a partial round
+failure are closed and respawned, deferred shm eviction while a
+publication is pinned),
 and fault injection against the pipeline op itself: a worker killed
 mid-session, unpicklable plan state, and shm eviction pressure racing an
 offload -- each must degrade to a bit-identical in-process run.
@@ -11,17 +12,18 @@ offload -- each must degrade to a bit-identical in-process run.
 
 import os
 import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-import repro.backend.process as proc
 from repro import PipelineConfig, Query, QueryEngine, condition
-from repro.backend.process import WorkerOpError, WorkerPoolError, _WorkerPool
+from repro.backend.process import ProcessBackend, WorkerOpError, WorkerPoolError
 from repro.backend.shm import ShmColumnStore
 from repro.query import AndNode, OrNode, PredicateLeaf
 from repro.query.predicates import StringMatchPredicate
 
+from census import module_census
 from test_backend import (
     _UnpicklablePredicate,
     assert_frames_identical,
@@ -29,6 +31,12 @@ from test_backend import (
     make_table,
     wait_until,
 )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _census():
+    """Nothing this module starts may outlive it (``tests/census.py``)."""
+    yield from module_census()
 
 
 # --------------------------------------------------------------------------- #
@@ -56,6 +64,21 @@ def build_pipeline_prepared(shards=4, *, table=None, cond=None, max_workers=2):
     query = Query(name="pipeline-test", tables=[table.name],
                   condition=cond if cond is not None else pipeline_condition())
     return engine, table, engine.prepare(query)
+
+
+@contextmanager
+def local_lanes(backend, width=2):
+    """Pin the local fleet's first ``width`` lanes, the way one op does."""
+    fleet = backend._open_transport()
+    with fleet.session(width) as lanes:
+        assert lanes == width
+        yield fleet
+
+
+def ping(fleet):
+    replies, _, _ = fleet.round([{"op": "ping"}] * len(fleet.pairs),
+                                timeout=30.0)
+    return replies
 
 
 # --------------------------------------------------------------------------- #
@@ -148,73 +171,59 @@ def test_range_leaves_offload_cold_then_decline_warm():
 
 
 # --------------------------------------------------------------------------- #
-# Satellite: broken-pool detection (pipe misalignment on partial failure)
+# Satellite: misaligned lanes after a partial round failure
 # --------------------------------------------------------------------------- #
 def test_partial_broadcast_failure_marks_pool_broken_and_refuses_reuse():
-    """A broadcast that fails between send and recv poisons the pipes.
+    """A round that fails between send and recv poisons every lane.
 
-    Worker 0 is healthy and has a reply queued by the time the send to
-    the killed worker 1 raises; reusing the pool would pair the *next*
-    request with that stale reply and return wrong data.  The pool must
-    mark itself broken, refuse every further broadcast, and be replaced
-    by ``_get_pool``.
+    Lane 0 is healthy and has a reply queued by the time the round hits
+    the killed lane 1; reusing its connection would pair the *next*
+    request with that stale reply and return wrong data.  Every pinned
+    connection must be closed rather than pooled, and the next op must
+    run on a fresh lane-1 server.
     """
-    pool = _WorkerPool(2)
-    replacement = None
+    backend = ProcessBackend(max_workers=2)
     try:
-        replies, _, _ = pool.broadcast([{"op": "ping"}] * 2, timeout=30.0)
+        with local_lanes(backend) as fleet:
+            assert [r["ok"] for r in ping(fleet)] == [True, True]
+            pinned = [conn for _, conn in fleet.pairs]
+            victim = fleet.endpoints[1].proc
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+
+            # Lane 0 is sent to (its reply queues), lane 1 is dead ->
+            # transport failure, the session is misaligned.
+            with pytest.raises(WorkerPoolError):
+                ping(fleet)
+            assert not fleet.aligned
+        assert all(conn.sock.fileno() == -1 for conn in pinned)
+        assert not any(endpoint.idle for endpoint in fleet.endpoints)
+
+        # The next op respawns: lane 1 answers from a fresh pid.
+        with local_lanes(backend) as fresh:
+            replies = ping(fresh)
         assert [r["ok"] for r in replies] == [True, True]
-
-        victim = pool.workers[1][0]
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.join(timeout=10.0)
-        assert not victim.is_alive()
-
-        # Send to worker 0 succeeds (its reply queues); send to the dead
-        # worker 1 raises mid-loop -> transport failure, pool broken.
-        with pytest.raises(WorkerPoolError):
-            pool.broadcast([{"op": "ping"}] * 2, timeout=30.0)
-        assert pool.broken
-
-        # A broken pool refuses instantly, before touching any pipe --
-        # worker 0 still holds its unread reply and must never serve
-        # another request/reply pair.
-        with pytest.raises(WorkerPoolError, match="broken"):
-            pool.broadcast([{"op": "ping"}] * 2, timeout=30.0)
-
-        # _get_pool discards the broken pool and respawns a fresh one.
-        with proc._STATE_LOCK:
-            saved = proc._POOL
-            proc._POOL = pool
-        try:
-            replacement = proc._get_pool(2)
-            assert replacement is not pool
-            assert not replacement.broken
-            replies, _, _ = replacement.broadcast([{"op": "ping"}] * 2,
-                                                  timeout=30.0)
-            assert [r["ok"] for r in replies] == [True, True]
-            assert pool.alive_count() == 0  # broken pool was terminated
-        finally:
-            with proc._STATE_LOCK:
-                if proc._POOL is replacement:
-                    proc._POOL = saved
+        assert replies[1]["pid"] != victim.pid
+        assert replies[1]["pid"] in backend.worker_pids()
     finally:
-        pool.terminate()
-        if replacement is not None:
-            replacement.terminate()
+        backend.close()
 
 
 def test_op_error_keeps_pool_aligned_and_usable():
-    """A worker-side op failure is a clean reply: pipes stay aligned."""
-    pool = _WorkerPool(2)
+    """A worker-side op failure is a clean reply: lanes stay aligned."""
+    backend = ProcessBackend(max_workers=2)
     try:
-        with pytest.raises(WorkerOpError):
-            pool.broadcast([{"op": "no-such-op"}] * 2, timeout=30.0)
-        assert not pool.broken
-        replies, _, _ = pool.broadcast([{"op": "ping"}] * 2, timeout=30.0)
-        assert [r["ok"] for r in replies] == [True, True]
+        with local_lanes(backend) as fleet:
+            pids = [r["pid"] for r in ping(fleet)]
+            with pytest.raises(WorkerOpError):
+                fleet.round([{"op": "no-such-op"}] * 2, timeout=30.0)
+            assert fleet.aligned
+            assert [r["pid"] for r in ping(fleet)] == pids
+        with local_lanes(backend) as fleet:
+            assert [r["pid"] for r in ping(fleet)] == pids
     finally:
-        pool.terminate()
+        backend.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -288,7 +297,7 @@ def test_pipeline_worker_killed_falls_back_bit_identical():
         assert after["pipeline_fallbacks"] >= before["pipeline_fallbacks"] + 1
         assert after["worker_restarts"] >= before["worker_restarts"] + 1
 
-        # The pool respawned lazily; later events offload again.
+        # The worker respawned lazily; later events offload again.
         prepared.condition.children[0].predicate.value = 6.0
         frame = prepared.execute()
         assert_frames_identical(cold_frame(table, prepared), frame,
@@ -309,7 +318,7 @@ def test_pipeline_unpicklable_state_falls_back_without_restart():
         stats = engine.stats()["backend"]
         assert stats["pipeline_fallbacks"] >= 1
         # Serialisation fails before anything is sent: the op's fault,
-        # not the pool's -- no restart, pipes stay aligned.
+        # not the transport's -- no restart, lanes stay aligned.
         assert stats["worker_restarts"] == 0
         assert stats["workers_alive"] == stats["worker_count"] > 0
     finally:
@@ -324,8 +333,9 @@ def test_pipeline_survives_eviction_pressure_racing_offload():
     broadcast against it -- exactly the race the pin/deferred-unlink path
     exists for.
     """
-    saved_max = proc._STORE._max_tables
-    proc._STORE._max_tables = 1
+    store = ProcessBackend.store
+    saved_max = store._max_tables
+    store._max_tables = 1
     engine_a, table_a, prepared_a = build_pipeline_prepared(
         4, table=make_table(seed=11))
     engine_b, table_b, prepared_b = build_pipeline_prepared(
@@ -333,15 +343,15 @@ def test_pipeline_survives_eviction_pressure_racing_offload():
     try:
         # Hold a pin on A's publication across B's publish, the way a
         # long pipeline session would, so B's eviction of A is deferred.
-        published_a = proc._STORE.publish(table_a)
-        proc._STORE.pin(published_a)
+        published_a = store.publish(table_a)
+        store.pin(published_a)
         try:
             assert_frames_identical(cold_frame(table_b, prepared_b),
                                     prepared_b.execute(), "B under pin")
-            assert proc._STORE.stats()["evict_deferred"] >= 1
+            assert store.stats()["evict_deferred"] >= 1
             assert not published_a.closed
         finally:
-            proc._STORE.unpin(published_a)
+            store.unpin(published_a)
 
         # Alternate events: each engine's op republishes its own table,
         # evicting the other's; every frame must stay bit-identical.
@@ -353,13 +363,13 @@ def test_pipeline_survives_eviction_pressure_racing_offload():
             assert_frames_identical(cold_frame(table_b, prepared_b),
                                     prepared_b.execute(), f"B {value}")
     finally:
-        proc._STORE._max_tables = saved_max
+        store._max_tables = saved_max
         engine_a.close()
         engine_b.close()
 
 
 # --------------------------------------------------------------------------- #
-# One coordinator, one op table: faults the pipe path used to mishandle
+# One coordinator, one op table: faults the local fleet must not mishandle
 # --------------------------------------------------------------------------- #
 class _RejectsPoisonedShard(StringMatchPredicate):
     """Picklable; raises in a worker whose shard holds the poisoned row.
@@ -404,13 +414,12 @@ def test_rejected_pipeline_start_aborts_the_accepting_workers():
         backend = engine.execution_backend("process")
         stats = backend.stats()
         assert stats["pipeline_fallbacks"] == 1
-        # The op's fault, not the pool's: same workers, still aligned.
+        # The op's fault, not the transport's: same workers, still aligned.
         assert stats["worker_restarts"] == 0
         assert stats["workers_alive"] == stats["worker_count"] == 2
 
-        pool = proc._get_pool(2)
-        replies, _, _ = pool.broadcast([{"op": "ping"}] * 2, timeout=30.0)
-        assert [r["session"] for r in replies] == [None, None]
+        with local_lanes(backend) as fleet:
+            assert [r["session"] for r in ping(fleet)] == [None, None]
         if os.path.isdir("/proc/self"):
             for pid in backend.worker_pids():
                 with open(f"/proc/{pid}/maps") as maps:
@@ -431,24 +440,24 @@ def test_rejected_pipeline_start_aborts_the_accepting_workers():
 
 
 def test_table_dropped_behind_the_coordinator_is_reattached():
-    """A pipe worker names an unattached table with ``unknown-table``.
+    """A local worker names an unattached table with ``unknown-table``.
 
-    The pool's ``attached`` cache still lists the publication, so the op
-    goes out without an attach; the worker's coded rejection makes the
-    coordinator re-attach and retry once -- no fallback, same as the
-    socket transport.
+    The endpoints' ``attached`` caches still list the publication, so the
+    op goes out without an attach; the worker's coded rejection makes the
+    coordinator re-attach and retry once -- no fallback.
     """
     engine, table, prepared = build_pipeline_prepared(4)
     try:
         prepared.execute()
-        key = proc._STORE.publish(table).key
-        pool = proc._get_pool(2)
-        assert key in pool.attached
-        pool.broadcast([{"op": "drop", "table_id": key}] * 2, timeout=30.0)
-        with pytest.raises(WorkerOpError) as rejected:
-            pool.broadcast([{"op": "pipeline_start", "table_id": key}] * 2,
-                           timeout=30.0)
-        assert rejected.value.code == "unknown-table"
+        backend = engine.execution_backend("process")
+        key = backend.store.publish(table).key
+        with local_lanes(backend) as fleet:
+            assert all(key in ep.attached for ep in fleet.endpoints)
+            fleet.round([{"op": "drop", "table_id": key}] * 2, timeout=30.0)
+            with pytest.raises(WorkerOpError) as rejected:
+                fleet.round([{"op": "pipeline_start", "table_id": key}] * 2,
+                            timeout=30.0)
+            assert rejected.value.code == "unknown-table"
 
         before = engine.stats()["backend"]
         prepared.condition.children[0].predicate.value = 2.0

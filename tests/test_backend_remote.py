@@ -27,7 +27,9 @@ from repro.backend.remote import (
 )
 from repro.backend.remote import wire
 from repro.backend.remote.server import RemoteWorkerServer
+from repro.obs.trace import Trace, use_trace
 
+from census import module_census
 from test_backend import (
     assert_frames_identical,
     cold_frame,
@@ -36,6 +38,12 @@ from test_backend import (
     make_table,
 )
 from test_backend_pipeline import pipeline_condition
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _census():
+    """Nothing this module starts may outlive it (``tests/census.py``)."""
+    yield from module_census()
 
 
 # --------------------------------------------------------------------------- #
@@ -64,6 +72,12 @@ def remote_prepared(shards=4, *, cond=None, table=None):
 
 def backend_stats(engine):
     return engine.stats()["backend"]
+
+
+def offload_fault(trace):
+    """The ``backend_fault`` a traced event's one offload declined with."""
+    (offload,) = trace.find("pipeline.offload")
+    return offload.attrs["backend_fault"]
 
 
 # --------------------------------------------------------------------------- #
@@ -232,13 +246,37 @@ def test_server_killed_between_events_falls_back(fleet):
         assert backend_stats(engine)["remote_fallbacks"] == 0
         fleet[0].stop()
         # A cold open consults the backend (a warm event never does).
-        reopened, frame = cold_open(engine, table, "row2")
+        with use_trace(Trace("event", trace_id=1)) as trace:
+            reopened, frame = cold_open(engine, table, "row2")
         assert_frames_identical(cold_frame(table, reopened), frame,
                                 "after kill")
+        assert offload_fault(trace) == "transport:closed"
         stats = backend_stats(engine)
         assert stats["remote_fallbacks"] >= 1
         assert stats["workers_alive"] == 1
         assert stats["worker_count"] == 2
+    finally:
+        engine.close()
+
+
+def test_cooling_fleet_declines_as_no_endpoint(fleet, monkeypatch):
+    """Every endpoint down and cooling: declined, and nothing new broke."""
+    monkeypatch.setenv(ENV_WORKERS, fleet[0].endpoint)
+    engine, table, prepared = remote_prepared(4)
+    try:
+        prepared.execute()
+        fleet[0].stop()
+        cold_open(engine, table, "row2")  # the fault marks it down
+        faulted = backend_stats(engine)
+        assert faulted["worker_restarts"] == 1
+        with use_trace(Trace("event", trace_id=1)) as trace:
+            reopened, frame = cold_open(engine, table, "row4")
+        assert_frames_identical(cold_frame(table, reopened), frame,
+                                "every endpoint cooling")
+        assert offload_fault(trace) == "no-endpoint"
+        stats = backend_stats(engine)
+        assert stats["remote_fallbacks"] == faulted["remote_fallbacks"] + 1
+        assert stats["worker_restarts"] == faulted["worker_restarts"]
     finally:
         engine.close()
 
@@ -272,9 +310,11 @@ def test_read_timeout_mid_broadcast_falls_back(fleet, monkeypatch):
     engine, table, prepared = remote_prepared(4, cond=pipeline_condition())
     try:
         fleet[1].stall_ops.add("pipeline_start")
-        frame = prepared.execute()
+        with use_trace(Trace("event", trace_id=1)) as trace:
+            frame = prepared.execute()
         fleet[1].stall_ops.clear()
         assert_frames_identical(cold_frame(table, prepared), frame, "timeout")
+        assert offload_fault(trace) == "transport:timeout"
         stats = backend_stats(engine)
         assert stats["remote_fallbacks"] >= 1
         assert stats["workers_alive"] == 1

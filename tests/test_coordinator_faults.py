@@ -44,8 +44,15 @@ from repro.backend.shm import ShmColumnStore
 from repro.backend.worker import WorkerOps, _TableStore
 from repro.obs.trace import Trace, use_trace
 
+from census import module_census
 from test_backend import assert_frames_identical, cold_frame, make_table
 from test_backend_pipeline import pipeline_condition
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _census():
+    """Nothing this module starts may outlive it (``tests/census.py``)."""
+    yield from module_census()
 
 
 class FakeTransport:
@@ -78,7 +85,7 @@ class FakeTransport:
     # -- Transport ------------------------------------------------------- #
     @contextmanager
     def session(self, width):
-        if self.broken:  # what _get_pool / a re-probe does lazily
+        if self.broken:  # the next op's respawn of a killed local worker
             self.restarts += 1
             self._spawn()
         yield min(len(self.lanes), width)
@@ -122,7 +129,8 @@ class FakeTransport:
             elif kind is not None and lane == 1:
                 if kind == "transport":
                     self.broken = True
-                    raise WorkerPoolError("injected: lane 1 went away")
+                    raise WorkerPoolError("injected: lane 1 went away",
+                                          "closed")
                 replies.append({"ok": False, "error": "injected rejection"})
             else:
                 replies.append(ops.dispatch(msg))
@@ -156,6 +164,9 @@ def fake_backend():
     yield FakeBackend
     unregister_backend("tb-fake")
     FakeBackend.store.close()
+    transport = getattr(FakeBackend, "transport", None)
+    for ops in transport.lanes if transport else ():
+        ops.store.close()  # the lanes' mappings, for the census
 
 
 def fake_prepared(transport):
@@ -262,7 +273,7 @@ def test_fault_at_every_round_boundary(fake_backend, op, occurrence, kind):
         (offload,) = trace.find("pipeline.offload")
         assert offload.attrs["accepted"] is False
         assert offload.attrs["backend_fault"] == (
-            "transport" if kind == "transport" else "op-rejected")
+            "transport:closed" if kind == "transport" else "op-rejected")
         assert "offload_declined" not in offload.attrs
         # worker_restarts counts transport faults only: an op rejection
         # leaves every lane aligned and in service.
