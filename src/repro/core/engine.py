@@ -32,7 +32,6 @@ backwards-compatible facade over this engine.
 from __future__ import annotations
 
 import copy
-import itertools
 import os
 import threading
 from dataclasses import dataclass, field, replace
@@ -48,6 +47,7 @@ from repro.core.plan import (
     CompositePlan,
     EvaluationCache,
     LeafPlan,
+    ShardSliceEntry,
     compile_plan,
 )
 from repro.core.reduction import (
@@ -241,11 +241,6 @@ class PipelineConfig:
 
 QuerySource = Union[Query, QueryNode, str]
 
-#: Slice-site namespace tokens, one per PreparedQuery (regenerated when the
-#: query shape or its evaluation table changes wholesale, which orphans --
-#: i.e. invalidates -- every slice entry of the old plan).
-_SLICE_TOKENS = itertools.count(1)
-
 
 def _plan_shape(plan) -> tuple:
     """Structural identity of a compiled plan, ignoring mutable parameters.
@@ -363,16 +358,20 @@ class _FrameState:
 
 @dataclass
 class _RootState:
-    """Everything one prepared query derived from its previous root column.
+    """Everything one prepared query derived from its previous executions.
 
-    Each statistic's state names the root column it was built from
+    ``sites`` holds the evaluator's per-node entries (the columns each plan
+    node last produced or was served, which the next event patches).  Each
+    statistic's state names the root column it was built from
     (``column_key``) and the parameters it was built under (``params``);
     :func:`_dirty_since` relates it to the column of the event at hand.
     The fingerprints name the *computation*, not the table it ran over, so
     the holder is replaced wholesale -- one assignment forgets it all --
-    whenever the evaluation table or the plan shape changes.
+    whenever the evaluation table or the plan shape changes, and it goes
+    with the query: a dropped query pins no column the node LRU evicted.
     """
 
+    sites: dict[NodePath, ShardSliceEntry] = field(default_factory=dict)
     displayed: _DisplayedState | None = None
     quantile: _QuantileState | None = None
     relevance: _RelevanceState | None = None
@@ -852,13 +851,10 @@ class PreparedQuery:
         """Drop every piece of state derived from earlier executions.
 
         Called when the evaluation table is replaced or the plan changes
-        *shape* (wholesale query replacement): a fresh slice token orphans
-        every slice entry of the old sites at once, and the per-root
-        statistics (displayed set, relevance, result count, frame delta
-        base) cannot be patched across the change either.
+        *shape* (wholesale query replacement): neither the site entries
+        nor the per-root statistics (displayed set, relevance, result
+        count, frame delta base) can be patched across the change.
         """
-        #: Namespace for this query's shard-slice sites.
-        self._slice_token = f"pq-{next(_SLICE_TOKENS)}"
         self._root = _RootState()
 
     def _query_shape_fingerprint(self) -> str:
@@ -1334,7 +1330,7 @@ class PreparedQuery:
                 target_max=self.config.target_max,
                 cache=self.engine.evaluation_cache(table),
                 executor=executor,
-                slice_token=self._slice_token,
+                sites=self._root.sites,
                 backend=backend,
             )
             # When the displayed set will be built from per-shard top-k

@@ -18,9 +18,11 @@ each modification invalidates:
 * **normalized node columns** are keyed by the node's value fingerprint
   (raw identity + weights + normalization parameters).  A weight change
   re-normalizes the affected path; everything off the path is a cache hit.
-* **per-site slice entries** (:class:`ShardSliceEntry`) remember one
-  prepared query's previous column per plan node, so an event recomputes
-  only the shards it dirtied.
+* **per-site slice entries** (:class:`ShardSliceEntry`) are the one level
+  not held here: each prepared query keeps its own, one per plan node,
+  pointing at the node columns it last produced or was served, so an
+  event recomputes only the shards it dirtied and the entries die with
+  the query.
 
 Production evaluates plans through this cache with
 :class:`~repro.core.shard.ShardedPlanEvaluator`, for every shard count
@@ -69,7 +71,6 @@ __all__ = [
     "EvaluationCache",
     "PlanEvaluator",
     "reference_feedback",
-    "ShardSliceCache",
     "ShardSliceEntry",
 ]
 
@@ -115,15 +116,29 @@ class _LeafRaw:
 
 @dataclass
 class _NodeColumns:
-    """Per-node arrays for one (weights, capacity) configuration."""
+    """Per-node arrays for one (weights, capacity) configuration.
+
+    ``resolved`` is the column's normalization bounds ``(d_min, d_max)``
+    and ``summaries`` a ``(shard_count, 5)`` array of per-shard
+    ``(finite_count, min, max, count < d_max, count <= d_max)`` against
+    them.  Both are a function of the value (for one shard partitioning),
+    so they are shared under the value key with the arrays.  Summing the
+    counts over all shards re-certifies the resolved bounds in O(dirty
+    shards + shard_count) without touching clean shards: the ``keep``-th
+    smallest of a patched column equals the old ``d_max`` exactly when
+    ``count< < keep <= count<=`` -- no merge of value multisets needed.
+    """
 
     normalized: Column
     signed: Column | None
     exact_mask: Column
     raw: Column
+    resolved: tuple[float, float] | None
+    summaries: np.ndarray | None
 
     def __post_init__(self) -> None:
-        _freeze(self.normalized, self.signed, self.exact_mask, self.raw)
+        _freeze(self.normalized, self.signed, self.exact_mask, self.raw,
+                self.summaries)
 
 
 @dataclass(frozen=True)
@@ -132,23 +147,17 @@ class ShardSliceEntry:
 
     A site is a structural position in one prepared query's plan (leaf or
     composite), identified independently of the mutable parameters (bounds,
-    weights).  The entry remembers what the node's column looked like after
-    the previous execution -- its value fingerprint, the resolved
-    ``(d_min, d_max)``, per-shard order-statistic summaries against that
-    resolve, and the arrays themselves (shared with the node LRU, so no
-    extra column memory) -- which is exactly what a later execution needs
-    to recompute only the shards an event actually dirtied.
+    weights).  The entry points at the node columns the previous execution
+    produced or was served from the node cache (shared with the node LRU,
+    so no extra column memory while both hold them) under their value
+    fingerprint -- which, with the columns' resolved bounds and per-shard
+    summaries, is exactly what a later execution needs to recompute only
+    the shards an event actually dirtied.
 
-    ``summaries`` is a ``(shard_count, 5)`` array of per-shard
-    ``(finite_count, min, max, count < d_max, count <= d_max)``.  Summing
-    the counts over all shards re-certifies the resolved bounds in O(dirty
-    shards + shard_count) without touching clean shards: the ``keep``-th
-    smallest of the new column equals the old ``d_max`` exactly when
-    ``count< < keep <= count<=`` -- no merge of value multisets needed.
-
-    Patch provenance is **per prepared query**: a site belongs to exactly
-    one prepared query, so the entry is that query's own previous state and
-    no other session can move it.  A leaf entry names the raw column it
+    Patch provenance is **per prepared query**: the entries live on the
+    prepared query (its per-root state), so the entry is that query's own
+    previous state, no other session can move it, and it is dropped with
+    the query.  A leaf entry names the raw column it
     derives from (``raw_key``); a range leaf's entry also records the
     ``(attribute, low, high)`` its raw columns were built for, which makes
     the rows an event changes -- and so the dirty shards -- a pure function
@@ -163,12 +172,6 @@ class ShardSliceEntry:
 
     value_key: str
     columns: _NodeColumns
-    resolved: tuple[float, float] | None
-    #: (shard_count, 5) float array of per-shard order-statistic summaries
-    #: relative to ``resolved`` (None when not captured).
-    summaries: np.ndarray | None
-    target_max: float
-    shard_count: int
     #: Leaf provenance: identity of the raw column the entry derives from.
     raw_key: str | None = None
     #: Range-leaf provenance: ``(attribute, low, high)`` of the range
@@ -178,59 +181,9 @@ class ShardSliceEntry:
     child_keys: tuple[str, ...] | None = None
     child_weights: tuple[float, ...] | None = None
     rule: object | None = None
+    #: :attr:`EvaluationCache.generation` the writing evaluation started
+    #: under; an entry of an older generation is no entry.
     generation: int = 0
-
-
-class ShardSliceCache:
-    """Generation-tagged LRU of :class:`ShardSliceEntry` per node site.
-
-    ``invalidate()`` bumps the generation, making every existing entry
-    stale at once; :meth:`EvaluationCache.clear` uses it so entries cached
-    by an in-flight evaluation cannot be re-published after the clear.
-    Wholesale *shape* changes of one prepared query are invalidated
-    differently -- the query regenerates its slice token, orphaning its
-    old sites without touching other sessions' entries (which share this
-    per-table store).  Parameter-level changes (bounds, weights, capacity)
-    need no explicit invalidation at all: entries carry their provenance
-    and a mismatch falls back to a full recompute.
-    """
-
-    def __init__(self, max_entries: int = 64):
-        self._lru = _LRU(max_entries)
-        self.generation = 0
-
-    def get(self, key: str) -> ShardSliceEntry | None:
-        entry = self._lru.get(key)
-        if entry is not None and entry.generation != self.generation:
-            return None
-        return entry
-
-    def put(self, key: str, entry: ShardSliceEntry) -> None:
-        """Publish an entry stamped with the generation its writer read.
-
-        An entry carrying a stale generation is silently dropped: its
-        writer started evaluating before an ``invalidate()`` (a concurrent
-        :meth:`EvaluationCache.clear`), so publishing it would resurrect
-        state the clear was meant to discard.
-        """
-        if entry.generation != self.generation:
-            return
-        self._lru.put(key, entry)
-
-    def invalidate(self) -> None:
-        self.generation += 1
-
-    @property
-    def evictions(self) -> int:
-        """Entries dropped by the LRU bound; an evicted site's next event
-        finds no entry and recomputes every shard."""
-        return self._lru.evictions
-
-    def clear(self) -> None:
-        self._lru.clear()
-
-    def __len__(self) -> int:
-        return len(self._lru)
 
 
 class _LRU:
@@ -281,9 +234,6 @@ class CacheStats:
     #: column (slice_hits) vs. falling back to a full per-shard recompute.
     slice_hits: int = 0
     slice_misses: int = 0
-    #: Site entries the slice LRU dropped to stay within its bound (live
-    #: sessions x plan nodes above the bound evict each other's state).
-    slice_evictions: int = 0
     #: Per-shard work attribution across all patched/full node stages:
     #: shards whose slice had to be recomputed vs. reused verbatim.
     shards_recomputed: int = 0
@@ -320,7 +270,6 @@ class CacheStats:
             "node_evictions": self.node_evictions,
             "slice_hits": self.slice_hits,
             "slice_misses": self.slice_misses,
-            "slice_evictions": self.slice_evictions,
             "shards_recomputed": self.shards_recomputed,
             "shards_reused": self.shards_reused,
             "bounds_shortcircuits": self.bounds_shortcircuits,
@@ -346,14 +295,14 @@ class EvaluationCache:
         budget for the table at hand rather than using the defaults.
     """
 
-    def __init__(self, max_leaf_entries: int = 64, max_node_entries: int = 128,
-                 max_slice_entries: int = 64):
+    def __init__(self, max_leaf_entries: int = 64, max_node_entries: int = 128):
         self._raw = _LRU(max_leaf_entries)
         self._nodes = _LRU(max_node_entries)
-        #: Per-site incremental shard state.  The entries reference the
-        #: same arrays as the node LRU, so the extra footprint is the
-        #: (small) per-shard partials plus metadata.
-        self._slices = ShardSliceCache(max_slice_entries)
+        #: Bumped by :meth:`clear`.  Evaluations stamp the site entries they
+        #: write with the generation they started under and accept only
+        #: entries of the current one, so after a clear every site is cold
+        #: -- including entries an evaluation in flight writes afterwards.
+        self.generation = 0
         self.stats = CacheStats()
         # One evaluation cache is shared by every session executing against
         # the same table; the service runs those executions on concurrent
@@ -407,21 +356,6 @@ class EvaluationCache:
         with self._lock:
             return self._nodes.contains(key)
 
-    # Shard-slice entries --------------------------------------------------- #
-    def slice_generation(self) -> int:
-        """Current slice generation; writers stamp their entries with it."""
-        with self._lock:
-            return self._slices.generation
-
-    def get_slice(self, site: str) -> ShardSliceEntry | None:
-        with self._lock:
-            return self._slices.get(site)
-
-    def put_slice(self, site: str, entry: ShardSliceEntry) -> None:
-        with self._lock:
-            self._slices.put(site, entry)
-            self.stats.slice_evictions = self._slices.evictions
-
     def record_incremental_event(self) -> None:
         with self._lock:
             self.stats.incremental_events += 1
@@ -462,12 +396,12 @@ class EvaluationCache:
                 self.stats.bounds_shortcircuits += 1
 
     def clear(self) -> None:
-        """Drop all cached arrays (counters are kept)."""
+        """Drop all cached arrays and make every site entry stale, so the
+        next event is cold (counters are kept)."""
         with self._lock:
             self._raw.clear()
             self._nodes.clear()
-            self._slices.clear()
-            self._slices.invalidate()
+            self.generation += 1
 
 
 # --------------------------------------------------------------------------- #
@@ -501,14 +435,14 @@ class CompositePlan:
     def weight(self) -> float:
         return self.node.weight
 
-    def value_key(self, capacity: int, target_max: float) -> str:
+    def value_key(self, capacity: int, target_max: float,
+                  child_keys: tuple[str, ...] | None = None) -> str:
+        """Value fingerprint; ``child_keys`` are the children's, when known."""
+        if child_keys is None:
+            child_keys = tuple(child.value_key(capacity, target_max)
+                               for child in self.children)
         return stable_fingerprint(
-            self.rule,
-            self.node.weight,
-            capacity,
-            target_max,
-            *[child.value_key(capacity, target_max) for child in self.children],
-        )
+            self.rule, self.node.weight, capacity, target_max, *child_keys)
 
 
 PlanNode = Union[LeafPlan, CompositePlan]

@@ -454,7 +454,7 @@ def merge_distance_bounds_many(partials: "list[DistanceBoundsPartial]") -> Dista
     Resolves to exactly the same ``(d_min, d_max)`` as a pairwise
     :func:`merge_distance_bounds` reduction (the smallest-``k`` multiset of a
     union is merge-order-independent), but does the selection work once --
-    the shape the per-shard slice cache hits on every event, where most
+    the shape the per-site patch path hits on every event, where most
     partials come from the cache and only the dirty shards' are fresh.
     """
     if not partials:

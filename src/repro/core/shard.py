@@ -76,7 +76,6 @@ from repro.core.reduction import (
 from repro.core.result import NodeFeedback
 from repro.obs import trace as obs
 from repro.query.expr import NodePath, PredicateLeaf, SubqueryNode
-from repro.query.fingerprint import stable_fingerprint
 from repro.query.predicates import RangePredicate
 from repro.storage.cache import MAX_UNION_DISJUNCTS, PrefetchCache
 from repro.storage.index import SortedIndex
@@ -324,7 +323,7 @@ class NodeDelta:
     ``base_key == value_key`` with an empty dirty set is the trivial
     self-relation of a node served wholesale from the cache.
 
-    These deltas are what the per-shard slice cache propagates up the plan:
+    These deltas are what the per-site entries propagate up the plan:
     a parent combines its children's dirty sets, and the engine patches the
     displayed set from the root's delta.
     """
@@ -401,12 +400,15 @@ class ShardedPlanEvaluator:
     Every patch is validated against the entry's recorded provenance (raw
     key, range bounds, child keys + weights, keep/capacity), so a stale
     entry degrades to a full per-shard recompute -- never a wrong answer.
-    ``slice_token`` namespaces the sites (one token per prepared query), so
-    every patch chain is based on its own query's previous state however
-    many sessions drag the same attribute on the shared engine.  A site
-    without an entry (a first execution, an evicted or orphaned entry) is
-    the cold path: every stage computes all shards, in-process or -- when
-    the backend accepts the whole pipeline -- on its workers.
+    ``sites`` maps node paths to entries and belongs to one prepared query
+    (its per-root state), so every patch chain is based on its own query's
+    previous state however many sessions drag the same attribute on the
+    shared engine.  Every node the walk produces leaves its entry there,
+    whether computed, patched or served from the node cache.  A site
+    without an entry (a first execution, the event after a reshape, a
+    table swap or an :meth:`EvaluationCache.clear`) is the cold path:
+    every stage computes all shards, in-process or -- when the backend
+    accepts the whole pipeline -- on its workers.
 
     ``executor`` is an optional :class:`concurrent.futures.Executor`; when
     None (or with a single shard) the per-shard work runs inline.
@@ -416,7 +418,7 @@ class ShardedPlanEvaluator:
                  target_max: float = NORMALIZED_MAX,
                  cache: EvaluationCache | None = None,
                  executor: Executor | None = None,
-                 slice_token: str = "",
+                 sites: dict[NodePath, ShardSliceEntry] | None = None,
                  backend: "ExecBackend | None" = None):
         if display_capacity <= 0:
             raise ValueError("display_capacity must be positive")
@@ -426,16 +428,16 @@ class ShardedPlanEvaluator:
         self.target_max = target_max
         self.cache = cache if cache is not None else EvaluationCache()
         self.executor = executor
-        self.slice_token = slice_token
+        self.sites = sites if sites is not None else {}
         #: Optional :class:`repro.backend.base.ExecBackend` offered the
         #: whole plan of a cold site; ``None`` (or a declined op) keeps
         #: the in-process per-shard computation below.
         self.backend = backend
         #: :class:`NodeDelta` per node path of the latest :meth:`evaluate`.
         self.node_deltas: dict[NodePath, NodeDelta] = {}
-        #: Slice generation this evaluation started under; entries are
-        #: stamped with it so a concurrent cache clear() drops them.
-        self._slice_generation = self.cache.slice_generation()
+        #: Cache generation this evaluation started under; entries are
+        #: stamped with it so a concurrent cache clear() makes them stale.
+        self._generation = self.cache.generation
         #: Per-event chunked copy-on-write accounting (reset by ``evaluate``).
         self._chunks_patched = 0
         self._chunks_shared = 0
@@ -475,18 +477,9 @@ class ShardedPlanEvaluator:
         self._map_shards(fill)
         return out
 
-    def _site_key(self, path: NodePath) -> str:
-        return stable_fingerprint(
-            "site", self.slice_token, path, self.sharded.shard_count
-        )
-
     def _valid_entry(self, path: NodePath) -> ShardSliceEntry | None:
-        entry = self.cache.get_slice(self._site_key(path))
-        if entry is None:
-            return None
-        if (entry.shard_count != self.sharded.shard_count
-                or entry.target_max != self.target_max
-                or len(entry.columns.normalized) != len(self.table)):
+        entry = self.sites.get(path)
+        if entry is None or entry.generation != self._generation:
             return None
         return entry
 
@@ -494,16 +487,16 @@ class ShardedPlanEvaluator:
     def evaluate(self, plan: PlanNode) -> dict[NodePath, NodeFeedback]:
         """Return a :class:`NodeFeedback` per node path; path ``()`` is the root."""
         self.node_deltas = {}
-        self._slice_generation = self.cache.slice_generation()
+        self._generation = self.cache.generation
         self._chunks_patched = 0
         self._chunks_shared = 0
         self.cache.record_incremental_event()
         # Whole-pipeline offload: when the backend accepts, it seeds the
-        # raw/node/slice caches with the assembled (bit-identical) columns,
-        # so the in-process walk below is pure cache hits and the feedback
-        # frames are built by the exact same code path as always.  A
-        # declined or faulted op leaves the caches untouched and the walk
-        # computes everything in-process.
+        # raw/node caches with the assembled (bit-identical) columns, so
+        # the in-process walk below is pure cache hits (each leaving its
+        # site entry) and the feedback frames are built by the exact same
+        # code path as always.  A declined or faulted op leaves the caches
+        # untouched and the walk computes everything in-process.
         with obs.span("pipeline.offload") as offload:
             accepted = self._try_pipeline(plan)
             offload.annotate(accepted=accepted)
@@ -646,10 +639,10 @@ class ShardedPlanEvaluator:
         """Offer the whole plan to the backend's pipeline op.
 
         On success, every node's assembled columns are installed into the
-        raw/node LRUs and the per-site slice entries -- with the same
-        provenance and the same cold-run slice accounting the in-process
-        path would record -- then the regular plan walk serves them back
-        out (and the next micro-move finds its site entry to patch from).
+        raw/node LRUs and as its site's entry -- with the same provenance
+        and the same cold-run slice accounting the in-process path would
+        record -- then the regular plan walk serves them back out (and the
+        next micro-move finds its site entry to patch from).
         Returns False when declined; nothing is cached then.  A decline
         before the backend was asked carries ``offload_declined``; the
         backend's own (nowhere to offload to, or a faulted op) carries
@@ -681,12 +674,15 @@ class ShardedPlanEvaluator:
                     exact_mask=data["mask"], supports_direction=directed))
                 if directed:
                     signed = data["signed"]
-            self._publish(
-                pnode, path,
-                pnode.value_key(self.display_capacity, self.target_max),
-                _NodeColumns(normalized=data["normalized"], signed=signed,
-                             exact_mask=data["mask"], raw=data["raw"]),
-                data["resolved"], data["summaries"])
+            # Children precede their parent in ``meta``: record each node's
+            # key (no relation known; the walk replaces these deltas) so a
+            # parent's provenance reads its children's.
+            value_key = pnode.value_key(self.display_capacity, self.target_max)
+            self.node_deltas[path] = NodeDelta(value_key, None, None)
+            self._publish(pnode, path, value_key, _NodeColumns(
+                normalized=data["normalized"], signed=signed,
+                exact_mask=data["mask"], raw=data["raw"],
+                resolved=data["resolved"], summaries=data["summaries"]))
             self.cache.record_slice(hit=False, recomputed=shard_count, reused=0)
         topk = result.get("topk")
         if topk is not None and spec["topk_target"] is not None:
@@ -698,7 +694,7 @@ class ShardedPlanEvaluator:
 
         ``root_dirty_shards`` is None when no delta relation was known at
         the root (a cold or wholesale-changed execution); ``patched_nodes``
-        counts nodes recomputed through the slice cache, ``cached_nodes``
+        counts nodes patched from their site entries, ``cached_nodes``
         nodes served wholesale from the node LRU.
         """
         root = self.node_deltas.get(())
@@ -725,15 +721,25 @@ class ShardedPlanEvaluator:
     # ------------------------------------------------------------------ #
     # Node columns with dirty-shard patching
     # ------------------------------------------------------------------ #
+    def _child_keys(self, plan: CompositePlan, path: NodePath) -> tuple[str, ...]:
+        """The children's value keys, as this walk already computed them."""
+        return tuple(self.node_deltas[path + (i,)].value_key
+                     for i in range(len(plan.children)))
+
     def _publish(self, plan, path: NodePath, value_key: str,
-                 columns: _NodeColumns, resolved, summaries) -> None:
-        """Install a node's columns in the node LRU and as its site's entry.
+                 columns: _NodeColumns) -> None:
+        """Install a node's columns in the node LRU and as its site's entry."""
+        self.cache.put_node(value_key, columns)
+        self._leave_entry(plan, path, value_key, columns)
+
+    def _leave_entry(self, plan, path: NodePath, value_key: str,
+                     columns: _NodeColumns) -> None:
+        """Make ``columns`` the site's entry, the base its next event patches.
 
         The entry's provenance is a function of the plan node alone: a leaf
         names its raw column (and range bounds), a composite its children's
         value keys, weights and rule.
         """
-        self.cache.put_node(value_key, columns)
         if isinstance(plan, LeafPlan):
             provenance = {
                 "raw_key": plan.raw_key,
@@ -742,31 +748,34 @@ class ShardedPlanEvaluator:
             }
         else:
             provenance = {
-                "child_keys": tuple(
-                    child.value_key(self.display_capacity, self.target_max)
-                    for child in plan.children),
+                "child_keys": self._child_keys(plan, path),
                 "child_weights": tuple(
                     float(child.weight) for child in plan.children),
                 "rule": plan.rule,
             }
-        self.cache.put_slice(self._site_key(path), ShardSliceEntry(
-            value_key=value_key,
-            columns=columns,
-            resolved=resolved,
-            summaries=summaries,
-            target_max=self.target_max,
-            shard_count=self.sharded.shard_count,
-            generation=self._slice_generation,
-            **provenance,
-        ))
+        self.sites[path] = ShardSliceEntry(
+            value_key=value_key, columns=columns,
+            generation=self._generation, **provenance)
+
+    def _cache_hit(self, plan, path: NodePath, value_key: str,
+                   columns: _NodeColumns) -> _NodeColumns:
+        """A node served wholesale from the node cache.
+
+        Identical content by fingerprint identity, and a patch base like any
+        other: the site's entry now points at it, unless it already does (a
+        replay leaves the entry alone).
+        """
+        self.node_deltas[path] = NodeDelta(value_key, value_key, frozenset())
+        entry = self._valid_entry(path)
+        if entry is None or entry.value_key != value_key:
+            self._leave_entry(plan, path, value_key, columns)
+        return columns
 
     def _leaf_columns(self, plan, path: NodePath = ()) -> _NodeColumns:
         value_key = plan.value_key(self.display_capacity, self.target_max)
         columns = self.cache.get_node(value_key)
         if columns is not None:
-            # Served wholesale: identical content by fingerprint identity.
-            self.node_deltas[path] = NodeDelta(value_key, value_key, frozenset())
-            return columns
+            return self._cache_hit(plan, path, value_key, columns)
         marks = self._chunk_marks()
         entry = self._valid_entry(path)
         raw, dirty, declined = self._leaf_raw(plan, entry)
@@ -779,8 +788,10 @@ class ShardedPlanEvaluator:
             signed=raw.signed if raw.supports_direction else None,
             exact_mask=raw.exact_mask,
             raw=raw.raw,
+            resolved=resolved,
+            summaries=summaries,
         )
-        self._publish(plan, path, value_key, columns, resolved, summaries)
+        self._publish(plan, path, value_key, columns)
         base = entry.value_key if (entry is not None and dirty is not None) else None
         self.node_deltas[path] = NodeDelta(value_key, base, out_dirty)
         self._annotate_chunks(marks)
@@ -841,11 +852,11 @@ class ShardedPlanEvaluator:
             self._evaluate(child, path + (i,), feedback)
             for i, child in enumerate(plan.children)
         ]
-        value_key = plan.value_key(self.display_capacity, self.target_max)
+        value_key = plan.value_key(self.display_capacity, self.target_max,
+                                   self._child_keys(plan, path))
         columns = self.cache.get_node(value_key)
         if columns is not None:
-            self.node_deltas[path] = NodeDelta(value_key, value_key, frozenset())
-            return columns
+            return self._cache_hit(plan, path, value_key, columns)
         marks = self._chunk_marks()
         weights = np.array([child.weight for child in plan.children], dtype=float)
         entry = self._valid_entry(path)
@@ -930,9 +941,10 @@ class ShardedPlanEvaluator:
         normalized, resolved, summaries, out_dirty = \
             self._normalize_incremental(combined, plan.node.weight, entry, dirty)
         columns = _NodeColumns(
-            normalized=normalized, signed=None, exact_mask=exact, raw=combined
+            normalized=normalized, signed=None, exact_mask=exact, raw=combined,
+            resolved=resolved, summaries=summaries,
         )
-        self._publish(plan, path, value_key, columns, resolved, summaries)
+        self._publish(plan, path, value_key, columns)
         base = entry.value_key if (entry is not None and dirty is not None) else None
         self.node_deltas[path] = NodeDelta(value_key, base, out_dirty)
         self._annotate_chunks(marks)
@@ -1190,17 +1202,21 @@ class ShardedPlanEvaluator:
         keep = normalization_keep_count(weight, self.display_capacity, max(n, 1))
         if n == 0:
             return np.asarray(values, dtype=float).copy(), None, None, frozenset()
-        patched = (entry is not None and dirty is not None
-                   and entry.summaries is not None)
+        base = entry.columns if entry is not None else None
+        # Summaries are per shard: columns served from the node cache may
+        # have been built by a query partitioning the table differently.
+        patched = (base is not None and dirty is not None
+                   and base.summaries is not None
+                   and len(base.summaries) == shard_count)
         resolved: tuple[float, float] | None = None
         summaries: np.ndarray | None = None
         certified = False
         if patched:
             # Refresh only the dirty shards' summaries (against the entry's
             # d_max) and try to certify the resolved bounds from counts.
-            old_resolved = entry.resolved
+            old_resolved = base.resolved
             d_max_old = old_resolved[1] if old_resolved is not None else float("nan")
-            summaries = entry.summaries.copy()
+            summaries = base.summaries.copy()
             dirty_list = sorted(dirty)
             fresh = self._map_over(
                 dirty_list,
@@ -1248,10 +1264,10 @@ class ShardedPlanEvaluator:
                 partials = None
                 resolved = reduced_bounds(values, keep)
         d_min, d_max = resolved if resolved is not None else (None, None)
-        if patched and bounds_identical(resolved, entry.resolved):
+        if patched and bounds_identical(resolved, base.resolved):
             # Short-circuit: bounds unchanged, so clean shards' normalized
             # slices are bit-identical -- renormalize the dirty ones only.
-            old = entry.columns.normalized
+            old = base.normalized
             if not dirty:
                 normalized = old
             else:

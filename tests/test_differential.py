@@ -299,13 +299,13 @@ def test_differential_join_query_with_slider_drag():
 
 
 # --------------------------------------------------------------------------- #
-# Adversarial dirty-tracking cases (per-shard slice cache, PR 4)
+# Adversarial dirty-tracking cases (per-site slice entries, PR 4)
 # --------------------------------------------------------------------------- #
 def _locality_table(n: int = 6_000, seed: int = 23) -> Table:
     """A table whose first column correlates with row order.
 
     Row-range shards then give slider bands real locality (few dirty
-    shards), which is exactly the regime the per-shard slice cache patches
+    shards), which is exactly the regime the per-site slice entries patch
     in -- and the regime where a patching bug would go unnoticed by tables
     whose dirty sets always cover every shard.
     """
@@ -489,6 +489,33 @@ def test_differential_interleaved_sessions_same_attribute(backend):
         # reused and displayed sets patched.
         assert after["shards_reused"] > before[shards]["shards_reused"], shards
         assert after["displayed_patches"] > before[shards]["displayed_patches"], shards
+
+
+def test_differential_session_opened_from_the_node_cache_patches():
+    """A session whose open is served wholly from the node cache (a peer
+    opened the same query first) patches its first micro-drags from the
+    entries that open left, bit-identically to the reference."""
+    table = _locality_table()
+    root = AndNode([
+        between("t", 50.0, 900.0),
+        OrNode([condition("a", ">", 20.0), condition("b", "<", 80.0)]),
+    ])
+    config = PipelineConfig(screen=ScreenSpec(width=64, height=64), percentage=0.05)
+    for shards in SHARD_COUNTS:
+        engine = QueryEngine(table, config.with_(shard_count=shards, max_workers=2))
+        peer, session = (
+            engine.prepare(Query(name=name, tables=[table.name],
+                                 condition=copy.deepcopy(root)))
+            for name in ("peer", "session"))
+        peer.execute()
+        assert_feedback_identical(reference_frame(table, session), session.execute(),
+                                  f"cache-open shards={shards}")
+        for high in (897.5, 895.0):
+            hits = session.cache_stats["slice_hits"]
+            frame = session.execute(changes=[SetQueryRange((0,), 50.0, high)])
+            assert_feedback_identical(reference_frame(table, session), frame,
+                                      f"cache-open high={high} shards={shards}")
+            assert session.cache_stats["slice_hits"] > hits, (high, shards)
 
 
 def test_differential_incremental_matches_reference():

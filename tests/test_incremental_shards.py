@@ -3,19 +3,23 @@
 The differential harness (tests/test_differential.py) locks the *outputs*
 down bit-for-bit; these tests lock the *mechanism* down: that interior
 slider events really recompute only the dirty shards (counter-verified),
-that the short-circuits engage, that invalidation (generation tags, token
-regeneration on wholesale query changes) works, and that the service
+that the short-circuits engage, that invalidation (cache generations,
+forgetting the sites on wholesale query changes) works, that the site
+entries live and die with their prepared query, and that the service
 surfaces the counters.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import PipelineConfig, QueryEngine, ScreenSpec
 from repro.core.normalization import bounds_identical
-from repro.core.plan import CacheStats, ShardSliceCache, ShardSliceEntry
+from repro.core.plan import CacheStats
 from repro.core.reduction import (
     merge_topk_candidates,
     merge_topk_candidates_many,
@@ -50,6 +54,22 @@ def locality_table(n: int = 20_000, seed: int = 5) -> Table:
     return Table("Local", {"t": t, "a": a, "b": b})
 
 
+def locality_query(table, name="inc", high=990.0, a=20.0, b=80.0) -> Query:
+    """The 5-node test query (5 plan nodes, so 5 sites)."""
+    return Query(name=name, tables=[table.name], condition=AndNode([
+        between("t", 50.0, high),
+        OrNode([condition("a", ">", a), condition("b", "<", b)]),
+    ]))
+
+
+def open_peers(engine, table, count: int) -> None:
+    """Open and drop ``count`` peers with distinct constants everywhere: no
+    node of a peer is a node-cache hit, so each adds 5 node columns."""
+    for k in range(count):
+        engine.prepare(locality_query(
+            table, f"peer-{k}", 900.0 - k, 21.0 + k, 79.0 - k)).execute()
+
+
 def prepared_query(table, *, shards=8, percentage=0.05):
     config = PipelineConfig(
         screen=ScreenSpec(width=256, height=256),
@@ -58,13 +78,7 @@ def prepared_query(table, *, shards=8, percentage=0.05):
         max_workers=2,
     )
     engine = QueryEngine(table, config)
-    root = AndNode([
-        between("t", 50.0, 990.0),
-        OrNode([condition("a", ">", 20.0), condition("b", "<", 80.0)]),
-    ])
-    prepared = engine.prepare(
-        Query(name="inc", tables=[table.name], condition=root))
-    return engine, prepared
+    return engine, engine.prepare(locality_query(table))
 
 
 def stats_of(engine, prepared) -> dict[str, int]:
@@ -176,63 +190,98 @@ def test_percentage_change_falls_back_cleanly():
 # --------------------------------------------------------------------------- #
 # Invalidation
 # --------------------------------------------------------------------------- #
-def test_slice_cache_generation_invalidation():
-    cache = ShardSliceCache(max_entries=4)
-    entry = ShardSliceEntry(
-        value_key="v1", columns=None, resolved=(0.0, 1.0), summaries=None,
-        target_max=255.0, shard_count=2, generation=cache.generation,
-    )
-    cache.put("site", entry)
-    assert cache.get("site") is not None
-    cache.invalidate()
-    assert cache.get("site") is None
-    # A writer that started before the invalidation cannot re-publish its
-    # stale entry (the clear()-concurrency guarantee) ...
-    cache.put("site", entry)
-    assert cache.get("site") is None
-    # ... while a writer that read the new generation publishes normally.
-    cache.put("site", ShardSliceEntry(
-        value_key="v2", columns=None, resolved=(0.0, 1.0), summaries=None,
-        target_max=255.0, shard_count=2, generation=cache.generation,
-    ))
-    assert cache.get("site") is not None
+def test_slice_cache_generation_invalidation(monkeypatch):
+    """An evaluation that started before `EvaluationCache.clear()` cannot
+    leave a usable entry behind: the event after the clear is cold."""
+    table = locality_table(n=4_000)
+    engine, prepared = prepared_query(table)
+    prepared.execute()
+    cache = engine.evaluation_cache(prepared.table)
+    record = cache.record_incremental_event
+
+    def clear_mid_evaluation() -> None:
+        record()
+        cache.clear()  # the evaluation has already read the old generation
+
+    monkeypatch.setattr(cache, "record_incremental_event", clear_mid_evaluation)
+    frame = prepared.execute(changes=[SetQueryRange((0,), 50.0, 985.0)])
+    monkeypatch.undo()
+    np.testing.assert_array_equal(
+        frame.display_order, reference_frame(table, prepared).display_order)
+    assert len(prepared._root.sites) == 5
+    assert all(entry.generation != cache.generation
+               for entry in prepared._root.sites.values())
+    before = cache.stats.as_dict()
+    prepared.execute(changes=[SetQueryRange((0,), 50.0, 984.0)])
+    assert cache.stats.as_dict()["slice_hits"] == before["slice_hits"]
 
 
-def test_slice_cache_eviction_is_bounded():
-    cache = ShardSliceCache(max_entries=2)
-    for k in range(5):
-        cache.put(f"site-{k}", ShardSliceEntry(
-            value_key=f"v{k}", columns=None, resolved=None, summaries=None,
-            target_max=255.0, shard_count=2,
-        ))
-    assert len(cache) == 2
-    assert cache.get("site-4") is not None
-    assert cache.get("site-0") is None
-
-
-def test_slice_evictions_are_counted():
-    """Sessions x plan nodes above the slice bound evict each other's
-    entries; the counter makes the cliff visible."""
+def test_peers_never_evict_a_live_sessions_base():
+    """However many peers open on the engine (here 13 x 5 sites), a live
+    session keeps its own site entries: its next micro-move patches."""
     table = locality_table(n=4_000)
     engine, first = prepared_query(table)
-    cache = engine.evaluation_cache(table)
-    bound = cache._slices._lru.max_entries
     first.execute()  # 5 plan nodes -> 5 site entries
-    assert cache.stats.as_dict()["slice_evictions"] == 0
-    sessions = bound // 5 + 1
-    for k in range(sessions):
-        # Distinct constants everywhere: no node of a peer is an LRU hit,
-        # so each peer publishes an entry for all 5 of its sites.
-        engine.prepare(Query(name=f"peer-{k}", tables=[table.name], condition=AndNode([
-            between("t", 50.0, 900.0 - k),
-            OrNode([condition("a", ">", 21.0 + k), condition("b", "<", 79.0 - k)]),
-        ]))).execute()
-    assert cache.stats.as_dict()["slice_evictions"] == 5 * (sessions + 1) - bound
-    assert engine.stats()["slice_evictions"] == cache.stats.slice_evictions
-    # The first session's entries went first: its next event finds none.
+    open_peers(engine, table, 64 // 5 + 1)
     before = stats_of(engine, first)
     first.execute(changes=[SetQueryRange((0,), 50.0, 985.0)])
-    assert stats_of(engine, first)["slice_hits"] == before["slice_hits"]
+    assert stats_of(engine, first)["slice_hits"] > before["slice_hits"]
+
+
+def test_session_opened_from_the_node_cache_patches_its_first_drag():
+    """A session whose open is served wholly from the node cache (a peer
+    opened the same query first) leaves site entries at those columns, so
+    its first micro-drag patches: no `node.evaluate` span declines."""
+    from repro.obs import Trace, use_trace
+
+    table = locality_table(n=9_000)
+    engine, first = prepared_query(table)
+    first.execute()
+    second = engine.prepare(locality_query(table, "second"))
+    before = stats_of(engine, second)
+    second.execute()
+    assert stats_of(engine, second)["node_misses"] == before["node_misses"]
+    before = stats_of(engine, second)
+    trace = Trace("event", trace_id=1)
+    with use_trace(trace):
+        frame = second.execute(changes=[SetQueryRange((0,), 50.0, 989.0)])
+    assert [s.attrs for s in trace.spans if s.name == "node.evaluate"
+            and "patch_declined" in (s.attrs or {})] == []
+    assert stats_of(engine, second)["slice_hits"] > before["slice_hits"]
+    np.testing.assert_array_equal(
+        frame.display_order, reference_frame(table, second).display_order)
+
+
+def test_cache_open_across_shard_counts_matches_reference():
+    """Node columns carry per-shard summaries of the partitioning that built
+    them; a query on another shard count that opens from them must not
+    patch against those summaries."""
+    table = locality_table(n=6_000)
+    engine, first = prepared_query(table, shards=4)
+    first.execute()
+    second = engine.prepare(locality_query(table, "second"), shard_count=8)
+    second.execute()
+    for high in (989.0, 988.0):
+        frame = second.execute(changes=[SetQueryRange((0,), 50.0, high)])
+        cold = reference_frame(table, second)
+        np.testing.assert_array_equal(frame.display_order, cold.display_order)
+        np.testing.assert_array_equal(frame.node_feedback[()].normalized_distances,
+                                      cold.node_feedback[()].normalized_distances)
+
+
+def test_dropped_query_pins_nothing():
+    """A dropped prepared query's site entries go with it: once the node LRU
+    has evicted its columns, nothing keeps them alive."""
+    table = locality_table(n=4_000)
+    engine, first = prepared_query(table)
+    engine.cache_budget_bytes = 0  # the smallest node LRU: 8 entries
+    frame = first.execute()
+    root = weakref.ref(frame.node_feedback[()].normalized_distances)
+    del frame, first
+    bound = engine.evaluation_cache(table)._nodes.max_entries
+    open_peers(engine, table, bound // 5 + 1)
+    gc.collect()
+    assert root() is None
 
 
 def test_declined_patches_are_annotated_with_a_reason():
@@ -267,18 +316,22 @@ def test_declined_patches_are_annotated_with_a_reason():
         "(1, 0)": "base-mismatch", "(1,)": "base-mismatch", "()": "base-mismatch"}
 
 
-def test_wholesale_query_change_regenerates_slice_token():
+def test_wholesale_query_change_forgets_the_sites():
     table = locality_table(n=4_000)
     engine, prepared = prepared_query(table)
     prepared.execute()
-    token = prepared._slice_token
+    sites = prepared._root.sites
+    assert len(sites) == 5
     prepared.execute(changes=[SetQueryRange((0,), 50.0, 985.0)])
-    assert prepared._slice_token == token  # parameter moves keep the sites
+    assert prepared._root.sites is sites  # parameter moves keep the sites
+    assert len(sites) == 5
     prepared.query.condition = AndNode([
         between("t", 100.0, 500.0), condition("b", "<", 60.0),
     ])
+    prepared.refresh()
+    assert prepared._root.sites == {}  # new shape: no entry survives
     prepared.execute()
-    assert prepared._slice_token != token  # new shape -> new namespace
+    assert set(prepared._root.sites) == {(), (0,), (1,)}
 
 
 def test_evaluation_cache_clear_drops_slices():
