@@ -9,8 +9,8 @@ zero-copy out of ``multiprocessing.shared_memory``; what crosses the
 pipe per event is only the plan, shard lists, block names and partials.
 
 Measured here, on a 1M-row table of numeric non-range leaves (the shape
-the backend accelerates -- range leaves are already served by the
-prefetch fast path):
+the backend accelerates -- a warm range drag patches in-process from its
+site entry):
 
 * cold 8-shard execute under ``backend="process"`` vs. the identical run
   under ``backend="threads"`` (**identical feedback always asserted**;
@@ -95,10 +95,7 @@ def _drop_caches(prepared):
     The shared-memory publication survives on purpose: publish-once is
     part of the backend's design, cold work is the leaf kernels.
     """
-    engine = prepared.engine
-    engine.evaluation_cache(prepared.table).clear()
-    for prefetch in engine.sharded_table(prepared.table, prepared.shard_count).prefetch:
-        prefetch.clear()
+    prepared.engine.evaluation_cache(prepared.table).clear()
 
 
 def _cold_seconds(prepared, rounds=3):

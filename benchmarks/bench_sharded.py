@@ -91,10 +91,7 @@ def _config(**overrides):
 
 def _drop_caches(prepared):
     """Reset per-table caches so the next execute() is a true cold run."""
-    engine = prepared.engine
-    engine.evaluation_cache(prepared.table).clear()
-    for prefetch in engine.sharded_table(prepared.table, prepared.shard_count).prefetch:
-        prefetch.clear()
+    prepared.engine.evaluation_cache(prepared.table).clear()
 
 
 def _cold_seconds(prepared, rounds=3):

@@ -13,10 +13,9 @@ actually invalidated:
 
 * ``SetWeight`` reuses every raw leaf column and redoes only the
   normalization/combination along the changed path;
-* ``SetQueryRange`` / ``SetThreshold`` recompute exactly one leaf, with the
-  fulfilment set of range predicates served through per-shard
-  :class:`~repro.storage.cache.PrefetchCache` regions backed by
-  :class:`~repro.storage.index.SortedIndex` range indexes;
+* ``SetQueryRange`` / ``SetThreshold`` recompute exactly one leaf; a range
+  move patches only the rows its swept band touches, found through
+  per-shard :class:`~repro.storage.index.SortedIndex` range indexes;
 * ``SetPercentageDisplayed`` touches only reduction/normalization -- no
   pipeline object is rebuilt and no distances are recomputed.
 
@@ -526,14 +525,13 @@ class QueryEngine:
     * an :class:`~repro.core.plan.EvaluationCache` of distance columns per
       evaluation table;
     * a :class:`~repro.core.shard.ShardedTable` per evaluation table and
-      shard count: the row-range partitioning with one
-      :class:`~repro.storage.cache.PrefetchCache` (and lazily built
-      :class:`~repro.storage.index.SortedIndex` range indexes) per shard,
-      serving range-predicate fulfilment sets.
+      shard count: the row-range partitioning with lazily built
+      :class:`~repro.storage.index.SortedIndex` range indexes per shard,
+      which find the rows a slider move changes.
     """
 
     #: Cap on cached cross-product tables (each pins up to ``max_join_pairs``
-    #: rows plus its evaluation/prefetch caches); oldest evicted first.
+    #: rows plus its evaluation cache); oldest evicted first.
     max_cached_tables = 8
 
     def __init__(self, source: Database | Table, config: PipelineConfig | None = None,
@@ -548,7 +546,7 @@ class QueryEngine:
         # its stale entry replaced.
         self._caches: dict[int, tuple[Table, EvaluationCache]] = {}
         # Per (table, shard count): the row-range partitioning with its
-        # per-shard prefetch caches and indexes.
+        # per-shard indexes.
         self._sharded: dict[tuple[int, int], tuple[Table, ShardedTable]] = {}
         # Lazily instantiated execution backends, one per backend name used
         # by this engine; created through the provider registry so stats
@@ -573,7 +571,7 @@ class QueryEngine:
 
         Embedding services use this for deterministic teardown: after
         ``close()`` the engine holds no cross-product tables, distance
-        caches or prefetch regions, and the process-shared shard pools have
+        caches or range indexes, and the process-shared shard pools have
         joined their threads (they are lazily recreated should another
         engine execute afterwards).  Calling :meth:`prepare` on a closed
         engine raises ``RuntimeError``.
@@ -620,27 +618,16 @@ class QueryEngine:
         """Aggregate cache counters across every evaluation table.
 
         Sums the :class:`~repro.core.plan.CacheStats` of all evaluation
-        caches with the hit/miss/eviction counters of every shard's
-        prefetch cache (a one-shard table has one); the service metrics
-        endpoint surfaces this dictionary as the engine-wide cache picture.
+        caches; the service metrics endpoint surfaces this dictionary as
+        the engine-wide cache picture.
         """
         with self._lock:
             caches = [entry[1] for entry in self._caches.values()]
-            prefetch = [shard for _, sharded in self._sharded.values()
-                        for shard in sharded.prefetch]
             backends = list(self._backends.values())
         totals: dict[str, int] = {key: 0 for key in CacheStats().as_dict()}
-        totals.update({
-            "prefetch_hits": 0, "prefetch_misses": 0, "prefetch_evictions": 0,
-        })
         for cache in caches:
             for key, value in cache.stats.as_dict().items():
                 totals[key] += value
-        for cache in prefetch:
-            stats = cache.stats()
-            totals["prefetch_hits"] += stats["hits"]
-            totals["prefetch_misses"] += stats["misses"]
-            totals["prefetch_evictions"] += stats["evictions"]
         totals["backend"] = self._backend_stats(backends)
         return totals
 
@@ -878,12 +865,8 @@ class PreparedQuery:
 
     @property
     def cache_stats(self) -> dict[str, int]:
-        """Hit/miss counters of the distance caches plus prefetch activity."""
-        stats = self.engine.evaluation_cache(self.table).stats.as_dict()
-        shards = self.engine.sharded_table(self.table, self.shard_count).prefetch
-        stats["prefetch_hits"] = sum(p.cache_hits for p in shards)
-        stats["prefetch_fetches"] = sum(p.fetches for p in shards)
-        return stats
+        """Hit/miss and incremental-evaluation counters of the table's cache."""
+        return self.engine.evaluation_cache(self.table).stats.as_dict()
 
     # ------------------------------------------------------------------ #
     # Plan maintenance
@@ -947,7 +930,7 @@ class PreparedQuery:
         if self.executions > 0:
             # The query is being re-executed interactively: mark the range
             # (slider) attributes as hot and index them once, so subsequent
-            # drags resolve their fulfilment sets in O(log n + k).  Cold
+            # drags find the rows they change in O(log n + k).  Cold
             # one-shot runs never reach this and skip the index build.
             for _, leaf in effective.iter_leaves():
                 if isinstance(leaf.predicate, RangePredicate):

@@ -490,8 +490,8 @@ class PlanEvaluator:
     ``signed_distances`` / ``exact_mask``, :func:`reduced_normalization`,
     :func:`combine_columns`, an AND/OR reduction of the child masks) -- and
     shares nothing with the sharded evaluator beyond those NumPy-level
-    functions: no :class:`EvaluationCache`, no prefetch regions, no range
-    history, no shards, no chunked columns.  A bug in any of those layers
+    functions: no :class:`EvaluationCache`, no range indexes, no shards,
+    no chunked columns.  A bug in any of those layers
     therefore cannot hide behind a shared code path.
 
     Parameters

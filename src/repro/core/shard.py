@@ -10,9 +10,9 @@ being the ``shard_count=1`` case of it -- splits that floor across
 row-range shards:
 
 * :class:`ShardedTable` partitions an evaluation table into contiguous
-  row ranges (zero-copy NumPy views), each with its own
-  :class:`~repro.storage.cache.PrefetchCache` and, for hot slider
-  attributes, its own :class:`~repro.storage.index.SortedIndex`;
+  row ranges (zero-copy NumPy views), with one
+  :class:`~repro.storage.index.SortedIndex` per shard for each hot slider
+  attribute;
 * :class:`ShardedPlanEvaluator` dispatches per-shard leaf distance
   evaluation, normalization and combination through a thread pool (NumPy
   releases the GIL on the hot kernels);
@@ -77,7 +77,6 @@ from repro.core.result import NodeFeedback
 from repro.obs import trace as obs
 from repro.query.expr import NodePath, PredicateLeaf, SubqueryNode
 from repro.query.predicates import RangePredicate
-from repro.storage.cache import MAX_UNION_DISJUNCTS, PrefetchCache
 from repro.storage.index import SortedIndex
 from repro.storage.table import Table
 
@@ -254,20 +253,18 @@ def shutdown_executors(drain_timeout: float = 60.0) -> None:
 class ShardedTable:
     """Row-range partitioning of one evaluation table.
 
-    Each shard is a zero-copy view (:meth:`~repro.storage.table.Table.slice_rows`)
-    with its own :class:`~repro.storage.cache.PrefetchCache`; hot slider
-    attributes additionally get one shard-local
-    :class:`~repro.storage.index.SortedIndex` per shard, shared between
-    the prefetch cache (index-accelerated fulfilment fetches) and the
-    incremental range-delta path (which adds the shard's start row to map
-    local hits to global row numbers).
+    Each shard is a zero-copy view (:meth:`~repro.storage.table.Table.slice_rows`);
+    hot slider attributes get one shard-local
+    :class:`~repro.storage.index.SortedIndex` per shard, which the
+    incremental range-delta path queries (adding the shard's start row to
+    map local hits to global row numbers).
     """
 
     def __init__(self, table: Table, shard_count: int):
         self.table = table
         self.bounds = shard_bounds(len(table), shard_count)
         self.shards = [table.slice_rows(start, stop) for start, stop in self.bounds]
-        self.prefetch = [PrefetchCache(shard, indexes={}) for shard in self.shards]
+        self._indexes: dict[str, list[SortedIndex]] = {}
         self._index_lock = threading.Lock()
 
     @property
@@ -281,10 +278,8 @@ class ShardedTable:
         """Build (once) per-shard sorted indexes for a hot slider attribute.
 
         Safe against concurrent builders *and* concurrent readers that hold
-        no lock: the indexes are built fully first and shard 0 -- the shard
-        :meth:`has_index` probes -- is published last, so a reader that
-        observes the attribute as indexed finds every shard's index in
-        place.
+        no lock: every shard's index is built first and the whole list is
+        published in one store, so a reader sees all of them or none.
         """
         if self.has_index(attribute):
             return
@@ -293,19 +288,16 @@ class ShardedTable:
         with self._index_lock:
             if self.has_index(attribute):
                 return
-            built = [SortedIndex(shard, attribute) for shard in self.shards]
-            for shard_no in reversed(range(len(built))):
-                self.prefetch[shard_no].indexes[attribute] = built[shard_no]
+            self._indexes[attribute] = [
+                SortedIndex(shard, attribute) for shard in self.shards]
 
     def has_index(self, attribute: str) -> bool:
         """True once :meth:`ensure_index` built the per-shard indexes."""
-        return bool(self.prefetch) and attribute in self.prefetch[0].indexes
+        return attribute in self._indexes
 
     def shard_indexes(self, attribute: str) -> list[SortedIndex] | None:
         """The per-shard (shard-local) indexes for one attribute, if built."""
-        if not self.has_index(attribute):
-            return None
-        return [prefetch.indexes[attribute] for prefetch in self.prefetch]
+        return self._indexes.get(attribute)
 
 
 # --------------------------------------------------------------------------- #
@@ -865,10 +857,6 @@ class ShardedPlanEvaluator:
             obs.annotate(
                 patch_declined="no-entry" if entry is None else "base-mismatch")
         bounds = self.sharded.bounds
-        # OR over <= MAX_UNION_DISJUNCTS numeric range leaves: answer the
-        # mask from the per-shard cached union regions (bit-identical to
-        # OR-ing the leaf masks; see _union_boxes).
-        union_boxes = self._union_boxes(plan)
         if dirty is not None:
             # Children changed only inside the dirty shards (and with
             # unchanged weights/rule), so the combined column and the
@@ -888,9 +876,6 @@ class ShardedPlanEvaluator:
                     )
 
                 def mask_one(i: int) -> np.ndarray:
-                    if union_boxes is not None:
-                        return self.sharded.prefetch[i].fulfilment_mask_union(
-                            union_boxes)
                     start, stop = bounds[i]
                     if plan.rule is CombinationRule.AND:
                         piece = np.ones(stop - start, dtype=bool)
@@ -925,12 +910,7 @@ class ShardedPlanEvaluator:
                 [c.normalized[bounds[i][0]:bounds[i][1]] for c in child_columns],
                 weights,
             ))
-            if union_boxes is not None:
-                exact = self._assemble(
-                    lambda i: self.sharded.prefetch[i].fulfilment_mask_union(
-                        union_boxes),
-                    dtype=bool)
-            elif plan.rule is CombinationRule.AND:
+            if plan.rule is CombinationRule.AND:
                 exact = np.ones(len(self.table), dtype=bool)
                 for c in child_columns:
                     exact &= c.exact_mask
@@ -972,34 +952,6 @@ class ShardedPlanEvaluator:
                 return None
             acc.update(dirty)
         return frozenset(acc)
-
-    def _union_boxes(self, plan: CompositePlan) -> list[dict] | None:
-        """One query box per child when an OR's mask can use the union cache.
-
-        Eligible when every child is a range-predicate leaf over a numeric
-        column and there are 2..``MAX_UNION_DISJUNCTS`` of them -- exactly
-        the shape :meth:`PrefetchCache.fulfilment_mask_union` answers from
-        one cached union region.  A row fulfils the OR iff it fulfils some
-        disjunct, and both paths use the identical closed-interval filter
-        (NaN excluded), so the union mask is bit-identical to OR-ing the
-        per-leaf masks.
-        """
-        if plan.rule is not CombinationRule.OR:
-            return None
-        if not 2 <= len(plan.children) <= MAX_UNION_DISJUNCTS:
-            return None
-        boxes: list[dict] = []
-        for child in plan.children:
-            if not isinstance(child, LeafPlan):
-                return None
-            predicate = getattr(child.node, "predicate", None)
-            if not isinstance(predicate, RangePredicate):
-                return None
-            if not (self.table.has_column(predicate.attribute)
-                    and self.table.is_numeric(predicate.attribute)):
-                return None
-            boxes.append({predicate.attribute: (predicate.low, predicate.high)})
-        return boxes
 
     # ------------------------------------------------------------------ #
     # Leaf columns
@@ -1143,23 +1095,7 @@ class ShardedPlanEvaluator:
                         supports_direction=True), True
 
     def _exact_mask(self, predicate) -> np.ndarray:
-        """Per-shard fulfilment masks, concatenated to the global mask.
-
-        Range predicates on numeric columns go through the per-shard
-        prefetch caches (widened regions answer a narrowing slider drag
-        without rescanning); everything else evaluates the predicate on the
-        shard view directly.  Masks are exact either way, so the assembled
-        column equals the whole-table mask.
-        """
-        if (
-            isinstance(predicate, RangePredicate)
-            and self.table.has_column(predicate.attribute)
-            and self.table.is_numeric(predicate.attribute)
-        ):
-            ranges = {predicate.attribute: (predicate.low, predicate.high)}
-            return self._assemble(
-                lambda i: self.sharded.prefetch[i].fulfilment_mask(ranges),
-                dtype=bool)
+        """Fulfilment mask of a predicate, shard by shard."""
         return self._assemble(
             lambda i: np.asarray(
                 predicate.exact_mask(self.sharded.shards[i]), dtype=bool),

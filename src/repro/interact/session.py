@@ -73,7 +73,7 @@ class VisDBSession:
         Optional pre-existing :class:`QueryEngine` to attach to instead of
         creating a private one.  Embedding servers pass their shared engine
         here so that sessions over the same data reuse one set of
-        cross-product tables, distance caches and prefetch regions.
+        cross-product tables, distance caches and range indexes.
     """
 
     def __init__(self, source: Database | Table, query, config: PipelineConfig | None = None,

@@ -1,6 +1,6 @@
 """A labeled counter/gauge/histogram registry for the whole pipeline.
 
-The service, the engine caches, the prefetcher and the execution backends
+The service, the engine caches and the execution backends
 each grew their own counter dicts; this module is the one place they meet.
 Three primitive metric types:
 

@@ -8,33 +8,25 @@ implements exactly that policy for conjunctive range regions: every fetch
 widens the requested attribute ranges by a margin, and later queries that
 fall inside a cached region are answered from the cache without touching
 the underlying table.
+
+It is a reproduction of that policy (``benchmarks/bench_ablations.py``
+measures it), not part of the evaluator: a warm slider drag patches its
+fulfilment mask from the prepared query's previous state instead.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from repro.storage.table import Table
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.storage.index import SortedIndex
-
-__all__ = ["PrefetchCache", "CachedRegion", "CachedUnionRegion", "MAX_UNION_DISJUNCTS"]
+__all__ = ["PrefetchCache", "CachedRegion"]
 
 Range = tuple[float | None, float | None]
-
-#: Upper bound on the number of disjuncts the union-region fast path
-#: accepts; beyond it OR-shaped requests fall back to one fetch per
-#: disjunct.  The merged-interval cover (:meth:`CachedUnionRegion.covers`)
-#: answers the common single-attribute case in one bisection per requested
-#: box instead of the quadratic pairwise scan, so the bound is set by
-#: per-arm filter cost rather than cover-check cost.
-MAX_UNION_DISJUNCTS = 16
 
 
 def _contains(outer: Range, inner: Range) -> bool:
@@ -44,21 +36,6 @@ def _contains(outer: Range, inner: Range) -> bool:
     lo_ok = out_lo is None or (in_lo is not None and in_lo >= out_lo)
     hi_ok = out_hi is None or (in_hi is not None and in_hi <= out_hi)
     return lo_ok and hi_ok
-
-
-def _box_covers(cached: Mapping[str, Range], requested: Mapping[str, Range]) -> bool:
-    """True when one cached conjunctive box contains one requested box."""
-    for column, wanted in requested.items():
-        have = cached.get(column)
-        if have is None:
-            # Unconstrained in the cache: contains every value.
-            continue
-        if not _contains(have, wanted):
-            return False
-    for column, have in cached.items():
-        if column not in requested and have != (None, None):
-            return False
-    return True
 
 
 @dataclass
@@ -83,93 +60,15 @@ class CachedRegion:
         Attributes constrained in the cache but unconstrained in the request
         mean the request is *wider* than the cache -> not covered.
         """
-        return _box_covers(self.ranges, ranges)
-
-
-@dataclass
-class CachedUnionRegion:
-    """A cached superset of an OR-shaped (union-of-boxes) query region.
-
-    ``disjuncts`` are the widened boxes actually fetched; ``row_indices``
-    is the union of their rows.  The region covers a requested union when
-    the cached union provably contains every requested box -- a sufficient
-    condition (the cached union then contains the requested union), and
-    exactness is restored by re-filtering the candidates against the
-    requested disjuncts.
-
-    When every cached disjunct constrains exactly one shared attribute
-    (the typical OR: several bands on one slider), containment is decided
-    against a merged-interval cover of that attribute rather than the
-    pairwise box scan.  The cover is strictly more complete: it accepts a
-    request straddling two *overlapping* cached arms (``[1, 2] | [2, 3]``
-    covers ``[1.5, 2.5]``, which no individual cached box does) and costs
-    one bisection per requested box instead of one comparison per cached
-    arm.  Multi-attribute or mixed-attribute disjunct sets fall back to
-    the pairwise check.
-    """
-
-    disjuncts: list[dict[str, Range]]
-    row_indices: np.ndarray
-    hits: int = 0
-    #: Lazily built by the first ``covers`` call (under the owning cache's
-    #: lock); ``None`` after building means the cover is inapplicable.
-    _cover: "tuple[str, list[float], list[float]] | None" = field(
-        default=None, init=False, repr=False, compare=False)
-    _cover_built: bool = field(default=False, init=False, repr=False,
-                               compare=False)
-
-    def _interval_cover(self) -> "tuple[str, list[float], list[float]] | None":
-        """Disjoint merged intervals over the one shared attribute.
-
-        Returns ``(attribute, lows, highs)`` with ``lows`` sorted and the
-        intervals pairwise disjoint, or ``None`` when the disjuncts do not
-        all constrain exactly one common attribute.  ``None`` bounds map
-        to +/-inf; closed intervals merge when they touch.
-        """
-        attr: str | None = None
-        intervals: list[tuple[float, float]] = []
-        for cached in self.disjuncts:
-            constrained = [c for c, r in cached.items() if r != (None, None)]
-            if len(constrained) != 1:
-                return None
-            if attr is None:
-                attr = constrained[0]
-            elif constrained[0] != attr:
-                return None
-            low, high = cached[constrained[0]]
-            intervals.append((
-                float("-inf") if low is None else low,
-                float("inf") if high is None else high,
-            ))
-        if attr is None:
-            return None
-        intervals.sort()
-        lows = [intervals[0][0]]
-        highs = [intervals[0][1]]
-        for low, high in intervals[1:]:
-            if low <= highs[-1]:
-                highs[-1] = max(highs[-1], high)
-            else:
-                lows.append(low)
-                highs.append(high)
-        return attr, lows, highs
-
-    def covers(self, requested: "list[dict[str, Range]]") -> bool:
-        if not self._cover_built:
-            self._cover = self._interval_cover()
-            self._cover_built = True
-        if self._cover is None:
-            return all(
-                any(_box_covers(cached, box) for cached in self.disjuncts)
-                for box in requested
-            )
-        attr, lows, highs = self._cover
-        for box in requested:
-            low, high = box.get(attr, (None, None))
-            low = float("-inf") if low is None else low
-            high = float("inf") if high is None else high
-            index = bisect_right(lows, low) - 1
-            if index < 0 or highs[index] < high:
+        for column, wanted in ranges.items():
+            have = self.ranges.get(column)
+            if have is None:
+                # Unconstrained in the cache: contains every value.
+                continue
+            if not _contains(have, wanted):
+                return False
+        for column, have in self.ranges.items():
+            if column not in ranges and have != (None, None):
                 return False
         return True
 
@@ -186,45 +85,22 @@ class PrefetchCache:
         Fractional widening applied to every finite bound when fetching,
         e.g. ``0.25`` widens a ``[10, 20]`` range to ``[7.5, 22.5]``.
     max_regions:
-        Maximum number of cached regions kept, counting conjunctive boxes
-        and union regions against one shared budget.  Eviction is hit-count
+        Maximum number of cached regions kept.  Eviction is hit-count
         aware: the region with the fewest hits goes first (ties broken by
         age, oldest first), so the region a slider is actively dragged
         inside survives pressure from one-shot queries -- the failure mode
-        of the earlier blind-FIFO policy.  Sharded evaluation keys caches
-        per shard (one :class:`PrefetchCache` per row range, see
-        :class:`~repro.core.shard.ShardedTable`), so eviction pressure on
-        one shard never drops another shard's hot region.
-    indexes:
-        Optional per-column :class:`~repro.storage.index.SortedIndex` map;
-        fresh fetches use an index for one constrained column (answering the
-        range in O(log n + k)) and only filter the remaining columns on the
-        candidates, instead of scanning every row of the table.
+        of a blind-FIFO policy.
     """
 
     table: Table
     margin: float = 0.25
     max_regions: int = 8
-    indexes: dict[str, "SortedIndex"] | None = None
     _regions: list[CachedRegion] = field(default_factory=list)
-    _union_regions: list[CachedUnionRegion] = field(default_factory=list)
     fetches: int = 0
     cache_hits: int = 0
     evictions: int = 0
-    #: Per-shape breakdown of the aggregate hit/fetch counters: "box" for
-    #: conjunctive requests, "union" for OR-shaped ones served by the
-    #: union-region fast path, "union_fallback" counting oversize union
-    #: requests (beyond :data:`MAX_UNION_DISJUNCTS`) that had to scan at
-    #: least one arm -- fallbacks answered entirely from cached boxes
-    #: count as box hits only.
-    shape_counts: dict = field(default_factory=lambda: {
-        "box": {"hits": 0, "misses": 0},
-        "union": {"hits": 0, "misses": 0},
-        "union_fallback": 0,
-    })
-    # Concurrent sessions executing against the same table (or the same
-    # shard of it) share this cache through their worker threads; the lock
-    # makes the region list and the counters consistent under that access.
+    # Concurrent callers may share one cache; the lock makes the region
+    # list and the counters consistent under that access.
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
                                   compare=False)
 
@@ -246,17 +122,6 @@ class PrefetchCache:
         return widened
 
     def _scan(self, ranges: Mapping[str, Range]) -> np.ndarray:
-        indexed = None
-        if self.indexes:
-            for column, (low, high) in ranges.items():
-                if column in self.indexes and (low is not None or high is not None):
-                    indexed = column
-                    break
-        if indexed is not None:
-            low, high = ranges[indexed]
-            candidates = self.indexes[indexed].range_query(low, high)
-            remaining = {c: r for c, r in ranges.items() if c != indexed}
-            return self._filter(candidates, remaining) if remaining else candidates
         keep = np.ones(len(self.table), dtype=bool)
         for column, (low, high) in ranges.items():
             values = self.table.column(column)
@@ -266,62 +131,41 @@ class PrefetchCache:
                 keep &= values <= high
         return np.nonzero(keep)[0]
 
-    def _covering(self, ranges: Mapping[str, Range]) -> CachedRegion | None:
-        for region in self._regions:
-            if region.covers(ranges):
-                return region
-        return None
-
     def _fetch(self, ranges: Mapping[str, Range]) -> np.ndarray:
         """Fetch (and remember) a widened superset region for ``ranges``.
 
         The scan itself runs outside the lock -- it is the dominant cost
-        and touches only the immutable table -- so concurrent sessions
-        missing on different regions proceed in parallel; only the region
-        list and the counters are updated under the lock.  Two racing
-        misses may both fetch (and briefly double-cache) the same band;
-        that costs one redundant scan, never a wrong answer.
+        and touches only the immutable table -- so concurrent misses on
+        different regions proceed in parallel; only the region list and
+        the counters are updated under the lock.  Two racing misses may
+        both fetch (and briefly double-cache) the same band; that costs
+        one redundant scan, never a wrong answer.
         """
         widened = self._widen(ranges)
         rows = self._scan(widened)
         with self._lock:
             self.fetches += 1
-            self.shape_counts["box"]["misses"] += 1
             self._regions.append(CachedRegion(ranges=widened, row_indices=rows))
-            self._evict_to_budget(self._regions)
+            self._evict_to_budget()
         return rows
 
-    def _evict_to_budget(self, appended_to: list) -> None:
-        """Evict least-hit residents until box + union regions fit the budget.
+    def _evict_to_budget(self) -> None:
+        """Evict least-hit residents until the regions fit ``max_regions``.
 
-        ``max_regions`` bounds the *combined* count of box and union
-        regions, so adding the union shape did not double the cache's
-        worst-case footprint.  The newest region (the one just appended to
-        ``appended_to``) is exempt: it necessarily has zero hits, so
-        including it would self-evict every new fetch the moment all
-        residents have a hit -- permanently locking the cache to stale
-        regions.  Among residents the victim is the least-hit one, ties
-        broken oldest-first with box regions before union regions.
+        The newest region (the one just appended) is exempt: it
+        necessarily has zero hits, so including it would self-evict every
+        new fetch the moment all residents have a hit -- permanently
+        locking the cache to stale regions.  Among residents the victim is
+        the least-hit one, ties broken oldest-first.
         """
-        while len(self._regions) + len(self._union_regions) > self.max_regions:
-            candidates = [
-                (region.hits, 0, i, self._regions)
-                for i, region in enumerate(self._regions)
-            ] + [
-                (region.hits, 1, i, self._union_regions)
-                for i, region in enumerate(self._union_regions)
-            ]
-            # Exempt the just-appended region (the last of its list).
-            candidates = [
-                c for c in candidates
-                if not (c[3] is appended_to and c[2] == len(appended_to) - 1)
-            ]
-            if not candidates:  # max_regions == 0: nothing can stay
-                appended_to.pop()
+        while len(self._regions) > self.max_regions:
+            if len(self._regions) == 1:  # max_regions == 0: nothing can stay
+                self._regions.pop()
                 self.evictions += 1
                 return
-            _, _, index, regions = min(candidates, key=lambda c: c[:3])
-            regions.pop(index)
+            residents = range(len(self._regions) - 1)
+            victim = min(residents, key=lambda i: (self._regions[i].hits, i))
+            self._regions.pop(victim)
             self.evictions += 1
 
     def query(self, ranges: Mapping[str, Range]) -> np.ndarray:
@@ -332,11 +176,11 @@ class PrefetchCache:
         """
         ranges = dict(ranges)
         with self._lock:
-            region = self._covering(ranges)
+            region = next(
+                (r for r in self._regions if r.covers(ranges)), None)
             if region is not None:
                 region.hits += 1
                 self.cache_hits += 1
-                self.shape_counts["box"]["hits"] += 1
                 rows = region.row_indices
         if region is not None:
             # Filter outside the lock: row_indices is immutable, and a
@@ -344,145 +188,6 @@ class PrefetchCache:
             # the local reference.
             return self._filter(rows, ranges)
         return self._filter(self._fetch(ranges), ranges)
-
-    def fulfilment_mask(self, ranges: Mapping[str, Range]) -> np.ndarray:
-        """Boolean mask over the table: True where the range query matches.
-
-        Same semantics as :meth:`query` (including the hit/fetch counters)
-        but returns the mask form the relevance pipeline consumes, which
-        frees the hit path from producing sorted row indices: a cached
-        single-column query is answered straight from its range index as an
-        O(log n + k) slice plus a scatter.
-        """
-        ranges = dict(ranges)
-        mask = np.zeros(len(self.table), dtype=bool)
-        with self._lock:
-            region = self._covering(ranges)
-            if region is not None:
-                region.hits += 1
-                self.cache_hits += 1
-                self.shape_counts["box"]["hits"] += 1
-                rows = region.row_indices
-        if region is not None:
-            if self.indexes and len(ranges) == 1:
-                column, (low, high) = next(iter(ranges.items()))
-                index = self.indexes.get(column)
-                # Finite bounds only: a one-sided slice of the sorted order
-                # would sweep in the trailing NaN entries.
-                if index is not None and low is not None and high is not None:
-                    mask[index.range_query(low, high, sort=False)] = True
-                    return mask
-            mask[self._filter(rows, ranges)] = True
-            return mask
-        mask[self._filter(self._fetch(ranges), ranges)] = True
-        return mask
-
-    # ------------------------------------------------------------------ #
-    # OR-shaped (union-of-boxes) regions
-    # ------------------------------------------------------------------ #
-    def query_union(self, disjuncts: "Sequence[Mapping[str, Range]]") -> np.ndarray:
-        """Row indices matching *any* of the conjunctive boxes (exact).
-
-        Up to :data:`MAX_UNION_DISJUNCTS` boxes are served through one
-        cached union region: a single fetch widens and scans each arm once,
-        and every later union query whose arms fall inside the cached boxes
-        (the typical narrowing drag on one arm of an OR) is answered from
-        the cache without touching the table -- instead of the historical
-        one-scan-per-disjunct fallback.  Larger unions take that fallback
-        (counted in ``stats()["by_shape"]["union_fallback"]``) and stay
-        exact through the per-box path.
-        """
-        boxes = [dict(box) for box in disjuncts]
-        if not boxes:
-            return np.empty(0, dtype=np.intp)
-        if len(boxes) == 1:
-            return self.query(boxes[0])
-        if len(boxes) > MAX_UNION_DISJUNCTS:
-            # Per-disjunct fallback: each arm goes through the ordinary
-            # box hit/fetch accounting.  ``union_fallback`` counts the
-            # event only when at least one arm actually scanned -- a
-            # fallback answered entirely from cached boxes used to be
-            # recorded as a fallback *and* per-box hits, reading as a
-            # miss-shaped event despite touching no data.
-            pieces = []
-            fetched = False
-            for box in boxes:
-                with self._lock:
-                    region = self._covering(box)
-                    if region is not None:
-                        region.hits += 1
-                        self.cache_hits += 1
-                        self.shape_counts["box"]["hits"] += 1
-                        rows = region.row_indices
-                if region is None:
-                    fetched = True
-                    rows = self._fetch(box)
-                pieces.append(self._filter(rows, box))
-            if fetched:
-                with self._lock:
-                    self.shape_counts["union_fallback"] += 1
-            return np.unique(np.concatenate(pieces))
-        with self._lock:
-            region = None
-            for candidate in self._union_regions:
-                if candidate.covers(boxes):
-                    region = candidate
-                    break
-            if region is not None:
-                region.hits += 1
-                self.cache_hits += 1
-                self.shape_counts["union"]["hits"] += 1
-                rows = region.row_indices
-        if region is not None:
-            return self._filter_union(rows, boxes)
-        return self._filter_union(self._fetch_union(boxes), boxes)
-
-    def fulfilment_mask_union(self,
-                              disjuncts: "Sequence[Mapping[str, Range]]") -> np.ndarray:
-        """Boolean mask over the table: True where any disjunct matches."""
-        mask = np.zeros(len(self.table), dtype=bool)
-        mask[self.query_union(disjuncts)] = True
-        return mask
-
-    def _fetch_union(self, boxes: "list[dict[str, Range]]") -> np.ndarray:
-        """Fetch (and remember) one widened union region for ``boxes``.
-
-        Each arm is widened and scanned once (index-accelerated where
-        possible); the union of the candidate rows is cached as a single
-        region, so the per-arm scans happen once per explored band rather
-        than once per query.
-        """
-        widened = [self._widen(box) for box in boxes]
-        pieces = [self._scan(box) for box in widened]
-        rows = np.unique(np.concatenate(pieces))
-        with self._lock:
-            self.fetches += 1
-            self.shape_counts["union"]["misses"] += 1
-            self._union_regions.append(CachedUnionRegion(widened, rows))
-            self._evict_to_budget(self._union_regions)
-        return rows
-
-    def _filter_union(self, candidate_rows: np.ndarray,
-                      boxes: "list[dict[str, Range]]") -> np.ndarray:
-        if len(candidate_rows) == 0:
-            return candidate_rows
-        # One gather per distinct column, shared by every box that
-        # constrains it (the typical OR has all arms on the same attribute).
-        gathered = {
-            column: self.table.column(column)[candidate_rows]
-            for box in boxes for column in box
-        }
-        keep = np.zeros(len(candidate_rows), dtype=bool)
-        for box in boxes:
-            box_keep = np.ones(len(candidate_rows), dtype=bool)
-            for column, (low, high) in box.items():
-                values = gathered[column]
-                if low is not None:
-                    box_keep &= values >= low
-                if high is not None:
-                    box_keep &= values <= high
-            keep |= box_keep
-        return candidate_rows[keep]
 
     def _filter(self, candidate_rows: np.ndarray, ranges: Mapping[str, Range]) -> np.ndarray:
         if len(candidate_rows) == 0:
@@ -507,7 +212,7 @@ class PrefetchCache:
         return self.cache_hits / total if total else 0.0
 
     def stats(self) -> dict[str, int]:
-        """Cheap counters for metrics endpoints: hits, misses, evictions.
+        """Cheap counters: hits, misses, evictions and resident regions.
 
         A fetch *is* a miss (every query either hits a cached region or
         fetches a fresh widened one), so the pair ``hits``/``misses`` sums
@@ -518,24 +223,12 @@ class PrefetchCache:
             "misses": self.fetches,
             "evictions": self.evictions,
             "regions": len(self._regions),
-            "union_regions": len(self._union_regions),
-            "by_shape": {
-                "box": dict(self.shape_counts["box"]),
-                "union": dict(self.shape_counts["union"]),
-                "union_fallback": self.shape_counts["union_fallback"],
-            },
         }
 
     def clear(self) -> None:
         """Drop all cached regions and statistics."""
         with self._lock:
             self._regions.clear()
-            self._union_regions.clear()
             self.fetches = 0
             self.cache_hits = 0
             self.evictions = 0
-            self.shape_counts = {
-                "box": {"hits": 0, "misses": 0},
-                "union": {"hits": 0, "misses": 0},
-                "union_fallback": 0,
-            }

@@ -3,8 +3,8 @@
 Covers the provider registry, backend selection/validation through
 ``PipelineConfig(backend=...)`` and ``REPRO_BACKEND``, the ``process``
 backend's local fleet (offload, fault injection, respawn, shutdown, one
-connection per worker, no listener), and the OR-node union fast path
-through :meth:`PrefetchCache.query_union`.
+connection per worker, no listener), and an OR of range leaves under
+drags.
 
 The crash tests deliberately kill workers of the *shared* local fleet;
 a killed worker is respawned lazily by the next op, so later tests (and
@@ -534,42 +534,26 @@ def test_concurrent_cold_opens_take_turns_on_each_worker():
 
 
 # --------------------------------------------------------------------------- #
-# OR-node union fast path (PrefetchCache.query_union)
+# OR of range leaves
 # --------------------------------------------------------------------------- #
-def _union_condition():
-    return OrNode([between("a", -5.0, 5.0), between("b", 2.0, 8.0)])
-
-
-def _union_stats(prefetch):
-    return prefetch.stats()["by_shape"]["union"]
-
-
 @pytest.mark.parametrize("shards", [1, 4])
-def test_or_mask_uses_union_prefetch(shards):
-    """The evaluator's own OR fast path, at one shard and at several: the
-    same per-shard union regions either way."""
+def test_or_of_range_leaves_matches_cold_frame(shards):
+    """An OR of range leaves whose arm is narrowed, then widened far past
+    where it started: every frame equals a cold run, at one shard and at
+    several."""
     table = make_table()
-    # Pinned to the in-process backend: an offloading backend picked up
-    # from REPRO_BACKEND ships a cold multi-shard plan of range leaves
-    # whole and never consults the prefetch.
-    config = PipelineConfig(shard_count=shards, max_workers=2, percentage=0.3,
-                            backend="threads")
+    config = PipelineConfig(shard_count=shards, max_workers=2, percentage=0.3)
     engine = QueryEngine(table, config)
     try:
         prepared = engine.prepare(Query(name="union", tables=[table.name],
-                                        condition=_union_condition()))
+                                        condition=OrNode([between("a", -5.0, 5.0),
+                                                          between("b", 2.0, 8.0)])))
         assert_frames_identical(cold_frame(table, prepared),
                                 prepared.execute(), "union initial")
-        prefetch = engine.sharded_table(prepared.table, shards).prefetch
-        assert len(prefetch) == shards
-        first = [_union_stats(p) for p in prefetch]
-        assert sum(stats["misses"] for stats in first) >= 1
-
-        # Narrowing one arm stays inside the fetched region: a union hit.
-        prepared.condition.children[0].predicate.high = 4.0
-        assert_frames_identical(cold_frame(table, prepared),
-                                prepared.execute(), "union narrowed")
-        assert (sum(_union_stats(p)["hits"] for p in prefetch)
-                >= sum(stats["hits"] for stats in first) + 1)
+        arm = prepared.condition.children[0].predicate
+        for high, context in ((4.0, "union narrowed"), (40.0, "union widened")):
+            arm.high = high
+            assert_frames_identical(cold_frame(table, prepared),
+                                    prepared.execute(), context)
     finally:
         engine.close()

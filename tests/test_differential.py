@@ -248,7 +248,7 @@ def test_differential_random_case(seed, backend):
 
 
 # --------------------------------------------------------------------------- #
-# Join-table differential (cross product + per-shard prefetch under drags)
+# Join-table differential (cross product under slider drags)
 # --------------------------------------------------------------------------- #
 def test_differential_join_query_with_slider_drag():
     db = environmental_database(hours=60, stations=2, seed=11)
@@ -292,10 +292,6 @@ def test_differential_join_query_with_slider_drag():
             assert_feedback_identical(
                 reference, feedbacks[shards], f"join step={step} shards={shards}"
             )
-    # The narrowing drags were served per shard: fetched regions cover the
-    # first drag, later (narrower) drags hit instead of rescanning.
-    sharded = prepared[7].engine.sharded_table(prepared[7].table, 7)
-    assert sum(p.cache_hits for p in sharded.prefetch) > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -378,6 +374,27 @@ def test_differential_moves_crossing_shard_boundaries(backend):
     events = [SetQueryRange((0,), 100.0, high) for high in highs]
     _drive_against_cold(table, root, config, events, f"boundary backend={backend}",
                         backend=backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_differential_wide_or_of_range_leaves(backend):
+    """An OR of 19 range leaves: 17 arms on the NaN-bearing column, two of
+    them overlapping, and two arms on a second column.  One overlapping arm
+    is dragged narrower, then wider than it started, then a second-column
+    arm moves."""
+    table = _locality_table(n=3_000)
+    arms = [between("b", 6.0 * k, 6.0 * k + 3.0) for k in range(15)]
+    arms += [between("b", 40.0, 50.0), between("b", 45.0, 58.0)]
+    arms += [between("a", 10.0, 20.0), between("a", 60.0, 70.0)]
+    config = PipelineConfig(screen=ScreenSpec(width=48, height=48), percentage=0.1)
+    events = [
+        SetQueryRange((15,), 41.0, 49.0),
+        SetQueryRange((15,), 42.0, 48.0),
+        SetQueryRange((15,), 30.0, 64.0),
+        SetQueryRange((17,), 12.0, 30.0),
+    ]
+    _drive_against_cold(table, OrNode(arms), config, events,
+                        f"wide-or backend={backend}", backend=backend)
 
 
 def test_differential_moves_changing_global_bounds():

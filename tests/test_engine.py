@@ -22,6 +22,7 @@ from repro.interact.events import (
     SetThreshold,
     SetWeight,
 )
+from repro.obs import Trace, use_trace
 from repro.query.builder import Query, between
 from repro.query.predicates import AttributePredicate, ComparisonOperator, RangePredicate
 
@@ -229,8 +230,8 @@ def test_engine_requires_condition_at_execute(weather_db):
         prepared.execute()
 
 
-# -- prefetch cache wiring ---------------------------------------------------- #
-def test_prefetch_serves_slider_drag_sequence(weather_db):
+# -- slider drags ------------------------------------------------------------- #
+def test_slider_drag_sequence_patches_from_site_entry(weather_db):
     query = (
         QueryBuilder("drag", weather_db)
         .use_tables("Weather")
@@ -240,37 +241,36 @@ def test_prefetch_serves_slider_drag_sequence(weather_db):
         ]))
         .build()
     )
-    # One shard pinned: the counters below are that one shard's (at more
-    # shards the same drags hit per-shard caches instead, covered by
-    # tests/test_differential.py).
     engine = QueryEngine(weather_db, shard_count=1)
     prepared = engine.prepare(query)
     prepared.execute()
-    (prefetch,) = engine.sharded_table(prepared.table, 1).prefetch
-    # The initial execution fetched a widened [30, 80] region.
-    assert prefetch.fetches == 1 and prefetch.cache_hits == 0
-    # The first narrowing move has no index yet (it is what makes the
-    # slider hot), so its mask comes out of the widened region: a hit.
-    prepared.execute(changes=[SetQueryRange((0,), 35.0, 75.0)])
-    assert (prefetch.fetches, prefetch.cache_hits) == (1, 1)
-    # The dragged attribute was indexed after that first interactive change.
-    assert "Humidity" in prefetch.indexes
+    sharded = engine.sharded_table(prepared.table, 1)
+    assert not sharded.has_index("Humidity")
+
+    def drag(low: float, high: float) -> str | None:
+        """Move the slider; return why the leaf did not patch, if it did not."""
+        trace = Trace("drag", trace_id=0)
+        with use_trace(trace):
+            feedback = prepared.execute(changes=[SetQueryRange((0,), low, high)])
+        np.testing.assert_array_equal(
+            feedback.node_feedback[(0,)].exact_mask,
+            RangePredicate("Humidity", low, high).exact_mask(prepared.table))
+        (leaf,) = [span for span in trace.spans if span.name == "node.evaluate"
+                   and span.attrs["node"] == "(0,)"]
+        return leaf.attrs.get("patch_declined")
+
+    drag(35.0, 75.0)
+    # The dragged attribute was indexed on the first interactive change.
+    assert sharded.has_index("Humidity")
     # From here on the leaf's site entry is the base: each move patches the
-    # mask over the changed rows only and never asks the prefetch cache.
+    # columns over the changed rows only.
     before = prepared.cache_stats
     for low in (40.0, 45.0, 50.0):
-        feedback = prepared.execute(changes=[SetQueryRange((0,), low, 75.0)])
-    np.testing.assert_array_equal(
-        feedback.node_feedback[(0,)].exact_mask,
-        RangePredicate("Humidity", 50.0, 75.0).exact_mask(prepared.table))
-    assert (prefetch.fetches, prefetch.cache_hits) == (1, 1)
+        assert drag(low, 75.0) is None
     assert prepared.cache_stats["chunks_patched"] > before["chunks_patched"]
     # Moving the upper bound changes more than a third of the rows (most
-    # of the data lies above it), so the leaf is recomputed in full -- and
-    # the widened range lies outside the cached region: a fresh (indexed)
-    # fetch.
-    prepared.execute(changes=[SetQueryRange((0,), 6.0, 99.0)])
-    assert prefetch.fetches == 2
+    # of the data lies above it), so the leaf is recomputed in full.
+    assert drag(6.0, 99.0) == "band-too-wide"
 
 
 def test_prefetch_mask_matches_direct_evaluation(weather_db):

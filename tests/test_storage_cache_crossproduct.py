@@ -1,14 +1,14 @@
-"""Unit tests for the prefetch cache and cross products."""
+"""Unit tests for the prefetch cache, the evaluator's fulfilment masks
+and cross products."""
 
 import numpy as np
 import pytest
 
-from repro.storage.cache import (
-    MAX_UNION_DISJUNCTS,
-    CachedRegion,
-    CachedUnionRegion,
-    PrefetchCache,
-)
+from repro import PipelineConfig, QueryEngine
+from repro.interact.events import SetQueryRange
+from repro.query.builder import Query, between
+from repro.query.expr import AndNode, OrNode
+from repro.storage.cache import CachedRegion, PrefetchCache
 from repro.storage.cross_product import CrossProduct, sampled_pair_indices
 from repro.storage.table import Table
 
@@ -120,209 +120,6 @@ def test_or_shaped_region_falls_back_to_separate_full_scans(table):
     assert cache.fetches == 2 and cache.cache_hits == 2
 
 
-# -- Union-region fast path (OR-shaped requests) ------------------------- #
-def brute_union(table, disjuncts):
-    keep = np.zeros(len(table), dtype=bool)
-    for box in disjuncts:
-        keep[brute(table, box)] = True
-    return np.nonzero(keep)[0]
-
-
-def test_union_query_is_exact(table):
-    cache = PrefetchCache(table, margin=0.2)
-    disjuncts = [{"a": (10.0, 20.0)}, {"a": (60.0, 70.0), "b": (2.0, 8.0)}]
-    np.testing.assert_array_equal(
-        cache.query_union(disjuncts), brute_union(table, disjuncts))
-    stats = cache.stats()
-    assert stats["by_shape"]["union"] == {"hits": 0, "misses": 1}
-    assert stats["union_regions"] == 1
-
-
-def test_union_narrowing_drag_hits_cached_region(table):
-    """Narrowing one arm of an OR is answered from the cached union region
-    without any rescans -- the historical one-scan-per-disjunct fallback."""
-    cache = PrefetchCache(table, margin=0.25)
-    cache.query_union([{"a": (10.0, 30.0)}, {"a": (60.0, 80.0)}])
-    fetches = cache.fetches
-    for high in (28.0, 26.0, 24.0):
-        narrower = [{"a": (10.0, high)}, {"a": (60.0, 80.0)}]
-        np.testing.assert_array_equal(
-            cache.query_union(narrower), brute_union(table, narrower))
-    assert cache.fetches == fetches  # zero additional scans
-    assert cache.stats()["by_shape"]["union"]["hits"] == 3
-
-
-def test_union_mask_matches_query(table):
-    cache = PrefetchCache(table)
-    disjuncts = [{"a": (10.0, 20.0)}, {"b": (0.0, 1.0)}]
-    mask = cache.fulfilment_mask_union(disjuncts)
-    np.testing.assert_array_equal(
-        np.nonzero(mask)[0], brute_union(table, disjuncts))
-
-
-def test_union_beyond_bound_falls_back_per_disjunct(table):
-    cache = PrefetchCache(table)
-    disjuncts = [
-        {"a": (float(k * 10), float(k * 10 + 4))}
-        for k in range(MAX_UNION_DISJUNCTS + 1)
-    ]
-    result = cache.query_union(disjuncts)
-    np.testing.assert_array_equal(result, brute_union(table, disjuncts))
-    stats = cache.stats()
-    assert stats["by_shape"]["union_fallback"] == 1
-    # The fallback fetched per-box regions, not a union region.
-    assert stats["union_regions"] == 0
-    assert stats["by_shape"]["box"]["misses"] == len(disjuncts)
-
-
-def test_union_single_disjunct_degenerates_to_box(table):
-    cache = PrefetchCache(table)
-    box = {"a": (10.0, 20.0)}
-    np.testing.assert_array_equal(cache.query_union([box]), cache.query(box))
-    assert cache.stats()["by_shape"]["box"]["hits"] == 1  # second call hit
-    assert cache.query_union([]).size == 0
-
-
-def test_union_region_eviction_bounded(table):
-    cache = PrefetchCache(table, max_regions=2)
-    for k in range(4):
-        lo = float(k * 20)
-        cache.query_union([{"a": (lo, lo + 5.0)}, {"a": (lo + 10.0, lo + 15.0)}])
-    assert cache.stats()["union_regions"] == 2
-    assert cache.evictions == 2
-
-
-def test_box_and_union_regions_share_one_budget(table):
-    """max_regions bounds the combined region count, not each shape."""
-    cache = PrefetchCache(table, max_regions=2)
-    cache.query({"a": (10.0, 20.0)})
-    cache.query_union([{"a": (30.0, 35.0)}, {"a": (40.0, 45.0)}])
-    stats = cache.stats()
-    assert stats["regions"] + stats["union_regions"] == 2
-    # A third fetch (of either shape) evicts across shapes.
-    cache.query({"a": (60.0, 70.0)})
-    stats = cache.stats()
-    assert stats["regions"] + stats["union_regions"] == 2
-    assert cache.evictions == 1
-
-
-def test_union_covers_requires_every_arm_contained():
-    region = CachedUnionRegion(
-        disjuncts=[{"a": (0.0, 10.0)}, {"a": (50.0, 60.0)}],
-        row_indices=np.arange(3),
-    )
-    assert region.covers([{"a": (1.0, 9.0)}, {"a": (51.0, 59.0)}])
-    assert region.covers([{"a": (2.0, 8.0)}])
-    assert not region.covers([{"a": (1.0, 9.0)}, {"a": (45.0, 59.0)}])
-
-
-def test_union_cover_merges_overlapping_arms():
-    """The interval cover accepts a request straddling overlapping arms.
-
-    ``[0, 6] | [4, 10]`` contains every row with ``a`` in ``[0, 10]``, so
-    a requested box ``[3, 8]`` is covered even though no single cached
-    box contains it -- the case the pairwise check used to miss.
-    """
-    region = CachedUnionRegion(
-        disjuncts=[{"a": (0.0, 6.0)}, {"a": (4.0, 10.0)}],
-        row_indices=np.arange(3),
-    )
-    assert region.covers([{"a": (3.0, 8.0)}])
-    assert region.covers([{"a": (0.0, 10.0)}])
-    assert not region.covers([{"a": (3.0, 11.0)}])
-    # Touching closed intervals merge too.
-    touching = CachedUnionRegion(
-        disjuncts=[{"a": (0.0, 5.0)}, {"a": (5.0, 10.0)}],
-        row_indices=np.arange(3),
-    )
-    assert touching.covers([{"a": (2.0, 8.0)}])
-
-
-def test_union_cover_handles_open_bounds_and_foreign_attributes():
-    region = CachedUnionRegion(
-        disjuncts=[{"a": (None, 5.0)}, {"a": (20.0, None)}],
-        row_indices=np.arange(3),
-    )
-    assert region.covers([{"a": (None, 4.0)}, {"a": (25.0, None)}])
-    assert not region.covers([{"a": (10.0, 15.0)}])
-    # A box on a different attribute needs every `a` covered: not here.
-    assert not region.covers([{"b": (0.0, 1.0)}])
-    assert not region.covers([{}])
-
-
-def test_union_cover_multi_attribute_falls_back_pairwise():
-    """Mixed/multi-attribute disjuncts keep the pairwise semantics."""
-    region = CachedUnionRegion(
-        disjuncts=[{"a": (0.0, 10.0)}, {"b": (0.0, 5.0)}],
-        row_indices=np.arange(3),
-    )
-    assert region.covers([{"a": (1.0, 9.0)}, {"b": (1.0, 4.0)}])
-    assert not region.covers([{"a": (1.0, 12.0)}])
-    multi = CachedUnionRegion(
-        disjuncts=[{"a": (0.0, 10.0), "b": (0.0, 5.0)},
-                   {"a": (20.0, 30.0), "b": (0.0, 5.0)}],
-        row_indices=np.arange(3),
-    )
-    assert multi.covers([{"a": (1.0, 9.0), "b": (1.0, 4.0)}])
-    assert not multi.covers([{"a": (1.0, 9.0)}])
-
-
-def test_union_mid_size_served_by_union_region(table):
-    """8 disjuncts (beyond the historical bound of 4) use the union path."""
-    disjuncts = [
-        {"a": (float(k * 12), float(k * 12 + 4))} for k in range(8)
-    ]
-    cache = PrefetchCache(table, margin=0.1)
-    np.testing.assert_array_equal(
-        cache.query_union(disjuncts), brute_union(table, disjuncts))
-    stats = cache.stats()
-    assert stats["by_shape"]["union"]["misses"] == 1
-    assert stats["by_shape"]["union_fallback"] == 0
-    # A narrowing drag on one arm hits the cached union region.
-    disjuncts[3] = {"a": (37.0, 39.0)}
-    np.testing.assert_array_equal(
-        cache.query_union(disjuncts), brute_union(table, disjuncts))
-    assert cache.stats()["by_shape"]["union"]["hits"] == 1
-
-
-def test_union_fallback_not_counted_when_served_from_cached_boxes(table):
-    """An oversize union answered entirely from cached boxes is no fallback.
-
-    The old accounting bumped ``union_fallback`` unconditionally, so a
-    request fully covered by previously widened boxes read as a
-    miss-shaped event despite touching no data.
-    """
-    boxes = [
-        {"a": (float(k * 5), float(k * 5 + 2))}
-        for k in range(MAX_UNION_DISJUNCTS + 1)
-    ]
-    cache = PrefetchCache(table, margin=0.25,
-                          max_regions=len(boxes) + 2)
-    for box in boxes:
-        cache.query(box)  # prime one widened region per arm
-    fetches = cache.fetches
-    np.testing.assert_array_equal(
-        cache.query_union(boxes), brute_union(table, boxes))
-    stats = cache.stats()
-    assert cache.fetches == fetches  # no scans: every arm hit
-    assert stats["by_shape"]["union_fallback"] == 0
-    assert stats["by_shape"]["box"]["hits"] == len(boxes)
-    # Widen one arm past its cached region: now a real fallback event.
-    boxes[0] = {"a": (0.0, 60.0)}
-    np.testing.assert_array_equal(
-        cache.query_union(boxes), brute_union(table, boxes))
-    assert cache.stats()["by_shape"]["union_fallback"] == 1
-
-
-def test_union_clear_resets_shape_stats(table):
-    cache = PrefetchCache(table)
-    cache.query_union([{"a": (10.0, 20.0)}, {"a": (60.0, 70.0)}])
-    cache.clear()
-    stats = cache.stats()
-    assert stats["union_regions"] == 0
-    assert stats["by_shape"]["union"] == {"hits": 0, "misses": 0}
-
-
 def test_eviction_keeps_hit_regions_under_pressure(table):
     """Hit-count-aware eviction: the hot region survives one-shot queries."""
     cache = PrefetchCache(table, margin=0.25, max_regions=2)
@@ -375,60 +172,117 @@ def test_eviction_admits_new_region_when_all_residents_have_hits(table):
     np.testing.assert_array_equal(result, brute(table, {"a": (62.0, 68.0)}))
 
 
+# -- Fulfilment masks in the evaluator --------------------------------- #
+# The evaluator computes a range leaf's mask elementwise and an OR's mask
+# as the OR of its children's masks; a drag patches them over the rows the
+# per-shard index finds changed.  Every mask must equal the brute force.
+def brute_mask(table, *boxes):
+    keep = np.zeros(len(table), dtype=bool)
+    for box in boxes:
+        keep[brute(table, box)] = True
+    return keep
+
+
+def prepare(table, root, shards=1):
+    engine = QueryEngine(table, PipelineConfig(shard_count=shards, max_workers=2))
+    return engine.prepare(Query(name="q", tables=[table.name], condition=root))
+
+
+def root_mask(prepared, changes=()):
+    return prepared.execute(changes=changes).node_feedback[()].exact_mask
+
+
+def test_union_query_is_exact(table):
+    root = OrNode([between("a", 10.0, 20.0),
+                   AndNode([between("a", 60.0, 70.0), between("b", 2.0, 8.0)])])
+    for shards in (1, 4):
+        np.testing.assert_array_equal(
+            root_mask(prepare(table, root, shards)),
+            brute_mask(table, {"a": (10.0, 20.0)},
+                       {"a": (60.0, 70.0), "b": (2.0, 8.0)}))
+
+
+def test_union_narrowing_drag_hits_cached_region(table):
+    """Narrowing one arm of an OR patches from the arm's site entry."""
+    prepared = prepare(table, OrNode([between("a", 10.0, 30.0),
+                                      between("a", 60.0, 80.0)]))
+    prepared.execute()
+    for low in (11.0, 12.0, 13.0):
+        hits = prepared.cache_stats["slice_hits"]
+        np.testing.assert_array_equal(
+            root_mask(prepared, [SetQueryRange((0,), low, 30.0)]),
+            brute_mask(table, {"a": (low, 30.0)}, {"a": (60.0, 80.0)}))
+        assert prepared.cache_stats["slice_hits"] > hits
+    assert prepared.cache_stats["chunks_patched"] > 0
+
+
+def test_union_mask_matches_query(table):
+    """The evaluator's OR mask selects the rows the prefetch cache returns
+    for the OR's arms."""
+    cache = PrefetchCache(table)
+    mask = root_mask(prepare(table, OrNode([between("a", 10.0, 20.0),
+                                            between("b", 0.0, 1.0)])))
+    rows = np.union1d(cache.query({"a": (10.0, 20.0)}),
+                      cache.query({"b": (0.0, 1.0)}))
+    np.testing.assert_array_equal(np.nonzero(mask)[0], rows)
+
+
+def test_union_single_disjunct_degenerates_to_box(table):
+    np.testing.assert_array_equal(
+        root_mask(prepare(table, OrNode([between("a", 10.0, 20.0)]))),
+        brute_mask(table, {"a": (10.0, 20.0)}))
+
+
 def test_fulfilment_mask_matches_brute_force(table):
-    cache = PrefetchCache(table, margin=0.25)
-    ranges = {"a": (20.0, 40.0), "b": (2.0, 8.0)}
-    expected = np.zeros(len(table), dtype=bool)
-    expected[brute(table, ranges)] = True
-    np.testing.assert_array_equal(cache.fulfilment_mask(ranges), expected)
-    # Narrower query: answered from the cached region, still exact.
-    narrower = {"a": (25.0, 35.0), "b": (3.0, 7.0)}
-    expected = np.zeros(len(table), dtype=bool)
-    expected[brute(table, narrower)] = True
-    np.testing.assert_array_equal(cache.fulfilment_mask(narrower), expected)
-    assert cache.cache_hits == 1
+    for shards in (1, 4):
+        prepared = prepare(table, AndNode([between("a", 20.0, 40.0),
+                                           between("b", 2.0, 8.0)]), shards)
+        np.testing.assert_array_equal(
+            root_mask(prepared),
+            brute_mask(table, {"a": (20.0, 40.0), "b": (2.0, 8.0)}))
+        # Narrower query: computed against the previous state, still exact.
+        narrower = [SetQueryRange((0,), 25.0, 35.0), SetQueryRange((1,), 3.0, 7.0)]
+        np.testing.assert_array_equal(
+            root_mask(prepared, narrower),
+            brute_mask(table, {"a": (25.0, 35.0), "b": (3.0, 7.0)}))
+        assert prepared.cache_stats["slice_hits"] > 0
 
 
 def test_fulfilment_mask_correct_after_clear(table):
-    """clear() must reset regions and counters without corrupting answers."""
-    cache = PrefetchCache(table, margin=0.25)
-    ranges = {"a": (20.0, 40.0)}
-    before = cache.fulfilment_mask(ranges)
-    cache.fulfilment_mask({"a": (25.0, 35.0)})
-    assert cache.cache_hits == 1
+    """EvaluationCache.clear() makes the next event cold without
+    corrupting answers."""
+    prepared = prepare(table, between("a", 20.0, 40.0))
+    before = root_mask(prepared)
+    root_mask(prepared, [SetQueryRange((), 25.0, 35.0)])
+    cache = prepared.engine.evaluation_cache(prepared.table)
     cache.clear()
-    assert cache.region_count == 0
-    assert cache.fetches == 0 and cache.cache_hits == 0
-    after = cache.fulfilment_mask(ranges)
+    misses = cache.stats.leaf_misses
+    after = root_mask(prepared, [SetQueryRange((), 20.0, 40.0)])
+    assert cache.stats.leaf_misses == misses + 1
     np.testing.assert_array_equal(after, before)
-    assert cache.fetches == 1 and cache.cache_hits == 0
-    expected = np.zeros(len(table), dtype=bool)
-    expected[brute(table, ranges)] = True
-    np.testing.assert_array_equal(after, expected)
+    np.testing.assert_array_equal(after, brute_mask(table, {"a": (20.0, 40.0)}))
 
 
 def test_fulfilment_mask_indexed_one_sided_bounds_with_nan():
-    """One-sided bounds must not sweep NaN rows in via the sorted index.
+    """One-sided index slices must not corrupt a patched mask with NaN rows.
 
-    NaN values sort to the end of a SortedIndex; a one-sided slice would
-    include them, so the indexed fast path is restricted to finite bounds
-    and one-sided queries take the filter path.  Either way the mask must
-    match the brute-force evaluation (NaN rows never fulfil).
+    A drag finds the rows it changes through one-sided slices of the
+    per-shard sorted index, and NaN values sort to the end of it, so the
+    slice above a moved upper bound sweeps the NaN rows in.  They must
+    stay outside the mask (NaN rows never fulfil) at every shard count.
     """
-    from repro.storage.index import SortedIndex
-
-    values = np.array([5.0, np.nan, 1.0, 9.0, np.nan, 3.0, 7.0])
+    rng = np.random.default_rng(3)
+    values = rng.uniform(0.0, 10.0, 400)
+    values[rng.random(400) < 0.2] = np.nan
     nan_table = Table("N", {"a": values})
-    cache = PrefetchCache(nan_table, margin=0.5,
-                          indexes={"a": SortedIndex(nan_table, "a")})
-    expected_two_sided = np.array([v >= 2.0 and v <= 8.0 if not np.isnan(v) else False
-                                   for v in values])
-    np.testing.assert_array_equal(cache.fulfilment_mask({"a": (2.0, 8.0)}),
-                                  expected_two_sided)
-    # Cached region now covers the narrower one-sided request below.
-    expected_one_sided = np.array([v >= 4.0 if not np.isnan(v) else False for v in values])
-    one_sided = cache.fulfilment_mask({"a": (4.0, None)})
-    np.testing.assert_array_equal(one_sided, expected_one_sided)
+    for shards in (1, 3):
+        prepared = prepare(nan_table, between("a", 2.0, 9.6), shards)
+        prepared.execute()
+        for low, high in ((2.0, 9.7), (2.5, 9.7), (2.5, 9.8), (2.4, 9.5)):
+            np.testing.assert_array_equal(
+                root_mask(prepared, [SetQueryRange((), low, high)]),
+                (values >= low) & (values <= high))
+        assert prepared.cache_stats["chunks_patched"] > 0
 
 
 # -- Cross products ----------------------------------------------------- #
