@@ -3,7 +3,7 @@
 Starts a :class:`~repro.service.FeedbackService` over a synthetic
 environmental database, exposes it through the JSON-lines protocol on a
 local TCP port, and simulates a handful of concurrent users.  Each user
-opens a **protocol v2** session, subscribes (receiving one full frame:
+opens a session, subscribes (receiving one full frame:
 statistics, display order and every window's cell arrays), then drags a
 range slider in a rapid burst while pulling ``delta`` updates at its own
 frame rate -- applying each update with the reference client
@@ -17,8 +17,8 @@ Two server-side effects make the loop cheap, and the demo prints both:
   while the previous frame is still executing;
 * **delta streaming** -- after the one-time subscribe, updates ship only
   changed window cells and displayed-set changes; the report compares the
-  bytes that crossed the wire against the full-snapshot bytes the v1
-  protocol would have sent.
+  bytes that crossed the wire against the bytes of sending a full
+  snapshot on every pull.
 
 Run with::
 
@@ -64,7 +64,7 @@ async def request(reader, writer, payload: dict) -> tuple[dict, int]:
 
 
 async def simulate_user(port: int, user: int) -> dict:
-    """Open a v2 session, subscribe, drag a slider while streaming deltas."""
+    """Open a session, subscribe, drag a slider while streaming deltas."""
     reader, writer = await asyncio.open_connection(
         "127.0.0.1", port, limit=FeedbackProtocolServer.STREAM_LIMIT)
     update_bytes: list[int] = []

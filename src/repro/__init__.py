@@ -30,8 +30,6 @@ from repro.backend import (
     unregister_backend,
 )
 from repro.core import (
-    FeedbackDelta,
-    FeedbackFrame,
     PipelineConfig,
     PreparedQuery,
     QueryEngine,
@@ -70,8 +68,6 @@ __all__ = [
     "PipelineConfig",
     "ScreenSpec",
     "QueryFeedback",
-    "FeedbackFrame",
-    "FeedbackDelta",
     "ReductionMethod",
     "RelevanceScale",
     "Query",

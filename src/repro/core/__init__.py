@@ -39,13 +39,7 @@ from repro.core.reduction import (
     ReductionMethod,
 )
 from repro.core.relevance import RelevanceEvaluator, relevance_factors, RelevanceScale
-from repro.core.result import (
-    FeedbackDelta,
-    FeedbackFrame,
-    FeedbackStatistics,
-    NodeFeedback,
-    QueryFeedback,
-)
+from repro.core.result import FeedbackStatistics, NodeFeedback, QueryFeedback
 from repro.core.plan import CacheStats, EvaluationCache, PlanEvaluator, compile_plan
 from repro.core.shard import (
     ShardedPlanEvaluator,
@@ -76,8 +70,6 @@ __all__ = [
     "NodeFeedback",
     "QueryFeedback",
     "FeedbackStatistics",
-    "FeedbackDelta",
-    "FeedbackFrame",
     "CacheStats",
     "EvaluationCache",
     "PlanEvaluator",

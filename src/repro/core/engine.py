@@ -38,7 +38,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.core.chunks import as_chunked
 from repro.core.normalization import NORMALIZED_MAX
 from repro.obs import trace as obs
 from repro.core.plan import (
@@ -70,13 +69,8 @@ from repro.core.shard import (
     shared_executor,
     shutdown_executors,
 )
-from repro.core.relevance import RelevanceScale, relevance_factors
-from repro.core.result import (
-    FeedbackDelta,
-    FeedbackFrame,
-    FeedbackStatistics,
-    QueryFeedback,
-)
+from repro.core.relevance import RelevanceScale
+from repro.core.result import FeedbackStatistics, QueryFeedback
 from repro.query.builder import Query
 from repro.query.expr import AndNode, NodePath, PredicateLeaf, QueryNode
 from repro.query.fingerprint import stable_fingerprint
@@ -319,23 +313,13 @@ class _QuantileState:
 
 
 @dataclass
-class _RelevanceState:
-    """Cached relevance column for one overall-distance column identity."""
-
-    column_key: str
-    #: ``(relevance_scale, target_max)``
-    params: tuple
-    relevance: np.ndarray
-
-
-@dataclass
 class _ResultCountState:
     """Per-shard popcounts of the root fulfilment mask for one column identity.
 
     The mask can only change where the root column changed, so the
-    per-shard counts are patched exactly like the relevance column:
-    recount the dirty shards, reuse every clean shard's cached count, sum
-    in O(shard_count).
+    per-shard counts are patched like the node columns are: recount the
+    dirty shards, reuse every clean shard's cached count, sum in
+    O(shard_count).
     """
 
     column_key: str
@@ -346,23 +330,14 @@ class _ResultCountState:
 
 
 @dataclass
-class _FrameState:
-    """What the previous execution's frame displayed, for delta derivation."""
-
-    frame_id: int
-    display_order: np.ndarray
-    #: Ascending copy of ``display_order`` (the displayed *set*).
-    displayed_sorted: np.ndarray
-
-
-@dataclass
 class _RootState:
     """Everything one prepared query derived from its previous executions.
 
     ``sites`` holds the evaluator's per-node entries (the columns each plan
     node last produced or was served, which the next event patches).  Each
-    statistic's state names the root column it was built from
-    (``column_key``) and the parameters it was built under (``params``);
+    per-root statistic (displayed set, quantile state, result count) names
+    the root column it was built from (``column_key``) and the parameters
+    it was built under (``params``);
     :func:`_dirty_since` relates it to the column of the event at hand.
     The fingerprints name the *computation*, not the table it ran over, so
     the holder is replaced wholesale -- one assignment forgets it all --
@@ -373,9 +348,7 @@ class _RootState:
     sites: dict[NodePath, ShardSliceEntry] = field(default_factory=dict)
     displayed: _DisplayedState | None = None
     quantile: _QuantileState | None = None
-    relevance: _RelevanceState | None = None
     result_count: _ResultCountState | None = None
-    frame: _FrameState | None = None
 
 
 def _dirty_since(state, params: tuple, root: NodeDelta) -> tuple[int, ...] | None:
@@ -385,10 +358,10 @@ def _dirty_since(state, params: tuple, root: NodeDelta) -> tuple[int, ...] | Non
     patches (the listed shards) or rebuilds (None) its cached state.  A
     decline is annotated on the active span as ``state_declined``:
     ``no-state`` (first execution, or after a table swap or reshape),
-    ``params-changed`` (the state was built for another target, display
-    fraction or relevance scale) or ``no-relation`` (the evaluator proved
-    no dirty-shard relation between the two columns).  A statistic whose
-    own certificate then fails on the patch adds ``certificate-failed``.
+    ``params-changed`` (the state was built for another target or display
+    fraction) or ``no-relation`` (the evaluator proved no dirty-shard
+    relation between the two columns).  A statistic whose own certificate
+    then fails on the patch adds ``certificate-failed``.
     """
     if state is None:
         declined = "no-state"
@@ -830,17 +803,14 @@ class PreparedQuery:
         self._shape_fp = self._query_shape_fingerprint()
         self._plan_shape: tuple | None = None
         self._forget()
-        #: Monotonically increasing frame id; each execute() returns the
-        #: next frame, stamped with a delta against the previous one.
-        self._frame_counter = 0
 
     def _forget(self) -> None:
         """Drop every piece of state derived from earlier executions.
 
         Called when the evaluation table is replaced or the plan changes
         *shape* (wholesale query replacement): neither the site entries
-        nor the per-root statistics (displayed set, relevance, result
-        count, frame delta base) can be patched across the change.
+        nor the per-root statistics (displayed set, quantile state, result
+        count) can be patched across the change.
         """
         self._root = _RootState()
 
@@ -1168,38 +1138,6 @@ class PreparedQuery:
         cache.record_quantile(False)
         return displayed, False
 
-    def _relevance(self, distances: np.ndarray, sharded: ShardedTable,
-                   root: NodeDelta) -> tuple[np.ndarray, tuple[int, ...] | None]:
-        """Relevance factors, recomputing only dirty shards' slices.
-
-        The relevance transform is purely elementwise, so any slice of an
-        unchanged distance column maps to a bit-identical relevance slice --
-        the cached column is patched exactly like the node columns are.
-        Returns ``(relevance, dirty)``: outside the ``dirty`` shards the
-        column is provably the previous frame's (None = no relation), which
-        is what the frame delta reports as its relevance spans.
-        """
-        params = (self.config.relevance_scale, self.config.target_max)
-        state = self._root.relevance
-        dirty = _dirty_since(state, params, root)
-        if dirty is None:
-            relevance = relevance_factors(distances, *params)
-            relevance.flags.writeable = False
-        elif not dirty:
-            relevance = state.relevance
-        else:
-            # Recompute only the dirty shards' spans and splice them into
-            # the cached (chunked, copy-on-write) column -- O(dirty rows +
-            # edge chunks), not an O(n) reassembly.
-            relevance = as_chunked(state.relevance).patch_spans([
-                (start, stop, relevance_factors(distances[start:stop], *params))
-                for start, stop in (sharded.bounds[i] for i in dirty)
-            ])
-            self.engine.evaluation_cache(self.table).record_chunks(
-                relevance.patched_chunks, relevance.shared_chunks)
-        self._root.relevance = _RelevanceState(root.value_key, params, relevance)
-        return relevance, dirty
-
     def _result_count(self, mask: np.ndarray, sharded: ShardedTable,
                       root: NodeDelta) -> int:
         """``result_count`` from per-shard mask popcounts, patched per event.
@@ -1226,54 +1164,18 @@ class PreparedQuery:
         self._root.result_count = _ResultCountState(root.value_key, mask, per_shard)
         return int(per_shard.sum())
 
-    def _frame_delta(self, display_order: np.ndarray, displayed_sorted: np.ndarray,
-                     spans: tuple[tuple[int, int], ...] | None,
-                     ) -> FeedbackDelta | None:
-        """Delta of the frame being built against the previous frame (if any).
-
-        Displayed-set membership changes are exact set differences of two
-        capacity-bounded index arrays; ``spans`` are the dirty shards'
-        row ranges the relevance column was just patched in (the
-        certificate the engine already validated for this event).
-        """
-        prev = self._root.frame
-        if prev is None:
-            return None
-        order_unchanged = np.array_equal(display_order, prev.display_order)
-        if order_unchanged:
-            entered = left = np.empty(0, dtype=np.intp)
-        else:
-            entered = np.setdiff1d(displayed_sorted, prev.displayed_sorted,
-                                   assume_unique=True)
-            left = np.setdiff1d(prev.displayed_sorted, displayed_sorted,
-                                assume_unique=True)
-        return FeedbackDelta(
-            base_frame_id=prev.frame_id,
-            entered=entered,
-            left=left,
-            order_unchanged=order_unchanged,
-            relevance_spans=spans,
-        )
-
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def execute(self, changes: Sequence | None = None) -> FeedbackFrame:
+    def execute(self, changes: Sequence | None = None) -> QueryFeedback:
         """Re-execute the prepared query, recomputing only dirty subtrees.
 
         ``changes`` (optional) are applied first via :meth:`apply_change` --
         a convenience for scripted feedback loops; events applied directly
         to the shared condition tree are detected just the same.
 
-        Returns a :class:`~repro.core.result.FeedbackFrame`: the full
-        feedback (a :class:`~repro.core.result.QueryFeedback`, so existing
-        consumers are unaffected) stamped with a monotonically increasing
-        ``frame_id`` and, when the engine's incremental bookkeeping proved
-        a relation to the previous frame, a
-        :class:`~repro.core.result.FeedbackDelta` naming exactly the rows
-        that entered/left the displayed set and the row spans whose
-        relevance may have changed -- what the streaming service layers
-        ship instead of O(n) snapshots.
+        Returns the full :class:`~repro.core.result.QueryFeedback`; its
+        relevance column is derived only if someone reads it.
         """
         if changes:
             for event in changes:
@@ -1388,9 +1290,6 @@ class PreparedQuery:
         display_order = displayed[
             np.argsort(overall.normalized_distances[displayed], kind="stable")
         ]
-        with obs.span("relevance.update"):
-            relevance, changed = self._relevance(
-                overall.normalized_distances, sharded, root)
         with obs.span("result_count"):
             num_results = self._result_count(overall.exact_mask, sharded, root)
         statistics = FeedbackStatistics(
@@ -1408,26 +1307,14 @@ class PreparedQuery:
             "condition_nodes": dict(condition.iter_nodes()),
             "incremental": event_report,
         }
-        displayed_sorted = np.sort(display_order)
-        with obs.span("frame.delta"):
-            delta = self._frame_delta(
-                display_order, displayed_sorted,
-                None if changed is None
-                else tuple(sharded.bounds[i] for i in changed),
-            )
-        self._frame_counter += 1
-        frame_id = self._frame_counter
-        self._root.frame = _FrameState(frame_id, display_order, displayed_sorted)
-        return FeedbackFrame(
+        return QueryFeedback(
             table=table,
             query_description=self.query.describe(),
             node_feedback=node_feedback,
             display_order=display_order,
-            relevance=relevance,
             statistics=statistics,
+            relevance_scale=self.config.relevance_scale,
+            target_max=self.config.target_max,
             display_capacity=capacity_items,
             extra=extra,
-            frame_id=frame_id,
-            base_frame_id=frame_id - 1 if frame_id > 1 else None,
-            delta=delta,
         )

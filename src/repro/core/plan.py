@@ -49,7 +49,6 @@ from repro.core.chunks import ChunkedColumn
 from repro.core.combine import CombinationRule, combine_columns
 from repro.core.normalization import NORMALIZED_MAX, reduced_normalization
 from repro.core.reduction import ReductionMethod, select_display_set
-from repro.core.relevance import relevance_factors
 from repro.core.result import FeedbackStatistics, NodeFeedback, QueryFeedback
 from repro.query.expr import (
     AndNode,
@@ -555,8 +554,8 @@ def reference_feedback(table, condition: QueryNode, config) -> QueryFeedback:
 
     The rest of a frame around :class:`PlanEvaluator`: display capacity,
     displayed-set selection with the capacity trim, the stable relevance
-    ordering, relevance factors and the result count -- one whole-table
-    NumPy call each.  ``condition`` is the effective condition (qualified
+    ordering and the result count -- one whole-table NumPy call each (the
+    relevance factors are derived on read, see :class:`QueryFeedback`).  ``condition`` is the effective condition (qualified
     and joined, see :meth:`PreparedQuery.refresh`) and ``config`` a
     :class:`~repro.core.engine.PipelineConfig`.  Every production frame, for
     every shard count, backend and event history, must equal this bit for
@@ -590,12 +589,13 @@ def reference_feedback(table, condition: QueryNode, config) -> QueryFeedback:
         query_description=condition.describe(),
         node_feedback=node_feedback,
         display_order=display_order,
-        relevance=relevance_factors(distances, config.relevance_scale, config.target_max),
         statistics=FeedbackStatistics(
             num_objects=n,
             num_displayed=len(display_order),
             percentage_displayed=(len(display_order) / n) if n else 0.0,
             num_results=int(np.count_nonzero(overall.exact_mask)),
         ),
+        relevance_scale=config.relevance_scale,
+        target_max=config.target_max,
         display_capacity=capacity,
     )

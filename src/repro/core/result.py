@@ -8,35 +8,27 @@ the overall result window so that pixels at the same relative position
 refer to the same data item -- the positional linking that lets the user
 relate windows to each other.
 
-:class:`FeedbackFrame` is the versioned form one
-:meth:`~repro.core.engine.PreparedQuery.execute` call returns: the same
-full feedback, stamped with a monotonically increasing ``frame_id`` and --
-when the engine's incremental bookkeeping proved a relation to the previous
-frame -- a :class:`FeedbackDelta` describing exactly which rows entered or
-left the displayed set and which row spans may carry new relevance values.
-Consumers that only understand full arrays keep working unchanged (the
-frame *is* a :class:`QueryFeedback`); consumers that speak deltas (the
-service's v2 streaming protocol) read the delta instead of re-deriving an
-O(n) diff.
+The whole-table relevance column is derived on first read, from the root's
+normalized distances: no frame the service ships contains it, so an
+execution does not build it.  Frames are numbered by whoever puts them on
+the wire (the service session), not here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from functools import cached_property
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.query.expr import NodePath
 from repro.storage.table import Table
 
-__all__ = [
-    "NodeFeedback",
-    "FeedbackStatistics",
-    "QueryFeedback",
-    "FeedbackDelta",
-    "FeedbackFrame",
-]
+if TYPE_CHECKING:
+    from repro.core.relevance import RelevanceScale
+
+__all__ = ["NodeFeedback", "FeedbackStatistics", "QueryFeedback"]
 
 
 @dataclass
@@ -101,14 +93,28 @@ class QueryFeedback:
     #: Indices (into ``table``) of the displayed data items, in relevance order
     #: (most relevant first); this is the order the spiral arrangement consumes.
     display_order: np.ndarray
-    #: Relevance factor per data item of the full table (1 = exact answer).
-    relevance: np.ndarray
     statistics: FeedbackStatistics
+    #: The mapping and the distance range :attr:`relevance` is derived with.
+    relevance_scale: RelevanceScale
+    target_max: float
     #: Capacity (in data items) that was used for reduction/normalization.
     display_capacity: int = 0
     extra: dict[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
+    @cached_property
+    def relevance(self) -> np.ndarray:
+        """Relevance factor per data item of the full table (1 = exact answer).
+
+        Computed on first read and cached, read-only.
+        """
+        from repro.core.relevance import relevance_factors  # imports this module
+
+        relevance = relevance_factors(np.asarray(self.overall.normalized_distances),
+                                      self.relevance_scale, self.target_max)
+        relevance.flags.writeable = False
+        return relevance
+
     @property
     def overall(self) -> NodeFeedback:
         """Feedback of the root node (the overall result window)."""
@@ -193,106 +199,3 @@ class QueryFeedback:
                 "yellow_share": yellow,
             }
         return summary
-
-
-# --------------------------------------------------------------------------- #
-# Versioned frames and deltas
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class FeedbackDelta:
-    """How one frame's result relates to the frame it was derived from.
-
-    Produced by :meth:`~repro.core.engine.PreparedQuery.execute` alongside
-    each :class:`FeedbackFrame` whenever the previous frame of the same
-    prepared query is known.  Every claim in here is *proven*, not
-    heuristic: the displayed-set difference is computed exactly (the
-    displayed set is bounded by the screen capacity, so the set diff is
-    O(displayed log displayed), never O(n)), and ``relevance_spans`` comes
-    from the engine's dirty-shard certificates -- rows outside the listed
-    spans are guaranteed bit-identical to the base frame.
-
-    ``relevance_spans`` semantics:
-
-    * ``()`` (empty tuple) -- the overall column, hence the relevance of
-      every row, is unchanged;
-    * ``((start, stop), ...)`` -- relevance may differ only inside the
-      listed half-open global row ranges (the dirty shards);
-    * ``None`` -- no relation is known (a normalization-bounds shift, a
-      changed relevance scale, a plan served from the node cache under
-      another key): treat every row as potentially changed.
-
-    After the query was re-pointed at another table or restructured the
-    engine forgets the previous frame altogether, and the next frame
-    carries no delta at all (``FeedbackFrame.delta is None``).
-    """
-
-    #: ``frame_id`` of the frame this delta is measured against.
-    base_frame_id: int
-    #: Rows that entered the displayed set, ascending global row index.
-    entered: np.ndarray
-    #: Rows that left the displayed set, ascending global row index.
-    left: np.ndarray
-    #: True when ``display_order`` is element-for-element identical to the
-    #: base frame's (implies ``entered``/``left`` are empty).
-    order_unchanged: bool
-    #: Half-open ``(start, stop)`` global row ranges outside which the
-    #: relevance column is provably unchanged; see class docstring.
-    relevance_spans: tuple[tuple[int, int], ...] | None
-
-    @property
-    def display_unchanged(self) -> bool:
-        """True when the displayed set and its ordering are both unchanged."""
-        return self.order_unchanged
-
-    def changed_row_estimate(self, n: int) -> int:
-        """Upper bound on rows whose relevance may differ from the base frame."""
-        if self.relevance_spans is None:
-            return n
-        return sum(stop - start for start, stop in self.relevance_spans)
-
-
-@dataclass
-class FeedbackFrame(QueryFeedback):
-    """A :class:`QueryFeedback` with a version and a delta against its base.
-
-    ``frame_id`` increases monotonically per prepared query;
-    ``base_frame_id`` names the previous frame (None for the first).  The
-    ``delta`` is present when the engine could prove a relation between the
-    two frames -- see :class:`FeedbackDelta`.
-
-    The frame *is* the full feedback: the per-node arrays live in the
-    engine's caches whether or not anyone reads them, so carrying them
-    costs no extra memory, and every pre-existing consumer (the facade,
-    :class:`~repro.interact.session.VisDBSession`, tests) keeps reading the
-    same bit-identical arrays.  :meth:`materialize` is the explicit seam
-    for code that wants a plain :class:`QueryFeedback` contract.
-    """
-
-    frame_id: int = 0
-    base_frame_id: int | None = None
-    delta: FeedbackDelta | None = None
-
-    def materialize(self) -> QueryFeedback:
-        """The full-array view of this frame (shared arrays, no copies).
-
-        Today the frame already holds every array, so this returns ``self``;
-        transports that ship only deltas call it at the point where a full
-        frame is genuinely required (a resync, a new subscriber), keeping
-        the O(n) surface in one place.
-        """
-        return self
-
-    def relevance_updates(self) -> list[tuple[int, int, np.ndarray]]:
-        """Per-span relevance values for the delta's dirty rows.
-
-        Returns ``(start, stop, values)`` triples covering exactly the rows
-        whose relevance may differ from the base frame (``values`` are
-        views into the frame's relevance column).  With no delta, or an
-        unknown relation, one triple covering the whole table is returned.
-        """
-        if self.delta is None or self.delta.relevance_spans is None:
-            return [(0, len(self.relevance), self.relevance)]
-        return [
-            (start, stop, self.relevance[start:stop])
-            for start, stop in self.delta.relevance_spans
-        ]

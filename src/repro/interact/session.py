@@ -139,29 +139,6 @@ class VisDBSession:
         """True if the query changed since the last recalculation."""
         return self._dirty
 
-    @property
-    def frame_id(self) -> int | None:
-        """Version of the latest feedback frame (None before the first run).
-
-        Frames are numbered monotonically by the underlying prepared query;
-        pairing this with :attr:`last_delta` lets a UI apply incremental
-        redraws instead of re-uploading every window after each event.
-        """
-        feedback = self._feedback
-        return getattr(feedback, "frame_id", None) if feedback is not None else None
-
-    @property
-    def last_delta(self):
-        """The latest frame's :class:`~repro.core.result.FeedbackDelta`.
-
-        None when no relation to the previous frame is known (first run, or
-        a wholesale query reshape); otherwise it names exactly the rows
-        that entered/left the displayed set and the row spans whose
-        relevance may have changed.
-        """
-        feedback = self._feedback
-        return getattr(feedback, "delta", None) if feedback is not None else None
-
     def _feedback_path(self, path: NodePath) -> NodePath:
         """Translate a user-condition path to the effective feedback path.
 

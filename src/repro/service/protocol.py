@@ -2,15 +2,16 @@
 
 Stdlib-only (``asyncio`` streams + ``json``): one JSON object per line in
 each direction, so the protocol can be driven by ``nc``, a five-line
-client, or the bundled example.  Requests carry an ``op``.
+client, or the bundled example.  Requests carry an ``op``.  There is one
+protocol version, 2; a connection mixes the two groups of ops freely.
 
-**v1 operations** (the request/response summary protocol):
+**Summary operations** (request/response):
 
 ``{"op": "open", "query": "...", "config": {"percentage": 0.4}}``
     Prepare a session; replies ``{"ok": true, "session": "s1", ...}`` with
-    the initial frame summary.  ``"protocol": 2`` in the request negotiates
-    the v2 frame stream; the reply echoes the granted ``protocol`` and the
-    session's current ``frame_id`` either way.
+    the initial frame summary, the granted ``protocol`` (2) and the
+    session's current ``frame_id``.  ``"protocol"`` may be omitted; any
+    value but 2 is a ``bad-request``.
 ``{"op": "event", "session": "s1", "event": {"type": "range", "path": [0],
 "low": 10, "high": 20}}``
     Enqueue one modification; replies immediately with the queue verdict
@@ -37,7 +38,7 @@ client, or the bundled example.  Requests carry an ``op``.
     ``ServiceConfig(trace_enabled=True)``; otherwise replies with zero
     traces.
 
-**v2 operations** (the versioned delta-frame stream; see
+**Frame-stream operations** (the versioned delta-frame stream; see
 ``docs/protocol.md`` for the full message reference):
 
 ``{"op": "subscribe", "session": "s1"}``
@@ -100,8 +101,8 @@ _ALLOWED_CONFIG = {
     "multipeak_z", "target_max",
 }
 
-#: Protocol versions the server can grant.
-_PROTOCOL_VERSIONS = (1, 2)
+#: The protocol version the server speaks.
+_PROTOCOL_VERSION = 2
 
 
 class ProtocolError(ValueError):
@@ -156,7 +157,7 @@ def parse_event(payload: dict) -> SessionEvent:
 class FeedbackProtocolServer:
     """Serve a :class:`FeedbackService` over newline-delimited JSON."""
 
-    #: Stream buffer limit for connections (both directions).  Full v2
+    #: Stream buffer limit for connections (both directions).  Full
     #: frames carry whole window cell arrays on one line, which overflows
     #: asyncio's 64 KiB default; clients reading frames should open their
     #: connection with (at least) this same limit.
@@ -170,7 +171,7 @@ class FeedbackProtocolServer:
         self.limit = limit
         self._server: asyncio.AbstractServer | None = None
         self._colormap = VisDBColormap()
-        #: Wire accounting of the v2 stream: how many updates went out as
+        #: Wire accounting of the frame stream: how many updates went out as
         #: deltas vs full frames, their encoded sizes, and the bytes the
         #: size-based choice saved against always-full snapshots.
         #: ``bytes_saved`` is a lower bound: a delta that wins without the
@@ -212,7 +213,7 @@ class FeedbackProtocolServer:
     # ------------------------------------------------------------------ #
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        # Per-connection v2 state: the last frame id this client
+        # Per-connection stream state: the last frame id this client
         # acknowledged (was sent a frame for), per session.
         acked: dict[str, int] = {}
         try:
@@ -318,8 +319,8 @@ class FeedbackProtocolServer:
             raise ProtocolError("bad-request", "request must be a JSON object")
         op = request.get("op")
         if op in ("subscribe", "delta", "resync"):
-            return await self._dispatch_v2(op, request, acked)
-        response, trace = await self._dispatch_v1(
+            return await self._dispatch_stream(op, request, acked)
+        response, trace = await self._dispatch_summary(
             op, request, acked, received_at)
         if trace is not None:
             t0 = time.perf_counter()
@@ -331,18 +332,18 @@ class FeedbackProtocolServer:
             encoded = json.dumps(response).encode()
         return encoded, trace
 
-    async def _dispatch_v1(self, op, request: dict, acked: dict[str, int],
-                           received_at: float | None = None):
-        """Serve one v1 request; returns ``(response_dict, trace_or_None)``."""
+    async def _dispatch_summary(self, op, request: dict, acked: dict[str, int],
+                                received_at: float | None = None):
+        """Serve one summary request; returns ``(response_dict, trace_or_None)``."""
         if op == "ping":
             return {"ok": True, "pong": True}, None
         if op == "open":
-            protocol = request.get("protocol", 1)
-            if protocol not in _PROTOCOL_VERSIONS:
+            protocol = request.get("protocol", _PROTOCOL_VERSION)
+            if protocol != _PROTOCOL_VERSION:
                 raise ProtocolError(
                     "bad-request",
                     f"unsupported protocol {protocol!r} (supported: "
-                    f"{list(_PROTOCOL_VERSIONS)})",
+                    f"{_PROTOCOL_VERSION})",
                 )
             overrides = {
                 key: value
@@ -405,9 +406,9 @@ class FeedbackProtocolServer:
             return {"ok": True}, None
         raise ProtocolError("unknown-op", f"unknown op {op!r}")
 
-    async def _dispatch_v2(self, op: str, request: dict,
-                           acked: dict[str, int]):
-        """The v2 frame stream: subscribe / delta / resync.
+    async def _dispatch_stream(self, op: str, request: dict,
+                               acked: dict[str, int]):
+        """The frame stream: subscribe / delta / resync.
 
         Returns ``(encoded_frame, trace_or_None)`` like :meth:`_dispatch`.
         """

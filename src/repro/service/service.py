@@ -67,7 +67,7 @@ class ServiceConfig:
     #: default: the log grows with session lifetime.  The differential
     #: stress tests switch it on to replay sessions serially.
     record_batches: bool = False
-    #: Recent frames retained per session for the v2 delta stream: a client
+    #: Recent frames retained per session for the delta stream: a client
     #: whose acknowledged frame is still in the ring gets a delta, anything
     #: older resyncs with a full snapshot.  Superseded frames keep only
     #: what a delta is encoded against (windows and displayed order, no

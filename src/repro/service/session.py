@@ -81,7 +81,9 @@ class ServiceSession:
         self._clock = clock
         self.created_at = clock()
         self.last_active = self.created_at
-        self.sequence = -1
+        #: Frames built so far; the newest snapshot's ``frame_id``.  The one
+        #: counter numbering this session's frames on the wire.
+        self.frame_id = 0
         self.running = False
         self.closed = False
         #: Last error raised by a pipeline run (cleared by the next success).
@@ -171,10 +173,12 @@ class ServiceSession:
 
         Runs on a worker thread.  The batch may be empty (the initial run
         at session open).  Raises whatever the pipeline raises; the caller
-        records the error on the session.  A failing batch is rolled back
-        wholesale (condition tree and config restored), so the live query
+        records the error on the session.  A failing batch -- in the
+        engine or in the frame build -- is rolled back wholesale (condition
+        tree and config restored) and numbers no frame, so the live query
         state always equals the serial replay of the *recorded* batches --
-        a half-applied batch can neither linger nor hide.
+        a half-applied batch can neither linger nor hide -- and frame ids
+        have no gaps.
 
         ``trace`` is the event's active trace, handed over explicitly
         because contextvars do not cross ``run_in_executor``; it becomes
@@ -184,21 +188,18 @@ class ServiceSession:
         with obs.use_trace(trace), \
                 obs.span("session.execute_batch",
                          session=self.id, events=len(batch)):
-            if batch:
-                condition_backup = copy.deepcopy(self.prepared.query.condition)
-                config_backup = self.prepared.config
-                try:
-                    feedback = self.prepared.execute(changes=batch)
-                except Exception:
-                    self.prepared.query.condition = condition_backup
-                    self.prepared.config = config_backup
-                    raise
-            else:
-                feedback = self.prepared.execute()
-            with obs.span("frame.build") as frame_span:
-                windows, fresh = self.window_cache.windows(feedback)
-                frame_span.annotate(
-                    windows=len(windows), rendered_fresh=len(fresh))
+            condition_backup = copy.deepcopy(self.prepared.query.condition)
+            config_backup = self.prepared.config
+            try:
+                feedback = self.prepared.execute(changes=batch)
+                with obs.span("frame.build") as frame_span:
+                    windows, fresh = self.window_cache.windows(feedback)
+                    frame_span.annotate(
+                        windows=len(windows), rendered_fresh=len(fresh))
+            except Exception:
+                self.prepared.query.condition = condition_backup
+                self.prepared.config = config_backup
+                raise
         # The displayed set is provably unchanged when every window came
         # from the render cache (their fingerprints cover the display order
         # and all per-node distances at the displayed items) and the
@@ -211,12 +212,12 @@ class ServiceSession:
                                feedback.display_order)
         )
         elapsed = time.perf_counter() - start
-        self.sequence += 1
+        self.frame_id += 1
         if self.record_batches:
             self.executed_batches.append(list(batch))
         snapshot = FrameSnapshot(
             session_id=self.id,
-            sequence=self.sequence,
+            sequence=self.frame_id - 1,
             events_applied=len(batch),
             statistics=feedback.statistics,
             feedback=feedback,
@@ -224,8 +225,8 @@ class ServiceSession:
             rendered_fresh=fresh,
             run_seconds=elapsed,
             display_unchanged=display_unchanged,
-            frame_id=getattr(feedback, "frame_id", self.sequence),
-            base_frame_id=getattr(feedback, "base_frame_id", None),
+            frame_id=self.frame_id,
+            base_frame_id=self.frame_id - 1 if self.frame_id > 1 else None,
             trace=trace,
         )
         if display_unchanged:

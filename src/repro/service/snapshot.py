@@ -9,7 +9,7 @@ re-renders only windows whose fingerprint changed: after a weight change
 deep in an OR subtree, the untouched predicate windows are served from the
 cache byte-for-byte.
 
-The second half of this module is the **v2 wire model**: a client-side
+The second half of this module is the **wire model**: a client-side
 frame is a plain JSON-able dictionary (statistics + display order + the
 windows' cell arrays), :func:`frame_payload` encodes a snapshot as a full
 frame, :func:`delta_payload` encodes only what changed against a base
@@ -118,20 +118,21 @@ class FrameSnapshot:
     #: from the previous frame -- the run was served entirely from caches,
     #: so clients may skip re-uploading pixel data.
     display_unchanged: bool = False
-    #: Engine frame version of this snapshot (monotonic per session) and
-    #: the frame it was derived from; what the v2 delta stream acks.
+    #: The session's number for this frame (1, 2, ...: ``sequence + 1``)
+    #: and for the frame before it (None for the first); what the delta
+    #: stream acks.
     frame_id: int = 0
     base_frame_id: int | None = None
     #: The trace of the run that produced this frame (None when tracing is
     #: off).  Kept on the snapshot so the protocol layer can attach its
     #: encode/send spans to the same tree when the frame is pulled.
     trace: object | None = field(default=None, repr=False, compare=False)
-    #: Lazily cached wire encoding of the full v2 frame (see
+    #: Lazily cached wire encoding of the full frame (see
     #: :meth:`payload_bytes`).
     _encoded_payload: bytes | None = field(default=None, repr=False, compare=False)
 
     def payload_bytes(self) -> bytes:
-        """The full v2 frame payload of this snapshot, encoded exactly once.
+        """The full frame payload of this snapshot, encoded exactly once.
 
         Serializing a full frame walks every window's cell arrays
         (O(pixels)), so it happens only when the bytes are sent
@@ -276,7 +277,7 @@ class WindowCache:
 
 
 # --------------------------------------------------------------------------- #
-# The v2 wire model: full frames, deltas and the reference client
+# The wire model: full frames, deltas and the reference client
 # --------------------------------------------------------------------------- #
 class FrameGapError(ValueError):
     """A delta's base frame does not match the client's current frame.
@@ -315,7 +316,7 @@ def window_state(window: VisualizationWindow) -> dict:
 
 
 def frame_payload(snapshot: FrameSnapshot) -> dict:
-    """Encode a snapshot as a full v2 frame (``mode: "snapshot"``).
+    """Encode a snapshot as a full frame (``mode: "snapshot"``).
 
     This is the resync unit: everything a client needs to rebuild its
     frame state from nothing.  The windows dominate the size -- O(pixels)
@@ -423,7 +424,7 @@ def frame_state(payload: dict) -> dict:
 
 
 def apply_frame_update(state: dict | None, payload: dict) -> dict:
-    """The reference client: fold one v2 payload into the frame state.
+    """The reference client: fold one frame payload into the frame state.
 
     * ``mode: "snapshot"`` replaces the state wholesale (works from None);
     * ``mode: "unchanged"`` (the server's "you are current" answer) keeps

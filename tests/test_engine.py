@@ -201,15 +201,9 @@ def test_table_swap_forgets_per_root_state(shards, percentage):
     swapped = prepared.execute()
     assert swapped.table is db.table("T2")
     assert_feedback_equal(reference_frame(db, prepared), swapped)
-    # No relation to the T1 frame may be claimed: a streaming consumer must
-    # take the whole relevance column, not "nothing changed".
-    assert swapped.delta is None
-    ((start, stop, values),) = swapped.relevance_updates()
-    assert (start, stop) == (0, 400) and values is swapped.relevance
     # Patching resumes on the new table.
     moved = prepared.execute(changes=[SetQueryRange((1,), 20.0, 30.0)])
     assert_feedback_equal(reference_frame(db, prepared), moved)
-    assert moved.delta is not None and moved.base_frame_id == swapped.frame_id
 
 
 def test_apply_change_validation_errors(weather_db, or_query):

@@ -12,6 +12,7 @@ surfaces the counters.
 from __future__ import annotations
 
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -418,11 +419,63 @@ def test_noop_reexecution_reuses_displayed_and_relevance():
     prepared.execute(changes=[SetQueryRange((0,), 50.0, 985.0)])
     first = prepared.execute()
     second = prepared.execute()
-    # Identical column identity: the displayed set and relevance arrays are
-    # the same (frozen) objects, not merely equal.
-    assert second.relevance is first.relevance
+    # Identical column identity: the displayed set is reused, and the
+    # relevance derived from the same column is equal and frozen.
     np.testing.assert_array_equal(second.display_order, first.display_order)
+    np.testing.assert_array_equal(second.relevance, first.relevance)
     assert not second.relevance.flags.writeable
+
+
+def test_relevance_is_computed_on_read_only(monkeypatch):
+    """No event pays for the relevance column; reading it costs one call.
+
+    Counted at ``relevance_factors``, the symbol ``QueryFeedback.relevance``
+    calls, wherever a module bound it.  A service session that drags and
+    pulls a delta after every event never reads it; the one read is checked
+    against ``relevance_factors`` evaluated here, for every scale and for a
+    non-default ``target_max``.
+    """
+    from repro.core.relevance import RelevanceScale, relevance_factors
+    from repro.service import ServiceSession, delta_payload
+    from repro.vis.layout import MultiWindowLayout
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return relevance_factors(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, "relevance_factors", None) is relevance_factors):
+            monkeypatch.setattr(module, "relevance_factors", counted)
+    table = locality_table(n=8_000)
+    _, prepared = prepared_query(table)
+    session = ServiceSession(
+        "s", prepared,
+        layout=MultiWindowLayout(window_width=24, window_height=24))
+    previous = session.execute_batch([])
+    for k in range(20):
+        frame = session.execute_batch(
+            [SetQueryRange((0,), 50.0, 985.0 - 0.5 * k)])
+        delta_payload(previous, frame)
+        previous = frame
+    assert calls == []
+
+    for scale in RelevanceScale:
+        for target_max in (255.0, 100.0):
+            config = prepared.config.with_(relevance_scale=scale,
+                                           target_max=target_max)
+            feedback = QueryEngine(table, config).prepare(
+                locality_query(table)).execute()
+            before = len(calls)
+            relevance = feedback.relevance
+            assert feedback.relevance is relevance
+            assert len(calls) == before + 1
+            assert not relevance.flags.writeable
+            np.testing.assert_array_equal(relevance, relevance_factors(
+                np.asarray(feedback.overall.normalized_distances),
+                scale, target_max))
 
 
 def test_displayed_patch_survives_threshold_shift():

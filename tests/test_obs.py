@@ -262,7 +262,7 @@ def test_per_root_statistics_say_why_they_rebuilt():
         return {s.name: s.attrs["state_declined"] for s in trace.spans
                 if "state_declined" in (s.attrs or {})}
 
-    everything = {"displayed.select", "relevance.update", "result_count"}
+    everything = {"displayed.select", "result_count"}
     assert declined() == dict.fromkeys(everything, "no-state")
     assert declined() == {}                  # replay: same root column
     assert declined(SetQueryRange((), 200.0, 801.0)) == {
@@ -274,7 +274,7 @@ def test_per_root_statistics_say_why_they_rebuilt():
     # A weight move re-resolves the bounds: no dirty-shard relation.  (The
     # result count needs none: the fulfilment mask is the same object.)
     assert declined(SetWeight((), 0.25)) == {
-        "displayed.select": "no-relation", "relevance.update": "no-relation"}
+        "displayed.select": "no-relation"}
 
 
 def test_pipeline_offload_says_why_it_was_declined():

@@ -35,6 +35,7 @@ from repro.service import (
     CoalescingQueue,
     FeedbackService,
     ServiceConfig,
+    ServiceSession,
     SessionLimitError,
     WindowCache,
     serve,
@@ -43,6 +44,7 @@ from repro.storage.cache import PrefetchCache
 from repro.storage.table import Table
 from repro.vis.layout import MultiWindowLayout
 
+from reference import reference_frame
 from test_differential import (
     assert_feedback_identical,
     random_condition,
@@ -522,6 +524,44 @@ def test_failed_batch_poisons_only_its_session():
             assert recovered.sequence >= 1
 
     run(main())
+
+
+def test_failed_frame_build_rolls_back_and_numbers_no_frame(monkeypatch):
+    """A batch whose frame build fails is undone like one the engine fails.
+
+    The live state must stay the serial replay of the recorded batches, and
+    the next frame must follow the last one with no gap in the ids.
+    """
+    table = small_table()
+    config = PipelineConfig(**SMALL_SCREEN)
+    session = ServiceSession(
+        "s", QueryEngine(table, config).prepare(demo_query(table)),
+        record_batches=True)
+    first = session.execute_batch([])
+    real_windows = WindowCache.windows
+    failures = []
+
+    def fail_once(cache, feedback):
+        if not failures:
+            failures.append(feedback)
+            raise RuntimeError("frame build failed")
+        return real_windows(cache, feedback)
+
+    monkeypatch.setattr(WindowCache, "windows", fail_once)
+    with pytest.raises(RuntimeError, match="frame build failed"):
+        session.execute_batch([SetThreshold((1,), 8.0)])
+    assert failures, "the frame build must have run and failed"
+    following = session.execute_batch([SetQueryRange((0,), 25.0, 65.0)])
+
+    replay = QueryEngine(table, config).prepare(demo_query(table))
+    for batch in session.executed_batches:
+        for event in batch:
+            replay.apply_change(event)
+    assert_feedback_identical(
+        reference_frame(table, replay), following.feedback, "after failed build")
+    assert following.frame_id == first.frame_id + 1
+    assert following.base_frame_id == first.frame_id
+    assert following.sequence == first.sequence + 1
 
 
 def test_snapshot_waiter_errors_when_session_closes_underneath():

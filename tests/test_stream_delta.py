@@ -1,6 +1,6 @@
-"""Differential suite for the v2 delta-frame stream.
+"""Differential suite for the delta-frame stream.
 
-The binding contract of the FeedbackFrame redesign: a client that applies
+The binding contract of the frame stream: a client that applies
 ``delta`` + ``resync`` payloads reconstructs -- field for field, after a
 JSON round trip -- exactly the frame state a cold full snapshot of the
 same query state would produce.  Randomized query/mutation sequences (the
@@ -8,12 +8,11 @@ generators of the differential harness) are replayed across shard counts
 {1, 2, 7, 32}; every step checks the replayed client state against the
 naive whole-table reference.
 
-Around that sit unit tests for the pieces: engine-level frame versioning
-(:class:`~repro.core.result.FeedbackFrame` ids and proven entered/left/
-relevance-span deltas), the incremental ``result_count``, window cell
-diff/patch round trips (including O(changed cells) RGB patching), and the
-protocol-level v1/v2 negotiation plus the structured-error paths for
-malformed messages.
+Around that sit unit tests for the pieces: the service session's frame
+numbering and the displayed-set changes its deltas carry, the incremental
+``result_count``, window cell diff/patch round trips (including O(changed
+cells) RGB patching), and the protocol-level version negotiation plus the
+structured-error paths for malformed messages.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro import PipelineConfig, QueryEngine, ScreenSpec
-from repro.core.result import FeedbackFrame, FeedbackStatistics
+from repro.core.result import FeedbackStatistics
 from repro.interact.events import SetQueryRange, SetWeight
 from repro.query.builder import Query, between, condition
 from repro.query.expr import AndNode, OrNode
@@ -242,7 +241,7 @@ def small_locality_table(n: int = 2_000, seed: int = 13) -> Table:
 
 
 # --------------------------------------------------------------------------- #
-# Engine-level frame versioning
+# Frame numbering and displayed-set deltas
 # --------------------------------------------------------------------------- #
 def drag_prepared(shards: int = 8):
     table = small_locality_table(n=4_000)
@@ -260,67 +259,57 @@ def drag_prepared(shards: int = 8):
 
 def test_frame_ids_are_monotonic_and_chained():
     _, prepared = drag_prepared()
-    frames = [prepared.execute()]
+    session = ServiceSession("s", prepared, layout=small_layout())
+    frames = [session.execute_batch([])]
     for k in range(3):
-        frames.append(prepared.execute(
-            changes=[SetQueryRange((0,), 50.0, 895.0 - 2.0 * k)]))
-    assert all(isinstance(f, FeedbackFrame) for f in frames)
-    ids = [f.frame_id for f in frames]
-    assert ids == sorted(ids) and len(set(ids)) == len(ids)
-    assert frames[0].base_frame_id is None and frames[0].delta is None
+        frames.append(session.execute_batch(
+            [SetQueryRange((0,), 50.0, 895.0 - 2.0 * k)]))
+    assert [f.frame_id for f in frames] == [1, 2, 3, 4]
+    assert [f.sequence for f in frames] == [0, 1, 2, 3]
+    assert frames[0].base_frame_id is None
     for older, newer in zip(frames, frames[1:]):
         assert newer.base_frame_id == older.frame_id
-        assert newer.delta is not None
-        assert newer.delta.base_frame_id == older.frame_id
-    assert frames[1].materialize() is frames[1]
+        assert delta_payload(older, newer)["base_frame_id"] == older.frame_id
+        assert frame_payload(newer)["base_frame_id"] == older.frame_id
 
 
 def test_frame_delta_entered_left_match_brute_force():
     _, prepared = drag_prepared()
-    previous = prepared.execute()
-    for k, high in enumerate((870.0, 700.0, 890.0, 400.0)):
-        frame = prepared.execute(changes=[SetQueryRange((0,), 50.0, high)])
-        delta = frame.delta
-        assert delta is not None
-        old_set = set(previous.display_order.tolist())
-        new_set = set(frame.display_order.tolist())
-        assert set(delta.entered.tolist()) == new_set - old_set, f"step {k}"
-        assert set(delta.left.tolist()) == old_set - new_set, f"step {k}"
-        assert delta.order_unchanged == bool(
-            np.array_equal(frame.display_order, previous.display_order))
+    session = ServiceSession("s", prepared, layout=small_layout())
+    previous = session.execute_batch([])
+    changed_steps = 0
+    # Narrow ranges hold fewer rows than the 400 displayed, so the
+    # displayed set follows the range (a repeated range leaves it alone).
+    for k, low in enumerate((400.0, 405.0, 600.0, 100.0, 100.0)):
+        frame = session.execute_batch([SetQueryRange((0,), low, low + 20.0)])
+        display = canonical(delta_payload(previous, frame))["display"]
+        old_order = previous.feedback.display_order
+        new_order = frame.feedback.display_order
+        if np.array_equal(old_order, new_order):
+            assert display == {"unchanged": True}, f"step {k}"
+        else:
+            changed_steps += 1
+            old_set = set(old_order.tolist())
+            new_set = set(new_order.tolist())
+            assert display["order"] == new_order.tolist(), f"step {k}"
+            assert display["entered"] == sorted(new_set - old_set), f"step {k}"
+            assert display["left"] == sorted(old_set - new_set), f"step {k}"
         previous = frame
-
-
-def test_frame_delta_relevance_spans_are_sound():
-    """Rows outside the claimed spans must have bit-identical relevance."""
-    _, prepared = drag_prepared()
-    previous = prepared.execute()
-    for k in range(6):
-        frame = prepared.execute(
-            changes=[SetQueryRange((0,), 50.0, 897.0 - 1.5 * k)])
-        spans = frame.delta.relevance_spans
-        if spans is None:
-            previous = frame
-            continue
-        changed = np.zeros(len(frame.relevance), dtype=bool)
-        for start, stop in spans:
-            changed[start:stop] = True
-        np.testing.assert_array_equal(
-            frame.relevance[~changed], previous.relevance[~changed])
-        updates = frame.relevance_updates()
-        assert sum(stop - start for start, stop, _ in updates) == int(changed.sum())
-        previous = frame
+    assert changed_steps, "the drag must move the displayed set"
 
 
 def test_no_op_execute_yields_empty_delta():
     _, prepared = drag_prepared()
-    prepared.execute()
-    frame = prepared.execute()
-    delta = frame.delta
-    assert delta is not None and delta.order_unchanged
-    assert len(delta.entered) == 0 and len(delta.left) == 0
-    assert delta.relevance_spans == ()
-    assert delta.changed_row_estimate(len(frame.relevance)) == 0
+    session = ServiceSession("s", prepared, layout=small_layout())
+    base = session.execute_batch([])
+    replay = session.execute_batch([])
+    payload = delta_payload(base, replay)
+    assert payload["display"] == {"unchanged": True}
+    assert payload["windows"]
+    assert all(entry == {"unchanged": True}
+               for entry in payload["windows"].values())
+    assert "removed_windows" not in payload
+    assert replay.display_unchanged
 
 
 # --------------------------------------------------------------------------- #
@@ -413,7 +402,7 @@ def test_path_key_round_trip():
 
 
 # --------------------------------------------------------------------------- #
-# Protocol: v1/v2 negotiation and structured errors
+# Protocol: version negotiation and structured errors
 # --------------------------------------------------------------------------- #
 async def _request(reader, writer, payload: dict) -> dict:
     writer.write(json.dumps(payload).encode() + b"\n")
@@ -451,21 +440,25 @@ def test_protocol_negotiation_v1_and_v2_round_trips():
         async with _small_service(table) as service:
             server = await serve(service)
             reader, writer = await _connect(server)
-            # v1 (default): summary responses, no v2 framing required.
-            v1 = await _request(reader, writer,
-                                {"op": "open", "query": "a between 20 and 70"})
-            assert v1["ok"] and v1["protocol"] == 1 and v1["frame_id"] == 1
-            # v2: negotiated explicitly; the granted version is echoed.
-            v2 = await _request(reader, writer, {
+            # No version asked for: the one protocol, 2, is granted.
+            default = await _request(reader, writer,
+                                     {"op": "open", "query": "a between 20 and 70"})
+            assert default["ok"] and default["protocol"] == 2
+            assert default["frame_id"] == 1
+            # Asking for 2 explicitly: the granted version is echoed.
+            explicit = await _request(reader, writer, {
                 "op": "open", "query": "a between 10 and 60", "protocol": 2,
             })
-            assert v2["ok"] and v2["protocol"] == 2
-            sid = v2["session"]
-            # An unsupported version is a structured error, not a hangup.
-            v3 = await _request(reader, writer, {
-                "op": "open", "query": "a between 10 and 60", "protocol": 3,
-            })
-            assert v3["ok"] is False and v3["code"] == "bad-request"
+            assert explicit["ok"] and explicit["protocol"] == 2
+            sid = explicit["session"]
+            # Any other version is a structured error, not a hangup.
+            for version in (1, 3):
+                refused = await _request(reader, writer, {
+                    "op": "open", "query": "a between 10 and 60",
+                    "protocol": version,
+                })
+                assert refused["ok"] is False
+                assert refused["code"] == "bad-request"
 
             sub = await _request(reader, writer, {"op": "subscribe", "session": sid})
             assert sub["ok"] and sub["mode"] == "snapshot"
@@ -754,7 +747,7 @@ def test_protocol_delta_pull_skips_the_full_frame_encode(monkeypatch):
                 "op": "open", "query": "a between 20 and 70", "protocol": 2,
             })
             sid = opened["session"]
-            assert full_encodes == [], "v1 summaries never build the frame"
+            assert full_encodes == [], "summary replies never build the frame"
 
             sub, count = await encodes_during({"op": "subscribe", "session": sid})
             assert sub["mode"] == "snapshot" and count == 1
