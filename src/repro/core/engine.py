@@ -52,7 +52,6 @@ from repro.core.reduction import (
     ReductionMethod,
     ShardCounts,
     display_fraction,
-    merge_topk_candidates_many,
     rank_counts,
     quantile_rank_bounds,
     select_display_set,
@@ -857,9 +856,10 @@ class PreparedQuery:
 
         None when that path does not apply: another reduction method, a
         degenerate target, or past the adaptive cutoff where the per-shard
-        candidate sets would together approach the full column -- the
-        whole-column :func:`~repro.core.reduction.select_display_set` then
-        selects, bit-identically by the same tie rule.
+        candidate sets -- exactly S·``target`` rows together -- would
+        exceed half the column; the whole-column
+        :func:`~repro.core.reduction.select_display_set` then selects,
+        bit-identically by the same tie rule.
         """
         if self.config.percentage is None:
             return None
@@ -923,38 +923,43 @@ class PreparedQuery:
                               root: NodeDelta, executor, target: int,
                               pipeline_topk: tuple[int, list] | None,
                               ) -> tuple[np.ndarray, bool]:
-        """Percentage-path displayed set from per-shard below/tie lists.
+        """Percentage-path displayed set from bounded per-shard below/tie lists.
 
         Returns ``(displayed, served)``, ``served`` False when the lists
         were rebuilt from per-shard top-k partials.
 
         ``target`` is :meth:`_topk_target`.  The threshold is the
-        ``target``-th smallest (NaN-masked) distance, and each shard keeps
-        its ascending global row indices strictly below and exactly at it.
-        Only the shards the root delta marks dirty rebuild their lists; the
-        threshold still holds its rank when fewer than ``target`` rows lie
-        strictly below it and at least ``target`` at or below, and ties at
-        the boundary resolve exactly once under the stable-argsort rule
-        (smallest global row indices win), so the patched displayed set
-        equals a cold selection bit for bit.
+        ``target``-th smallest (NaN-masked) distance; each shard keeps its
+        ascending global row indices strictly below it and, of those
+        exactly at it, only the first ``target`` minus the rows below --
+        all the ties it could contribute, so at most ``target`` rows --
+        while its counting row keeps the true ``count(<)`` and
+        ``count(<=)``.  Only the shards the root delta
+        marks dirty rebuild their lists; the threshold still holds its rank
+        when fewer than ``target`` rows lie strictly below it and at least
+        ``target`` at or below, and ties at the boundary resolve under the
+        stable-argsort rule (smallest global row indices win), so the
+        patched displayed set equals a cold selection bit for bit.  A
+        rebuild selects the threshold among the per-shard top-k partials
+        (at most S·``target`` values), then cuts every shard against it.
         """
         bounds = sharded.bounds
 
-        def shard(state, i: int):
+        def cut(i: int, threshold: float):
             start, stop = bounds[i]
             part = distances[start:stop]
             finite = np.isfinite(part)
             masked = part if finite.all() else np.where(finite, part, np.inf)
-            below = np.nonzero(masked < state.threshold)[0] + start
-            ties = np.nonzero(masked == state.threshold)[0] + start
-            return (stop - start, len(below), len(below) + len(ties)), (below, ties)
+            below = np.flatnonzero(masked < threshold) + start
+            ties = np.flatnonzero(masked == threshold)
+            return ((stop - start, len(below), len(below) + len(ties)),
+                    (below, ties[:max(target - len(below), 0)] + start))
 
         def assemble(state) -> np.ndarray:
             # Per-shard lists are ascending and shard ranges are ordered, so
             # their concatenation is the global ascending index order.  Only
-            # the first `need` ties (in global row order) are displayed; the
-            # tie lists can hold O(n) rows on heavily tied distributions, so
-            # walk the per-shard prefixes instead of concatenating them all.
+            # the first `need` ties (in global row order) are displayed; a
+            # shard's list holds at least min(need, its ties) of them.
             need = target - int(state.counts.rows[:, 1].sum())
             pieces = [below for below, _ in state.pieces if len(below)]
             for _, ties in state.pieces:
@@ -979,27 +984,18 @@ class PreparedQuery:
                     lambda i: topk_candidates(distances[bounds[i][0]:bounds[i][1]],
                                               target, offset=bounds[i][0]),
                     len(bounds))
-            merged = merge_topk_candidates_many(partials)
-            # Every row at or below the threshold survives the candidate
-            # cuts (cut thresholds only tighten towards the final one), so
-            # the merged set decomposes exactly into below/ties, already in
-            # ascending global row order.
-            threshold = float(merged.values[
-                np.argpartition(merged.values, target - 1)[target - 1]])
-            starts = [start for start, _ in bounds[1:]]
-            below, ties = (
-                np.split(indices, np.searchsorted(indices, starts)) for indices in (
-                    merged.indices[merged.values < threshold],
-                    merged.indices[merged.values == threshold]))
-            rows = np.asarray([(stop - start, len(b), len(b) + len(t))
-                               for (start, stop), b, t in zip(bounds, below, ties)],
-                              dtype=float)
+            # The global top `target` rows lie in the partials, so their
+            # `target`-th smallest value is the column's.
+            values = np.concatenate([p.values for p in partials])
+            threshold = float(np.partition(values, target - 1)[target - 1])
+            fresh = _map_indexed(executor, lambda i: cut(i, threshold), len(bounds))
+            rows = np.asarray([row for row, _ in fresh], dtype=float)
             counts = ShardCounts((threshold,), (target - 1,), len(distances), rows)
-            return counts, tuple(zip(below, ties)), threshold
+            return counts, tuple(piece for _, piece in fresh), threshold
 
         displayed, served = self._refresh(
             "displayed", ("percentage", target), root, distances,
-            shard, assemble, rebuild)
+            lambda state, i: cut(i, state.threshold), assemble, rebuild)
         if served:
             self.engine.evaluation_cache(self.table).record(displayed_patches=1)
         return displayed, served

@@ -199,16 +199,16 @@ class TopKCandidates:
 
     One partial summarises one row range (shard) of the distance column: the
     global row indices and (NaN-masked, so non-finite becomes ``+inf``)
-    distance values of every row that could still enter the global displayed
+    distance values of the rows that could still enter the global displayed
     set, plus the number of rows the partial has seen.
 
-    The candidate rule keeps every row whose value is ``<=`` the partial's
-    ``target``-th smallest value -- *including all ties* at that boundary.
-    Keeping the full tie group (rather than truncating to ``target`` rows)
-    is what makes :func:`merge_topk_candidates` associative and
-    order-independent: tie-breaking by ascending row index happens exactly
-    once, in :func:`resolve_topk`, reproducing the stable-argsort tie rule
-    of the monolithic :func:`select_display_set`.
+    Rows are ranked by the total order (value, global row) -- the
+    stable-argsort tie rule of the monolithic :func:`select_display_set`
+    -- and a partial keeps at most ``target`` of them: its own top
+    ``target`` under that order.  A row in the global top ``target`` is in
+    the top ``target`` of every sub-range it belongs to, so no cut drops
+    it, and the cut is a function of the row set alone, which makes
+    :func:`merge_topk_candidates` associative and order-independent.
     """
 
     target: int
@@ -223,14 +223,31 @@ class TopKCandidates:
             raise ValueError("indices and values must have equal length")
 
 
-def _candidate_cut(indices: np.ndarray, values: np.ndarray,
-                   target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keep rows with value <= the target-th smallest value (ties included)."""
+def _candidate_cut(values: np.ndarray, target: int, indices: np.ndarray | None = None,
+                   offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The ``target`` smallest rows under the (value, row) order.
+
+    Every row strictly below the ``target``-th smallest value is kept; of
+    the rows tied at it, the ones with the smallest row indices fill the
+    rest.  ``indices`` None means the rows are ``offset + position``
+    (ascending, so the first ties are the smallest rows).  Candidates come
+    from the positions below and at the threshold, never a gather over
+    every row.
+    """
     if len(values) <= target:
+        if indices is None:
+            indices = np.arange(offset, offset + len(values), dtype=np.intp)
         return indices, values
-    threshold = values[np.argpartition(values, target - 1)[target - 1]]
-    keep = values <= threshold
-    return indices[keep], values[keep]
+    threshold = np.partition(values, target - 1)[target - 1]
+    below = np.flatnonzero(values < threshold)
+    ties = np.flatnonzero(values == threshold)
+    need = target - len(below)
+    if indices is None:
+        ties = ties[:need]
+    elif len(ties) > need:
+        ties = ties[np.argpartition(indices[ties], need - 1)[:need]]
+    keep = np.concatenate([below, ties])
+    return (keep + offset if indices is None else indices[keep]), values[keep]
 
 
 def topk_candidates(distances: np.ndarray, target: int, offset: int = 0) -> TopKCandidates:
@@ -243,8 +260,7 @@ def topk_candidates(distances: np.ndarray, target: int, offset: int = 0) -> TopK
     distances = np.asarray(distances, dtype=float)
     finite = np.isfinite(distances)
     masked = distances if finite.all() else np.where(finite, distances, np.inf)
-    indices = np.arange(offset, offset + len(masked), dtype=np.intp)
-    indices, values = _candidate_cut(indices, masked, target)
+    indices, values = _candidate_cut(masked, target, offset=offset)
     return TopKCandidates(target=target, indices=indices, values=values,
                           count=len(distances))
 
@@ -252,32 +268,23 @@ def topk_candidates(distances: np.ndarray, target: int, offset: int = 0) -> TopK
 def merge_topk_candidates(a: TopKCandidates, b: TopKCandidates) -> TopKCandidates:
     """Merge two partials (associative, commutative up to row order).
 
-    The merged candidate set is the union filtered by the union's
-    ``target``-th smallest value.  Every row of the true global displayed
-    set survives any merge order: a row among the ``target`` smallest of the
-    union is among the ``target`` smallest of each sub-union it appears in,
-    so no intermediate cut can drop it.
+    The merged partial is the top ``target`` of the union under the
+    (value, row) order, at most ``target`` rows.  Every row of the true
+    global displayed set survives any merge order: a row among the
+    ``target`` smallest of the union is among the ``target`` smallest of
+    each sub-union it appears in, so no intermediate cut can drop it.
     """
-    if a.target != b.target:
-        raise ValueError(f"cannot merge partials with targets {a.target} != {b.target}")
-    indices = np.concatenate([a.indices, b.indices])
-    values = np.concatenate([a.values, b.values])
-    indices, values = _candidate_cut(indices, values, a.target)
-    return TopKCandidates(target=a.target, indices=indices, values=values,
-                          count=a.count + b.count)
+    return merge_topk_candidates_many([a, b])
 
 
 def merge_topk_candidates_many(partials: Sequence[TopKCandidates]) -> TopKCandidates:
     """Merge many partials with one concatenation and a single cut.
 
     Produces exactly the candidate set a pairwise :func:`merge_topk_candidates`
-    reduction would: every intermediate pairwise threshold is >= the final
-    union threshold, so the survivors of either merge order are precisely
-    the rows whose value is <= the union's ``target``-th smallest value.
-    One cut over the full concatenation does the same work once instead of
-    re-partitioning after every pairwise step -- the shape the incremental
-    displayed-set maintenance hits every event (S cached partials, a few
-    fresh ones).
+    reduction would: the top ``target`` rows of a union under a total order
+    do not depend on how the union was assembled.  One cut over at most
+    ``len(partials) * target`` rows does the work once instead of after
+    every pairwise step.
     """
     if not partials:
         raise ValueError("merge_topk_candidates_many needs at least one partial")
@@ -289,7 +296,7 @@ def merge_topk_candidates_many(partials: Sequence[TopKCandidates]) -> TopKCandid
             )
     indices = np.concatenate([p.indices for p in partials])
     values = np.concatenate([p.values for p in partials])
-    indices, values = _candidate_cut(indices, values, target)
+    indices, values = _candidate_cut(values, target, indices)
     return TopKCandidates(target=target, indices=indices, values=values,
                           count=sum(p.count for p in partials))
 
@@ -419,9 +426,16 @@ def empty_distance_bounds(capacity: int) -> DistanceBoundsPartial:
 def distance_bounds_partial(values: np.ndarray, capacity: int) -> DistanceBoundsPartial:
     """Summarise one shard of a distance column (NaN/inf values are skipped)."""
     values = np.asarray(values, dtype=float)
-    finite = values[np.isfinite(values)] if len(values) else values
+    finite = np.isfinite(values)
+    finite = values if finite.all() else values[finite]
     if len(finite) > capacity:
-        smallest = np.partition(finite, capacity - 1)[:capacity]
+        # A tie block at the minimum that fills the capacity is the
+        # smallest-``capacity`` multiset already: no partition needed.
+        lowest = finite.min()
+        if np.count_nonzero(finite == lowest) >= capacity:
+            smallest = np.full(capacity, lowest)
+        else:
+            smallest = np.partition(finite, capacity - 1)[:capacity]
     else:
         smallest = finite.copy()
     maximum = float(finite.max()) if len(finite) else float("-inf")

@@ -20,8 +20,10 @@ import pytest
 from repro import PipelineConfig, Query, QueryEngine, condition
 from repro.backend.process import ProcessBackend, WorkerOpError, WorkerPoolError
 from repro.backend.shm import ShmColumnStore
+from repro.interact.events import SetPercentageDisplayed
 from repro.query import AndNode, OrNode, PredicateLeaf
 from repro.query.predicates import StringMatchPredicate
+from repro.storage.table import Table
 
 from census import module_census
 from test_backend import (
@@ -120,6 +122,53 @@ def test_pipeline_offload_matches_cold_many_shards():
         assert engine.stats()["backend"]["pipeline_ops"] >= 1
     finally:
         engine.close()
+
+
+def heavy_tie_reply(monkeypatch, n: int, target: int = 40):
+    """One offloaded open of a tie-heavy plan over ``n`` rows, 4 shards.
+
+    About 95 % of the rows are exact answers (distance 0), so the root
+    threshold sits inside a tie block of ~0.95n rows.  Returns each
+    shard's ``pipeline_topk`` partial length and the reply bytes per op.
+    """
+    from repro.core.engine import PreparedQuery
+
+    seen = []
+    percentage_displayed = PreparedQuery._percentage_displayed
+
+    def spy(self, *args):
+        seen.append(args[-1])
+        return percentage_displayed(self, *args)
+
+    monkeypatch.setattr(PreparedQuery, "_percentage_displayed", spy)
+    rng = np.random.default_rng(3)
+    table = Table("Ties", {"a": rng.uniform(0.0, 100.0, n),
+                           "b": rng.uniform(0.0, 100.0, n)})
+    cond = AndNode([condition("a", "<", 97.5), condition("b", "<", 97.5)])
+    engine, table, prepared = build_pipeline_prepared(4, table=table, cond=cond)
+    try:
+        frame = prepared.execute(changes=[SetPercentageDisplayed(target / n)])
+        assert_frames_identical(cold_frame(table, prepared), frame,
+                                f"heavy ties, n={n}")
+        assert frame.statistics.num_results >= 0.9 * n
+        stats = engine.stats()["backend"]
+        assert stats["pipeline_ops"] == 1 and stats["pipeline_fallbacks"] == 0
+    finally:
+        engine.close()
+        monkeypatch.undo()
+    (pipeline_topk,) = seen
+    assert pipeline_topk is not None and pipeline_topk[0] == target
+    return [len(p.indices) for p in pipeline_topk[1]], stats["reply_bytes"]
+
+
+def test_worker_topk_replies_are_bounded_under_heavy_ties(monkeypatch):
+    """Each shard's worker top-k partial holds at most ``target`` rows, so
+    the reply bytes of an op do not grow with the table: 16x the rows (and
+    16x the tied rows at the threshold) reply the same bytes."""
+    small_rows, small_bytes = heavy_tie_reply(monkeypatch, 8_000)
+    large_rows, large_bytes = heavy_tie_reply(monkeypatch, 128_000)
+    assert small_rows == large_rows == [40] * 4
+    assert large_bytes <= small_bytes * 1.05
 
 
 def test_range_leaves_offload_cold_then_decline_warm():

@@ -198,6 +198,74 @@ def test_certified_events_recount_rows_independent_of_table_size(
                for dirty, patched, rows, _ in small)
 
 
+def heavy_tie_work(monkeypatch, n: int, target: int = 20) -> list[tuple]:
+    """Displayed-set rows per event on an ``n``-row table where ~95 % of
+    rows are exact answers (distance 0), 1000 rows a shard, ``target``
+    fixed.
+
+    The threshold sits inside the block of zeros at every event.  Counted
+    per event: rows the displayed state holds in its per-shard pieces,
+    rows handed to the threshold selection (the per-shard top-k partials
+    a rebuild concatenates), and rows strictly below the threshold.
+    """
+    import repro.core.engine as engine_module
+
+    selected = []
+
+    def counted(*args, **kwargs):
+        partial = topk_candidates(*args, **kwargs)
+        selected.append(len(partial.values))
+        return partial
+
+    monkeypatch.setattr(engine_module, "topk_candidates", counted)
+    rng = np.random.default_rng(11)
+    table = Table("Ties", {"t": np.sort(rng.uniform(0.0, 1000.0, n)),
+                           "b": rng.uniform(0.0, 100.0, n)})
+    shards = n // 1000
+    config = PipelineConfig(screen=ScreenSpec(width=256, height=256),
+                            percentage=target / n, shard_count=shards,
+                            max_workers=2, backend="threads")
+    prepared = QueryEngine(table, config).prepare(Query(
+        name="ties", tables=[table.name],
+        condition=AndNode([between("t", 0.0, 1000.0), condition("b", "<", 95.0)])))
+    events = [[], [SetQueryRange((0,), 0.0, 999.0)],
+              [SetPercentageDisplayed(2 * target / n)],
+              [SetQueryRange((0,), 0.0, 998.0)]]
+    work = []
+    for changes in events:
+        selected.clear()
+        feedback = prepared.execute(changes=changes)
+        state = prepared._root.displayed
+        held = sum(len(below) + len(ties) for below, ties in state.pieces)
+        below = int(state.counts.rows[:, 1].sum())
+        bound = shards * round(prepared.config.percentage * n) + below
+        assert held <= bound and sum(selected) <= bound
+        assert feedback.statistics.num_results >= 0.9 * n
+        np.testing.assert_array_equal(feedback.display_order,
+                                      reference_frame(table, prepared).display_order)
+        work.append((held / shards, sum(selected) / shards, below,
+                     feedback.extra["incremental"]["root_dirty_shards"]))
+    patches = prepared.engine.evaluation_cache(table).stats.displayed_patches
+    monkeypatch.undo()
+    assert patches == 2
+    return work
+
+
+def test_heavy_ties_hold_bounded_rows_independent_of_table_size(monkeypatch):
+    """With the threshold inside a tie block of ~0.95n rows, a rebuild (cold
+    open, percentage change) and a certified micro-move keep at most
+    S * target + below rows, the same per shard at n and at 16n rows.
+
+    Keeping every tie would hold ~950 rows a shard instead of ``target``.
+    """
+    small = heavy_tie_work(monkeypatch, 4_000)
+    large = heavy_tie_work(monkeypatch, 64_000)
+    assert small == large
+    # Rebuilds select over the partials; micro-moves patch one dirty shard.
+    assert [(rows, dirty) for _, rows, _, dirty in small] == [
+        (20, None), (0, 1), (40, 0), (0, 1)]
+
+
 @pytest.mark.parametrize("shards", [1, 4])
 def test_range_patch_on_int64_column_matches_cold(shards):
     """Range drags on a column supplied as int64 go through the row patch

@@ -8,6 +8,8 @@ pin the invariants any future backend must preserve:
 * merging is associative and order-independent (any shard order, any fold
   shape resolves to the same result);
 * all-NaN shards and empty shards are identity elements;
+* a top-k partial holds at most ``target`` rows, its own top ``target``
+  under the (value, row) order, however many rows tie at its threshold;
 * resolved results equal the monolithic computation bit for bit,
   including ties at the capacity boundary, where the stable-argsort tie
   rule (ascending global row index) must survive merging.
@@ -19,6 +21,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.normalization import (
     apply_normalization,
@@ -28,6 +32,7 @@ from repro.core.normalization import (
 from repro.core.reduction import (
     ReductionMethod,
     merge_topk_candidates,
+    merge_topk_candidates_many,
     resolve_topk,
     select_display_set,
     topk_candidates,
@@ -241,9 +246,9 @@ def test_topk_fold_shape_irrelevant():
 def test_topk_ties_at_capacity_boundary_break_by_row_index():
     """All-equal distances: the displayed set must be the first ``target`` rows.
 
-    This is the exact boundary where a naive per-shard truncation loses the
-    stable-argsort rule: a later shard's tie rows must never displace an
-    earlier row with the same distance.
+    Every partial truncates a tie block here, so this is the boundary where
+    the cut must follow the (value, row) order: a later shard's tie rows
+    must never displace an earlier row with the same distance.
     """
     n, target = 40, 7
     distances = np.full(n, 3.25)
@@ -282,6 +287,60 @@ def test_topk_empty_shards_are_identity():
     np.testing.assert_array_equal(
         resolve_topk(merge_topk_candidates(empty, base)), resolve_topk(base)
     )
+
+
+TIE_HEAVY_VALUES = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.0,
+                                    np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def topk_cases(draw):
+    """A tie-heavy column, a target, random shard cuts and a merge tree.
+
+    The tree is a list of (left, right) picks over a shrinking list of
+    partials: each pick merges two of them into one, until one is left.
+    """
+    distances = np.asarray(draw(st.lists(TIE_HEAVY_VALUES, min_size=1,
+                                         max_size=120)), dtype=float)
+    n = len(distances)
+    target = draw(st.integers(1, n))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
+    edges = [0, *cuts, n]
+    ranges = [(edges[k], edges[k + 1]) for k in range(len(edges) - 1)]
+    picks = [(draw(st.integers(0, m - 1)), draw(st.integers(0, m - 2)))
+             for m in range(len(ranges), 1, -1)]
+    order = draw(st.permutations(range(len(ranges))))
+    return distances, target, ranges, picks, order
+
+
+@given(topk_cases())
+@settings(max_examples=200)
+def test_topk_bounded_merge_algebra(case):
+    """Partials hold at most ``target`` rows, any merge tree resolves to the
+    monolithic percentage selection, and pairwise merges equal one
+    ``_many`` merge, row set and values alike."""
+    distances, target, ranges, picks, order = case
+    n = len(distances)
+    partials = [topk_candidates(distances[a:b], target, offset=a) for a, b in ranges]
+    assert all(len(p.indices) <= target for p in partials)
+    pending = list(partials)
+    for left, right in picks:
+        a = pending.pop(left)
+        merged = merge_topk_candidates(a, pending.pop(right))
+        assert len(merged.indices) <= target
+        pending.append(merged)
+    (tree,) = pending
+    many = merge_topk_candidates_many([partials[k] for k in order])
+    assert len(many.indices) == min(target, n) and tree.count == many.count == n
+    by_row = np.argsort(tree.indices)
+    np.testing.assert_array_equal(tree.indices[by_row], np.sort(many.indices))
+    np.testing.assert_array_equal(
+        tree.values[by_row], many.values[np.argsort(many.indices)])
+    monolithic = select_display_set(
+        distances, capacity=10_000, n_selection_predicates=1,
+        method=ReductionMethod.PERCENTAGE, percentage=target / n)
+    np.testing.assert_array_equal(resolve_topk(tree), monolithic)
+    np.testing.assert_array_equal(resolve_topk(many), monolithic)
 
 
 def test_topk_target_mismatch_rejected():
