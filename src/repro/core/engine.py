@@ -52,6 +52,7 @@ from repro.core.reduction import (
     ReductionMethod,
     ShardCounts,
     display_fraction,
+    kth_smallest,
     rank_counts,
     quantile_rank_bounds,
     select_display_set,
@@ -920,7 +921,7 @@ class PreparedQuery:
         return state.value, dirty is not None
 
     def _percentage_displayed(self, distances: np.ndarray, sharded: ShardedTable,
-                              root: NodeDelta, executor, target: int,
+                              root: NodeDelta, target: int,
                               pipeline_topk: tuple[int, list] | None,
                               ) -> tuple[np.ndarray, bool]:
         """Percentage-path displayed set from bounded per-shard below/tie lists.
@@ -941,19 +942,35 @@ class PreparedQuery:
         stable-argsort rule (smallest global row indices win), so the
         patched displayed set equals a cold selection bit for bit.  A
         rebuild selects the threshold among the per-shard top-k partials
-        (at most S·``target`` values), then cuts every shard against it.
+        (at most S·``target`` values) and reads each shard's counting row
+        and lists off its partial; only a shard whose partial stops at the
+        threshold is scanned again, to count its ties.
         """
         bounds = sharded.bounds
 
+        def masked(i: int) -> np.ndarray:
+            part = distances[bounds[i][0]:bounds[i][1]]
+            finite = np.isfinite(part)
+            return part if finite.all() else np.where(finite, part, np.inf)
+
         def cut(i: int, threshold: float):
             start, stop = bounds[i]
-            part = distances[start:stop]
-            finite = np.isfinite(part)
-            masked = part if finite.all() else np.where(finite, part, np.inf)
-            below = np.flatnonzero(masked < threshold) + start
-            ties = np.flatnonzero(masked == threshold)
+            part = masked(i)
+            below = np.flatnonzero(part < threshold) + start
+            ties = np.flatnonzero(part == threshold)
             return ((stop - start, len(below), len(below) + len(ties)),
                     (below, ties[:max(target - len(below), 0)] + start))
+
+        def from_partial(i: int, partial, threshold: float):
+            # What `cut` returns, read off the shard's own top `target`: it
+            # holds every row below the threshold and the first ties.  Only
+            # a partial cut short at the threshold leaves ties uncounted.
+            below = partial.indices[partial.values < threshold]
+            ties = partial.indices[partial.values == threshold]
+            at_most = len(below) + len(ties)
+            if partial.count > len(partial.values) == at_most:
+                at_most = len(below) + np.count_nonzero(masked(i) == threshold)
+            return (partial.count, len(below), at_most), (below, ties)
 
         def assemble(state) -> np.ndarray:
             # Per-shard lists are ascending and shard ranges are ordered, so
@@ -979,16 +996,15 @@ class PreparedQuery:
                 # the same function and offsets -- identical by construction.
                 partials = list(pipeline_topk[1])
             else:
-                partials = _map_indexed(
-                    executor,
-                    lambda i: topk_candidates(distances[bounds[i][0]:bounds[i][1]],
-                                              target, offset=bounds[i][0]),
-                    len(bounds))
+                # Inline: a few vectorised scans per shard cost less than a
+                # pool hand-off per shard would save.
+                partials = [topk_candidates(distances[start:stop], target, offset=start)
+                            for start, stop in bounds]
             # The global top `target` rows lie in the partials, so their
             # `target`-th smallest value is the column's.
             values = np.concatenate([p.values for p in partials])
-            threshold = float(np.partition(values, target - 1)[target - 1])
-            fresh = _map_indexed(executor, lambda i: cut(i, threshold), len(bounds))
+            threshold = float(kth_smallest(values, target))
+            fresh = [from_partial(i, p, threshold) for i, p in enumerate(partials)]
             rows = np.asarray([row for row, _ in fresh], dtype=float)
             counts = ShardCounts((threshold,), (target - 1,), len(distances), rows)
             return counts, tuple(piece for _, piece in fresh), threshold
@@ -1182,7 +1198,7 @@ class PreparedQuery:
                     # were rebuilt from per-shard top-k partials.
                     displayed, certified = self._percentage_displayed(
                         overall.normalized_distances, sharded, root,
-                        executor, topk_target, evaluator.pipeline_topk,
+                        topk_target, evaluator.pipeline_topk,
                     )
                     sel.annotate(certificate="displayed-topk", node="()",
                                  certified=certified)

@@ -223,6 +223,18 @@ class TopKCandidates:
             raise ValueError("indices and values must have equal length")
 
 
+def kth_smallest(values: np.ndarray, k: int) -> float:
+    """The ``k``-th smallest of ``values`` (1-based, ``k <= len(values)``).
+
+    A tie block at the minimum that reaches rank ``k`` -- every exact
+    answer has distance 0 -- answers without a partition.
+    """
+    lowest = values.min()
+    if np.count_nonzero(values == lowest) >= k:
+        return lowest
+    return np.partition(values, k - 1)[k - 1]
+
+
 def _candidate_cut(values: np.ndarray, target: int, indices: np.ndarray | None = None,
                    offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The ``target`` smallest rows under the (value, row) order.
@@ -230,18 +242,21 @@ def _candidate_cut(values: np.ndarray, target: int, indices: np.ndarray | None =
     Every row strictly below the ``target``-th smallest value is kept; of
     the rows tied at it, the ones with the smallest row indices fill the
     rest.  ``indices`` None means the rows are ``offset + position``
-    (ascending, so the first ties are the smallest rows).  Candidates come
-    from the positions below and at the threshold, never a gather over
-    every row.
+    (ascending, so the first ties are the smallest rows, found in a prefix
+    that doubles until it holds them).  Candidates come from the positions
+    below and at the threshold, never a gather over every row.
     """
     if len(values) <= target:
         if indices is None:
             indices = np.arange(offset, offset + len(values), dtype=np.intp)
         return indices, values
-    threshold = np.partition(values, target - 1)[target - 1]
+    threshold = kth_smallest(values, target)
     below = np.flatnonzero(values < threshold)
-    ties = np.flatnonzero(values == threshold)
-    need = target - len(below)
+    need, stop = target - len(below), target if indices is None else len(values)
+    ties = np.flatnonzero(values[:stop] == threshold)
+    while len(ties) < need and stop < len(values):
+        stop *= 2
+        ties = np.flatnonzero(values[:stop] == threshold)
     if indices is None:
         ties = ties[:need]
     elif len(ties) > need:

@@ -238,6 +238,13 @@ def heavy_tie_work(monkeypatch, n: int, target: int = 20) -> list[tuple]:
         state = prepared._root.displayed
         held = sum(len(below) + len(ties) for below, ties in state.pieces)
         below = int(state.counts.rows[:, 1].sum())
+        # Counting rows stay exact, however short the tie lists are cut.
+        column = np.where(np.isfinite(state.source), state.source, np.inf)
+        edges = np.cumsum(state.counts.rows[:-1, 0]).astype(int)
+        np.testing.assert_array_equal(state.counts.rows[:, 1:], [
+            (np.count_nonzero(part < state.threshold),
+             np.count_nonzero(part <= state.threshold))
+            for part in np.split(column, edges)])
         bound = shards * round(prepared.config.percentage * n) + below
         assert held <= bound and sum(selected) <= bound
         assert feedback.statistics.num_results >= 0.9 * n
