@@ -6,7 +6,8 @@ stage, and a thread pool only helps while NumPy holds the GIL released.
 The process pool runs the whole plan (leaf kernels, normalization,
 combination, masks) in worker processes that map the table's columns
 zero-copy out of ``multiprocessing.shared_memory``; what crosses the
-pipe per event is only the plan, shard lists, block names and partials.
+pipe per event is only the plan, shard lists, block names, resolved
+bounds, counting rows and top-k partials.
 
 Measured here, on a 1M-row table of numeric non-range leaves (the shape
 the backend accelerates -- a warm range drag patches in-process from its
@@ -21,9 +22,9 @@ site entry):
   message sizes over a fixed topology, so it is deterministic and gated
   in ``check_regression.py`` (``traffic_ratio``);
 * the pipeline reply contract: one slider event runs the whole plan as a
-  ``shard_pipeline`` session whose replies carry only bounds partials,
-  summaries and root top-k partials -- O(partials) bytes, independent of
-  the rows per shard.  ``reply_ratio`` (per-shard column bytes / per-event reply
+  ``shard_pipeline`` session whose replies carry only per-shard counting
+  rows (summaries) and root top-k partials -- O(shards + target) bytes,
+  independent of the rows per shard.  ``reply_ratio`` (per-shard column bytes / per-event reply
   bytes) is likewise a protocol byte count, gated in
   ``check_regression.py``;
 * offload eligibility under mixed traffic: sessions opening on an engine
@@ -156,8 +157,8 @@ def test_backend_cold_throughput_1m(benchmark):
     traffic_ratio = after["published_bytes"] / event_traffic
 
     # The pipeline reply contract: the event ran the whole plan in the
-    # workers, and what came back over the pipes is partials and
-    # summaries -- kilobytes against the megabytes of columns each shard
+    # workers, and what came back over the pipes is counting rows and
+    # top-k partials -- kilobytes against the megabytes of columns each shard
     # holds, independent of rows per shard.
     assert after["pipeline_ops"] > before["pipeline_ops"], (
         "the event did not take the whole-pipeline offload")

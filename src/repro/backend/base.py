@@ -77,13 +77,12 @@ class ExecBackend:
         ``spec`` is the picklable plan description built by
         :meth:`ShardedPlanEvaluator._pipeline_spec`: post-order node
         entries (leaf predicates / composite rules + weights), the
-        level grouping, each node's ``keep`` count and which nodes
-        resolve their bounds through the partial merge, and an optional
+        level grouping, each node's ``keep`` count and an optional
         root top-k target.  A backend that accepts must run leaf ->
         normalization -> combination -> mask for every shard span and
-        reply *partials only* over its control channel -- bounds
-        partials, per-shard summaries and optional root top-k partials
-        -- returning per node id the assembled full-table ``raw`` /
+        reply *no column data* over its control channel -- only
+        per-shard summaries and optional root top-k partials --
+        returning per node id the assembled full-table ``raw`` /
         ``normalized`` / ``mask`` (+ ``signed`` for leaves) columns, the
         resolved bounds and the summary matrix, plus per-shard
         :class:`~repro.core.reduction.TopKCandidates` for the root when
@@ -109,8 +108,8 @@ class ExecBackend:
         same two counters under their older names (there is one op, so
         each pair always reads equal), and ``reply_bytes`` totals the bytes
         that came back over the control channel for accepted pipeline ops
-        (the quantity the partials-only contract keeps independent of rows
-        per shard); ``column_bytes`` totals result columns that had to
+        (the quantity the no-column-data reply contract keeps independent
+        of rows per shard); ``column_bytes`` totals result columns that had to
         ride replies because a worker could not map the output block.
         Gauges (``worker_count``, ``workers_alive``, ``published_tables``,
         ``published_bytes``) describe shared infrastructure and are

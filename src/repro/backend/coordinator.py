@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.backend.base import ExecBackend
 from repro.backend.pipeline import (
-    fill_node_summary,
     gather_round,
     next_pipeline_token,
     node_views,
@@ -291,7 +290,7 @@ class Coordinator(ExecBackend):
 
         Publish, pin, open a session, attach, run the rounds (one per plan
         level, see :mod:`repro.backend.pipeline`); every round's reply
-        carries only partials and summaries, totalled into
+        carries only summaries and top-k partials, totalled into
         ``reply_bytes``.  Any fault aborts the session (workers drop
         their state) and declines the op with a ``backend_fault`` on the
         ambient span -- the evaluator reruns in-process, bit-identically.
@@ -377,25 +376,22 @@ class Coordinator(ExecBackend):
                 fetched.add((node_id, field))
 
             def read_raw(node_id: int) -> np.ndarray:
-                # Direct-path bounds partition straight over the buffer:
+                # The bounds selection runs straight over the buffer:
                 # zero transport bytes when every lane mapped the block.
                 fetch(node_id, "raw")
                 return views[node_id]["raw"]
 
-            partials: dict[int, dict] = {}
             summaries: dict[int, dict] = {}
-            topk_parts = gather_round(replies, partials, summaries)
-            result_nodes: dict[int, dict] = {}
+            resolved: dict[int, tuple | None] = {}
             for level_no in range(1, len(levels) + 1):
-                resolved_msg, summary_ids = resolve_level(
-                    levels[level_no - 1], nodes, spec, shard_count,
-                    partials, read_raw, result_nodes)
-                msg = round_message(spec, levels, level_no,
-                                    resolved_msg, summary_ids)
+                resolved_msg = resolve_level(
+                    levels[level_no - 1], nodes, read_raw)
+                resolved.update(resolved_msg)
+                msg = round_message(spec, levels, level_no, resolved_msg)
                 replies = self._round(transport, [msg] * lanes, tally,
                                       "pipeline.round", reply=True,
                                       op=msg["op"])
-                topk_parts = gather_round(replies, partials, summaries)
+                topk_parts = gather_round(replies, summaries)
             # The finish round closed every shared-memory lane's session.
             # Stream lanes still hold theirs: pull every remaining column
             # span, then release them.
@@ -408,9 +404,14 @@ class Coordinator(ExecBackend):
                             [release if s else None for s in stream], tally,
                             "pipeline.fetch", op="pipeline_release")
             start_sent = False
+            result_nodes: dict[int, dict] = {}
             for node_id in nodes:
-                entry = result_nodes[node_id]
-                fill_node_summary(entry, summaries.get(node_id), shard_count)
+                entry = result_nodes[node_id] = {
+                    "resolved": resolved[node_id],
+                    "summaries": np.asarray(
+                        [summaries[node_id][s] for s in range(shard_count)],
+                        dtype=float),
+                }
                 entry.update((field, column.copy())
                              for field, column in views[node_id].items())
             topk = None

@@ -11,25 +11,25 @@ composite combined from its children's normalized columns):
 
 1. ``pipeline_start`` -- workers compute every leaf's signed distances,
    raw distances and exact mask over their shards, writing the columns
-   into one coordinator-allocated output block; the reply carries only
-   per-leaf per-shard :class:`~repro.core.reduction.DistanceBoundsPartial`
-   partials (for nodes on the partial-merge bounds path).
+   into one coordinator-allocated output block; the reply names only
+   the lane's buffer mode.
 2. ``pipeline_level`` (once per composite level) -- the coordinator
-   resolves the previous level's bounds (merging partials, or one direct
-   partition over the block for nodes whose ``keep`` is too large for
-   partials -- the same adaptive cutoff the in-process path uses) and
-   broadcasts them; workers normalize the resolved nodes, combine this
-   level's composites and reply with the next round of partials and
-   per-shard counting rows (summaries) against the resolved bounds.
-3. ``pipeline_finish`` -- resolves the top level, normalizes it, and
-   optionally returns per-shard :class:`~repro.core.reduction.TopKCandidates`
-   partials of the root column for the displayed-set selection.
+   resolves the previous level's bounds with one
+   :func:`~repro.core.normalization.reduced_bounds` over each node's raw
+   column in the block -- the resolver the in-process path runs -- and
+   broadcasts them; workers normalize the resolved nodes, reply with
+   their per-shard counting rows (summaries) against the resolved
+   bounds, and combine this level's composites.
+3. ``pipeline_finish`` -- resolves the top level, normalizes and counts
+   it, and optionally returns per-shard
+   :class:`~repro.core.reduction.TopKCandidates` partials of the root
+   column for the displayed-set selection.
 
 Column data leaves a worker only through the session's output buffer (a
 shared-memory block, or ``pipeline_fetch`` replies on the stream plane);
-the round replies are bounds partials, summaries and optional root
-top-k partials -- O(screen budget + shard count) bytes per event,
-independent of the rows per shard.  Every value written or replied is
+the round replies are summaries and optional root top-k partials --
+O(screen budget + shard count) bytes per event, independent of the rows
+per shard.  Every value written or replied is
 produced by the exact functions the in-process evaluator runs over the
 same bits, so the assembled result is bit-identical to the in-process
 cold path.
@@ -56,19 +56,11 @@ import numpy as np
 
 from repro.core.combine import CombinationRule, combine_columns
 from repro.core.normalization import apply_normalization, reduced_bounds
-from repro.core.reduction import (
-    distance_bounds_partial,
-    merge_distance_bounds_many,
-    rank_counts,
-    resolve_distance_bounds,
-    summaries_from_partials,
-    topk_candidates,
-)
+from repro.core.reduction import rank_counts, topk_candidates
 
 __all__ = [
     "FIELD_DTYPES",
     "WorkerPipeline",
-    "fill_node_summary",
     "gather_round",
     "leaf_kernel",
     "next_pipeline_token",
@@ -140,62 +132,37 @@ def pipeline_layout(nodes: list[dict[str, Any]],
 # --------------------------------------------------------------------------- #
 # Coordinator-side round algebra (called by repro.backend.coordinator)
 # --------------------------------------------------------------------------- #
-def gather_round(replies: list[dict[str, Any]], partials: dict,
-                 summaries: dict) -> dict:
+def gather_round(replies: list[dict[str, Any]], summaries: dict) -> dict:
     """Merge one round's per-worker payloads (disjoint shard subsets)."""
     topk: dict[int, Any] = {}
     for reply in replies:
-        for node_id, per_shard in reply.get("partials", {}).items():
-            partials.setdefault(node_id, {}).update(per_shard)
         for node_id, per_shard in reply.get("summaries", {}).items():
             summaries.setdefault(node_id, {}).update(per_shard)
         topk.update(reply.get("topk", {}))
     return topk
 
 
-def resolve_level(level_ids: list[int], nodes: dict, spec: dict,
-                  shard_count: int, partials: dict,
-                  read_raw: Callable[[int], np.ndarray],
-                  result_nodes: dict) -> tuple[dict, list[int]]:
+def resolve_level(level_ids: list[int], nodes: dict,
+                  read_raw: Callable[[int], np.ndarray]) -> dict:
     """Resolve one level's bounds exactly as the in-process path does.
 
-    Partial-path nodes merge their per-shard bounds partials (shard
-    order, associative algebra) and derive their summaries from them;
-    direct-path nodes run one :func:`reduced_bounds` partition over the
-    raw column -- handed to us by ``read_raw(node_id)``, a view over the
-    session output buffer (zero transport bytes on the shared-memory
-    plane, fetched first on the stream plane) -- and have the workers
-    count their summaries next round.
+    One :func:`reduced_bounds` per node over its raw column, handed to us
+    by ``read_raw(node_id)``: a view over the session output buffer (zero
+    transport bytes on the shared-memory plane, fetched first on the
+    stream plane).  The workers count the summaries next round.
     """
-    partial_ids = set(spec["partial_nodes"])
-    resolved_msg: dict[int, tuple | None] = {}
-    summary_ids: list[int] = []
-    for node_id in level_ids:
-        keep = nodes[node_id]["keep"]
-        if node_id in partial_ids:
-            per_shard = [partials[node_id][s] for s in range(shard_count)]
-            resolved = resolve_distance_bounds(
-                merge_distance_bounds_many(per_shard))
-            node_summaries = summaries_from_partials(per_shard, resolved)
-        else:
-            resolved = reduced_bounds(read_raw(node_id), keep)
-            node_summaries = None
-            summary_ids.append(node_id)
-        resolved_msg[node_id] = resolved
-        result_nodes[node_id] = {
-            "resolved": resolved, "summaries": node_summaries}
-    return resolved_msg, summary_ids
+    return {node_id: reduced_bounds(read_raw(node_id), nodes[node_id]["keep"])
+            for node_id in level_ids}
 
 
 def round_message(spec: dict, levels: list[list[int]], level_no: int,
-                  resolved_msg: dict, summary_ids: list[int]) -> dict[str, Any]:
+                  resolved_msg: dict) -> dict[str, Any]:
     """The ``pipeline_level`` / ``pipeline_finish`` message for one round."""
     finish = level_no == len(levels)
     msg: dict[str, Any] = {
         "op": "pipeline_finish" if finish else "pipeline_level",
         "token": spec["token"],
         "resolved": resolved_msg,
-        "summaries_for": summary_ids,
     }
     if finish:
         target = spec.get("topk_target")
@@ -203,19 +170,6 @@ def round_message(spec: dict, levels: list[list[int]], level_no: int,
     else:
         msg["combine"] = levels[level_no]
     return msg
-
-
-def fill_node_summary(entry: dict, per_shard: dict,
-                      shard_count: int) -> None:
-    """Materialise a node's summary matrix from worker-counted rows.
-
-    Partial-path nodes already carry theirs (derived from the merged
-    partials in :func:`resolve_level`); direct-path nodes get the
-    per-shard counting-pass rows here.
-    """
-    if entry["summaries"] is None:
-        entry["summaries"] = np.asarray(
-            [per_shard[s] for s in range(shard_count)], dtype=float)
 
 
 def node_views(buf, offs: dict[str, int],
@@ -232,8 +186,8 @@ class WorkerPipeline:
     """Worker-side state of one pipeline session.
 
     Holds the per-node column views over the session's output buffer;
-    each round method returns the reply payload (partials, summaries,
-    root top-k partials) for this worker's shards.
+    each round method returns the reply payload (summaries, root top-k
+    partials) for this worker's shards.
 
     ``buf`` is any writable buffer of :func:`pipeline_layout` size: the
     coordinator's shared-memory block when the worker can map it, else
@@ -250,8 +204,6 @@ class WorkerPipeline:
         self.nodes: dict[int, dict[str, Any]] = {
             node["id"]: node for node in spec["nodes"]
         }
-        self.order: list[int] = [node["id"] for node in spec["nodes"]]
-        self.partial_ids = frozenset(spec["partial_nodes"])
         self.table = table
         self.shards: list[tuple[int, int, int]] = [
             (int(i), int(start), int(stop)) for i, start, stop in msg["shards"]
@@ -263,37 +215,31 @@ class WorkerPipeline:
         }
 
     # ------------------------------------------------------------------ #
-    def start(self) -> dict[str, Any]:
-        """Leaf kernels over this worker's shards; reply partials only."""
-        partials: dict[int, dict[int, Any]] = {}
-        for node_id in self.order:
-            node = self.nodes[node_id]
+    def start(self) -> None:
+        """Leaf kernels over this worker's shards, into the output buffer."""
+        for node_id, node in self.nodes.items():
             if node["kind"] != "leaf":
                 continue
             predicate = node["predicate"]
             views = self.views[node_id]
-            for shard_no, start, stop in self.shards:
+            for _, start, stop in self.shards:
                 shard = self.table.slice_rows(start, stop)
                 signed = leaf_kernel(predicate, shard, "signed")
-                raw = np.abs(signed)
                 views["signed"][start:stop] = signed
-                views["raw"][start:stop] = raw
+                views["raw"][start:stop] = np.abs(signed)
                 views["mask"][start:stop] = leaf_kernel(
                     predicate, shard, "mask")
-                self._summarise(node_id, node, shard_no, raw, partials)
-        return {"partials": partials}
 
     def level(self, msg: dict[str, Any]) -> dict[str, Any]:
         """Normalize the resolved nodes, combine this level's composites."""
         summaries = self._normalize_round(msg)
-        partials: dict[int, dict[int, Any]] = {}
         for node_id in msg.get("combine", ()):
             node = self.nodes[node_id]
             rule = CombinationRule[node["rule"]]
             weights = np.asarray(node["weights"], dtype=float)
             children = node["children"]
             views = self.views[node_id]
-            for shard_no, start, stop in self.shards:
+            for _, start, stop in self.shards:
                 columns = [
                     self.views[child]["normalized"][start:stop]
                     for child in children
@@ -309,8 +255,7 @@ class WorkerPipeline:
                     for child in children:
                         mask |= self.views[child]["mask"][start:stop]
                 views["mask"][start:stop] = mask
-                self._summarise(node_id, node, shard_no, combined, partials)
-        return {"partials": partials, "summaries": summaries}
+        return {"summaries": summaries}
 
     def finish(self, msg: dict[str, Any]) -> dict[str, Any]:
         """Normalize the top level; optional root top-k partials."""
@@ -329,23 +274,14 @@ class WorkerPipeline:
         self.views.clear()
 
     # ------------------------------------------------------------------ #
-    def _summarise(self, node_id: int, node: dict[str, Any], shard_no: int,
-                   raw: np.ndarray, partials: dict) -> None:
-        if node_id in self.partial_ids:
-            partials.setdefault(node_id, {})[shard_no] = \
-                distance_bounds_partial(raw, node["keep"])
-
     def _normalize_round(self, msg: dict[str, Any]) -> dict[int, dict[int, tuple]]:
-        """Apply resolved bounds; summarise direct-path nodes per shard.
+        """Apply resolved bounds and count every resolved node per shard.
 
-        Nodes resolved through the partial merge get their summaries from
-        the partials on the coordinator; only the direct-partition nodes
-        (``summaries_for``) need the per-shard counting pass here -- the
-        same :func:`~repro.core.reduction.rank_counts` the in-process
+        The counting rows are the same
+        :func:`~repro.core.reduction.rank_counts` the in-process
         certificate path runs.
         """
         resolved: dict[int, tuple | None] = msg.get("resolved", {})
-        wants_summary = set(msg.get("summaries_for", ()))
         summaries: dict[int, dict[int, tuple]] = {}
         for node_id, bounds in resolved.items():
             d_min, d_max = bounds if bounds is not None else (None, None)
@@ -354,7 +290,6 @@ class WorkerPipeline:
                 views["normalized"][start:stop] = apply_normalization(
                     views["raw"][start:stop], d_min, d_max,
                     target_max=self.target_max)
-                if node_id in wants_summary:
-                    summaries.setdefault(node_id, {})[shard_no] = rank_counts(
-                        views["raw"][start:stop], bounds or ())
+                summaries.setdefault(node_id, {})[shard_no] = rank_counts(
+                    views["raw"][start:stop], bounds or ())
         return summaries

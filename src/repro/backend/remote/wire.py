@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible change to ops, replies or framing.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _MAGIC = b"RPRW"
 #: magic, version, flags, body length.

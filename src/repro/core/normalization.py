@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.reduction import kth_smallest
+
 __all__ = [
     "NORMALIZED_MAX",
     "minmax_normalize",
@@ -66,8 +68,8 @@ def normalization_keep_count(weight: float, display_capacity: int, n: int) -> in
     Proportional to ``r / w_j`` (inverse proportionality to the weight), but
     at least the display capacity itself and at most all ``n`` items.  This
     is the ``keep`` used by :func:`reduced_normalization`; it is exposed
-    separately so a sharded evaluation can size its per-shard smallest-value
-    partials to exactly the global order statistic it must resolve.
+    separately so a sharded evaluation can resolve the same order
+    statistic (:func:`reduced_bounds`) and certify it shard by shard.
     """
     if display_capacity <= 0:
         raise ValueError("display_capacity must be positive")
@@ -82,10 +84,11 @@ def reduced_bounds(distances: np.ndarray, keep: int) -> tuple[float, float] | No
 
     ``d_max`` is the ``keep``-th smallest finite distance (the whole finite
     range when ``keep`` covers it); both bounds are exact array elements.
-    This is the single source of truth shared by the monolithic
-    :func:`reduced_normalization` and the sharded evaluator's direct path,
-    and the reference the per-shard partial merge
-    (:mod:`repro.core.shard`) must reproduce bit for bit.
+    This is the one resolver of the bounds: the monolithic
+    :func:`reduced_normalization`, the sharded evaluator and the
+    out-of-process pipeline's coordinator all call it over the whole
+    column.  A tie block at the minimum that reaches rank ``keep`` (every
+    exact answer has distance 0) answers without a partition.
     """
     finite_mask = np.isfinite(distances)
     finite = distances if finite_mask.all() else distances[finite_mask]
@@ -94,7 +97,7 @@ def reduced_bounds(distances: np.ndarray, keep: int) -> tuple[float, float] | No
     if keep >= len(finite):
         d_max = float(finite.max())
     else:
-        d_max = float(np.partition(finite, keep - 1)[keep - 1])
+        d_max = float(kth_smallest(finite, keep))
     return float(finite.min()), d_max
 
 

@@ -38,16 +38,9 @@ __all__ = [
     "merge_topk_candidates",
     "merge_topk_candidates_many",
     "resolve_topk",
-    "DistanceBoundsPartial",
-    "distance_bounds_partial",
-    "empty_distance_bounds",
-    "merge_distance_bounds",
-    "merge_distance_bounds_many",
-    "resolve_distance_bounds",
     "rank_counts",
     "ranks_hold",
     "ShardCounts",
-    "summaries_from_partials",
     "quantile_rank_bounds",
 ]
 
@@ -392,141 +385,6 @@ def _select_multipeak(distances: np.ndarray, p: float,
 
 
 # --------------------------------------------------------------------------- #
-# Mergeable normalization-bounds algebra
-# --------------------------------------------------------------------------- #
-# Lives here (not in repro.core.shard) so that worker processes of the
-# ``process`` execution backend can construct and summarise partials over
-# their shard spans without importing the plan/evaluator machinery: this
-# module depends on NumPy only.  :mod:`repro.core.shard` re-exports every
-# name for its callers and keeps the merge/resolve responsibilities on the
-# coordinator.
-
-@dataclass(frozen=True)
-class DistanceBoundsPartial:
-    """Mergeable summary of one shard's finite distances.
-
-    Retains the ``min(capacity, count)`` smallest finite values (as a
-    multiset, order irrelevant), the finite maximum and the finite count --
-    enough to resolve, after merging all shards, the exact global ``d_min``
-    and the exact global ``keep``-th smallest value ``d_max`` that
-    :func:`~repro.core.normalization.reduced_normalization` computes, for
-    any ``keep <= capacity``.
-
-    The merge is associative and commutative: the smallest-``k`` multiset of
-    a union equals the smallest-``k`` of the two sides' smallest-``k``
-    multisets, maxima and counts merge trivially, and the empty partial
-    (an all-NaN or zero-row shard) is the identity element.
-    """
-
-    capacity: int
-    count: int
-    smallest: np.ndarray
-    maximum: float
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        if len(self.smallest) != min(self.capacity, self.count):
-            raise ValueError("partial must retain min(capacity, count) values")
-
-
-def empty_distance_bounds(capacity: int) -> DistanceBoundsPartial:
-    """The merge identity: a shard with no finite values."""
-    return DistanceBoundsPartial(
-        capacity=capacity, count=0,
-        smallest=np.empty(0, dtype=float), maximum=float("-inf"),
-    )
-
-
-def distance_bounds_partial(values: np.ndarray, capacity: int) -> DistanceBoundsPartial:
-    """Summarise one shard of a distance column (NaN/inf values are skipped)."""
-    values = np.asarray(values, dtype=float)
-    finite = np.isfinite(values)
-    finite = values if finite.all() else values[finite]
-    if len(finite) > capacity:
-        # A tie block at the minimum that fills the capacity is the
-        # smallest-``capacity`` multiset already: no partition needed.
-        lowest = finite.min()
-        if np.count_nonzero(finite == lowest) >= capacity:
-            smallest = np.full(capacity, lowest)
-        else:
-            smallest = np.partition(finite, capacity - 1)[:capacity]
-    else:
-        smallest = finite.copy()
-    maximum = float(finite.max()) if len(finite) else float("-inf")
-    return DistanceBoundsPartial(
-        capacity=capacity, count=len(finite), smallest=smallest, maximum=maximum
-    )
-
-
-def merge_distance_bounds(a: DistanceBoundsPartial,
-                          b: DistanceBoundsPartial) -> DistanceBoundsPartial:
-    """Merge two partials of the same capacity (associative, commutative)."""
-    if a.capacity != b.capacity:
-        raise ValueError(f"cannot merge partials with capacities {a.capacity} != {b.capacity}")
-    smallest = np.concatenate([a.smallest, b.smallest])
-    if len(smallest) > a.capacity:
-        smallest = np.partition(smallest, a.capacity - 1)[: a.capacity]
-    return DistanceBoundsPartial(
-        capacity=a.capacity,
-        count=a.count + b.count,
-        smallest=smallest,
-        maximum=max(a.maximum, b.maximum),
-    )
-
-
-def merge_distance_bounds_many(partials: "list[DistanceBoundsPartial]") -> DistanceBoundsPartial:
-    """Merge many partials with one concatenation and a single partition.
-
-    Resolves to exactly the same ``(d_min, d_max)`` as a pairwise
-    :func:`merge_distance_bounds` reduction (the smallest-``k`` multiset of a
-    union is merge-order-independent), but does the selection work once --
-    the shape the per-site patch path hits on every event, where most
-    partials come from the cache and only the dirty shards' are fresh.
-    """
-    if not partials:
-        raise ValueError("merge_distance_bounds_many needs at least one partial")
-    capacity = partials[0].capacity
-    for partial in partials[1:]:
-        if partial.capacity != capacity:
-            raise ValueError(
-                f"cannot merge partials with capacities {capacity} != {partial.capacity}"
-            )
-    if len(partials) == 1:
-        return partials[0]
-    smallest = np.concatenate([p.smallest for p in partials])
-    if len(smallest) > capacity:
-        smallest = np.partition(smallest, capacity - 1)[:capacity]
-    return DistanceBoundsPartial(
-        capacity=capacity,
-        count=sum(p.count for p in partials),
-        smallest=smallest,
-        maximum=max(p.maximum for p in partials),
-    )
-
-
-def resolve_distance_bounds(partial: DistanceBoundsPartial,
-                            keep: int | None = None) -> tuple[float, float] | None:
-    """The global ``(d_min, d_max)`` of the merged column, or None if no finite value.
-
-    ``keep`` defaults to the partial's capacity and must not exceed it.
-    Both bounds are exact elements of the original column, so they equal --
-    bit for bit -- what the monolithic
-    :func:`~repro.core.normalization.reduced_normalization` derives.
-    """
-    keep = partial.capacity if keep is None else keep
-    if not 1 <= keep <= partial.capacity:
-        raise ValueError(f"keep must be in [1, {partial.capacity}], got {keep}")
-    if partial.count == 0:
-        return None
-    if keep >= partial.count:
-        d_max = partial.maximum
-    else:
-        d_max = float(np.partition(partial.smallest, keep - 1)[keep - 1])
-    return float(partial.smallest.min()), d_max
-
-
-# --------------------------------------------------------------------------- #
 # The order-statistic certificate
 # --------------------------------------------------------------------------- #
 def rank_counts(values: np.ndarray, pivots: Sequence[float]) -> tuple:
@@ -600,27 +458,6 @@ class ShardCounts:
                 or not ranks_hold(totals, self.ranks)):
             return None
         return ShardCounts(self.pivots, self.ranks, self.count, rows)
-
-
-def summaries_from_partials(partials: "Sequence[DistanceBoundsPartial]",
-                            resolved: tuple[float, float] | None) -> np.ndarray:
-    """Per-shard :func:`rank_counts` rows against ``resolved``, from bounds partials.
-
-    No column pass: fewer than ``keep`` values lie below ``d_max``, so each
-    partial retains all of them (and none lies below the global minimum
-    ``d_min``), which makes both ``<`` counts exact; a ``<=`` count can
-    miss ties cut beyond the capacity, which can only fail a future
-    certificate early, never falsely pass it.  With ``resolved`` None (no
-    finite value in the column) every row is the bare count.
-    """
-    if resolved is None:
-        return np.asarray([[float(p.count)] for p in partials])
-    d_min, d_max = resolved
-    return np.asarray([
-        (float(p.count), 0.0, float(np.count_nonzero(p.smallest == d_min)),
-         float(np.count_nonzero(p.smallest < d_max)),
-         float(np.count_nonzero(p.smallest <= d_max)))
-        for p in partials], dtype=float)
 
 
 def quantile_rank_bounds(m: int, p: float) -> tuple[int, int]:

@@ -16,17 +16,19 @@ row-range shards:
 * :class:`ShardedPlanEvaluator` dispatches per-shard leaf distance
   evaluation, normalization and combination through a thread pool (NumPy
   releases the GIL on the hot kernels);
-* the global steps that used to need a full-table pass are answered by
-  **mergeable partial aggregates**: per-shard ``(d_min, d_max)`` partials
-  for the reduced normalization (:class:`DistanceBoundsPartial`) and
-  per-shard top-k candidate sets for the displayed-set selection
+* each node's reduced-normalization bounds ``(d_min, d_max)`` resolve
+  once over the whole column
+  (:func:`~repro.core.normalization.reduced_bounds`), and per-shard
+  counting rows (:func:`~repro.core.reduction.rank_counts`) certify them
+  on later events without touching clean shards; the displayed-set
+  selection merges per-shard top-k candidate sets
   (:class:`~repro.core.reduction.TopKCandidates`).
 
 The binding contract -- enforced by ``tests/test_differential.py`` -- is
 that sharded execution is **bit-identical** to the naive whole-table
 reference (:func:`repro.core.plan.reference_feedback`) for every shard
-count.  The merge algebra guarantees it: ``d_min``/``d_max``
-resolve to exact array elements (so the elementwise normalization transform
+count.  ``d_min``/``d_max`` are exact array elements resolved by the
+monolithic function itself (so the elementwise normalization transform
 sees the same scalars), candidate merges are associative and
 order-independent, and tie-breaking at the capacity boundary happens once,
 by ascending global row index, exactly as a stable argsort would order it.
@@ -62,17 +64,7 @@ from repro.core.plan import (
     _LeafRaw,
     _NodeColumns,
 )
-from repro.core.reduction import (
-    DistanceBoundsPartial,
-    ShardCounts,
-    distance_bounds_partial,
-    empty_distance_bounds,
-    merge_distance_bounds,
-    merge_distance_bounds_many,
-    rank_counts,
-    resolve_distance_bounds,
-    summaries_from_partials,
-)
+from repro.core.reduction import ShardCounts, rank_counts
 from repro.core.result import NodeFeedback
 from repro.obs import trace as obs
 from repro.query.expr import NodePath, PredicateLeaf, SubqueryNode
@@ -89,12 +81,6 @@ __all__ = [
     "shared_executor",
     "shutdown_executors",
     "pool_user",
-    "DistanceBoundsPartial",
-    "distance_bounds_partial",
-    "empty_distance_bounds",
-    "merge_distance_bounds",
-    "merge_distance_bounds_many",
-    "resolve_distance_bounds",
     "NodeDelta",
     "ShardedTable",
     "ShardedPlanEvaluator",
@@ -238,16 +224,6 @@ def shutdown_executors(drain_timeout: float = 60.0) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Merge algebra: normalization bounds
-# --------------------------------------------------------------------------- #
-# The partial/merge/resolve algebra itself lives in
-# :mod:`repro.core.reduction` (NumPy-only, so the process backend's worker
-# processes can build partials over their shard spans without importing the
-# plan machinery); it is re-imported above and re-exported here for the
-# evaluator's callers and tests.
-
-
-# --------------------------------------------------------------------------- #
 # Sharded table
 # --------------------------------------------------------------------------- #
 class ShardedTable:
@@ -382,10 +358,11 @@ class ShardedPlanEvaluator:
     * a range-slider move marks as dirty exactly the shards whose rows the
       band between the site entry's bounds and the new ones intersects
       (found through the per-shard sorted indexes);
-    * per-node, only dirty shards' bounds partials are re-derived; when the
-      merged ``(d_min, d_max)`` is bit-identical to the previous resolve
-      (the common case for interior slider moves), clean shards' normalized
-      slices are reused verbatim instead of being renormalized;
+    * per-node, only dirty shards' counting rows are recounted against the
+      previous ``(d_min, d_max)``; when they certify it, or a resolve comes
+      out bit-identical to it (the common case for interior slider moves),
+      clean shards' normalized slices are reused verbatim instead of being
+      renormalized;
     * composites recombine only shards made dirty by some child, reusing
       clean combined/mask slices.
 
@@ -593,15 +570,11 @@ class ShardedPlanEvaluator:
         ):
             return _offload_declined("nothing-to-compute")
         ids = {path: node_id for node_id, (_, path, _) in enumerate(meta)}
-        shard_count = self.sharded.shard_count
         nodes_spec: list[dict] = []
         levels: dict[int, list[int]] = {}
-        partial_nodes: list[int] = []
         for node_id, (pnode, path, level) in enumerate(meta):
             keep = normalization_keep_count(
                 pnode.node.weight, self.display_capacity, max(n, 1))
-            if keep * shard_count <= n // 2:
-                partial_nodes.append(node_id)
             if isinstance(pnode, LeafPlan):
                 entry = {"id": node_id, "kind": "leaf",
                          "predicate": pnode.node.predicate, "keep": keep}
@@ -622,7 +595,6 @@ class ShardedPlanEvaluator:
             "target_max": self.target_max,
             "nodes": nodes_spec,
             "levels": [levels[level] for level in sorted(levels)],
-            "partial_nodes": partial_nodes,
             "topk_target": self.pipeline_topk_target,
         }
         return spec, meta
@@ -1127,11 +1099,12 @@ class ShardedPlanEvaluator:
         * when the resolved bounds are bit-identical to the entry's, the
           elementwise transform of every clean shard is bit-identical too,
           so those slices are reused verbatim (``out_dirty = dirty``);
-        * when the certificate fails the column resolves through the
-          per-shard partial merge or the direct partition -- the same two
-          paths a cold run takes -- and, if the bounds moved, all shards
-          renormalize (``out_dirty = None``: ancestors treat the column as
-          changed everywhere).
+        * when the certificate fails the column resolves as a cold run
+          does, with one :func:`~repro.core.normalization.reduced_bounds`
+          over the whole column, and every shard is recounted against the
+          new bounds; if they moved, all shards renormalize
+          (``out_dirty = None``: ancestors treat the column as changed
+          everywhere).
         """
         n = len(values)
         bounds = self.sharded.bounds
@@ -1148,7 +1121,7 @@ class ShardedPlanEvaluator:
             # differently.
             obs.annotate(state_declined="params-changed")
             patched = False
-        counts = partials = None
+        counts = None
         if patched:
             dirty_sorted = sorted(dirty)
             pivots = base.resolved or ()
@@ -1162,26 +1135,11 @@ class ShardedPlanEvaluator:
         if counts is not None:
             resolved = base.resolved
         else:
-            # Both resolve paths make a full pass over the column: a chunked
+            # The resolve makes a full pass over the column: a chunked
             # column is materialized once here (cached on the instance) so
             # the per-shard slices below are cheap contiguous views.
             values = as_array(values)
-            if keep * shard_count <= n // 2:
-                # Selective keep: per-shard partials are small, so the
-                # serial merge is sublinear and the partition work fans out.
-                partials = self._map_shards(
-                    lambda i: distance_bounds_partial(
-                        values[bounds[i][0]:bounds[i][1]], keep)
-                )
-                resolved = resolve_distance_bounds(
-                    merge_distance_bounds_many(partials))
-            else:
-                # keep is a large fraction of the table: the partials would
-                # retain nearly every value and the merge would re-partition
-                # almost the whole column, doubling the selection work.  One
-                # direct pass resolves the same exact array elements; the
-                # elementwise transform below stays shard-parallel either way.
-                resolved = reduced_bounds(values, keep)
+            resolved = reduced_bounds(values, keep)
         d_min, d_max = resolved if resolved is not None else (None, None)
         if patched and bounds_identical(resolved, base.resolved):
             # Short-circuit: bounds unchanged, so clean shards' normalized
@@ -1206,7 +1164,7 @@ class ShardedPlanEvaluator:
             # A failed certificate whose resolve still came out identical
             # recounts against the same bounds, so the next event certifies.
             summaries = (counts.rows if counts is not None
-                         else self._build_summaries(values, resolved, partials))
+                         else self._build_summaries(values, resolved))
             self.cache.record(
                 slice_hits=1, bounds_shortcircuits=1,
                 shards_recomputed=len(dirty),
@@ -1219,7 +1177,7 @@ class ShardedPlanEvaluator:
             normalized = self._assemble(lambda i: apply_normalization(
                 values[bounds[i][0]:bounds[i][1]], d_min, d_max,
                 target_max=self.target_max))
-            summaries = self._build_summaries(values, resolved, partials)
+            summaries = self._build_summaries(values, resolved)
             self.cache.record(**{"slice_hits" if patched else "slice_misses": 1},
                               shards_recomputed=shard_count)
             if patched:
@@ -1232,16 +1190,11 @@ class ShardedPlanEvaluator:
         return normalized, resolved, summaries, out_dirty
 
     def _build_summaries(self, values: np.ndarray,
-                         resolved: tuple[float, float] | None,
-                         partials) -> np.ndarray:
+                         resolved: tuple[float, float] | None) -> np.ndarray:
         """Per-shard counting rows against the resolved bounds.
 
-        Derived from the bounds partials when available (see
-        :func:`~repro.core.reduction.summaries_from_partials`); otherwise
-        one :func:`~repro.core.reduction.rank_counts` pass per shard.
+        One :func:`~repro.core.reduction.rank_counts` pass per shard.
         """
-        if partials is not None:
-            return summaries_from_partials(partials, resolved)
         bounds = self.sharded.bounds
         pivots = resolved or ()
         return np.asarray(self._map_shards(

@@ -1,7 +1,9 @@
 """Whole-pipeline offload tests for the process backend.
 
 Covers the ``shard_pipeline`` protocol end to end (offload fires, replies
-are partials-only, output is bit-identical to the cold in-process run),
+carry counting rows and top-k partials but no column data, every node's
+counting rows are exact, output is bit-identical to the cold in-process
+run),
 the fault paths it leans on (misaligned lanes after a partial round
 failure are closed and respawned, deferred shm eviction while a
 publication is pinned),
@@ -20,6 +22,8 @@ import pytest
 from repro import PipelineConfig, Query, QueryEngine, condition
 from repro.backend.process import ProcessBackend, WorkerOpError, WorkerPoolError
 from repro.backend.shm import ShmColumnStore
+from repro.core.normalization import reduced_bounds
+from repro.core.reduction import rank_counts
 from repro.interact.events import SetPercentageDisplayed
 from repro.query import AndNode, OrNode, PredicateLeaf
 from repro.query.predicates import StringMatchPredicate
@@ -95,7 +99,7 @@ def test_pipeline_offload_fires_and_matches_cold():
         assert stats["pipeline_ops"] >= 1
         assert stats["pipeline_fallbacks"] == 0
         assert stats["reply_bytes"] > 0
-        # Replies carry partials and summaries, never columns: far
+        # Replies carry summaries and top-k partials, never columns: far
         # below one node's worth of column bytes even for a whole plan.
         assert stats["reply_bytes"] < len(table) * 8
 
@@ -169,6 +173,60 @@ def test_worker_topk_replies_are_bounded_under_heavy_ties(monkeypatch):
     large_rows, large_bytes = heavy_tie_reply(monkeypatch, 128_000)
     assert small_rows == large_rows == [40] * 4
     assert large_bytes <= small_bytes * 1.05
+
+
+def test_worker_counting_rows_are_exact_under_heavy_ties(monkeypatch):
+    """Every node's counting rows from ``shard_pipeline`` are the exact
+    per-shard :func:`rank_counts` rows against :func:`reduced_bounds` of
+    the node's column, and equal the in-process ones.
+
+    About 95 % of the rows tie at distance 0 and ``keep * shards`` is far
+    below half the rows, so a per-shard summary holding only ``keep``
+    values would undercount ``count(<= d_max)``.
+    """
+    n, shards, target = 8_000, 4, 40
+    rng = np.random.default_rng(3)
+    table = Table("Ties", {"a": rng.uniform(0.0, 100.0, n),
+                           "b": rng.uniform(0.0, 100.0, n)})
+    cond = AndNode([condition("a", "<", 97.5), condition("b", "<", 97.5)])
+    results = []
+    shard_pipeline = ProcessBackend.shard_pipeline
+
+    def spy(self, sharded, spec):
+        result = shard_pipeline(self, sharded, spec)
+        results.append((sharded.bounds, spec, result))
+        return result
+
+    monkeypatch.setattr(ProcessBackend, "shard_pipeline", spy)
+    sites = {}
+    for backend in ("process", "threads"):
+        config = PipelineConfig(shard_count=shards, max_workers=2,
+                                backend=backend, percentage=target / n)
+        engine = QueryEngine(table, config)
+        try:
+            prepared = engine.prepare(Query(name="ties", tables=[table.name],
+                                            condition=cond))
+            prepared.execute()
+            sites[backend] = prepared._root.sites
+            stats = engine.stats()["backend"]
+            assert stats["pipeline_fallbacks"] == 0
+            assert stats["pipeline_ops"] == (backend == "process")
+        finally:
+            engine.close()
+    (bounds, spec, result), = results
+    for node in spec["nodes"]:
+        assert node["keep"] * shards <= n // 2
+        data = result["nodes"][node["id"]]
+        resolved = reduced_bounds(data["raw"], node["keep"])
+        assert data["resolved"] == resolved
+        np.testing.assert_array_equal(data["summaries"], [
+            rank_counts(data["raw"][a:b], resolved or ()) for a, b in bounds])
+    assert sites["process"].keys() == sites["threads"].keys()
+    for path, entry in sites["process"].items():
+        local = sites["threads"][path].columns
+        assert entry.columns.resolved == local.resolved, path
+        np.testing.assert_array_equal(entry.columns.summaries,
+                                      local.summaries, err_msg=str(path))
 
 
 def test_range_leaves_offload_cold_then_decline_warm():

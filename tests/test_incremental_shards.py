@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro import PipelineConfig, QueryEngine, ScreenSpec
-from repro.core.normalization import bounds_identical
+from repro.core.normalization import bounds_identical, reduced_bounds
 from repro.core.plan import CacheStats
 from repro.core.reduction import (
     ShardCounts,
@@ -31,14 +32,7 @@ from repro.core.reduction import (
     rank_counts,
     ranks_hold,
     resolve_topk,
-    summaries_from_partials,
     topk_candidates,
-)
-from repro.core.shard import (
-    distance_bounds_partial,
-    merge_distance_bounds,
-    merge_distance_bounds_many,
-    resolve_distance_bounds,
 )
 from repro.interact.events import (
     SetPercentageDisplayed,
@@ -271,6 +265,78 @@ def test_heavy_ties_hold_bounded_rows_independent_of_table_size(monkeypatch):
     # Rebuilds select over the partials; micro-moves patch one dirty shard.
     assert [(rows, dirty) for _, rows, _, dirty in small] == [
         (20, None), (0, 1), (40, 0), (0, 1)]
+
+
+def bounds_selection_work(monkeypatch, n: int) -> list[list[tuple]]:
+    """Rows each node's bounds resolve hands to ``np.partition`` /
+    ``np.argpartition``, per event, on an ``n``-row table where ~95 % of
+    rows are exact answers (distance 0), 1000 rows a shard.
+
+    Events: a cold open, then a weight change that moves the root's
+    column and so forces its resolve.  Per resolve: whether ``keep`` is
+    below the finite count (a selection is due), whether the ``keep``-th
+    value lies in the tie block at the minimum, and the rows handed to a
+    selection kernel on the resolving thread.
+    """
+    import repro.core.shard as shard_module
+
+    local = threading.local()
+    resolves: list[tuple] = []
+
+    def counting(kernel):
+        def counted(a, *args, **kwargs):
+            if getattr(local, "rows", None) is not None:
+                local.rows += np.size(a)
+            return kernel(a, *args, **kwargs)
+        return counted
+
+    def resolve(values, keep):
+        local.rows = 0
+        try:
+            bounds = reduced_bounds(values, keep)
+        finally:
+            rows, local.rows = local.rows, None
+        finite = values[np.isfinite(values)]
+        in_tie = np.count_nonzero(finite == finite.min()) >= keep
+        resolves.append((keep < len(finite), bool(in_tie), rows))
+        return bounds
+
+    monkeypatch.setattr(np, "partition", counting(np.partition))
+    monkeypatch.setattr(np, "argpartition", counting(np.argpartition))
+    monkeypatch.setattr(shard_module, "reduced_bounds", resolve)
+    rng = np.random.default_rng(11)
+    table = Table("Ties", {"t": np.sort(rng.uniform(0.0, 1000.0, n)),
+                           "b": rng.uniform(0.0, 100.0, n)})
+    config = PipelineConfig(screen=ScreenSpec(width=256, height=256),
+                            percentage=20 / n, shard_count=n // 1000,
+                            max_workers=2, backend="threads")
+    prepared = QueryEngine(table, config).prepare(Query(
+        name="ties", tables=[table.name],
+        condition=AndNode([between("t", 0.0, 1000.0), condition("b", "<", 95.0)])))
+    work = []
+    for changes in ([], [SetWeight((1,), 0.05)]):
+        resolves.clear()
+        feedback = prepared.execute(changes=changes)
+        assert feedback.statistics.num_results >= 0.9 * n
+        np.testing.assert_array_equal(feedback.display_order,
+                                      reference_frame(table, prepared).display_order)
+        work.append(list(resolves))
+    monkeypatch.undo()
+    return work
+
+
+def test_bounds_resolve_hands_no_rows_to_selection_under_ties(monkeypatch):
+    """Every node's ``keep``-th value lies in the block of exact answers,
+    so no resolve partitions anything, at n and at 16n rows alike.
+
+    A selection over the whole column would hand n rows per node.
+    """
+    small = bounds_selection_work(monkeypatch, 4_000)
+    large = bounds_selection_work(monkeypatch, 64_000)
+    assert small == large
+    cold, weight = small
+    assert len(cold) == 3 and weight  # every node opens cold; then a resolve
+    assert all(due and in_tie and rows == 0 for due, in_tie, rows in cold + weight)
 
 
 @pytest.mark.parametrize("shards", [1, 4])
@@ -519,21 +585,6 @@ def test_evaluation_cache_clear_drops_slices():
 # --------------------------------------------------------------------------- #
 # Merge-algebra additions
 # --------------------------------------------------------------------------- #
-def test_merge_distance_bounds_many_matches_pairwise():
-    rng = np.random.default_rng(11)
-    values = rng.uniform(0.0, 50.0, 997)
-    values[rng.random(997) < 0.1] = np.nan
-    pieces = np.array_split(values, 7)
-    partials = [distance_bounds_partial(p, 40) for p in pieces]
-    pairwise = partials[0]
-    for partial in partials[1:]:
-        pairwise = merge_distance_bounds(pairwise, partial)
-    many = merge_distance_bounds_many(partials)
-    for keep in (1, 7, 40):
-        assert resolve_distance_bounds(pairwise, keep) == \
-            resolve_distance_bounds(many, keep)
-
-
 def test_merge_topk_candidates_many_matches_pairwise():
     rng = np.random.default_rng(13)
     values = np.round(rng.uniform(0.0, 20.0, 500))  # force ties
@@ -627,21 +678,6 @@ def test_shard_counts_certify_each_rank_and_the_count():
     # No pivot and no count: the rows are plain per-shard sums.
     popcounts = ShardCounts((), (), None, np.array([[2.0], [0.0]]))
     assert popcounts.patched([1], [(5.0,)]).rows.sum() == 7.0
-
-
-@given(st.lists(shard_values, min_size=1, max_size=4), st.integers(1, 40))
-def test_summaries_from_partials_bound_rank_counts(shards, keep):
-    """Rows derived from bounds partials equal a counting pass over each
-    shard on ``count <``, and never exceed it on ``count <=`` (ties cut
-    beyond the partial's capacity are missed)."""
-    partials = [distance_bounds_partial(s, keep) for s in shards]
-    resolved = resolve_distance_bounds(merge_distance_bounds_many(partials))
-    rows = summaries_from_partials(partials, resolved)
-    exact = np.asarray([rank_counts(s, resolved or ()) for s in shards])
-    assert rows.shape == exact.shape
-    exact_columns = [0, 1, 3] if resolved is not None else [0]
-    np.testing.assert_array_equal(rows[:, exact_columns], exact[:, exact_columns])
-    assert (rows[:, 2::2] <= exact[:, 2::2]).all()
 
 
 def test_cache_stats_dict_has_incremental_counters():

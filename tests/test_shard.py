@@ -1,15 +1,18 @@
-"""Property tests for the sharded merge algebra.
+"""Property tests for the sharded evaluator's global steps.
 
-The sharded evaluator's bit-identity contract rests on two merge algebras:
-per-shard ``(d_min, d_max)`` partials (:mod:`repro.core.shard`) and
-per-shard top-k candidate sets (:mod:`repro.core.reduction`).  These tests
-pin the invariants any future backend must preserve:
+The sharded evaluator's bit-identity contract rests on two global steps:
+one whole-column resolve of each node's ``(d_min, d_max)``
+(:func:`~repro.core.normalization.reduced_bounds`) with exact per-shard
+counting rows, and the merge algebra of per-shard top-k candidate sets
+(:mod:`repro.core.reduction`).  These tests pin the invariants any future
+backend must preserve:
 
-* merging is associative and order-independent (any shard order, any fold
-  shape resolves to the same result);
-* all-NaN shards and empty shards are identity elements;
-* a top-k partial holds at most ``target`` rows, its own top ``target``
-  under the (value, row) order, however many rows tie at its threshold;
+* the elementwise transform applied shard by shard against the resolved
+  bounds equals the monolithic normalization bit for bit, and every
+  shard's counting row is exact, whatever ties, NaN or infinities it holds;
+* top-k merging is associative and order-independent, and a top-k partial
+  holds at most ``target`` rows, its own top ``target`` under the (value,
+  row) order, however many rows tie at its threshold;
 * resolved results equal the monolithic computation bit for bit,
   including ties at the capacity boundary, where the stable-argsort tie
   rule (ascending global row index) must survive merging.
@@ -27,23 +30,20 @@ from hypothesis import strategies as st
 from repro.core.normalization import (
     apply_normalization,
     normalization_keep_count,
+    reduced_bounds,
     reduced_normalization,
 )
 from repro.core.reduction import (
     ReductionMethod,
     merge_topk_candidates,
     merge_topk_candidates_many,
+    rank_counts,
     resolve_topk,
     select_display_set,
     topk_candidates,
 )
-from repro.core.shard import (
-    distance_bounds_partial,
-    empty_distance_bounds,
-    merge_distance_bounds,
-    resolve_distance_bounds,
-    shard_bounds,
-)
+from repro.core.shard import ShardedPlanEvaluator, ShardedTable, shard_bounds
+from repro.storage.table import Table
 
 
 def random_column(rng: np.random.Generator, n: int, *, nan_fraction: float = 0.0,
@@ -88,18 +88,11 @@ def test_shard_bounds_validation():
 
 
 # --------------------------------------------------------------------------- #
-# (d_min, d_max) merge algebra
+# (d_min, d_max): one resolve, exact counting rows
 # --------------------------------------------------------------------------- #
-def resolved_over(values: np.ndarray, cuts, capacity: int, order=None):
-    partials = [distance_bounds_partial(values[a:b], capacity) for a, b in cuts]
-    if order is not None:
-        partials = [partials[i] for i in order]
-    return resolve_distance_bounds(reduce(merge_distance_bounds, partials))
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_distance_bounds_match_monolithic_normalization(seed):
-    """Sharded bounds + elementwise transform == reduced_normalization, bitwise."""
+    """Whole-column bounds + shard-wise transform == reduced_normalization, bitwise."""
     rng = np.random.default_rng(1000 + seed)
     n = int(rng.integers(1, 400))
     values = random_column(rng, n, nan_fraction=float(rng.choice([0.0, 0.2, 0.9])))
@@ -107,7 +100,10 @@ def test_distance_bounds_match_monolithic_normalization(seed):
     capacity = int(rng.integers(1, 2 * n + 2))
     keep = normalization_keep_count(weight, capacity, n)
     cuts = random_cuts(rng, n, int(rng.integers(1, 9)))
-    resolved = resolved_over(values, cuts, keep)
+    resolved = reduced_bounds(values, keep)
+    finite = np.sort(values[np.isfinite(values)])
+    assert resolved == ((finite[0], finite[min(keep, len(finite)) - 1])
+                        if len(finite) else None)
     d_min, d_max = resolved if resolved is not None else (None, None)
     sharded = np.concatenate([
         apply_normalization(values[a:b], d_min, d_max) for a, b in cuts
@@ -117,67 +113,50 @@ def test_distance_bounds_match_monolithic_normalization(seed):
     )
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_distance_bounds_merge_is_order_independent(seed):
-    rng = np.random.default_rng(2000 + seed)
-    n = int(rng.integers(1, 300))
-    values = random_column(rng, n, nan_fraction=0.15, tie_heavy=bool(seed % 2))
-    capacity = int(rng.integers(1, n + 1))
-    cuts = random_cuts(rng, n, 6)
-    reference = resolved_over(values, cuts, capacity)
-    for _ in range(4):
-        order = rng.permutation(len(cuts))
-        assert resolved_over(values, cuts, capacity, order=order) == reference
-
-
-def test_distance_bounds_fold_shape_irrelevant():
-    rng = np.random.default_rng(3)
-    values = random_column(rng, 120, nan_fraction=0.1)
-    cuts = random_cuts(rng, 120, 4)
-    a, b, c, d = (distance_bounds_partial(values[lo:hi], 10) for lo, hi in cuts)
-    left = merge_distance_bounds(merge_distance_bounds(merge_distance_bounds(a, b), c), d)
-    right = merge_distance_bounds(a, merge_distance_bounds(b, merge_distance_bounds(c, d)))
-    pairs = merge_distance_bounds(merge_distance_bounds(a, b), merge_distance_bounds(c, d))
-    assert (resolve_distance_bounds(left) == resolve_distance_bounds(right)
-            == resolve_distance_bounds(pairs))
-
-
-def test_distance_bounds_empty_and_all_nan_shards_are_identity():
-    rng = np.random.default_rng(4)
-    values = random_column(rng, 50)
-    base = distance_bounds_partial(values, 7)
-    nan_shard = distance_bounds_partial(np.full(20, np.nan), 7)
-    empty_shard = distance_bounds_partial(np.empty(0), 7)
-    identity = empty_distance_bounds(7)
-    for extra in (nan_shard, empty_shard, identity):
-        assert extra.count == 0
-        merged = merge_distance_bounds(base, extra)
-        assert resolve_distance_bounds(merged) == resolve_distance_bounds(base)
-        merged = merge_distance_bounds(extra, base)
-        assert resolve_distance_bounds(merged) == resolve_distance_bounds(base)
-
-
 def test_distance_bounds_all_shards_nan_resolves_to_none():
-    parts = [distance_bounds_partial(np.full(5, np.nan), 3) for _ in range(4)]
-    assert resolve_distance_bounds(reduce(merge_distance_bounds, parts)) is None
+    assert reduced_bounds(np.full(20, np.nan), 3) is None
     np.testing.assert_array_equal(
         apply_normalization(np.full(5, np.nan), None, None),
         reduced_normalization(np.full(5, np.nan), 1.0, 3),
     )
 
 
-def test_distance_bounds_capacity_mismatch_rejected():
-    a = distance_bounds_partial(np.arange(5.0), 3)
-    b = distance_bounds_partial(np.arange(5.0), 4)
-    with pytest.raises(ValueError):
-        merge_distance_bounds(a, b)
+@st.composite
+def tie_heavy_columns(draw):
+    """A distance column with a block of exact answers (0.0) at the
+    minimum, finite values above it, NaN and +-inf, in shuffled order."""
+    ties = draw(st.integers(0, 120))
+    rest = draw(st.lists(st.one_of(
+        st.floats(0.0, 100.0, allow_nan=False).filter(lambda v: v > 0.0),
+        st.sampled_from([np.nan, np.inf, -np.inf])), max_size=60))
+    values = np.array([0.0] * ties + rest, dtype=float)
+    order = draw(st.permutations(range(len(values))))
+    return values[list(order)] if len(values) else np.zeros(1)
 
 
-def test_resolve_keep_must_fit_capacity():
-    partial = distance_bounds_partial(np.arange(10.0), 4)
-    assert resolve_distance_bounds(partial, keep=2) == (0.0, 1.0)
-    with pytest.raises(ValueError):
-        resolve_distance_bounds(partial, keep=5)
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_columns(), st.integers(1, 9),
+       st.sampled_from([0.05, 0.3, 1.0]), st.integers(1, 200))
+def test_evaluator_bounds_and_counting_rows_are_exact(values, shards, weight,
+                                                      capacity):
+    """Cold per-node normalization on 1-9 shards: the resolved bounds are
+    :func:`reduced_bounds` of the whole column, the normalized column is
+    :func:`reduced_normalization` bit for bit, and every shard's summary
+    row is its exact :func:`rank_counts` row -- ``count(<=)`` included,
+    however many rows tie at a bound and whether ``keep * shards`` is
+    small or large against the column."""
+    n = len(values)
+    sharded = ShardedTable(Table("T", {"d": values}), shards)
+    evaluator = ShardedPlanEvaluator(sharded, display_capacity=capacity)
+    normalized, resolved, summaries, _ = evaluator._normalize_incremental(
+        values, weight, None, None)
+    assert resolved == reduced_bounds(
+        values, normalization_keep_count(weight, capacity, n))
+    expected = reduced_normalization(values, weight, capacity)
+    np.testing.assert_array_equal(np.asarray(normalized).view(np.uint64),
+                                  expected.view(np.uint64))
+    np.testing.assert_array_equal(summaries, [
+        rank_counts(values[a:b], resolved or ()) for a, b in sharded.bounds])
 
 
 # --------------------------------------------------------------------------- #
