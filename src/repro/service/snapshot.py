@@ -134,8 +134,26 @@ class FrameSnapshot:
     def payload_bytes(self) -> bytes:
         """The full frame payload of this snapshot, encoded exactly once.
 
-        Serializing a full frame walks every window's cell arrays
-        (O(pixels)), so it happens only when the bytes are sent
+        The bytes are exactly ``json.dumps({"ok": True,
+        **frame_payload(self)}).encode()``, written from the snapshot's
+        arrays instead of one Python object per cell:
+
+        * the scalar fields go through ``json.dumps`` of the same header
+          dict :func:`frame_payload` uses, so the field list exists once;
+        * every window's ``item_ids`` grid is encoded once per frame and
+          the bytes are reused for every window whose grid is equal -- all
+          windows place the same displayed items at the same pixels, so
+          one frame normally encodes a single grid;
+        * a distance grid is encoded as one ``json`` token per distinct
+          bit pattern (NaN is ``null``, ``-0.0`` keeps its own token), each
+          token written by ``json.dumps`` itself, then gathered per cell.
+          That wins when distances repeat -- exact answers at 0, saturated
+          rows at the maximum, empty cells -- and loses on a gradient, so
+          a grid with more than a quarter of its cells distinct takes the
+          plain ``json.dumps`` of its list instead.  The rule reads the
+          input; it is not an option.
+
+        Encoding happens only when the bytes are sent
         (``subscribe``/``resync``/gap replies) or when a ``delta`` pull's
         encoded delta exceeds :meth:`payload_size_floor` and the exact
         size has to settle the delta-vs-snapshot choice.  The cache keeps
@@ -145,8 +163,7 @@ class FrameSnapshot:
         cache needs no lock.
         """
         if self._encoded_payload is None:
-            self._encoded_payload = json.dumps(
-                {"ok": True, **frame_payload(self)}).encode()
+            self._encoded_payload = _encode_frame(self)
         return self._encoded_payload
 
     def payload_size_floor(self) -> int:
@@ -173,11 +190,12 @@ class FrameSnapshot:
         frames of a steady drag share them chunk for chunk, but a run of
         full recomputes would pin one whole-table generation per retained
         frame.  The unclaimed trace goes too: pulls deliver the current
-        frame, so nothing can claim it any more.
+        frame, so nothing can claim it any more -- and so does the encoded
+        full frame, which a delta base never sends.
         """
         return replace(
             self, feedback=DisplayedOrder(self.feedback.display_order),
-            trace=None)
+            trace=None, _encoded_payload=None)
 
     def as_dict(self, top: int = 10) -> dict[str, object]:
         """JSON-serializable summary (protocol form, without pixel data)."""
@@ -304,24 +322,23 @@ def _encode_distances(values: np.ndarray) -> list:
     return [None if v != v else v for v in values.reshape(-1).tolist()]
 
 
+def _window_header(window: VisualizationWindow) -> dict:
+    """A window's fields before its cell arrays, in wire order."""
+    return {"title": window.title, "width": window.width,
+            "height": window.height}
+
+
 def window_state(window: VisualizationWindow) -> dict:
     """The client-side form of one window: geometry plus flat cell arrays."""
     return {
-        "title": window.title,
-        "width": window.width,
-        "height": window.height,
+        **_window_header(window),
         "distances": _encode_distances(window.distances),
         "item_ids": window.item_ids.reshape(-1).tolist(),
     }
 
 
-def frame_payload(snapshot: FrameSnapshot) -> dict:
-    """Encode a snapshot as a full frame (``mode: "snapshot"``).
-
-    This is the resync unit: everything a client needs to rebuild its
-    frame state from nothing.  The windows dominate the size -- O(pixels)
-    per window -- which is exactly what :func:`delta_payload` avoids.
-    """
+def _frame_header(snapshot: FrameSnapshot) -> dict:
+    """A full frame's fields before its arrays, in wire order."""
     return {
         "type": "frame",
         "mode": "snapshot",
@@ -332,12 +349,73 @@ def frame_payload(snapshot: FrameSnapshot) -> dict:
         "frame_id": snapshot.frame_id,
         "base_frame_id": snapshot.base_frame_id,
         "statistics": snapshot.statistics.as_dict(),
+    }
+
+
+def frame_payload(snapshot: FrameSnapshot) -> dict:
+    """Encode a snapshot as a full frame (``mode: "snapshot"``).
+
+    This is the resync unit: everything a client needs to rebuild its
+    frame state from nothing.  The windows dominate the size -- O(pixels)
+    per window -- which is exactly what :func:`delta_payload` avoids.
+    It is the reference form of :meth:`FrameSnapshot.payload_bytes`,
+    which writes the same JSON straight from the arrays.
+    """
+    return {
+        **_frame_header(snapshot),
         "display_order": snapshot.feedback.display_order.tolist(),
         "windows": {
             path_key(path): window_state(window)
             for path, window in snapshot.windows.items()
         },
     }
+
+
+def _json_ints(values: np.ndarray) -> bytes:
+    """``json.dumps`` of the flat integer list of ``values``."""
+    return json.dumps(values.reshape(-1).tolist()).encode()
+
+
+def _json_distances(values: np.ndarray) -> bytes:
+    """``json.dumps`` of the flat distance list, one token per distinct bits.
+
+    Keyed by bit pattern, not value, so ``-0.0`` keeps its own token and
+    every NaN is ``null``.  Each token is padded with NULs to the longest
+    one in a byte matrix, gathered per cell and squeezed; see
+    :meth:`FrameSnapshot.payload_bytes` for when this beats ``json``.
+    """
+    flat = values.reshape(-1)
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    if 4 * len(bits) > len(flat):
+        return json.dumps(_encode_distances(flat)).encode()
+    tokens = np.array([b"null, " if v != v else json.dumps(v).encode() + b", "
+                       for v in bits.view(np.float64).tolist()])
+    body = tokens[inverse].tobytes().replace(b"\x00", b"")
+    return b"[" + body[:-2] + b"]"
+
+
+def _encode_frame(snapshot: FrameSnapshot) -> bytes:
+    """The bytes of :meth:`FrameSnapshot.payload_bytes`."""
+    head = json.dumps({"ok": True, **_frame_header(snapshot)})
+    parts = [head[:-1].encode(), b', "display_order": ',
+             _json_ints(snapshot.feedback.display_order), b', "windows": {']
+    grids: list[tuple[np.ndarray, bytes]] = []
+    for k, (path, window) in enumerate(snapshot.windows.items()):
+        item_ids = window.item_ids
+        for grid, encoded_ids in grids:
+            if grid is item_ids or np.array_equal(grid, item_ids):
+                break
+        else:
+            encoded_ids = _json_ints(item_ids)
+            grids.append((item_ids, encoded_ids))
+        # ``{"key": {"title": ..., "height": h}}`` less its two closing
+        # braces: the window's header fields, open for the cell arrays.
+        fields = json.dumps({path_key(path): _window_header(window)})[1:-2]
+        parts += [b", " if k else b"", fields.encode(), b', "distances": ',
+                  _json_distances(window.distances), b', "item_ids": ',
+                  encoded_ids, b"}"]
+    parts.append(b"}}")
+    return b"".join(parts)
 
 
 def delta_payload(base: FrameSnapshot, snapshot: FrameSnapshot) -> dict:

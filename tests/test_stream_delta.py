@@ -20,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import copy
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from repro.service import (
     frame_state,
     serve,
 )
+from repro.service import snapshot as snapshot_module
 from repro.service.protocol import FeedbackProtocolServer
 from repro.service.snapshot import (
     DisplayedOrder,
@@ -215,6 +217,9 @@ def test_retention_ring_keeps_full_feedback_for_the_newest_frame_only():
                              frame_retention=3)
     seen = [session.execute_batch([])]
     for k in range(4):
+        # A subscribe or resync encodes the current frame before a newer
+        # run supersedes it.
+        seen[-1].payload_bytes()
         seen.append(session.execute_batch(
             [SetQueryRange((0,), 50.0, 895.0 - 2.0 * k)]))
     history = session.frame_history
@@ -225,6 +230,9 @@ def test_retention_ring_keeps_full_feedback_for_the_newest_frame_only():
         assert isinstance(kept.feedback, DisplayedOrder)
         assert kept.feedback.display_order is original.feedback.display_order
         assert kept.windows is original.windows and kept.trace is None
+        # A delta base never sends itself: the ring pins no encoded frame.
+        assert original._encoded_payload is not None
+        assert kept._encoded_payload is None
         # Still a complete delta base and resync unit: same wire payloads.
         assert delta_payload(kept, seen[-1]) == delta_payload(original, seen[-1])
         assert kept.payload_bytes() == original.payload_bytes()
@@ -666,27 +674,56 @@ def test_protocol_lagging_client_catches_up_within_retention_ring():
 # --------------------------------------------------------------------------- #
 # Delta-first encoding: the size floor and the delta-vs-snapshot choice
 # --------------------------------------------------------------------------- #
-@st.composite
-def wire_windows(draw) -> VisualizationWindow:
-    """Windows that encode as short as JSON allows, down to a single cell."""
-    shape = draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
-    distances = draw(st.one_of(
-        # Nothing displayed: every cell is NaN on the server, ``null`` on
-        # the wire.
-        st.just(np.full(shape, np.nan)),
-        arrays(float, shape, elements=st.one_of(
-            st.just(float("nan")), st.floats(min_value=0.0, max_value=255.0))),
-    ))
+#: Distances that tie in blocks or stress float formatting: the exact and
+#: saturated ends, negative zero, integral values, tiny and huge floats.
+SPECIAL_DISTANCES = (0.0, 255.0, -0.0, 17.0, 5e-324, 1e-300, 1e16, 1.5e300)
+
+
+def item_id_grids(shape):
     # -1 marks an empty cell; single-digit ids are the 1-byte worst case.
-    item_ids = draw(arrays(np.intp, shape, elements=st.one_of(
-        st.just(-1), st.integers(0, 9), st.integers(0, 10 ** 7))))
-    return VisualizationWindow("", distances, item_ids)
+    return arrays(np.intp, shape, elements=st.one_of(
+        st.just(-1), st.integers(0, 9), st.integers(0, 10 ** 7)))
+
+
+@st.composite
+def wire_windows(draw) -> list[VisualizationWindow]:
+    """Up to four windows that encode as short as JSON allows, down to a
+    single cell.  Windows of one shape may share one item-id grid (the same
+    array or an equal copy), as the windows of a real frame do; distances
+    range from all-distinct to a few tied values, so the encoder's
+    distinct-count choice is drawn on both sides."""
+    shapes = st.tuples(st.integers(1, 6), st.integers(1, 6))
+    shared = draw(item_id_grids(draw(shapes)))
+    windows = []
+    for _ in range(draw(st.integers(0, 4))):
+        shape = draw(st.one_of(st.just(shared.shape), shapes))
+        tied = draw(st.lists(
+            st.one_of(st.sampled_from(SPECIAL_DISTANCES), st.just(float("nan")),
+                      st.floats(allow_nan=False)),
+            min_size=1, max_size=3))
+        distances = draw(st.one_of(
+            # Nothing displayed: every cell is NaN on the server, ``null``
+            # on the wire.
+            st.just(np.full(shape, np.nan)),
+            arrays(float, shape, elements=st.one_of(
+                st.just(float("nan")), st.floats(min_value=0.0, max_value=255.0))),
+            arrays(float, shape, elements=st.sampled_from(tied)),
+            # Equal values, distinct bits: each zero keeps its own token.
+            arrays(float, shape, elements=st.sampled_from(
+                (0.0, -0.0, float("nan")))),
+        ))
+        own = item_id_grids(shape)
+        if shape == shared.shape:
+            own = st.one_of(st.just(shared), st.just(shared.copy()), own)
+        windows.append(VisualizationWindow("", distances, draw(own)))
+    return windows
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    windows=st.lists(wire_windows(), max_size=4),
-    display_order=st.lists(st.integers(0, 10 ** 7), max_size=30),
+    windows=wire_windows(),
+    display_order=st.one_of(st.just([]),
+                            st.lists(st.integers(0, 10 ** 7), max_size=30)),
 )
 def test_payload_size_floor_never_exceeds_encoded_size(windows, display_order):
     snapshot = FrameSnapshot(
@@ -699,6 +736,9 @@ def test_payload_size_floor_never_exceeds_encoded_size(windows, display_order):
         rendered_fresh=(), run_seconds=0.0,
     )
     encoded = snapshot.payload_bytes()
+    # The array encoder writes exactly what ``json`` writes for the
+    # reference dict form.
+    assert encoded == json.dumps({"ok": True, **frame_payload(snapshot)}).encode()
     payload = json.loads(encoded)
     # The floor argues from the cell and order lists alone -- checking it
     # against just those keeps the frame's fixed fields from hiding a
@@ -709,6 +749,57 @@ def test_payload_size_floor_never_exceeds_encoded_size(windows, display_order):
     assert (snapshot.payload_size_floor()
             <= sum(len(json.dumps(values)) for values in lists)
             <= len(encoded))
+
+
+def _lists_in(value):
+    """Every list inside one ``json.dumps`` argument, nested ones included."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _lists_in(item)
+    elif isinstance(value, list):
+        yield value
+        for item in value:
+            if isinstance(item, (list, dict)):
+                yield from _lists_in(item)
+
+
+@pytest.mark.parametrize("side", [64, 256])
+def test_full_frame_encode_work_is_one_grid_and_one_token_per_distance(
+        monkeypatch, side):
+    """Counted encoder work: the frame's shared item-id grid reaches
+    ``json`` once, and a distance grid with two distinct bit patterns hands
+    ``json`` at most two floats, whatever the window size."""
+    rng = np.random.default_rng(side)
+    item_ids = rng.integers(-1, 10 ** 6, (side, side))
+    windows = {
+        # Every window places the displayed items at the same pixels: the
+        # same grid object, or an equal one.
+        path: VisualizationWindow(
+            f"w{k}", np.where(rng.random((side, side)) < 0.5, 0.0, np.nan),
+            item_ids if k < 2 else item_ids.copy())
+        for k, path in enumerate([(), (0,), (1,)])
+    }
+    snapshot = FrameSnapshot(
+        session_id="s", sequence=0, events_applied=0,
+        statistics=FeedbackStatistics(0, 0, 0.0, 0),
+        feedback=DisplayedOrder(np.arange(side, dtype=np.intp)),
+        windows=windows, rendered_fresh=(), run_seconds=0.0,
+    )
+    calls = []
+
+    def dumps(value, *args, **kwargs):
+        calls.append(value)
+        return json.dumps(value, *args, **kwargs)
+
+    monkeypatch.setattr(snapshot_module, "json", SimpleNamespace(dumps=dumps))
+    encoded = snapshot.payload_bytes()
+    assert encoded == json.dumps({"ok": True, **frame_payload(snapshot)}).encode()
+    grid = item_ids.reshape(-1).tolist()
+    assert sum(lst == grid for value in calls for lst in _lists_in(value)) == 1
+    floats = [isinstance(value, float)
+              + sum(isinstance(x, float) for lst in _lists_in(value) for x in lst)
+              for value in calls]
+    assert max(floats) <= 2
 
 
 def test_protocol_delta_pull_skips_the_full_frame_encode(monkeypatch):
