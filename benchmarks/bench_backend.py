@@ -27,6 +27,10 @@ site entry):
   independent of the rows per shard.  ``reply_ratio`` (per-shard column bytes / per-event reply
   bytes) is likewise a protocol byte count, gated in
   ``check_regression.py``;
+* the coordinator's own allocation per accepted op: the ``tracemalloc``
+  peak inside ``shard_pipeline`` (``op_alloc_peak_bytes``, reported, not
+  gated).  The workers' output columns are adopted, never copied, so it
+  is a few bytes a row;
 * offload eligibility under mixed traffic: sessions opening on an engine
   whose earlier sessions already dragged the same range attribute must
   each take the whole-pipeline offload (``pipeline_ops_per_open == 1``)
@@ -42,6 +46,8 @@ from __future__ import annotations
 
 import os
 import time
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -109,6 +115,28 @@ def _cold_seconds(prepared, rounds=3):
     return float(np.median(times))
 
 
+@contextmanager
+def _traced_ops(backend):
+    """Collect the ``tracemalloc`` peak of each ``shard_pipeline`` call:
+    the bytes the coordinator allocates per op (report only)."""
+    peaks: list[int] = []
+    shard_pipeline = backend.shard_pipeline
+
+    def traced(sharded, spec):
+        tracemalloc.start()
+        try:
+            return shard_pipeline(sharded, spec)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    backend.shard_pipeline = traced
+    try:
+        yield peaks
+    finally:
+        del backend.shard_pipeline
+
+
 def _assert_feedback_identical(a, b):
     np.testing.assert_array_equal(a.display_order, b.display_order)
     assert a.statistics == b.statistics
@@ -146,11 +174,14 @@ def test_backend_cold_throughput_1m(benchmark):
     _assert_feedback_identical(feedback_threads, feedback_process)
 
     # The zero-copy boundary: one slider event moves predicates and span
-    # lists, never columns.
+    # lists, never columns.  The op's coordinator-side allocation peak is
+    # reported alongside: the output columns are adopted, not copied.
     before = backend.stats()
     process.condition.children[0].predicate.value = 0.1
     threads.condition.children[0].predicate.value = 0.1
-    _assert_feedback_identical(threads.execute(), process.execute())
+    with _traced_ops(backend) as op_peaks:
+        feedback_process = process.execute()
+    _assert_feedback_identical(threads.execute(), feedback_process)
     after = backend.stats()
     event_traffic = after["traffic_bytes"] - before["traffic_bytes"]
     assert event_traffic > 0, "the event did not consult the backend"
@@ -180,6 +211,8 @@ def test_backend_cold_throughput_1m(benchmark):
         "traffic_ratio": round(traffic_ratio, 1),
         "event_reply_bytes": event_reply,
         "reply_ratio": round(reply_ratio, 1),
+        "op_alloc_peak_bytes": max(op_peaks),
+        "op_alloc_bytes_per_row": round(max(op_peaks) / ROWS, 2),
     })
 
     # Columns cross the boundary once; events cross in kilobytes.  This is

@@ -86,9 +86,11 @@ class ExecBackend:
         ``normalized`` / ``mask`` (+ ``signed`` for leaves) columns, the
         resolved bounds and the summary matrix, plus per-shard
         :class:`~repro.core.reduction.TopKCandidates` for the root when
-        requested.  Every array must be bit-identical to the in-process
-        cold computation; ``None`` (any fault, nowhere to offload to)
-        keeps the evaluator on its in-process path, and says why as
+        requested.  The columns may be views of one buffer the backend
+        hands over; the evaluator freezes them and never writes them.
+        Every array must be bit-identical to the in-process cold
+        computation; ``None`` (any fault, nowhere to offload to) keeps
+        the evaluator on its in-process path, and says why as
         ``backend_fault`` on the ambient ``pipeline.offload`` span.
         """
         obs.annotate(backend_fault="not-offloadable")

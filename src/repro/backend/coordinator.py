@@ -10,8 +10,9 @@ the half that understands the op; it assumes nothing about sockets:
   shard-to-lane assignment, the output-buffer layout, the start round and
   the ``resolve_level`` / ``round_message`` / ``gather_round`` loop
   (:mod:`repro.backend.pipeline`), stream-plane fetches, summary fill,
-  top-k collection, abort, buffer cleanup, the single retry on
-  ``unknown-table``, and every counter :meth:`~Coordinator.stats` reports.
+  top-k collection, abort, adopting or releasing the output buffer, the
+  single retry on ``unknown-table``, and every counter
+  :meth:`~Coordinator.stats` reports.
 * :class:`Transport` is everything it needs from the other half.  A
   *lane* is one worker the transport can address -- one endpoint through
   the connection pinned for the op.  Transports own connections, health
@@ -131,6 +132,11 @@ class OutputBuffer:
     plain local bytes otherwise.  ``names[lane]`` is what goes into that
     lane's ``out`` field -- the block name, or ``None`` for a lane that
     must keep its columns for ``pipeline_fetch``.
+
+    The buffer ends one of two ways.  A failed op calls :meth:`close`:
+    the block is unlinked and unmapped.  A successful one calls
+    :meth:`adopt`: the name goes just the same, but the memory stays
+    with the column views built on :attr:`buf`, which the caches keep.
     """
 
     def __init__(self, nbytes: int, lanes_shm: list[bool]):
@@ -152,6 +158,22 @@ class OutputBuffer:
             with suppress(FileNotFoundError):
                 shm.unlink()
             shm.close()
+
+    def adopt(self) -> None:
+        """Hand the buffer's memory to the views built on :attr:`buf`.
+
+        Nothing is copied.  A NumPy view of the buffer references the
+        block's ``mmap`` (or the local ``bytearray``) itself, so the
+        memory lives exactly as long as the last view of it.  A shared
+        block's name is unlinked and the wrapper's descriptor closed at
+        once; the mapping, and the one descriptor ``mmap`` keeps, go
+        when the views do.  :meth:`close` is a no-op afterwards.
+        """
+        if self._shm is not None:
+            # Detach the mapping, so closing the wrapper (now or in its
+            # __del__) cannot unmap pages live views still read.
+            self._shm._buf = self._shm._mmap = None
+        self.close()
 
 
 class Transport(Protocol):
@@ -412,11 +434,13 @@ class Coordinator(ExecBackend):
                         [summaries[node_id][s] for s in range(shard_count)],
                         dtype=float),
                 }
-                entry.update((field, column.copy())
-                             for field, column in views[node_id].items())
+                # The views themselves: the buffer is adopted below, not
+                # copied out.
+                entry.update(views[node_id])
             topk = None
             if spec.get("topk_target") is not None:
                 topk = [topk_parts[s] for s in range(shard_count)]
+            out.adopt()
             return {"nodes": result_nodes, "topk": topk}
         except BaseException:
             # Clear the lanes' session state while we still own them, so

@@ -62,7 +62,7 @@ from repro.core.shard import (
     NodeDelta,
     ShardedPlanEvaluator,
     ShardedTable,
-    _map_indexed,
+    _map_blocks,
     pool_user,
     resolve_worker_count,
     shared_executor,
@@ -1052,7 +1052,8 @@ class PreparedQuery:
                 part = distances[bounds[i][0]:bounds[i][1]]
                 return part[np.isfinite(part)]
 
-            finite_parts = _map_indexed(executor, finite_part, len(bounds))
+            finite_parts = _map_blocks(executor, finite_part,
+                                       range(len(bounds)))
             finite = np.concatenate(finite_parts)
             m = len(finite)
             threshold, ranks, pivots = float("nan"), (), ()
@@ -1063,8 +1064,8 @@ class PreparedQuery:
                 pivots = tuple(float(order_stats[k]) for k in ranks)
             rows = np.asarray([rank_counts(part, pivots) for part in finite_parts],
                               dtype=float)
-            selected = _map_indexed(
-                executor, lambda i: select(i, threshold), len(bounds))
+            selected = _map_blocks(
+                executor, lambda i: select(i, threshold), range(len(bounds)))
             return ShardCounts(pivots, ranks, m, rows), tuple(selected), threshold
 
         displayed, certified = self._refresh(

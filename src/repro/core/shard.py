@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -78,6 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "shard_bounds",
     "resolve_worker_count",
+    "ShardPool",
     "shared_executor",
     "shutdown_executors",
     "pool_user",
@@ -113,13 +114,6 @@ def shard_bounds(n_rows: int, shard_count: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _map_indexed(executor: Executor | None, fn: Callable[[int], T], count: int) -> list[T]:
-    """Run ``fn(0..count-1)``, through the executor when one is available."""
-    if executor is None or count <= 1:
-        return [fn(i) for i in range(count)]
-    return list(executor.map(fn, range(count)))
-
-
 # --------------------------------------------------------------------------- #
 # Worker pools
 # --------------------------------------------------------------------------- #
@@ -136,7 +130,44 @@ def resolve_worker_count(max_workers: int | None, shard_count: int) -> int:
     return max(1, min(max_workers, shard_count))
 
 
-_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
+class ShardPool(ThreadPoolExecutor):
+    """A shared shard pool.  ``width`` is its thread count, and the number
+    of blocks :func:`_map_blocks` cuts a wave of shard work into."""
+
+    def __init__(self, width: int):
+        super().__init__(max_workers=width, thread_name_prefix="repro-shard")
+        self.width = width
+
+
+def _map_blocks(executor: ShardPool | None, fn: Callable[[int], T],
+                items: Sequence[int]) -> list[T]:
+    """``[fn(i) for i in items]``, split over the pool's threads.
+
+    The items are cut into one contiguous block per pool thread (at most
+    one per item); the calling thread runs the first block and the pool
+    the rest, so a wave costs ``width - 1`` hand-offs however many shards
+    it covers.  Every block finishes before any exception propagates, and
+    results come back in ``items`` order.
+    """
+    blocks = 1 if executor is None else min(executor.width, len(items))
+    if blocks <= 1:
+        return [fn(i) for i in items]
+    cuts = [len(items) * b // blocks for b in range(blocks + 1)]
+
+    def run(b: int) -> list[T]:
+        return [fn(i) for i in items[cuts[b]:cuts[b + 1]]]
+
+    futures = [executor.submit(run, b) for b in range(1, blocks)]
+    try:
+        results = run(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        results.extend(future.result())
+    return results
+
+
+_EXECUTORS: dict[int, ShardPool] = {}
 _EXECUTORS_LOCK = threading.Lock()
 #: Pool generation: bumped by shutdown_executors after it empties the
 #: registry.  Users are counted per generation so a shutdown waits only for
@@ -147,7 +178,7 @@ _ACTIVE_BY_GENERATION: dict[int, int] = {}
 _POOL_CONDITION = threading.Condition(_EXECUTORS_LOCK)
 
 
-def shared_executor(max_workers: int) -> Executor | None:
+def shared_executor(max_workers: int) -> ShardPool | None:
     """A process-wide thread pool of the given size (None for ``<= 1``).
 
     Pools are shared across engines and kept for the life of the process:
@@ -160,9 +191,7 @@ def shared_executor(max_workers: int) -> Executor | None:
     with _EXECUTORS_LOCK:
         pool = _EXECUTORS.get(max_workers)
         if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-shard"
-            )
+            pool = ShardPool(max_workers)
             _EXECUTORS[max_workers] = pool
         return pool
 
@@ -379,14 +408,15 @@ class ShardedPlanEvaluator:
     every stage computes all shards, in-process or -- when the backend
     accepts the whole pipeline -- on its workers.
 
-    ``executor`` is an optional :class:`concurrent.futures.Executor`; when
-    None (or with a single shard) the per-shard work runs inline.
+    ``executor`` is an optional :class:`ShardPool`; each wave of per-shard
+    work is cut into one block per pool thread (:func:`_map_blocks`).
+    When None (or with a single shard) the work runs inline.
     """
 
     def __init__(self, sharded: ShardedTable, display_capacity: int,
                  target_max: float = NORMALIZED_MAX,
                  cache: EvaluationCache | None = None,
-                 executor: Executor | None = None,
+                 executor: ShardPool | None = None,
                  sites: dict[NodePath, ShardSliceEntry] | None = None,
                  backend: "ExecBackend | None" = None):
         if display_capacity <= 0:
@@ -419,13 +449,11 @@ class ShardedPlanEvaluator:
 
     # ------------------------------------------------------------------ #
     def _map_shards(self, fn: Callable[[int], T]) -> list[T]:
-        return _map_indexed(self.executor, fn, self.sharded.shard_count)
+        return _map_blocks(self.executor, fn, range(self.sharded.shard_count))
 
     def _map_over(self, indices: list[int], fn: Callable[[int], T]) -> list[T]:
         """Run ``fn`` over an explicit shard subset (the dirty shards)."""
-        if self.executor is None or len(indices) <= 1:
-            return [fn(i) for i in indices]
-        return list(self.executor.map(fn, indices))
+        return _map_blocks(self.executor, fn, indices)
 
     def _assemble(self, piece: Callable[[int], np.ndarray],
                   dtype: type = float) -> np.ndarray:
@@ -606,7 +634,10 @@ class ShardedPlanEvaluator:
         raw/node LRUs and as its site's entry -- with the same provenance
         and the same cold-run slice accounting the in-process path would
         record -- then the regular plan walk serves them back out (and the
-        next micro-move finds its site entry to patch from).
+        next micro-move finds its site entry to patch from).  The columns
+        are views of the op's output buffer, not copies: the caches freeze
+        them like any column, patches share their untouched chunks, and
+        the buffer is released when the last of them dies.
         Returns False when declined; nothing is cached then.  A decline
         before the backend was asked carries ``offload_declined``; the
         backend's own (nowhere to offload to, or a faulted op) carries

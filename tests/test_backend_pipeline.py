@@ -12,8 +12,11 @@ mid-session, unpicklable plan state, and shm eviction pressure racing an
 offload -- each must degrade to a bit-identical in-process run.
 """
 
+import gc
+import mmap
 import os
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -126,6 +129,124 @@ def test_pipeline_offload_matches_cold_many_shards():
         assert engine.stats()["backend"]["pipeline_ops"] >= 1
     finally:
         engine.close()
+
+
+# --------------------------------------------------------------------------- #
+# The output block is adopted, not copied
+# --------------------------------------------------------------------------- #
+def deleted_shm_mappings() -> set[str]:
+    """Unlinked shared-memory blocks this process still maps."""
+    with open("/proc/self/maps") as maps:
+        return {line.split()[-2] for line in maps
+                if "/dev/shm/" in line and line.rstrip().endswith("(deleted)")}
+
+
+def node_columns(prepared) -> list[np.ndarray]:
+    """Every node column an execute left in the query's site entries."""
+    return [column for entry in prepared._root.sites.values()
+            for column in (entry.columns.normalized, entry.columns.signed,
+                           entry.columns.exact_mask, entry.columns.raw)
+            if column is not None]
+
+
+def memory_owner(column: np.ndarray):
+    """The object whose memory ``column`` views (its bottom-most base)."""
+    while isinstance(column.base, np.ndarray):
+        column = column.base
+    return column.base
+
+
+def assert_columns_adopted(columns: list[np.ndarray]):
+    """Each column is a read-only view and all view one buffer; returns it."""
+    assert len(columns) >= 5
+    for column in columns:
+        assert not column.flags.owndata, "column copied out of the buffer"
+        assert not column.flags.writeable
+    owners = {id(memory_owner(column)) for column in columns}
+    assert len(owners) == 1, "the op's columns view different buffers"
+    return memory_owner(columns[0])
+
+
+@pytest.mark.parametrize("shards", [4, 32])
+def test_accepted_open_hands_its_output_block_to_the_caches(shards):
+    """The coordinator copies no column out of the op's output block.
+
+    Every node column of an accepted cold open is a read-only view of the
+    block the workers wrote.  The block's name is gone at once (the census
+    sees no block), and its mapping lives exactly as long as a cache or a
+    site entry holds a view of it.
+    """
+    before = deleted_shm_mappings()
+    engine, table, prepared = build_pipeline_prepared(shards)
+    try:
+        frame = prepared.execute()
+        assert_frames_identical(cold_frame(table, prepared), frame,
+                                f"adopted, {shards} shards")
+        stats = engine.stats()["backend"]
+        assert stats["pipeline_ops"] == 1 and stats["fallbacks"] == 0
+        owner = assert_columns_adopted(node_columns(prepared))
+        assert isinstance(owner, mmap.mmap)
+        held = deleted_shm_mappings() - before
+        assert len(held) == 1
+    finally:
+        engine.close()
+    del prepared, frame, owner
+    gc.collect()
+    assert not held & deleted_shm_mappings(), "mapping outlived its views"
+
+
+def coordinator_bytes_per_row(monkeypatch, n: int) -> float:
+    """Peak bytes the coordinator allocates inside one accepted
+    ``shard_pipeline`` call, per row, for a 5-node plan over ``n`` rows.
+
+    The second of two cold opens is measured, so the workers' spawn and
+    the table's publication are not part of it.
+    """
+    peaks = []
+    shard_pipeline = ProcessBackend.shard_pipeline
+
+    def traced(self, sharded, spec):
+        tracemalloc.start()
+        try:
+            return shard_pipeline(self, sharded, spec)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(ProcessBackend, "shard_pipeline", traced)
+    rng = np.random.default_rng(5)
+    table = Table("Alloc", {"a": rng.normal(0.0, 10.0, n),
+                            "b": rng.normal(5.0, 3.0, n),
+                            "c": rng.normal(0.0, 1.0, n)})
+    engine = QueryEngine(table, PipelineConfig(
+        shard_count=4, max_workers=2, backend="process", percentage=0.02))
+    try:
+        for a in (5.0, 4.0):
+            cond = AndNode([condition("a", "<", a),
+                            OrNode([condition("b", ">=", 3.0),
+                                    condition("c", ">", 1.0)])])
+            engine.prepare(Query(name=f"alloc-{a}", tables=[table.name],
+                                 condition=cond)).execute()
+        stats = engine.stats()["backend"]
+        assert stats["pipeline_ops"] == 2 and stats["fallbacks"] == 0
+    finally:
+        engine.close()
+        monkeypatch.undo()
+    return peaks[-1] / n
+
+
+def test_cold_offload_allocates_no_column_copy(monkeypatch):
+    """Counted work: a cold offload allocates O(1) bytes per row on the
+    coordinator, far below one float64 column, at n and 16n rows.
+
+    The 5-node plan's columns (109 bytes a row) live in the output block
+    and are adopted, never copied.  What remains is the bounds resolve's
+    byte-wide masks.  Every leaf here has more exact answers than its keep
+    count, so no resolve needs a partition; one that does adds a scratch
+    copy of that node's raw column (8 bytes a row).
+    """
+    assert coordinator_bytes_per_row(monkeypatch, 8_000) < 8
+    assert coordinator_bytes_per_row(monkeypatch, 128_000) < 8
 
 
 def heavy_tie_reply(monkeypatch, n: int, target: int = 40):

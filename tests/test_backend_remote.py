@@ -37,7 +37,12 @@ from test_backend import (
     make_condition,
     make_table,
 )
-from test_backend_pipeline import pipeline_condition
+from test_backend_pipeline import (
+    assert_columns_adopted,
+    deleted_shm_mappings,
+    node_columns,
+    pipeline_condition,
+)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -198,11 +203,17 @@ def test_remote_shm_plane_matches_cold(fleet, shards):
 
 
 def test_remote_stream_plane_matches_cold(monkeypatch):
-    """--no-shm servers get columns streamed once, results fetched back."""
+    """--no-shm servers get columns streamed once, results fetched back.
+
+    The results land in a local buffer on the coordinator, which the
+    caches then keep as read-only views: no copy and no shared-memory
+    block (the stream plane's twin of the shared-memory adoption test).
+    """
     servers = [RemoteWorkerServer(allow_shm=False).start(),
                RemoteWorkerServer(allow_shm=False).start()]
     monkeypatch.setenv(
         ENV_WORKERS, ",".join(server.endpoint for server in servers))
+    before = deleted_shm_mappings()
     engine, table, prepared = remote_prepared(4, cond=pipeline_condition())
     try:
         frame = prepared.execute()
@@ -212,6 +223,9 @@ def test_remote_stream_plane_matches_cold(monkeypatch):
         assert stats["remote_fallbacks"] == 0
         assert stats["remote_published_bytes"] > 0
         assert stats["column_bytes"] > 0
+        owner = assert_columns_adopted(node_columns(prepared))
+        assert isinstance(owner, bytearray)
+        assert deleted_shm_mappings() == before
     finally:
         engine.close()
         for server in servers:

@@ -15,6 +15,7 @@ import gc
 import sys
 import threading
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -113,6 +114,53 @@ def test_interior_micro_move_recomputes_only_dirty_shards():
     assert recomputed + reused == patched * report["shard_count"]
     assert after["bounds_shortcircuits"] > before["bounds_shortcircuits"]
     assert after["displayed_patches"] > before["displayed_patches"]
+
+
+def test_each_wave_hands_at_most_one_block_to_the_pool(monkeypatch):
+    """Counted dispatch: a wave of per-shard work costs one pool hand-off
+    per pool thread beyond the caller, however many shards it covers.
+
+    With 2 threads, every wave -- of a 32-shard cold execute and of a
+    2-dirty-shard drag -- submits at most one future.  A wave is one
+    submitted callable; the spy keeps each alive so their ids stay
+    distinct.
+    """
+    from repro.core.shard import ShardedTable, shared_executor
+
+    pool = shared_executor(2)
+    submitted = []
+    submit = pool.submit
+
+    def spy(fn, *args, **kwargs):
+        submitted.append(fn)
+        return submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(pool, "submit", spy)
+
+    def futures_per_wave() -> int:
+        per_wave = Counter(map(id, submitted))
+        submitted.clear()
+        return max(per_wave.values(), default=0)
+
+    table = locality_table()
+    # The drag sweeps the t values on both sides of the last shard
+    # boundary, so exactly shards 30 and 31 are dirty.
+    boundary = float(table.column("t")[ShardedTable(table, 32).bounds[31][0]])
+    engine = QueryEngine(table, PipelineConfig(
+        screen=ScreenSpec(width=256, height=256), percentage=0.05,
+        shard_count=32, max_workers=2, backend="threads"))
+    try:
+        prepared = engine.prepare(locality_query(table, high=boundary + 0.5))
+        prepared.execute()
+        assert futures_per_wave() == 1
+        prepared.execute(changes=[SetQueryRange((0,), 50.0, boundary + 0.4)])
+        futures_per_wave()
+        report = prepared.execute(changes=[SetQueryRange(
+            (0,), 50.0, boundary - 0.4)]).extra["incremental"]
+        assert report["root_dirty_shards"] == 2
+        assert futures_per_wave() == 1
+    finally:
+        engine.close()
 
 
 def certified_event_work(monkeypatch, n: int, percentage) -> list[tuple]:
