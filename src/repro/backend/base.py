@@ -77,16 +77,13 @@ class ExecBackend:
         ``spec`` is the picklable plan description built by
         :meth:`ShardedPlanEvaluator._pipeline_spec`: post-order node
         entries (leaf predicates / composite rules + weights), the
-        level grouping, each node's ``keep`` count and an optional
-        root top-k target.  A backend that accepts must run leaf ->
-        normalization -> combination -> mask for every shard span and
-        reply *no column data* over its control channel -- only
-        per-shard summaries and optional root top-k partials --
-        returning per node id the assembled full-table ``raw`` /
-        ``normalized`` / ``mask`` (+ ``signed`` for leaves) columns, the
-        resolved bounds and the summary matrix, plus per-shard
-        :class:`~repro.core.reduction.TopKCandidates` for the root when
-        requested.  The columns may be views of one buffer the backend
+        level grouping and each node's ``keep`` count.  A backend that
+        accepts must run leaf -> normalization -> combination -> mask for
+        every shard span and reply *no column data* over its control
+        channel -- only per-shard summaries -- returning per node id the
+        assembled full-table ``raw`` / ``normalized`` / ``mask``
+        (+ ``signed`` for leaves) columns, the resolved bounds and the
+        summary matrix.  The columns may be views of one buffer the backend
         hands over; the evaluator freezes them and never writes them.
         Every array must be bit-identical to the in-process cold
         computation; ``None`` (any fault, nowhere to offload to) keeps

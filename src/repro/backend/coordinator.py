@@ -10,7 +10,7 @@ the half that understands the op; it assumes nothing about sockets:
   shard-to-lane assignment, the output-buffer layout, the start round and
   the ``resolve_level`` / ``round_message`` / ``gather_round`` loop
   (:mod:`repro.backend.pipeline`), stream-plane fetches, summary fill,
-  top-k collection, abort, adopting or releasing the output buffer, the
+  abort, adopting or releasing the output buffer, the
   single retry on ``unknown-table``, and every counter
   :meth:`~Coordinator.stats` reports.
 * :class:`Transport` is everything it needs from the other half.  A
@@ -38,7 +38,6 @@ from __future__ import annotations
 import pickle
 import threading
 from contextlib import AbstractContextManager, suppress
-from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Any, Protocol
 
 import numpy as np
@@ -52,7 +51,7 @@ from repro.backend.pipeline import (
     resolve_level,
     round_message,
 )
-from repro.backend.shm import PublishedTable, ShmColumnStore
+from repro.backend.shm import PublishedTable, ShmColumnStore, create_block
 from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -140,9 +139,7 @@ class OutputBuffer:
     """
 
     def __init__(self, nbytes: int, lanes_shm: list[bool]):
-        self._shm = (shared_memory.SharedMemory(create=True,
-                                                size=max(1, nbytes))
-                     if any(lanes_shm) else None)
+        self._shm = create_block(max(1, nbytes)) if any(lanes_shm) else None
         self.buf = (self._shm.buf if self._shm is not None
                     else memoryview(bytearray(max(1, nbytes))))
         name = self._shm.name if self._shm is not None else None
@@ -312,7 +309,7 @@ class Coordinator(ExecBackend):
 
         Publish, pin, open a session, attach, run the rounds (one per plan
         level, see :mod:`repro.backend.pipeline`); every round's reply
-        carries only summaries and top-k partials, totalled into
+        carries only summaries (counting rows), totalled into
         ``reply_bytes``.  Any fault aborts the session (workers drop
         their state) and declines the op with a ``backend_fault`` on the
         ambient span -- the evaluator reruns in-process, bit-identically.
@@ -413,7 +410,7 @@ class Coordinator(ExecBackend):
                 replies = self._round(transport, [msg] * lanes, tally,
                                       "pipeline.round", reply=True,
                                       op=msg["op"])
-                topk_parts = gather_round(replies, summaries)
+                gather_round(replies, summaries)
             # The finish round closed every shared-memory lane's session.
             # Stream lanes still hold theirs: pull every remaining column
             # span, then release them.
@@ -437,11 +434,8 @@ class Coordinator(ExecBackend):
                 # The views themselves: the buffer is adopted below, not
                 # copied out.
                 entry.update(views[node_id])
-            topk = None
-            if spec.get("topk_target") is not None:
-                topk = [topk_parts[s] for s in range(shard_count)]
             out.adopt()
-            return {"nodes": result_nodes, "topk": topk}
+            return {"nodes": result_nodes}
         except BaseException:
             # Clear the lanes' session state while we still own them, so
             # no other op can interleave before the abort.

@@ -21,15 +21,12 @@ composite combined from its children's normalized columns):
    their per-shard counting rows (summaries) against the resolved
    bounds, and combine this level's composites.
 3. ``pipeline_finish`` -- resolves the top level, normalizes and counts
-   it, and optionally returns per-shard
-   :class:`~repro.core.reduction.TopKCandidates` partials of the root
-   column for the displayed-set selection.
+   it.
 
 Column data leaves a worker only through the session's output buffer (a
 shared-memory block, or ``pipeline_fetch`` replies on the stream plane);
-the round replies are summaries and optional root top-k partials --
-O(screen budget + shard count) bytes per event, independent of the rows
-per shard.  Every value written or replied is
+the round replies are counting rows -- O(nodes x shard count) bytes per
+op, independent of the rows per shard.  Every value written or replied is
 produced by the exact functions the in-process evaluator runs over the
 same bits, so the assembled result is bit-identical to the in-process
 cold path.
@@ -56,7 +53,7 @@ import numpy as np
 
 from repro.core.combine import CombinationRule, combine_columns
 from repro.core.normalization import apply_normalization, reduced_bounds
-from repro.core.reduction import rank_counts, topk_candidates
+from repro.core.reduction import rank_counts
 
 __all__ = [
     "FIELD_DTYPES",
@@ -132,14 +129,11 @@ def pipeline_layout(nodes: list[dict[str, Any]],
 # --------------------------------------------------------------------------- #
 # Coordinator-side round algebra (called by repro.backend.coordinator)
 # --------------------------------------------------------------------------- #
-def gather_round(replies: list[dict[str, Any]], summaries: dict) -> dict:
-    """Merge one round's per-worker payloads (disjoint shard subsets)."""
-    topk: dict[int, Any] = {}
+def gather_round(replies: list[dict[str, Any]], summaries: dict) -> None:
+    """Merge one round's per-worker summaries (disjoint shard subsets)."""
     for reply in replies:
         for node_id, per_shard in reply.get("summaries", {}).items():
             summaries.setdefault(node_id, {}).update(per_shard)
-        topk.update(reply.get("topk", {}))
-    return topk
 
 
 def resolve_level(level_ids: list[int], nodes: dict,
@@ -164,10 +158,7 @@ def round_message(spec: dict, levels: list[list[int]], level_no: int,
         "token": spec["token"],
         "resolved": resolved_msg,
     }
-    if finish:
-        target = spec.get("topk_target")
-        msg["topk"] = (levels[-1][0], target) if target is not None else None
-    else:
+    if not finish:
         msg["combine"] = levels[level_no]
     return msg
 
@@ -186,8 +177,8 @@ class WorkerPipeline:
     """Worker-side state of one pipeline session.
 
     Holds the per-node column views over the session's output buffer;
-    each round method returns the reply payload (summaries, root top-k
-    partials) for this worker's shards.
+    each round method returns the reply payload (the summaries) for this
+    worker's shards.
 
     ``buf`` is any writable buffer of :func:`pipeline_layout` size: the
     coordinator's shared-memory block when the worker can map it, else
@@ -258,17 +249,8 @@ class WorkerPipeline:
         return {"summaries": summaries}
 
     def finish(self, msg: dict[str, Any]) -> dict[str, Any]:
-        """Normalize the top level; optional root top-k partials."""
-        summaries = self._normalize_round(msg)
-        topk: dict[int, Any] = {}
-        request = msg.get("topk")
-        if request is not None:
-            root_id, target = request
-            normalized = self.views[root_id]["normalized"]
-            for shard_no, start, stop in self.shards:
-                topk[shard_no] = topk_candidates(
-                    normalized[start:stop], target, offset=start)
-        return {"summaries": summaries, "topk": topk}
+        """Normalize the top level."""
+        return {"summaries": self._normalize_round(msg)}
 
     def close(self) -> None:
         self.views.clear()

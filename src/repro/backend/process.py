@@ -3,7 +3,7 @@
 Whole-pipeline sessions run in spawned worker processes that map the
 table's published columns zero-copy from shared memory
 (:mod:`repro.backend.shm`).  Per-event traffic is only the pickled plan,
-shard spans, block names and partials -- never column data -- which is
+shard spans, block names and counting rows -- never column data -- which is
 what makes the process boundary cheaper than the columns it
 parallelises over.
 

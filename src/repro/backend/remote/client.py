@@ -23,7 +23,7 @@ Column data moves over a *negotiated data plane*, once per
 directly (a co-located server, every local one: zero column bytes on
 the socket) or has the columns chunk-streamed to it once at attach time
 (a cross-host server).  Either way, per-event wire traffic stays the
-plan, shard lists and partials -- the ``remote_traffic_ratio`` headline
+plan, shard lists and counting rows -- the ``remote_traffic_ratio`` headline
 in ``benchmarks/bench_backend.py``.
 
 :class:`_Fleet` pins one connection per endpoint for the length of an

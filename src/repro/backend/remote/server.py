@@ -19,7 +19,7 @@ attach.
 
 Tables are attached once per publication key and held in an LRU-bounded
 store shared by every connection; per-event traffic stays the plan,
-shard lists and partials.  Column data arrives through one of two
+shard lists and counting rows.  Column data arrives through one of two
 negotiated planes:
 
 * **shared memory** -- a server co-located with the coordinator attaches

@@ -5,7 +5,7 @@ workers carry the same frames.
 
 Every message on a worker connection is one *frame*: a
 struct-packed header (magic, protocol version, flags, body length)
-followed by the body.  Control messages -- ops, replies, partials -- are
+followed by the body.  Control messages -- ops and their replies -- are
 pickled Python dicts (``FLAG_PICKLE``); bulk column payloads travel as
 raw frames (``FLAG_RAW``), chunked at :data:`CHUNK_BYTES` so neither
 side ever buffers an unbounded body and a slow peer trips the read
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible change to ops, replies or framing.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _MAGIC = b"RPRW"
 #: magic, version, flags, body length.

@@ -29,6 +29,7 @@ the op would fault spuriously.  The near-misses are counted
 from __future__ import annotations
 
 import itertools
+import os
 import pickle
 import threading
 from multiprocessing import shared_memory
@@ -52,6 +53,22 @@ __all__ = [
 MAX_PUBLISHED_TABLES = 8
 
 _PUBLICATION_SEQ = itertools.count(1)
+
+
+def block_prefix() -> str:
+    """The name prefix of every block this process creates: ``rp<pid>_``."""
+    return f"rp{os.getpid()}_"
+
+
+def create_block(size: int) -> shared_memory.SharedMemory:
+    """A new block named :func:`block_prefix` plus 16 random hex digits.
+
+    At most 26 characters, inside the 31 every platform allows, and
+    countable per process: a census of ``/dev/shm`` can tell this
+    process's blocks from any other process's.
+    """
+    return shared_memory.SharedMemory(
+        name=block_prefix() + os.urandom(8).hex(), create=True, size=size)
 
 
 def attach_block(name: str) -> shared_memory.SharedMemory:
@@ -180,7 +197,7 @@ class ShmColumnStore:
             for name, array in table.export_columns().items():
                 if array.dtype.kind == "f":
                     size = max(1, array.nbytes)
-                    shm = shared_memory.SharedMemory(create=True, size=size)
+                    shm = create_block(size)
                     blocks.append(shm)
                     if rows:
                         dest = np.ndarray(rows, dtype=np.float64, buffer=shm.buf)
@@ -189,8 +206,7 @@ class ShmColumnStore:
                     nbytes += size
                 else:
                     payload = pickle.dumps(array, protocol=pickle.HIGHEST_PROTOCOL)
-                    shm = shared_memory.SharedMemory(
-                        create=True, size=max(1, len(payload)))
+                    shm = create_block(max(1, len(payload)))
                     blocks.append(shm)
                     shm.buf[:len(payload)] = payload
                     columns.append({
@@ -201,12 +217,7 @@ class ShmColumnStore:
                     })
                     nbytes += len(payload)
         except Exception:
-            for shm in blocks:
-                try:
-                    shm.close()
-                    shm.unlink()
-                except Exception:  # pragma: no cover
-                    pass
+            PublishedTable(key, {}, blocks, nbytes).destroy()
             raise
         manifest = {
             "table_id": key,

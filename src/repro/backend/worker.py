@@ -12,7 +12,7 @@ manifest (or announces a one-time upload), after which the lane holds a
 zero-copy table in its :class:`_TableStore`; the ``pipeline_*`` ops
 (:mod:`repro.backend.pipeline`) run a whole plan's per-shard stages as a
 short session of rounds, writing every column into one output buffer the
-coordinator allocated and replying only counting rows and top-k partials.
+coordinator allocated and replying only counting rows.
 
 A failing op produces an error reply and leaves the lane alive and
 request/reply aligned (an open pipeline session is torn down, so the

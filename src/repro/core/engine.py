@@ -38,6 +38,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from repro.core.chunks import as_array
 from repro.core.normalization import NORMALIZED_MAX
 from repro.obs import trace as obs
 from repro.core.plan import (
@@ -52,11 +53,11 @@ from repro.core.reduction import (
     ReductionMethod,
     ShardCounts,
     display_fraction,
+    first_ties,
     kth_smallest,
     rank_counts,
     quantile_rank_bounds,
     select_display_set,
-    topk_candidates,
 )
 from repro.core.shard import (
     NodeDelta,
@@ -852,23 +853,6 @@ class PreparedQuery:
     # ------------------------------------------------------------------ #
     # Per-root statistics: reuse, patch the dirty shards, or rebuild
     # ------------------------------------------------------------------ #
-    def _topk_target(self, n: int) -> int | None:
-        """Displayed-set size when it is built from per-shard top-k partials.
-
-        None when that path does not apply: another reduction method, a
-        degenerate target, or past the adaptive cutoff where the per-shard
-        candidate sets -- exactly S·``target`` rows together -- would
-        exceed half the column; the whole-column
-        :func:`~repro.core.reduction.select_display_set` then selects,
-        bit-identically by the same tie rule.
-        """
-        if self.config.percentage is None:
-            return None
-        target = max(1, int(round(self.config.percentage * n)))
-        if target >= n or target * self.shard_count > n // 2:
-            return None
-        return target
-
     def _refresh(self, slot: str, params: tuple, root: NodeDelta, source,
                  shard, assemble, rebuild):
         """Reuse, patch or rebuild the per-root statistic held in ``slot``.
@@ -920,57 +904,44 @@ class PreparedQuery:
                 replace(state, column_key=root.value_key, source=source))
         return state.value, dirty is not None
 
-    def _percentage_displayed(self, distances: np.ndarray, sharded: ShardedTable,
+    def _percentage_displayed(self, distances, sharded: ShardedTable,
                               root: NodeDelta, target: int,
-                              pipeline_topk: tuple[int, list] | None,
                               ) -> tuple[np.ndarray, bool]:
         """Percentage-path displayed set from bounded per-shard below/tie lists.
 
         Returns ``(displayed, served)``, ``served`` False when the lists
-        were rebuilt from per-shard top-k partials.
+        were rebuilt.
 
-        ``target`` is :meth:`_topk_target`.  The threshold is the
-        ``target``-th smallest (NaN-masked) distance; each shard keeps its
-        ascending global row indices strictly below it and, of those
-        exactly at it, only the first ``target`` minus the rows below --
-        all the ties it could contribute, so at most ``target`` rows --
-        while its counting row keeps the true ``count(<)`` and
-        ``count(<=)``.  Only the shards the root delta
-        marks dirty rebuild their lists; the threshold still holds its rank
-        when fewer than ``target`` rows lie strictly below it and at least
+        ``target`` is the number of rows the display percentage selects.
+        The threshold is the ``target``-th smallest (NaN-masked) distance;
+        each shard keeps its ascending global row indices strictly below it
+        and, of those exactly at it, only the first ``target`` minus the
+        rows below -- all the ties it could contribute, so at most
+        ``target`` rows -- while its counting row keeps the true
+        ``count(<)`` and ``count(<=)``.  Only the shards the root delta
+        marks dirty are cut again; the threshold still holds its rank when
+        fewer than ``target`` rows lie strictly below it and at least
         ``target`` at or below, and ties at the boundary resolve under the
         stable-argsort rule (smallest global row indices win), so the
         patched displayed set equals a cold selection bit for bit.  A
-        rebuild selects the threshold among the per-shard top-k partials
-        (at most S·``target`` values) and reads each shard's counting row
-        and lists off its partial; only a shard whose partial stops at the
-        threshold is scanned again, to count its ties.
+        rebuild takes the threshold with one
+        :func:`~repro.core.reduction.kth_smallest` over the whole column
+        and cuts every shard the way a patch cuts its dirty ones.
         """
         bounds = sharded.bounds
 
-        def masked(i: int) -> np.ndarray:
-            part = distances[bounds[i][0]:bounds[i][1]]
+        def masked(part: np.ndarray) -> np.ndarray:
             finite = np.isfinite(part)
             return part if finite.all() else np.where(finite, part, np.inf)
 
-        def cut(i: int, threshold: float):
-            start, stop = bounds[i]
-            part = masked(i)
+        def cut(part: np.ndarray, i: int, threshold: float):
+            # ``part`` is shard ``i``'s masked distances.
+            start = bounds[i][0]
             below = np.flatnonzero(part < threshold) + start
-            ties = np.flatnonzero(part == threshold)
-            return ((stop - start, len(below), len(below) + len(ties)),
-                    (below, ties[:max(target - len(below), 0)] + start))
-
-        def from_partial(i: int, partial, threshold: float):
-            # What `cut` returns, read off the shard's own top `target`: it
-            # holds every row below the threshold and the first ties.  Only
-            # a partial cut short at the threshold leaves ties uncounted.
-            below = partial.indices[partial.values < threshold]
-            ties = partial.indices[partial.values == threshold]
-            at_most = len(below) + len(ties)
-            if partial.count > len(partial.values) == at_most:
-                at_most = len(below) + np.count_nonzero(masked(i) == threshold)
-            return (partial.count, len(below), at_most), (below, ties)
+            need = max(target - len(below), 0)
+            ties = first_ties(part, threshold, need, need)[:need] + start
+            at_most = len(below) + np.count_nonzero(part == threshold)
+            return (len(part), len(below), at_most), (below, ties)
 
         def assemble(state) -> np.ndarray:
             # Per-shard lists are ascending and shard ranges are ordered, so
@@ -989,29 +960,22 @@ class PreparedQuery:
             return displayed
 
         def rebuild():
-            if (pipeline_topk is not None and pipeline_topk[0] == target
-                    and len(pipeline_topk[1]) == len(bounds)):
-                # An accepted pipeline op already built the per-shard
-                # partials worker-side, over the same normalized bits with
-                # the same function and offsets -- identical by construction.
-                partials = list(pipeline_topk[1])
-            else:
-                # Inline: a few vectorised scans per shard cost less than a
-                # pool hand-off per shard would save.
-                partials = [topk_candidates(distances[start:stop], target, offset=start)
-                            for start, stop in bounds]
-            # The global top `target` rows lie in the partials, so their
-            # `target`-th smallest value is the column's.
-            values = np.concatenate([p.values for p in partials])
-            threshold = float(kth_smallest(values, target))
-            fresh = [from_partial(i, p, threshold) for i, p in enumerate(partials)]
+            # A chunked root is materialized once for the whole-column pass.
+            column = masked(as_array(distances))
+            rank = min(target, len(column))
+            threshold = float(kth_smallest(column, rank))
+            fresh = [cut(column[start:stop], i, threshold)
+                     for i, (start, stop) in enumerate(bounds)]
             rows = np.asarray([row for row, _ in fresh], dtype=float)
-            counts = ShardCounts((threshold,), (target - 1,), len(distances), rows)
+            counts = ShardCounts((threshold,), (rank - 1,), len(column), rows)
             return counts, tuple(piece for _, piece in fresh), threshold
 
         displayed, served = self._refresh(
             "displayed", ("percentage", target), root, distances,
-            lambda state, i: cut(i, state.threshold), assemble, rebuild)
+            lambda state, i: cut(
+                masked(distances[bounds[i][0]:bounds[i][1]]), i,
+                state.threshold),
+            assemble, rebuild)
         if served:
             self.engine.evaluation_cache(self.table).record(displayed_patches=1)
         return displayed, served
@@ -1125,14 +1089,14 @@ class PreparedQuery:
         n = len(table)
         n_predicates = condition.leaf_count()
         capacity_items = item_capacity(self.config, n_predicates)
+        target = None
         if self.config.percentage is not None:
             # A user-chosen display percentage changes the normalization range:
             # "changing the percentage of data being displayed may completely
             # change the visualization since the distance values are normalized
             # according to the new range" (section 4.3).
-            capacity_items = min(
-                capacity_items, max(1, int(round(self.config.percentage * n)))
-            )
+            target = max(1, int(round(self.config.percentage * n)))
+            capacity_items = min(capacity_items, target)
         shard_count = self.shard_count
         # Registered as a pool user across all shard waves, so a concurrent
         # QueryEngine.close() elsewhere in the process drains this
@@ -1156,11 +1120,6 @@ class PreparedQuery:
                 sites=self._root.sites,
                 backend=backend,
             )
-            # When the displayed set will be built from per-shard top-k
-            # partials, ask an accepted pipeline op to return the root's
-            # partials alongside, saving the coordinator pass.
-            topk_target = self._topk_target(n)
-            evaluator.pipeline_topk_target = topk_target
             with obs.span("plan.evaluate", shards=shard_count,
                           backend=self.backend_name if backend else None
                           ) as eval_span:
@@ -1182,7 +1141,6 @@ class PreparedQuery:
                 else self.config.reduction
             )
             with obs.span("displayed.select", method=method.name) as sel:
-                displayed = None
                 if n and method is ReductionMethod.QUANTILE:
                     # The quantile certificate: dirty-shard recounts proved
                     # the cached threshold element still the p-quantile, or
@@ -1193,20 +1151,17 @@ class PreparedQuery:
                     )
                     sel.annotate(certificate="quantile", node="()",
                                  certified=certified)
-                elif topk_target is not None:
+                elif n and target is not None:
                     # The displayed-set certificate: the cached threshold
                     # still holds its rank (reused or patched), or the lists
-                    # were rebuilt from per-shard top-k partials.
+                    # were rebuilt.
                     displayed, certified = self._percentage_displayed(
-                        overall.normalized_distances, sharded, root,
-                        topk_target, evaluator.pipeline_topk,
-                    )
+                        overall.normalized_distances, sharded, root, target)
                     sel.annotate(certificate="displayed-topk", node="()",
                                  certified=certified)
-                if displayed is None:
-                    # Whole-column selection: an empty table, the multi-peak
-                    # heuristic (needs the globally sorted prefix), or a
-                    # percentage past _topk_target's cut-over.
+                else:
+                    # Whole-column selection: an empty table, or the
+                    # multi-peak heuristic (needs the globally sorted prefix).
                     displayed = select_display_set(
                         overall.normalized_distances,
                         capacity=pixel_budget,

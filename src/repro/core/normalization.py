@@ -90,8 +90,10 @@ def reduced_bounds(distances: np.ndarray, keep: int) -> tuple[float, float] | No
     column.  A tie block at the minimum that reaches rank ``keep`` (every
     exact answer has distance 0) answers without a partition.
     """
-    finite_mask = np.isfinite(distances)
-    finite = distances if finite_mask.all() else distances[finite_mask]
+    # No finite mask outlives this line: a byte-wide mask alive next to a
+    # selection's scratch copy would add a byte a row to its peak.
+    finite = (distances if np.isfinite(distances).all()
+              else distances[np.isfinite(distances)])
     if len(finite) == 0:
         return None
     if keep >= len(finite):

@@ -228,6 +228,21 @@ def kth_smallest(values: np.ndarray, k: int) -> float:
     return np.partition(values, k - 1)[k - 1]
 
 
+def first_ties(values: np.ndarray, threshold: float, need: int, stop: int) -> np.ndarray:
+    """Positions of ``values == threshold`` in a prefix holding ``need`` of them.
+
+    The prefix starts at ``stop`` rows (``stop >= 1`` whenever ``need`` is
+    positive) and doubles until it holds at least ``need`` ties or covers
+    every row, so the first ties of a long tie block are found without a
+    pass over all of it.
+    """
+    ties = np.flatnonzero(values[:stop] == threshold)
+    while len(ties) < need and stop < len(values):
+        stop *= 2
+        ties = np.flatnonzero(values[:stop] == threshold)
+    return ties
+
+
 def _candidate_cut(values: np.ndarray, target: int, indices: np.ndarray | None = None,
                    offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The ``target`` smallest rows under the (value, row) order.
@@ -245,11 +260,9 @@ def _candidate_cut(values: np.ndarray, target: int, indices: np.ndarray | None =
         return indices, values
     threshold = kth_smallest(values, target)
     below = np.flatnonzero(values < threshold)
-    need, stop = target - len(below), target if indices is None else len(values)
-    ties = np.flatnonzero(values[:stop] == threshold)
-    while len(ties) < need and stop < len(values):
-        stop *= 2
-        ties = np.flatnonzero(values[:stop] == threshold)
+    need = target - len(below)
+    ties = first_ties(values, threshold, need,
+                      target if indices is None else len(values))
     if indices is None:
         ties = ties[:need]
     elif len(ties) > need:
@@ -316,14 +329,7 @@ def resolve_topk(partial: TopKCandidates) -> np.ndarray:
     :func:`select_display_set`: the ``target`` smallest values win, with
     ties at the threshold broken by ascending global row index.
     """
-    target, n = partial.target, partial.count
-    if target >= n:
-        return np.arange(n, dtype=np.intp)
-    values, indices = partial.values, partial.indices
-    threshold = values[np.argpartition(values, target - 1)[target - 1]]
-    below = indices[values < threshold]
-    ties = np.sort(indices[values == threshold])[: target - len(below)]
-    return np.sort(np.concatenate([below, ties]))
+    return np.sort(_candidate_cut(partial.values, partial.target, partial.indices)[0])
 
 
 def select_display_set(distances: np.ndarray, capacity: int, n_selection_predicates: int,

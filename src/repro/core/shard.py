@@ -20,18 +20,18 @@ row-range shards:
   once over the whole column
   (:func:`~repro.core.normalization.reduced_bounds`), and per-shard
   counting rows (:func:`~repro.core.reduction.rank_counts`) certify them
-  on later events without touching clean shards; the displayed-set
-  selection merges per-shard top-k candidate sets
-  (:class:`~repro.core.reduction.TopKCandidates`).
+  on later events without touching clean shards; the engine's
+  displayed-set selection keeps bounded per-shard below/tie lists
+  certified the same way.
 
 The binding contract -- enforced by ``tests/test_differential.py`` -- is
 that sharded execution is **bit-identical** to the naive whole-table
 reference (:func:`repro.core.plan.reference_feedback`) for every shard
 count.  ``d_min``/``d_max`` are exact array elements resolved by the
 monolithic function itself (so the elementwise normalization transform
-sees the same scalars), candidate merges are associative and
-order-independent, and tie-breaking at the capacity boundary happens once,
-by ascending global row index, exactly as a stable argsort would order it.
+sees the same scalars), and tie-breaking at the capacity boundary happens
+once, by ascending global row index, exactly as a stable argsort would
+order it.
 Any future backend (process pool, async, remote) must preserve these same
 invariants.
 """
@@ -440,12 +440,6 @@ class ShardedPlanEvaluator:
         #: Per-event chunked copy-on-write accounting (reset by ``evaluate``).
         self._chunks_patched = 0
         self._chunks_shared = 0
-        #: Set by the engine when the displayed-set selection could use
-        #: per-shard root top-k partials (percentage path).
-        self.pipeline_topk_target: int | None = None
-        #: ``(target, [TopKCandidates per shard])`` from an accepted
-        #: pipeline op, for the engine's displayed-set construction.
-        self.pipeline_topk: tuple[int, list] | None = None
 
     # ------------------------------------------------------------------ #
     def _map_shards(self, fn: Callable[[int], T]) -> list[T]:
@@ -473,6 +467,30 @@ class ShardedPlanEvaluator:
 
         self._map_shards(fill)
         return out
+
+    def _column(self, piece: Callable[[int], np.ndarray], base,
+                dirty: frozenset | None, dtype: type = float):
+        """The node column whose shard ``i`` rows are ``piece(i)``.
+
+        ``dirty`` names the shards in which it may differ from ``base``:
+        None computes every shard (a cold node is a patch with every shard
+        dirty), an empty set is ``base`` itself, and otherwise the dirty
+        shards' pieces are spliced in copy-on-write -- interior chunks
+        alias the fresh pieces zero-copy, every clean chunk is shared with
+        ``base``.
+        """
+        if dirty is None:
+            return self._assemble(piece, dtype)
+        if not dirty:
+            return base
+        bounds = self.sharded.bounds
+        dirty_sorted = sorted(dirty)
+        column = as_chunked(base).patch_spans([
+            (bounds[i][0], bounds[i][1], fresh)
+            for i, fresh in zip(dirty_sorted, self._map_over(dirty_sorted, piece))
+        ])
+        self._count_chunks(column)
+        return column
 
     def _valid_entry(self, path: NodePath) -> ShardSliceEntry | None:
         entry = self.sites.get(path)
@@ -623,7 +641,6 @@ class ShardedPlanEvaluator:
             "target_max": self.target_max,
             "nodes": nodes_spec,
             "levels": [levels[level] for level in sorted(levels)],
-            "topk_target": self.pipeline_topk_target,
         }
         return spec, meta
 
@@ -643,7 +660,6 @@ class ShardedPlanEvaluator:
         backend's own (nowhere to offload to, or a faulted op) carries
         ``backend_fault``.
         """
-        self.pipeline_topk = None
         backend = self.backend
         shard_count = self.sharded.shard_count
         reason = ("one-shard" if shard_count <= 1
@@ -679,9 +695,6 @@ class ShardedPlanEvaluator:
                 exact_mask=data["mask"], raw=data["raw"],
                 resolved=data["resolved"], summaries=data["summaries"]))
             self.cache.record(slice_misses=1, shards_recomputed=shard_count)
-        topk = result.get("topk")
-        if topk is not None and spec["topk_target"] is not None:
-            self.pipeline_topk = (spec["topk_target"], topk)
         return True
 
     def event_report(self) -> dict[str, object]:
@@ -860,67 +873,20 @@ class ShardedPlanEvaluator:
             obs.annotate(
                 patch_declined="no-entry" if entry is None else "base-mismatch")
         bounds = self.sharded.bounds
-        if dirty is not None:
-            # Children changed only inside the dirty shards (and with
-            # unchanged weights/rule), so the combined column and the
-            # fulfilment mask change only there too.
-            if not dirty:
-                combined = entry.columns.raw
-                exact = entry.columns.exact_mask
-            else:
-                dirty_sorted = sorted(dirty)
-
-                def combine_one(i: int) -> np.ndarray:
-                    start, stop = bounds[i]
-                    return combine_columns(
-                        plan.rule,
-                        [c.normalized[start:stop] for c in child_columns],
-                        weights,
-                    )
-
-                def mask_one(i: int) -> np.ndarray:
-                    start, stop = bounds[i]
-                    if plan.rule is CombinationRule.AND:
-                        piece = np.ones(stop - start, dtype=bool)
-                        for c in child_columns:
-                            piece &= c.exact_mask[start:stop]
-                    else:
-                        piece = np.zeros(stop - start, dtype=bool)
-                        for c in child_columns:
-                            piece |= c.exact_mask[start:stop]
-                    return piece
-
-                fresh_combined = dict(zip(
-                    dirty_sorted, self._map_over(dirty_sorted, combine_one)))
-                fresh_masks = dict(zip(
-                    dirty_sorted, self._map_over(dirty_sorted, mask_one)))
-                # Copy-on-write assembly: dirty shards' spans are spliced
-                # in (interior chunks alias the fresh pieces zero-copy);
-                # every clean chunk is shared with the cached entry.
-                combined = as_chunked(entry.columns.raw).patch_spans([
-                    (bounds[i][0], bounds[i][1], fresh_combined[i])
-                    for i in dirty_sorted
-                ])
-                exact = as_chunked(entry.columns.exact_mask).patch_spans([
-                    (bounds[i][0], bounds[i][1], fresh_masks[i])
-                    for i in dirty_sorted
-                ])
-                self._count_chunks(combined)
-                self._count_chunks(exact)
-        else:
-            combined = self._assemble(lambda i: combine_columns(
-                plan.rule,
-                [c.normalized[bounds[i][0]:bounds[i][1]] for c in child_columns],
-                weights,
-            ))
-            if plan.rule is CombinationRule.AND:
-                exact = np.ones(len(self.table), dtype=bool)
-                for c in child_columns:
-                    exact &= c.exact_mask
-            else:
-                exact = np.zeros(len(self.table), dtype=bool)
-                for c in child_columns:
-                    exact |= c.exact_mask
+        # Children changed only inside the dirty shards (and with unchanged
+        # weights/rule), so the combined column and the fulfilment mask
+        # change only there too.
+        reduce = (np.logical_and if plan.rule is CombinationRule.AND
+                  else np.logical_or).reduce
+        old = entry.columns if dirty is not None else None
+        combined = self._column(lambda i: combine_columns(
+            plan.rule,
+            [c.normalized[bounds[i][0]:bounds[i][1]] for c in child_columns],
+            weights,
+        ), old and old.raw, dirty)
+        exact = self._column(lambda i: reduce(
+            [c.exact_mask[bounds[i][0]:bounds[i][1]] for c in child_columns]
+        ), old and old.exact_mask, dirty, bool)
         normalized, resolved, summaries, out_dirty = \
             self._normalize_incremental(combined, plan.node.weight, entry, dirty)
         columns = _NodeColumns(
@@ -1172,26 +1138,14 @@ class ShardedPlanEvaluator:
             values = as_array(values)
             resolved = reduced_bounds(values, keep)
         d_min, d_max = resolved if resolved is not None else (None, None)
-        if patched and bounds_identical(resolved, base.resolved):
-            # Short-circuit: bounds unchanged, so clean shards' normalized
-            # slices are bit-identical -- renormalize the dirty ones only.
-            old = base.normalized
-            if not dirty:
-                normalized = old
-            else:
-                fresh = self._map_over(
-                    dirty_sorted,
-                    lambda i: apply_normalization(
-                        values[bounds[i][0]:bounds[i][1]], d_min, d_max,
-                        target_max=self.target_max),
-                )
-                # Copy-on-write: dirty shards' spans are spliced in, every
-                # clean chunk is aliased from the cached normalized column.
-                normalized = as_chunked(old).patch_spans([
-                    (bounds[i][0], bounds[i][1], piece)
-                    for i, piece in zip(dirty_sorted, fresh)
-                ])
-                self._count_chunks(normalized)
+        # Short-circuit: bounds unchanged, so clean shards' normalized
+        # slices are bit-identical -- renormalize the dirty ones only.
+        shortcircuit = patched and bounds_identical(resolved, base.resolved)
+        out_dirty = dirty if shortcircuit else None
+        normalized = self._column(lambda i: apply_normalization(
+            values[bounds[i][0]:bounds[i][1]], d_min, d_max,
+            target_max=self.target_max), base and base.normalized, out_dirty)
+        if shortcircuit:
             # A failed certificate whose resolve still came out identical
             # recounts against the same bounds, so the next event certifies.
             summaries = (counts.rows if counts is not None
@@ -1203,11 +1157,7 @@ class ShardedPlanEvaluator:
             obs.annotate(certificate="bounds", certified=counts is not None,
                          shortcircuit=True, shards_recomputed=len(dirty),
                          shards_reused=shard_count - len(dirty))
-            out_dirty: frozenset | None = dirty
         else:
-            normalized = self._assemble(lambda i: apply_normalization(
-                values[bounds[i][0]:bounds[i][1]], d_min, d_max,
-                target_max=self.target_max))
             summaries = self._build_summaries(values, resolved)
             self.cache.record(**{"slice_hits" if patched else "slice_misses": 1},
                               shards_recomputed=shard_count)
@@ -1217,7 +1167,6 @@ class ShardedPlanEvaluator:
                 obs.annotate(certificate="bounds", certified=False,
                              shortcircuit=False,
                              shards_recomputed=shard_count, shards_reused=0)
-            out_dirty = None
         return normalized, resolved, summaries, out_dirty
 
     def _build_summaries(self, values: np.ndarray,

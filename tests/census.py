@@ -3,8 +3,11 @@
 The counting is the end-to-end benchmark's own (``benchmarks/e2e/
 procs.py``: shared-memory blocks, descendant processes, listening
 ports), imported rather than copied so the two can never disagree; this
-module adds the open-fd count.  :func:`module_census` is the fixture
-body: after the module it stops every backend
+module adds the open-fd count.  Its own loaded copy of ``procs.py``
+counts only the shared-memory blocks this process created (their names
+start with :func:`repro.backend.shm.block_prefix`), so a run beside
+another one never counts the other's blocks.  :func:`module_census` is
+the fixture body: after the module it stops every backend
 (:func:`repro.backend.shutdown_all`) and fails if anything it started is
 still there.
 """
@@ -16,6 +19,7 @@ from multiprocessing import resource_tracker
 from pathlib import Path
 
 import repro.backend
+from repro.backend.shm import block_prefix
 
 _spec = importlib.util.spec_from_file_location(
     "bench_e2e_procs",
@@ -23,10 +27,18 @@ _spec = importlib.util.spec_from_file_location(
 _procs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_procs)
 
+
+def shm_blocks() -> set[str]:
+    """The shared-memory blocks this process created and has not unlinked."""
+    return {name for name in _machine_shm_blocks()
+            if name.startswith(block_prefix())}
+
+
+_machine_shm_blocks, _procs.shm_blocks = _procs.shm_blocks, shm_blocks
+
 Census = _procs.Census
 descendants = _procs.descendants
 listening_ports = _procs.listening_ports
-shm_blocks = _procs.shm_blocks
 
 
 def open_fds() -> int:

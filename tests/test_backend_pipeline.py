@@ -1,7 +1,8 @@
 """Whole-pipeline offload tests for the process backend.
 
 Covers the ``shard_pipeline`` protocol end to end (offload fires, replies
-carry counting rows and top-k partials but no column data, every node's
+carry counting rows but no column data, every block it creates carries
+this process's name prefix, every node's
 counting rows are exact, output is bit-identical to the cold in-process
 run),
 the fault paths it leans on (misaligned lanes after a partial round
@@ -195,7 +196,8 @@ def test_accepted_open_hands_its_output_block_to_the_caches(shards):
     assert not held & deleted_shm_mappings(), "mapping outlived its views"
 
 
-def coordinator_bytes_per_row(monkeypatch, n: int) -> float:
+def coordinator_bytes_per_row(monkeypatch, n: int,
+                              percentage: float = 0.02) -> float:
     """Peak bytes the coordinator allocates inside one accepted
     ``shard_pipeline`` call, per row, for a 5-node plan over ``n`` rows.
 
@@ -219,7 +221,8 @@ def coordinator_bytes_per_row(monkeypatch, n: int) -> float:
                             "b": rng.normal(5.0, 3.0, n),
                             "c": rng.normal(0.0, 1.0, n)})
     engine = QueryEngine(table, PipelineConfig(
-        shard_count=4, max_workers=2, backend="process", percentage=0.02))
+        shard_count=4, max_workers=2, backend="process",
+        percentage=percentage))
     try:
         for a in (5.0, 4.0):
             cond = AndNode([condition("a", "<", a),
@@ -242,30 +245,22 @@ def test_cold_offload_allocates_no_column_copy(monkeypatch):
     The 5-node plan's columns (109 bytes a row) live in the output block
     and are adopted, never copied.  What remains is the bounds resolve's
     byte-wide masks.  Every leaf here has more exact answers than its keep
-    count, so no resolve needs a partition; one that does adds a scratch
-    copy of that node's raw column (8 bytes a row).
+    count, so no resolve needs a partition.  At a 40 % display some do,
+    and each adds a scratch copy of that node's raw column (8 bytes a row)
+    -- only after the resolve has dropped its byte-wide finite mask.
     """
     assert coordinator_bytes_per_row(monkeypatch, 8_000) < 8
     assert coordinator_bytes_per_row(monkeypatch, 128_000) < 8
+    assert coordinator_bytes_per_row(monkeypatch, 128_000, 0.4) <= 8.5
 
 
-def heavy_tie_reply(monkeypatch, n: int, target: int = 40):
+def heavy_tie_reply(n: int, target: int = 40) -> int:
     """One offloaded open of a tie-heavy plan over ``n`` rows, 4 shards.
 
     About 95 % of the rows are exact answers (distance 0), so the root
-    threshold sits inside a tie block of ~0.95n rows.  Returns each
-    shard's ``pipeline_topk`` partial length and the reply bytes per op.
+    threshold sits inside a tie block of ~0.95n rows.  Returns the reply
+    bytes per op.
     """
-    from repro.core.engine import PreparedQuery
-
-    seen = []
-    percentage_displayed = PreparedQuery._percentage_displayed
-
-    def spy(self, *args):
-        seen.append(args[-1])
-        return percentage_displayed(self, *args)
-
-    monkeypatch.setattr(PreparedQuery, "_percentage_displayed", spy)
     rng = np.random.default_rng(3)
     table = Table("Ties", {"a": rng.uniform(0.0, 100.0, n),
                            "b": rng.uniform(0.0, 100.0, n)})
@@ -280,20 +275,42 @@ def heavy_tie_reply(monkeypatch, n: int, target: int = 40):
         assert stats["pipeline_ops"] == 1 and stats["pipeline_fallbacks"] == 0
     finally:
         engine.close()
-        monkeypatch.undo()
-    (pipeline_topk,) = seen
-    assert pipeline_topk is not None and pipeline_topk[0] == target
-    return [len(p.indices) for p in pipeline_topk[1]], stats["reply_bytes"]
+    return stats["reply_bytes"]
 
 
-def test_worker_topk_replies_are_bounded_under_heavy_ties(monkeypatch):
-    """Each shard's worker top-k partial holds at most ``target`` rows, so
-    the reply bytes of an op do not grow with the table: 16x the rows (and
-    16x the tied rows at the threshold) reply the same bytes."""
-    small_rows, small_bytes = heavy_tie_reply(monkeypatch, 8_000)
-    large_rows, large_bytes = heavy_tie_reply(monkeypatch, 128_000)
-    assert small_rows == large_rows == [40] * 4
+def test_worker_replies_are_bounded_under_heavy_ties():
+    """A worker replies counting rows only, so the reply bytes of an op do
+    not grow with the table: 16x the rows (and 16x the tied rows at the
+    display threshold) reply the same bytes."""
+    small_bytes = heavy_tie_reply(8_000)
+    large_bytes = heavy_tie_reply(128_000)
     assert large_bytes <= small_bytes * 1.05
+
+
+def test_every_block_an_op_creates_carries_the_process_prefix(monkeypatch):
+    """The table's publication and the op's output block are named
+    ``rp<pid>_...``, the prefix the backend census counts by."""
+    from multiprocessing import shared_memory
+
+    created = []
+    init = shared_memory.SharedMemory.__init__
+
+    def spy(self, name=None, create=False, size=0, *args, **kwargs):
+        init(self, name, create, size, *args, **kwargs)
+        if create:
+            created.append(self.name)
+
+    monkeypatch.setattr(shared_memory.SharedMemory, "__init__", spy)
+    engine, table, prepared = build_pipeline_prepared(4)
+    try:
+        prepared.execute()
+        assert engine.stats()["backend"]["pipeline_ops"] == 1
+    finally:
+        engine.close()
+    # Three published columns (two float, one object) and one output block.
+    assert len(created) == 4
+    assert all(name.startswith(f"rp{os.getpid()}_") and len(name) <= 31
+               for name in created), created
 
 
 def test_worker_counting_rows_are_exact_under_heavy_ties(monkeypatch):

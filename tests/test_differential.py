@@ -537,8 +537,8 @@ def test_differential_session_opened_from_the_node_cache_patches():
 
 def test_differential_incremental_matches_reference():
     """A patch chain at an odd shard count reproduces the naive reference's
-    bits at every step (percentage past the top-k cut-over: node columns
-    patch per shard, the displayed set is the whole-column selection)."""
+    bits at every step (a 10 % display: node columns and the displayed
+    set's per-shard lists patch per shard)."""
     table = _locality_table(n=2_500)
     root = AndNode([between("t", 50.0, 900.0), condition("a", ">", 20.0)])
     config = PipelineConfig(screen=ScreenSpec(width=48, height=48), percentage=0.1)

@@ -240,6 +240,35 @@ def test_certified_events_recount_rows_independent_of_table_size(
                for dirty, patched, rows, _ in small)
 
 
+def counting_selection_kernels(monkeypatch) -> list[int]:
+    """Rows handed to ``np.partition`` / ``np.argpartition`` from here on,
+    on any thread, one entry per call."""
+    handed: list[int] = []
+
+    def counting(kernel):
+        def counted(a, *args, **kwargs):
+            handed.append(np.size(a))
+            return kernel(a, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np, "partition", counting(np.partition))
+    monkeypatch.setattr(np, "argpartition", counting(np.argpartition))
+    return handed
+
+
+def tie_table(n: int) -> Table:
+    """``t`` sorted over [0, 1000), ``b`` uniform over [0, 100)."""
+    rng = np.random.default_rng(11)
+    return Table("Ties", {"t": np.sort(rng.uniform(0.0, 1000.0, n)),
+                          "b": rng.uniform(0.0, 100.0, n)})
+
+
+def tie_query(table: Table) -> Query:
+    """About 95 % of rows are exact answers (distance 0)."""
+    return Query(name="ties", tables=[table.name], condition=AndNode(
+        [between("t", 0.0, 1000.0), condition("b", "<", 95.0)]))
+
+
 def heavy_tie_work(monkeypatch, n: int, target: int = 20) -> list[tuple]:
     """Displayed-set rows per event on an ``n``-row table where ~95 % of
     rows are exact answers (distance 0), 1000 rows a shard, ``target``
@@ -247,36 +276,24 @@ def heavy_tie_work(monkeypatch, n: int, target: int = 20) -> list[tuple]:
 
     The threshold sits inside the block of zeros at every event.  Counted
     per event: rows the displayed state holds in its per-shard pieces,
-    rows handed to the threshold selection (the per-shard top-k partials
-    a rebuild concatenates), and rows strictly below the threshold.
+    rows handed to a selection kernel (``np.partition`` /
+    ``np.argpartition``), and rows strictly below the threshold.
     """
-    import repro.core.engine as engine_module
-
-    selected = []
-
-    def counted(*args, **kwargs):
-        partial = topk_candidates(*args, **kwargs)
-        selected.append(len(partial.values))
-        return partial
-
-    monkeypatch.setattr(engine_module, "topk_candidates", counted)
-    rng = np.random.default_rng(11)
-    table = Table("Ties", {"t": np.sort(rng.uniform(0.0, 1000.0, n)),
-                           "b": rng.uniform(0.0, 100.0, n)})
+    handed = counting_selection_kernels(monkeypatch)
+    table = tie_table(n)
     shards = n // 1000
     config = PipelineConfig(screen=ScreenSpec(width=256, height=256),
                             percentage=target / n, shard_count=shards,
                             max_workers=2, backend="threads")
-    prepared = QueryEngine(table, config).prepare(Query(
-        name="ties", tables=[table.name],
-        condition=AndNode([between("t", 0.0, 1000.0), condition("b", "<", 95.0)])))
+    prepared = QueryEngine(table, config).prepare(tie_query(table))
     events = [[], [SetQueryRange((0,), 0.0, 999.0)],
               [SetPercentageDisplayed(2 * target / n)],
               [SetQueryRange((0,), 0.0, 998.0)]]
     work = []
     for changes in events:
-        selected.clear()
+        handed.clear()
         feedback = prepared.execute(changes=changes)
+        selected = sum(handed)
         state = prepared._root.displayed
         held = sum(len(below) + len(ties) for below, ties in state.pieces)
         below = int(state.counts.rows[:, 1].sum())
@@ -288,11 +305,11 @@ def heavy_tie_work(monkeypatch, n: int, target: int = 20) -> list[tuple]:
              np.count_nonzero(part <= state.threshold))
             for part in np.split(column, edges)])
         bound = shards * round(prepared.config.percentage * n) + below
-        assert held <= bound and sum(selected) <= bound
+        assert held <= bound
         assert feedback.statistics.num_results >= 0.9 * n
         np.testing.assert_array_equal(feedback.display_order,
                                       reference_frame(table, prepared).display_order)
-        work.append((held / shards, sum(selected) / shards, below,
+        work.append((held / shards, selected, below,
                      feedback.extra["incremental"]["root_dirty_shards"]))
     patches = prepared.engine.evaluation_cache(table).stats.displayed_patches
     monkeypatch.undo()
@@ -303,16 +320,69 @@ def heavy_tie_work(monkeypatch, n: int, target: int = 20) -> list[tuple]:
 def test_heavy_ties_hold_bounded_rows_independent_of_table_size(monkeypatch):
     """With the threshold inside a tie block of ~0.95n rows, a rebuild (cold
     open, percentage change) and a certified micro-move keep at most
-    S * target + below rows, the same per shard at n and at 16n rows.
+    S * target + below rows, the same per shard at n and at 16n rows, and
+    hand no row to a selection kernel.
 
     Keeping every tie would hold ~950 rows a shard instead of ``target``.
     """
     small = heavy_tie_work(monkeypatch, 4_000)
     large = heavy_tie_work(monkeypatch, 64_000)
     assert small == large
-    # Rebuilds select over the partials; micro-moves patch one dirty shard.
+    # Rebuilds find the threshold in the tie block; micro-moves patch one
+    # dirty shard.
     assert [(rows, dirty) for _, rows, _, dirty in small] == [
-        (20, None), (0, 1), (40, 0), (0, 1)]
+        (0, None), (0, 1), (0, 0), (0, 1)]
+
+
+def broad_display_work(monkeypatch, n: int) -> tuple:
+    """One micro-move at a 40 % display on the tie table, 1000 rows a shard.
+
+    Counted: the shards the displayed-set refresh cuts again (each one
+    shard's rows) and the rows handed to a selection kernel.
+    """
+    from repro.core.engine import PreparedQuery
+
+    recut: list[int] = []
+    refresh = PreparedQuery._refresh
+
+    def counted_refresh(self, slot, params, root, source, shard, *rest):
+        def counted_shard(state, i):
+            if slot == "displayed":
+                recut.append(i)
+            return shard(state, i)
+        return refresh(self, slot, params, root, source, counted_shard, *rest)
+
+    monkeypatch.setattr(PreparedQuery, "_refresh", counted_refresh)
+    table = tie_table(n)
+    config = PipelineConfig(screen=ScreenSpec(width=256, height=256),
+                            percentage=0.4, shard_count=n // 1000,
+                            max_workers=2, backend="threads")
+    prepared = QueryEngine(table, config).prepare(tie_query(table))
+    prepared.execute()
+    stats = prepared.engine.evaluation_cache(table).stats
+    before = stats.displayed_patches
+    handed = counting_selection_kernels(monkeypatch)
+    recut.clear()
+    feedback = prepared.execute(changes=[SetQueryRange((0,), 0.0, 999.0)])
+    work = (stats.displayed_patches - before, len(recut),
+            feedback.extra["incremental"]["root_dirty_shards"], sum(handed))
+    monkeypatch.undo()
+    np.testing.assert_array_equal(feedback.display_order,
+                                  reference_frame(table, prepared).display_order)
+    return work
+
+
+def test_broad_display_micro_move_recuts_only_its_dirty_shard(monkeypatch):
+    """At a 40 % display a micro-move patches the displayed set: it cuts
+    only the one dirty shard's rows again and hands no row to a selection
+    kernel, at n and at 16n rows.
+
+    Selecting over the whole column would hand n rows per event.
+    """
+    small = broad_display_work(monkeypatch, 4_000)
+    large = broad_display_work(monkeypatch, 64_000)
+    # (displayed patches, shards recut, dirty root shards, rows selected)
+    assert small == large == (1, 1, 1, 0)
 
 
 def bounds_selection_work(monkeypatch, n: int) -> list[list[tuple]]:
@@ -352,15 +422,11 @@ def bounds_selection_work(monkeypatch, n: int) -> list[list[tuple]]:
     monkeypatch.setattr(np, "partition", counting(np.partition))
     monkeypatch.setattr(np, "argpartition", counting(np.argpartition))
     monkeypatch.setattr(shard_module, "reduced_bounds", resolve)
-    rng = np.random.default_rng(11)
-    table = Table("Ties", {"t": np.sort(rng.uniform(0.0, 1000.0, n)),
-                           "b": rng.uniform(0.0, 100.0, n)})
+    table = tie_table(n)
     config = PipelineConfig(screen=ScreenSpec(width=256, height=256),
                             percentage=20 / n, shard_count=n // 1000,
                             max_workers=2, backend="threads")
-    prepared = QueryEngine(table, config).prepare(Query(
-        name="ties", tables=[table.name],
-        condition=AndNode([between("t", 0.0, 1000.0), condition("b", "<", 95.0)])))
+    prepared = QueryEngine(table, config).prepare(tie_query(table))
     work = []
     for changes in ([], [SetWeight((1,), 0.05)]):
         resolves.clear()

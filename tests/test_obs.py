@@ -280,8 +280,8 @@ def test_per_root_statistics_say_why_they_rebuilt():
 def test_displayed_certificate_verdict_is_the_patch_outcome():
     """``certified`` on ``displayed.select`` says whether the cached
     displayed set was served (reused or patched), so a refuted patch
-    reaches the explain record as a failed certificate; past the top-k
-    cut-over no certificate is tried and none is reported."""
+    reaches the explain record as a failed certificate, at every display
+    size."""
     from repro import QueryEngine
     from repro.interact.events import SetPercentageDisplayed
 
@@ -308,8 +308,8 @@ def test_displayed_certificate_verdict_is_the_patch_outcome():
     assert verdict(SetQueryRange((), 200.0, 800.5)) == (True, [])  # patched
     # Collapsing the range moves the target-th smallest distance: rebuilt.
     assert verdict(SetQueryRange((), 500.0, 501.0)) == (False, ["displayed-topk"])
-    # Past the cut-over the whole column is selected: no certificate.
-    assert verdict(SetPercentageDisplayed(0.9)) == (None, [])
+    # A broad display keeps the same state: a new target rebuilds it.
+    assert verdict(SetPercentageDisplayed(0.9)) == (False, ["displayed-topk"])
 
 
 def test_pipeline_offload_says_why_it_was_declined():
