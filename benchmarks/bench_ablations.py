@@ -15,7 +15,7 @@ import pytest
 
 from repro import VisualFeedbackQuery
 from repro.analysis import color_usage
-from repro.core.combine import combine_and, combine_or
+from repro.core.combine import CombinationRule, combine_columns
 from repro.core.normalization import minmax_normalize, reduced_normalization
 from repro.datasets.random_data import uniform_table
 from repro.storage.cache import PrefetchCache
@@ -30,11 +30,12 @@ def test_ablation_combination_rules(benchmark, rng):
     matrix = rng.uniform(0.0, 255.0, (50_000, 3))
     matrix[:100, 0] = 0.0
     weights = np.array([1.0, 0.8, 0.5])
+    columns = list(matrix.T)
 
     def all_rules():
         return {
-            "and_mean": combine_and(matrix, weights),
-            "or_geometric": combine_or(matrix, weights),
+            "and_mean": combine_columns(CombinationRule.AND, columns, weights),
+            "or_geometric": combine_columns(CombinationRule.OR, columns, weights),
             "and_max": matrix.max(axis=1),
             "or_min": matrix.min(axis=1),
         }

@@ -340,8 +340,9 @@ def test_event_latency_trace_overhead(benchmark):
     """Enabled tracing must cost <= ~5% on the headline micro-move drag.
 
     Two engines over the same table run the identical interleaved event
-    stream (the repo's noise-cancelling trick); one side records a full
-    span tree per event through :mod:`repro.obs`, the other runs bare.
+    stream (the repo's noise-cancelling trick), each side first on every
+    other event; one side records a full span tree per event through
+    :mod:`repro.obs`, the other runs bare.
     ``trace_overhead_ratio`` = untraced p50 / traced p50 (1.0 = free,
     0.95 = 5% overhead) is gated in CI against an absolute 0.95 floor --
     and the traced side's last few traces land in ``TRACE_event_latency
@@ -352,20 +353,34 @@ def test_event_latency_trace_overhead(benchmark):
     _, untraced = _prepare(table)
     tracer = Tracer(enabled=True, budget_ms=None, ring_size=8)
 
+    def run_traced(event, k: int) -> float:
+        trace = tracer.start("event", step=k)
+        t0 = time.perf_counter()
+        with use_trace(trace):
+            traced.execute(changes=list(event))
+        elapsed = time.perf_counter() - t0
+        tracer.finish(trace)
+        return elapsed
+
+    def run_untraced(event) -> float:
+        t0 = time.perf_counter()
+        untraced.execute(changes=list(event))
+        return time.perf_counter() - t0
+
     times_traced, times_untraced = [], []
     high = 990.0
     for k in range(WARMUP_EVENTS + MEASURED_EVENTS):
         high -= 0.2
         event = [SetQueryRange((0,), 5.0, high)]
-        trace = tracer.start("event", step=k)
-        t0 = time.perf_counter()
-        with use_trace(trace):
-            traced.execute(changes=list(event))
-        traced_elapsed = time.perf_counter() - t0
-        tracer.finish(trace)
-        t0 = time.perf_counter()
-        untraced.execute(changes=list(event))
-        untraced_elapsed = time.perf_counter() - t0
+        # Alternate which side runs first: with a fixed order, whatever
+        # the second run of an event gains from the first (warm caches,
+        # allocator state) would land in the ratio as tracing cost.
+        if k % 2:
+            untraced_elapsed = run_untraced(event)
+            traced_elapsed = run_traced(event, k)
+        else:
+            traced_elapsed = run_traced(event, k)
+            untraced_elapsed = run_untraced(event)
         if k >= WARMUP_EVENTS:
             times_traced.append(traced_elapsed)
             times_untraced.append(untraced_elapsed)

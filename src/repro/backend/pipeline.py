@@ -51,7 +51,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.combine import CombinationRule, combine_columns
+from repro.core.combine import CombinationRule, combine_columns, combine_masks
 from repro.core.normalization import apply_normalization, reduced_bounds
 from repro.core.reduction import rank_counts
 
@@ -86,9 +86,11 @@ def next_pipeline_token() -> str:
 def leaf_kernel(predicate, shard, kind: str) -> np.ndarray:
     """One predicate's ``signed`` distances or exact ``mask`` over one shard.
 
-    The only place a backend worker evaluates a predicate, so what a
-    worker computes is by construction what the in-process evaluator
-    computes.
+    The only place a backend worker evaluates a predicate.  It makes the
+    same two calls, with the same dtype conversions, as the in-process
+    evaluator's per-shard leaf pieces
+    (:meth:`~repro.core.shard.ShardedPlanEvaluator._signed_distances` and
+    ``_exact_mask``), so both produce the same bits.
     """
     if kind == "signed":
         return np.asarray(predicate.signed_distances(shard), dtype=np.float64)
@@ -235,17 +237,9 @@ class WorkerPipeline:
                     self.views[child]["normalized"][start:stop]
                     for child in children
                 ]
-                combined = combine_columns(rule, columns, weights)
-                views["raw"][start:stop] = combined
-                if rule is CombinationRule.AND:
-                    mask = np.ones(stop - start, dtype=bool)
-                    for child in children:
-                        mask &= self.views[child]["mask"][start:stop]
-                else:
-                    mask = np.zeros(stop - start, dtype=bool)
-                    for child in children:
-                        mask |= self.views[child]["mask"][start:stop]
-                views["mask"][start:stop] = mask
+                views["raw"][start:stop] = combine_columns(rule, columns, weights)
+                views["mask"][start:stop] = combine_masks(rule, [
+                    self.views[child]["mask"][start:stop] for child in children])
         return {"summaries": summaries}
 
     def finish(self, msg: dict[str, Any]) -> dict[str, Any]:

@@ -29,7 +29,7 @@ from repro.core.normalization import (
     normalize_signed,
 )
 from repro.core.weights import WeightSet
-from repro.core.combine import combine_and, combine_or, CombinationRule
+from repro.core.combine import CombinationRule
 from repro.core.reduction import (
     display_fraction,
     quantile_threshold,
@@ -38,9 +38,9 @@ from repro.core.reduction import (
     multipeak_cut,
     ReductionMethod,
 )
-from repro.core.relevance import RelevanceEvaluator, relevance_factors, RelevanceScale
+from repro.core.relevance import relevance_factors, RelevanceScale
 from repro.core.result import FeedbackStatistics, NodeFeedback, QueryFeedback
-from repro.core.plan import CacheStats, EvaluationCache, PlanEvaluator, compile_plan
+from repro.core.plan import CacheStats, EvaluationCache, compile_plan
 from repro.core.shard import (
     ShardedPlanEvaluator,
     ShardedTable,
@@ -55,8 +55,6 @@ __all__ = [
     "reduced_normalization",
     "normalize_signed",
     "WeightSet",
-    "combine_and",
-    "combine_or",
     "CombinationRule",
     "display_fraction",
     "quantile_threshold",
@@ -64,7 +62,6 @@ __all__ = [
     "signed_quantile_window",
     "multipeak_cut",
     "ReductionMethod",
-    "RelevanceEvaluator",
     "relevance_factors",
     "RelevanceScale",
     "NodeFeedback",
@@ -72,7 +69,6 @@ __all__ = [
     "FeedbackStatistics",
     "CacheStats",
     "EvaluationCache",
-    "PlanEvaluator",
     "compile_plan",
     "ShardedPlanEvaluator",
     "ShardedTable",

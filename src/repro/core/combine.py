@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["CombinationRule", "combine_and", "combine_or", "combine", "combine_columns"]
+__all__ = ["CombinationRule", "combine_columns", "combine_masks"]
 
 
 class CombinationRule(Enum):
@@ -30,74 +30,17 @@ class CombinationRule(Enum):
     OR = "or"
 
 
-def _validate(child_distances: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    matrix = np.asarray(child_distances, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError("child_distances must be 2-dimensional (items x children)")
-    weight_array = np.asarray(weights, dtype=float)
-    if weight_array.shape != (matrix.shape[1],):
-        raise ValueError(
-            f"weights must have one entry per child ({matrix.shape[1]}), "
-            f"got shape {weight_array.shape}"
-        )
-    if np.any((weight_array < 0) | (weight_array > 1)):
-        raise ValueError("weights must lie in [0, 1]")
-    return matrix, weight_array
-
-
-def combine_and(child_distances: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted arithmetic mean: ``sum_j w_j * d_ij`` per data item.
-
-    The paper's formula is the plain weighted sum (not divided by the weight
-    total); the subsequent re-normalization makes the scale irrelevant.
-    """
-    matrix, weight_array = _validate(child_distances, weights)
-    return matrix @ weight_array
-
-
-def combine_or(child_distances: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted geometric mean: ``prod_j d_ij ** w_j`` per data item.
-
-    A child with weight 0 contributes a neutral factor of 1 (``0 ** 0 == 1``
-    under the NumPy convention), i.e. it is ignored -- which is exactly what
-    a zero weighting factor should mean.
-
-    Columns with the default weight 1 skip the (expensive) power evaluation:
-    ``x ** 1.0 == x`` exactly, so the result is bit-identical while the
-    common interactive case (one reweighted predicate among many defaults)
-    costs one power instead of one per child.
-    """
-    matrix, weight_array = _validate(child_distances, weights)
-    # 0 ** w is fine for w > 0; numpy evaluates 0 ** 0 as 1 which is the
-    # desired neutral element for ignored children.
-    def factor(j: int) -> np.ndarray:
-        column = matrix[:, j]
-        return column if weight_array[j] == 1.0 else np.power(column, weight_array[j])
-
-    result = np.array(factor(0), copy=True)
-    for j in range(1, matrix.shape[1]):
-        result *= factor(j)
-    return result
-
-
-def combine(rule: CombinationRule, child_distances: np.ndarray,
-            weights: np.ndarray) -> np.ndarray:
-    """Dispatch to :func:`combine_and` or :func:`combine_or`."""
-    if rule is CombinationRule.AND:
-        return combine_and(child_distances, weights)
-    if rule is CombinationRule.OR:
-        return combine_or(child_distances, weights)
-    raise ValueError(f"unsupported combination rule: {rule!r}")
-
-
 def combine_columns(rule: CombinationRule, columns: list[np.ndarray],
                     weights: np.ndarray) -> np.ndarray:
-    """Combine already-separate child columns without stacking them first.
+    """Combine the children's normalized columns under ``rule``.
 
-    Semantically equivalent to ``combine(rule, np.column_stack(columns),
-    weights)`` but avoids materialising the (items x children) matrix -- the
-    incremental engine holds each child's normalized column individually, so
-    stacking would copy every column on every re-execution.
+    ``AND`` is the paper's plain weighted sum (not divided by the weight
+    total; the re-normalization that follows makes the scale irrelevant).
+    ``OR`` is the weighted product of powers; a child of weight 0
+    contributes the neutral factor ``0 ** 0 == 1``, i.e. it is ignored.
+    Default-weight columns skip the scaling or power pass, which is exact
+    (``x * 1.0 == x ** 1.0 == x``).  The columns are accumulated one by
+    one, never stacked into an (items x children) matrix.
     """
     weight_array = np.asarray(weights, dtype=float)
     if len(columns) == 0 or weight_array.shape != (len(columns),):
@@ -136,3 +79,15 @@ def combine_columns(rule: CombinationRule, columns: list[np.ndarray],
             result *= factor(column, weight)
         return result
     raise ValueError(f"unsupported combination rule: {rule!r}")
+
+
+def combine_masks(rule: CombinationRule, masks: list[np.ndarray]) -> np.ndarray:
+    """The fulfilment mask of a composite: its children's masks ANDed or ORed.
+
+    Returns a fresh array; the children's masks are never written.
+    """
+    op = np.logical_and if rule is CombinationRule.AND else np.logical_or
+    result = np.array(masks[0], dtype=bool)
+    for mask in masks[1:]:
+        op(result, mask, out=result)
+    return result

@@ -26,14 +26,14 @@ each modification invalidates:
 
 Production evaluates plans through this cache with
 :class:`~repro.core.shard.ShardedPlanEvaluator`, for every shard count
-(one shard included).  The :class:`PlanEvaluator` and
-:func:`reference_feedback` at the bottom of this module are *not* that
-path: they are the deliberately naive, cache-free whole-table computation
-the test suites hold every production frame against, bit for bit.  Against
-the classic :class:`~repro.core.relevance.RelevanceEvaluator` both are
-numerically equivalent but not guaranteed bit-identical: the AND
-combination accumulates per-column here versus a BLAS matrix-vector
-product there, which may round differently.
+(one shard included).  :func:`reference_feedback` at the bottom of this
+module is *not* that path: it is the deliberately naive, cache-free
+whole-table computation the test suites hold every production frame
+against, bit for bit.  It walks the query tree itself -- the combination
+rule read off the node type, ``NOT`` rewritten through
+:meth:`~repro.query.expr.NotNode.simplify` -- and never calls
+:func:`compile_plan`, so a compiler bug cannot hide behind a plan both
+sides share.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from typing import Union
 import numpy as np
 
 from repro.core.chunks import ChunkedColumn
-from repro.core.combine import CombinationRule, combine_columns
-from repro.core.normalization import NORMALIZED_MAX, reduced_normalization
+from repro.core.combine import CombinationRule, combine_columns, combine_masks
+from repro.core.normalization import reduced_normalization
 from repro.core.reduction import ReductionMethod, select_display_set
 from repro.core.result import FeedbackStatistics, NodeFeedback, QueryFeedback
 from repro.query.expr import (
@@ -68,7 +68,6 @@ __all__ = [
     "compile_plan",
     "CacheStats",
     "EvaluationCache",
-    "PlanEvaluator",
     "reference_feedback",
     "ShardSliceEntry",
 ]
@@ -231,6 +230,10 @@ class CacheStats:
     node_misses: int = 0
     leaf_evictions: int = 0
     node_evictions: int = 0
+    # Every field from here on counts incremental work; the service's
+    # metrics report breaks them out under ``incremental``.
+    #: Plan evaluations (every one tracks dirty shards).
+    incremental_events: int = 0
     #: Sharded dirty-tracking: node recomputations that patched a previous
     #: column (slice_hits) vs. falling back to a full per-shard recompute.
     slice_hits: int = 0
@@ -249,8 +252,6 @@ class CacheStats:
     #: recounted, clean shards' cached counts reused) instead of a full
     #: O(n) popcount of the root fulfilment mask.
     result_count_patches: int = 0
-    #: Plan evaluations (every one tracks dirty shards).
-    incremental_events: int = 0
     #: Chunked copy-on-write accounting across all column patches: chunks
     #: that had to be copied (a dirty row/span intersected them) vs. chunks
     #: aliased verbatim from the previous column.
@@ -402,16 +403,13 @@ def compile_plan(condition: QueryNode) -> PlanNode:
     """Compile a condition tree into an execution plan.
 
     ``NOT`` nodes are rewritten into their inverted comparison at compile
-    time (the same rewrite :class:`RelevanceEvaluator` applies during
-    evaluation); negations that cannot be rewritten raise ``ValueError``,
+    time (the rewrite :func:`reference_feedback` applies as it walks the
+    tree); negations that cannot be rewritten raise ``ValueError``,
     mirroring the paper's statement that they provide no distance values.
 
     Composite exact masks are reduced from the rewritten children's masks,
     so for NaN data a negated comparison follows SQL three-valued logic
-    (NaN fulfils neither ``a > 5`` nor ``NOT (a > 5)``).  The v1.0
-    evaluator was internally inconsistent here: the NOT node's own window
-    used the rewritten mask while its parent's mask used the set
-    complement, counting NaN rows as results of the negation.
+    (NaN fulfils neither ``a > 5`` nor ``NOT (a > 5)``).
     """
     if isinstance(condition, NotNode):
         return compile_plan(condition.simplify())
@@ -430,87 +428,30 @@ def compile_plan(condition: QueryNode) -> PlanNode:
 # --------------------------------------------------------------------------- #
 # The reference: naive whole-table evaluation
 # --------------------------------------------------------------------------- #
-class PlanEvaluator:
-    """Evaluate a compiled plan over the whole table, naively: the test oracle.
-
-    Production runs :class:`~repro.core.shard.ShardedPlanEvaluator` for
-    every shard count; this class is what the tests compare it against.  It
-    is deliberately cache-free and state-free -- every call recomputes every
-    node from the table with the plain primitives (predicate
-    ``signed_distances`` / ``exact_mask``, :func:`reduced_normalization`,
-    :func:`combine_columns`, an AND/OR reduction of the child masks) -- and
-    shares nothing with the sharded evaluator beyond those NumPy-level
-    functions: no :class:`EvaluationCache`, no range indexes, no shards,
-    no chunked columns.  A bug in any of those layers
-    therefore cannot hide behind a shared code path.
-
-    Parameters
-    ----------
-    table:
-        The evaluation table (base table or materialised cross product).
-    display_capacity:
-        ``r`` in the paper's normalization formula (see
-        :class:`~repro.core.relevance.RelevanceEvaluator`).
-    """
-
-    def __init__(self, table, display_capacity: int, target_max: float = NORMALIZED_MAX):
-        if display_capacity <= 0:
-            raise ValueError("display_capacity must be positive")
-        self.table = table
-        self.display_capacity = display_capacity
-        self.target_max = target_max
-
-    def evaluate(self, plan: PlanNode) -> dict[NodePath, NodeFeedback]:
-        """Return a :class:`NodeFeedback` per node path; path ``()`` is the root."""
-        feedback: dict[NodePath, NodeFeedback] = {}
-        self._evaluate(plan, (), feedback)
-        return feedback
-
-    def _evaluate(self, plan: PlanNode, path: NodePath,
-                  feedback: dict[NodePath, NodeFeedback]) -> NodeFeedback:
-        node = plan.node
-        if isinstance(plan, LeafPlan):
-            source = node if isinstance(node, SubqueryNode) else node.predicate
-            signed = np.asarray(source.signed_distances(self.table), dtype=float)
-            raw = np.abs(signed)
-            exact = np.asarray(source.exact_mask(self.table), dtype=bool)
-            if not getattr(source, "supports_direction", True):
-                signed = None
-        else:
-            children = [self._evaluate(child, path + (i,), feedback)
-                        for i, child in enumerate(plan.children)]
-            signed = None
-            raw = combine_columns(
-                plan.rule, [child.normalized_distances for child in children],
-                np.array([child.weight for child in children], dtype=float))
-            reduce = (np.logical_and if plan.rule is CombinationRule.AND
-                      else np.logical_or).reduce
-            exact = reduce([child.exact_mask for child in children])
-        feedback[path] = NodeFeedback(
-            path=path,
-            label=node.label,
-            weight=node.weight,
-            is_leaf=isinstance(plan, LeafPlan),
-            normalized_distances=reduced_normalization(
-                raw, node.weight, self.display_capacity, target_max=self.target_max),
-            signed_distances=signed,
-            exact_mask=exact,
-            raw_distances=raw,
-        )
-        return feedback[path]
-
-
 def reference_feedback(table, condition: QueryNode, config) -> QueryFeedback:
     """The feedback of ``condition`` over ``table``, computed the naive way.
 
-    The rest of a frame around :class:`PlanEvaluator`: display capacity,
-    displayed-set selection with the capacity trim, the stable relevance
-    ordering and the result count -- one whole-table NumPy call each (the
-    relevance factors are derived on read, see :class:`QueryFeedback`).  ``condition`` is the effective condition (qualified
-    and joined, see :meth:`PreparedQuery.refresh`) and ``config`` a
-    :class:`~repro.core.engine.PipelineConfig`.  Every production frame, for
-    every shard count, backend and event history, must equal this bit for
-    bit; the test suites' reference helpers all route through here.
+    Every node's feedback comes from one walk down the query tree, each
+    node after its children, by the paper's rules (section 5.2): ``NOT``
+    is rewritten into the inverted comparison, a leaf's distances and
+    mask come from its predicate over the whole table, a composite
+    combines its children's normalized columns (:func:`combine_columns`)
+    and masks (:func:`combine_masks`) under the rule of its node type, and
+    every node is then normalized with its own weight.  Beyond those
+    NumPy-level functions and the predicates it shares nothing with the
+    sharded evaluator -- no compiled plan, no :class:`EvaluationCache`, no
+    range indexes, no shards, no chunked columns -- so a bug in any of
+    them cannot hide behind a shared code path.  Around the walk: the
+    display capacity, the displayed-set selection with the capacity trim,
+    the stable relevance ordering and the result count -- one whole-table
+    NumPy call each (the relevance factors are derived on read, see
+    :class:`QueryFeedback`).
+
+    ``condition`` is the effective condition (qualified and joined, see
+    :meth:`PreparedQuery.refresh`) and ``config`` a
+    :class:`~repro.core.engine.PipelineConfig`.  Every production frame,
+    for every shard count, backend and event history, must equal this bit
+    for bit; the test suites' reference helpers all route through here.
     """
     from repro.core.engine import item_capacity  # engine imports this module
 
@@ -519,9 +460,44 @@ def reference_feedback(table, condition: QueryNode, config) -> QueryFeedback:
     capacity = item_capacity(config, n_predicates)
     if config.percentage is not None:
         capacity = min(capacity, max(1, int(round(config.percentage * n))))
-    node_feedback = PlanEvaluator(
-        table, capacity, target_max=config.target_max).evaluate(compile_plan(condition))
-    overall = node_feedback[()]
+    node_feedback: dict[NodePath, NodeFeedback] = {}
+
+    def walk(node: QueryNode, path: NodePath) -> NodeFeedback:
+        if isinstance(node, NotNode):
+            return walk(node.simplify(), path)
+        if isinstance(node, (AndNode, OrNode)):
+            rule = (CombinationRule.AND if isinstance(node, AndNode)
+                    else CombinationRule.OR)
+            children = [walk(child, path + (i,))
+                        for i, child in enumerate(node.children)]
+            signed = None
+            raw = combine_columns(
+                rule, [child.normalized_distances for child in children],
+                np.array([child.weight for child in children], dtype=float))
+            exact = combine_masks(rule, [child.exact_mask for child in children])
+        elif isinstance(node, (PredicateLeaf, SubqueryNode)):
+            source = node if isinstance(node, SubqueryNode) else node.predicate
+            signed = np.asarray(source.signed_distances(table), dtype=float)
+            raw = np.abs(signed)
+            exact = np.asarray(source.exact_mask(table), dtype=bool)
+            if not getattr(source, "supports_direction", True):
+                signed = None
+        else:
+            raise TypeError(f"unsupported query node type: {type(node).__name__}")
+        node_feedback[path] = NodeFeedback(
+            path=path,
+            label=node.label,
+            weight=node.weight,
+            is_leaf=not isinstance(node, (AndNode, OrNode)),
+            normalized_distances=reduced_normalization(
+                raw, node.weight, capacity, target_max=config.target_max),
+            signed_distances=signed,
+            exact_mask=exact,
+            raw_distances=raw,
+        )
+        return node_feedback[path]
+
+    overall = walk(condition, ())
     distances = overall.normalized_distances
     displayed = select_display_set(
         distances,

@@ -1,11 +1,9 @@
-"""Relevance factors and the recursive evaluation of query trees.
+"""Relevance factors: how a normalized combined distance maps to a colour.
 
 The *relevance factor* of a data item is derived from its combined,
 normalized distance: items fulfilling the whole query get the maximum
 relevance, approximate answers get smaller values the further away they
-are.  :class:`RelevanceEvaluator` walks a query tree bottom-up, producing a
-:class:`~repro.core.result.NodeFeedback` for every node -- the per-predicate
-windows of Figs. 4/5 are rendered straight from these.
+are.
 """
 
 from __future__ import annotations
@@ -14,21 +12,9 @@ from enum import Enum
 
 import numpy as np
 
-from repro.core.combine import CombinationRule, combine
-from repro.core.normalization import NORMALIZED_MAX, reduced_normalization
-from repro.core.result import NodeFeedback
-from repro.query.expr import (
-    AndNode,
-    NodePath,
-    NotNode,
-    OrNode,
-    PredicateLeaf,
-    QueryNode,
-    SubqueryNode,
-)
-from repro.storage.table import Table
+from repro.core.normalization import NORMALIZED_MAX
 
-__all__ = ["RelevanceScale", "relevance_factors", "RelevanceEvaluator"]
+__all__ = ["RelevanceScale", "relevance_factors"]
 
 
 class RelevanceScale(Enum):
@@ -57,109 +43,3 @@ def relevance_factors(normalized_distances: np.ndarray,
     if scale is RelevanceScale.RECIPROCAL:
         return 1.0 / (1.0 + np.maximum(distances, 0.0))
     raise ValueError(f"unsupported relevance scale: {scale!r}")
-
-
-class RelevanceEvaluator:
-    """Evaluates a query condition tree over a table into per-node feedback.
-
-    Parameters
-    ----------
-    display_capacity:
-        The number of data items the display can show (``r`` in the paper's
-        normalization formula); controls the outlier-robust reduced
-        normalization of every node.
-    target_max:
-        Upper bound of the normalized distance range (255 by default).
-    """
-
-    def __init__(self, display_capacity: int, target_max: float = NORMALIZED_MAX):
-        if display_capacity <= 0:
-            raise ValueError("display_capacity must be positive")
-        self.display_capacity = display_capacity
-        self.target_max = target_max
-
-    # ------------------------------------------------------------------ #
-    def evaluate(self, condition: QueryNode, table: Table) -> dict[NodePath, NodeFeedback]:
-        """Return a :class:`NodeFeedback` per node path; path ``()`` is the root."""
-        feedback: dict[NodePath, NodeFeedback] = {}
-        self._evaluate_node(condition, (), table, feedback)
-        return feedback
-
-    # ------------------------------------------------------------------ #
-    def _evaluate_node(self, node: QueryNode, path: NodePath, table: Table,
-                       feedback: dict[NodePath, NodeFeedback]) -> np.ndarray:
-        if isinstance(node, PredicateLeaf):
-            return self._evaluate_leaf(node, path, table, feedback)
-        if isinstance(node, SubqueryNode):
-            return self._evaluate_subquery(node, path, table, feedback)
-        if isinstance(node, NotNode):
-            # Rewrite NOT(a op b) into the inverted comparison; other
-            # negations provide no distances (the paper's negation problem).
-            simplified = node.simplify()
-            return self._evaluate_node(simplified, path, table, feedback)
-        if isinstance(node, (AndNode, OrNode)):
-            return self._evaluate_composite(node, path, table, feedback)
-        raise TypeError(f"unsupported query node type: {type(node).__name__}")
-
-    def _evaluate_leaf(self, node: PredicateLeaf, path: NodePath, table: Table,
-                       feedback: dict[NodePath, NodeFeedback]) -> np.ndarray:
-        predicate = node.predicate
-        signed = np.asarray(predicate.signed_distances(table), dtype=float)
-        normalized = reduced_normalization(
-            np.abs(signed), node.weight, self.display_capacity, target_max=self.target_max
-        )
-        feedback[path] = NodeFeedback(
-            path=path,
-            label=node.label,
-            weight=node.weight,
-            is_leaf=True,
-            normalized_distances=normalized,
-            signed_distances=signed if predicate.supports_direction else None,
-            exact_mask=np.asarray(predicate.exact_mask(table), dtype=bool),
-            raw_distances=np.abs(signed),
-        )
-        return normalized
-
-    def _evaluate_subquery(self, node: SubqueryNode, path: NodePath, table: Table,
-                           feedback: dict[NodePath, NodeFeedback]) -> np.ndarray:
-        signed = np.asarray(node.signed_distances(table), dtype=float)
-        normalized = reduced_normalization(
-            np.abs(signed), node.weight, self.display_capacity, target_max=self.target_max
-        )
-        feedback[path] = NodeFeedback(
-            path=path,
-            label=node.label,
-            weight=node.weight,
-            is_leaf=True,
-            normalized_distances=normalized,
-            signed_distances=signed,
-            exact_mask=np.asarray(node.exact_mask(table), dtype=bool),
-            raw_distances=np.abs(signed),
-        )
-        return normalized
-
-    def _evaluate_composite(self, node: AndNode | OrNode, path: NodePath, table: Table,
-                            feedback: dict[NodePath, NodeFeedback]) -> np.ndarray:
-        child_columns = []
-        for i, child in enumerate(node.children):
-            child_columns.append(self._evaluate_node(child, path + (i,), table, feedback))
-        matrix = np.column_stack(child_columns)
-        weights = np.array([child.weight for child in node.children], dtype=float)
-        rule = CombinationRule.AND if isinstance(node, AndNode) else CombinationRule.OR
-        combined = combine(rule, matrix, weights)
-        # "Before a calculated combined distance is used as a parameter for
-        # combining other distances, it is also normalized as described above."
-        normalized = reduced_normalization(
-            combined, node.weight, self.display_capacity, target_max=self.target_max
-        )
-        feedback[path] = NodeFeedback(
-            path=path,
-            label=node.label,
-            weight=node.weight,
-            is_leaf=False,
-            normalized_distances=normalized,
-            signed_distances=None,
-            exact_mask=node.exact_mask(table),
-            raw_distances=combined,
-        )
-        return normalized

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, TypeVar, Union
 import numpy as np
 
 from repro.core.chunks import as_array, as_chunked
-from repro.core.combine import CombinationRule, combine_columns
+from repro.core.combine import combine_columns, combine_masks
 from repro.core.normalization import (
     NORMALIZED_MAX,
     apply_normalization,
@@ -364,9 +364,9 @@ class ShardedPlanEvaluator:
     The production evaluator for every shard count; ``shard_count=1`` is a
     one-shard table, not a different path.  It produces full-table node
     columns (assembled from per-shard pieces) that are bit-identical to the
-    naive whole-table :class:`~repro.core.plan.PlanEvaluator` the tests
-    compare against, whatever mix of cached, patched and freshly computed
-    columns an execution ends up using.
+    naive whole-table :func:`~repro.core.plan.reference_feedback` the
+    tests compare against, whatever mix of cached, patched and freshly
+    computed columns an execution ends up using.
 
     Parameters
     ----------
@@ -375,7 +375,7 @@ class ShardedPlanEvaluator:
         materialised cross product).
     display_capacity:
         ``r`` in the paper's normalization formula (see
-        :class:`~repro.core.relevance.RelevanceEvaluator`).
+        :func:`~repro.core.normalization.reduced_normalization`).
     cache:
         Shared :class:`~repro.core.plan.EvaluationCache`; a fresh instance
         gives a cold run.
@@ -846,7 +846,7 @@ class ShardedPlanEvaluator:
         raw = self.cache.get_raw(plan.raw_key)
         if raw is None:
             if is_range:
-                raw, patched = self._range_leaf_raw(predicate, entry, changed)
+                raw, patched = self._range_leaf_raw(plan.node, entry, changed)
                 if changed is not None and not patched:
                     declined = "band-too-wide"
             else:
@@ -876,16 +876,15 @@ class ShardedPlanEvaluator:
         # Children changed only inside the dirty shards (and with unchanged
         # weights/rule), so the combined column and the fulfilment mask
         # change only there too.
-        reduce = (np.logical_and if plan.rule is CombinationRule.AND
-                  else np.logical_or).reduce
         old = entry.columns if dirty is not None else None
         combined = self._column(lambda i: combine_columns(
             plan.rule,
             [c.normalized[bounds[i][0]:bounds[i][1]] for c in child_columns],
             weights,
         ), old and old.raw, dirty)
-        exact = self._column(lambda i: reduce(
-            [c.exact_mask[bounds[i][0]:bounds[i][1]] for c in child_columns]
+        exact = self._column(lambda i: combine_masks(
+            plan.rule,
+            [c.exact_mask[bounds[i][0]:bounds[i][1]] for c in child_columns],
         ), old and old.exact_mask, dirty, bool)
         normalized, resolved, summaries, out_dirty = \
             self._normalize_incremental(combined, plan.node.weight, entry, dirty)
@@ -931,7 +930,7 @@ class ShardedPlanEvaluator:
             source.signed_distances(self.sharded.shards[i]), dtype=float))
 
     def _compute_leaf_raw(self, node: Union[PredicateLeaf, SubqueryNode]) -> _LeafRaw:
-        """Raw columns of a non-range leaf (range leaves: :meth:`_range_leaf_raw`)."""
+        """Raw columns of a leaf, computed in full."""
         if isinstance(node, SubqueryNode):
             # Subquery distances come from an arbitrary callable that may
             # depend on whole-table state; only row-local predicates are
@@ -995,7 +994,7 @@ class ShardedPlanEvaluator:
 
         return self._map_shards(changed_for)
 
-    def _range_leaf_raw(self, predicate: RangePredicate,
+    def _range_leaf_raw(self, node: PredicateLeaf,
                         entry: ShardSliceEntry | None,
                         changed: list[np.ndarray] | None,
                         ) -> tuple[_LeafRaw, bool]:
@@ -1015,17 +1014,12 @@ class ShardedPlanEvaluator:
         change where its distance changes).  Returns ``(raw, patched)``;
         ``patched`` is False when there was no base or the move changed
         more than a third of the table, where the full vectorised
-        recomputation wins.
+        recomputation (:meth:`_compute_leaf_raw`) wins.
         """
         if (changed is None
                 or sum(len(rows) for rows in changed) > len(self.table) // 3):
-            signed = self._signed_distances(predicate)
-            return _LeafRaw(
-                signed=signed,
-                raw=np.abs(signed),
-                exact_mask=self._exact_mask(predicate),
-                supports_direction=predicate.supports_direction,
-            ), False
+            return self._compute_leaf_raw(node), False
+        predicate = node.predicate
         old = entry.columns
         column = self.table.column(predicate.attribute)
 

@@ -65,6 +65,16 @@ class _CounterView:
         except KeyError:
             raise AttributeError(name) from None
 
+    def snapshot(self, **extra: object) -> dict[str, object]:
+        """One row of the metrics report: every counter, then ``extra``,
+        then the run latency quantiles in milliseconds."""
+        return {
+            **{name: counter.value for name, counter in self._counters.items()},
+            **extra,
+            "run_p50_ms": round(self.run_latency.p50 * 1e3, 3),
+            "run_p95_ms": round(self.run_latency.p95 * 1e3, 3),
+        }
+
     def release(self) -> None:
         """Drop this view's counters from the registry (session closed)."""
         for name in self.COUNTERS:
@@ -88,23 +98,6 @@ class SessionMetrics(_CounterView):
         "snapshots_reused",
     )
 
-    def snapshot(self, queue_depth: int = 0) -> dict[str, object]:
-        """One row of the metrics report (all durations in milliseconds)."""
-        counters = self._counters
-        return {
-            "events_received": counters["events_received"].value,
-            "events_coalesced": counters["events_coalesced"].value,
-            "events_shed": counters["events_shed"].value,
-            "events_executed": counters["events_executed"].value,
-            "runs": counters["runs"].value,
-            "queue_depth": queue_depth,
-            "render_hits": counters["render_hits"].value,
-            "render_misses": counters["render_misses"].value,
-            "snapshots_reused": counters["snapshots_reused"].value,
-            "run_p50_ms": round(self.run_latency.p50 * 1e3, 3),
-            "run_p95_ms": round(self.run_latency.p95 * 1e3, 3),
-        }
-
 
 class ServiceMetrics(_CounterView):
     """Global counters of one :class:`~repro.service.service.FeedbackService`."""
@@ -121,19 +114,3 @@ class ServiceMetrics(_CounterView):
         "events_executed",
         "runs",
     )
-
-    def snapshot(self) -> dict[str, object]:
-        counters = self._counters
-        return {
-            "sessions_opened": counters["sessions_opened"].value,
-            "sessions_closed": counters["sessions_closed"].value,
-            "sessions_expired": counters["sessions_expired"].value,
-            "sessions_rejected": counters["sessions_rejected"].value,
-            "events_received": counters["events_received"].value,
-            "events_coalesced": counters["events_coalesced"].value,
-            "events_shed": counters["events_shed"].value,
-            "events_executed": counters["events_executed"].value,
-            "runs": counters["runs"].value,
-            "run_p50_ms": round(self.run_latency.p50 * 1e3, 3),
-            "run_p95_ms": round(self.run_latency.p95 * 1e3, 3),
-        }

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.core.engine import PipelineConfig, QueryEngine
+from repro.core.plan import CacheStats
 from repro.interact.events import SessionEvent
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs import trace as obs
@@ -46,6 +47,12 @@ from repro.storage.table import Table
 from repro.vis.layout import MultiWindowLayout
 
 __all__ = ["ServiceConfig", "FeedbackService", "SessionLimitError"]
+
+#: The engine counters :meth:`FeedbackService.metrics_report` breaks out
+#: under ``incremental``: every :class:`CacheStats` field from
+#: ``incremental_events`` on (the fields before it count LRU traffic).
+_STAT_NAMES = [stat.name for stat in fields(CacheStats)]
+_INCREMENTAL_STATS = _STAT_NAMES[_STAT_NAMES.index("incremental_events"):]
 
 
 @dataclass(frozen=True)
@@ -381,18 +388,8 @@ class FeedbackService:
             # worker liveness, and how often events fell back in-process.
             "backend": engine.get("backend"),
             "incremental": {
-                "events": engine["incremental_events"],
-                "slice_hits": engine["slice_hits"],
-                "slice_misses": engine["slice_misses"],
-                "shards_recomputed": engine["shards_recomputed"],
-                "shards_reused": engine["shards_reused"],
-                "bounds_shortcircuits": engine["bounds_shortcircuits"],
-                "displayed_patches": engine["displayed_patches"],
-                "result_count_patches": engine["result_count_patches"],
-                "chunks_patched": engine["chunks_patched"],
-                "chunks_shared": engine["chunks_shared"],
-                "quantile_certified": engine["quantile_certified"],
-                "quantile_fallbacks": engine["quantile_fallbacks"],
+                ("events" if name == "incremental_events" else name): engine[name]
+                for name in _INCREMENTAL_STATS
             },
         }
 

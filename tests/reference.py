@@ -23,8 +23,9 @@ def reference_frame(source, prepared):
     :func:`~repro.core.plan.reference_feedback` computes the frame from
     those with plain NumPy calls: no evaluation cache, no shards, no
     prefetch regions, no incremental state.  It shares no evaluator code
-    with the engine under test, so it can fail on a sharded-evaluator bug
-    at every shard count, one shard included.
+    with the engine under test, not even the compiled plan, so it can fail
+    on a sharded-evaluator or plan-compiler bug at every shard count, one
+    shard included.
     """
     fresh = QueryEngine(source, prepared.config).prepare(
         copy.deepcopy(prepared.query))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.combine import CombinationRule, combine, combine_and, combine_or
+from repro.core.combine import CombinationRule, combine_columns, combine_masks
 from repro.core.normalization import (
     NORMALIZED_MAX,
     minmax_normalize,
@@ -107,21 +107,30 @@ def test_normalize_signed_nan():
 
 
 # -- combination ---------------------------------------------------------------- #
+AND, OR = CombinationRule.AND, CombinationRule.OR
+
+
+def combine_matrix(rule, matrix, weights):
+    """:func:`combine_columns` over the columns of an (items x children) matrix."""
+    return combine_columns(rule, list(np.asarray(matrix, dtype=float).T), weights)
+
+
 def test_combine_and_is_weighted_sum():
     matrix = np.array([[0.0, 10.0], [20.0, 10.0]])
-    np.testing.assert_allclose(combine_and(matrix, np.array([1.0, 0.5])), [5.0, 25.0])
+    np.testing.assert_allclose(
+        combine_matrix(AND, matrix, np.array([1.0, 0.5])), [5.0, 25.0])
 
 
 def test_combine_or_exact_child_wins():
     matrix = np.array([[0.0, 200.0], [100.0, 200.0]])
-    combined = combine_or(matrix, np.array([1.0, 1.0]))
+    combined = combine_matrix(OR, matrix, np.array([1.0, 1.0]))
     assert combined[0] == 0.0      # one fulfilled predicate -> overall fulfilled
     assert combined[1] > 0.0
 
 
 def test_combine_or_zero_weight_is_neutral():
     matrix = np.array([[0.0, 123.0]])
-    combined = combine_or(matrix, np.array([0.0, 1.0]))
+    combined = combine_matrix(OR, matrix, np.array([0.0, 1.0]))
     # The zero-weighted first child contributes a neutral factor of 1.
     np.testing.assert_allclose(combined, [123.0])
 
@@ -130,30 +139,40 @@ def test_combine_and_or_ordering_semantics():
     """AND punishes any bad conjunct; OR forgives it if another is satisfied."""
     matrix = np.array([[0.0, 255.0]])
     weights = np.array([1.0, 1.0])
-    assert combine_and(matrix, weights)[0] > 0.0
-    assert combine_or(matrix, weights)[0] == 0.0
+    assert combine_matrix(AND, matrix, weights)[0] > 0.0
+    assert combine_matrix(OR, matrix, weights)[0] == 0.0
 
 
 def test_combine_dispatch_and_validation():
     matrix = np.array([[1.0, 2.0]])
     weights = np.array([1.0, 1.0])
-    np.testing.assert_allclose(combine(CombinationRule.AND, matrix, weights),
-                               combine_and(matrix, weights))
-    np.testing.assert_allclose(combine(CombinationRule.OR, matrix, weights),
-                               combine_or(matrix, weights))
+    np.testing.assert_allclose(combine_matrix(AND, matrix, weights), [3.0])
+    np.testing.assert_allclose(combine_matrix(OR, matrix, weights), [2.0])
     with pytest.raises(ValueError):
-        combine_and(np.zeros(3), weights)
+        combine_columns(AND, [], weights)
     with pytest.raises(ValueError):
-        combine_and(matrix, np.array([1.0]))
+        combine_matrix(AND, matrix, np.array([1.0]))
     with pytest.raises(ValueError):
-        combine_and(matrix, np.array([2.0, 1.0]))
+        combine_matrix(AND, matrix, np.array([2.0, 1.0]))
+
+
+def test_combine_masks_reduces_children_into_a_fresh_mask():
+    a = np.array([True, True, False, False])
+    b = np.array([True, False, True, False])
+    before = a.copy()
+    for rule, expected in ((AND, a & b), (OR, a | b)):
+        combined = combine_masks(rule, [a, b])
+        np.testing.assert_array_equal(combined, expected)
+        assert combined is not a and combined is not b
+    np.testing.assert_array_equal(a, before)
+    np.testing.assert_array_equal(combine_masks(AND, [b]), b)
 
 
 def test_weighting_shifts_combined_distances():
     """Down-weighting a predicate reduces its influence on the AND combination."""
     matrix = np.array([[200.0, 10.0], [10.0, 200.0]])
-    balanced = combine_and(matrix, np.array([1.0, 1.0]))
-    first_downweighted = combine_and(matrix, np.array([0.1, 1.0]))
+    balanced = combine_matrix(AND, matrix, np.array([1.0, 1.0]))
+    first_downweighted = combine_matrix(AND, matrix, np.array([0.1, 1.0]))
     assert balanced[0] == pytest.approx(balanced[1])
     assert first_downweighted[0] < first_downweighted[1]
 
@@ -161,8 +180,6 @@ def test_weighting_shifts_combined_distances():
 # -- combine_columns single-child fast path --------------------------------- #
 def test_combine_columns_single_default_weight_child_shares_array():
     """One child at weight 1: the combined column is the child, no copy."""
-    from repro.core.combine import combine_columns
-
     child = np.array([1.0, 2.0, 3.0])
     child.flags.writeable = False
     for rule in (CombinationRule.AND, CombinationRule.OR):
@@ -170,8 +187,6 @@ def test_combine_columns_single_default_weight_child_shares_array():
 
 
 def test_combine_columns_single_child_nondefault_weight_still_copies():
-    from repro.core.combine import combine_columns
-
     child = np.array([1.0, 4.0, 9.0])
     scaled = combine_columns(CombinationRule.AND, [child], np.array([0.5]))
     assert scaled is not child
@@ -183,8 +198,6 @@ def test_combine_columns_single_child_nondefault_weight_still_copies():
 
 def test_combine_columns_multi_child_keeps_accumulator_copy():
     """The first column doubles as the accumulator: it must never alias."""
-    from repro.core.combine import combine_columns
-
     a = np.array([1.0, 2.0])
     b = np.array([3.0, 4.0])
     for rule in (CombinationRule.AND, CombinationRule.OR):
@@ -202,8 +215,6 @@ def test_combine_columns_shared_child_survives_copy_on_write_patch():
     the patch writes into fresh chunks, never into the shared base.
     """
     from repro.core.chunks import as_chunked
-    from repro.core.combine import combine_columns
-
     child = np.linspace(0.0, 255.0, 256)
     combined = combine_columns(CombinationRule.AND, [child], np.array([1.0]))
     assert combined is child

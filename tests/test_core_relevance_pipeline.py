@@ -1,4 +1,4 @@
-"""Unit and integration tests for the relevance evaluator and the pipeline."""
+"""Unit and integration tests for the reference tree walk and the pipeline."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,8 @@ from repro import (
     VisualFeedbackQuery,
     condition,
 )
-from repro.core.relevance import RelevanceEvaluator, relevance_factors
+from repro.core.plan import reference_feedback
+from repro.core.relevance import relevance_factors
 from repro.query.expr import NotNode
 from repro.query.joins import Connection, JoinKind
 from repro.storage.database import Database
@@ -32,6 +33,11 @@ def test_relevance_factor_scales_are_monotone():
 
 
 # -- evaluator -------------------------------------------------------------- #
+def evaluate(tree, table):
+    """Per-node feedback of ``tree`` over ``table``, from the reference walk."""
+    return reference_feedback(table, tree, PipelineConfig()).node_feedback
+
+
 @pytest.fixture()
 def table() -> Table:
     rng = np.random.default_rng(2)
@@ -46,8 +52,7 @@ def table() -> Table:
 
 def test_evaluator_produces_feedback_per_node(table):
     tree = AndNode([condition("a", ">", 50.0), condition("b", "<", 5.0)])
-    evaluator = RelevanceEvaluator(display_capacity=500)
-    feedback = evaluator.evaluate(tree, table)
+    feedback = evaluate(tree, table)
     assert set(feedback) == {(), (0,), (1,)}
     root = feedback[()]
     assert not root.is_leaf
@@ -58,7 +63,7 @@ def test_evaluator_produces_feedback_per_node(table):
 
 def test_evaluator_exact_items_have_zero_distance(table):
     tree = AndNode([condition("a", ">", 50.0), condition("b", "<", 5.0)])
-    feedback = RelevanceEvaluator(display_capacity=500).evaluate(tree, table)
+    feedback = evaluate(tree, table)
     root = feedback[()]
     assert np.all(root.normalized_distances[root.exact_mask] == 0.0)
     for path in ((0,), (1,)):
@@ -68,7 +73,7 @@ def test_evaluator_exact_items_have_zero_distance(table):
 
 def test_evaluator_or_node_zero_if_any_child_zero(table):
     tree = OrNode([condition("a", ">", 50.0), condition("b", "<", 5.0)])
-    feedback = RelevanceEvaluator(display_capacity=500).evaluate(tree, table)
+    feedback = evaluate(tree, table)
     child_zero = (feedback[(0,)].normalized_distances == 0.0) | (
         feedback[(1,)].normalized_distances == 0.0
     )
@@ -77,19 +82,14 @@ def test_evaluator_or_node_zero_if_any_child_zero(table):
 
 def test_evaluator_not_node_simplified(table):
     tree = NotNode(condition("a", ">", 50.0))
-    feedback = RelevanceEvaluator(display_capacity=500).evaluate(tree, table)
+    feedback = evaluate(tree, table)
     assert feedback[()].exact_mask.sum() == np.sum(table.column("a") <= 50.0)
 
 
 def test_evaluator_unsimplifiable_not_raises(table):
     tree = NotNode(AndNode([condition("a", ">", 1.0), condition("b", ">", 1.0)]))
     with pytest.raises(ValueError):
-        RelevanceEvaluator(display_capacity=500).evaluate(tree, table)
-
-
-def test_evaluator_invalid_capacity():
-    with pytest.raises(ValueError):
-        RelevanceEvaluator(display_capacity=0)
+        evaluate(tree, table)
 
 
 # -- pipeline: single table -------------------------------------------------- #

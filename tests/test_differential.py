@@ -50,7 +50,7 @@ from repro.interact.events import (
     SetWeight,
 )
 from repro.query.builder import Query, QueryBuilder, between, condition
-from repro.query.expr import AndNode, OrNode, PredicateLeaf
+from repro.query.expr import AndNode, NotNode, OrNode, PredicateLeaf
 from repro.query.predicates import AttributePredicate, ComparisonOperator, RangePredicate
 from repro.storage.table import Table
 
@@ -565,6 +565,71 @@ def test_differential_shard_count_beyond_rows():
         feedback = QueryEngine(table, config.with_(shard_count=shards)).prepare(
             copy.deepcopy(query)).execute()
         assert_feedback_identical(reference, feedback, f"tiny shards={shards}")
+
+
+# --------------------------------------------------------------------------- #
+# NOT, and a reference that shares no plan with the engine
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("node_type", [AndNode, OrNode])
+def test_differential_negated_comparison_over_nan(node_type, backend):
+    """``NOT (b > 60)`` beside a range leaf, over a column carrying NaN.
+
+    The engine rewrites the negation when it compiles its plan, the
+    reference as it walks the tree.  NaN fulfils neither ``b > 60`` nor
+    its negation, so the masks are three-valued.  Weight events move the
+    negation's and the root's weight, percentage events the display.
+    """
+    table = _locality_table(n=3_000)
+    root = node_type([NotNode(condition("b", ">", 60.0)), between("t", 100.0, 700.0)])
+    config = PipelineConfig(screen=ScreenSpec(width=48, height=48), percentage=0.2)
+    events = [
+        SetWeight((0,), 0.5),
+        SetPercentageDisplayed(0.35),
+        SetQueryRange((1,), 100.0, 690.0),
+        SetWeight((), 0.7),
+        SetWeight((0,), 1.0),
+        SetPercentageDisplayed(0.1),
+    ]
+    prepared = _drive_against_cold(table, root, config, events,
+                                   f"not {node_type.__name__} backend={backend}",
+                                   backend=backend)
+    negated = prepared[7].execute().node_feedback[(0,)].exact_mask
+    b = table.column("b")
+    assert np.isnan(b).any()
+    assert int(np.count_nonzero(negated)) == int(np.count_nonzero(b <= 60.0))
+
+
+def test_differential_catches_a_planted_compiler_bug(monkeypatch):
+    """A compiler that swaps AND and OR fails the differential check.
+
+    The reference walks the query tree and never calls ``compile_plan``,
+    so a compiler bug cannot agree with itself.
+    """
+    from repro.core import engine, plan
+    from repro.core.combine import CombinationRule
+
+    swap = {CombinationRule.AND: CombinationRule.OR,
+            CombinationRule.OR: CombinationRule.AND}
+    compile_plan = plan.compile_plan
+
+    def swapped(condition):
+        # compile_plan recurses through its module binding, so every
+        # composite of the tree passes through here once.
+        compiled = compile_plan(condition)
+        if isinstance(compiled, plan.CompositePlan):
+            compiled.rule = swap[compiled.rule]
+        return compiled
+
+    seed = 0
+    rng = np.random.default_rng(987_000 + seed)
+    random_table(rng)
+    assert isinstance(random_condition(rng), (AndNode, OrNode))
+    _check_case(seed, max_events=0)
+    monkeypatch.setattr(plan, "compile_plan", swapped)
+    monkeypatch.setattr(engine, "compile_plan", swapped)
+    with pytest.raises(AssertionError):
+        _check_case(seed, max_events=0)
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,6 @@ from repro import (
     VisualFeedbackQuery,
     condition,
 )
-from repro.core.plan import PlanEvaluator, compile_plan
 from repro.interact.events import (
     SetPercentageDisplayed,
     SetQueryRange,
@@ -321,22 +320,6 @@ def test_cached_feedback_arrays_are_read_only(weather_db, or_query):
     # must raise instead of silently corrupting later results.
     with pytest.raises(ValueError, match="read-only"):
         feedback.node_feedback[()].normalized_distances[0] = -1.0
-
-
-def test_plan_evaluator_matches_relevance_evaluator(weather_db, or_condition):
-    """The naive plan reference reproduces the classic evaluator."""
-    from repro.core.relevance import RelevanceEvaluator
-
-    table = weather_db.table("Weather")
-    classic = RelevanceEvaluator(display_capacity=500).evaluate(or_condition, table)
-    plan = compile_plan(or_condition)
-    planned = PlanEvaluator(table, display_capacity=500).evaluate(plan)
-    assert set(classic) == set(planned)
-    for path in classic:
-        np.testing.assert_allclose(
-            planned[path].normalized_distances, classic[path].normalized_distances
-        )
-        np.testing.assert_array_equal(planned[path].exact_mask, classic[path].exact_mask)
 
 
 def test_facade_repeated_execute_consistent(weather_db, or_query):

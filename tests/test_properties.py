@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.combine import combine_and, combine_or
+from repro.core.combine import CombinationRule, combine_columns
 from repro.core.normalization import NORMALIZED_MAX, minmax_normalize, reduced_normalization
 from repro.core.reduction import display_fraction, multipeak_cut, select_by_quantile
 from repro.core.relevance import relevance_factors
@@ -72,10 +72,15 @@ child_matrix = arrays(
 )
 
 
+def combine_matrix(rule, matrix, weights):
+    """:func:`combine_columns` over the columns of an (items x children) matrix."""
+    return combine_columns(rule, list(matrix.T), weights)
+
+
 @given(child_matrix)
 def test_combine_or_zero_iff_a_full_weight_child_is_zero(matrix):
     weight_vector = np.ones(matrix.shape[1])
-    combined = combine_or(matrix, weight_vector)
+    combined = combine_matrix(CombinationRule.OR, matrix, weight_vector)
     any_zero = np.any(matrix == 0.0, axis=1)
     assert np.all((combined == 0.0) == any_zero)
 
@@ -83,7 +88,7 @@ def test_combine_or_zero_iff_a_full_weight_child_is_zero(matrix):
 @given(child_matrix)
 def test_combine_and_zero_iff_all_children_zero(matrix):
     weight_vector = np.ones(matrix.shape[1])
-    combined = combine_and(matrix, weight_vector)
+    combined = combine_matrix(CombinationRule.AND, matrix, weight_vector)
     all_zero = np.all(matrix == 0.0, axis=1)
     assert np.all((combined == 0.0) == all_zero)
 
@@ -91,8 +96,8 @@ def test_combine_and_zero_iff_all_children_zero(matrix):
 @given(child_matrix)
 def test_combine_results_are_nonnegative(matrix):
     weight_vector = np.full(matrix.shape[1], 0.5)
-    assert np.all(combine_and(matrix, weight_vector) >= 0.0)
-    assert np.all(combine_or(matrix, weight_vector) >= 0.0)
+    assert np.all(combine_matrix(CombinationRule.AND, matrix, weight_vector) >= 0.0)
+    assert np.all(combine_matrix(CombinationRule.OR, matrix, weight_vector) >= 0.0)
 
 
 # -- relevance -------------------------------------------------------------------- #
