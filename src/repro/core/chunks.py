@@ -5,26 +5,35 @@ executions, snapshots and sessions, so a patched column used to be a
 fresh O(n) array assembled from reused clean slices plus recomputed
 dirty ones -- the "O(n) memcpy floor" named in the roadmap.  A
 :class:`ChunkedColumn` removes that floor: the column is a sequence of
-fixed-size read-only chunks, and a patch produces a *new* column that
-copies only the chunks the dirty rows intersect while aliasing every
-clean chunk from the previous column.  The frozen-array contract
-survives because chunks, not whole columns, stay read-only; consumers
-that need a contiguous ndarray go through the lazy, cached
+read-only chunks, and a patch produces a *new* column that replaces only
+the chunks the dirty rows intersect while aliasing every clean chunk
+from the previous column.  The frozen-array contract survives because
+chunks, not whole columns, stay read-only; consumers that need a
+contiguous ndarray go through the lazy, cached
 :meth:`ChunkedColumn.materialize` seam (or ``np.asarray``, which routes
 through ``__array__``).
 
 Design points that matter for bit-identity and safety:
 
-* the chunk grid is fixed at construction (chunk ``k`` covers rows
-  ``[k*chunk_rows, (k+1)*chunk_rows)``), so patches of patches keep
-  aliasing cheaply and never re-split data;
-* :meth:`patch` accepts unsorted, possibly duplicated row indices (the
-  range-leaf delta path concatenates a low-side and a high-side band
-  that can overlap); duplicates carry identical values, and the grouped
-  assignment writes them exactly like the fancy assignment it replaces;
-* :meth:`patch_spans` aliases *fresh* data too: a chunk fully covered
-  by a recomputed span becomes a zero-copy view of the span's piece,
-  so patching a whole dirty shard costs O(edge chunks) memcpy;
+* the chunk grid is fixed at construction as explicit ``(start, stop)``
+  row ranges.  The sharded evaluator wraps every column on its shard
+  bounds (:func:`~repro.core.shard.shard_bounds`, uneven sizes and
+  empty trailing shards included), so one chunk is one shard: a shard
+  slice is a zero-copy view of its chunk, and a recomputed shard piece
+  *becomes* that shard's chunk.  Patches of patches keep the grid and
+  never re-split data.  Without explicit bounds the grid is uniform
+  :data:`CHUNK_ROWS`-row chunks;
+* a slice that crosses chunks only happens on a foreign grid (a column
+  built under another shard count, served from the node cache) and
+  reads :meth:`materialize` instead; :func:`as_chunked` re-wraps such a
+  column on the requested grid, so the next patch is aligned again;
+* :meth:`patch` accepts unsorted, possibly duplicated row indices;
+  duplicates carry identical values, and the grouped assignment writes
+  them exactly like the fancy assignment it replaces;
+* :meth:`patch_spans` aliases *fresh* data: a chunk fully covered by a
+  span becomes a zero-copy view of the span's piece, so patching a
+  whole dirty shard copies nothing; only chunks a span edge cuts
+  through (a foreign grid) are splice-copied;
 * ``__setitem__`` raises the same ``read-only`` ``ValueError`` a frozen
   ndarray raises, and unknown attributes delegate to the materialized
   array, so most ndarray consumers work unchanged -- but hot-path code
@@ -44,11 +53,10 @@ __all__ = [
     "as_chunked",
 ]
 
-#: Default chunk size in rows.  128 KiB of float64 per chunk: large enough
-#: that per-chunk Python overhead is negligible against the memcpy, small
-#: enough that a few-thousand-row dirty band touches O(1) chunks of a
-#: multi-million-row column.  Read at construction time so tests can
-#: monkeypatch it to force many-chunk columns on small tables.
+#: Chunk size of the default uniform grid, for columns wrapped without
+#: explicit bounds.  128 KiB of float64 per chunk: large enough that
+#: per-chunk Python overhead is negligible against the memcpy, small
+#: enough that a few-thousand-row dirty band touches O(1) chunks.
 CHUNK_ROWS = 16_384
 
 
@@ -58,52 +66,84 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class ChunkedColumn:
-    """An immutable column stored as fixed-size read-only chunks.
+def _offsets(bounds, n: int) -> np.ndarray:
+    """Chunk start rows plus ``n``, from contiguous ``(start, stop)`` ranges."""
+    if bounds is None:
+        stops = np.arange(CHUNK_ROWS, n + CHUNK_ROWS, CHUNK_ROWS).clip(max=n)
+        return np.concatenate(([0], stops)).astype(np.intp)
+    grid = np.asarray(bounds, dtype=np.intp).reshape(-1, 2)
+    offsets = np.concatenate(([0], grid[:, 1])).astype(np.intp)
+    if (offsets[-1] != n or np.any(grid[:, 0] != offsets[:-1])
+            or np.any(grid[:, 1] < grid[:, 0])):
+        raise ValueError("chunk bounds must be contiguous ranges covering the column")
+    return offsets
 
-    Instances are value-immutable: every mutating operation returns a new
-    column sharing the untouched chunks.  ``patched_chunks`` /
-    ``shared_chunks`` describe how the instance was built (both zero for
-    a column built from a whole array) and feed the ``chunks_patched`` /
-    ``chunks_shared`` observability counters.
+
+class ChunkedColumn:
+    """An immutable column stored as read-only chunks on a fixed row grid.
+
+    ``offsets`` holds each chunk's first row followed by the column
+    length; chunks may be empty.  Instances are value-immutable: every
+    mutating operation returns a new column sharing the untouched
+    chunks.  ``patched_chunks`` / ``shared_chunks`` describe how the
+    instance was built -- chunks replaced by new data vs aliased from
+    the previous column, both zero for a column built from a whole array
+    -- and feed the ``chunks_patched`` / ``chunks_shared`` counters.
     """
 
-    __slots__ = ("_chunks", "_n", "_chunk_rows", "_dtype", "_materialized",
-                 "_slice_cache", "patched_chunks", "shared_chunks")
+    __slots__ = ("_chunks", "_offsets", "_grid", "_dtype", "_materialized",
+                 "patched_chunks", "shared_chunks")
 
-    def __init__(self, chunks: tuple[np.ndarray, ...], n: int, chunk_rows: int,
-                 dtype, materialized: np.ndarray | None = None,
+    def __init__(self, chunks: tuple[np.ndarray, ...], offsets: np.ndarray,
+                 grid, dtype, materialized: np.ndarray | None = None,
                  patched: int = 0, shared: int = 0):
         self._chunks = chunks
-        self._n = n
-        self._chunk_rows = chunk_rows
+        self._offsets = offsets
+        #: The ``bounds`` object the grid was built from: :meth:`aligned`
+        #: answers by identity for the evaluator's own shard bounds.
+        self._grid = grid
         self._dtype = np.dtype(dtype)
         self._materialized = materialized
-        self._slice_cache = None
         self.patched_chunks = patched
         self.shared_chunks = shared
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_array(cls, array, chunk_rows: int | None = None) -> "ChunkedColumn":
-        """Wrap a 1-D array as zero-copy chunk views (freezing the array)."""
+    def from_array(cls, array, bounds=None) -> "ChunkedColumn":
+        """Wrap a 1-D array as zero-copy chunk views (freezing the array).
+
+        ``bounds`` are contiguous ``(start, stop)`` row ranges covering
+        the array, one per chunk (the shard bounds); None is the uniform
+        :data:`CHUNK_ROWS` grid.
+        """
         array = np.asarray(array)
         if array.ndim != 1:
             raise ValueError("ChunkedColumn wraps 1-D columns only")
-        rows = int(chunk_rows) if chunk_rows is not None else CHUNK_ROWS
-        if rows <= 0:
-            raise ValueError("chunk_rows must be positive")
+        offsets = _offsets(bounds, len(array))
         _freeze(array)
-        n = len(array)
-        chunks = tuple(array[i:i + rows] for i in range(0, n, rows))
-        return cls(chunks, n, rows, array.dtype, materialized=array)
+        chunks = tuple(array[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
+        return cls(chunks, offsets, bounds, array.dtype, materialized=array)
+
+    def aligned(self, bounds) -> bool:
+        """Whether the chunk grid is exactly ``bounds``."""
+        return bounds is self._grid or np.array_equal(
+            self._offsets, _offsets(bounds, len(self)))
+
+    def _chunk_of(self, rows):
+        """Index of the non-empty chunk holding each row."""
+        return np.searchsorted(self._offsets, rows, side="right") - 1
+
+    def _derive(self, chunks: list, replaced: int) -> "ChunkedColumn":
+        return ChunkedColumn(tuple(chunks), self._offsets, self._grid,
+                             self._dtype, patched=replaced,
+                             shared=len(chunks) - replaced)
 
     # ------------------------------------------------------------------ #
     def patch(self, rows, values) -> "ChunkedColumn":
         """A new column with ``self[rows] = values``, copying touched chunks.
 
         ``rows`` may be unsorted and may contain duplicates (each duplicate
-        must carry the same value, as in the range-leaf delta bands).
+        must carry the same value).
         """
         rows = np.asarray(rows, dtype=np.intp)
         if rows.size == 0:
@@ -113,22 +153,18 @@ class ChunkedColumn:
             order = np.argsort(rows, kind="stable")
             rows = rows[order]
             values = values[order]
-        if rows[0] < 0 or rows[-1] >= self._n:
+        if rows[0] < 0 or rows[-1] >= len(self):
             raise IndexError("patch rows out of range")
-        size = self._chunk_rows
-        chunk_ids = rows // size
-        cuts = np.flatnonzero(np.diff(chunk_ids)) + 1
-        starts = np.concatenate(([0], cuts))
-        stops = np.concatenate((cuts, [rows.size]))
+        # Sorted rows: chunk k's rows are cuts[k]:cuts[k + 1].
+        cuts = np.searchsorted(rows, self._offsets)
+        touched = np.flatnonzero(np.diff(cuts))
         chunks = list(self._chunks)
-        for lo, hi in zip(starts, stops):
-            k = int(chunk_ids[lo])
+        for k in touched:
+            lo, hi = cuts[k], cuts[k + 1]
             fresh = np.array(chunks[k])
-            fresh[rows[lo:hi] - k * size] = values[lo:hi]
+            fresh[rows[lo:hi] - self._offsets[k]] = values[lo:hi]
             chunks[k] = _freeze(fresh)
-        patched = len(starts)
-        return ChunkedColumn(tuple(chunks), self._n, size, self._dtype,
-                             patched=patched, shared=len(chunks) - patched)
+        return self._derive(chunks, len(touched))
 
     def patch_spans(self, spans) -> "ChunkedColumn":
         """A new column with each ``(start, stop, piece)`` span replaced.
@@ -139,7 +175,7 @@ class ChunkedColumn:
         share an edge chunk (each splice works on the already-updated
         chunk).
         """
-        size = self._chunk_rows
+        offsets = self._offsets
         chunks = list(self._chunks)
         replaced: set[int] = set()
         for start, stop, piece in spans:
@@ -147,14 +183,13 @@ class ChunkedColumn:
             stop = int(stop)
             if stop <= start:
                 continue
-            if start < 0 or stop > self._n:
+            if start < 0 or stop > len(self):
                 raise IndexError("patch span out of range")
             piece = _freeze(np.asarray(piece))
-            first = start // size
-            last = (stop - 1) // size
-            for k in range(first, last + 1):
-                chunk_start = k * size
-                chunk_stop = min(chunk_start + size, self._n)
+            for k in range(self._chunk_of(start), self._chunk_of(stop - 1) + 1):
+                chunk_start, chunk_stop = int(offsets[k]), int(offsets[k + 1])
+                if chunk_stop == chunk_start:
+                    continue
                 lo = max(start, chunk_start)
                 hi = min(stop, chunk_stop)
                 if lo == chunk_start and hi == chunk_stop:
@@ -166,20 +201,16 @@ class ChunkedColumn:
                 replaced.add(k)
         if not replaced:
             return self
-        return ChunkedColumn(tuple(chunks), self._n, size, self._dtype,
-                             patched=len(replaced),
-                             shared=len(chunks) - len(replaced))
+        return self._derive(chunks, len(replaced))
 
     # ------------------------------------------------------------------ #
     def materialize(self) -> np.ndarray:
         """The contiguous frozen ndarray view of this column (cached)."""
         out = self._materialized
         if out is None:
-            out = np.empty(self._n, dtype=self._dtype)
-            position = 0
-            for chunk in self._chunks:
-                out[position:position + len(chunk)] = chunk
-                position += len(chunk)
+            out = np.empty(len(self), dtype=self._dtype)
+            for k, chunk in enumerate(self._chunks):
+                out[self._offsets[k]:self._offsets[k + 1]] = chunk
             self._materialized = _freeze(out)
         return out
 
@@ -190,26 +221,22 @@ class ChunkedColumn:
 
     @property
     def shape(self) -> tuple[int]:
-        return (self._n,)
+        return (len(self),)
 
     @property
     def size(self) -> int:
-        return self._n
+        return len(self)
 
     @property
     def ndim(self) -> int:
         return 1
 
     @property
-    def chunk_rows(self) -> int:
-        return self._chunk_rows
-
-    @property
     def chunk_count(self) -> int:
         return len(self._chunks)
 
     def __len__(self) -> int:
-        return self._n
+        return int(self._offsets[-1])
 
     def __array__(self, dtype=None, copy=None):
         out = self.materialize()
@@ -220,18 +247,19 @@ class ChunkedColumn:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ChunkedColumn(n={self._n}, chunks={len(self._chunks)}, "
-                f"chunk_rows={self._chunk_rows}, dtype={self._dtype})")
+        return (f"ChunkedColumn(n={len(self)}, chunks={len(self._chunks)}, "
+                f"dtype={self._dtype})")
 
     # ------------------------------------------------------------------ #
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             index = int(key)
             if index < 0:
-                index += self._n
-            if not 0 <= index < self._n:
+                index += len(self)
+            if not 0 <= index < len(self):
                 raise IndexError("index out of range")
-            return self._chunks[index // self._chunk_rows][index % self._chunk_rows]
+            k = self._chunk_of(index)
+            return self._chunks[k][index - self._offsets[k]]
         if isinstance(key, slice):
             return self._slice(key)
         index = np.asarray(key)
@@ -240,68 +268,38 @@ class ChunkedColumn:
         return self._gather(index)
 
     def _slice(self, key: slice) -> np.ndarray:
-        start, stop, step = key.indices(self._n)
-        if step != 1:
-            return self.materialize()[key]
-        if self._materialized is not None:
-            return self._materialized[start:stop]
-        if stop <= start:
-            return _freeze(np.empty(0, dtype=self._dtype))
-        size = self._chunk_rows
-        first = start // size
-        last = (stop - 1) // size
-        if first == last:
-            return self._chunks[first][start - first * size:stop - first * size]
-        # Multi-chunk slices pay an O(span) assemble; the evaluator's hot
-        # path slices the same dirty-shard span from one column several
-        # times per event (summary, renormalize, select), so remember the
-        # last assembled span.  Safe because instances and the returned
-        # frozen array are both immutable.
-        cache = self._slice_cache
-        if cache is None:
-            cache = self._slice_cache = {}
-        cached = cache.get((start, stop))
-        if cached is not None:
-            return cached
-        out = np.empty(stop - start, dtype=self._dtype)
-        for k in range(first, last + 1):
-            chunk_start = k * size
-            lo = max(start, chunk_start)
-            hi = min(stop, chunk_start + len(self._chunks[k]))
-            out[lo - start:hi - start] = self._chunks[k][lo - chunk_start:hi - chunk_start]
-        out = _freeze(out)
-        if len(cache) >= 32:
-            cache.clear()
-        cache[(start, stop)] = out
-        return out
+        """A contiguous slice: a zero-copy view when it lies in one chunk."""
+        start, stop, step = key.indices(len(self))
+        if step == 1 and self._materialized is None:
+            if stop <= start:
+                return _freeze(np.empty(0, dtype=self._dtype))
+            k = self._chunk_of(start)
+            if stop <= self._offsets[k + 1]:
+                base = self._offsets[k]
+                return self._chunks[k][start - base:stop - base]
+        return self.materialize()[key]
 
     def _gather(self, index: np.ndarray) -> np.ndarray:
         """Fancy integer gather grouped by chunk -- never materializes."""
         index = index.astype(np.intp, copy=False)
-        if index.ndim != 1:
+        if index.ndim != 1 or self._materialized is not None:
             return self.materialize()[index]
         if index.size == 0:
             return np.empty(0, dtype=self._dtype)
-        if self._materialized is not None:
-            return self._materialized[index]
         order = None
         ordered = index
         if index.size > 1 and np.any(np.diff(index) < 0):
             order = np.argsort(index, kind="stable")
             ordered = index[order]
-        if ordered[0] < 0 or ordered[-1] >= self._n:
+        if ordered[0] < 0 or ordered[-1] >= len(self):
             # Negative (or out-of-range) indices: let numpy's own fancy
             # indexing semantics and errors apply.
             return self.materialize()[index]
-        size = self._chunk_rows
-        chunk_ids = ordered // size
-        cuts = np.flatnonzero(np.diff(chunk_ids)) + 1
-        starts = np.concatenate(([0], cuts))
-        stops = np.concatenate((cuts, [ordered.size]))
+        cuts = np.searchsorted(ordered, self._offsets)
         gathered = np.empty(ordered.size, dtype=self._dtype)
-        for lo, hi in zip(starts, stops):
-            k = int(chunk_ids[lo])
-            gathered[lo:hi] = self._chunks[k][ordered[lo:hi] - k * size]
+        for k in np.flatnonzero(np.diff(cuts)):
+            lo, hi = cuts[k], cuts[k + 1]
+            gathered[lo:hi] = self._chunks[k][ordered[lo:hi] - self._offsets[k]]
         if order is None:
             return gathered
         out = np.empty_like(gathered)
@@ -320,11 +318,18 @@ class ChunkedColumn:
         return getattr(self.materialize(), name)
 
 
-def as_chunked(column, chunk_rows: int | None = None) -> ChunkedColumn:
-    """``column`` as a :class:`ChunkedColumn` (zero-copy if already one)."""
+def as_chunked(column, bounds=None) -> ChunkedColumn:
+    """``column`` as a :class:`ChunkedColumn` on the ``bounds`` grid.
+
+    Zero-copy for an ndarray, or for a chunked column already on that
+    grid (any grid when ``bounds`` is None); a column on a foreign grid
+    is re-wrapped from its (cached) materialized form.
+    """
     if isinstance(column, ChunkedColumn):
-        return column
-    return ChunkedColumn.from_array(column, chunk_rows)
+        if bounds is None or column.aligned(bounds):
+            return column
+        column = column.materialize()
+    return ChunkedColumn.from_array(column, bounds)
 
 
 def as_array(column) -> np.ndarray:

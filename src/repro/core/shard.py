@@ -475,20 +475,26 @@ class ShardedPlanEvaluator:
         ``dirty`` names the shards in which it may differ from ``base``:
         None computes every shard (a cold node is a patch with every shard
         dirty), an empty set is ``base`` itself, and otherwise the dirty
-        shards' pieces are spliced in copy-on-write -- interior chunks
-        alias the fresh pieces zero-copy, every clean chunk is shared with
-        ``base``.
+        shards' pieces are spliced in copy-on-write (:meth:`_splice`).
         """
         if dirty is None:
             return self._assemble(piece, dtype)
-        if not dirty:
+        dirty_sorted = sorted(dirty)
+        return self._splice(base, dirty_sorted,
+                            self._map_over(dirty_sorted, piece))
+
+    def _splice(self, base, shards: list[int], pieces):
+        """``base`` with shard ``shards[j]``'s rows replaced by ``pieces[j]``.
+
+        ``base`` is chunked on the shard grid, one chunk per shard, so each
+        piece becomes its shard's chunk as it is (no copy) and every other
+        chunk is shared with ``base``.  No shards is ``base`` itself.
+        """
+        if not shards:
             return base
         bounds = self.sharded.bounds
-        dirty_sorted = sorted(dirty)
-        column = as_chunked(base).patch_spans([
-            (bounds[i][0], bounds[i][1], fresh)
-            for i, fresh in zip(dirty_sorted, self._map_over(dirty_sorted, piece))
-        ])
+        column = as_chunked(base, bounds).patch_spans(
+            [(*bounds[i], fresh) for i, fresh in zip(shards, pieces)])
         self._count_chunks(column)
         return column
 
@@ -966,17 +972,17 @@ class ShardedPlanEvaluator:
 
     def _range_changed_rows(self, predicate: RangePredicate,
                             base: tuple[float, float]) -> list[np.ndarray]:
-        """Per shard, the global rows whose distance differs between bounds.
+        """Per shard, the shard-local rows whose distance differs between bounds.
 
         A pure function of the ``base`` bounds, ``predicate``'s bounds and
         the per-shard sorted indexes: distances change only on the side of
         a bound that moved -- every row violating that bound (its distance
         is measured against the bound) plus the band the bound swept over
         -- which each shard's index finds in O(log s + k).  Shards outside
-        the band contribute empty change sets.
+        the band contribute empty change sets.  The low- and high-side
+        rows may overlap.
         """
         indexes = self.sharded.shard_indexes(predicate.attribute)
-        starts = [start for start, _ in self.sharded.bounds]
         low, high = base
 
         def changed_for(i: int) -> np.ndarray:
@@ -989,8 +995,7 @@ class ShardedPlanEvaluator:
                     min(high, predicate.high), None, sort=False))
             if not pieces:
                 return np.empty(0, dtype=np.intp)
-            # Shard-local hits -> global row numbers.
-            return np.concatenate(pieces) + starts[i]
+            return np.concatenate(pieces)
 
         return self._map_shards(changed_for)
 
@@ -1021,12 +1026,17 @@ class ShardedPlanEvaluator:
             return self._compute_leaf_raw(node), False
         predicate = node.predicate
         old = entry.columns
-        column = self.table.column(predicate.attribute)
+        bounds = self.sharded.bounds
+        bases = [as_chunked(c, bounds)
+                 for c in (old.signed, old.raw, old.exact_mask)]
+        dirty = [i for i, rows in enumerate(changed) if len(rows)]
 
-        def update(i: int) -> tuple:
+        def update(i: int) -> list[np.ndarray]:
             rows = changed[i]
             # Gather, then convert: O(changed) for any column dtype.
-            values = np.asarray(column[rows], dtype=float)
+            values = np.asarray(
+                self.sharded.shards[i].column(predicate.attribute)[rows],
+                dtype=float)
             below = np.where(values < predicate.low, values - predicate.low, 0.0)
             above = np.where(values > predicate.high, values - predicate.high, 0.0)
             delta = below + above
@@ -1035,25 +1045,21 @@ class ShardedPlanEvaluator:
             # RangePredicate.exact_mask on the changed rows, unchanged
             # (hence reusable) everywhere else.
             member = (values >= predicate.low) & (values <= predicate.high)
-            return rows, delta, np.abs(delta), member
+            # Each column's shard chunk is copied once and patched in place;
+            # the copy becomes the new column's chunk for this shard.
+            pieces = []
+            for base, fresh in zip(bases, (delta, np.abs(delta), member)):
+                piece = np.array(base[bounds[i][0]:bounds[i][1]])
+                piece[rows] = fresh
+                pieces.append(piece)
+            return pieces
 
-        # Per-shard delta computation fans out; the copy-on-write patch
-        # then copies only the chunks the changed rows intersect and
-        # aliases every clean chunk from the entry's column.
-        updates = self._map_over(
-            [i for i, rows in enumerate(changed) if len(rows)], update)
-        signed, raw, mask = old.signed, old.raw, old.exact_mask
-        if updates:
-            changed_all = np.concatenate([u[0] for u in updates])
-            signed = as_chunked(signed).patch(
-                changed_all, np.concatenate([u[1] for u in updates]))
-            raw = as_chunked(raw).patch(
-                changed_all, np.concatenate([u[2] for u in updates]))
-            mask = as_chunked(mask).patch(
-                changed_all, np.concatenate([u[3] for u in updates]))
-            self._count_chunks(signed)
-            self._count_chunks(raw)
-            self._count_chunks(mask)
+        # Per-shard deltas and chunk copies fan out; every clean shard's
+        # chunk is aliased from the entry's columns.
+        updates = self._map_over(dirty, update)
+        signed, raw, mask = (
+            self._splice(base, dirty, [u[j] for u in updates])
+            for j, base in enumerate(bases))
         return _LeafRaw(signed=signed, raw=raw, exact_mask=mask,
                         supports_direction=True), True
 

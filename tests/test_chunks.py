@@ -2,14 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.chunks import ChunkedColumn, as_array, as_chunked
+
+
+def _grid(n, rows):
+    """A uniform grid of ``rows``-row chunks (the last one shorter)."""
+    return [(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
 def _column(n=1000, chunk_rows=64, seed=3):
     rng = np.random.default_rng(seed)
     base = rng.uniform(-5.0, 5.0, n)
-    return base.copy(), ChunkedColumn.from_array(base, chunk_rows=chunk_rows)
+    return base.copy(), ChunkedColumn.from_array(base, _grid(n, chunk_rows))
 
 
 def test_from_array_roundtrip_and_lengths():
@@ -147,7 +154,7 @@ def test_ndarray_attribute_delegation():
 
 def test_bool_dtype_column():
     mask = np.zeros(200, dtype=bool)
-    column = ChunkedColumn.from_array(mask, chunk_rows=64)
+    column = ChunkedColumn.from_array(mask, _grid(200, 64))
     patched = column.patch(np.array([5, 150]), np.array([True, True]))
     expected = mask.copy()
     expected[[5, 150]] = True
@@ -158,7 +165,7 @@ def test_bool_dtype_column():
 
 def test_as_chunked_and_as_array_helpers():
     base = np.arange(10.0)
-    column = as_chunked(base, chunk_rows=4)
+    column = as_chunked(base, _grid(10, 4))
     assert as_chunked(column) is column
     assert isinstance(as_array(column), np.ndarray)
     np.testing.assert_array_equal(as_array(column), base)
@@ -175,8 +182,108 @@ def test_materialize_is_cached_and_frozen():
 
 
 def test_empty_column():
-    column = ChunkedColumn.from_array(np.empty(0), chunk_rows=8)
+    column = ChunkedColumn.from_array(np.empty(0), [])
     assert len(column) == 0
     assert column.chunk_count == 0
     np.testing.assert_array_equal(np.asarray(column), np.empty(0))
     np.testing.assert_array_equal(column[0:0], np.empty(0))
+
+
+# --------------------------------------------------------------------------- #
+# Property: any grid, any patch sequence, against a plain-ndarray model
+# --------------------------------------------------------------------------- #
+@st.composite
+def grids(draw):
+    """Contiguous chunk bounds: uneven sizes, empty chunks (trailing ones,
+    as ``shard_bounds`` makes when there are more shards than rows), or a
+    single chunk."""
+    sizes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6))
+    sizes += [0] * draw(st.integers(0, 3))
+    assume(sum(sizes) > 0)
+    stops = np.cumsum(sizes).tolist()
+    return list(zip([0] + stops[:-1], stops))
+
+
+@st.composite
+def patch_ops(draw, n):
+    """A ``("rows", rows)`` or ``("spans", [(start, stop), ...])`` patch."""
+    if draw(st.booleans()):
+        return "rows", draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20))
+    cuts = sorted(draw(st.sets(st.integers(0, n), min_size=2, max_size=8)))
+    pairs = list(zip(cuts[:-1], cuts[1:]))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return "spans", [pair for pair, kept in zip(pairs, keep) if kept]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_patches_on_any_grid_match_an_ndarray_model(data):
+    bounds = data.draw(grids())
+    n = bounds[-1][1]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    model = rng.uniform(-5.0, 5.0, n)
+    column = ChunkedColumn.from_array(model.copy(), bounds)
+    for _ in range(data.draw(st.integers(1, 5))):
+        kind, where = data.draw(patch_ops(n))
+        if kind == "rows":
+            rows = np.array(where)
+            # Duplicated rows carry one value each, as the contract asks.
+            unique, inverse = np.unique(rows, return_inverse=True)
+            values = rng.uniform(-5.0, 5.0, unique.size)[inverse]
+            column = column.patch(rows, values)
+            model[rows] = values
+        else:
+            spans = [(start, stop, rng.uniform(-5.0, 5.0, stop - start))
+                     for start, stop in where]
+            column = column.patch_spans(spans)
+            for start, stop, piece in spans:
+                model[start:stop] = piece
+        # Reads before materializing: chunk slices, any slice, a gather.
+        for start, stop in bounds:
+            np.testing.assert_array_equal(column[start:stop], model[start:stop])
+        start, stop = sorted(data.draw(st.lists(
+            st.integers(0, n), min_size=2, max_size=2)))
+        np.testing.assert_array_equal(column[start:stop], model[start:stop])
+        index = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=10)),
+                         dtype=np.intp)
+        np.testing.assert_array_equal(column[index], model[index])
+        for row in index[:2]:
+            assert column[int(row)] == model[row]
+    np.testing.assert_array_equal(column.materialize(), model)
+
+
+@pytest.mark.parametrize("shards", [1, 3, 7, 12])
+def test_shard_slices_of_a_patched_column_are_views(shards):
+    """On the shard grid a shard slice is its chunk (no copy, nothing
+    materialized) and a whole-shard span aliases its piece."""
+    from repro.core.shard import shard_bounds
+
+    bounds = shard_bounds(10, shards)  # 12 shards: two empty trailing ones
+    column = ChunkedColumn.from_array(np.arange(10.0), bounds)
+    column = column.patch(np.array([0, 9]), np.array([-1.0, -9.0]))
+    start, stop = bounds[-1] if shards < 12 else bounds[9]
+    piece = np.full(stop - start, 7.0)
+    spliced = column.patch_spans([(start, stop, piece)])
+    assert np.shares_memory(spliced[start:stop], piece)
+    for k, (lo, hi) in enumerate(bounds):
+        if hi > lo:
+            assert np.shares_memory(column[lo:hi], column._chunks[k])
+            assert np.shares_memory(spliced[lo:hi], spliced._chunks[k])
+    assert column._materialized is None and spliced._materialized is None
+    assert spliced.patched_chunks == 1
+    assert spliced.shared_chunks == shards - 1
+
+
+def test_as_chunked_rewraps_a_foreign_grid():
+    """A column chunked on another grid (another shard count) comes back on
+    the requested one, with the same values; an aligned one is itself."""
+    from repro.core.shard import shard_bounds
+
+    base, column = _column(n=100, chunk_rows=16)
+    patched = column.patch(np.array([3, 50]), np.array([1.0, 2.0]))
+    bounds = shard_bounds(100, 7)
+    rewrapped = as_chunked(patched, bounds)
+    assert rewrapped.aligned(bounds) and not patched.aligned(bounds)
+    assert as_chunked(rewrapped, bounds) is rewrapped
+    base[[3, 50]] = [1.0, 2.0]
+    np.testing.assert_array_equal(np.asarray(rewrapped), base)

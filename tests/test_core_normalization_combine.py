@@ -215,11 +215,12 @@ def test_combine_columns_shared_child_survives_copy_on_write_patch():
     the patch writes into fresh chunks, never into the shared base.
     """
     from repro.core.chunks import as_chunked
+    from repro.core.shard import shard_bounds
     child = np.linspace(0.0, 255.0, 256)
     combined = combine_columns(CombinationRule.AND, [child], np.array([1.0]))
     assert combined is child
     snapshot = combined.copy()
-    chunked = as_chunked(combined, chunk_rows=32)
+    chunked = as_chunked(combined, shard_bounds(256, 8))
     patched = chunked.patch(np.array([5, 200]), np.array([-1.0, -2.0]))
     # The shared array is untouched by the patch...
     np.testing.assert_array_equal(combined, snapshot)

@@ -635,28 +635,15 @@ def test_differential_catches_a_planted_compiler_bug(monkeypatch):
 # --------------------------------------------------------------------------- #
 # Adversarial chunked copy-on-write + quantile certificate cases (PR 9)
 # --------------------------------------------------------------------------- #
-@pytest.fixture
-def tiny_chunks(monkeypatch):
-    """Shrink the chunk grid so small tables span many chunks.
-
-    ``CHUNK_ROWS`` is read at column construction time, so patching the
-    module global makes every column built during the test many-chunked
-    -- the regime where a chunk-grid bug (mis-spliced edge chunk, stale
-    alias, off-by-one at a boundary) would corrupt output bits.
-    """
-    from repro.core import chunks
-
-    monkeypatch.setattr(chunks, "CHUNK_ROWS", 256)
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_differential_micro_moves_sweeping_chunk_boundaries(tiny_chunks, backend):
+def test_differential_micro_moves_sweeping_chunk_boundaries(backend):
     """Micro-move chains whose dirty bands walk across chunk boundaries.
 
-    With 256-row chunks over 4096 sorted rows, each step's dirty band
-    slides a little further, repeatedly entering, straddling and leaving
-    chunk boundaries (and shard boundaries at 7/32 shards) -- every
-    splice case of ``patch``/``patch_spans`` in one drag.
+    Every column is chunked on the shard grid, so over 4096 sorted rows
+    the chunks are 585-586 rows at 7 shards (an uneven grid) and 128 at
+    32: each step's dirty band slides a little further, repeatedly
+    entering, straddling and leaving chunk (= shard) boundaries -- one or
+    two dirty chunks per column patch, in one drag.
     """
     table = _locality_table(n=4_096)
     root = AndNode([
@@ -669,9 +656,10 @@ def test_differential_micro_moves_sweeping_chunk_boundaries(tiny_chunks, backend
                         f"chunk-sweep backend={backend}", backend=backend)
 
 
-def test_differential_dirty_bands_one_chunk_and_all_chunks(tiny_chunks):
-    """Extremes of the chunk grid: bands inside exactly one chunk, then
-    moves that dirty every chunk (a global-bounds shift), then back."""
+def test_differential_dirty_bands_one_chunk_and_all_chunks():
+    """Extremes of the chunk grid: bands inside exactly one chunk (one
+    shard), then moves that dirty every chunk (a global-bounds shift),
+    then back."""
     table = _locality_table(n=2_048)
     root = AndNode([between("t", 300.0, 400.0), condition("a", ">", 10.0)])
     config = PipelineConfig(screen=ScreenSpec(width=40, height=40), percentage=0.2)
@@ -686,7 +674,7 @@ def test_differential_dirty_bands_one_chunk_and_all_chunks(tiny_chunks):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_differential_quantile_threshold_moves_across_shards(tiny_chunks, backend):
+def test_differential_quantile_threshold_moves_across_shards(backend):
     """Quantile reduction under moves that shift the p-quantile across shards.
 
     percentage=None selects the quantile path.  Interior micro-moves keep
@@ -720,7 +708,7 @@ def test_differential_quantile_threshold_moves_across_shards(tiny_chunks, backen
     assert stats["quantile_fallbacks"] > 0
 
 
-def test_differential_quantile_incremental_matches_reference(tiny_chunks):
+def test_differential_quantile_incremental_matches_reference():
     """Quantile path: the certificate machinery reproduces the naive
     (always-exact) reference's bits at every step of a patch chain."""
     table = _locality_table(n=2_500)

@@ -163,6 +163,64 @@ def test_each_wave_hands_at_most_one_block_to_the_pool(monkeypatch):
         engine.close()
 
 
+def two_shard_move_work(monkeypatch, n: int) -> list[tuple]:
+    """Chunk work of micro-moves that dirty the last two shards, 1000 rows
+    a shard.
+
+    Each drag step sweeps t values on both sides of the last shard
+    boundary.  Counted per event: dirty root shards, patched nodes, the
+    chunks the patches replaced (``chunks_patched``) and aliased
+    (``chunks_shared``), and the rows ``ChunkedColumn.materialize`` was
+    asked for.
+    """
+    from repro.core.chunks import ChunkedColumn
+    from repro.core.shard import ShardedTable
+
+    asked: list[int] = []
+    materialize = ChunkedColumn.materialize
+
+    def counted(self):
+        asked.append(len(self))
+        return materialize(self)
+
+    monkeypatch.setattr(ChunkedColumn, "materialize", counted)
+    table = locality_table(n=n)
+    shards = n // 1000
+    boundary = float(table.column("t")[ShardedTable(table, shards).bounds[-1][0]])
+    engine, _ = prepared_query(table, shards=shards)
+    prepared = engine.prepare(locality_query(table, high=boundary + 2.0))
+    prepared.execute()
+    prepared.execute(changes=[SetQueryRange((0,), 50.0, boundary + 1.5)])
+    work = []
+    for high in (boundary - 1.5, boundary + 1.0, boundary - 1.0):
+        asked.clear()
+        frame = prepared.execute(changes=[SetQueryRange((0,), 50.0, high)])
+        report = frame.extra["incremental"]
+        work.append((report["root_dirty_shards"], report["patched_nodes"],
+                     report["chunks_patched"], report["chunks_shared"],
+                     sum(asked)))
+    monkeypatch.undo()
+    np.testing.assert_array_equal(frame.display_order,
+                                  reference_frame(table, prepared).display_order)
+    return work
+
+
+def test_two_dirty_shard_move_copies_chunks_independent_of_table_size(
+        monkeypatch):
+    """A 2-dirty-shard micro-move replaces the same chunks at n and 16n
+    rows and never materializes a column.
+
+    Columns are chunked on the shard grid, so each patched column (the
+    moved leaf's signed, raw, mask and normalized columns, the root's
+    combined, mask and normalized ones: 7) replaces one chunk per dirty
+    shard and aliases every other shard's chunk.
+    """
+    small = two_shard_move_work(monkeypatch, 4_000)
+    large = two_shard_move_work(monkeypatch, 64_000)
+    assert small == [(2, 2, 14, 7 * 2, 0)] * 3
+    assert large == [(2, 2, 14, 7 * 62, 0)] * 3
+
+
 def certified_event_work(monkeypatch, n: int, percentage) -> list[tuple]:
     """Work per certified micro-move on an ``n``-row table, 1000 rows a shard.
 
@@ -172,7 +230,6 @@ def certified_event_work(monkeypatch, n: int, percentage) -> list[tuple]:
     recounted).  Every move stays inside the last shard at both sizes the
     caller compares, so the dirty set is one shard at either size.
     """
-    import repro.core.chunks as chunks
     from repro.core.engine import PreparedQuery
 
     rows, recounted = [], []
@@ -194,7 +251,6 @@ def certified_event_work(monkeypatch, n: int, percentage) -> list[tuple]:
         return refresh(self, slot, params, root, source, counted_shard, *rest)
 
     monkeypatch.setattr(PreparedQuery, "_refresh", counted_refresh)
-    monkeypatch.setattr(chunks, "CHUNK_ROWS", 256)
     table = locality_table(n=n)
     engine, prepared = prepared_query(table, shards=n // 1000,
                                       percentage=percentage)
