@@ -344,9 +344,14 @@ def test_event_latency_trace_overhead(benchmark):
     other event; one side records a full span tree per event through
     :mod:`repro.obs`, the other runs bare.
     ``trace_overhead_ratio`` = untraced p50 / traced p50 (1.0 = free,
-    0.95 = 5% overhead) is gated in CI against an absolute 0.95 floor --
-    and the traced side's last few traces land in ``TRACE_event_latency
-    .json`` as a Perfetto-loadable artifact of the run itself.
+    0.95 = 5% overhead) is reported, not gated: tracing costs about 5% of
+    a 2-3 ms event, within the run-to-run noise of this ratio.  The
+    deterministic contract is ``tests/test_obs.py::
+    test_trace_cost_per_event_is_independent_of_table_size`` (spans and
+    annotations per traced drag equal at n and 16n, bounded bytes per
+    span).  The traced side's last few traces land in
+    ``TRACE_event_latency.json`` as a Perfetto-loadable artifact of the
+    run itself.
     """
     table = locality_table(250_000)
     _, traced = _prepare(table)
@@ -415,7 +420,7 @@ def test_event_latency_trace_overhead(benchmark):
         "spans_per_event": round(spans_per_event, 1),
         "trace_overhead_ratio": round(ratio, 3),
     })
-    # Sanity only (the CI gate owns the 0.95 floor): a catastrophic
+    # Sanity only (the ratio is reported, not gated): a catastrophic
     # overhead regression should fail loudly even in a local run.
     assert ratio >= 0.5, (
         f"tracing roughly doubled event latency: traced p50 "

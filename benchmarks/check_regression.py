@@ -14,9 +14,10 @@ same JSON files are recorded for the trajectory but never gated.
 
 A baseline value may also be written as ``{"min": X}``: an *absolute
 floor* with no tolerance scaling, for metrics whose acceptable bound is
-a contract rather than a measured headline (e.g. ``trace_overhead_ratio``
-must stay >= 0.95 -- tracing may cost at most ~5% -- regardless of what
-any past run measured).  ``{"max": X}`` is the mirror image, an absolute
+a contract rather than a measured headline (e.g.
+``latency_flatness_inverse`` must stay >= 0.5 -- p95 event latency within
+2x across a 16x table-size spread -- regardless of what any past run
+measured).  ``{"max": X}`` is the mirror image, an absolute
 *ceiling* for a ratio where lower is better (``multi_session_patch_ratio``
 must stay <= 2: a session's per-event time with 8 peers dragging the
 same attribute on the engine, over its time alone).

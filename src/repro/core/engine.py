@@ -72,7 +72,7 @@ from repro.core.shard import (
 from repro.core.relevance import RelevanceScale
 from repro.core.result import FeedbackStatistics, QueryFeedback
 from repro.query.builder import Query
-from repro.query.expr import AndNode, NodePath, PredicateLeaf, QueryNode
+from repro.query.expr import AndNode, NodePath, PredicateLeaf, QueryNode, check_weight
 from repro.query.fingerprint import stable_fingerprint
 from repro.query.parser import parse_condition, parse_query
 from repro.query.predicates import AttributePredicate, RangePredicate
@@ -81,7 +81,7 @@ from repro.storage.database import Database
 from repro.storage.table import Table
 
 __all__ = ["ScreenSpec", "PipelineConfig", "QueryEngine", "PreparedQuery",
-           "default_backend_name", "default_shard_count"]
+           "check_percentage", "default_backend_name", "default_shard_count"]
 
 
 def default_backend_name() -> str:
@@ -154,6 +154,13 @@ class ScreenSpec:
         return self.width * self.height
 
 
+def check_percentage(percentage: float) -> float:
+    """Return ``percentage`` if it is a valid display share (raises ``ValueError``)."""
+    if not 0.0 < percentage <= 1.0:
+        raise ValueError(f"percentage must be in (0, 1], got {percentage}")
+    return percentage
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Tunable parameters of the visual-feedback pipeline."""
@@ -195,8 +202,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.pixels_per_item not in (1, 4, 16):
             raise ValueError("pixels_per_item must be 1, 4 or 16")
-        if self.percentage is not None and not 0.0 < self.percentage <= 1.0:
-            raise ValueError("percentage must be in (0, 1]")
+        if self.percentage is not None:
+            check_percentage(self.percentage)
         for name in ("shard_count", "max_workers"):
             value = getattr(self, name)
             if value is None:
@@ -204,11 +211,8 @@ class PipelineConfig:
             # Reject non-integers (strings from a config file, floats,
             # bools) up front: a "4" would only blow up deep inside the
             # thread-pool sizing with an unrelated TypeError.
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(
-                    f"{name} must be a positive integer or None, got {value!r}"
-                )
-            if value < 1:
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < 1):
                 raise ValueError(
                     f"{name} must be a positive integer or None, got {value!r}"
                 )
@@ -793,12 +797,17 @@ class PreparedQuery:
     # ------------------------------------------------------------------ #
     # Modification
     # ------------------------------------------------------------------ #
-    def apply_change(self, event) -> None:
+    def apply_change(self, event) -> tuple:
         """Apply one query-modification event to the prepared state.
 
         Supported events: :class:`SetWeight`, :class:`SetQueryRange`,
         :class:`SetThreshold` (all mutate the condition tree) and
         :class:`SetPercentageDisplayed` (a config change; no rebuild).
+
+        Returns the change as ``(target, attribute, old, new)``: the event
+        replaced ``target.attribute``'s value ``old`` by ``new``, so
+        ``setattr(target, attribute, old)`` reverts it.  An event that
+        raises changes nothing.
         """
         # Imported lazily: repro.interact imports the core pipeline, so a
         # module-level import here would be circular.
@@ -810,34 +819,39 @@ class PreparedQuery:
         )
 
         if isinstance(event, SetWeight):
-            self._condition_root().find(tuple(event.path)).with_weight(event.weight)
+            target, attribute = self._condition_root().find(tuple(event.path)), "weight"
+            new = check_weight(event.weight)
         elif isinstance(event, SetQueryRange):
-            leaf = self._leaf_at(event.path)
-            predicate = leaf.predicate
+            target, attribute = self._leaf_at(event.path), "predicate"
+            predicate = target.predicate
             if isinstance(predicate, RangePredicate):
-                leaf.predicate = predicate.with_range(event.low, event.high)
+                new = predicate.with_range(event.low, event.high)
             elif isinstance(predicate, AttributePredicate):
-                leaf.predicate = RangePredicate(predicate.attribute, event.low, event.high)
+                new = RangePredicate(predicate.attribute, event.low, event.high)
             else:
                 raise TypeError(
                     f"predicate {predicate.describe()!r} does not support a range slider"
                 )
         elif isinstance(event, SetThreshold):
-            leaf = self._leaf_at(event.path)
-            predicate = leaf.predicate
+            target, attribute = self._leaf_at(event.path), "predicate"
+            predicate = target.predicate
             if not isinstance(predicate, AttributePredicate):
                 raise TypeError(
                     f"predicate {predicate.describe()!r} has no single threshold to move"
                 )
-            leaf.predicate = AttributePredicate(
+            new = AttributePredicate(
                 predicate.attribute, predicate.operator, float(event.value)
             )
         elif isinstance(event, SetPercentageDisplayed):
-            self.config = self.config.with_(percentage=event.percentage)
+            target, attribute = self, "config"
+            new = self.config.with_(percentage=event.percentage)
         else:
             raise TypeError(
                 f"unsupported query modification: {type(event).__name__}"
             )
+        old = getattr(target, attribute)
+        setattr(target, attribute, new)
+        return target, attribute, old, new
 
     def _condition_root(self) -> QueryNode:
         if self.query.condition is None:

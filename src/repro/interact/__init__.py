@@ -10,9 +10,16 @@ feedback immediately.  This package provides that loop without a GUI:
 * :class:`~repro.interact.session.VisDBSession` -- holds the current query,
   applies events, re-executes the pipeline (immediately in "auto
   recalculate" mode or on demand otherwise) and exposes windows/sliders.
+  It is the one interactive session: the feedback service runs one per
+  user, with recalculation on demand, and applies each coalesced batch
+  through :meth:`~repro.interact.session.VisDBSession.batch`.
 * :mod:`~repro.interact.selection` -- colour-range projection and
   cross-window highlighting.
-* :mod:`~repro.interact.history` -- undo/redo over query states.
+* :mod:`~repro.interact.history` -- undo/redo over recorded changes: each
+  modification keeps the values it replaced, and undo, redo and the
+  rollback of a failed batch set recorded values back.
+
+A session is not thread-safe: one thread at a time may use it.
 """
 
 from repro.interact.events import (

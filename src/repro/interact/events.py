@@ -32,6 +32,7 @@ __all__ = [
     "ClearSelection",
     "ToggleAutoRecalculate",
     "DrillDown",
+    "QUERY_EVENTS",
 ]
 
 
@@ -146,3 +147,10 @@ class DrillDown(SessionEvent):
 
     def coalesce_key(self) -> tuple:
         return ("drill-down", tuple(self.path))
+
+
+#: The events that modify the query: its condition tree (range, threshold,
+#: weight) or its display config (percentage).  What
+#: :meth:`~repro.core.engine.PreparedQuery.apply_change` applies and the
+#: feedback service executes; the other events act on a session's view.
+QUERY_EVENTS = (SetQueryRange, SetThreshold, SetWeight, SetPercentageDisplayed)

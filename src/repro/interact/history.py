@@ -1,59 +1,64 @@
-"""Undo/redo history over query condition states."""
+"""Undo/redo history over recorded query changes."""
 
 from __future__ import annotations
 
-import copy
+from collections import deque
+from typing import Sequence
 
-from repro.query.expr import QueryNode
+__all__ = ["QueryHistory", "revert"]
 
-__all__ = ["QueryHistory"]
+#: One recorded change, as :meth:`~repro.core.engine.PreparedQuery.apply_change`
+#: returns it: ``(target, attribute, old, new)`` -- the modification set
+#: ``target.attribute`` from ``old`` to ``new``.
+Change = tuple
+
+
+def revert(changes: Sequence[Change]) -> None:
+    """Set every change's old value back, newest first."""
+    for target, attribute, old, _ in reversed(changes):
+        setattr(target, attribute, old)
 
 
 class QueryHistory:
-    """A bounded undo/redo stack of query condition snapshots.
+    """A bounded undo/redo stack of query modification steps.
 
-    Every modification of the query pushes a deep copy of the condition
-    tree; :meth:`undo` and :meth:`redo` walk the stack.  This supports the
-    exploratory usage pattern of VisDB where the user tries many slight
-    variations of a query and wants to return to an earlier one.
+    A step is the changes one modification made (one event, or one batch
+    of events).  :meth:`undo` sets their old values back and :meth:`redo`
+    the new ones, so walking the stack copies no condition tree.  This
+    supports the exploratory usage pattern of VisDB where the user tries
+    many slight variations of a query and wants to return to an earlier
+    one.
     """
 
-    def __init__(self, initial: QueryNode, max_depth: int = 100):
+    def __init__(self, max_depth: int = 100):
         if max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        self._past: list[QueryNode] = []
-        self._future: list[QueryNode] = []
-        self._present = copy.deepcopy(initial)
-        self.max_depth = max_depth
+        self._past: deque[tuple[Change, ...]] = deque(maxlen=max_depth)
+        self._future: list[tuple[Change, ...]] = []
 
-    @property
-    def present(self) -> QueryNode:
-        """The current condition snapshot (a private deep copy)."""
-        return self._present
-
-    def push(self, condition: QueryNode) -> None:
-        """Record a new state; clears the redo stack."""
-        self._past.append(self._present)
-        if len(self._past) > self.max_depth:
-            self._past.pop(0)
-        self._present = copy.deepcopy(condition)
+    def push(self, changes: Sequence[Change]) -> None:
+        """Record one step (already applied); clears the redo stack."""
+        self._past.append(tuple(changes))
         self._future.clear()
 
-    def undo(self) -> QueryNode:
-        """Return to the previous state (raises if there is none)."""
+    def undo(self) -> tuple[Change, ...]:
+        """Revert the newest step and return it (raises if there is none)."""
         if not self._past:
             raise IndexError("nothing to undo")
-        self._future.append(self._present)
-        self._present = self._past.pop()
-        return self._present
+        step = self._past.pop()
+        revert(step)
+        self._future.append(step)
+        return step
 
-    def redo(self) -> QueryNode:
-        """Re-apply the most recently undone state (raises if there is none)."""
+    def redo(self) -> tuple[Change, ...]:
+        """Re-apply the most recently undone step (raises if there is none)."""
         if not self._future:
             raise IndexError("nothing to redo")
-        self._past.append(self._present)
-        self._present = self._future.pop()
-        return self._present
+        step = self._future.pop()
+        for target, attribute, _, new in step:
+            setattr(target, attribute, new)
+        self._past.append(step)
+        return step
 
     @property
     def can_undo(self) -> bool:
@@ -66,4 +71,4 @@ class QueryHistory:
         return bool(self._future)
 
     def __len__(self) -> int:
-        return len(self._past) + 1 + len(self._future)
+        return len(self._past) + len(self._future)

@@ -3,7 +3,9 @@
 :class:`VisDBSession` is the headless counterpart of the "Visualization and
 Query Modification" window: it owns the current query, applies modification
 events (slider moves, weight changes, percentage changes, selections) and
-hands out visualization windows and sliders.
+hands out visualization windows and sliders.  It is the one interactive
+session of the package: the feedback service's
+:class:`~repro.service.session.ServiceSession` runs one per user.
 
 The session runs on a :class:`~repro.core.engine.QueryEngine`: the query is
 prepared once and every event translates into a dirty-path modification of
@@ -13,30 +15,37 @@ re-normalizes along the changed path, a percentage change redoes reduction
 and normalization).  Recalculation happens immediately when
 auto-recalculation is on, lazily otherwise ("auto recalculate off" for
 large databases).
+
+Every query modification is recorded as the values it replaced
+(:meth:`~repro.core.engine.PreparedQuery.apply_change`), never as a copy of
+the condition tree.  Undo, redo and the rollback of a failed
+:meth:`VisDBSession.batch` are one operation: setting recorded values
+back.
+
+Threading contract: a session is not thread-safe.  One thread at a time
+may use it; the service guarantees that by running at most one batch per
+session.  Cross-session state lives in the engine's thread-safe caches.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Mapping
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.core.engine import PipelineConfig, PreparedQuery, QueryEngine
 from repro.core.result import QueryFeedback
 from repro.interact.events import (
+    QUERY_EVENTS,
     ClearSelection,
     DrillDown,
     SelectColorRange,
     SelectTuple,
     SessionEvent,
-    SetPercentageDisplayed,
-    SetQueryRange,
-    SetThreshold,
-    SetWeight,
     ToggleAutoRecalculate,
 )
-from repro.interact.history import QueryHistory
+from repro.interact.history import QueryHistory, revert
 from repro.interact.selection import items_in_color_range
 from repro.query.builder import Query
 from repro.query.expr import NodePath, QueryNode
@@ -48,9 +57,6 @@ from repro.vis.window import VisualizationWindow
 
 __all__ = ["VisDBSession"]
 
-#: Events that modify the prepared query (condition tree or display config).
-_QUERY_EVENTS = (SetQueryRange, SetThreshold, SetWeight, SetPercentageDisplayed)
-
 
 class VisDBSession:
     """A scripted interactive session over one query.
@@ -60,41 +66,35 @@ class VisDBSession:
     source:
         Database or table queried against.
     query:
-        Initial query (anything :class:`QueryEngine` accepts).
+        Initial query (anything :class:`QueryEngine` accepts), or a
+        :class:`~repro.core.engine.PreparedQuery` to adopt as it is --
+        with its engine and config -- instead of preparing the query on a
+        private engine.
     config:
-        Pipeline configuration.
+        Pipeline configuration of the private engine (not with a prepared
+        query, which brings its own).
     layout:
         Multi-window layout used for rendering (small windows by default).
     auto_recalculate:
         If True (the paper's "normal mode") every modification triggers a
         re-execution; otherwise :meth:`recalculate` must be called
         explicitly ("auto recalculate off" for large databases).
-    engine:
-        Optional pre-existing :class:`QueryEngine` to attach to instead of
-        creating a private one.  Embedding servers pass their shared engine
-        here so that sessions over the same data reuse one set of
-        cross-product tables, distance caches and range indexes.
     """
 
     def __init__(self, source: Database | Table, query, config: PipelineConfig | None = None,
-                 layout: MultiWindowLayout | None = None, auto_recalculate: bool = True,
-                 engine: QueryEngine | None = None):
-        if engine is not None and config is not None:
-            raise ValueError(
-                "pass either a shared engine (whose config the session adopts) "
-                "or a config for a private engine, not both"
-            )
-        self.engine = engine if engine is not None else QueryEngine(source, config)
-        self._prepared: PreparedQuery = self.engine.prepare(query)
-        self.source = source
+                 layout: MultiWindowLayout | None = None, auto_recalculate: bool = True):
+        if isinstance(query, PreparedQuery):
+            if config is not None:
+                raise ValueError("a prepared query brings its own config; pass none")
+            self._prepared = query
+        else:
+            self._prepared = QueryEngine(source, config).prepare(query)
         self.layout = layout or MultiWindowLayout()
         self.auto_recalculate = auto_recalculate
         self._dirty = True
         self._feedback: QueryFeedback | None = None
         self.selection: np.ndarray | None = None
-        if self.query.condition is None:
-            raise ValueError("the query needs a condition to start a VisDB session")
-        self.history = QueryHistory(self.query.condition)
+        self.history = QueryHistory()
         self.recalculations = 0
         if auto_recalculate:
             self.recalculate()
@@ -159,26 +159,56 @@ class VisDBSession:
         self.recalculations += 1
         return self._feedback
 
-    def _modified(self) -> None:
-        self.history.push(self.condition)
+    def _modified(self) -> QueryFeedback | None:
         self._dirty = True
         if self.auto_recalculate:
             self.recalculate()
+        return self._feedback if not self._dirty else None
+
+    def _record(self, changes) -> None:
+        # A percentage change is a config change, not a query modification:
+        # it stays out of the undo history.
+        step = [change for change in changes if change[1] != "config"]
+        if step:
+            self.history.push(step)
 
     # ------------------------------------------------------------------ #
     # Event application
     # ------------------------------------------------------------------ #
+    @contextmanager
+    def batch(self, events: Iterable[SessionEvent]) -> Iterator[QueryFeedback]:
+        """Apply query events as one step, recalculate, and yield the feedback.
+
+        If applying an event, the recalculation or the ``with`` body raises,
+        every change the batch made is reverted and the session's feedback
+        is what it was before: a failed batch leaves no trace.  A batch that
+        completes is one undo step.
+        """
+        before = self._feedback, self._dirty
+        changes = []
+        try:
+            for event in events:
+                changes.append(self._prepared.apply_change(event))
+            yield self.recalculate()
+        except BaseException:
+            revert(changes)
+            self._feedback, self._dirty = before
+            raise
+        self._record(changes)
+
     def apply(self, event: SessionEvent) -> QueryFeedback | None:
-        """Apply one modification event; returns fresh feedback when recalculated."""
-        if isinstance(event, _QUERY_EVENTS):
-            self._prepared.apply_change(event)
-            if isinstance(event, SetPercentageDisplayed):
-                # A config change, not a query modification: no history entry.
-                self._dirty = True
-                if self.auto_recalculate:
-                    self.recalculate()
+        """Apply one modification event; returns fresh feedback when recalculated.
+
+        With auto-recalculation on, a query event whose recalculation raises
+        is reverted (see :meth:`batch`).
+        """
+        if isinstance(event, QUERY_EVENTS):
+            if self.auto_recalculate:
+                with self.batch([event]):
+                    pass
             else:
-                self._modified()
+                self._record([self._prepared.apply_change(event)])
+                self._dirty = True
         elif isinstance(event, SelectTuple):
             self.selection = np.array([self.feedback.item_at_rank(event.rank)])
         elif isinstance(event, SelectColorRange):
@@ -224,19 +254,11 @@ class VisDBSession:
     # History
     # ------------------------------------------------------------------ #
     def undo(self) -> QueryFeedback | None:
-        """Restore the previous query state."""
-        restored = self.history.undo()
-        self._replace_condition(restored)
-        return self._feedback if not self._dirty else None
+        """Revert the newest query modification step."""
+        self.history.undo()
+        return self._modified()
 
     def redo(self) -> QueryFeedback | None:
-        """Re-apply the most recently undone query state."""
-        restored = self.history.redo()
-        self._replace_condition(restored)
-        return self._feedback if not self._dirty else None
-
-    def _replace_condition(self, condition: QueryNode) -> None:
-        self.query.condition = copy.deepcopy(condition)
-        self._dirty = True
-        if self.auto_recalculate:
-            self.recalculate()
+        """Re-apply the most recently undone modification step."""
+        self.history.redo()
+        return self._modified()

@@ -33,19 +33,25 @@ __all__ = [
     "NotNode",
     "SubqueryNode",
     "NodePath",
+    "check_weight",
 ]
 
 #: Address of a node inside the expression tree: a tuple of child indices.
 NodePath = tuple[int, ...]
 
 
+def check_weight(weight: float) -> float:
+    """Return ``weight`` if it is a valid weighting factor (raises ``ValueError``)."""
+    if not 0.0 <= weight <= 1.0:
+        raise ValueError(f"weight must be in [0, 1], got {weight}")
+    return weight
+
+
 class QueryNode:
     """Base class of all expression-tree nodes."""
 
     def __init__(self, weight: float = 1.0, label: str | None = None):
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"weight must be in [0, 1], got {weight}")
-        self.weight = weight
+        self.weight = check_weight(weight)
         self._label = label
 
     # -- structure ------------------------------------------------------ #
@@ -132,9 +138,7 @@ class QueryNode:
 
     def with_weight(self, weight: float) -> "QueryNode":
         """Return ``self`` after setting a new weighting factor (chainable)."""
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"weight must be in [0, 1], got {weight}")
-        self.weight = weight
+        self.weight = check_weight(weight)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

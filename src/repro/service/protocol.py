@@ -68,7 +68,9 @@ Errors never kill the connection: a malformed line, a bad ``frame_id`` or
 an unknown session replies with a structured error frame ``{"ok": false,
 "code": "...", "error": "..."}`` and the stream continues.  Error codes:
 ``parse-error`` (the line was not JSON), ``bad-request`` (missing/invalid
-fields, unknown event types), ``unknown-op``, ``unknown-session``,
+fields, unknown event types, malformed events: a path that is not a list
+of non-negative integers, a non-finite number, a weight outside [0, 1], a
+percentage outside (0, 1]), ``unknown-op``, ``unknown-session``,
 ``bad-frame-id``, ``session-limit`` and ``internal``.
 """
 
@@ -77,8 +79,10 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
+import math
 import time
 
+from repro.core.engine import check_percentage
 from repro.interact.events import (
     SessionEvent,
     SetPercentageDisplayed,
@@ -87,6 +91,7 @@ from repro.interact.events import (
     SetWeight,
 )
 from repro.obs import chrome_trace_events
+from repro.query.expr import check_weight
 from repro.service.service import FeedbackService, SessionLimitError
 from repro.service.session import UnknownSessionError
 from repro.service.snapshot import delta_payload
@@ -135,20 +140,38 @@ class _SessionRunError(Exception):
 
 
 def parse_event(payload: dict) -> SessionEvent:
-    """Build a session event from its wire form (raises ``ValueError``)."""
+    """Build a session event from its wire form (raises ``ValueError``).
+
+    A malformed event is refused here, before it is queued: a path that is
+    not a list of non-negative integers, a non-finite number, a weight
+    outside [0, 1] or a percentage outside (0, 1].  A well-formed path to
+    a node the session's tree lacks fails when the batch runs.
+    """
     if not isinstance(payload, dict):
         raise ValueError("event must be an object")
     kind = payload.get("type")
-    path = tuple(payload.get("path", ()))
+    path = payload.get("path", [])
+    if not isinstance(path, list) or not all(
+            type(index) is int and index >= 0 for index in path):
+        raise ValueError(
+            f"event path must be a list of non-negative integers, got {path!r}")
+    path = tuple(path)
+
+    def number(field: str) -> float:
+        value = float(payload[field])
+        if not math.isfinite(value):
+            raise ValueError(f"event field {field!r} must be finite, got {value}")
+        return value
+
     try:
         if kind in ("range", "SetQueryRange"):
-            return SetQueryRange(path, float(payload["low"]), float(payload["high"]))
+            return SetQueryRange(path, number("low"), number("high"))
         if kind in ("threshold", "SetThreshold"):
-            return SetThreshold(path, float(payload["value"]))
+            return SetThreshold(path, number("value"))
         if kind in ("weight", "SetWeight"):
-            return SetWeight(path, float(payload["weight"]))
+            return SetWeight(path, check_weight(number("weight")))
         if kind in ("percentage", "SetPercentageDisplayed"):
-            return SetPercentageDisplayed(float(payload["value"]))
+            return SetPercentageDisplayed(check_percentage(number("value")))
     except KeyError as exc:
         raise ValueError(f"event {kind!r} is missing field {exc.args[0]!r}") from None
     raise ValueError(f"unknown event type {kind!r}")

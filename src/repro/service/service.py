@@ -153,7 +153,7 @@ class FeedbackService:
         #: collectors.  ``metrics_report()`` is a view over this.
         self.obs = MetricsRegistry()
         self.obs.register_collector("engine", self.engine.stats)
-        self.registry = SessionRegistry(self.engine, metrics_registry=self.obs)
+        self.registry = SessionRegistry(metrics_registry=self.obs)
         self.metrics = ServiceMetrics(self.obs)
         self.tracer = Tracer(
             enabled=self.config.trace_enabled,

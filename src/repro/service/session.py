@@ -1,40 +1,37 @@
 """Session lifecycle for the multi-session feedback service.
 
 A :class:`ServiceSession` is one user's interactive feedback loop: a
+:class:`~repro.interact.session.VisDBSession` over a
 :class:`~repro.core.engine.PreparedQuery` on the shared engine, the
 session's :class:`~repro.service.coalesce.CoalescingQueue`, its rendered
 window cache and its metrics.  The :class:`SessionRegistry` owns the id
-space and the create/attach/expire lifecycle; the scheduler in
+space and the add/attach/expire lifecycle; the scheduler in
 :mod:`repro.service.service` decides when a session actually runs.
 
 Threading contract: queue and lifecycle state are touched only from the
 event-loop thread; :meth:`ServiceSession.execute_batch` is the only method
-that runs on an executor thread, and it touches only the prepared query,
-the window cache and the metrics (all session-private -- cross-session
-state lives in the engine's thread-safe caches).
+that runs on an executor thread -- at most one at a time per session --
+and it touches only the session's :class:`VisDBSession` (prepared query
+and change history), the window cache and the metrics (all
+session-private -- cross-session state lives in the engine's thread-safe
+caches).
 """
 
 from __future__ import annotations
 
 import asyncio
-import copy
 import itertools
 import time
 from typing import Iterator
 
 import numpy as np
 
-from repro.core.engine import PreparedQuery, QueryEngine
+from repro.core.engine import PreparedQuery
 from repro.core.result import QueryFeedback
 from repro.obs import MetricsRegistry
 from repro.obs import trace as obs
-from repro.interact.events import (
-    SessionEvent,
-    SetPercentageDisplayed,
-    SetQueryRange,
-    SetThreshold,
-    SetWeight,
-)
+from repro.interact.events import QUERY_EVENTS, SessionEvent
+from repro.interact.session import VisDBSession
 from repro.service.coalesce import CoalescingQueue
 from repro.service.metrics import SessionMetrics
 from repro.service.snapshot import FrameSnapshot, WindowCache
@@ -42,9 +39,6 @@ from repro.vis.layout import MultiWindowLayout
 
 __all__ = ["ServiceSession", "SessionRegistry", "SessionLimitError",
            "UnknownSessionError"]
-
-#: Event types a service session executes (they modify the prepared query).
-QUERY_EVENTS = (SetQueryRange, SetThreshold, SetWeight, SetPercentageDisplayed)
 
 
 class SessionLimitError(RuntimeError):
@@ -74,7 +68,11 @@ class ServiceSession:
                  clock=time.monotonic,
                  metrics_registry: MetricsRegistry | None = None):
         self.id = session_id
-        self.prepared = prepared
+        #: The interactive loop: the prepared query, its change history and
+        #: the rollback of failed batches.  It recalculates only in
+        #: :meth:`execute_batch`.
+        self.visdb = VisDBSession(prepared.engine.source, prepared,
+                                  auto_recalculate=False)
         self.queue = CoalescingQueue(max_depth=max_queue_depth)
         self.metrics = SessionMetrics(metrics_registry, session=session_id)
         self.window_cache = WindowCache(layout)
@@ -139,6 +137,11 @@ class ServiceSession:
         return status
 
     @property
+    def prepared(self) -> PreparedQuery:
+        """The session's prepared query on the shared engine."""
+        return self.visdb.prepared
+
+    @property
     def ready(self) -> bool:
         """True if the session has pending events and no batch in flight."""
         return not self.closed and not self.running and bool(self.queue)
@@ -174,11 +177,11 @@ class ServiceSession:
         Runs on a worker thread.  The batch may be empty (the initial run
         at session open).  Raises whatever the pipeline raises; the caller
         records the error on the session.  A failing batch -- in the
-        engine or in the frame build -- is rolled back wholesale (condition
-        tree and config restored) and numbers no frame, so the live query
-        state always equals the serial replay of the *recorded* batches --
-        a half-applied batch can neither linger nor hide -- and frame ids
-        have no gaps.
+        engine or in the frame build -- is reverted wholesale by
+        :meth:`VisDBSession.batch` (every replaced value set back) and
+        numbers no frame, so the live query state always equals the serial
+        replay of the *recorded* batches -- a half-applied batch can neither
+        linger nor hide -- and frame ids have no gaps.
 
         ``trace`` is the event's active trace, handed over explicitly
         because contextvars do not cross ``run_in_executor``; it becomes
@@ -187,19 +190,11 @@ class ServiceSession:
         start = time.perf_counter()
         with obs.use_trace(trace), \
                 obs.span("session.execute_batch",
-                         session=self.id, events=len(batch)):
-            condition_backup = copy.deepcopy(self.prepared.query.condition)
-            config_backup = self.prepared.config
-            try:
-                feedback = self.prepared.execute(changes=batch)
-                with obs.span("frame.build") as frame_span:
-                    windows, fresh = self.window_cache.windows(feedback)
-                    frame_span.annotate(
-                        windows=len(windows), rendered_fresh=len(fresh))
-            except Exception:
-                self.prepared.query.condition = condition_backup
-                self.prepared.config = config_backup
-                raise
+                         session=self.id, events=len(batch)), \
+                self.visdb.batch(batch) as feedback, \
+                obs.span("frame.build") as frame_span:
+            windows, fresh = self.window_cache.windows(feedback)
+            frame_span.annotate(windows=len(windows), rendered_fresh=len(fresh))
         # The displayed set is provably unchanged when every window came
         # from the render cache (their fingerprints cover the display order
         # and all per-node distances at the displayed items) and the
@@ -251,44 +246,28 @@ class ServiceSession:
 
 
 class SessionRegistry:
-    """Id space and lifecycle (create / attach / expire) of service sessions."""
+    """Id space and lifecycle (add / attach / expire) of service sessions."""
 
-    def __init__(self, engine: QueryEngine, clock=time.monotonic,
+    def __init__(self, clock=time.monotonic,
                  metrics_registry: MetricsRegistry | None = None):
-        self.engine = engine
         self._clock = clock
         self.metrics_registry = metrics_registry
         self._sessions: dict[str, ServiceSession] = {}
         self._ids = itertools.count(1)
 
     # ------------------------------------------------------------------ #
-    def create(self, query, *, max_queue_depth: int = 64,
-               layout: MultiWindowLayout | None = None,
-               record_batches: bool = False,
-               frame_retention: int = 4,
-               session_id: str | None = None, **overrides) -> ServiceSession:
-        """Prepare a query on the shared engine and register a session for it.
-
-        ``overrides`` are per-session :class:`~repro.core.engine.PipelineConfig`
-        field overrides (``percentage=0.4`` and friends).  Caller is
-        responsible for admission control; the registry only enforces id
-        uniqueness.  The service prepares on a worker thread and registers
-        with :meth:`add` on the event loop instead, keeping the session
-        dictionary loop-confined.
-        """
-        prepared = self.engine.prepare(query, **overrides)
-        return self.add(
-            prepared, max_queue_depth=max_queue_depth, layout=layout,
-            record_batches=record_batches, frame_retention=frame_retention,
-            session_id=session_id,
-        )
-
     def add(self, prepared: PreparedQuery, *, max_queue_depth: int = 64,
             layout: MultiWindowLayout | None = None,
             record_batches: bool = False,
             frame_retention: int = 4,
             session_id: str | None = None) -> ServiceSession:
-        """Register a session for an already-prepared query (loop-side, no I/O)."""
+        """Register a session for an already-prepared query (loop-side, no I/O).
+
+        ``prepared`` comes from the shared engine (prepared on a worker
+        thread, per-session config overrides included).  The caller is
+        responsible for admission control; the registry only enforces id
+        uniqueness.
+        """
         if session_id is None:
             session_id = f"s{next(self._ids)}"
         if session_id in self._sessions:

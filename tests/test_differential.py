@@ -43,6 +43,7 @@ from repro.backend import available_backends
 from repro.core.plan import reference_feedback
 from repro.core.reduction import ReductionMethod
 from repro.datasets import environmental_database
+from repro.interact import VisDBSession
 from repro.interact.events import (
     SetPercentageDisplayed,
     SetQueryRange,
@@ -551,6 +552,74 @@ def test_differential_incremental_matches_reference():
         assert_feedback_identical(
             reference_frame(table, on), frame, f"on-vs-reference step={k}")
     assert on.cache_stats["shards_reused"] > 0
+
+
+SESSION_CASES = 6
+SESSION_STEPS = 12
+
+
+@pytest.mark.parametrize("shards", [None, 7])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed", range(SESSION_CASES))
+def test_differential_session_undo_redo_and_failed_batches(seed, backend, shards):
+    """A VisDBSession driven through events, undo, redo and failed batches
+    matches the reference bit for bit after every step.
+
+    Undo, redo and the rollback of a failed batch all set recorded values
+    back, while the engine keeps the site entries and caches it built for
+    the abandoned state; every step after a revert is a patch against
+    them.  ``shards=None`` runs at the ``REPRO_SHARDS`` of the environment.
+    """
+    rng = np.random.default_rng(555_000 + seed)
+    table = random_table(rng)
+    root = random_condition(rng)
+    config = random_config(rng).with_(shard_count=shards, max_workers=2,
+                                      backend=backend)
+    events = random_events(rng, root, SESSION_STEPS)
+    session = VisDBSession(table, Query(name=f"session-{seed}", tables=[table.name],
+                                        condition=copy.deepcopy(root)),
+                           config=config)
+
+    def check(step: str) -> None:
+        assert_feedback_identical(
+            reference_frame(table, session.prepared), session.feedback,
+            f"seed={seed} backend={backend} shards={shards} {step}")
+
+    try:
+        check("initial")
+        # The condition states on the undo stack (current last) and the undone
+        # ones: what undo and redo must return to.
+        states, undone = [session.condition.fingerprint()], []
+        for step in range(SESSION_STEPS):
+            action = str(rng.choice(["apply", "apply", "undo", "redo", "fail"]))
+            if action == "apply" and events:
+                event = events.pop(0)
+                session.apply(event)
+                if not isinstance(event, SetPercentageDisplayed):
+                    states.append(session.condition.fingerprint())
+                    undone.clear()
+            elif action == "undo" and session.history.can_undo:
+                session.undo()
+                undone.append(states.pop())
+            elif action == "redo" and session.history.can_redo:
+                session.redo()
+                states.append(undone.pop())
+            elif action == "fail" and events:
+                # The next event fails with its batch -- in the body, after the
+                # recalculation, or at apply time behind it -- and is applied
+                # for real by a later step.
+                if rng.random() < 0.5:
+                    with pytest.raises(RuntimeError, match="frame build"):
+                        with session.batch(events[:1]):
+                            raise RuntimeError("frame build failed")
+                else:
+                    with pytest.raises(IndexError):
+                        with session.batch([events[0], SetWeight((99,), 0.5)]):
+                            pass
+            assert session.condition.fingerprint() == states[-1], (seed, step, action)
+            check(f"step={step} action={action}")
+    finally:
+        session.prepared.engine.close()
 
 
 def test_differential_shard_count_beyond_rows():

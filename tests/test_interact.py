@@ -21,7 +21,9 @@ from repro.interact import (
 )
 from repro.interact.selection import selected_tuple_values
 from repro.query.builder import Query, between
+from repro.query.predicates import AttributePredicate
 from repro.vis.layout import MultiWindowLayout
+from repro.vis.spiral import spiral_positions
 
 
 @pytest.fixture()
@@ -197,6 +199,76 @@ def test_undo_redo_roundtrip(session):
     assert session.statistics()["# of results"] == modified_results
 
 
+def test_batch_applies_events_as_one_undo_step(session):
+    session.apply(SetPercentageDisplayed(0.25))
+    with session.batch([SetThreshold((0,), 30.0), SetWeight((1,), 0.4),
+                        SetPercentageDisplayed(0.3)]) as feedback:
+        assert feedback is session.feedback
+    assert session.statistics()["# displayed"] == 600
+    session.undo()
+    # The tree changes go back together; the percentage stays out of history.
+    assert "30" not in session.condition.find((0,)).describe()
+    assert session.condition.find((1,)).weight == 1.0
+    assert session.statistics()["# displayed"] == 600
+    assert not session.history.can_undo
+
+
+def test_failed_batch_reverts_every_change(session):
+    before = session.feedback
+    predicate = session.condition.find((0,)).predicate
+    with pytest.raises(TypeError):
+        # The root is an OR node, not a leaf with a threshold.
+        with session.batch([SetWeight((1,), 0.5), SetPercentageDisplayed(0.5),
+                            SetThreshold((), 5.0)]):
+            pass
+    with pytest.raises(RuntimeError, match="frame build"):
+        with session.batch([SetThreshold((0,), 30.0)]):
+            raise RuntimeError("frame build failed")
+    assert session.condition.find((1,)).weight == 1.0
+    assert session.condition.find((0,)).predicate is predicate
+    assert session.prepared.config.percentage is None
+    assert session.feedback is before and not session.is_dirty
+    assert not session.history.can_undo
+
+
+def test_auto_apply_reverts_when_recalculation_raises(session, monkeypatch):
+    predicate = session.condition.find((0,)).predicate
+
+    def fail():
+        raise RuntimeError("execution failed")
+
+    monkeypatch.setattr(session.prepared, "execute", fail)
+    with pytest.raises(RuntimeError, match="execution failed"):
+        session.apply(SetThreshold((0,), 30.0))
+    assert session.condition.find((0,)).predicate is predicate
+    assert not session.history.can_undo
+
+
+def test_independent_windows_sort_each_part_by_its_own_distances(session):
+    aligned = session.windows()
+    independent = session.windows(independent=True)
+    feedback = session.feedback
+    overall = aligned[()]
+    np.testing.assert_array_equal(independent[()].item_ids, overall.item_ids)
+    np.testing.assert_array_equal(independent[()].distances, overall.distances)
+    count = int(np.sum(overall.item_ids >= 0))
+    positions = spiral_positions(count, overall.width, overall.height)
+    reordered = 0
+    for path in feedback.top_level_paths():
+        ids = feedback.display_order[:count]
+        own = feedback.ordered_distances(path)[:count]
+        order = np.argsort(own, kind="stable")
+        placed = independent[path].item_ids[positions[:, 1], positions[:, 0]]
+        np.testing.assert_array_equal(placed, ids[order])
+        np.testing.assert_array_equal(
+            independent[path].distances[positions[:, 1], positions[:, 0]],
+            own[order])
+        reordered += not np.array_equal(placed, ids)
+    # The arrangement differs from the overall one for some part, so the
+    # check above is not vacuous.
+    assert reordered
+
+
 def test_session_windows_share_positions(session):
     windows = session.windows()
     overall = windows[()]
@@ -218,44 +290,65 @@ def test_selected_tuple_values(session):
 
 
 # -- history ------------------------------------------------------------------- #
+def _move(leaf, value):
+    """Move a leaf's threshold; return the change as ``apply_change`` does."""
+    old = leaf.predicate
+    leaf.predicate = AttributePredicate(old.attribute, old.operator, value)
+    return (leaf, "predicate", old, leaf.predicate)
+
+
 def test_history_undo_redo_stack():
-    history = QueryHistory(condition("a", ">", 1.0))
-    history.push(condition("a", ">", 2.0))
-    history.push(condition("a", ">", 3.0))
+    leaf = condition("a", ">", 1.0)
+    history = QueryHistory()
+    history.push([_move(leaf, 2.0)])
+    history.push([_move(leaf, 3.0)])
     assert history.can_undo and not history.can_redo
-    state = history.undo()
-    assert "2" in state.describe()
+    history.undo()
+    assert "2" in leaf.describe()
     assert history.can_redo
-    state = history.redo()
-    assert "3" in state.describe()
+    history.redo()
+    assert "3" in leaf.describe()
     history.undo()
     history.undo()
+    assert "1" in leaf.describe()
     assert not history.can_undo
     with pytest.raises(IndexError):
         history.undo()
 
 
 def test_history_push_clears_redo():
-    history = QueryHistory(condition("a", ">", 1.0))
-    history.push(condition("a", ">", 2.0))
+    leaf = condition("a", ">", 1.0)
+    history = QueryHistory()
+    history.push([_move(leaf, 2.0)])
     history.undo()
-    history.push(condition("a", ">", 5.0))
+    history.push([_move(leaf, 5.0)])
     assert not history.can_redo
     with pytest.raises(IndexError):
         history.redo()
 
 
 def test_history_bounded_depth():
-    history = QueryHistory(condition("a", ">", 0.0), max_depth=3)
+    leaf = condition("a", ">", 0.0)
+    history = QueryHistory(max_depth=3)
     for i in range(10):
-        history.push(condition("a", ">", float(i)))
-    assert len(history) <= 5
+        history.push([_move(leaf, float(i))])
+    assert len(history) == 3
+    for _ in range(3):
+        history.undo()
+    assert leaf.predicate.value == 6.0
+    with pytest.raises(IndexError):
+        history.undo()
     with pytest.raises(ValueError):
-        QueryHistory(condition("a", ">", 0.0), max_depth=0)
+        QueryHistory(max_depth=0)
 
 
-def test_history_snapshots_are_isolated():
-    leaf = condition("a", ">", 1.0)
-    history = QueryHistory(leaf)
-    leaf.predicate.value = 99.0  # mutate the original after snapshotting
-    assert "1" in history.present.describe()
+def test_history_undo_restores_the_replaced_predicate_object(session):
+    leaf = session.condition.find((0,))
+    original = leaf.predicate
+    session.apply(SetThreshold((0,), 30.0))
+    moved = leaf.predicate
+    assert moved is not original
+    session.undo()
+    assert leaf.predicate is original
+    session.redo()
+    assert leaf.predicate is moved

@@ -11,13 +11,15 @@ sessions, and the ``trace`` protocol op's slow-event forensics.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro import PipelineConfig, Query, ScreenSpec
+from repro import PipelineConfig, Query, QueryEngine, ScreenSpec
 from repro.interact.events import SetQueryRange
 from repro.obs import (
     Counter,
@@ -35,7 +37,7 @@ from repro.obs import (
 )
 from repro.obs.trace import _NULL_SPAN
 from repro.query.builder import between, condition
-from repro.query.expr import AndNode
+from repro.query.expr import AndNode, OrNode
 from repro.service.metrics import LatencyWindow
 from repro.service.protocol import serve
 from repro.service.service import FeedbackService, ServiceConfig
@@ -392,6 +394,63 @@ def test_span_table_matches_the_code():
 # --------------------------------------------------------------------------- #
 # Metrics registry
 # --------------------------------------------------------------------------- #
+def _traced_drag_cost(n: int, shards: int) -> tuple[set, float]:
+    """``(spans, annotations)`` per traced warm drag, and traced bytes per span.
+
+    The drag is the event-latency headline's: a range slider on a column
+    that correlates with row order, with a fixed display budget, so the
+    event changes the same few rows at every table size.
+    """
+    rng = np.random.default_rng(7)
+    t = np.sort(rng.uniform(0.0, 1000.0, n))
+    table = Table("Events", {"t": t, "a": t * 0.1 + rng.normal(0.0, 5.0, n),
+                             "b": rng.uniform(0.0, 100.0, n)})
+    engine = QueryEngine(table, PipelineConfig(
+        percentage=600 / n, shard_count=shards, max_workers=2, backend="threads"))
+    prepared = engine.prepare(Query(name="drag", tables=[table.name], condition=AndNode([
+        between("t", 5.0, 990.0),
+        OrNode([condition("a", ">", 30.0), condition("b", "<", 70.0)]),
+    ])))
+    prepared.execute()
+    counts = set()
+    tracemalloc.start()
+    try:
+        for k in range(3):
+            trace = Trace("drag", trace_id=k)
+            with use_trace(trace):
+                feedback = prepared.execute(
+                    changes=[SetQueryRange((0,), 5.0, 989.9 - 0.05 * k)])
+            del feedback
+            counts.add((len(trace.spans),
+                        sum(len(s.attrs or ()) for s in trace.spans)))
+            gc.collect()
+            with_trace = tracemalloc.get_traced_memory()[0]
+            spans = len(trace.spans)
+            del trace
+            gc.collect()
+            bytes_per_span = (with_trace - tracemalloc.get_traced_memory()[0]) / spans
+    finally:
+        tracemalloc.stop()
+        engine.close()
+    return counts, bytes_per_span
+
+
+def test_trace_cost_per_event_is_independent_of_table_size():
+    """Tracing a drag records the same spans at n rows and at 16n.
+
+    The deterministic contract behind the wall-clock trace overhead: the
+    span and annotation counts of a warm drag are the same when the table
+    and its shard grid grow 16x (rows per shard held, as a deployment
+    shards), so no span is per shard, per chunk or per row; and each span
+    keeps a bounded number of bytes alive.
+    """
+    small_counts, small_bytes = _traced_drag_cost(8_000, shards=2)
+    large_counts, large_bytes = _traced_drag_cost(128_000, shards=32)
+    assert len(small_counts) == 1, small_counts
+    assert large_counts == small_counts
+    assert small_bytes <= 1024 and large_bytes <= 1024, (small_bytes, large_bytes)
+
+
 def test_counter_increments_are_atomic_under_threads():
     counter = Counter()
     n_threads, per_thread = 8, 5_000

@@ -29,7 +29,8 @@ from repro.interact.events import (
     SetThreshold,
     SetWeight,
 )
-from repro.query.builder import Query, between, condition
+from repro.datasets import environmental_database
+from repro.query.builder import Query, QueryBuilder, between, condition
 from repro.query.expr import AndNode
 from repro.service import (
     CoalescingQueue,
@@ -483,6 +484,25 @@ def test_abandoned_session_expires_despite_steady_traffic():
     run(main())
 
 
+def test_service_admits_a_join_query_without_a_condition():
+    """The connection alone is the visualized condition: the service opens
+    whatever the engine prepares, so its session must not ask for more."""
+    db = environmental_database(hours=40, stations=1, seed=3)
+    query = (QueryBuilder("join-only", db).use_tables("Weather", "Air-Pollution")
+             .use_connection("Air-Pollution at-same-time-as Weather").build())
+    assert query.condition is None
+
+    async def main():
+        async with FeedbackService(db, PipelineConfig(
+                percentage=0.2, max_join_pairs=5_000, **SMALL_SCREEN)) as service:
+            sid = await service.open_session(query)
+            snapshot = await service.snapshot(sid)
+            assert snapshot.frame_id == 1
+            assert snapshot.statistics.num_objects > 0
+
+    run(main())
+
+
 def test_unsupported_events_are_rejected():
     table = small_table()
 
@@ -562,6 +582,37 @@ def test_failed_frame_build_rolls_back_and_numbers_no_frame(monkeypatch):
     assert following.frame_id == first.frame_id + 1
     assert following.base_frame_id == first.frame_id
     assert following.sequence == first.sequence + 1
+
+
+def test_warm_batch_deep_copies_only_in_the_engine_refresh(monkeypatch):
+    """Rollback is a revert of recorded changes, not a backup copy.
+
+    A warm one-event batch deep-copies the condition exactly once: the
+    engine's refresh copy of the effective tree.  The session layer copies
+    nothing.
+    """
+    table = small_table()
+    session = ServiceSession("s", QueryEngine(
+        table, PipelineConfig(**SMALL_SCREEN)).prepare(demo_query(table)))
+    session.execute_batch([])
+    session.execute_batch([SetQueryRange((0,), 25.0, 65.0)])
+    real_deepcopy = copy.deepcopy
+    depth, calls = [0], []
+
+    def counting_deepcopy(obj, memo=None):
+        # Count top-level calls only: deepcopy recurses through the
+        # module attribute this test replaces.
+        if not depth[0]:
+            calls.append(type(obj).__name__)
+        depth[0] += 1
+        try:
+            return real_deepcopy(obj, memo)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
+    session.execute_batch([SetQueryRange((0,), 26.0, 65.0)])
+    assert calls == ["AndNode"], calls
 
 
 def test_snapshot_waiter_errors_when_session_closes_underneath():

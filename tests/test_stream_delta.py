@@ -552,6 +552,46 @@ def test_protocol_malformed_messages_get_structured_errors():
     asyncio.run(main())
 
 
+@pytest.mark.parametrize("event", [
+    pytest.param({"type": "weight", "path": ["1"], "weight": 0.5}, id="path-of-strings"),
+    pytest.param({"type": "weight", "path": [True], "weight": 0.5}, id="path-of-bools"),
+    pytest.param({"type": "range", "path": [-1], "low": 1.0, "high": 2.0},
+                 id="negative-path-index"),
+    pytest.param({"type": "threshold", "path": 1, "value": 5.0}, id="path-not-a-list"),
+    pytest.param({"type": "weight", "path": [1], "weight": "nan"}, id="non-finite-weight"),
+    pytest.param({"type": "range", "path": [0], "low": float("-inf"), "high": 50.0},
+                 id="non-finite-range"),
+    pytest.param({"type": "threshold", "path": [1], "value": "inf"},
+                 id="non-finite-threshold"),
+    pytest.param({"type": "weight", "path": [1], "weight": 1.5}, id="weight-above-one"),
+    pytest.param({"type": "weight", "path": [1], "weight": -0.5}, id="weight-below-zero"),
+    pytest.param({"type": "percentage", "value": 5}, id="percentage-above-one"),
+    pytest.param({"type": "percentage", "value": 0}, id="percentage-zero"),
+])
+def test_protocol_refuses_a_malformed_event_without_poisoning_the_session(event):
+    """A malformed event is a ``bad-request``; it is never queued, so the
+    session's next frame is served as if it had not been sent."""
+    table = _service_table()
+
+    async def main():
+        async with _small_service(table) as service:
+            server = await serve(service)
+            reader, writer = await _connect(server)
+            opened = await _request(reader, writer, {
+                "op": "open", "query": "a between 20 and 70 and b > 4.0"})
+            sid = opened["session"]
+            refused = await _request(reader, writer, {
+                "op": "event", "session": sid, "event": event})
+            assert refused["ok"] is False and refused["code"] == "bad-request", refused
+            snapshot = await _request(reader, writer, {"op": "snapshot", "session": sid})
+            assert snapshot["ok"], snapshot
+            assert snapshot["frame_id"] == opened["frame_id"]
+            writer.close()
+            await server.aclose()
+
+    asyncio.run(main())
+
+
 def test_protocol_poisoned_session_reports_internal_not_bad_request():
     """A pipeline failure surfaced by a well-formed pull is code 'internal'."""
     table = _service_table()
