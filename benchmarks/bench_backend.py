@@ -7,7 +7,7 @@ The process pool runs the whole plan (leaf kernels, normalization,
 combination, masks) in worker processes that map the table's columns
 zero-copy out of ``multiprocessing.shared_memory``; what crosses the
 pipe per event is only the plan, shard lists, block names, resolved
-bounds, counting rows and top-k partials.
+bounds and counting rows.
 
 Measured here, on a 1M-row table of numeric non-range leaves (the shape
 the backend accelerates -- a warm range drag patches in-process from its
@@ -23,8 +23,8 @@ site entry):
   in ``check_regression.py`` (``traffic_ratio``);
 * the pipeline reply contract: one slider event runs the whole plan as a
   ``shard_pipeline`` session whose replies carry only per-shard counting
-  rows (summaries) and root top-k partials -- O(shards + target) bytes,
-  independent of the rows per shard.  ``reply_ratio`` (per-shard column bytes / per-event reply
+  rows (summaries) -- O(nodes x shards) bytes, independent of the rows
+  per shard.  ``reply_ratio`` (per-shard column bytes / per-event reply
   bytes) is likewise a protocol byte count, gated in
   ``check_regression.py``;
 * the coordinator's own allocation per accepted op: the ``tracemalloc``
@@ -188,9 +188,9 @@ def test_backend_cold_throughput_1m(benchmark):
     traffic_ratio = after["published_bytes"] / event_traffic
 
     # The pipeline reply contract: the event ran the whole plan in the
-    # workers, and what came back over the pipes is counting rows and
-    # top-k partials -- kilobytes against the megabytes of columns each shard
-    # holds, independent of rows per shard.
+    # workers, and what came back over the pipes is counting rows --
+    # kilobytes against the megabytes of columns each shard holds,
+    # independent of rows per shard.
     assert after["pipeline_ops"] > before["pipeline_ops"], (
         "the event did not take the whole-pipeline offload")
     event_reply = after["reply_bytes"] - before["reply_bytes"]

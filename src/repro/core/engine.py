@@ -204,6 +204,9 @@ class PipelineConfig:
             raise ValueError("pixels_per_item must be 1, 4 or 16")
         if self.percentage is not None:
             check_percentage(self.percentage)
+        if not 0.0 < self.target_max < float("inf"):
+            raise ValueError(
+                f"target_max must be finite and > 0, got {self.target_max!r}")
         for name in ("shard_count", "max_workers"):
             value = getattr(self, name)
             if value is None:

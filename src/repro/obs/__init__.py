@@ -1,15 +1,18 @@
-"""Observability: span tracing and the unified metrics registry.
+"""Observability: span tracing and the shared counter primitives.
 
 ``repro.obs`` is the cross-cutting layer the rest of the pipeline reports
 into: :mod:`repro.obs.trace` times one event end to end (protocol receive
 through worker kernels to the wire send) and :mod:`repro.obs.metrics`
-holds every counter behind one :class:`~repro.obs.metrics.MetricsRegistry`.
-Instrumentation call sites use the ambient helpers (:func:`span`,
-:func:`annotate`), which cost one context-variable read when tracing is
-off.
+holds the thread-safe :class:`~repro.obs.metrics.Counter` and
+:class:`~repro.obs.metrics.Histogram` that counter owners keep.  There is
+no central registry: each counter lives with its owner and
+``FeedbackService.metrics_report()`` composes them into the one
+documented ``metrics`` reply.  Instrumentation call sites use the ambient
+helpers (:func:`span`, :func:`annotate`), which cost one context-variable
+read when tracing is off.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram
 from repro.obs.trace import (
     Span,
     Trace,
@@ -26,9 +29,7 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "Span",
     "Trace",
     "Tracer",

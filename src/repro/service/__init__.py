@@ -17,7 +17,7 @@ Entry points:
 """
 
 from repro.service.coalesce import CoalescingQueue
-from repro.service.metrics import LatencyWindow, ServiceMetrics, SessionMetrics
+from repro.service.metrics import ServiceMetrics, SessionMetrics
 from repro.service.protocol import (
     FeedbackProtocolServer,
     ProtocolError,
@@ -62,7 +62,6 @@ __all__ = [
     "delta_payload",
     "frame_state",
     "apply_frame_update",
-    "LatencyWindow",
     "SessionMetrics",
     "ServiceMetrics",
 ]

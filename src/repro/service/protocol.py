@@ -100,11 +100,10 @@ from repro.vis.render import png_bytes
 
 __all__ = ["FeedbackProtocolServer", "ProtocolError", "parse_event", "serve"]
 
-#: Pipeline-config fields a remote client may override per session.
-_ALLOWED_CONFIG = {
-    "percentage", "pixels_per_item", "shard_count", "max_workers",
-    "multipeak_z", "target_max",
-}
+#: Pipeline-config fields a remote client may override per session.  The
+#: shard count and worker threads are the operator's (they size the
+#: process's thread pools), so a client cannot set them.
+_ALLOWED_CONFIG = {"percentage", "pixels_per_item", "multipeak_z", "target_max"}
 
 #: The protocol version the server speaks.
 _PROTOCOL_VERSION = 2

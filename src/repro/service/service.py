@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 from repro.core.engine import PipelineConfig, QueryEngine
 from repro.core.plan import CacheStats
 from repro.interact.events import SessionEvent
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Tracer
 from repro.obs import trace as obs
 from repro.service.metrics import ServiceMetrics
 from repro.service.session import ServiceSession, SessionLimitError, SessionRegistry
@@ -148,13 +148,8 @@ class FeedbackService:
             self._owns_engine = True
         self.config = service_config or ServiceConfig()
         self.layout = layout or MultiWindowLayout()
-        #: The unified metrics registry: service and session counters live
-        #: in it directly; the engine's cache/backend stats are report-time
-        #: collectors.  ``metrics_report()`` is a view over this.
-        self.obs = MetricsRegistry()
-        self.obs.register_collector("engine", self.engine.stats)
-        self.registry = SessionRegistry(metrics_registry=self.obs)
-        self.metrics = ServiceMetrics(self.obs)
+        self.registry = SessionRegistry()
+        self.metrics = ServiceMetrics()
         self.tracer = Tracer(
             enabled=self.config.trace_enabled,
             sample_rate=self.config.trace_sample,
@@ -370,6 +365,11 @@ class FeedbackService:
     def metrics_report(self) -> dict[str, object]:
         """Global, per-session and engine-cache counters in one dictionary.
 
+        Composed at read time from the counters' owners (the service's and
+        each session's metrics, the window caches, ``engine.stats()``); the
+        ``metrics`` protocol op serves it with the protocol's ``wire``
+        section added, and ``docs/observability.md`` documents every key.
+
         ``incremental`` breaks the site-entry patch and dirty-shard
         counters out of the engine totals so latency regressions can be
         attributed: a p95 increase with a falling ``shards_reused`` share
@@ -514,7 +514,7 @@ class FeedbackService:
             snapshot = await loop.run_in_executor(self._executor, _execute)
             self.metrics.inc("runs")
             self.metrics.inc("events_executed", len(batch))
-            self.metrics.run_latency.record(snapshot.run_seconds)
+            self.metrics.run_latency.observe(snapshot.run_seconds)
             self.tracer.finish(trace, run_seconds=snapshot.run_seconds)
         except Exception as exc:  # noqa: BLE001 - surfaced via snapshot()
             # A failed batch poisons only this session's next snapshot; the

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core.engine import PreparedQuery
 from repro.core.result import QueryFeedback
-from repro.obs import MetricsRegistry
 from repro.obs import trace as obs
 from repro.interact.events import QUERY_EVENTS, SessionEvent
 from repro.interact.session import VisDBSession
@@ -65,8 +64,7 @@ class ServiceSession:
                  layout: MultiWindowLayout | None = None,
                  record_batches: bool = False,
                  frame_retention: int = 4,
-                 clock=time.monotonic,
-                 metrics_registry: MetricsRegistry | None = None):
+                 clock=time.monotonic):
         self.id = session_id
         #: The interactive loop: the prepared query, its change history and
         #: the rollback of failed batches.  It recalculates only in
@@ -74,7 +72,7 @@ class ServiceSession:
         self.visdb = VisDBSession(prepared.engine.source, prepared,
                                   auto_recalculate=False)
         self.queue = CoalescingQueue(max_depth=max_queue_depth)
-        self.metrics = SessionMetrics(metrics_registry, session=session_id)
+        self.metrics = SessionMetrics()
         self.window_cache = WindowCache(layout)
         self._clock = clock
         self.created_at = clock()
@@ -235,23 +233,23 @@ class ServiceSession:
         self.error = None
         self.metrics.inc("runs")
         self.metrics.inc("events_executed", len(batch))
-        self.metrics.set("render_hits", self.window_cache.hits)
-        self.metrics.set("render_misses", self.window_cache.misses)
-        self.metrics.run_latency.record(elapsed)
+        self.metrics.run_latency.observe(elapsed)
         return snapshot
 
     # ------------------------------------------------------------------ #
     def metrics_snapshot(self) -> dict[str, object]:
-        return self.metrics.snapshot(queue_depth=self.queue.depth)
+        return self.metrics.snapshot(
+            render_hits=self.window_cache.hits,
+            render_misses=self.window_cache.misses,
+            queue_depth=self.queue.depth,
+        )
 
 
 class SessionRegistry:
     """Id space and lifecycle (add / attach / expire) of service sessions."""
 
-    def __init__(self, clock=time.monotonic,
-                 metrics_registry: MetricsRegistry | None = None):
+    def __init__(self, clock=time.monotonic):
         self._clock = clock
-        self.metrics_registry = metrics_registry
         self._sessions: dict[str, ServiceSession] = {}
         self._ids = itertools.count(1)
 
@@ -276,7 +274,6 @@ class SessionRegistry:
             session_id, prepared, max_queue_depth=max_queue_depth,
             layout=layout, record_batches=record_batches,
             frame_retention=frame_retention, clock=self._clock,
-            metrics_registry=self.metrics_registry,
         )
         self._sessions[session_id] = session
         return session
@@ -300,8 +297,6 @@ class SessionRegistry:
         session.closed = True
         session.queue.clear()
         session.idle.set()
-        # Closed sessions must not leak label sets in the shared registry.
-        session.metrics.release()
         return session
 
     def expire_idle(self, ttl_seconds: float) -> list[ServiceSession]:

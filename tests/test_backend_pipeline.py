@@ -103,7 +103,7 @@ def test_pipeline_offload_fires_and_matches_cold():
         assert stats["pipeline_ops"] >= 1
         assert stats["pipeline_fallbacks"] == 0
         assert stats["reply_bytes"] > 0
-        # Replies carry summaries and top-k partials, never columns: far
+        # Replies carry per-shard counting rows only, never columns: far
         # below one node's worth of column bytes even for a whole plan.
         assert stats["reply_bytes"] < len(table) * 8
 

@@ -1,11 +1,12 @@
-"""Observability subsystem tests: span tracing + the metrics registry.
+"""Observability subsystem tests: span tracing + the ``metrics`` reply.
 
 Unit coverage for :mod:`repro.obs` (trace trees, sampling, retention
 rings, explain records, worker-span stitching, Chrome export, counter
 atomicity, percentile windows) plus service-level structure tests: the
 span tree of a cold run vs an incremental micro-move under both the
 ``threads`` and ``process`` backends, trace isolation across concurrent
-sessions, and the ``trace`` protocol op's slow-event forensics.
+sessions, the ``trace`` protocol op's slow-event forensics, and the
+``metrics`` reply against its glossary in docs/observability.md.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.interact.events import SetQueryRange
 from repro.obs import (
     Counter,
     Histogram,
-    MetricsRegistry,
     Trace,
     Tracer,
     build_explain,
@@ -38,8 +38,7 @@ from repro.obs import (
 from repro.obs.trace import _NULL_SPAN
 from repro.query.builder import between, condition
 from repro.query.expr import AndNode, OrNode
-from repro.service.metrics import LatencyWindow
-from repro.service.protocol import serve
+from repro.service.protocol import FeedbackProtocolServer, serve
 from repro.service.service import FeedbackService, ServiceConfig
 from repro.storage.table import Table
 
@@ -392,7 +391,7 @@ def test_span_table_matches_the_code():
 
 
 # --------------------------------------------------------------------------- #
-# Metrics registry
+# Trace cost and the counter primitives
 # --------------------------------------------------------------------------- #
 def _traced_drag_cost(n: int, shards: int) -> tuple[set, float]:
     """``(spans, annotations)`` per traced warm drag, and traced bytes per span.
@@ -481,15 +480,15 @@ def test_histogram_nearest_rank_percentiles():
 
 
 def test_latency_window_percentile_safe_under_concurrent_records():
-    """Satellite regression: percentile must not sort the live deque."""
-    window = LatencyWindow(maxlen=64)
+    """Regression: percentile must not sort the live deque."""
+    window = Histogram(window=64)
     stop = threading.Event()
     errors: list[BaseException] = []
 
     def recorder():
         i = 0
         while not stop.is_set():
-            window.record(float(i % 100) / 1000.0)
+            window.observe(float(i % 100) / 1000.0)
             i += 1
 
     def reader():
@@ -509,29 +508,6 @@ def test_latency_window_percentile_safe_under_concurrent_records():
     for t in threads:
         t.join()
     assert errors == []
-
-
-def test_registry_labels_collectors_and_removal():
-    registry = MetricsRegistry()
-    a = registry.counter("events", session="s1")
-    b = registry.counter("events", session="s2")
-    assert a is not b
-    assert a is registry.counter("events", session="s1")  # stable handle
-    a.inc(3), b.inc(1)
-    registry.gauge("depth").set(4.0)
-    registry.histogram("latency").observe(0.25)
-    registry.register_collector("engine", lambda: {"cache_hits": 11})
-    registry.register_collector("broken", lambda: 1 / 0)
-    report = registry.report()
-    assert report["counters"]["events{session=s1}"] == 3
-    assert report["counters"]["events{session=s2}"] == 1
-    assert report["gauges"]["depth"] == 4.0
-    assert report["histograms"]["latency"]["count"] == 1
-    assert report["engine"] == {"cache_hits": 11}
-    assert "error" in report["broken"]  # a report must never raise
-    registry.remove("events", session="s1")
-    assert "events{session=s1}" not in registry.collect()["counters"]
-    assert "events{session=s2}" in registry.collect()["counters"]
 
 
 # --------------------------------------------------------------------------- #
@@ -803,3 +779,70 @@ def test_untraced_service_protocol_unchanged():
             writer.close()
 
     run(main())
+
+
+# --------------------------------------------------------------------------- #
+# The metrics reply: one documented schema
+# --------------------------------------------------------------------------- #
+def _metrics_glossary() -> dict[str, set[str]]:
+    """Section -> key names of docs/observability.md's metric glossary
+    (``*`` marks a row covering the section's remaining keys)."""
+    import pathlib
+    import re
+
+    import repro
+
+    doc = (pathlib.Path(repro.__file__).parents[2] / "docs"
+           / "observability.md").read_text()
+    table = doc.split("### Metric glossary")[1].split("\n\n|", 1)[1]
+    table = table.split("\n\n", 1)[0]
+    glossary: dict[str, set[str]] = {}
+    for row in table.splitlines()[2:]:
+        cells = row.split("|")
+        keys = re.findall(r"`([^`]+)`", cells[1])
+        for section in re.findall(r"`([^`]+)`", cells[2]):
+            glossary.setdefault(section, set()).update(keys)
+    return glossary
+
+
+def test_metrics_reply_matches_the_glossary():
+    """The ``metrics`` reply after an open, a drag and a delta pull has
+    exactly the glossary's sections; every ``service`` and session-row key
+    has a row, and every key a row names is emitted."""
+    table = small_table()
+
+    async def main():
+        async with FeedbackService(table, PipelineConfig(**SMALL)) as service:
+            server = await serve(service)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port,
+                limit=FeedbackProtocolServer.STREAM_LIMIT)
+            opened = await _request(reader, writer, {
+                "op": "open", "query": "a between 20 and 70 and b > 4.0"})
+            sid = opened["session"]
+            await _request(reader, writer, {"op": "subscribe", "session": sid})
+            for low in (22.0, 24.0, 26.0):
+                await _request(reader, writer, {
+                    "op": "event", "session": sid,
+                    "event": {"type": "range", "path": [0], "low": low,
+                              "high": 70.0}})
+            assert (await _request(reader, writer, {
+                "op": "delta", "session": sid}))["ok"]
+            reply = await _request(reader, writer, {"op": "metrics"})
+            writer.close()
+            await writer.wait_closed()
+            await server.aclose()
+            return sid, reply
+
+    sid, reply = run(main())
+    assert reply["ok"]
+    metrics = reply["metrics"]
+    glossary = _metrics_glossary()
+    assert set(metrics) == set(glossary)
+    emitted = {**metrics, "sessions": metrics["sessions"][sid]}
+    for section, keys in glossary.items():
+        unemitted = keys - {"*"} - set(emitted[section])
+        assert not unemitted, f"{section} rows nothing emits: {unemitted}"
+    for section in ("service", "sessions"):
+        undocumented = set(emitted[section]) - glossary[section]
+        assert not undocumented, f"{section} keys missing from the glossary: {undocumented}"

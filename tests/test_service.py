@@ -190,6 +190,12 @@ def test_malformed_worker_config_raises(field, bad):
         PipelineConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -5.0])
+def test_target_max_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="target_max"):
+        PipelineConfig(target_max=bad)
+
+
 def test_engine_stats_aggregates_cache_counters():
     table = small_table()
     engine = QueryEngine(table, **SMALL_SCREEN)
@@ -675,6 +681,55 @@ async def _request(reader, writer, payload: dict) -> dict:
     writer.write(json.dumps(payload).encode() + b"\n")
     await writer.drain()
     return json.loads(await reader.readline())
+
+
+def test_protocol_open_cannot_size_the_servers_thread_pools():
+    """``shard_count`` / ``max_workers`` are the operator's config: an
+    ``open`` that asks for others gets the service's."""
+    table = small_table()
+
+    async def main():
+        config = PipelineConfig(shard_count=2, max_workers=1, **SMALL_SCREEN)
+        async with FeedbackService(table, config) as service:
+            server = await serve(service)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            opened = await _request(reader, writer, {
+                "op": "open", "query": "a between 20 and 70",
+                "config": {"shard_count": 3, "max_workers": 3, "percentage": 0.5},
+            })
+            assert opened["ok"], opened
+            session_config = service.registry.get(opened["session"]).prepared.config
+            assert (session_config.shard_count, session_config.max_workers) == (2, 1)
+            assert session_config.percentage == 0.5
+            writer.close()
+            await writer.wait_closed()
+            await server.aclose()
+
+    run(main())
+
+
+@pytest.mark.parametrize("target_max", [float("nan"), 0, -1])
+def test_protocol_open_refuses_a_bad_target_max(target_max):
+    """``json.loads`` accepts ``NaN``; a target range that is not finite
+    and positive is a ``bad-request`` and opens no session."""
+    table = small_table()
+
+    async def main():
+        async with FeedbackService(table, PipelineConfig(**SMALL_SCREEN)) as service:
+            server = await serve(service)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            refused = await _request(reader, writer, {
+                "op": "open", "query": "a between 20 and 70",
+                "config": {"target_max": target_max},
+            })
+            assert refused["ok"] is False and refused["code"] == "bad-request", refused
+            assert len(service.registry) == 0
+            assert service.metrics.sessions_opened == 0
+            writer.close()
+            await writer.wait_closed()
+            await server.aclose()
+
+    run(main())
 
 
 def test_protocol_roundtrip_and_errors():
