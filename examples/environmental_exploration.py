@@ -14,6 +14,8 @@ Reproduces the full scenario of the paper's sections 3-4:
 Run with::
 
     python examples/environmental_exploration.py
+
+The figures are written to the working directory.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.interact import SetQueryRange, SetThreshold, SetWeight, VisDBSession
 from repro.vis import MultiWindowLayout, ascii_render, write_png
 from repro.vis.sliders import sliders_for_feedback
 
-OUTPUT_DIR = Path(__file__).resolve().parent
+OUTPUT_DIR = Path.cwd()
 
 
 def fig3_query(database):

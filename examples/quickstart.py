@@ -3,7 +3,8 @@
 Builds a small synthetic environmental database, issues the paper's
 "hot days" style query, prints the counters of the query modification
 window, shows an ASCII preview of the overall result window and writes the
-composed multi-window image to ``quickstart_visdb.png``.
+composed multi-window image to ``quickstart_visdb.png`` in the working
+directory.
 
 Run with::
 
@@ -61,7 +62,7 @@ def main() -> None:
     print(ascii_render(windows[()], max_width=64))
 
     # 6. Save the composed multi-window image (overall + one window per predicate).
-    output = Path(__file__).resolve().parent / "quickstart_visdb.png"
+    output = Path("quickstart_visdb.png")
     write_png(layout.compose(windows), output)
     print(f"\nwrote {output}")
 

@@ -17,10 +17,10 @@ adds is only what a socket needs: listening, the version handshake,
 fault-injection hooks, and the raw column frames of a stream-plane
 attach.
 
-Tables are attached once per publication key and held in an LRU-bounded
-store shared by every connection; per-event traffic stays the plan,
-shard lists and counting rows.  Column data arrives through one of two
-negotiated planes:
+Tables are attached once per publication key and held in one pin-aware
+:class:`~repro.storage.lru.LRUStore` shared by every connection;
+per-event traffic stays the plan, shard lists and counting rows.  Column
+data arrives through one of two negotiated planes:
 
 * **shared memory** -- a server co-located with the coordinator attaches
   the published blocks (and per-session output blocks) directly; zero
@@ -51,7 +51,8 @@ from multiprocessing import resource_tracker, shared_memory
 
 from repro.backend.remote import wire
 from repro.backend.shm import attach_block
-from repro.backend.worker import WorkerOps, _TableStore
+from repro.backend.worker import WorkerOps, _TableEntry
+from repro.storage.lru import LRUStore
 
 __all__ = ["RemoteWorkerServer", "main", "serve_socket"]
 
@@ -105,7 +106,8 @@ class RemoteWorkerServer:
                                  else protocol_version)
         #: Op names that should hang instead of replying (fault injection).
         self.stall_ops: set[str] = set()
-        self._store = _TableStore(max_tables)
+        self._store: LRUStore[_TableEntry] = LRUStore(
+            max_tables, on_evict=_TableEntry.close)
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._conn_lock = threading.Lock()
@@ -140,7 +142,7 @@ class RemoteWorkerServer:
             self._accept_thread.join(timeout=5.0)
             self._accept_thread = None
         self.drop_connections()
-        self._store.close()
+        self._store.clear()
 
     def drop_connections(self) -> None:
         """Abruptly close every live connection (fault injection / stop)."""
@@ -264,7 +266,7 @@ def serve_socket(sock: socket.socket) -> None:
     try:
         server._serve_connection(sock)
     finally:
-        server._store.close()
+        server._store.clear()
 
 
 def main(argv: list[str] | None = None) -> int:

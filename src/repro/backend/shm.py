@@ -7,14 +7,16 @@ into their own block.  What crosses a socket afterwards is only a
 *manifest* -- block names, dtypes and lengths -- so per-event traffic
 never includes column data.
 
-The store is bounded: publications beyond :data:`MAX_PUBLISHED_TABLES`
-evict the least-recently-used table (closing and unlinking its blocks and
-notifying the eviction callback so worker processes drop their mappings).
+The store is bounded: :class:`ShmColumnStore` is one
+:class:`~repro.storage.lru.LRUStore`, the package's one cache store, so
+publications beyond :data:`MAX_PUBLISHED_TABLES` evict the
+least-recently-used table (notifying the eviction callback so worker
+processes drop their mappings, then closing and unlinking its blocks).
 Re-publishing an evicted table allocates fresh blocks under a new
 publication key, so stale worker mappings can never be confused with the
 new ones.
 
-A publication an op is actively broadcasting against can be *pinned*
+A publication an op is actively broadcasting against is *pinned*
 (:meth:`ShmColumnStore.pin`): eviction of a pinned table is deferred --
 the entry leaves the LRU immediately (so capacity is respected for new
 publications) but the blocks stay linked and the eviction callback stays
@@ -31,11 +33,12 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
-import threading
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
+
+from repro.storage.lru import LRUStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.table import Table
@@ -114,77 +117,56 @@ class PublishedTable:
 
 
 class ShmColumnStore:
-    """LRU-bounded registry of published tables, keyed by ``Table.export_id``."""
+    """The published tables, keyed by ``Table.export_id``.
 
-    def __init__(self, max_tables: int = MAX_PUBLISHED_TABLES,
+    One :class:`~repro.storage.lru.LRUStore` of :class:`PublishedTable`
+    values: an evicted publication notifies ``on_evict`` (so workers drop
+    their mappings), then loses its blocks -- after the last
+    :meth:`unpin` when an op holds it pinned.
+    """
+
+    def __init__(self, max_tables: float = MAX_PUBLISHED_TABLES,
                  on_evict: Callable[[PublishedTable], None] | None = None):
-        self._lock = threading.Lock()
-        self._tables: dict[str, PublishedTable] = {}
-        self._max_tables = max_tables
         self._on_evict = on_evict
-        #: Pin counts by publication key; pinned tables cannot be destroyed.
-        self._pins: dict[str, int] = {}
-        #: Publications evicted from the LRU while pinned, awaiting the
-        #: last unpin to be notified/destroyed.
-        self._retiring: dict[str, PublishedTable] = {}
-        self._evict_deferred = 0
+        self.tables: LRUStore[PublishedTable] = LRUStore(
+            max_tables, on_evict=self._retire)
+
+    @property
+    def _max_tables(self) -> float:
+        """The capacity; a lowered one applies from the next publish."""
+        return self.tables.max_entries
+
+    @_max_tables.setter
+    def _max_tables(self, value: float) -> None:
+        self.tables.max_entries = value
 
     def pin(self, published: PublishedTable) -> None:
         """Hold ``published``'s blocks linked across an in-flight op."""
-        with self._lock:
-            self._pins[published.key] = self._pins.get(published.key, 0) + 1
+        self.tables.pin(published)
 
     def unpin(self, published: PublishedTable) -> None:
         """Release one pin; a deferred eviction completes on the last one."""
-        retired: PublishedTable | None = None
-        with self._lock:
-            count = self._pins.get(published.key, 0) - 1
-            if count > 0:
-                self._pins[published.key] = count
-            else:
-                self._pins.pop(published.key, None)
-                retired = self._retiring.pop(published.key, None)
-        if retired is not None:
-            self._retire(retired)
+        self.tables.release(published)
 
     def _retire(self, old: PublishedTable) -> None:
-        """Notify workers, then destroy -- outside the store lock."""
-        if self._on_evict is not None:
-            self._on_evict(old)
-        old.destroy()
+        """Notify workers, then destroy."""
+        try:
+            if self._on_evict is not None:
+                self._on_evict(old)
+        finally:
+            old.destroy()
 
     def publish(self, table: "Table") -> PublishedTable:
         """Publish ``table``'s columns (idempotent per ``export_id``)."""
-        export_id = table.export_id
-        with self._lock:
-            published = self._tables.get(export_id)
-            if published is not None:
-                # LRU touch: move to the most-recent end.
-                self._tables.pop(export_id)
-                self._tables[export_id] = published
-                return published
-        published = self._build(table)
-        evicted: list[PublishedTable] = []
-        with self._lock:
-            existing = self._tables.get(export_id)
-            if existing is not None:  # lost a publish race; keep the winner
-                published.destroy()
-                return existing
-            self._tables[export_id] = published
-            while len(self._tables) > self._max_tables:
-                oldest_key = next(iter(self._tables))
-                old = self._tables.pop(oldest_key)
-                if self._pins.get(old.key):
-                    # A broadcast referencing this publication key is in
-                    # flight: unlinking now would yank the blocks out from
-                    # under it.  Park the publication; the last unpin
-                    # finishes the eviction.
-                    self._retiring[old.key] = old
-                    self._evict_deferred += 1
-                else:
-                    evicted.append(old)
-        for old in evicted:
-            self._retire(old)
+        published = self.tables.get(table.export_id)
+        if published is None:
+            # Built outside the store's lock: copying the columns is the
+            # slow part.  A racing publish of the same table keeps the
+            # first build; the loser is destroyed unannounced.
+            built = self._build(table)
+            published = self.tables.put(table.export_id, built)
+            if published is not built:
+                built.destroy()
         return published
 
     def _build(self, table: "Table") -> PublishedTable:
@@ -228,12 +210,12 @@ class ShmColumnStore:
         return PublishedTable(key, manifest, blocks, nbytes)
 
     def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "published_tables": len(self._tables),
-                "published_bytes": sum(p.nbytes for p in self._tables.values()),
-                "evict_deferred": self._evict_deferred,
-            }
+        live = [published for _, published in self.tables.items()]
+        return {
+            "published_tables": len(live),
+            "published_bytes": sum(p.nbytes for p in live),
+            "evict_deferred": self.tables.deferred,
+        }
 
     def close(self) -> None:
         """Destroy every publication (idempotent).
@@ -242,18 +224,7 @@ class ShmColumnStore:
         flight is already doomed (its workers are being stopped) and falls
         back in-process.
         """
-        with self._lock:
-            tables = list(self._tables.values()) + list(self._retiring.values())
-            self._tables.clear()
-            self._retiring.clear()
-            self._pins.clear()
-        for published in tables:
-            if self._on_evict is not None:
-                try:
-                    self._on_evict(published)
-                except Exception:  # pragma: no cover - shutdown path
-                    pass
-            published.destroy()
+        self.tables.clear()
 
 
 def table_from_buffers(manifest: dict[str, Any],

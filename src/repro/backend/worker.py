@@ -9,7 +9,7 @@ moves bytes.
 
 Columns never travel with an op: ``attach`` carries a shared-memory
 manifest (or announces a one-time upload), after which the lane holds a
-zero-copy table in its :class:`_TableStore`; the ``pipeline_*`` ops
+zero-copy table in its store of attached tables; the ``pipeline_*`` ops
 (:mod:`repro.backend.pipeline`) run a whole plan's per-shard stages as a
 short session of rounds, writing every column into one output buffer the
 coordinator allocated and replying only counting rows.
@@ -23,7 +23,6 @@ loop, so one poisonous message cannot wedge a lane.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from multiprocessing import shared_memory
 from typing import Any, Callable
@@ -34,6 +33,7 @@ from repro.backend.shm import (
     build_table_from_manifest,
     table_from_buffers,
 )
+from repro.storage.lru import LRUStore
 
 __all__ = ["WorkerOps"]
 
@@ -41,14 +41,11 @@ __all__ = ["WorkerOps"]
 class _TableEntry:
     """One attached publication: the table plus whatever keeps it alive."""
 
-    def __init__(self, key: str, mode: str, table,
+    def __init__(self, mode: str, table,
                  blocks: list[shared_memory.SharedMemory]):
-        self.key = key
         self.mode = mode
         self.table = table
         self.blocks = blocks
-        self.pins = 0
-        self.retired = False
 
     def close(self) -> None:
         for shm in self.blocks:
@@ -57,70 +54,6 @@ class _TableEntry:
             except Exception:  # pragma: no cover - teardown best effort
                 pass
         self.blocks = []
-
-
-class _TableStore:
-    """LRU-bounded attached tables, shared by every lane of one process.
-
-    Ops pin the entry they operate on; eviction of a pinned entry is
-    deferred until the last pin drops, so a session on one connection can
-    never have its column mappings closed by an attach on another.  A
-    spawned local server has a single lane and an unbounded store (the
-    coordinator's own LRU decides what it holds, via ``drop``).
-    """
-
-    def __init__(self, max_tables: float):
-        self._lock = threading.Lock()
-        self._tables: dict[str, _TableEntry] = {}
-        self._max_tables = max_tables
-
-    def get(self, key: str) -> _TableEntry | None:
-        with self._lock:
-            entry = self._tables.get(key)
-            if entry is not None:
-                self._tables.pop(key)
-                self._tables[key] = entry  # LRU touch
-                entry.pins += 1
-            return entry
-
-    def release(self, entry: _TableEntry) -> None:
-        with self._lock:
-            entry.pins -= 1
-            close = entry.retired and entry.pins <= 0
-        if close:
-            entry.close()
-
-    def put(self, entry: _TableEntry) -> None:
-        evicted: list[_TableEntry] = []
-        with self._lock:
-            if entry.key in self._tables:
-                entry.close()
-                return
-            self._tables[entry.key] = entry
-            while len(self._tables) > self._max_tables:
-                oldest = self._tables.pop(next(iter(self._tables)))
-                oldest.retired = True
-                if oldest.pins <= 0:
-                    evicted.append(oldest)
-        for old in evicted:
-            old.close()
-
-    def drop(self, key: str) -> None:
-        with self._lock:
-            entry = self._tables.pop(key, None)
-            if entry is not None:
-                entry.retired = True
-                if entry.pins > 0:
-                    entry = None
-        if entry is not None:
-            entry.close()
-
-    def close(self) -> None:
-        with self._lock:
-            entries = list(self._tables.values())
-            self._tables.clear()
-        for entry in entries:
-            entry.close()
 
 
 class _Session:
@@ -168,15 +101,20 @@ def _op_spans(msg: dict[str, Any], t0: float, op: str) -> dict[str, Any]:
 class WorkerOps:
     """One lane's op table: every op a coordinator may send, served once.
 
-    ``store`` is the process's attached-table store; ``allow_shm=False``
-    makes the lane refuse the shared-memory plane (a cross-host server);
-    ``attach`` opens a coordinator block by name.  Per-lane state is the
-    open pipeline session and the column uploads of an in-progress
-    stream-plane attach (:attr:`uploads`, filled by the socket loop --
-    raw frames are the one thing that cannot ride a pickled op).
+    ``store`` holds the process's attached tables, shared by every lane
+    it serves: an :class:`~repro.storage.lru.LRUStore` of
+    :class:`_TableEntry` values with :meth:`_TableEntry.close` as its
+    ``on_evict``.  Ops pin the entry they operate on, so a session on one
+    connection never has its column mappings closed by an attach on
+    another.  ``allow_shm=False`` makes the lane refuse the shared-memory
+    plane (a cross-host server); ``attach`` opens a coordinator block by
+    name.  Per-lane state is the open pipeline session and the column
+    uploads of an in-progress stream-plane attach (:attr:`uploads`,
+    filled by the socket loop -- raw frames are the one thing that cannot
+    ride a pickled op).
     """
 
-    def __init__(self, store: _TableStore, *, allow_shm: bool = True,
+    def __init__(self, store: LRUStore[_TableEntry], *, allow_shm: bool = True,
                  attach: Callable[[str], shared_memory.SharedMemory]
                  = attach_block):
         self.store = store
@@ -224,7 +162,7 @@ class WorkerOps:
 
     # ------------------------------------------------------------------ #
     def _pinned(self, table_id: str) -> _TableEntry:
-        entry = self.store.get(table_id)
+        entry = self.store.get(table_id, pin=True)
         if entry is None:
             raise _UnknownTable(table_id)
         return entry
@@ -246,7 +184,6 @@ class WorkerOps:
         if entry is not None:
             # "have" tells a stream-plane client to skip the column
             # upload a fresh negotiation would otherwise start.
-            self.store.release(entry)
             return {"mode": entry.mode, "have": True}
         if self.allow_shm and msg.get("mode_hint") != "stream":
             try:
@@ -255,7 +192,7 @@ class WorkerOps:
             except Exception:
                 pass
             else:
-                self.store.put(_TableEntry(key, "shm", table, blocks))
+                self._keep(key, _TableEntry("shm", table, blocks))
                 return {"mode": "shm"}
         # Stream plane: ask the client to ship the columns once.
         return {"mode": "stream"}
@@ -266,11 +203,16 @@ class WorkerOps:
         received = self.uploads.pop(key, {})
         table = table_from_buffers(manifest,
                                    lambda spec: received[spec["name"]])
-        self.store.put(_TableEntry(key, "stream", table, []))
+        self._keep(key, _TableEntry("stream", table, []))
         return {"mode": "stream"}
 
+    def _keep(self, key: str, entry: _TableEntry) -> None:
+        """Store ``entry``; another lane's attach of ``key`` may have won."""
+        if self.store.put(key, entry) is not entry:
+            entry.close()
+
     def _drop(self, msg: dict[str, Any]) -> dict[str, Any]:
-        self.store.drop(msg["table_id"])
+        self.store.pop(msg["table_id"])
         return {}
 
     def _pipeline_start(self, msg: dict[str, Any]) -> dict[str, Any]:

@@ -78,6 +78,7 @@ from repro.query.parser import parse_condition, parse_query
 from repro.query.predicates import AttributePredicate, RangePredicate
 from repro.storage.cross_product import CrossProduct
 from repro.storage.database import Database
+from repro.storage.lru import LRUStore
 from repro.storage.table import Table
 
 __all__ = ["ScreenSpec", "PipelineConfig", "QueryEngine", "PreparedQuery",
@@ -207,13 +208,14 @@ class PipelineConfig:
         if not 0.0 < self.target_max < float("inf"):
             raise ValueError(
                 f"target_max must be finite and > 0, got {self.target_max!r}")
-        for name in ("shard_count", "max_workers"):
+        for name in ("shard_count", "max_workers", "multipeak_z"):
             value = getattr(self, name)
             if value is None:
                 continue
-            # Reject non-integers (strings from a config file, floats,
-            # bools) up front: a "4" would only blow up deep inside the
-            # thread-pool sizing with an unrelated TypeError.
+            # Reject non-integers (strings from a config file or a
+            # protocol ``open``, floats, bools) up front: a "4" would only
+            # blow up deep inside the thread-pool sizing or the multi-peak
+            # cut with an unrelated error.
             if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
                     or value < 1):
                 raise ValueError(
@@ -392,7 +394,7 @@ class QueryEngine:
     """
 
     #: Cap on cached cross-product tables (each pins up to ``max_join_pairs``
-    #: rows plus its evaluation cache); oldest evicted first.
+    #: rows plus its evaluation cache); least recently used evicted first.
     max_cached_tables = 8
 
     def __init__(self, source: Database | Table, config: PipelineConfig | None = None,
@@ -400,7 +402,8 @@ class QueryEngine:
         self.source = source
         base = config or PipelineConfig()
         self.config = base.with_(**overrides) if overrides else base
-        self._tables: dict[str, Table] = {}
+        self._tables: LRUStore[Table] = LRUStore(
+            self.max_cached_tables, on_evict=self._forget_table)
         # Keyed by id() but each entry keeps the table strongly referenced,
         # so the id cannot be recycled while the entry exists; a mismatched
         # table at the same address (freed + reallocated) is detected and
@@ -578,8 +581,7 @@ class QueryEngine:
             first.left_table, first.right_table,
             config.max_join_pairs, config.join_seed,
         )
-        with self._lock:
-            table = self._tables.get(key)
+        table = self._tables.get(key)
         if table is not None:
             return table
         # Materialise outside the lock: the cross product can take seconds,
@@ -599,17 +601,14 @@ class QueryEngine:
             workers = os.cpu_count() or 1
         with pool_user():
             table = product.to_table(executor=shared_executor(workers))
+        return self._tables.put(key, table)
+
+    def _forget_table(self, table: Table) -> None:
+        """Drop an evicted join table's evaluation cache and partitionings."""
         with self._lock:
-            existing = self._tables.get(key)
-            if existing is not None:
-                return existing
-            self._tables[key] = table
-            while len(self._tables) > self.max_cached_tables:
-                oldest = self._tables.pop(next(iter(self._tables)))
-                self._caches.pop(id(oldest), None)
-                for stale in [k for k in self._sharded if k[0] == id(oldest)]:
-                    del self._sharded[stale]
-        return table
+            self._caches.pop(id(table), None)
+            for stale in [k for k in self._sharded if k[0] == id(table)]:
+                del self._sharded[stale]
 
     # ------------------------------------------------------------------ #
     # Shared per-table state
@@ -766,7 +765,10 @@ class PreparedQuery:
         if fingerprint == self._effective_fp:
             return
         if not self.query.connections:
-            effective = copy.deepcopy(condition)
+            # The plan is compiled from the live tree: events replace
+            # predicate objects and set weights, and nothing changes the
+            # tree between this refresh and the evaluation after it.
+            effective = condition
         else:
             join_leaves = self._build_join_leaves()
             if condition is not None:
@@ -1212,8 +1214,11 @@ class PreparedQuery:
             "display_fraction": display_fraction(pixel_budget, n, n_predicates),
             "pixels_per_item": self.config.pixels_per_item,
             # Map node path -> query-tree node, used by the slider layer to
-            # recover predicate attributes and query ranges.
-            "condition_nodes": dict(condition.iter_nodes()),
+            # recover predicate attributes and query ranges.  Shallow
+            # copies: later events replace predicates and weights on the
+            # live tree, and this feedback must keep describing its own.
+            "condition_nodes": {path: copy.copy(node)
+                                for path, node in condition.iter_nodes()},
             "incremental": event_report,
         }
         return QueryFeedback(

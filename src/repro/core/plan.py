@@ -9,7 +9,8 @@ an interactively modified query most of the tree is unchanged, so most
 per-node results can be reused byte-for-byte.
 
 :class:`EvaluationCache` holds what is reused, at the levels matching what
-each modification invalidates:
+each modification invalidates (each level a bounded
+:class:`~repro.storage.lru.LRUStore`, the package's one cache store):
 
 * **raw leaf columns** (signed distances, absolute distances, exact masks)
   are keyed by the predicate fingerprint alone.  Weight, percentage and
@@ -39,7 +40,6 @@ sides share.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import Union
 
@@ -60,6 +60,7 @@ from repro.query.expr import (
     SubqueryNode,
 )
 from repro.query.fingerprint import stable_fingerprint
+from repro.storage.lru import LRUStore
 
 __all__ = [
     "LeafPlan",
@@ -186,40 +187,6 @@ class ShardSliceEntry:
     generation: int = 0
 
 
-class _LRU:
-    """A tiny bounded mapping evicting the least recently used entry."""
-
-    def __init__(self, max_entries: int):
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.evictions = 0
-        self._data: OrderedDict[str, object] = OrderedDict()
-
-    def get(self, key: str):
-        value = self._data.get(key)
-        if value is not None:
-            self._data.move_to_end(key)
-        return value
-
-    def contains(self, key: str) -> bool:
-        """Membership test without touching recency."""
-        return key in self._data
-
-    def put(self, key: str, value) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.max_entries:
-            self._data.popitem(last=False)
-            self.evictions += 1
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        self._data.clear()
-
-
 @dataclass
 class CacheStats:
     """Hit/miss counters of one :class:`EvaluationCache` (for tests/benchmarks)."""
@@ -280,8 +247,8 @@ class EvaluationCache:
     """
 
     def __init__(self, max_leaf_entries: int = 64, max_node_entries: int = 128):
-        self._raw = _LRU(max_leaf_entries)
-        self._nodes = _LRU(max_node_entries)
+        self._raw: LRUStore[_LeafRaw] = LRUStore(max_leaf_entries)
+        self._nodes: LRUStore[_NodeColumns] = LRUStore(max_node_entries)
         #: Bumped by :meth:`clear`.  Evaluations stamp the site entries they
         #: write with the generation they started under and accept only
         #: entries of the current one, so after a clear every site is cold
@@ -290,9 +257,10 @@ class EvaluationCache:
         self.stats = CacheStats()
         # One evaluation cache is shared by every session executing against
         # the same table; the service runs those executions on concurrent
-        # worker threads.  All entries are immutable (frozen arrays), so the
-        # lock only has to make the LRU bookkeeping and counters atomic --
-        # two threads racing to fill the same key both produce exact values.
+        # worker threads.  All entries are immutable (frozen arrays) and the
+        # stores lock their own bookkeeping, so this lock only makes the
+        # counters atomic -- two threads racing to fill the same key both
+        # produce exact values, and the first insert is kept.
         self._lock = threading.Lock()
 
     # Raw leaf columns ---------------------------------------------------- #
@@ -317,8 +285,7 @@ class EvaluationCache:
         they neither skew the hit/miss counters nor promote entries the
         probe itself is not going to read.
         """
-        with self._lock:
-            return self._raw.contains(key)
+        return key in self._raw
 
     # Normalized node columns --------------------------------------------- #
     def get_node(self, key: str) -> _NodeColumns | None:
@@ -337,8 +304,7 @@ class EvaluationCache:
 
     def peek_node(self, key: str) -> bool:
         """True when the node column is cached; no stats, no LRU touch."""
-        with self._lock:
-            return self._nodes.contains(key)
+        return key in self._nodes
 
     def record(self, **counts: int) -> None:
         """Add to named :class:`CacheStats` counters, atomically."""

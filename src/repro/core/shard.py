@@ -588,30 +588,7 @@ class ShardedPlanEvaluator:
         """
         n = len(self.table)
         meta: list[tuple[object, NodePath, int]] = []
-
-        def walk(node, path: NodePath) -> int | None:
-            if isinstance(node, LeafPlan):
-                if not isinstance(node.node, PredicateLeaf):
-                    return _offload_declined("subquery-leaf")
-                predicate = node.node.predicate
-                if isinstance(predicate, RangePredicate):
-                    entry = self._valid_entry(path)
-                    if (entry is not None and self._entry_range_base(
-                            predicate, entry) is not None):
-                        return _offload_declined("site-has-entry")
-                meta.append((node, path, 0))
-                return 0
-            child_levels = []
-            for i, child in enumerate(node.children):
-                level = walk(child, path + (i,))
-                if level is None:
-                    return None
-                child_levels.append(level)
-            level = max(child_levels) + 1
-            meta.append((node, path, level))
-            return level
-
-        if walk(plan, ()) is None:
+        if self._spec_levels(plan, (), meta) is None:
             return None
         if self.cache.peek_node(
                 plan.value_key(self.display_capacity, self.target_max)):
@@ -649,6 +626,37 @@ class ShardedPlanEvaluator:
             "levels": [levels[level] for level in sorted(levels)],
         }
         return spec, meta
+
+    def _spec_levels(self, node, path: NodePath,
+                     meta: list[tuple[object, NodePath, int]]) -> int | None:
+        """Append ``node``'s subtree to ``meta``, children first, each with
+        its level (leaves 0); None when a node makes the plan ineligible.
+
+        A method rather than a recursive closure: a closure that calls
+        itself is a reference cycle, and through ``self`` it would keep
+        the site entries -- the columns of a dropped query -- alive until
+        the cyclic garbage collector happens to run.
+        """
+        if isinstance(node, LeafPlan):
+            if not isinstance(node.node, PredicateLeaf):
+                return _offload_declined("subquery-leaf")
+            predicate = node.node.predicate
+            if isinstance(predicate, RangePredicate):
+                entry = self._valid_entry(path)
+                if (entry is not None and self._entry_range_base(
+                        predicate, entry) is not None):
+                    return _offload_declined("site-has-entry")
+            meta.append((node, path, 0))
+            return 0
+        child_levels = []
+        for i, child in enumerate(node.children):
+            level = self._spec_levels(child, path + (i,), meta)
+            if level is None:
+                return None
+            child_levels.append(level)
+        level = max(child_levels) + 1
+        meta.append((node, path, level))
+        return level
 
     def _try_pipeline(self, plan) -> bool:
         """Offer the whole plan to the backend's pipeline op.

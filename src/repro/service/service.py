@@ -70,10 +70,6 @@ class ServiceConfig:
     #: Interval between idle-expiry sweeps (they run on schedule regardless
     #: of traffic, so abandoned sessions expire even under constant load).
     sweep_interval: float = 30.0
-    #: Keep each session's executed batches for replay/debugging.  Off by
-    #: default: the log grows with session lifetime.  The differential
-    #: stress tests switch it on to replay sessions serially.
-    record_batches: bool = False
     #: Recent frames retained per session for the delta stream: a client
     #: whose acknowledged frame is still in the ring gets a delta, anything
     #: older resyncs with a full snapshot.  Superseded frames keep only
@@ -256,7 +252,7 @@ class FeedbackService:
             )
             session = self.registry.add(
                 prepared, max_queue_depth=self.config.max_queue_depth,
-                layout=self.layout, record_batches=self.config.record_batches,
+                layout=self.layout,
                 frame_retention=self.config.frame_retention,
             )
             self._rotation.append(session.id)

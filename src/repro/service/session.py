@@ -62,7 +62,6 @@ class ServiceSession:
     def __init__(self, session_id: str, prepared: PreparedQuery,
                  max_queue_depth: int = 64,
                  layout: MultiWindowLayout | None = None,
-                 record_batches: bool = False,
                  frame_retention: int = 4,
                  clock=time.monotonic):
         self.id = session_id
@@ -95,12 +94,6 @@ class ServiceSession:
         #: order, no O(n) arrays), so retained frames are cheap.
         self.frame_retention = max(1, int(frame_retention))
         self.frame_history: tuple[FrameSnapshot, ...] = ()
-        #: With ``record_batches``: the batches actually executed, in order
-        #: -- a serial replay of their concatenation is the session's
-        #: reference semantics (what the differential stress test replays).
-        #: Off by default; the log grows for the life of the session.
-        self.record_batches = record_batches
-        self.executed_batches: list[list[SessionEvent]] = []
         #: ``(trace, coalesce_wait_span_id)`` of the events waiting in the
         #: queue; started by the first submit after a dispatch, taken by
         #: the scheduler when it drains the batch.  Loop-confined.
@@ -206,8 +199,6 @@ class ServiceSession:
         )
         elapsed = time.perf_counter() - start
         self.frame_id += 1
-        if self.record_batches:
-            self.executed_batches.append(list(batch))
         snapshot = FrameSnapshot(
             session_id=self.id,
             sequence=self.frame_id - 1,
@@ -256,7 +247,6 @@ class SessionRegistry:
     # ------------------------------------------------------------------ #
     def add(self, prepared: PreparedQuery, *, max_queue_depth: int = 64,
             layout: MultiWindowLayout | None = None,
-            record_batches: bool = False,
             frame_retention: int = 4,
             session_id: str | None = None) -> ServiceSession:
         """Register a session for an already-prepared query (loop-side, no I/O).
@@ -272,8 +262,8 @@ class SessionRegistry:
             raise ValueError(f"session id {session_id!r} already exists")
         session = ServiceSession(
             session_id, prepared, max_queue_depth=max_queue_depth,
-            layout=layout, record_batches=record_batches,
-            frame_retention=frame_retention, clock=self._clock,
+            layout=layout, frame_retention=frame_retention,
+            clock=self._clock,
         )
         self._sessions[session_id] = session
         return session

@@ -17,6 +17,8 @@ conclusions).  This package provides that substrate:
   "retrieve more data than necessary" cache sketched in the conclusions.
 * :mod:`~repro.storage.cross_product` -- lazy cross products for
   approximate joins.
+* :class:`~repro.storage.lru.LRUStore` -- the one bounded, pin-aware LRU
+  behind every cache of the engine and the backends.
 """
 
 from repro.storage.table import Table, ColumnStats

@@ -399,7 +399,7 @@ def test_server_side_eviction_triggers_reattach(fleet):
         prepared.execute()
         before = backend_stats(engine)["remote_fallbacks"]
         for server in fleet:
-            server._store.close()
+            server._store.clear()
         reopened, frame = cold_open(engine, table, "row2")
         assert_frames_identical(cold_frame(table, reopened), frame,
                                 "re-attached")

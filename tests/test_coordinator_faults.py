@@ -41,8 +41,9 @@ from repro.backend.coordinator import (
     serialise,
 )
 from repro.backend.shm import ShmColumnStore
-from repro.backend.worker import WorkerOps, _TableStore
+from repro.backend.worker import WorkerOps, _TableEntry
 from repro.obs.trace import Trace, use_trace
+from repro.storage.lru import LRUStore
 
 from census import module_census
 from test_backend import assert_frames_identical, cold_frame, make_table
@@ -53,6 +54,11 @@ from test_backend_pipeline import pipeline_condition
 def _census():
     """Nothing this module starts may outlive it (``tests/census.py``)."""
     yield from module_census()
+
+
+def attached_tables():
+    """An unbounded attached-table store, as a spawned local lane has."""
+    return LRUStore(math.inf, on_evict=_TableEntry.close)
 
 
 class FakeTransport:
@@ -76,7 +82,7 @@ class FakeTransport:
         self._spawn()
 
     def _spawn(self):
-        self.lanes = [WorkerOps(_TableStore(math.inf),
+        self.lanes = [WorkerOps(attached_tables(),
                                 allow_shm=self.allow_shm)
                       for _ in self.lane_names]
         self.attached: set[str] = set()
@@ -166,7 +172,7 @@ def fake_backend():
     FakeBackend.store.close()
     transport = getattr(FakeBackend, "transport", None)
     for ops in transport.lanes if transport else ():
-        ops.store.close()  # the lanes' mappings, for the census
+        ops.store.clear()  # the lanes' mappings, for the census
 
 
 def fake_prepared(transport):
@@ -203,7 +209,7 @@ def assert_buffers_released(transport):
         for name in set(buffer.names) - {None}:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
-    assert not FakeBackend.store._pins, "publication left pinned"
+    assert FakeBackend.store.tables.pinned == 0, "publication left pinned"
 
 
 # The plan has three levels (leaves, the OR, the AND): a session is one
@@ -319,7 +325,7 @@ def test_unknown_table_is_reattached_and_retried_once(fake_backend):
     try:
         prepared.execute()
         key = FakeBackend.store.publish(table).key
-        transport.lanes[1].store.drop(key)  # behind the coordinator's back
+        transport.lanes[1].store.pop(key)  # behind the coordinator's back
 
         prepared.condition.children[0].predicate.value = 2.0
         frame = prepared.execute()
@@ -345,7 +351,7 @@ def test_unserialisable_op_is_rejected_before_any_lane_sees_it(fake_backend):
 
 def test_retired_leaf_op_is_an_unknown_op():
     """The op table is the pipeline session and table housekeeping only."""
-    ops = WorkerOps(_TableStore(math.inf))
+    ops = WorkerOps(attached_tables())
     reply = ops.dispatch({"op": "leaf", "table_id": "t", "kind": "mask",
                           "predicate": None, "spans": [], "out": None})
     assert reply == {"ok": False, "error": "unknown op 'leaf'"}

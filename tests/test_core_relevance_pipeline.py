@@ -173,6 +173,16 @@ def test_pipeline_invalid_config():
         ScreenSpec(0, 10)
 
 
+@pytest.mark.parametrize("z", ["abc", 0, -3, 2.5, True, float("nan")])
+def test_pipeline_config_refuses_a_bad_multipeak_z(z):
+    """Only a positive int (or None) reaches the multi-peak cut: the
+    others failed there with a TypeError, ValueError or IndexError, and
+    ``True`` ran as z = 1."""
+    with pytest.raises(ValueError, match="multipeak_z"):
+        PipelineConfig(reduction=ReductionMethod.MULTIPEAK, multipeak_z=z)
+    assert PipelineConfig(multipeak_z=np.int64(3)).multipeak_z == 3
+
+
 def test_pipeline_config_with_copy():
     config = PipelineConfig()
     changed = config.with_(percentage=0.5)

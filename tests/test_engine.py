@@ -299,6 +299,33 @@ def test_cross_product_assembled_once(small_env_db):
     assert first.table is second.table
 
 
+def test_join_tables_evict_least_recently_used(small_env_db, monkeypatch):
+    """A join-table hit refreshes it; an eviction drops the evicted table's
+    evaluation cache and partitionings with it."""
+    monkeypatch.setattr(QueryEngine, "max_cached_tables", 2)
+    engine = QueryEngine(small_env_db, max_join_pairs=2_000)
+    query = (
+        QueryBuilder("join", small_env_db)
+        .use_tables("Weather")
+        .where(condition("Weather.Temperature", ">", 15.0))
+        .use_connection("Air-Pollution at-same-time-as Weather")
+        .build()
+    )
+
+    def table(seed):
+        prepared = engine.prepare(query, join_seed=seed)
+        prepared.execute()
+        return prepared.table
+
+    first, second = table(0), table(1)
+    assert table(0) is first  # a hit: the first table is now the newest
+    table(2)                  # evicts the second, not the first
+    assert table(0) is first
+    assert id(second) not in engine._caches
+    assert all(key[0] != id(second) for key in engine._sharded)
+    assert table(1) is not second
+
+
 def test_prepare_overrides_affect_table_assembly(small_env_db):
     engine = QueryEngine(small_env_db)  # default max_join_pairs: 250k
     query = (

@@ -687,6 +687,23 @@ def test_dropped_query_pins_nothing():
     assert root() is None
 
 
+def test_dropped_query_frees_its_sites_without_the_cycle_collector():
+    """An execution builds no reference cycle, so a dropped query's site
+    entries (and the columns they point at) go with its last reference,
+    not whenever the cyclic collector next runs."""
+    table = locality_table(n=4_000)
+    engine, prepared = prepared_query(table)
+    prepared.execute()
+    entries = [weakref.ref(e) for e in prepared._root.sites.values()]
+    assert entries
+    gc.disable()
+    try:
+        del prepared
+        assert [ref() for ref in entries] == [None] * len(entries)
+    finally:
+        gc.enable()
+
+
 def test_declined_patches_are_annotated_with_a_reason():
     """`node.evaluate` spans say why a node did not patch."""
     from repro.obs import Trace, use_trace

@@ -136,6 +136,23 @@ def test_lazy_session_returns_stale_feedback_when_dirty(weather_db, or_query):
     assert session.statistics()["# of results"] < before
 
 
+def test_stale_feedback_sliders_keep_their_range(weather_db, or_query):
+    """A feedback describes the tree it was computed from, not the live
+    one the next event edits."""
+    session = VisDBSession(weather_db, or_query, auto_recalculate=False)
+    session.recalculate()
+
+    def humidity():
+        return next(s for s in session.sliders()[1] if s.attribute == "Humidity")
+
+    before = (humidity().query_low, humidity().query_high)
+    session.apply(SetQueryRange((2,), 40.0, 60.0))
+    assert session.is_dirty
+    assert (humidity().query_low, humidity().query_high) == before != (40.0, 60.0)
+    session.recalculate()
+    assert (humidity().query_low, humidity().query_high) == (40.0, 60.0)
+
+
 def test_set_percentage_keeps_prepared_query(session):
     prepared = session.prepared
     session.apply(SetPercentageDisplayed(0.25))

@@ -18,7 +18,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import PipelineConfig, QueryEngine, ScreenSpec
+from repro import PipelineConfig, QueryEngine, ReductionMethod, ScreenSpec
 from repro.core.plan import CacheStats
 from repro.interact.events import (
     ClearSelection,
@@ -225,14 +225,32 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def test_drag_burst_coalesces_to_few_runs():
+@pytest.fixture
+def executed_batches(monkeypatch):
+    """Session id -> the batches its ``execute_batch`` completed, in order.
+
+    A serial replay of their concatenation is the session's reference
+    semantics; a batch that raised was rolled back and is not kept.
+    """
+    log: dict[str, list[list]] = {}
+    real = ServiceSession.execute_batch
+
+    def recording(session, batch, *args, **kwargs):
+        snapshot = real(session, batch, *args, **kwargs)
+        log.setdefault(session.id, []).append(list(batch))
+        return snapshot
+
+    monkeypatch.setattr(ServiceSession, "execute_batch", recording)
+    return log
+
+
+def test_drag_burst_coalesces_to_few_runs(executed_batches):
     """A 200-event drag resolves in a handful of pipeline executions."""
     table = small_table()
 
     async def main():
         async with FeedbackService(
             table, PipelineConfig(**SMALL_SCREEN),
-            service_config=ServiceConfig(record_batches=True),
         ) as service:
             sid = await service.open_session(demo_query(table))
             for step in range(200):
@@ -246,14 +264,14 @@ def test_drag_burst_coalesces_to_few_runs():
             assert session.metrics.events_coalesced >= 190
             # The settled frame reflects the *latest* slider position.
             replay = QueryEngine(table, **SMALL_SCREEN).prepare(demo_query(table))
-            for batch in session.executed_batches:
+            for batch in executed_batches[sid]:
                 replayed = replay.execute(changes=batch)
             assert_feedback_identical(replayed, snapshot.feedback, "drag-burst")
 
     run(main())
 
 
-def test_concurrent_sessions_bit_identical_to_serial_replay():
+def test_concurrent_sessions_bit_identical_to_serial_replay(executed_batches):
     """The multi-session stress lock: concurrent service output == serial replay.
 
     N sessions over one shared table issue randomized interleaved event
@@ -277,8 +295,7 @@ def test_concurrent_sessions_bit_identical_to_serial_replay():
         config = PipelineConfig(screen=ScreenSpec(width=48, height=48))
         async with FeedbackService(
             table, config,
-            service_config=ServiceConfig(max_inflight=3, max_queue_depth=64,
-                                         record_batches=True),
+            service_config=ServiceConfig(max_inflight=3, max_queue_depth=64),
         ) as service:
             ids = []
             for index, root in enumerate(roots):
@@ -292,11 +309,7 @@ def test_concurrent_sessions_bit_identical_to_serial_replay():
                     await service.submit(sid, stream[step])
                 await asyncio.sleep(0)
             snapshots = {sid: await service.snapshot(sid) for sid in ids}
-            logs = {
-                sid: [list(batch)
-                      for batch in service.registry.get(sid).executed_batches]
-                for sid in ids
-            }
+            logs = {sid: executed_batches[sid] for sid in ids}
             runs = {sid: service.registry.get(sid).metrics.runs for sid in ids}
         return snapshots, logs, runs
 
@@ -354,13 +367,13 @@ def test_scheduler_round_robin_is_fair():
     assert order == ids
 
 
-def test_backpressure_sheds_and_reports():
+def test_backpressure_sheds_and_reports(executed_batches):
     table = small_table()
 
     async def main():
         async with FeedbackService(
             table, PipelineConfig(**SMALL_SCREEN),
-            service_config=ServiceConfig(max_queue_depth=2, record_batches=True),
+            service_config=ServiceConfig(max_queue_depth=2),
         ) as service:
             sid = await service.open_session(demo_query(table))
             service._inflight = service.config.max_inflight  # hold scheduler
@@ -381,7 +394,7 @@ def test_backpressure_sheds_and_reports():
             # The shed dropped the (coalesced) range entry; the executed
             # stream is exactly what the logs say it is.
             replay = QueryEngine(table, **SMALL_SCREEN).prepare(demo_query(table))
-            for batch in session.executed_batches:
+            for batch in executed_batches[sid]:
                 replayed = replay.execute(changes=batch)
             assert_feedback_identical(replayed, snapshot.feedback, "backpressure")
 
@@ -433,19 +446,6 @@ def test_service_config_validation():
         ServiceConfig(max_inflight=0)
     with pytest.raises(ValueError, match="idle_ttl"):
         ServiceConfig(idle_ttl=0.0)
-
-
-def test_executed_batches_not_recorded_by_default():
-    table = small_table()
-
-    async def main():
-        async with FeedbackService(table, PipelineConfig(**SMALL_SCREEN)) as service:
-            sid = await service.open_session(demo_query(table))
-            await service.submit(sid, SetQueryRange((0,), 25.0, 65.0))
-            await service.snapshot(sid)
-            assert service.registry.get(sid).executed_batches == []
-
-    run(main())
 
 
 def test_idle_sessions_expire():
@@ -552,7 +552,8 @@ def test_failed_batch_poisons_only_its_session():
     run(main())
 
 
-def test_failed_frame_build_rolls_back_and_numbers_no_frame(monkeypatch):
+def test_failed_frame_build_rolls_back_and_numbers_no_frame(
+        monkeypatch, executed_batches):
     """A batch whose frame build fails is undone like one the engine fails.
 
     The live state must stay the serial replay of the recorded batches, and
@@ -561,8 +562,7 @@ def test_failed_frame_build_rolls_back_and_numbers_no_frame(monkeypatch):
     table = small_table()
     config = PipelineConfig(**SMALL_SCREEN)
     session = ServiceSession(
-        "s", QueryEngine(table, config).prepare(demo_query(table)),
-        record_batches=True)
+        "s", QueryEngine(table, config).prepare(demo_query(table)))
     first = session.execute_batch([])
     real_windows = WindowCache.windows
     failures = []
@@ -580,7 +580,7 @@ def test_failed_frame_build_rolls_back_and_numbers_no_frame(monkeypatch):
     following = session.execute_batch([SetQueryRange((0,), 25.0, 65.0)])
 
     replay = QueryEngine(table, config).prepare(demo_query(table))
-    for batch in session.executed_batches:
+    for batch in executed_batches["s"]:
         for event in batch:
             replay.apply_change(event)
     assert_feedback_identical(
@@ -590,12 +590,11 @@ def test_failed_frame_build_rolls_back_and_numbers_no_frame(monkeypatch):
     assert following.sequence == first.sequence + 1
 
 
-def test_warm_batch_deep_copies_only_in_the_engine_refresh(monkeypatch):
+def test_warm_batch_deep_copies_nothing(monkeypatch):
     """Rollback is a revert of recorded changes, not a backup copy.
 
-    A warm one-event batch deep-copies the condition exactly once: the
-    engine's refresh copy of the effective tree.  The session layer copies
-    nothing.
+    A warm one-event batch deep-copies nothing: the session layer reverts
+    recorded changes and the engine compiles its plan from the live tree.
     """
     table = small_table()
     session = ServiceSession("s", QueryEngine(
@@ -618,7 +617,7 @@ def test_warm_batch_deep_copies_only_in_the_engine_refresh(monkeypatch):
 
     monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
     session.execute_batch([SetQueryRange((0,), 26.0, 65.0)])
-    assert calls == ["AndNode"], calls
+    assert calls == [], calls
 
 
 def test_snapshot_waiter_errors_when_session_closes_underneath():
@@ -708,19 +707,18 @@ def test_protocol_open_cannot_size_the_servers_thread_pools():
     run(main())
 
 
-@pytest.mark.parametrize("target_max", [float("nan"), 0, -1])
-def test_protocol_open_refuses_a_bad_target_max(target_max):
-    """``json.loads`` accepts ``NaN``; a target range that is not finite
-    and positive is a ``bad-request`` and opens no session."""
+def _assert_open_refused(config: PipelineConfig, overrides: dict) -> None:
+    """A protocol ``open`` with ``overrides`` is a ``bad-request`` and
+    admits no session."""
     table = small_table()
 
     async def main():
-        async with FeedbackService(table, PipelineConfig(**SMALL_SCREEN)) as service:
+        async with FeedbackService(table, config) as service:
             server = await serve(service)
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
             refused = await _request(reader, writer, {
                 "op": "open", "query": "a between 20 and 70",
-                "config": {"target_max": target_max},
+                "config": overrides,
             })
             assert refused["ok"] is False and refused["code"] == "bad-request", refused
             assert len(service.registry) == 0
@@ -730,6 +728,23 @@ def test_protocol_open_refuses_a_bad_target_max(target_max):
             await server.aclose()
 
     run(main())
+
+
+@pytest.mark.parametrize("target_max", [float("nan"), 0, -1])
+def test_protocol_open_refuses_a_bad_target_max(target_max):
+    """``json.loads`` accepts ``NaN``; a target range that is not finite
+    and positive is a ``bad-request`` and opens no session."""
+    _assert_open_refused(PipelineConfig(**SMALL_SCREEN),
+                         {"target_max": target_max})
+
+
+@pytest.mark.parametrize("z", [2.5, True, float("nan")])
+def test_protocol_open_refuses_a_bad_multipeak_z(z):
+    """``multipeak_z`` is admitted by ``open``; a value the multi-peak cut
+    cannot take is refused there, not answered ``internal`` by the first
+    execute (or, for ``true``, run as z = 1)."""
+    _assert_open_refused(PipelineConfig(reduction=ReductionMethod.MULTIPEAK,
+                                        **SMALL_SCREEN), {"multipeak_z": z})
 
 
 def test_protocol_roundtrip_and_errors():
