@@ -63,8 +63,10 @@ from repro.core.shard import (
     NodeDelta,
     ShardedPlanEvaluator,
     ShardedTable,
+    ShardStatistic,
     _map_blocks,
     pool_user,
+    refresh_statistic,
     resolve_worker_count,
     shared_executor,
     shutdown_executors,
@@ -265,47 +267,26 @@ def _plan_shape(plan) -> tuple:
     return (type(plan).__name__,)
 
 
-@dataclass(frozen=True)
-class _RootStatistic:
-    """One statistic of the root column, kept per shard so events patch it.
-
-    ``counts`` holds each shard's counting row and the order statistics
-    the rows certify (:class:`~repro.core.reduction.ShardCounts`),
-    ``pieces`` what the statistic keeps of each shard (ascending global row
-    indices), ``threshold`` the value those were cut at and ``value`` the
-    statistic assembled from them.  ``column_key`` names the root column
-    it was built from, ``source`` is that column object (the same object
-    is its own certificate) and ``params`` the parameters it was built
-    under; :meth:`PreparedQuery._refresh` relates all three to the event
-    at hand.
-    """
-
-    params: tuple
-    counts: ShardCounts
-    pieces: tuple
-    threshold: float
-    value: object = None
-    column_key: str = ""
-    source: object = None
-
-
 @dataclass
 class _RootState:
     """Everything one prepared query derived from its previous executions.
 
     ``sites`` holds the evaluator's per-node entries (the columns each plan
-    node last produced or was served, which the next event patches);
-    ``displayed`` (percentage or quantile path) and ``result_count`` are
-    the per-root statistics.  The fingerprints name the *computation*, not
-    the table it ran over, so the holder is replaced wholesale -- one
-    assignment forgets it all -- whenever the evaluation table or the plan
-    shape changes, and it goes with the query: a dropped query pins no
-    column the node LRU evicted.
+    node last produced or was served, with each node's normalization
+    bounds as a :class:`~repro.core.shard.ShardStatistic`, which the next
+    event patches); ``displayed`` (percentage or quantile path) and
+    ``result_count`` are the two statistics of the root column, kept the
+    same way and refreshed by the same step
+    (:func:`~repro.core.shard.refresh_statistic`).  The fingerprints name
+    the *computation*, not the table it ran over, so the holder is
+    replaced wholesale -- one assignment forgets it all -- whenever the
+    evaluation table or the plan shape changes, and it goes with the
+    query: a dropped query pins no column the node LRU evicted.
     """
 
     sites: dict[NodePath, ShardSliceEntry] = field(default_factory=dict)
-    displayed: _RootStatistic | None = None
-    result_count: _RootStatistic | None = None
+    displayed: ShardStatistic | None = None
+    result_count: ShardStatistic | None = None
 
 
 def coerce_query(source: Database | Table, query: QuerySource) -> Query:
@@ -872,57 +853,6 @@ class PreparedQuery:
     # ------------------------------------------------------------------ #
     # Per-root statistics: reuse, patch the dirty shards, or rebuild
     # ------------------------------------------------------------------ #
-    def _refresh(self, slot: str, params: tuple, root: NodeDelta, source,
-                 shard, assemble, rebuild):
-        """Reuse, patch or rebuild the per-root statistic held in ``slot``.
-
-        The one step every per-root statistic takes.  It first asks in
-        which shards ``root``'s column differs from the one the state was
-        built from: none (the same column, or the same ``source`` object)
-        serves the cached value; a list of dirty shards is patched --
-        ``shard(state, i)`` recounts shard ``i`` against the state's pivots
-        and threshold, returning its counting row and piece, the summed
-        rows certify the patch (:class:`~repro.core.reduction.ShardCounts`)
-        and ``assemble(state)`` builds the value from the pieces; anything
-        else calls ``rebuild()`` for fresh ``(counts, pieces, threshold)``.
-        A rebuild says why on the active span in ``state_declined``:
-        ``no-state`` (first execution, or after a table swap or reshape),
-        ``params-changed`` (built for another reduction, target or display
-        fraction), ``no-relation`` (the evaluator proved no dirty-shard
-        relation between the two columns) or ``certificate-failed`` (the
-        patch was refuted).  Returns ``(value, served)``, ``served`` False
-        when the statistic was rebuilt.
-        """
-        state = getattr(self._root, slot)
-        dirty = declined = None
-        if state is None:
-            declined = "no-state"
-        elif state.params != params:
-            declined = "params-changed"
-        elif state.source is source:
-            dirty = ()
-        else:
-            dirty = root.dirty_since(state.column_key)
-            declined = "no-relation" if dirty is None else None
-        if dirty:
-            fresh = [shard(state, i) for i in dirty]
-            counts = state.counts.patched(dirty, [row for row, _ in fresh])
-            if counts is None:
-                declined, dirty = "certificate-failed", None
-            else:
-                pieces = list(state.pieces)
-                for i, (_, piece) in zip(dirty, fresh):
-                    pieces[i] = piece
-                state = replace(state, counts=counts, pieces=tuple(pieces))
-                state = replace(state, value=assemble(state))
-        if dirty is None:
-            obs.annotate(state_declined=declined)
-            state = _RootStatistic(params, *rebuild())
-            state = replace(state, value=assemble(state))
-        setattr(self._root, slot,
-                replace(state, column_key=root.value_key, source=source))
-        return state.value, dirty is not None
-
     def _percentage_displayed(self, distances, sharded: ShardedTable,
                               root: NodeDelta, target: int,
                               ) -> tuple[np.ndarray, bool]:
@@ -962,42 +892,41 @@ class PreparedQuery:
             at_most = len(below) + np.count_nonzero(part == threshold)
             return (len(part), len(below), at_most), (below, ties)
 
-        def assemble(state) -> np.ndarray:
+        def assemble(counts: ShardCounts, pieces: tuple) -> np.ndarray:
             # Per-shard lists are ascending and shard ranges are ordered, so
             # their concatenation is the global ascending index order.  Only
             # the first `need` ties (in global row order) are displayed; a
             # shard's list holds at least min(need, its ties) of them.
-            need = target - int(state.counts.rows[:, 1].sum())
-            pieces = [below for below, _ in state.pieces if len(below)]
-            for _, ties in state.pieces:
+            need = target - int(counts.rows[:, 1].sum())
+            kept = [below for below, _ in pieces if len(below)]
+            for _, ties in pieces:
                 if need <= 0:
                     break
-                pieces.append(ties[:need])
-                need -= len(pieces[-1])
-            displayed = np.sort(np.concatenate(pieces))
+                kept.append(ties[:need])
+                need -= len(kept[-1])
+            displayed = np.sort(np.concatenate(kept))
             displayed.flags.writeable = False
             return displayed
 
         def rebuild():
             # A chunked root is materialized once for the whole-column pass.
             column = masked(as_array(distances))
-            rank = min(target, len(column))
-            threshold = float(kth_smallest(column, rank))
+            threshold = float(kth_smallest(column, min(target, len(column))))
             fresh = [cut(column[start:stop], i, threshold)
                      for i, (start, stop) in enumerate(bounds)]
             rows = np.asarray([row for row, _ in fresh], dtype=float)
-            counts = ShardCounts((threshold,), (rank - 1,), len(column), rows)
+            counts = ShardCounts((threshold,), len(column), rows)
             return counts, tuple(piece for _, piece in fresh), threshold
 
-        displayed, served = self._refresh(
-            "displayed", ("percentage", target), root, distances,
-            lambda state, i: cut(
+        self._root.displayed, _, declined = refresh_statistic(
+            self._root.displayed, ("percentage", target), root, distances,
+            lambda m: (min(target, m) - 1,), lambda state, i: cut(
                 masked(distances[bounds[i][0]:bounds[i][1]]), i,
                 state.threshold),
             assemble, rebuild)
-        if served:
+        if declined is None:
             self.engine.evaluation_cache(self.table).record(displayed_patches=1)
-        return displayed, served
+        return self._root.displayed.value, declined is None
 
     def _quantile_displayed(self, distances, sharded: ShardedTable,
                             root: NodeDelta, executor, p: float,
@@ -1023,7 +952,7 @@ class PreparedQuery:
             part = distances[start:stop]
             return np.nonzero(np.isfinite(part) & (part <= threshold))[0] + start
 
-        def shard(state, i: int):
+        def recount(state, i: int):
             return (rank_counts(distances[bounds[i][0]:bounds[i][1]],
                                 state.counts.pivots),
                     select(i, state.threshold))
@@ -1039,7 +968,7 @@ class PreparedQuery:
                                        range(len(bounds)))
             finite = np.concatenate(finite_parts)
             m = len(finite)
-            threshold, ranks, pivots = float("nan"), (), ()
+            threshold, pivots = float("nan"), ()
             if m:
                 threshold = float(np.quantile(finite, p))
                 ranks = quantile_rank_bounds(m, p)
@@ -1049,14 +978,16 @@ class PreparedQuery:
                               dtype=float)
             selected = _map_blocks(
                 executor, lambda i: select(i, threshold), range(len(bounds)))
-            return ShardCounts(pivots, ranks, m, rows), tuple(selected), threshold
+            return ShardCounts(pivots, m, rows), tuple(selected), threshold
 
-        displayed, certified = self._refresh(
-            "displayed", ("quantile", p), root, distances, shard,
-            lambda state: np.concatenate(state.pieces), rebuild)
+        self._root.displayed, _, declined = refresh_statistic(
+            self._root.displayed, ("quantile", p), root, distances,
+            lambda m: quantile_rank_bounds(m, p), recount,
+            lambda counts, pieces: np.concatenate(pieces), rebuild)
+        certified = declined is None
         self.engine.evaluation_cache(self.table).record(**{
             "quantile_certified" if certified else "quantile_fallbacks": 1})
-        return displayed, certified
+        return self._root.displayed.value, certified
 
     def _result_count(self, mask: np.ndarray, sharded: ShardedTable,
                       root: NodeDelta) -> int:
@@ -1070,20 +1001,21 @@ class PreparedQuery:
         """
         bounds = sharded.bounds
 
-        def shard(state, i: int):
+        def recount(state, i: int):
             return (np.count_nonzero(mask[bounds[i][0]:bounds[i][1]]),), None
 
         def rebuild():
-            rows = np.asarray([shard(None, i)[0] for i in range(len(bounds))],
+            rows = np.asarray([recount(None, i)[0] for i in range(len(bounds))],
                               dtype=float)
-            return ShardCounts((), (), None, rows), (None,) * len(bounds), 0.0
+            return (ShardCounts((), None, rows), (None,) * len(bounds),
+                    float("nan"))
 
-        count, served = self._refresh(
-            "result_count", (), root, mask, shard,
-            lambda state: int(state.counts.rows.sum()), rebuild)
-        if served:
+        self._root.result_count, _, declined = refresh_statistic(
+            self._root.result_count, (), root, mask, lambda m: (), recount,
+            lambda counts, pieces: int(counts.rows.sum()), rebuild)
+        if declined is None:
             self.engine.evaluation_cache(self.table).record(result_count_patches=1)
-        return count
+        return self._root.result_count.value
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -1151,7 +1083,7 @@ class PreparedQuery:
                 eval_span.annotate(**event_report)
             overall = node_feedback[()]
             # How this event's root column relates to the one the cached
-            # per-root state was built from (see _refresh).
+            # per-root state was built from (see refresh_statistic).
             root = evaluator.node_deltas[()]
             pixel_budget = max(1, self.config.screen.pixels // self.config.pixels_per_item)
             method = (

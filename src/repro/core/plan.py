@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import asdict, dataclass, field
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -61,6 +61,9 @@ from repro.query.expr import (
 )
 from repro.query.fingerprint import stable_fingerprint
 from repro.storage.lru import LRUStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.shard import ShardStatistic
 
 __all__ = [
     "LeafPlan",
@@ -117,29 +120,26 @@ class _LeafRaw:
 class _NodeColumns:
     """Per-node arrays for one (weights, capacity) configuration.
 
-    ``resolved`` is the column's normalization bounds ``(d_min, d_max)``
-    and ``summaries`` holds one :func:`~repro.core.reduction.rank_counts`
+    ``normalization`` is the statistic of ``raw`` the normalization read:
+    its value is the bounds ``(d_min, d_max)`` (None when nothing
+    resolved), and it holds one :func:`~repro.core.reduction.rank_counts`
     row per shard against them, ``(finite_count, count < d_min,
-    count <= d_min, count < d_max, count <= d_max)`` (just the count when
-    nothing resolved).  Both are a
-    function of the value (for one shard partitioning), so they are shared
-    under the value key with the arrays.  Summing the rows over all shards
-    re-certifies the resolved bounds in O(dirty shards + shard_count)
-    without touching clean shards: each bound is an order statistic, and
-    ``v`` is the rank-``k`` one exactly when ``count< <= k < count<=`` --
-    no merge of value multisets needed.
+    count <= d_min, count < d_max, count <= d_max)``.  It is a function of
+    the value (for one shard partitioning), so it is shared under the
+    value key with the arrays, and the next event certifies the bounds
+    from it in O(dirty shards + shard_count)
+    (:func:`~repro.core.shard.refresh_statistic`).
     """
 
     normalized: Column
     signed: Column | None
     exact_mask: Column
     raw: Column
-    resolved: tuple[float, float] | None
-    summaries: np.ndarray | None
+    normalization: ShardStatistic
 
     def __post_init__(self) -> None:
         _freeze(self.normalized, self.signed, self.exact_mask, self.raw,
-                self.summaries)
+                self.normalization.counts.rows)
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,8 @@ class ShardSliceEntry:
     weights).  The entry points at the node columns the previous execution
     produced or was served from the node cache (shared with the node LRU,
     so no extra column memory while both hold them) under their value
-    fingerprint -- which, with the columns' resolved bounds and per-shard
-    summaries, is exactly what a later execution needs to recompute only
+    fingerprint -- which, with the columns' per-shard normalization
+    statistic, is exactly what a later execution needs to recompute only
     the shards an event actually dirtied.
 
     Patch provenance is **per prepared query**: the entries live on the

@@ -426,47 +426,51 @@ def ranks_hold(totals: np.ndarray, ranks: Sequence[int]) -> bool:
 class ShardCounts:
     """Per-shard counting rows that certify order statistics of one column.
 
-    ``pivots[j]`` is the order statistic of 0-based rank ``ranks[j]``
-    among ``count`` ranked values (``count`` None: any number), and
     ``rows[i]`` is shard ``i``'s :func:`rank_counts`-shaped row against the
-    pivots.  After an event that changed the column only inside some
+    ``pivots``, and ``count`` the number of ranked values (None: any
+    number).  After an event that changed the column only inside some
     shards, recounting those shards and summing the rows proves -- or
-    refutes (:func:`ranks_hold`) -- that every pivot still holds its rank,
-    without touching a clean shard.  One certificate serves every
-    statistic the evaluator keeps per shard:
+    refutes (:func:`ranks_hold`) -- that each ``pivots[j]`` is still the
+    order statistic of 0-based rank ``ranks[j]``, without touching a clean
+    shard.  The ranks are handed to each certification, not stored: they
+    are a function of the event's own parameters, so the same rows certify
+    the bounds under a new ``keep``.  One certificate serves the four
+    statistics kept per shard, which all take one step
+    (``repro.core.shard.refresh_statistic``, the only caller of
+    :meth:`patched`):
 
     * normalization bounds: ``d_min`` at rank 0 and ``d_max`` at rank
       ``min(keep, m) - 1`` of the ``m`` finite distances;
     * the quantile reduction: the two order statistics ``np.quantile``
       interpolates between (:func:`quantile_rank_bounds`);
-    * the percentage displayed set: its threshold at rank ``target - 1``
-      of all rows (non-finite distances count as ``+inf``);
+    * the percentage displayed set: its threshold at rank
+      ``min(target, n) - 1`` of all ``n`` rows (non-finite distances count
+      as ``+inf``);
     * the result count: no pivot, the rows are per-shard popcounts.
     """
 
     pivots: tuple
-    ranks: tuple
     count: int | None
     rows: np.ndarray
 
-    def patched(self, dirty: Sequence[int],
-                fresh: Sequence[tuple]) -> "ShardCounts | None":
+    def patched(self, dirty: Sequence[int], fresh: Sequence[tuple],
+                ranks: Sequence[int]) -> "ShardCounts | None":
         """These counts with the ``dirty`` shards' rows replaced by ``fresh``.
 
         None when the summed rows refute the certificate: the ranked count
-        changed, or some pivot no longer holds its rank.
+        changed, or some pivot no longer holds its rank in ``ranks``.
         """
         rows = self.rows.copy()
         for i, row in zip(dirty, fresh):
             rows[i] = row
         totals = rows.sum(axis=0)
         if ((self.count is not None and int(totals[0]) != self.count)
-                or not ranks_hold(totals, self.ranks)):
+                or not ranks_hold(totals, ranks)):
             return None
-        return ShardCounts(self.pivots, self.ranks, self.count, rows)
+        return ShardCounts(self.pivots, self.count, rows)
 
 
-def quantile_rank_bounds(m: int, p: float) -> tuple[int, int]:
+def quantile_rank_bounds(m: int, p: float) -> tuple[int, ...]:
     """0-based ranks of the order statistics ``np.quantile`` interpolates.
 
     With the default linear interpolation the ``p``-quantile of ``m``
@@ -475,8 +479,9 @@ def quantile_rank_bounds(m: int, p: float) -> tuple[int, int]:
     ``h = p * (m - 1)`` (the same virtual index numpy computes).  Proving
     those two values unchanged therefore proves the quantile *float*
     unchanged, without ever reproducing the interpolation arithmetic.
+    No values have no order statistic: ``()``.
     """
     if m <= 0:
-        return 0, 0
+        return ()
     h = p * (m - 1)
     return int(np.floor(h)), int(np.ceil(h))

@@ -16,13 +16,15 @@ row-range shards:
 * :class:`ShardedPlanEvaluator` dispatches per-shard leaf distance
   evaluation, normalization and combination through a thread pool (NumPy
   releases the GIL on the hot kernels);
-* each node's reduced-normalization bounds ``(d_min, d_max)`` resolve
-  once over the whole column
-  (:func:`~repro.core.normalization.reduced_bounds`), and per-shard
-  counting rows (:func:`~repro.core.reduction.rank_counts`) certify them
-  on later events without touching clean shards; the engine's
-  displayed-set selection keeps bounded per-shard below/tie lists
-  certified the same way.
+* four statistics are kept per shard (:class:`ShardStatistic`) and take
+  one step, :func:`refresh_statistic`: reuse, recount only the dirty
+  shards and patch when the summed counting rows
+  (:func:`~repro.core.reduction.rank_counts`) certify, or rebuild.  They
+  are each node's reduced-normalization bounds ``(d_min, d_max)`` (a
+  rebuild resolves them once over the whole column,
+  :func:`~repro.core.normalization.reduced_bounds`) and, above the root,
+  the engine's displayed set (bounded per-shard below/tie lists, or the
+  quantile's selection) and its result count.
 
 The binding contract -- enforced by ``tests/test_differential.py`` -- is
 that sharded execution is **bit-identical** to the naive whole-table
@@ -83,6 +85,8 @@ __all__ = [
     "shutdown_executors",
     "pool_user",
     "NodeDelta",
+    "ShardStatistic",
+    "refresh_statistic",
     "ShardedTable",
     "ShardedPlanEvaluator",
 ]
@@ -346,6 +350,98 @@ class NodeDelta:
         return tuple(sorted(self.dirty))
 
 
+@dataclass(frozen=True)
+class ShardStatistic:
+    """One statistic of a column, kept per shard so events patch it.
+
+    ``counts`` holds each shard's counting row and the order statistics
+    the rows certify (:class:`~repro.core.reduction.ShardCounts`),
+    ``pieces`` what the statistic keeps of each shard (for the displayed
+    sets, ascending global row indices; None where it keeps nothing),
+    ``threshold`` the value those were cut at (NaN where nothing is cut)
+    and ``value`` the statistic assembled from them.  ``column_key`` names the column it was built
+    from, ``source`` is that column object (the same object is its own
+    certificate) and ``params`` the parameters it was built under;
+    :func:`refresh_statistic` relates all three to the event at hand.
+    """
+
+    params: tuple
+    counts: ShardCounts
+    pieces: tuple
+    threshold: float
+    value: object
+    column_key: str
+    source: object
+
+
+def refresh_statistic(state: ShardStatistic | None, params: tuple,
+                      column: NodeDelta, source, ranks: Callable,
+                      recount: Callable, assemble: Callable,
+                      rebuild: Callable, executor: ShardPool | None = None,
+                      ) -> tuple:
+    """Reuse, patch or rebuild one per-shard statistic of a column.
+
+    The one step all four statistics take: each node's normalization
+    bounds, and above the root the displayed set and the result count.  It
+    first asks in which shards ``column`` differs from the one ``state``
+    was built from: none (the same column, or the same ``source`` object)
+    keeps the pieces; a list of dirty shards is patched --
+    ``recount(state, i)`` recounts shard ``i`` against the state's pivots
+    and threshold, returning its counting row and piece, and
+    ``assemble(counts, pieces)`` builds the value.  Either way the
+    summed rows must certify the pivots at ``ranks(count)``, ranks taken
+    from the parameters of this call (a node's ``keep`` moves with its
+    weight); anything else calls ``rebuild()`` for fresh ``(counts,
+    pieces, threshold)``.  Recounts run on ``executor`` (inline when
+    None).
+
+    A rebuild says why on the active span in ``state_declined``:
+    ``no-state`` (nothing built yet), ``params-changed`` (built under
+    other parameters), ``no-relation`` (no dirty-shard relation between
+    the two columns is known) or ``certificate-failed`` (the summed rows
+    refuted the pivots).  Returns ``(state, dirty, declined)``: the state
+    for the next event, the shards ``column`` may differ in from the old
+    state's (None when unknown, whatever the certificate said) and the
+    decline reason (None when the statistic was served).
+    """
+    dirty = declined = None
+    if state is None:
+        declined = "no-state"
+    elif state.params != params:
+        declined = "params-changed"
+    elif state.source is source:
+        dirty = ()
+    else:
+        dirty = column.dirty_since(state.column_key)
+        declined = "no-relation" if dirty is None else None
+    if dirty is not None:
+        fresh = _map_blocks(executor, lambda i: recount(state, i), dirty)
+        counts = state.counts.patched(dirty, [row for row, _ in fresh],
+                                      ranks(state.counts.count))
+        if counts is None:
+            declined = "certificate-failed"
+        else:
+            pieces = list(state.pieces)
+            for i, (_, piece) in zip(dirty, fresh):
+                pieces[i] = piece
+            pieces, threshold = tuple(pieces), state.threshold
+            value = assemble(counts, pieces) if dirty else state.value
+    if declined is not None:
+        obs.annotate(state_declined=declined)
+        counts, pieces, threshold = rebuild()
+        value = assemble(counts, pieces)
+    return (ShardStatistic(params, counts, pieces, threshold, value,
+                           column.value_key, source), dirty, declined)
+
+
+def _bounds_counts(resolved: tuple[float, float] | None,
+                   rows: np.ndarray) -> tuple[ShardCounts, tuple, float]:
+    """The bounds statistic's certificate, (empty) per-shard pieces and
+    (no) threshold, from each shard's counting row against ``resolved``."""
+    return (ShardCounts(resolved or (), int(rows[:, 0].sum()), rows),
+            (None,) * len(rows), float("nan"))
+
+
 def _range_bounds(predicate) -> tuple[str, float, float] | None:
     """``(attribute, low, high)`` of a range predicate (None for any other)."""
     if isinstance(predicate, RangePredicate):
@@ -387,8 +483,10 @@ class ShardedPlanEvaluator:
     * a range-slider move marks as dirty exactly the shards whose rows the
       band between the site entry's bounds and the new ones intersects
       (found through the per-shard sorted indexes);
-    * per-node, only dirty shards' counting rows are recounted against the
-      previous ``(d_min, d_max)``; when they certify it, or a resolve comes
+    * per node, the bounds take the one statistic step
+      (:func:`refresh_statistic`): only dirty shards' counting rows are
+      recounted against the previous ``(d_min, d_max)``; when they certify
+      it, or a resolve comes
       out bit-identical to it (the common case for interior slider moves),
       clean shards' normalized slices are reused verbatim instead of being
       renormalized;
@@ -707,7 +805,11 @@ class ShardedPlanEvaluator:
             self._publish(pnode, path, value_key, _NodeColumns(
                 normalized=data["normalized"], signed=signed,
                 exact_mask=data["mask"], raw=data["raw"],
-                resolved=data["resolved"], summaries=data["summaries"]))
+                normalization=ShardStatistic(
+                    (shard_count,),
+                    *_bounds_counts(data["resolved"], data["summaries"]),
+                    value=data["resolved"], column_key=value_key,
+                    source=data["raw"])))
             self.cache.record(slice_misses=1, shards_recomputed=shard_count)
         return True
 
@@ -803,19 +905,17 @@ class ShardedPlanEvaluator:
         raw, dirty, declined = self._leaf_raw(plan, entry)
         if declined is not None:
             obs.annotate(patch_declined=declined)
-        normalized, resolved, summaries, out_dirty = \
-            self._normalize_incremental(raw.raw, plan.node.weight, entry, dirty)
+        delta = NodeDelta(value_key, entry and entry.value_key, dirty)
+        normalized, normalization, self.node_deltas[path] = \
+            self._normalize_incremental(raw.raw, plan.node.weight, entry, delta)
         columns = _NodeColumns(
             normalized=normalized,
             signed=raw.signed if raw.supports_direction else None,
             exact_mask=raw.exact_mask,
             raw=raw.raw,
-            resolved=resolved,
-            summaries=summaries,
+            normalization=normalization,
         )
         self._publish(plan, path, value_key, columns)
-        base = entry.value_key if (entry is not None and dirty is not None) else None
-        self.node_deltas[path] = NodeDelta(value_key, base, out_dirty)
         self._annotate_chunks(marks)
         return columns
 
@@ -900,15 +1000,14 @@ class ShardedPlanEvaluator:
             plan.rule,
             [c.exact_mask[bounds[i][0]:bounds[i][1]] for c in child_columns],
         ), old and old.exact_mask, dirty, bool)
-        normalized, resolved, summaries, out_dirty = \
-            self._normalize_incremental(combined, plan.node.weight, entry, dirty)
+        delta = NodeDelta(value_key, entry and entry.value_key, dirty)
+        normalized, normalization, self.node_deltas[path] = \
+            self._normalize_incremental(combined, plan.node.weight, entry, delta)
         columns = _NodeColumns(
             normalized=normalized, signed=None, exact_mask=exact, raw=combined,
-            resolved=resolved, summaries=summaries,
+            normalization=normalization,
         )
         self._publish(plan, path, value_key, columns)
-        base = entry.value_key if (entry is not None and dirty is not None) else None
-        self.node_deltas[path] = NodeDelta(value_key, base, out_dirty)
         self._annotate_chunks(marks)
         return columns
 
@@ -1082,109 +1181,83 @@ class ShardedPlanEvaluator:
     # Normalization / combination
     # ------------------------------------------------------------------ #
     def _normalize_incremental(
-        self, values: np.ndarray, weight: float,
-        entry: ShardSliceEntry | None, dirty: frozenset | None,
-    ) -> tuple[np.ndarray, tuple[float, float] | None, np.ndarray | None,
-               frozenset | None]:
+        self, values, weight: float, entry: ShardSliceEntry | None,
+        delta: NodeDelta,
+    ) -> tuple[np.ndarray, ShardStatistic, NodeDelta]:
         """Normalize one node column, recomputing only dirty shards' state.
 
-        Returns ``(normalized, resolved, summaries, out_dirty)``.  ``dirty``
-        is the set of shards within which ``values`` may differ from
-        ``entry.columns.raw`` (None = unknown).  Every path is bit-identical
-        to the whole-column
+        Returns ``(normalized, statistic, delta)``.  The incoming ``delta``
+        relates ``values`` to ``entry.columns.raw`` under the node's keys
+        (its value key names this event's node, its base key the entry's);
+        the returned one relates the normalized column the same way.
+        Every path is bit-identical to the whole-column
         :func:`~repro.core.normalization.reduced_normalization`:
 
-        * ``d_min`` is the rank-0 and ``d_max`` the rank-``keep - 1``
-          order statistic of the finite values (the largest when ``keep``
-          covers them all), so recounting only the dirty shards against the
-          entry's bounds and summing the per-shard counting rows
-          (``summaries``) certifies both unchanged in O(dirty rows +
-          shard_count) -- :class:`~repro.core.reduction.ShardCounts`, the
-          certificate the engine's per-root statistics use too;
-        * when the resolved bounds are bit-identical to the entry's, the
-          elementwise transform of every clean shard is bit-identical too,
-          so those slices are reused verbatim (``out_dirty = dirty``);
-        * when the certificate fails the column resolves as a cold run
-          does, with one :func:`~repro.core.normalization.reduced_bounds`
-          over the whole column, and every shard is recounted against the
-          new bounds; if they moved, all shards renormalize
-          (``out_dirty = None``: ancestors treat the column as changed
-          everywhere).
+        * the bounds are the node's statistic and take the one step
+          (:func:`refresh_statistic`): ``d_min`` is the rank-0 and
+          ``d_max`` the rank-``keep - 1`` order statistic of the finite
+          values (the largest when ``keep`` covers them all), so
+          recounting only the dirty shards against the entry's bounds and
+          summing the per-shard counting rows certifies both unchanged in
+          O(dirty rows + shard_count); a rebuild resolves them as a cold
+          run does, with one :func:`~repro.core.normalization.reduced_bounds`
+          over the whole column, and recounts every shard;
+        * when the bounds come out bit-identical to the entry's (certified,
+          or re-resolved to the same bits), the elementwise transform of
+          every clean shard is bit-identical too, so those slices are
+          reused verbatim and only the dirty shards renormalize (the
+          short-circuit); otherwise every shard renormalizes and the
+          returned delta knows no dirty set (ancestors treat the column as
+          changed everywhere).
         """
-        n = len(values)
         bounds = self.sharded.bounds
         shard_count = self.sharded.shard_count
-        keep = normalization_keep_count(weight, self.display_capacity, max(n, 1))
-        if n == 0:
-            return np.asarray(values, dtype=float).copy(), None, None, frozenset()
-        base = entry.columns if entry is not None else None
-        patched = (base is not None and dirty is not None
-                   and base.summaries is not None)
-        if patched and len(base.summaries) != shard_count:
-            # Counting rows are per shard: columns served from the node
-            # cache may have been built by a query partitioning the table
-            # differently.
-            obs.annotate(state_declined="params-changed")
-            patched = False
-        counts = None
-        if patched:
-            dirty_sorted = sorted(dirty)
-            pivots = base.resolved or ()
-            m = int(base.summaries[:, 0].sum())
-            counts = ShardCounts(
-                pivots, (0, min(keep, m) - 1) if pivots else (), m,
-                base.summaries,
-            ).patched(dirty_sorted, self._map_over(
-                dirty_sorted,
-                lambda i: rank_counts(values[bounds[i][0]:bounds[i][1]], pivots)))
-        if counts is not None:
-            resolved = base.resolved
-        else:
+        keep = normalization_keep_count(
+            weight, self.display_capacity, max(len(values), 1))
+
+        def recount(state: ShardStatistic, i: int) -> tuple:
+            return (rank_counts(values[bounds[i][0]:bounds[i][1]],
+                                state.counts.pivots), None)
+
+        def rebuild() -> tuple:
             # The resolve makes a full pass over the column: a chunked
             # column is materialized once here (cached on the instance) so
             # the per-shard slices below are cheap contiguous views.
+            nonlocal values
             values = as_array(values)
             resolved = reduced_bounds(values, keep)
-        d_min, d_max = resolved if resolved is not None else (None, None)
+            rows = np.asarray(self._map_shards(lambda i: rank_counts(
+                values[bounds[i][0]:bounds[i][1]], resolved or ())),
+                dtype=float)
+            return _bounds_counts(resolved, rows)
+
+        base = entry.columns if entry is not None else None
+        old = base and base.normalization
+        state, dirty, declined = refresh_statistic(
+            old, (shard_count,), delta, values,
+            lambda m: (0, min(keep, m) - 1) if m else (), recount,
+            lambda counts, pieces: counts.pivots or None, rebuild,
+            self.executor)
+        d_min, d_max = state.value or (None, None)
         # Short-circuit: bounds unchanged, so clean shards' normalized
         # slices are bit-identical -- renormalize the dirty ones only.
-        shortcircuit = patched and bounds_identical(resolved, base.resolved)
-        out_dirty = dirty if shortcircuit else None
+        patched = declined in (None, "certificate-failed")
+        shortcircuit = patched and bool(
+            bounds_identical(state.value, old.value))
+        out_dirty = frozenset(dirty) if shortcircuit else None
         normalized = self._column(lambda i: apply_normalization(
             values[bounds[i][0]:bounds[i][1]], d_min, d_max,
             target_max=self.target_max), base and base.normalized, out_dirty)
-        if shortcircuit:
-            # A failed certificate whose resolve still came out identical
-            # recounts against the same bounds, so the next event certifies.
-            summaries = (counts.rows if counts is not None
-                         else self._build_summaries(values, resolved))
-            self.cache.record(
-                slice_hits=1, bounds_shortcircuits=1,
-                shards_recomputed=len(dirty),
-                shards_reused=shard_count - len(dirty))
-            obs.annotate(certificate="bounds", certified=counts is not None,
-                         shortcircuit=True, shards_recomputed=len(dirty),
-                         shards_reused=shard_count - len(dirty))
-        else:
-            summaries = self._build_summaries(values, resolved)
-            self.cache.record(**{"slice_hits" if patched else "slice_misses": 1},
-                              shards_recomputed=shard_count)
-            if patched:
-                # A patch was attempted and every shard renormalized: the
-                # counting certificate failed and the bounds moved.
-                obs.annotate(certificate="bounds", certified=False,
-                             shortcircuit=False,
-                             shards_recomputed=shard_count, shards_reused=0)
-        return normalized, resolved, summaries, out_dirty
-
-    def _build_summaries(self, values: np.ndarray,
-                         resolved: tuple[float, float] | None) -> np.ndarray:
-        """Per-shard counting rows against the resolved bounds.
-
-        One :func:`~repro.core.reduction.rank_counts` pass per shard.
-        """
-        bounds = self.sharded.bounds
-        pivots = resolved or ()
-        return np.asarray(self._map_shards(
-            lambda i: rank_counts(values[bounds[i][0]:bounds[i][1]], pivots)),
-            dtype=float)
+        recomputed = len(dirty) if shortcircuit else shard_count
+        self.cache.record(
+            **{"slice_hits" if patched else "slice_misses": 1},
+            bounds_shortcircuits=int(shortcircuit),
+            shards_recomputed=recomputed,
+            shards_reused=shard_count - recomputed)
+        if patched:
+            obs.annotate(certificate="bounds", certified=declined is None,
+                         shortcircuit=shortcircuit,
+                         shards_recomputed=recomputed,
+                         shards_reused=shard_count - recomputed)
+        return normalized, state, NodeDelta(
+            delta.value_key, delta.base_key, out_dirty)

@@ -361,10 +361,14 @@ def test_worker_counting_rows_are_exact_under_heavy_ties(monkeypatch):
             rank_counts(data["raw"][a:b], resolved or ()) for a, b in bounds])
     assert sites["process"].keys() == sites["threads"].keys()
     for path, entry in sites["process"].items():
-        local = sites["threads"][path].columns
-        assert entry.columns.resolved == local.resolved, path
-        np.testing.assert_array_equal(entry.columns.summaries,
-                                      local.summaries, err_msg=str(path))
+        local = sites["threads"][path].columns.normalization
+        offloaded = entry.columns.normalization
+        assert (offloaded.params, offloaded.column_key, offloaded.value,
+                offloaded.counts.pivots, offloaded.counts.count) == (
+            local.params, local.column_key, local.value, local.counts.pivots,
+            local.counts.count), path
+        np.testing.assert_array_equal(offloaded.counts.rows, local.counts.rows,
+                                      err_msg=str(path))
 
 
 def test_range_leaves_offload_cold_then_decline_warm():

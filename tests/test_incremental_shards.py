@@ -23,6 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.core.shard as shard_module
 from repro import PipelineConfig, QueryEngine, ScreenSpec
 from repro.core.normalization import bounds_identical, reduced_bounds
 from repro.core.plan import CacheStats
@@ -221,36 +222,55 @@ def test_two_dirty_shard_move_copies_chunks_independent_of_table_size(
     assert large == [(2, 2, 14, 7 * 62, 0)] * 3
 
 
-def certified_event_work(monkeypatch, n: int, percentage) -> list[tuple]:
-    """Work per certified micro-move on an ``n``-row table, 1000 rows a shard.
+def patch_bindings(monkeypatch, name: str, replacement) -> None:
+    """Replace ``name`` in every ``repro`` module that bound it by import."""
+    original = getattr(shard_module, name)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, replacement)
 
-    Counted at ``rank_counts`` (rows handed to it, wherever a ``repro``
-    module bound it) and at the shard callback of
-    ``PreparedQuery._refresh``, the one reuse/patch/rebuild step (shards it
-    recounted).  Every move stays inside the last shard at both sizes the
-    caller compares, so the dirty set is one shard at either size.
-    """
-    from repro.core.engine import PreparedQuery
 
-    rows, recounted = [], []
+def counting_rank_counts(monkeypatch) -> list[int]:
+    """Rows handed to ``rank_counts`` from here on, one entry per call."""
+    rows: list[int] = []
 
     def counted(values, pivots):
         rows.append(len(values))
         return rank_counts(values, pivots)
 
-    for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("repro")
-                and getattr(module, "rank_counts", None) is rank_counts):
-            monkeypatch.setattr(module, "rank_counts", counted)
-    refresh = PreparedQuery._refresh
+    patch_bindings(monkeypatch, "rank_counts", counted)
+    return rows
 
-    def counted_refresh(self, slot, params, root, source, shard, *rest):
-        def counted_shard(state, i):
-            recounted.append(i)
-            return shard(state, i)
-        return refresh(self, slot, params, root, source, counted_shard, *rest)
 
-    monkeypatch.setattr(PreparedQuery, "_refresh", counted_refresh)
+def count_recounts(monkeypatch, seen) -> None:
+    """Call ``seen(params, i)`` for every shard ``i`` that
+    ``refresh_statistic`` recounts, ``params`` being the statistic's."""
+    refresh = shard_module.refresh_statistic
+
+    def counted_refresh(state, params, column, source, ranks, recount, *rest,
+                        **kwargs):
+        def counted_recount(state, i):
+            seen(params, i)
+            return recount(state, i)
+        return refresh(state, params, column, source, ranks, counted_recount,
+                       *rest, **kwargs)
+
+    patch_bindings(monkeypatch, "refresh_statistic", counted_refresh)
+
+
+def certified_event_work(monkeypatch, n: int, percentage) -> list[tuple]:
+    """Work per certified micro-move on an ``n``-row table, 1000 rows a shard.
+
+    Counted at ``rank_counts`` (rows handed to it, wherever a ``repro``
+    module bound it) and at the recount callback of
+    ``refresh_statistic``, the one reuse/patch/rebuild step of all four
+    statistics (shards it recounted, node bounds included).  Every move
+    stays inside the last shard at both sizes the caller compares, so the
+    dirty set is one shard at either size.
+    """
+    rows, recounted = counting_rank_counts(monkeypatch), []
+    count_recounts(monkeypatch, lambda params, i: recounted.append(i))
     table = locality_table(n=n)
     engine, prepared = prepared_query(table, shards=n // 1000,
                                       percentage=percentage)
@@ -294,6 +314,50 @@ def test_certified_events_recount_rows_independent_of_table_size(
     assert small == large
     assert all(dirty == 1 and patched == 2 and rows > 0
                for dirty, patched, rows, _ in small)
+
+
+def root_weight_move_work(monkeypatch, n: int) -> tuple:
+    """One root weight move on an ``n``-row table, 1000 rows a shard.
+
+    About 30 % of rows are exact answers and the display is 1 %, so the
+    root's ``d_max`` lies in the tie block at 0 before and after the move
+    doubles ``keep``.  Counted: rows handed to ``rank_counts``, shards
+    ``refresh_statistic`` recounted, and the bounds short-circuits.
+    """
+    rows, recounted = counting_rank_counts(monkeypatch), []
+    count_recounts(monkeypatch, lambda params, i: recounted.append(i))
+    table = locality_table(n=n)
+    config = PipelineConfig(screen=ScreenSpec(width=256, height=256),
+                            percentage=0.01, shard_count=n // 1000,
+                            max_workers=2)
+    engine = QueryEngine(table, config)
+    prepared = engine.prepare(Query(
+        name="ties", tables=[table.name], condition=AndNode([
+            between("a", 20.0, 70.0), condition("b", "<", 60.0)])))
+    prepared.execute()
+    before = stats_of(engine, prepared)["bounds_shortcircuits"]
+    rows.clear()
+    recounted.clear()
+    frame = prepared.execute(changes=[SetWeight((), 0.5)])
+    work = (sum(rows), len(recounted),
+            stats_of(engine, prepared)["bounds_shortcircuits"] - before)
+    monkeypatch.undo()
+    assert prepared._root.sites[()].columns.normalization.value == (0.0, 0.0)
+    np.testing.assert_array_equal(frame.display_order,
+                                  reference_frame(table, prepared).display_order)
+    return work
+
+
+def test_root_weight_move_under_unchanged_bounds_recounts_nothing(
+        monkeypatch):
+    """A weight move whose bounds stay in the tie block certifies them with
+    no counting row, at n and at 16n rows: ``keep`` enters the
+    certificate's ranks, which the cached rows still prove.
+
+    Treating the new ``keep`` as new parameters would recount all n rows.
+    """
+    assert root_weight_move_work(monkeypatch, 4_000) == (0, 0, 1)
+    assert root_weight_move_work(monkeypatch, 64_000) == (0, 0, 1)
 
 
 def counting_selection_kernels(monkeypatch) -> list[int]:
@@ -396,19 +460,9 @@ def broad_display_work(monkeypatch, n: int) -> tuple:
     Counted: the shards the displayed-set refresh cuts again (each one
     shard's rows) and the rows handed to a selection kernel.
     """
-    from repro.core.engine import PreparedQuery
-
     recut: list[int] = []
-    refresh = PreparedQuery._refresh
-
-    def counted_refresh(self, slot, params, root, source, shard, *rest):
-        def counted_shard(state, i):
-            if slot == "displayed":
-                recut.append(i)
-            return shard(state, i)
-        return refresh(self, slot, params, root, source, counted_shard, *rest)
-
-    monkeypatch.setattr(PreparedQuery, "_refresh", counted_refresh)
+    count_recounts(monkeypatch, lambda params, i: (
+        recut.append(i) if params[:1] == ("percentage",) else None))
     table = tie_table(n)
     config = PipelineConfig(screen=ScreenSpec(width=256, height=256),
                             percentage=0.4, shard_count=n // 1000,
@@ -452,8 +506,6 @@ def bounds_selection_work(monkeypatch, n: int) -> list[list[tuple]]:
     value lies in the tie block at the minimum, and the rows handed to a
     selection kernel on the resolving thread.
     """
-    import repro.core.shard as shard_module
-
     local = threading.local()
     resolves: list[tuple] = []
 
@@ -841,30 +893,34 @@ def test_ranks_hold_matches_sorted_ranks(shards, data):
 
 def test_shard_counts_certify_each_rank_and_the_count():
     """``v`` holds rank ``k`` iff ``count(< v) <= k < count(<= v)``, summed
-    over the shards; a changed ranked count refutes the certificate too."""
+    over the shards; a changed ranked count refutes the certificate too.
+    The ranks are the caller's: the same rows certify other ranks."""
     shards = [np.array([5.0, 1.0, 9.0]), np.array([3.0, 3.0, np.nan]),
               np.array([7.0, 2.0])]
     column = np.concatenate(shards)
     finite = np.sort(column[np.isfinite(column)])          # 1 2 3 3 5 7 9
     pivots, ranks = (finite[2], finite[5]), (2, 5)
-    counts = ShardCounts(pivots, ranks, len(finite), np.asarray(
+    counts = ShardCounts(pivots, len(finite), np.asarray(
         [rank_counts(s, pivots) for s in shards], dtype=float))
     # Nothing recounted: the rows certify themselves; rank 3 also holds 3.
-    assert counts.patched([], []) is not None
-    assert ShardCounts(pivots, (3, 5), 7, counts.rows).patched([], []) is not None
-    assert ShardCounts(pivots, (4, 5), 7, counts.rows).patched([], []) is None
+    assert counts.patched([], [], ranks) is not None
+    assert counts.patched([], [], (3, 5)) is not None
+    assert counts.patched([], [], (4, 5)) is None
     # A dirty shard whose change keeps both ranks in place certifies ...
-    kept = counts.patched([0], [rank_counts(np.array([7.0, 1.0, 9.0]), pivots)])
+    kept = counts.patched(
+        [0], [rank_counts(np.array([7.0, 1.0, 9.0]), pivots)], ranks)
     assert kept is not None and kept.rows[0].tolist() == [3.0, 1.0, 1.0, 1.0, 2.0]
     assert counts.rows[0].tolist() == [3.0, 1.0, 1.0, 2.0, 2.0]  # untouched
     # ... one that moves a pivot's rank, or the ranked count, does not.
-    assert counts.patched([0], [rank_counts(np.array([0.0, 0.5, 9.0]), pivots)]) is None
+    assert counts.patched(
+        [0], [rank_counts(np.array([0.0, 0.5, 9.0]), pivots)], ranks) is None
     # (A new finite value above both pivots keeps their ranks, but the
     # ranks were derived from the old count.)
-    assert counts.patched([1], [rank_counts(np.array([3.0, 3.0, 99.0]), pivots)]) is None
+    assert counts.patched(
+        [1], [rank_counts(np.array([3.0, 3.0, 99.0]), pivots)], ranks) is None
     # No pivot and no count: the rows are plain per-shard sums.
-    popcounts = ShardCounts((), (), None, np.array([[2.0], [0.0]]))
-    assert popcounts.patched([1], [(5.0,)]).rows.sum() == 7.0
+    popcounts = ShardCounts((), None, np.array([[2.0], [0.0]]))
+    assert popcounts.patched([1], [(5.0,)], ()).rows.sum() == 7.0
 
 
 def test_cache_stats_dict_has_incremental_counters():

@@ -261,7 +261,7 @@ def test_per_root_statistics_say_why_they_rebuilt():
         with use_trace(trace):
             prepared.execute(changes=list(changes))
         return {s.name: s.attrs["state_declined"] for s in trace.spans
-                if "state_declined" in (s.attrs or {})}
+                if s.name in everything and "state_declined" in (s.attrs or {})}
 
     everything = {"displayed.select", "result_count"}
     assert declined() == dict.fromkeys(everything, "no-state")
@@ -276,6 +276,44 @@ def test_per_root_statistics_say_why_they_rebuilt():
     # result count needs none: the fulfilment mask is the same object.)
     assert declined(SetWeight((), 0.25)) == {
         "displayed.select": "no-relation"}
+
+
+def test_node_bounds_say_why_they_rebuilt():
+    """``state_declined`` on ``node.evaluate`` when a node's normalization
+    bounds rebuild instead of patching.
+
+    ``t`` steps by 10 over [0, 990]; the range [400, 600] holds 21 exact
+    answers, so at weight 1 (``keep`` 50, the display target) ``d_max`` is
+    a positive distance of rows above and below the range: a move of the
+    upper bound shifts it and the leaf's certificate fails.
+    """
+    from repro import QueryEngine
+    from repro.interact.events import SetWeight
+
+    table = Table("Steps", {"t": np.arange(100) * 10.0,
+                            "b": np.arange(100)[::-1] * 1.0})
+    config = PipelineConfig(screen=ScreenSpec(width=32, height=32),
+                            percentage=0.5, shard_count=2, max_workers=2)
+    prepared = QueryEngine(table, config).prepare(Query(
+        name="steps", tables=[table.name],
+        condition=AndNode([between("t", 400.0, 600.0),
+                           condition("b", "<", 50.0)])))
+
+    def declined(*changes) -> dict[str, str]:
+        trace = Trace("event", trace_id=1)
+        with use_trace(trace):
+            prepared.execute(changes=list(changes))
+        return {s.attrs["node"]: s.attrs["state_declined"] for s in trace.spans
+                if s.name == "node.evaluate"
+                and "state_declined" in (s.attrs or {})}
+
+    assert declined() == dict.fromkeys(["()", "(0,)", "(1,)"], "no-state")
+    assert declined() == {}                  # replay: every node cached
+    assert declined(SetQueryRange((0,), 400.0, 610.0))["(0,)"] == \
+        "certificate-failed"
+    # A child's weight enters the combination: the root's combined column
+    # has no dirty-shard relation to the one its bounds were built from.
+    assert declined(SetWeight((0,), 0.5))["()"] == "no-relation"
 
 
 def test_displayed_certificate_verdict_is_the_patch_outcome():

@@ -42,7 +42,12 @@ from repro.core.reduction import (
     select_display_set,
     topk_candidates,
 )
-from repro.core.shard import ShardedPlanEvaluator, ShardedTable, shard_bounds
+from repro.core.shard import (
+    NodeDelta,
+    ShardedPlanEvaluator,
+    ShardedTable,
+    shard_bounds,
+)
 from repro.storage.table import Table
 
 
@@ -139,23 +144,24 @@ def tie_heavy_columns(draw):
        st.sampled_from([0.05, 0.3, 1.0]), st.integers(1, 200))
 def test_evaluator_bounds_and_counting_rows_are_exact(values, shards, weight,
                                                       capacity):
-    """Cold per-node normalization on 1-9 shards: the resolved bounds are
-    :func:`reduced_bounds` of the whole column, the normalized column is
-    :func:`reduced_normalization` bit for bit, and every shard's summary
-    row is its exact :func:`rank_counts` row -- ``count(<=)`` included,
-    however many rows tie at a bound and whether ``keep * shards`` is
-    small or large against the column."""
+    """Cold per-node normalization on 1-9 shards: the bounds statistic's
+    value is :func:`reduced_bounds` of the whole column, the normalized
+    column is :func:`reduced_normalization` bit for bit, and every shard's
+    counting row is its exact :func:`rank_counts` row -- ``count(<=)``
+    included, however many rows tie at a bound and whether
+    ``keep * shards`` is small or large against the column."""
     n = len(values)
     sharded = ShardedTable(Table("T", {"d": values}), shards)
     evaluator = ShardedPlanEvaluator(sharded, display_capacity=capacity)
-    normalized, resolved, summaries, _ = evaluator._normalize_incremental(
-        values, weight, None, None)
+    normalized, state, _ = evaluator._normalize_incremental(
+        values, weight, None, NodeDelta("node", None, None))
+    resolved = state.value
     assert resolved == reduced_bounds(
         values, normalization_keep_count(weight, capacity, n))
     expected = reduced_normalization(values, weight, capacity)
     np.testing.assert_array_equal(np.asarray(normalized).view(np.uint64),
                                   expected.view(np.uint64))
-    np.testing.assert_array_equal(summaries, [
+    np.testing.assert_array_equal(state.counts.rows, [
         rank_counts(values[a:b], resolved or ()) for a, b in sharded.bounds])
 
 
