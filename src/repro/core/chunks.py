@@ -5,8 +5,8 @@ executions, snapshots and sessions, so a patched column used to be a
 fresh O(n) array assembled from reused clean slices plus recomputed
 dirty ones -- the "O(n) memcpy floor" named in the roadmap.  A
 :class:`ChunkedColumn` removes that floor: the column is a sequence of
-read-only chunks, and a patch produces a *new* column that replaces only
-the chunks the dirty rows intersect while aliasing every clean chunk
+read-only chunks, one per shard, and a patch produces a *new* column
+that replaces the dirty shards' chunks while aliasing every clean chunk
 from the previous column.  The frozen-array contract survives because
 chunks, not whole columns, stay read-only; consumers that need a
 contiguous ndarray go through the lazy, cached
@@ -19,21 +19,15 @@ Design points that matter for bit-identity and safety:
   row ranges.  The sharded evaluator wraps every column on its shard
   bounds (:func:`~repro.core.shard.shard_bounds`, uneven sizes and
   empty trailing shards included), so one chunk is one shard: a shard
-  slice is a zero-copy view of its chunk, and a recomputed shard piece
-  *becomes* that shard's chunk.  Patches of patches keep the grid and
-  never re-split data.  Without explicit bounds the grid is uniform
-  :data:`CHUNK_ROWS`-row chunks;
+  slice is a zero-copy view of its chunk.  Patches of patches keep the
+  grid and never re-split data;
 * a slice that crosses chunks only happens on a foreign grid (a column
   built under another shard count, served from the node cache) and
   reads :meth:`materialize` instead; :func:`as_chunked` re-wraps such a
   column on the requested grid, so the next patch is aligned again;
-* :meth:`patch` accepts unsorted, possibly duplicated row indices;
-  duplicates carry identical values, and the grouped assignment writes
-  them exactly like the fancy assignment it replaces;
-* :meth:`patch_spans` aliases *fresh* data: a chunk fully covered by a
-  span becomes a zero-copy view of the span's piece, so patching a
-  whole dirty shard copies nothing; only chunks a span edge cuts
-  through (a foreign grid) are splice-copied;
+* :meth:`replaced` swaps whole chunks: each recomputed shard piece is
+  frozen and *becomes* its chunk, so patching a dirty shard copies
+  nothing, and a piece whose length differs from its chunk is refused;
 * ``__setitem__`` raises the same ``read-only`` ``ValueError`` a frozen
   ndarray raises, and unknown attributes delegate to the materialized
   array, so most ndarray consumers work unchanged -- but hot-path code
@@ -47,18 +41,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "CHUNK_ROWS",
     "ChunkedColumn",
     "as_array",
     "as_chunked",
 ]
-
-#: Chunk size of the default uniform grid, for columns wrapped without
-#: explicit bounds.  128 KiB of float64 per chunk: large enough that
-#: per-chunk Python overhead is negligible against the memcpy, small
-#: enough that a few-thousand-row dirty band touches O(1) chunks.
-CHUNK_ROWS = 16_384
-
 
 def _freeze(array: np.ndarray) -> np.ndarray:
     if array.flags.writeable:
@@ -68,9 +54,6 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 
 def _offsets(bounds, n: int) -> np.ndarray:
     """Chunk start rows plus ``n``, from contiguous ``(start, stop)`` ranges."""
-    if bounds is None:
-        stops = np.arange(CHUNK_ROWS, n + CHUNK_ROWS, CHUNK_ROWS).clip(max=n)
-        return np.concatenate(([0], stops)).astype(np.intp)
     grid = np.asarray(bounds, dtype=np.intp).reshape(-1, 2)
     offsets = np.concatenate(([0], grid[:, 1])).astype(np.intp)
     if (offsets[-1] != n or np.any(grid[:, 0] != offsets[:-1])
@@ -109,12 +92,11 @@ class ChunkedColumn:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_array(cls, array, bounds=None) -> "ChunkedColumn":
+    def from_array(cls, array, bounds) -> "ChunkedColumn":
         """Wrap a 1-D array as zero-copy chunk views (freezing the array).
 
         ``bounds`` are contiguous ``(start, stop)`` row ranges covering
-        the array, one per chunk (the shard bounds); None is the uniform
-        :data:`CHUNK_ROWS` grid.
+        the array, one per chunk (the shard bounds).
         """
         array = np.asarray(array)
         if array.ndim != 1:
@@ -133,75 +115,22 @@ class ChunkedColumn:
         """Index of the non-empty chunk holding each row."""
         return np.searchsorted(self._offsets, rows, side="right") - 1
 
-    def _derive(self, chunks: list, replaced: int) -> "ChunkedColumn":
-        return ChunkedColumn(tuple(chunks), self._offsets, self._grid,
-                             self._dtype, patched=replaced,
-                             shared=len(chunks) - replaced)
-
     # ------------------------------------------------------------------ #
-    def patch(self, rows, values) -> "ChunkedColumn":
-        """A new column with ``self[rows] = values``, copying touched chunks.
+    def replaced(self, chunks, pieces) -> "ChunkedColumn":
+        """A new column with chunk ``chunks[j]`` replaced by ``pieces[j]``.
 
-        ``rows`` may be unsorted and may contain duplicates (each duplicate
-        must carry the same value).
+        ``chunks`` are distinct chunk indices.  Each piece is frozen and
+        becomes its chunk as it is (no copy); every other chunk is shared
+        with this column.
         """
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.size == 0:
-            return self
-        values = np.asarray(values)
-        if rows.size > 1 and np.any(np.diff(rows) < 0):
-            order = np.argsort(rows, kind="stable")
-            rows = rows[order]
-            values = values[order]
-        if rows[0] < 0 or rows[-1] >= len(self):
-            raise IndexError("patch rows out of range")
-        # Sorted rows: chunk k's rows are cuts[k]:cuts[k + 1].
-        cuts = np.searchsorted(rows, self._offsets)
-        touched = np.flatnonzero(np.diff(cuts))
-        chunks = list(self._chunks)
-        for k in touched:
-            lo, hi = cuts[k], cuts[k + 1]
-            fresh = np.array(chunks[k])
-            fresh[rows[lo:hi] - self._offsets[k]] = values[lo:hi]
-            chunks[k] = _freeze(fresh)
-        return self._derive(chunks, len(touched))
-
-    def patch_spans(self, spans) -> "ChunkedColumn":
-        """A new column with each ``(start, stop, piece)`` span replaced.
-
-        Chunks fully covered by a span become zero-copy views of the
-        span's ``piece`` (which is frozen); only chunks a span edge cuts
-        through are splice-copied.  Spans must be disjoint; two spans may
-        share an edge chunk (each splice works on the already-updated
-        chunk).
-        """
-        offsets = self._offsets
-        chunks = list(self._chunks)
-        replaced: set[int] = set()
-        for start, stop, piece in spans:
-            start = int(start)
-            stop = int(stop)
-            if stop <= start:
-                continue
-            if start < 0 or stop > len(self):
-                raise IndexError("patch span out of range")
-            piece = _freeze(np.asarray(piece))
-            for k in range(self._chunk_of(start), self._chunk_of(stop - 1) + 1):
-                chunk_start, chunk_stop = int(offsets[k]), int(offsets[k + 1])
-                if chunk_stop == chunk_start:
-                    continue
-                lo = max(start, chunk_start)
-                hi = min(stop, chunk_stop)
-                if lo == chunk_start and hi == chunk_stop:
-                    chunks[k] = piece[lo - start:hi - start]
-                else:
-                    fresh = np.array(chunks[k])
-                    fresh[lo - chunk_start:hi - chunk_start] = piece[lo - start:hi - start]
-                    chunks[k] = _freeze(fresh)
-                replaced.add(k)
-        if not replaced:
-            return self
-        return self._derive(chunks, len(replaced))
+        out = list(self._chunks)
+        for k, piece in zip(chunks, pieces):
+            if len(piece) != len(out[k]):
+                raise ValueError(f"chunk {k} holds {len(out[k])} rows, "
+                                 f"its replacement {len(piece)}")
+            out[k] = _freeze(piece)
+        return ChunkedColumn(tuple(out), self._offsets, self._grid, self._dtype,
+                             patched=len(chunks), shared=len(out) - len(chunks))
 
     # ------------------------------------------------------------------ #
     def materialize(self) -> np.ndarray:
@@ -318,15 +247,15 @@ class ChunkedColumn:
         return getattr(self.materialize(), name)
 
 
-def as_chunked(column, bounds=None) -> ChunkedColumn:
+def as_chunked(column, bounds) -> ChunkedColumn:
     """``column`` as a :class:`ChunkedColumn` on the ``bounds`` grid.
 
     Zero-copy for an ndarray, or for a chunked column already on that
-    grid (any grid when ``bounds`` is None); a column on a foreign grid
-    is re-wrapped from its (cached) materialized form.
+    grid; a column on a foreign grid is re-wrapped from its (cached)
+    materialized form.
     """
     if isinstance(column, ChunkedColumn):
-        if bounds is None or column.aligned(bounds):
+        if column.aligned(bounds):
             return column
         column = column.materialize()
     return ChunkedColumn.from_array(column, bounds)

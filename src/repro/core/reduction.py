@@ -33,11 +33,6 @@ __all__ = [
     "signed_quantile_window",
     "multipeak_cut",
     "select_display_set",
-    "TopKCandidates",
-    "topk_candidates",
-    "merge_topk_candidates",
-    "merge_topk_candidates_many",
-    "resolve_topk",
     "rank_counts",
     "ranks_hold",
     "ShardCounts",
@@ -184,38 +179,8 @@ def multipeak_cut(sorted_distances: np.ndarray, r_min: int, r_max: int, z: int |
 
 
 # --------------------------------------------------------------------------- #
-# Sharded displayed-set merge algebra
+# Order statistics
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class TopKCandidates:
-    """Mergeable partial result of the percentage (top-``target``) selection.
-
-    One partial summarises one row range (shard) of the distance column: the
-    global row indices and (NaN-masked, so non-finite becomes ``+inf``)
-    distance values of the rows that could still enter the global displayed
-    set, plus the number of rows the partial has seen.
-
-    Rows are ranked by the total order (value, global row) -- the
-    stable-argsort tie rule of the monolithic :func:`select_display_set`
-    -- and a partial keeps at most ``target`` of them: its own top
-    ``target`` under that order.  A row in the global top ``target`` is in
-    the top ``target`` of every sub-range it belongs to, so no cut drops
-    it, and the cut is a function of the row set alone, which makes
-    :func:`merge_topk_candidates` associative and order-independent.
-    """
-
-    target: int
-    indices: np.ndarray
-    values: np.ndarray
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.target < 1:
-            raise ValueError("target must be at least 1")
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices and values must have equal length")
-
-
 def kth_smallest(values: np.ndarray, k: int) -> float:
     """The ``k``-th smallest of ``values`` (1-based, ``k <= len(values)``).
 
@@ -241,95 +206,6 @@ def first_ties(values: np.ndarray, threshold: float, need: int, stop: int) -> np
         stop *= 2
         ties = np.flatnonzero(values[:stop] == threshold)
     return ties
-
-
-def _candidate_cut(values: np.ndarray, target: int, indices: np.ndarray | None = None,
-                   offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The ``target`` smallest rows under the (value, row) order.
-
-    Every row strictly below the ``target``-th smallest value is kept; of
-    the rows tied at it, the ones with the smallest row indices fill the
-    rest.  ``indices`` None means the rows are ``offset + position``
-    (ascending, so the first ties are the smallest rows, found in a prefix
-    that doubles until it holds them).  Candidates come from the positions
-    below and at the threshold, never a gather over every row.
-    """
-    if len(values) <= target:
-        if indices is None:
-            indices = np.arange(offset, offset + len(values), dtype=np.intp)
-        return indices, values
-    threshold = kth_smallest(values, target)
-    below = np.flatnonzero(values < threshold)
-    need = target - len(below)
-    ties = first_ties(values, threshold, need,
-                      target if indices is None else len(values))
-    if indices is None:
-        ties = ties[:need]
-    elif len(ties) > need:
-        ties = ties[np.argpartition(indices[ties], need - 1)[:need]]
-    keep = np.concatenate([below, ties])
-    return (keep + offset if indices is None else indices[keep]), values[keep]
-
-
-def topk_candidates(distances: np.ndarray, target: int, offset: int = 0) -> TopKCandidates:
-    """Build the partial for one shard of the distance column.
-
-    ``offset`` is the shard's first global row number; non-finite distances
-    are masked to ``+inf`` exactly as the monolithic percentage selection
-    masks them, so merged partials reproduce its threshold bit-for-bit.
-    """
-    distances = np.asarray(distances, dtype=float)
-    finite = np.isfinite(distances)
-    masked = distances if finite.all() else np.where(finite, distances, np.inf)
-    indices, values = _candidate_cut(masked, target, offset=offset)
-    return TopKCandidates(target=target, indices=indices, values=values,
-                          count=len(distances))
-
-
-def merge_topk_candidates(a: TopKCandidates, b: TopKCandidates) -> TopKCandidates:
-    """Merge two partials (associative, commutative up to row order).
-
-    The merged partial is the top ``target`` of the union under the
-    (value, row) order, at most ``target`` rows.  Every row of the true
-    global displayed set survives any merge order: a row among the
-    ``target`` smallest of the union is among the ``target`` smallest of
-    each sub-union it appears in, so no intermediate cut can drop it.
-    """
-    return merge_topk_candidates_many([a, b])
-
-
-def merge_topk_candidates_many(partials: Sequence[TopKCandidates]) -> TopKCandidates:
-    """Merge many partials with one concatenation and a single cut.
-
-    Produces exactly the candidate set a pairwise :func:`merge_topk_candidates`
-    reduction would: the top ``target`` rows of a union under a total order
-    do not depend on how the union was assembled.  One cut over at most
-    ``len(partials) * target`` rows does the work once instead of after
-    every pairwise step.
-    """
-    if not partials:
-        raise ValueError("merge_topk_candidates_many needs at least one partial")
-    target = partials[0].target
-    for partial in partials[1:]:
-        if partial.target != target:
-            raise ValueError(
-                f"cannot merge partials with targets {target} != {partial.target}"
-            )
-    indices = np.concatenate([p.indices for p in partials])
-    values = np.concatenate([p.values for p in partials])
-    indices, values = _candidate_cut(values, target, indices)
-    return TopKCandidates(target=target, indices=indices, values=values,
-                          count=sum(p.count for p in partials))
-
-
-def resolve_topk(partial: TopKCandidates) -> np.ndarray:
-    """Final displayed set from a fully merged partial (sorted row indices).
-
-    Bit-identical to the monolithic percentage path of
-    :func:`select_display_set`: the ``target`` smallest values win, with
-    ties at the threshold broken by ascending global row index.
-    """
-    return np.sort(_candidate_cut(partial.values, partial.target, partial.indices)[0])
 
 
 def select_display_set(distances: np.ndarray, capacity: int, n_selection_predicates: int,

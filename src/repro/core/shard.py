@@ -101,8 +101,8 @@ def shard_bounds(n_rows: int, shard_count: int) -> list[tuple[int, int]]:
     """Balanced contiguous ``[start, stop)`` row ranges covering the table.
 
     Shard sizes differ by at most one row; when ``shard_count`` exceeds
-    ``n_rows`` the trailing shards are empty (the merge algebra treats an
-    empty shard as the identity element, so results are unaffected).
+    ``n_rows`` the trailing shards are empty (an empty shard adds zero to
+    every counting row, so results are unaffected).
     """
     if shard_count < 1:
         raise ValueError("shard_count must be at least 1")
@@ -590,9 +590,7 @@ class ShardedPlanEvaluator:
         """
         if not shards:
             return base
-        bounds = self.sharded.bounds
-        column = as_chunked(base, bounds).patch_spans(
-            [(*bounds[i], fresh) for i, fresh in zip(shards, pieces)])
+        column = as_chunked(base, self.sharded.bounds).replaced(shards, pieces)
         self._count_chunks(column)
         return column
 

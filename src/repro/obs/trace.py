@@ -145,12 +145,6 @@ class Trace:
             else:
                 span_.attrs.update(attrs)
 
-    def instant(self, name: str, parent: int = 0, **attrs: Any) -> int:
-        """A zero-duration marker span."""
-        span_id = self.begin(name, parent=parent, **attrs)
-        self.end(span_id, t1=self.spans[span_id].t0)
-        return span_id
-
     @contextmanager
     def span(self, name: str, parent: int = 0, **attrs: Any):
         """Span context manager with explicit parenting (no ambient context)."""

@@ -31,66 +31,55 @@ def test_from_array_roundtrip_and_lengths():
     assert not column.materialize().flags.writeable
 
 
+def _pieces(column, chunks, seed=5):
+    """Fresh values for each of ``chunks``, one piece per chunk."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-5.0, 5.0, len(column._chunks[k])) for k in chunks]
+
+
 def test_patch_copies_only_touched_chunks():
+    """Whole-chunk replacement: the named chunks become their pieces (no
+    copy), every other chunk is aliased, and the original is untouched."""
     base, column = _column(n=1000, chunk_rows=64)
-    rows = np.array([5, 6, 70, 929], dtype=np.intp)  # chunks 0, 1, 14
-    values = np.array([1.0, 2.0, 3.0, 4.0])
-    patched = column.patch(rows, values)
+    chunks = [14, 0, 1]  # any order
+    pieces = _pieces(column, chunks)
+    patched = column.replaced(chunks, pieces)
     assert patched.patched_chunks == 3
     assert patched.shared_chunks == 13
     expected = base.copy()
-    expected[rows] = values
+    for k, piece in zip(chunks, pieces):
+        expected[64 * k:64 * k + len(piece)] = piece
     np.testing.assert_array_equal(np.asarray(patched), expected)
-    # The original is untouched and clean chunks are aliased, not copied.
     np.testing.assert_array_equal(np.asarray(column), base)
     assert patched._chunks[2] is column._chunks[2]
     assert patched._chunks[0] is not column._chunks[0]
 
 
-def test_patch_unsorted_rows_with_duplicates():
-    base, column = _column(n=300, chunk_rows=32)
-    rows = np.array([250, 3, 3, 120], dtype=np.intp)
-    values = np.array([9.0, -1.0, -1.0, 0.5])
-    patched = column.patch(rows, values)
-    expected = base.copy()
-    expected[rows] = values
-    np.testing.assert_array_equal(np.asarray(patched), expected)
-
-
 def test_patch_empty_shares_everything():
     _, column = _column()
-    patched = column.patch(np.empty(0, dtype=np.intp), np.empty(0))
-    assert patched is column
+    patched = column.replaced([], [])
+    assert patched._chunks == column._chunks
+    assert (patched.patched_chunks, patched.shared_chunks) == (0, column.chunk_count)
 
 
 def test_patch_spans_aliases_interior_chunks():
-    base, column = _column(n=1000, chunk_rows=64)
-    piece = np.linspace(0.0, 1.0, 300)
-    start, stop = 100, 400
-    patched = column.patch_spans([(start, stop, piece)])
-    expected = base.copy()
-    expected[start:stop] = piece
-    np.testing.assert_array_equal(np.asarray(patched), expected)
-    # Chunks 2..5 are fully inside [100, 400): zero-copy views of the piece.
-    for k in (2, 3, 4, 5):
-        assert np.shares_memory(patched._chunks[k], piece)
-    # Edge chunks 1 and 6 are splices; everything else is aliased.
-    assert patched._chunks[0] is column._chunks[0]
-    assert patched._chunks[7] is column._chunks[7]
-    assert patched.patched_chunks == 6
-    assert patched.shared_chunks == 10
+    """A replacement piece is frozen and becomes its chunk as it is."""
+    _, column = _column(n=1000, chunk_rows=64)
+    pieces = _pieces(column, [2, 3, 4, 5])
+    patched = column.replaced([2, 3, 4, 5], pieces)
+    for k, piece in zip((2, 3, 4, 5), pieces):
+        assert patched._chunks[k] is piece
+        assert not piece.flags.writeable
+    assert patched._chunks[1] is column._chunks[1]
+    assert patched.patched_chunks == 4
+    assert patched.shared_chunks == 12
 
 
-def test_patch_spans_two_spans_sharing_an_edge_chunk():
-    base, column = _column(n=256, chunk_rows=64)
-    first = np.full(20, 1.0)
-    second = np.full(20, 2.0)
-    patched = column.patch_spans([(50, 70, first), (70, 90, second)])
-    expected = base.copy()
-    expected[50:70] = first
-    expected[70:90] = second
-    np.testing.assert_array_equal(np.asarray(patched), expected)
-    assert patched.patched_chunks == 2  # chunks 0 and 1, each spliced
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_replaced_rejects_a_piece_of_the_wrong_length(delta):
+    _, column = _column(n=100, chunk_rows=16)
+    with pytest.raises(ValueError, match="holds 16 rows"):
+        column.replaced([1], [np.zeros(16 + delta)])
 
 
 def test_chained_patches_stay_correct():
@@ -98,13 +87,11 @@ def test_chained_patches_stay_correct():
     expected = base.copy()
     rng = np.random.default_rng(11)
     for _ in range(25):
-        rows = rng.integers(0, 512, size=rng.integers(1, 40))
-        values = rng.uniform(-1.0, 1.0, size=rows.size)
-        # Duplicate rows must carry one value each: keep the last write.
-        rows, keep = np.unique(rows, return_index=True)
-        values = values[keep]
-        column = column.patch(rows, values)
-        expected[rows] = values
+        chunks = rng.choice(16, size=rng.integers(1, 5), replace=False)
+        pieces = [rng.uniform(-1.0, 1.0, 32) for _ in chunks]
+        column = column.replaced(chunks, pieces)
+        for k, piece in zip(chunks, pieces):
+            expected[32 * k:32 * k + 32] = piece
         np.testing.assert_array_equal(np.asarray(column), expected)
 
 
@@ -125,13 +112,14 @@ def test_getitem_int_slice_and_fancy():
 
 def test_fancy_gather_does_not_materialize():
     base, column = _column(n=500, chunk_rows=64)
-    patched = column.patch(np.array([7]), np.array([42.0]))
+    piece = np.arange(64.0)
+    patched = column.replaced([0], [piece])
     assert patched._materialized is None
     idx = np.array([7, 100, 499])
     out = patched[idx]
     assert patched._materialized is None  # gather stayed chunk-grouped
     expected = base.copy()
-    expected[7] = 42.0
+    expected[:64] = piece
     np.testing.assert_array_equal(out, expected[idx])
 
 
@@ -155,7 +143,8 @@ def test_ndarray_attribute_delegation():
 def test_bool_dtype_column():
     mask = np.zeros(200, dtype=bool)
     column = ChunkedColumn.from_array(mask, _grid(200, 64))
-    patched = column.patch(np.array([5, 150]), np.array([True, True]))
+    pieces = [np.arange(64) == 5, np.arange(64) == 22]
+    patched = column.replaced([0, 2], pieces)
     expected = mask.copy()
     expected[[5, 150]] = True
     np.testing.assert_array_equal(np.asarray(patched), expected)
@@ -165,8 +154,9 @@ def test_bool_dtype_column():
 
 def test_as_chunked_and_as_array_helpers():
     base = np.arange(10.0)
-    column = as_chunked(base, _grid(10, 4))
-    assert as_chunked(column) is column
+    grid = _grid(10, 4)
+    column = as_chunked(base, grid)
+    assert as_chunked(column, grid) is column
     assert isinstance(as_array(column), np.ndarray)
     np.testing.assert_array_equal(as_array(column), base)
     plain = np.arange(3.0)
@@ -175,7 +165,7 @@ def test_as_chunked_and_as_array_helpers():
 
 def test_materialize_is_cached_and_frozen():
     _, column = _column(n=100, chunk_rows=16)
-    patched = column.patch(np.array([1]), np.array([0.0]))
+    patched = column.replaced([0], [np.zeros(16)])
     first = patched.materialize()
     assert patched.materialize() is first
     assert not first.flags.writeable
@@ -204,17 +194,6 @@ def grids(draw):
     return list(zip([0] + stops[:-1], stops))
 
 
-@st.composite
-def patch_ops(draw, n):
-    """A ``("rows", rows)`` or ``("spans", [(start, stop), ...])`` patch."""
-    if draw(st.booleans()):
-        return "rows", draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20))
-    cuts = sorted(draw(st.sets(st.integers(0, n), min_size=2, max_size=8)))
-    pairs = list(zip(cuts[:-1], cuts[1:]))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return "spans", [pair for pair, kept in zip(pairs, keep) if kept]
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_patches_on_any_grid_match_an_ndarray_model(data):
@@ -224,20 +203,12 @@ def test_patches_on_any_grid_match_an_ndarray_model(data):
     model = rng.uniform(-5.0, 5.0, n)
     column = ChunkedColumn.from_array(model.copy(), bounds)
     for _ in range(data.draw(st.integers(1, 5))):
-        kind, where = data.draw(patch_ops(n))
-        if kind == "rows":
-            rows = np.array(where)
-            # Duplicated rows carry one value each, as the contract asks.
-            unique, inverse = np.unique(rows, return_inverse=True)
-            values = rng.uniform(-5.0, 5.0, unique.size)[inverse]
-            column = column.patch(rows, values)
-            model[rows] = values
-        else:
-            spans = [(start, stop, rng.uniform(-5.0, 5.0, stop - start))
-                     for start, stop in where]
-            column = column.patch_spans(spans)
-            for start, stop, piece in spans:
-                model[start:stop] = piece
+        chunks = sorted(data.draw(st.sets(st.integers(0, len(bounds) - 1))))
+        pieces = [rng.uniform(-5.0, 5.0, bounds[k][1] - bounds[k][0])
+                  for k in chunks]
+        column = column.replaced(chunks, pieces)
+        for k, piece in zip(chunks, pieces):
+            model[bounds[k][0]:bounds[k][1]] = piece
         # Reads before materializing: chunk slices, any slice, a gather.
         for start, stop in bounds:
             np.testing.assert_array_equal(column[start:stop], model[start:stop])
@@ -255,15 +226,16 @@ def test_patches_on_any_grid_match_an_ndarray_model(data):
 @pytest.mark.parametrize("shards", [1, 3, 7, 12])
 def test_shard_slices_of_a_patched_column_are_views(shards):
     """On the shard grid a shard slice is its chunk (no copy, nothing
-    materialized) and a whole-shard span aliases its piece."""
+    materialized) and a replaced shard's slice is its piece."""
     from repro.core.shard import shard_bounds
 
     bounds = shard_bounds(10, shards)  # 12 shards: two empty trailing ones
     column = ChunkedColumn.from_array(np.arange(10.0), bounds)
-    column = column.patch(np.array([0, 9]), np.array([-1.0, -9.0]))
-    start, stop = bounds[-1] if shards < 12 else bounds[9]
+    column = column.replaced([0], [np.full(bounds[0][1], -1.0)])
+    last = shards - 1 if shards < 12 else 9
+    start, stop = bounds[last]
     piece = np.full(stop - start, 7.0)
-    spliced = column.patch_spans([(start, stop, piece)])
+    spliced = column.replaced([last], [piece])
     assert np.shares_memory(spliced[start:stop], piece)
     for k, (lo, hi) in enumerate(bounds):
         if hi > lo:
@@ -279,11 +251,15 @@ def test_as_chunked_rewraps_a_foreign_grid():
     the requested one, with the same values; an aligned one is itself."""
     from repro.core.shard import shard_bounds
 
-    base, column = _column(n=100, chunk_rows=16)
-    patched = column.patch(np.array([3, 50]), np.array([1.0, 2.0]))
+    base = np.arange(100.0)
+    column = ChunkedColumn.from_array(base.copy(), shard_bounds(100, 16))
+    patched = column.replaced([0, 8], [np.full(7, -1.0), np.full(6, -2.0)])
+    # 16 shards of 100 rows: four of 7 rows, then twelve of 6.
+    assert patched._materialized is None
     bounds = shard_bounds(100, 7)
     rewrapped = as_chunked(patched, bounds)
     assert rewrapped.aligned(bounds) and not patched.aligned(bounds)
     assert as_chunked(rewrapped, bounds) is rewrapped
-    base[[3, 50]] = [1.0, 2.0]
+    base[0:7] = -1.0
+    base[52:58] = -2.0
     np.testing.assert_array_equal(np.asarray(rewrapped), base)

@@ -221,12 +221,14 @@ def test_combine_columns_shared_child_survives_copy_on_write_patch():
     assert combined is child
     snapshot = combined.copy()
     chunked = as_chunked(combined, shard_bounds(256, 8))
-    patched = chunked.patch(np.array([5, 200]), np.array([-1.0, -2.0]))
+    # Shards 0 and 6 of 32 rows each are replaced whole.
+    patched = chunked.replaced([0, 6], [np.full(32, -1.0), np.full(32, -2.0)])
     # The shared array is untouched by the patch...
     np.testing.assert_array_equal(combined, snapshot)
     # ...and writing through it is impossible: sharing froze it.
     with pytest.raises(ValueError):
         combined[0] = 0.0
     expected = snapshot.copy()
-    expected[[5, 200]] = [-1.0, -2.0]
+    expected[0:32] = -1.0
+    expected[192:224] = -2.0
     np.testing.assert_array_equal(np.asarray(patched), expected)

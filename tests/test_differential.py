@@ -77,7 +77,8 @@ def random_table(rng: np.random.Generator) -> Table:
             values = rng.normal(50.0, 20.0, n)
         else:
             # Quantized values force ties in distances and at selection
-            # boundaries -- the hard case for the merge algebra.
+            # boundaries -- the hard case for the per-shard percentage cut
+            # and the counting rows.
             values = np.round(rng.uniform(0.0, 100.0, n) / 5.0) * 5.0
         if rng.random() < 0.35:
             values[rng.random(n) < rng.uniform(0.05, 0.3)] = np.nan

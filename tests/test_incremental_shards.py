@@ -27,15 +27,7 @@ import repro.core.shard as shard_module
 from repro import PipelineConfig, QueryEngine, ScreenSpec
 from repro.core.normalization import bounds_identical, reduced_bounds
 from repro.core.plan import CacheStats
-from repro.core.reduction import (
-    ShardCounts,
-    merge_topk_candidates,
-    merge_topk_candidates_many,
-    rank_counts,
-    ranks_hold,
-    resolve_topk,
-    topk_candidates,
-)
+from repro.core.reduction import ShardCounts, rank_counts, ranks_hold
 from repro.interact.events import (
     SetPercentageDisplayed,
     SetQueryRange,
@@ -290,10 +282,17 @@ def certified_event_work(monkeypatch, n: int, percentage) -> list[tuple]:
                  else "quantile_certified")
     assert after[certified] - before[certified] == 4
     assert after["bounds_shortcircuits"] - before["bounds_shortcircuits"] == 8
-    rows.clear()
-    recounted.clear()
-    prepared.execute()  # a no-op replay recounts nothing
-    assert rows == recounted == []
+    # A no-op replay -- no event, or the slider set to the value it has --
+    # counts no row, recounts no shard and recomputes or patches no chunk.
+    for changes in ([], [SetQueryRange((0,), 50.0, 992.0)]):
+        rows.clear()
+        recounted.clear()
+        before = stats_of(engine, prepared)
+        prepared.execute(changes=changes)
+        after = stats_of(engine, prepared)
+        assert rows == recounted == []
+        for counter in ("shards_recomputed", "chunks_patched"):
+            assert after[counter] == before[counter]
     monkeypatch.undo()
     return work
 
@@ -308,6 +307,7 @@ def test_certified_events_recount_rows_independent_of_table_size(
     each certificate (the moved leaf's and the root's bounds, then the
     displayed set or the quantile) recounts the one dirty shard and sums
     cached rows for the rest.  Recounting every shard would scale with n.
+    A no-op replay does no counted work at either size.
     """
     small = certified_event_work(monkeypatch, 4_000, percentage)
     large = certified_event_work(monkeypatch, 64_000, percentage)
@@ -819,25 +819,6 @@ def test_evaluation_cache_clear_drops_slices():
     # Nothing to patch after a wholesale clear: the event fell back to
     # full recomputes (counters survive the clear by design).
     assert after["slice_hits"] == before["slice_hits"]
-
-
-# --------------------------------------------------------------------------- #
-# Merge-algebra additions
-# --------------------------------------------------------------------------- #
-def test_merge_topk_candidates_many_matches_pairwise():
-    rng = np.random.default_rng(13)
-    values = np.round(rng.uniform(0.0, 20.0, 500))  # force ties
-    pieces = np.array_split(values, 5)
-    offsets = np.cumsum([0] + [len(p) for p in pieces[:-1]])
-    partials = [
-        topk_candidates(piece, 60, offset=int(off))
-        for piece, off in zip(pieces, offsets)
-    ]
-    pairwise = partials[0]
-    for partial in partials[1:]:
-        pairwise = merge_topk_candidates(pairwise, partial)
-    many = merge_topk_candidates_many(partials)
-    np.testing.assert_array_equal(resolve_topk(pairwise), resolve_topk(many))
 
 
 def test_bounds_identical_nan_and_zero_semantics():

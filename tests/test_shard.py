@@ -3,24 +3,24 @@
 The sharded evaluator's bit-identity contract rests on two global steps:
 one whole-column resolve of each node's ``(d_min, d_max)``
 (:func:`~repro.core.normalization.reduced_bounds`) with exact per-shard
-counting rows, and the merge algebra of per-shard top-k candidate sets
-(:mod:`repro.core.reduction`).  These tests pin the invariants any future
-backend must preserve:
+counting rows, and the percentage display's one threshold
+(:func:`~repro.core.reduction.kth_smallest`) with a bounded cut per shard
+(``PreparedQuery._percentage_displayed``).  These tests pin the
+invariants any future backend must preserve:
 
 * the elementwise transform applied shard by shard against the resolved
   bounds equals the monolithic normalization bit for bit, and every
   shard's counting row is exact, whatever ties, NaN or infinities it holds;
-* top-k merging is associative and order-independent, and a top-k partial
-  holds at most ``target`` rows, its own top ``target`` under the (value,
-  row) order, however many rows tie at its threshold;
-* resolved results equal the monolithic computation bit for bit,
-  including ties at the capacity boundary, where the stable-argsort tie
-  rule (ascending global row index) must survive merging.
+* a shard's cut holds at most ``target`` rows, however many rows tie at
+  the threshold, and the shards' cuts merge to the same displayed set at
+  any shard count, empty trailing shards included;
+* the displayed set equals the monolithic computation bit for bit, cold
+  and after a patch, including ties at the capacity boundary, where the
+  stable-argsort tie rule (ascending global row index) must survive the
+  per-shard cut.
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -33,14 +33,11 @@ from repro.core.normalization import (
     reduced_bounds,
     reduced_normalization,
 )
+from repro import PipelineConfig, QueryEngine
 from repro.core.reduction import (
     ReductionMethod,
-    merge_topk_candidates,
-    merge_topk_candidates_many,
     rank_counts,
-    resolve_topk,
     select_display_set,
-    topk_candidates,
 )
 from repro.core.shard import (
     NodeDelta,
@@ -48,6 +45,8 @@ from repro.core.shard import (
     ShardedTable,
     shard_bounds,
 )
+from repro.interact.events import SetQueryRange
+from repro.query.builder import Query, between
 from repro.storage.table import Table
 
 
@@ -166,7 +165,7 @@ def test_evaluator_bounds_and_counting_rows_are_exact(values, shards, weight,
 
 
 # --------------------------------------------------------------------------- #
-# top-k candidate merge algebra
+# The percentage display: one threshold, a bounded cut per shard
 # --------------------------------------------------------------------------- #
 def stable_reference_topk(distances: np.ndarray, target: int) -> np.ndarray:
     """The spec: target smallest by stable argsort (NaN last), sorted indices."""
@@ -176,102 +175,92 @@ def stable_reference_topk(distances: np.ndarray, target: int) -> np.ndarray:
     return np.sort(np.argsort(masked, kind="stable")[:target])
 
 
-def merged_topk(distances: np.ndarray, cuts, target: int, order=None):
-    partials = [topk_candidates(distances[a:b], target, offset=a) for a, b in cuts]
-    if order is not None:
-        partials = [partials[i] for i in order]
-    return resolve_topk(reduce(merge_topk_candidates, partials))
+def monolithic_percentage(distances: np.ndarray, percentage: float) -> np.ndarray:
+    return select_display_set(
+        distances, capacity=10_000, n_selection_predicates=1,
+        method=ReductionMethod.PERCENTAGE, percentage=percentage)
+
+
+def percentage_query(values, shards: int, percentage: float,
+                     low: float = 0.0, high: float = 1.0):
+    """A prepared ``x BETWEEN low AND high`` query over the column ``values``."""
+    table = Table("T", {"x": np.asarray(values, dtype=float)})
+    config = PipelineConfig(percentage=percentage, shard_count=shards,
+                            max_workers=2, backend="threads")
+    return QueryEngine(table, config).prepare(Query(
+        name="percentage", tables=["T"], condition=between("x", low, high)))
+
+
+def displayed_rows(prepared, changes=()) -> np.ndarray:
+    """Execute, check the displayed row set against the stable-argsort
+    spec over the root's normalized distances, and return it."""
+    feedback = prepared.execute(changes=list(changes))
+    distances = np.asarray(feedback.overall.normalized_distances)
+    target = max(1, int(round(prepared.config.percentage * len(distances))))
+    rows = np.sort(feedback.display_order)
+    np.testing.assert_array_equal(rows, stable_reference_topk(distances, target))
+    np.testing.assert_array_equal(
+        rows, monolithic_percentage(distances, prepared.config.percentage))
+    return rows
 
 
 @pytest.mark.parametrize("seed", range(15))
 def test_topk_merge_matches_monolithic_and_stable_argsort(seed):
+    """``select_display_set`` is the stable-argsort spec, and the engine's
+    per-shard cuts, merged, select the same set on 1-8 shards."""
     rng = np.random.default_rng(4000 + seed)
     n = int(rng.integers(1, 400))
     distances = random_column(rng, n, nan_fraction=float(rng.choice([0.0, 0.25, 1.0])),
                               tie_heavy=bool(seed % 2))
     percentage = float(rng.uniform(0.05, 1.0))
     target = max(1, int(round(percentage * n)))
-    cuts = random_cuts(rng, n, int(rng.integers(1, 9)))
-    merged = merged_topk(distances, cuts, target)
-    monolithic = select_display_set(
-        distances, capacity=10_000, n_selection_predicates=1,
-        method=ReductionMethod.PERCENTAGE, percentage=percentage,
-    )
-    np.testing.assert_array_equal(merged, monolithic)
-    np.testing.assert_array_equal(merged, stable_reference_topk(distances, target))
+    np.testing.assert_array_equal(monolithic_percentage(distances, percentage),
+                                  stable_reference_topk(distances, target))
+    displayed_rows(percentage_query(distances, int(rng.integers(1, 9)),
+                                    percentage, 20.0, 60.0))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_topk_merge_is_order_independent(seed):
+    """However the rows are cut into shards, the cuts merge to one set."""
     rng = np.random.default_rng(5000 + seed)
     n = int(rng.integers(2, 300))
-    distances = random_column(rng, n, nan_fraction=0.1, tie_heavy=True)
-    target = int(rng.integers(1, n + 1))
-    cuts = random_cuts(rng, n, 5)
-    reference = merged_topk(distances, cuts, target)
-    for _ in range(4):
-        order = rng.permutation(len(cuts))
-        np.testing.assert_array_equal(
-            merged_topk(distances, cuts, target, order=order), reference
-        )
-
-
-def test_topk_fold_shape_irrelevant():
-    rng = np.random.default_rng(6)
-    distances = random_column(rng, 200, tie_heavy=True)
-    cuts = random_cuts(rng, 200, 4)
-    a, b, c, d = (topk_candidates(distances[lo:hi], 25, offset=lo) for lo, hi in cuts)
-    left = merge_topk_candidates(merge_topk_candidates(merge_topk_candidates(a, b), c), d)
-    right = merge_topk_candidates(a, merge_topk_candidates(b, merge_topk_candidates(c, d)))
-    pairs = merge_topk_candidates(merge_topk_candidates(a, b), merge_topk_candidates(c, d))
-    np.testing.assert_array_equal(resolve_topk(left), resolve_topk(right))
-    np.testing.assert_array_equal(resolve_topk(left), resolve_topk(pairs))
+    values = random_column(rng, n, nan_fraction=0.1, tie_heavy=True)
+    percentage = int(rng.integers(1, n + 1)) / n
+    reference = displayed_rows(percentage_query(values, 1, percentage, 20.0, 60.0))
+    for shards in rng.integers(2, 40, size=4):
+        np.testing.assert_array_equal(displayed_rows(percentage_query(
+            values, int(shards), percentage, 20.0, 60.0)), reference)
 
 
 def test_topk_ties_at_capacity_boundary_break_by_row_index():
     """All-equal distances: the displayed set must be the first ``target`` rows.
 
-    Every partial truncates a tie block here, so this is the boundary where
-    the cut must follow the (value, row) order: a later shard's tie rows
-    must never displace an earlier row with the same distance.
+    Every shard's cut truncates a tie block here, so this is the boundary
+    where the cut must follow the (value, row) order: a later shard's tie
+    rows must never displace an earlier row with the same distance.
     """
-    n, target = 40, 7
-    distances = np.full(n, 3.25)
-    cuts = [(0, 10), (10, 25), (25, 40)]
-    merged = merged_topk(distances, cuts, target)
-    np.testing.assert_array_equal(merged, np.arange(target, dtype=np.intp))
-    # Reversed merge order must not change the winners.
-    np.testing.assert_array_equal(
-        merged_topk(distances, cuts, target, order=[2, 1, 0]), merged
-    )
+    for shards in (1, 3, 7, 40):
+        rows = displayed_rows(percentage_query(np.full(40, 3.25), shards, 7 / 40))
+        np.testing.assert_array_equal(rows, np.arange(7, dtype=np.intp))
 
 
 def test_topk_all_nan_column_selects_lowest_indices():
     distances = np.full(30, np.nan)
-    cuts = [(0, 13), (13, 30)]
-    merged = merged_topk(distances, cuts, 5)
-    monolithic = select_display_set(
-        distances, capacity=10_000, n_selection_predicates=1,
-        method=ReductionMethod.PERCENTAGE, percentage=5 / 30,
-    )
-    np.testing.assert_array_equal(merged, monolithic)
-    np.testing.assert_array_equal(merged, np.arange(5, dtype=np.intp))
+    np.testing.assert_array_equal(monolithic_percentage(distances, 5 / 30),
+                                  np.arange(5, dtype=np.intp))
+    rows = displayed_rows(percentage_query(distances, 2, 5 / 30))
+    np.testing.assert_array_equal(rows, np.arange(5, dtype=np.intp))
 
 
 def test_topk_empty_shards_are_identity():
+    """Shards past the last row add nothing to the displayed set."""
     rng = np.random.default_rng(7)
-    distances = random_column(rng, 60, tie_heavy=True)
-    target = 9
-    base = reduce(merge_topk_candidates,
-                  [topk_candidates(distances[a:b], target, offset=a)
-                   for a, b in [(0, 30), (30, 60)]])
-    empty = topk_candidates(np.empty(0), target, offset=60)
-    np.testing.assert_array_equal(
-        resolve_topk(merge_topk_candidates(base, empty)), resolve_topk(base)
-    )
-    np.testing.assert_array_equal(
-        resolve_topk(merge_topk_candidates(empty, base)), resolve_topk(base)
-    )
+    values = random_column(rng, 60, tie_heavy=True)
+    base = displayed_rows(percentage_query(values, 2, 9 / 60, 20.0, 60.0))
+    for shards in (61, 64, 100):
+        np.testing.assert_array_equal(displayed_rows(percentage_query(
+            values, shards, 9 / 60, 20.0, 60.0)), base)
 
 
 TIE_HEAVY_VALUES = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.0,
@@ -280,56 +269,27 @@ TIE_HEAVY_VALUES = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.0,
 
 @st.composite
 def topk_cases(draw):
-    """A tie-heavy column, a target, random shard cuts and a merge tree.
-
-    The tree is a list of (left, right) picks over a shrinking list of
-    partials: each pick merges two of them into one, until one is left.
-    """
-    distances = np.asarray(draw(st.lists(TIE_HEAVY_VALUES, min_size=1,
-                                         max_size=120)), dtype=float)
-    n = len(distances)
-    target = draw(st.integers(1, n))
-    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
-    edges = [0, *cuts, n]
-    ranges = [(edges[k], edges[k + 1]) for k in range(len(edges) - 1)]
-    picks = [(draw(st.integers(0, m - 1)), draw(st.integers(0, m - 2)))
-             for m in range(len(ranges), 1, -1)]
-    order = draw(st.permutations(range(len(ranges))))
-    return distances, target, ranges, picks, order
+    """A tie-heavy column, a shard count (more shards than rows included)
+    and a display percentage."""
+    values = np.asarray(draw(st.lists(TIE_HEAVY_VALUES, min_size=1,
+                                      max_size=120)), dtype=float)
+    n = len(values)
+    shards = draw(st.integers(1, n + 8))
+    percentage = draw(st.integers(1, n)) / n
+    return values, shards, percentage
 
 
 @given(topk_cases())
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_topk_bounded_merge_algebra(case):
-    """Partials hold at most ``target`` rows, any merge tree resolves to the
-    monolithic percentage selection, and pairwise merges equal one
-    ``_many`` merge, row set and values alike."""
-    distances, target, ranges, picks, order = case
-    n = len(distances)
-    partials = [topk_candidates(distances[a:b], target, offset=a) for a, b in ranges]
-    assert all(len(p.indices) <= target for p in partials)
-    pending = list(partials)
-    for left, right in picks:
-        a = pending.pop(left)
-        merged = merge_topk_candidates(a, pending.pop(right))
-        assert len(merged.indices) <= target
-        pending.append(merged)
-    (tree,) = pending
-    many = merge_topk_candidates_many([partials[k] for k in order])
-    assert len(many.indices) == min(target, n) and tree.count == many.count == n
-    by_row = np.argsort(tree.indices)
-    np.testing.assert_array_equal(tree.indices[by_row], np.sort(many.indices))
-    np.testing.assert_array_equal(
-        tree.values[by_row], many.values[np.argsort(many.indices)])
-    monolithic = select_display_set(
-        distances, capacity=10_000, n_selection_predicates=1,
-        method=ReductionMethod.PERCENTAGE, percentage=target / n)
-    np.testing.assert_array_equal(resolve_topk(tree), monolithic)
-    np.testing.assert_array_equal(resolve_topk(many), monolithic)
-
-
-def test_topk_target_mismatch_rejected():
-    a = topk_candidates(np.arange(5.0), 2)
-    b = topk_candidates(np.arange(5.0), 3)
-    with pytest.raises(ValueError):
-        merge_topk_candidates(a, b)
+    """The engine's percentage display on tie-heavy columns, cold and after
+    a range micro-move (the patch path): the displayed rows are the
+    stable-argsort spec's, and every shard's cut holds at most ``target``
+    rows however many of its rows tie at the threshold."""
+    values, shards, percentage = case
+    prepared = percentage_query(values, shards, percentage)
+    target = max(1, int(round(percentage * len(values))))
+    for changes in ([], [SetQueryRange((), 0.0, 1.25)]):
+        displayed_rows(prepared, changes)
+        assert all(len(below) + len(ties) <= target
+                   for below, ties in prepared._root.displayed.pieces)
