@@ -112,8 +112,10 @@ class ExecBackend:
         ride replies because a worker could not map the output block.
         Gauges (``worker_count``, ``workers_alive``, ``published_tables``,
         ``published_bytes``) describe shared infrastructure and are
-        reported as current values, not deltas.  The out-of-process
-        backends build this dict in one place
+        reported as current values, not deltas; so are the store-wide
+        counters ``output_blocks_created`` / ``output_blocks_reused``
+        (output blocks made fresh / taken back from the free slot).  The
+        out-of-process backends build this dict in one place
         (:meth:`repro.backend.coordinator.Coordinator.stats`); the full
         table is in ``docs/backends.md``.
         """
@@ -128,6 +130,8 @@ class ExecBackend:
             "column_bytes": 0,
             "published_tables": 0,
             "published_bytes": 0,
+            "output_blocks_created": 0,
+            "output_blocks_reused": 0,
             "worker_count": 0,
             "workers_alive": 0,
         }

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import pickle
 import threading
-from contextlib import AbstractContextManager, suppress
+import weakref
+from contextlib import AbstractContextManager
 from typing import TYPE_CHECKING, Any, Protocol
 
 import numpy as np
@@ -51,7 +52,7 @@ from repro.backend.pipeline import (
     resolve_level,
     round_message,
 )
-from repro.backend.shm import PublishedTable, ShmColumnStore, create_block
+from repro.backend.shm import PublishedTable, ShmColumnStore
 from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -128,20 +129,29 @@ class OutputBuffer:
 
     A shared-memory block when at least one lane can map it (workers then
     write their spans in place: zero column bytes on the transport),
-    plain local bytes otherwise.  ``names[lane]`` is what goes into that
+    plain local bytes otherwise.  The block comes from ``store``'s free
+    slot when one of the right size is there
+    (:meth:`~repro.backend.shm.ShmColumnStore.take_output_block`).
+    :attr:`buf` is one root ``uint8`` array over the whole buffer; build
+    every column view on it.  ``names[lane]`` is what goes into that
     lane's ``out`` field -- the block name, or ``None`` for a lane that
     must keep its columns for ``pipeline_fetch``.
 
     The buffer ends one of two ways.  A failed op calls :meth:`close`:
-    the block is unlinked and unmapped.  A successful one calls
-    :meth:`adopt`: the name goes just the same, but the memory stays
-    with the column views built on :attr:`buf`, which the caches keep.
+    the block is unlinked and unmapped, never reused -- a lane that
+    faulted may still be writing to it.  A successful one calls
+    :meth:`adopt`: the memory stays with the column views, which the
+    caches keep, and the block returns to the store's free slot, still
+    mapped and linked, when the last of them dies.
     """
 
-    def __init__(self, nbytes: int, lanes_shm: list[bool]):
-        self._shm = create_block(max(1, nbytes)) if any(lanes_shm) else None
-        self.buf = (self._shm.buf if self._shm is not None
-                    else memoryview(bytearray(max(1, nbytes))))
+    def __init__(self, nbytes: int, lanes_shm: list[bool],
+                 store: ShmColumnStore):
+        size = max(1, nbytes)
+        self._store = store
+        self._shm = store.take_output_block(size) if any(lanes_shm) else None
+        memory = self._shm.buf if self._shm is not None else bytearray(size)
+        self.buf: np.ndarray | None = np.ndarray(size, np.uint8, buffer=memory)
         name = self._shm.name if self._shm is not None else None
         self.names = [name if shm else None for shm in lanes_shm]
 
@@ -150,27 +160,24 @@ class OutputBuffer:
         self.buf = None
         shm, self._shm = self._shm, None
         if shm is not None:
-            # The name goes first, so nothing that delays the unmapping
-            # can leave the block linked.
-            with suppress(FileNotFoundError):
-                shm.unlink()
-            shm.close()
+            self._store.forget_output_block(shm)
 
     def adopt(self) -> None:
         """Hand the buffer's memory to the views built on :attr:`buf`.
 
-        Nothing is copied.  A NumPy view of the buffer references the
-        block's ``mmap`` (or the local ``bytearray``) itself, so the
-        memory lives exactly as long as the last view of it.  A shared
-        block's name is unlinked and the wrapper's descriptor closed at
-        once; the mapping, and the one descriptor ``mmap`` keeps, go
-        when the views do.  :meth:`close` is a no-op afterwards.
+        Nothing is copied.  Every view of :attr:`buf` keeps that root
+        array alive, and the root keeps the block's ``mmap`` (or the local
+        ``bytearray``), so the memory lives exactly as long as the last
+        view of it.  Then a finalizer on the root gives a shared block
+        back to the store.  :meth:`close` is a no-op afterwards.
         """
         if self._shm is not None:
-            # Detach the mapping, so closing the wrapper (now or in its
-            # __del__) cannot unmap pages live views still read.
-            self._shm._buf = self._shm._mmap = None
-        self.close()
+            finalizer = weakref.finalize(
+                self.buf, self._store.give_back_output_block, self._shm)
+            # At exit the store's close() unlinks every block; a give-back
+            # then could only park a block some view still reads.
+            finalizer.atexit = False
+        self.buf = self._shm = None
 
 
 class Transport(Protocol):
@@ -205,7 +212,8 @@ class Transport(Protocol):
         """
 
     def output_buffer(self, nbytes: int) -> OutputBuffer:
-        """The op's output buffer, shared with whichever lanes can map it."""
+        """The op's output buffer over the backend's store, shared with
+        whichever lanes can map it."""
 
     def round(self, messages: list[dict[str, Any] | None], timeout: float
               ) -> tuple[list[dict[str, Any] | None], int, int]:

@@ -59,6 +59,7 @@ __all__ = [
     "FIELD_DTYPES",
     "WorkerPipeline",
     "gather_round",
+    "lane_ranges",
     "leaf_kernel",
     "next_pipeline_token",
     "node_views",
@@ -126,6 +127,23 @@ def pipeline_layout(nodes: list[dict[str, Any]],
             entry["signed"] = reserve(rows * 8)
         offsets[node["id"]] = entry
     return max(1, cursor), offsets
+
+
+def lane_ranges(nodes: list[dict[str, Any]], rows: int,
+                shards: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """The byte ranges of the output block one lane writes.
+
+    Every :func:`pipeline_layout` column over each of the lane's
+    ``(shard, start, stop)`` spans, and nothing else.
+    """
+    _, offsets = pipeline_layout(nodes, rows)
+    ranges = []
+    for offs in offsets.values():
+        for field, offset in offs.items():
+            size = np.dtype(FIELD_DTYPES[field]).itemsize
+            ranges += [(offset + start * size, offset + stop * size)
+                       for _, start, stop in shards]
+    return ranges
 
 
 # --------------------------------------------------------------------------- #

@@ -567,7 +567,8 @@ class _Fleet:
     # ------------------------------------------------------------------ #
     def output_buffer(self, nbytes: int) -> OutputBuffer:
         return OutputBuffer(
-            nbytes, [bool(endpoint.shm_ok) for endpoint, _ in self.pairs])
+            nbytes, [bool(endpoint.shm_ok) for endpoint, _ in self.pairs],
+            self.backend.store)
 
     def round(self, messages: list[dict[str, Any] | None], timeout: float):
         """Send ``messages[i]`` on lane ``i``, collect one reply each.

@@ -27,10 +27,11 @@ import time
 from multiprocessing import shared_memory
 from typing import Any, Callable
 
-from repro.backend.pipeline import WorkerPipeline, pipeline_layout
+from repro.backend.pipeline import WorkerPipeline, lane_ranges, pipeline_layout
 from repro.backend.shm import (
     attach_block,
     build_table_from_manifest,
+    populate_write,
     table_from_buffers,
 )
 from repro.storage.lru import LRUStore
@@ -225,10 +226,14 @@ class WorkerOps:
                     block = self.attach_block(msg["out"])
                 except Exception:
                     block = None
+            spec = msg["spec"]
             if block is not None:
+                # Fault in this lane's spans in one go (a recycled block's
+                # pages exist already; a new one's are allocated here).
+                populate_write(block, lane_ranges(
+                    spec["nodes"], spec["rows"], msg["shards"]))
                 buf = block.buf
             else:
-                spec = msg["spec"]
                 buf = bytearray(pipeline_layout(spec["nodes"],
                                                 spec["rows"])[0])
             pipeline = WorkerPipeline(entry.table, msg, buf)

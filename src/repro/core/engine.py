@@ -480,14 +480,15 @@ class QueryEngine:
         """Merged view of this engine's backend instances.
 
         Counters (ops, fallbacks, restarts, traffic) sum across instances;
-        gauges describing shared infrastructure (worker/publication state)
-        take the maximum so a pool is not double-counted when several
-        backend instances share it.
+        gauges describing shared infrastructure (worker/publication state,
+        the store's output-block counts) take the maximum so a pool is not
+        double-counted when several backend instances share it.
         """
         from repro.backend import ExecBackend
 
         gauges = {"worker_count", "workers_alive",
-                  "published_tables", "published_bytes"}
+                  "published_tables", "published_bytes",
+                  "output_blocks_created", "output_blocks_reused"}
         merged: dict = dict(ExecBackend().stats())
         try:
             merged["name"] = self.config.backend or default_backend_name()

@@ -178,8 +178,6 @@ class AttributePredicate(Predicate):
         return f"{self.attribute} {self.operator.value} {self.value:g}"
 
     def inverted(self) -> "AttributePredicate":
-        if self.operator in (ComparisonOperator.EQ, ComparisonOperator.NE):
-            return AttributePredicate(self.attribute, self.operator.inverted(), self.value)
         return AttributePredicate(self.attribute, self.operator.inverted(), self.value)
 
 

@@ -16,7 +16,11 @@ offload -- each must degrade to a bit-identical in-process run.
 import gc
 import mmap
 import os
+import random
 import signal
+import sys
+import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
 
@@ -24,7 +28,9 @@ import numpy as np
 import pytest
 
 from repro import PipelineConfig, Query, QueryEngine, condition
+from repro.backend import shutdown_all
 from repro.backend.process import ProcessBackend, WorkerOpError, WorkerPoolError
+from repro.backend.remote.client import STORE
 from repro.backend.shm import ShmColumnStore
 from repro.core.normalization import reduced_bounds
 from repro.core.reduction import rank_counts
@@ -33,7 +39,7 @@ from repro.query import AndNode, OrNode, PredicateLeaf
 from repro.query.predicates import StringMatchPredicate
 from repro.storage.table import Table
 
-from census import module_census
+from census import module_census, shm_blocks
 from test_backend import (
     _UnpicklablePredicate,
     assert_frames_identical,
@@ -168,32 +174,105 @@ def assert_columns_adopted(columns: list[np.ndarray]):
     return memory_owner(columns[0])
 
 
+def output_blocks() -> dict[str, int]:
+    """The shared store's output-block counters."""
+    stats = STORE.stats()
+    return {key: stats[f"output_blocks_{key}"] for key in ("created", "reused")}
+
+
+def cold_open(engine, table, threshold, target="row3"):
+    """A prepared query with new constants, executed cold; its frame must
+    equal the in-process cold run's."""
+    prepared = engine.prepare(Query(
+        name=f"recycle-{threshold}-{target}", tables=[table.name],
+        condition=pipeline_condition(StringMatchPredicate("s", target),
+                                     threshold=threshold)))
+    assert_frames_identical(cold_frame(table, prepared), prepared.execute(),
+                            f"threshold {threshold}, {target}")
+    return prepared
+
+
+def drop_caches(engine, table) -> None:
+    """Forget every cached column of ``table``, and collect the garbage."""
+    engine.evaluation_cache(table).clear()
+    gc.collect()
+
+
 @pytest.mark.parametrize("shards", [4, 32])
 def test_accepted_open_hands_its_output_block_to_the_caches(shards):
-    """The coordinator copies no column out of the op's output block.
+    """The coordinator copies no column out of the op's output block, and
+    recycles the block only once nothing views it.
 
     Every node column of an accepted cold open is a read-only view of the
-    block the workers wrote.  The block's name is gone at once (the census
-    sees no block), and its mapping lives exactly as long as a cache or a
-    site entry holds a view of it.
+    block the workers wrote.  A view held from open 1 keeps its block
+    out of the free slot, so open 2 writes another one; once that view
+    is dropped, open 3 takes open 1's block back.  ``shutdown_all``
+    leaves no block linked and, with the views gone, none mapped.
     """
     before = deleted_shm_mappings()
     engine, table, prepared = build_pipeline_prepared(shards)
     try:
-        frame = prepared.execute()
-        assert_frames_identical(cold_frame(table, prepared), frame,
-                                f"adopted, {shards} shards")
-        stats = engine.stats()["backend"]
-        assert stats["pipeline_ops"] == 1 and stats["fallbacks"] == 0
+        prepared.execute()
         owner = assert_columns_adopted(node_columns(prepared))
         assert isinstance(owner, mmap.mmap)
-        held = deleted_shm_mappings() - before
-        assert len(held) == 1
+        held = node_columns(prepared)[0]
+        del prepared
+        drop_caches(engine, table)
+        counts = output_blocks()
+
+        second = cold_open(engine, table, 4.0, "row1")
+        assert assert_columns_adopted(node_columns(second)) is not owner
+        assert output_blocks() == {"created": counts["created"] + 1,
+                                   "reused": counts["reused"]}
+
+        del held
+        gc.collect()
+        third = cold_open(engine, table, 3.0, "row2")
+        assert assert_columns_adopted(node_columns(third)) is owner
+        assert output_blocks() == {"created": counts["created"] + 1,
+                                   "reused": counts["reused"] + 1}
+        stats = engine.stats()["backend"]
+        assert stats["pipeline_ops"] == 3 and stats["fallbacks"] == 0
     finally:
         engine.close()
-    del prepared, frame, owner
+    del second, third, owner
     gc.collect()
-    assert not held & deleted_shm_mappings(), "mapping outlived its views"
+    shutdown_all()
+    assert not shm_blocks(), "a block outlived shutdown_all"
+    assert not deleted_shm_mappings() - before, "mapping outlived its views"
+
+
+@pytest.mark.parametrize("shards", [4, 32])
+def test_recycled_block_carries_no_stale_byte(shards):
+    """Open 2 writes every byte of open 1's recycled block.
+
+    Both opens are compared with the in-process cold run: the frame, and
+    every node column of every site (raw, normalized, mask and the
+    leaves' signed distances), so a stale byte anywhere in the layout
+    fails.  The second plan has other constants throughout, so no column
+    of open 1 is right for open 2 by accident.
+    """
+    engine, table, _ = build_pipeline_prepared(shards)
+    reference = QueryEngine(table, PipelineConfig(
+        shard_count=shards, backend="threads", percentage=0.4))
+
+    def check(threshold, target):
+        got = node_columns(cold_open(engine, table, threshold, target))
+        want = node_columns(cold_open(reference, table, threshold, target))
+        assert len(got) == len(want)
+        for column, expected in zip(got, want):
+            assert np.array_equal(column, expected, equal_nan=True), threshold
+
+    try:
+        check(5.0, "row3")
+        drop_caches(engine, table)
+        reused = output_blocks()["reused"]
+        check(-2.0, "row0")
+        assert output_blocks()["reused"] == reused + 1
+        assert engine.stats()["backend"]["fallbacks"] == 0
+    finally:
+        engine.close()
+        reference.close()
 
 
 def coordinator_bytes_per_row(monkeypatch, n: int,
@@ -518,6 +597,60 @@ def test_shm_nested_pins_all_must_drop():
         assert evicted == [p1] and p1.closed
     finally:
         store.close()
+
+
+def test_output_block_slot_under_concurrent_take_and_give_back():
+    """Eight threads on two cores take output blocks and give them back or
+    forget them, as ops and dying views do, with a 1 us switch interval.
+
+    No block is held by two takers at once, every take is counted once as
+    created or reused, a size miss is never served, and ``close`` leaves
+    none of the blocks linked.
+    """
+    store = ShmColumnStore()
+    held: set[str] = set()
+    seen: set[str] = set()
+    errors: list[str] = []
+    lock = threading.Lock()
+
+    def run(seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            size = rng.choice((4096, 8192))
+            block = store.take_output_block(size)
+            with lock:
+                if block.name in held or block.size != size:
+                    errors.append(block.name)
+                held.add(block.name)
+                seen.add(block.name)
+            block.buf[0] = seed  # this taker's mark, checked after a yield
+            time.sleep(0)
+            with lock:
+                if block.buf[0] != seed:
+                    errors.append(block.name)
+                held.discard(block.name)
+            if rng.random() < 0.9:
+                store.give_back_output_block(block)
+            else:
+                store.forget_output_block(block)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        store.close()
+    assert not errors, errors
+    stats = store.stats()
+    assert stats["output_blocks_created"] + stats["output_blocks_reused"] == 1600
+    assert stats["output_blocks_reused"] > 0
+    assert not {name for name in seen if os.path.exists(f"/dev/shm/{name}")}
 
 
 # --------------------------------------------------------------------------- #

@@ -14,14 +14,15 @@ the coordinator's obligations checked exactly:
 * ``abort`` is issued iff a start round was sent, and is the event's last
   transport call: the in-process fallback never goes back to the lanes,
   so a broken pool is respawned by the *next* cold event, not this one;
-* the output buffer is closed and unlinked, the publication unpinned;
+* a faulted op's output buffer is closed and unlinked, never reused (an
+  accepted op's stays linked for the next op), the publication unpinned;
 * ``fallbacks`` / ``pipeline_fallbacks`` / ``worker_restarts`` move as
   ``docs/backends.md`` says.
 """
 
 import math
+import os
 from contextlib import contextmanager
-from multiprocessing import shared_memory
 
 import pytest
 
@@ -115,7 +116,8 @@ class FakeTransport:
         return out + in_
 
     def output_buffer(self, nbytes):
-        buffer = OutputBuffer(nbytes, [self.allow_shm] * len(self.lanes))
+        buffer = OutputBuffer(nbytes, [self.allow_shm] * len(self.lanes),
+                              FakeBackend.store)
         self.buffers.append(buffer)
         return buffer
 
@@ -203,12 +205,25 @@ def run_pipeline_event(transport):
         engine.close()
 
 
-def assert_buffers_released(transport):
-    for buffer in transport.buffers:
+def assert_buffers_released(transport, faulted=()):
+    """Every op's buffer is closed or adopted, the publication unpinned.
+
+    ``faulted`` indexes ``transport.buffers``: those ops faulted, so
+    their blocks are unlinked and never reused -- no later op's block
+    has the name.  An accepted op's block stays linked for reuse.
+    """
+    names = [next(iter(set(buffer.names) - {None}), None)
+             for buffer in transport.buffers]
+    for index, (buffer, name) in enumerate(zip(transport.buffers, names)):
         assert buffer.buf is None, "output buffer left open"
-        for name in set(buffer.names) - {None}:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        if name is None:
+            continue
+        linked = os.path.exists(f"/dev/shm/{name}")
+        if index in faulted:
+            assert not linked, "a faulted op's block is still linked"
+            assert name not in names[index + 1:], "a faulted block was reused"
+        else:
+            assert linked, "an accepted op's block was unlinked"
     assert FakeBackend.store.tables.pinned == 0, "publication left pinned"
 
 
@@ -300,7 +315,8 @@ def test_fault_at_every_round_boundary(fake_backend, op, occurrence, kind):
         # them; lanes behind a transport fault are gone with their pool.
         assert kind == "transport" or all(
             ops.session is None for ops in transport.lanes)
-        assert_buffers_released(transport)
+        faulted = range(len(transport.buffers))
+        assert_buffers_released(transport, faulted)
 
         # The next cold event on the same backend is the one that pays the
         # respawn (after a transport fault), once, and is accepted.
@@ -313,7 +329,7 @@ def test_fault_at_every_round_boundary(fake_backend, op, occurrence, kind):
         assert stats["pipeline_ops"] == 1
         assert stats["pipeline_fallbacks"] == 1
         assert all(ops.session is None for ops in transport.lanes)
-        assert_buffers_released(transport)
+        assert_buffers_released(transport, faulted)
     finally:
         engine.close()
 
@@ -336,7 +352,9 @@ def test_unknown_table_is_reattached_and_retried_once(fake_backend):
         # The rejected first attempt had sent its start round: aborted.
         assert len(transport.aborts) == 1
         assert transport.rounds.count("attach") == 2
-        assert_buffers_released(transport)
+        # Open 1, the rejected attempt of open 2, and its retry.
+        assert len(transport.buffers) == 3
+        assert_buffers_released(transport, faulted={1})
     finally:
         engine.close()
 
